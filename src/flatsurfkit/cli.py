@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -291,8 +290,7 @@ def _cell_digest(cell: iso.Cell) -> str:
 
 def _cmd_tessellate(args) -> int:
     s = _require_valid(_read_surface(args.surface))
-    threads = int(os.environ.get("FLATSURFKIT_THREADS", "1"))
-    tess = iso.explore(s, iso.HPoint(args.x, args.y), args.radius, threads=threads)
+    tess = iso.explore(s, iso.HPoint(args.x, args.y), args.radius)
     print(f"cells: {len(tess.cells)}")
     print(f"walls: {len(tess.all_walls())}")
     if args.json:

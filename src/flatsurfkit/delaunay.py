@@ -71,6 +71,8 @@ class Triangulation:
         self.glue = dict(glue)
         self.chart_sign = dict(chart_sign)
         self.flip_count = 0
+        # Flips keep each vector's scalar type, so exactness is fixed here.
+        self._exact = all(is_exact(v[0]) and is_exact(v[1]) for tri in self.vecs for v in tri)
 
     # -- basics ----------------------------------------------------------------
 
@@ -95,7 +97,7 @@ class Triangulation:
         return Triangulation(self.vecs, self.glue, self.chart_sign)
 
     def is_exact(self) -> bool:
-        return all(is_exact(v[0]) and is_exact(v[1]) for tri in self.vecs for v in tri)
+        return self._exact
 
     def corner_position(self, h: HalfEdge) -> Vec2:
         """Position of the corner at the start of h, in its triangle's chart."""
@@ -206,7 +208,7 @@ def hinge(t: Triangulation, edge: HalfEdge) -> Hinge:
     vu = t.vec(_next(tw))
     eps = t.chart_sign[edge]
     p1 = (0, 0)
-    p2 = vec_scale(eps, vu)
+    p2 = vu if eps == 1 else vec_neg(vu)
     p3 = va
     p4 = vec_add(va, vb)
     return Hinge(edge, p1, p2, p3, p4, t.is_exact(), tw == edge)
@@ -284,10 +286,9 @@ def _flip_in_place(t: Triangulation, edge: HalfEdge) -> None:
     if ta == tb:
         raise DelaunayError(f"cannot flip edge {edge} with both sides in one triangle")
     eps = t.chart_sign[a]
-    va, vb, vc = t.vec(a), t.vec(n1), t.vec(n2)
-    vu, vw = t.vec(u), t.vec(w)
-    q1 = vec_add(va, vb)   # apex of the edge's own triangle
-    q2 = vec_scale(eps, vu)  # apex of the twin triangle, developed
+    vb, vc, vw = t.vec(n1), t.vec(n2), t.vec(w)
+    q1 = h.p4  # apex of the edge's own triangle
+    q2 = h.p2  # apex of the twin triangle, developed
 
     # The new diagonal keeps the keys (a, tw); the four outer edges rotate
     # to the remaining slots.  u and w change chart by eps.
@@ -298,7 +299,7 @@ def _flip_in_place(t: Triangulation, edge: HalfEdge) -> None:
         w: (tb, (fb + 1) % 3),
         n1: (tb, (fb + 2) % 3),
     }
-    new_vec = {u: q2, n2: vc, w: vec_scale(eps, vw), n1: vb}
+    new_vec = {u: q2, n2: vc, w: vw if eps == 1 else vec_neg(vw), n1: vb}
     recharted = {u, w} if eps == -1 else set()
     old = {key: (t.glue[key], t.chart_sign[key]) for key in (u, w, n1, n2)}
 

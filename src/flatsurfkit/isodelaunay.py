@@ -188,9 +188,26 @@ def _normalize_wall(a: Scalar, b: Scalar, c: Scalar) -> Wall:
 # -- Delaunay triangulations over the half-plane --------------------------------------
 
 
-def _q_sign(t: Triangulation, edge: HalfEdge, u: Scalar, v: Scalar, exact: bool) -> int:
+def _memo_wall(t: Triangulation, edge: HalfEdge, walls: Optional[dict]):
+    """wall_of_hinge(t, edge), computed once per developed hinge in walls.
+
+    A wall depends only on the hinge developed in the base chart, and p1 is
+    always the origin, so (p2, p3, p4) is the key.
+    """
+    if walls is None:
+        return wall_of_hinge(t, edge)
+    h = hinge(t, edge)
+    key = (h.p2, h.p3, h.p4)
+    w = walls.get(key)
+    if w is None:
+        w = walls[key] = wall_of_hinge(t, edge)
+    return w
+
+
+def _q_sign(t: Triangulation, edge: HalfEdge, u: Scalar, v: Scalar, exact: bool,
+            walls: Optional[dict]) -> int:
     """Sign of the hinge's Delaunay form at (u, v); negative means Delaunay."""
-    w = wall_of_hinge(t, edge)
+    w = _memo_wall(t, edge, walls)
     if w is ALWAYS:
         return -1
     if w is NEVER:
@@ -204,9 +221,13 @@ def _q_sign(t: Triangulation, edge: HalfEdge, u: Scalar, v: Scalar, exact: bool)
     return 1 if f > 0 else -1
 
 
-def delaunayize_at(t: Triangulation, u: Scalar, v: Scalar, cap: int = dl.FLIP_CAP) -> Triangulation:
+def delaunayize_at(t: Triangulation, u: Scalar, v: Scalar, cap: int = dl.FLIP_CAP,
+                   _walls: Optional[dict] = None) -> Triangulation:
     """Flip until every hinge is Delaunay for the surface at z with
-    (|z|^2, Re z) = (u, v); operates on base-chart holonomies throughout."""
+    (|z|^2, Re z) = (u, v); operates on base-chart holonomies throughout.
+
+    _walls, when given, memoizes wall_of_hinge by developed hinge.
+    """
     out = t.copy()
     exact = out.is_exact() and is_exact(u) and is_exact(v)
     queue = deque(out.edges())
@@ -215,7 +236,7 @@ def delaunayize_at(t: Triangulation, u: Scalar, v: Scalar, cap: int = dl.FLIP_CA
     while queue:
         edge = queue.popleft()
         queued.discard(edge)
-        if _q_sign(out, edge, u, v, exact) <= 0:
+        if _q_sign(out, edge, u, v, exact, _walls) <= 0:
             continue
         h = hinge(out, edge)
         if h.folded:
@@ -280,10 +301,11 @@ class _Constraint:
         return self.wall.oriented_key()
 
 
-def _collect_constraints(t: Triangulation, u: Scalar, v: Scalar, exact: bool) -> List[_Constraint]:
+def _collect_constraints(t: Triangulation, u: Scalar, v: Scalar, exact: bool,
+                         walls: Optional[dict]) -> List[_Constraint]:
     by_key: Dict[object, _Constraint] = {}
     for edge in t.edges():
-        w = wall_of_hinge(t, edge)
+        w = _memo_wall(t, edge, walls)
         if w is ALWAYS or w is NEVER:
             if w is NEVER:
                 raise IsoDelaunayError("never-Delaunay hinge in a Delaunay triangulation")
@@ -398,10 +420,33 @@ def _supporting_interval(target: _Constraint, others: Sequence[_Constraint], exa
     return (lo, hi) if val_sign(g0) > 0 else None
 
 
-def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None) -> Cell:
-    """The iso-Delaunay cell containing z (perturbing z off walls if needed)."""
+@dataclass
+class _Memo:
+    """Work shared by the cell_at calls of one explore.
+
+    cells maps a supporting key to the cell explore stored under it.  walls
+    (developed hinge -> wall) and supports (set of all oriented constraint
+    keys -> supporting key) are kept on exact input only, where both are
+    functions of their keys.  Float hinge coordinates drift by ulps across
+    flip sequences, so a float wall memo would mostly miss; float keys are
+    rounded, so one constraint-key set can have different supporting walls.
+    """
+
+    cells: Dict[FrozenSet, "Cell"]
+    walls: Optional[dict] = None
+    supports: Optional[Dict[FrozenSet, FrozenSet]] = None
+
+
+def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
+            _memo: Optional[_Memo] = None) -> Cell:
+    """The iso-Delaunay cell containing z (perturbing z off walls if needed).
+
+    With _memo, a cell whose supporting key is already in _memo.cells is
+    returned as stored instead of being built again.
+    """
     exact = s.is_exact()
     base = _tri if _tri is not None else dl.triangulate(s)
+    memo = _memo if _memo is not None else _Memo({})
     zx, zy = z.x, z.y
     for attempt in range(8):
         if exact:
@@ -411,22 +456,30 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None) -> Cell
             vx, vy = zx, zy
         u = vx * vx + vy * vy
         try:
-            t = delaunayize_at(base, u, vx)
-            cons = _collect_constraints(t, u, vx, exact)
+            t = delaunayize_at(base, u, vx, _walls=memo.walls)
+            cons = _collect_constraints(t, u, vx, exact, memo.walls)
         except _OnWall:
             zx += (1e-9 if attempt % 2 == 0 else -2e-9) * (attempt + 1)
             zy += 1e-9 * (attempt + 1)
             continue
+        if memo.supports is not None:
+            everything = frozenset(c.item() for c in cons)
+            known = memo.supports.get(everything)
+            if known in memo.cells:
+                return memo.cells[known]
         supporting = []
         for con in cons:
             if _supporting_interval(con, cons, exact) is not None:
                 supporting.append(con)
         supporting.sort(key=lambda c: c.item())
-        walls = tuple(c.wall for c in supporting)
         key = frozenset(c.item() for c in supporting)
+        if memo.supports is not None:
+            memo.supports[everything] = key
+        if key in memo.cells:
+            return memo.cells[key]
         return Cell(
             comb_hash=dl.canonical_code(t, include_mirror=True),
-            walls=walls,
+            walls=tuple(c.wall for c in supporting),
             sample=HPoint(to_float(vx), to_float(vy)),
             key=key,
             sample_exact=(vx, vy) if exact else (Fraction(0), Fraction(1)),
@@ -506,7 +559,7 @@ def _facet_crossing_point(con: _Constraint, interval, z0: HPoint, radius: float)
     return best[1]
 
 
-def _cross_wall(s: Surface, cell: Cell, con: _Constraint, at: HPoint) -> Optional[Cell]:
+def _cross_wall(s: Surface, cell: Cell, con: _Constraint, at: HPoint, memo: _Memo) -> Optional[Cell]:
     """A sample just across the wall from the cell, verified exactly."""
     a, b, c = con.wall.floats()
     # gradient of the oriented q in (x, y): points out of the cell
@@ -542,56 +595,53 @@ def _cross_wall(s: Surface, cell: Cell, con: _Constraint, at: HPoint) -> Optiona
         if not inside:
             continue
         try:
-            return cell_at(s, HPoint(to_float(vx), to_float(vy)), _tri=cell.triangulation)
+            return cell_at(s, HPoint(to_float(vx), to_float(vy)), _tri=cell.triangulation, _memo=memo)
         except IsoDelaunayError:
             continue
     return None
 
 
-def explore(s: Surface, z0: HPoint, radius: float, cell_budget: int = 10 ** 5,
-            threads: int = 1) -> Tessellation:
+def explore(s: Surface, z0: HPoint, radius: float, cell_budget: int = 10 ** 5) -> Tessellation:
     """Breadth-first tessellation of the hyperbolic ball around z0.
 
     From each cell every supporting wall whose facet meets the ball is
-    crossed by flipping the hinges that become cocircular there; cells are
-    deduplicated by their supporting wall set.  Deterministic: the
-    frontier is processed in sorted order.
+    crossed by resampling: a point just across the facet is located with
+    cell_at, which runs delaunayize_at from the cell's own triangulation.
+    Cells are deduplicated by their supporting wall set.  Deterministic:
+    the frontier is processed in sorted order.
+
+    One exploration computes each exact wall once (a memo keyed by the
+    developed hinge) and does not rebuild a cell it already holds: a
+    neighbour whose supporting key is known, or on exact input whose full
+    constraint set was seen before, is returned from the store.  On exact
+    input the Delaunay tessellation is unique, so the constraint set pins
+    the cell.
     """
     if not radius > 0:
         raise IsoDelaunayError("radius must be positive")
-    start = cell_at(s, z0)
-    cells: Dict[FrozenSet, Cell] = {start.key: start}
+    exact = s.is_exact()
+    cells: Dict[FrozenSet, Cell] = {}
+    memo = _Memo(cells, walls={}, supports={}) if exact else _Memo(cells)
+    start = cell_at(s, z0, _memo=memo)
+    cells[start.key] = start
     adjacency: Set = set()
     frontier = [start]
-
-    def expand(cell: Cell) -> List[Tuple[Cell, Wall, Cell]]:
-        found = []
-        for con in cell.constraints:
-            interval = _supporting_interval(con, cell.constraints, s.is_exact())
-            if interval is None:
-                continue
-            at = _facet_crossing_point(con, interval, z0, radius)
-            if at is None:
-                continue
-            neighbor = _cross_wall(s, cell, con, at)
-            if neighbor is not None:
-                found.append((cell, con.wall, neighbor))
-        return found
-
     while frontier:
         frontier.sort(key=lambda c: (c.comb_hash, sorted(map(repr, c.key))))
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                batches = list(pool.map(expand, frontier))
-        else:
-            batches = [expand(cell) for cell in frontier]
         next_frontier: List[Cell] = []
-        for batch in batches:  # merged in frontier order: deterministic
-            for cell, wall, neighbor in batch:
+        for cell in frontier:
+            for con in cell.constraints:
+                interval = _supporting_interval(con, cell.constraints, exact)
+                if interval is None:
+                    continue
+                at = _facet_crossing_point(con, interval, z0, radius)
+                if at is None:
+                    continue
+                neighbor = _cross_wall(s, cell, con, at, memo)
+                if neighbor is None:
+                    continue
                 adjacency.add(
-                    (min(cell.key, neighbor.key, key=repr), max(cell.key, neighbor.key, key=repr), wall)
+                    (min(cell.key, neighbor.key, key=repr), max(cell.key, neighbor.key, key=repr), con.wall)
                 )
                 if neighbor.key not in cells:
                     if len(cells) >= cell_budget:

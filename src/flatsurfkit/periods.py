@@ -410,12 +410,6 @@ class _BranchedSegment:
                 hi, ghi = mid, gm
         return 0.5 * (lo + hi)
 
-    def sign_at(self, s: float) -> int:
-        for lo, hi, sgn in self._pieces:
-            if s <= hi:
-                return sgn
-        return self._pieces[-1][2]
-
     def pieces(self) -> List[Tuple[float, float, int]]:
         return list(self._pieces)
 

@@ -93,8 +93,3 @@ def integrate(f: Callable[[float, float, float], complex], a: float, b: float,
         prev = est
     raise QuadratureError(f"tanh-sinh did not reach tolerance {tol} within {max_level} levels")
 
-
-def integrate_plain(f: Callable[[float], complex], a: float, b: float,
-                    tol: float = 1e-12, max_level: int = 12) -> complex:
-    """Convenience wrapper for integrands that ignore endpoint distances."""
-    return integrate(lambda x, da, db: f(x), a, b, tol=tol, max_level=max_level)

@@ -151,15 +151,76 @@ class TestExplore:
             mirrored = iso.cell_at(ay, iso.HPoint(-cell.sample.x, cell.sample.y))
             assert mirrored.comb_hash == cell.comb_hash
 
-    def test_thread_pool_is_deterministic(self, torus):
-        t1 = iso.explore(torus, iso.HPoint(0.05, 1.2), 0.9, threads=1)
-        t2 = iso.explore(torus, iso.HPoint(0.05, 1.2), 0.9, threads=3)
-        assert sorted(c.comb_hash for c in t1.cells) == sorted(c.comb_hash for c in t2.cells)
-        assert {repr(c.key) for c in t1.cells} == {repr(c.key) for c in t2.cells}
+    def test_explore_is_deterministic(self, torus):
+        t1 = iso.explore(torus, iso.HPoint(0.05, 1.2), 0.9)
+        t2 = iso.explore(torus, iso.HPoint(0.05, 1.2), 0.9)
+        assert [c.key for c in t1.cells] == [c.key for c in t2.cells]
+        assert [c.comb_hash for c in t1.cells] == [c.comb_hash for c in t2.cells]
+        assert t1.adjacency == t2.adjacency
 
     def test_budget(self, torus):
         with pytest.raises(iso.IsoDelaunayError):
             iso.explore(torus, iso.HPoint(0.05, 1.2), 2.5, cell_budget=2)
+
+
+class TestExploreShortcuts:
+    """explore's wall memo and known-cell short-circuits against plain cell_at."""
+
+    @pytest.fixture(scope="class")
+    def exact_ball(self, ay):
+        # Record the memo explore builds, to check its walls afterwards.
+        memos = []
+
+        class Recording(iso._Memo):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                memos.append(self)
+
+        saved, iso._Memo = iso._Memo, Recording
+        try:
+            tess = iso.explore(ay, iso.HPoint(0.0001, 1.0001), 0.35)
+        finally:
+            iso._Memo = saved
+        return tess, memos[0]
+
+    @pytest.fixture(scope="class")
+    def float_surface(self):
+        from flatsurfkit.constructions import ay_trapezoid_shape, trapezoid_family
+
+        return trapezoid_family(ay_trapezoid_shape())
+
+    def test_exact_ball_counts(self, exact_ball):
+        tess, _ = exact_ball
+        assert (len(tess.cells), len(tess.all_walls()), len(tess.adjacency)) == (14, 23, 32)
+
+    def test_exact_cells_match_plain_cell_at(self, ay, exact_ball):
+        tess, _ = exact_ball
+        for cell in tess.cells:
+            again = iso.cell_at(ay, cell.sample)
+            assert again.key == cell.key and again.comb_hash == cell.comb_hash
+
+    def test_memoized_walls_match_fresh_walls(self, exact_ball):
+        tess, memo = exact_ball
+        assert memo.walls
+        for cell in tess.cells:
+            t = cell.triangulation
+            for edge in t.edges():
+                h = dl.hinge(t, edge)
+                assert memo.walls[(h.p2, h.p3, h.p4)] == iso.wall_of_hinge(t, edge)
+
+    def test_float_ball_counts(self, float_surface):
+        # The float path's figures today (ROADMAP item 4: it drops walls).
+        # r = 2.5 is the smallest tried radius where a constraint-set
+        # short-circuit on floats would merge near-duplicate cells.
+        tess = iso.explore(float_surface, iso.HPoint(0.0001, 1.0001), 2.5)
+        assert (len(tess.cells), len(tess.all_walls()), len(tess.adjacency)) == (279, 193, 803)
+
+    def test_float_ball_cells_match_plain_cell_at(self, float_surface):
+        tess = iso.explore(float_surface, iso.HPoint(0.0001, 1.0001), 1.0)
+        assert (len(tess.cells), len(tess.all_walls()), len(tess.adjacency)) == (22, 19, 62)
+        for cell in tess.cells:
+            again = iso.cell_at(float_surface, cell.sample)
+            assert again.key == cell.key and again.comb_hash == cell.comb_hash
 
 
 class TestRenderSvg:
