@@ -167,10 +167,7 @@ class ParallelogramShape:
 def _reflection_across(w: Vec2):
     """Linear reflection fixing the direction w (exact over exact scalars)."""
     n2 = w[0] * w[0] + w[1] * w[1]
-    if isinstance(n2, CubicNumber):
-        inv = n2.inverse()
-    else:
-        inv = 1 / n2 if isinstance(n2, float) else Fraction(1) / n2
+    inv = Fraction(1) / n2
     a = (w[0] * w[0] - w[1] * w[1]) * inv
     b = (2 * w[0] * w[1]) * inv
     return lambda v: (a * v[0] + b * v[1], b * v[0] - a * v[1])

@@ -108,7 +108,8 @@ class Wall:
         flip = self._orientation()
         if is_exact(self.a) and is_exact(self.b) and is_exact(self.c):
             return (_scalar_key(flip * self.a), _scalar_key(flip * self.b), _scalar_key(flip * self.c))
-        return tuple(round(flip * t, 9) for t in self.floats())
+        # + 0.0 turns -0.0 into 0.0, so that equal keys have one repr.
+        return tuple(round(flip * t, 9) + 0.0 for t in self.floats())
 
     def oriented_key(self):
         """(locus key, side): identifies the geodesic plus its Delaunay side."""
@@ -179,9 +180,8 @@ def _normalize_wall(a: Scalar, b: Scalar, c: Scalar) -> Wall:
     # Positive scaling only: the sign of q must keep matching the
     # Delaunay determinant.
     m = _abs_cmp_max([a, b, c])
-    if isinstance(m, CubicNumber):
-        inv = m.inverse()
-        return Wall(a * inv, b * inv, c * inv)
+    if isinstance(m, int):
+        m = Fraction(m)  # int / int would be a float
     return Wall(a / m, b / m, c / m)
 
 
@@ -338,16 +338,10 @@ def _line_param(con: _Constraint):
     w = con.wall
     if sign(w.a) != 0:
         # u = -(b v + c)/a, parametrized by v = s
-        if isinstance(w.a, CubicNumber):
-            inv = w.a.inverse()
-        else:
-            inv = Fraction(1) / Fraction(w.a) if not isinstance(w.a, float) else 1.0 / w.a
+        inv = Fraction(1) / w.a
         return (-w.c * inv, -w.b * inv, 0, 1)
     # vertical wall: v = -c/b, parametrized by u = s
-    if isinstance(w.b, CubicNumber):
-        inv = w.b.inverse()
-    else:
-        inv = Fraction(1) / Fraction(w.b) if not isinstance(w.b, float) else 1.0 / w.b
+    inv = Fraction(1) / w.b
     return (0, 1, -w.c * inv, 0)
 
 
@@ -377,7 +371,7 @@ def _supporting_interval(target: _Constraint, others: Sequence[_Constraint], exa
             if val_sign(const) > 0:
                 return None
             continue
-        bound = -const / slope if not isinstance(slope, CubicNumber) else -const * slope.inverse()
+        bound = -const / slope
         if ss > 0:
             if hi is None or val_sign(bound - hi) < 0:
                 hi = bound
@@ -397,7 +391,7 @@ def _supporting_interval(target: _Constraint, others: Sequence[_Constraint], exa
         return g2 * x * x + g1 * x + g0
 
     if val_sign(g2) != 0:
-        vertex = -g1 / (2 * g2) if not isinstance(g2, CubicNumber) else -g1 * (2 * g2).inverse()
+        vertex = -g1 / (2 * g2)
         candidates = []
         if (lo is None or val_sign(vertex - lo) > 0) and (hi is None or val_sign(hi - vertex) > 0):
             candidates.append(vertex)

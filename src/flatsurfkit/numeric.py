@@ -11,32 +11,90 @@ Mixed arithmetic promotes upward (rational -> cubic -> float); exact values
 never degrade to float unless a float operand is involved.  All geometric
 predicates (orientation, incircle) are generic over the tower and decide
 signs exactly on exact inputs.
+
+``CubicNumber`` stores three integer numerators over one positive common
+denominator and does its arithmetic on Python ints.  Its sign comes from a
+double-precision evaluation with a proven error bound, backed by the exact
+sign of the field norm when the doubles cannot decide; its float value
+comes from a fixed-point alpha computed once at import.  Neither changes
+any module state.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Tuple, Union
 
 Rational = Fraction
 
-# Coefficients of the reduction alpha**3 = 1 - alpha - alpha**2.
-_RED0 = Fraction(1)
-_RED1 = Fraction(-1)
-_RED2 = Fraction(-1)
+# alpha to _ALPHA_BITS fractional bits: _ALPHA_FIX = floor(alpha * 2**_ALPHA_BITS).
+_ALPHA_BITS = 320
+
+
+def _alpha_fixed(bits: int) -> int:
+    """floor(alpha * 2**bits), by integer bisection on the minimal polynomial.
+
+    x**3 + x**2 + x - 1 is increasing, negative at 0 and positive at 1; lo
+    keeps a negative value and hi a positive one (alpha is irrational).
+    """
+    one = 1 << bits
+    one3 = one * one * one
+    lo, hi = 0, one
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        # mid**3 + mid**2 * one + mid * one**2 - one**3, the scaled polynomial
+        if mid * (mid * (mid + one) + one * one) < one3:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+_ALPHA_FIX = _alpha_fixed(_ALPHA_BITS)
+_ALPHA_FIX2 = _ALPHA_FIX * _ALPHA_FIX
+
+# The sign filter.  Coefficients are shifted below 2**_FILTER_BITS so that
+# every double stays finite.  With u = 2**-53, the roundings fl(n_i), the
+# constants _ALPHA_F and _ALPHA2_F (each within u(1 + 2**-250) of alpha and
+# alpha**2, relatively), two products and two sums put the computed value
+# within about 5u * (|n0| + |n1| alpha + |n2| alpha**2) of the exact value,
+# which is below 6u times the computed magnitude sum; the filter tests
+# against 8u times it.  A shift floors each numerator, adding less than
+# 1 + alpha + alpha**2 < 2 to the error.
+_FILTER_BITS = 1000
+_FILTER_EPS = 2.0 ** -50
+_ALPHA_F = _ALPHA_FIX / (1 << _ALPHA_BITS)
+_ALPHA2_F = _ALPHA_FIX2 / (1 << (2 * _ALPHA_BITS))
+
+
+def _adjugate_row(n0: int, n1: int, n2: int) -> Tuple[int, int, int, int]:
+    """(y0, y1, y2, norm) for t = n0 + n1*alpha + n2*alpha**2.
+
+    The multiplication-by-t matrix in the basis 1, alpha, alpha**2 has the
+    columns t, t*alpha and t*alpha**2 (reduced by alpha**3 = 1 - alpha -
+    alpha**2).  The y_i are the cofactors of its first row, so that
+    t * (y0 + y1*alpha + y2*alpha**2) = norm, its determinant.
+    """
+    m10, m11, m12 = n1, n0 - n2, 2 * n2 - n1
+    m20, m21, m22 = n2, n1 - n2, n0 - n1
+    y0 = m11 * m22 - m12 * m21
+    y1 = m12 * m20 - m10 * m22
+    y2 = m10 * m21 - m11 * m20
+    return y0, y1, y2, n0 * y0 + n2 * y1 + (n1 - n2) * y2
 
 
 class _AlphaInterval:
-    """Shared isolating interval for alpha, refined by bisection on demand.
+    """Isolating interval for alpha, refined by bisection on demand.
 
-    Starts at [0.54, 0.55]; each refinement halves the width.  The minimal
-    polynomial x**3 + x**2 + x - 1 is negative at the left endpoint and
-    positive at the right, so the interval always isolates the real root.
+    The minimal polynomial x**3 + x**2 + x - 1 is negative at the left
+    endpoint and positive at the right, so the interval always isolates
+    the real root; each refinement halves the width.
     """
 
-    def __init__(self) -> None:
-        self.lo = Fraction(27, 50)
-        self.hi = Fraction(11, 20)
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        self.lo = lo
+        self.hi = hi
 
     @staticmethod
     def _minpoly(x: Fraction) -> Fraction:
@@ -49,41 +107,93 @@ class _AlphaInterval:
         else:
             self.hi = mid
 
-    def refine_to(self, width: Fraction) -> None:
-        while self.hi - self.lo > width:
-            self.refine()
+
+# The shared starting interval; embed_real refines private copies of it.
+_ALPHA = _AlphaInterval(Fraction(_ALPHA_FIX, 1 << _ALPHA_BITS), Fraction(_ALPHA_FIX + 1, 1 << _ALPHA_BITS))
 
 
-_ALPHA = _AlphaInterval()
+def _make(n0: int, n1: int, n2: int, d: int) -> "CubicNumber":
+    """(n0 + n1*alpha + n2*alpha**2) / d in canonical form (d != 0)."""
+    g = gcd(n0, n1, n2, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        n0 //= g
+        n1 //= g
+        n2 //= g
+        d //= g
+    return _raw(n0, n1, n2, d)
+
+
+def _scale(x: "CubicNumber", num: int, den: int) -> "CubicNumber":
+    """x * num / den for ints num and den > 0."""
+    return _make(x.n0 * num, x.n1 * num, x.n2 * num, x.d * den)
+
+
+def _raw(n0: int, n1: int, n2: int, d: int) -> "CubicNumber":
+    x = object.__new__(CubicNumber)
+    x.n0 = n0
+    x.n1 = n1
+    x.n2 = n2
+    x.d = d
+    return x
 
 
 class CubicNumber:
     """Exact element c0 + c1*alpha + c2*alpha**2 of Q(alpha).
 
-    Equality is coefficient-wise; products reduce by the minimal polynomial
-    of alpha.  Signs and comparisons are exact (coefficient test for zero,
-    interval refinement otherwise).
+    Stored as (n0 + n1*alpha + n2*alpha**2) / d with ints n0, n1, n2 and
+    d > 0, reduced so that gcd(n0, n1, n2, d) = 1; the form is canonical,
+    so equality compares the four ints.  The fields must not be mutated.
+    c0, c1, c2 are the coefficients as Fractions.  Products reduce by the
+    minimal polynomial of alpha.
+
+    sign() first evaluates n0 + n1*alpha + n2*alpha**2 in doubles and
+    accepts the result when it exceeds the rounding error bound (see
+    _FILTER_EPS).  Otherwise it takes the sign of the norm, the integer
+    determinant of the multiplication matrix: the other two embeddings of
+    Q(alpha) are complex conjugates, so the norm is the real value times
+    |sigma(x)|**2 > 0 and has the same sign.
     """
 
-    __slots__ = ("c0", "c1", "c2")
+    __slots__ = ("n0", "n1", "n2", "d")
 
     def __init__(self, c0=0, c1=0, c2=0):
-        self.c0 = Fraction(c0)
-        self.c1 = Fraction(c1)
-        self.c2 = Fraction(c2)
+        f0, f1, f2 = Fraction(c0), Fraction(c1), Fraction(c2)
+        # Over the lcm of the reduced denominators the numerators share no
+        # factor with d, so the form is canonical without a gcd.
+        d = lcm(f0.denominator, f1.denominator, f2.denominator)
+        self.n0 = f0.numerator * (d // f0.denominator)
+        self.n1 = f1.numerator * (d // f1.denominator)
+        self.n2 = f2.numerator * (d // f2.denominator)
+        self.d = d
+
+    @property
+    def c0(self) -> Fraction:
+        return Fraction(self.n0, self.d)
+
+    @property
+    def c1(self) -> Fraction:
+        return Fraction(self.n1, self.d)
+
+    @property
+    def c2(self) -> Fraction:
+        return Fraction(self.n2, self.d)
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def alpha() -> "CubicNumber":
-        return CubicNumber(0, 1, 0)
+        return _raw(0, 1, 0, 1)
 
     @staticmethod
     def coerce(x) -> "CubicNumber":
         if isinstance(x, CubicNumber):
             return x
-        if isinstance(x, (int, Fraction)):
-            return CubicNumber(x)
+        if isinstance(x, int):
+            return _raw(int(x), 0, 0, 1)
+        if isinstance(x, Fraction):
+            return _raw(x.numerator, 0, 0, x.denominator)
         raise TypeError(f"cannot coerce {type(x).__name__} to CubicNumber")
 
     # -- ring operations -----------------------------------------------------
@@ -92,12 +202,15 @@ class CubicNumber:
         if isinstance(other, float):
             return float(self) + other
         other = CubicNumber.coerce(other)
-        return CubicNumber(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
+        d, e = self.d, other.d
+        if d == e:
+            return _make(self.n0 + other.n0, self.n1 + other.n1, self.n2 + other.n2, d)
+        return _make(self.n0 * e + other.n0 * d, self.n1 * e + other.n1 * d, self.n2 * e + other.n2 * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CubicNumber(-self.c0, -self.c1, -self.c2)
+        return _raw(-self.n0, -self.n1, -self.n2, self.d)
 
     def __sub__(self, other):
         if isinstance(other, float):
@@ -113,42 +226,33 @@ class CubicNumber:
         if isinstance(other, float):
             return float(self) * other
         other = CubicNumber.coerce(other)
-        a0, a1, a2 = self.c0, self.c1, self.c2
-        b0, b1, b2 = other.c0, other.c1, other.c2
-        # Convolution up to alpha**4, then reduce alpha**3 and alpha**4.
-        p0 = a0 * b0
-        p1 = a0 * b1 + a1 * b0
-        p2 = a0 * b2 + a1 * b1 + a2 * b0
+        a0, a1, a2 = self.n0, self.n1, self.n2
+        b0, b1, b2 = other.n0, other.n1, other.n2
+        if not (b1 or b2):
+            return _scale(self, b0, other.d)
+        # Convolution up to alpha**4, reduced by alpha**3 = 1 - alpha -
+        # alpha**2 and alpha**4 = 2*alpha - 1.
         p3 = a1 * b2 + a2 * b1
         p4 = a2 * b2
-        # alpha**3 = 1 - alpha - alpha**2 ; alpha**4 = 2*alpha - 1.
-        return CubicNumber(
-            p0 + p3 * _RED0 - p4,
-            p1 + p3 * _RED1 + 2 * p4,
-            p2 + p3 * _RED2,
+        return _make(
+            a0 * b0 + p3 - p4,
+            a0 * b1 + a1 * b0 - p3 + 2 * p4,
+            a0 * b2 + a1 * b1 + a2 * b0 - p3,
+            self.d * other.d,
         )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CubicNumber":
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(alpha)")
-        # Columns of the multiplication-by-self matrix in basis 1, alpha, alpha**2.
-        c0 = self
-        c1 = self * CubicNumber.alpha()
-        c2 = c1 * CubicNumber.alpha()
-        m = ((c0.c0, c1.c0, c2.c0), (c0.c1, c1.c1, c2.c1), (c0.c2, c1.c2, c2.c2))
-        det = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-        # Cramer's rule for m * y = (1, 0, 0).
-        y0 = (m[1][1] * m[2][2] - m[1][2] * m[2][1]) / det
-        y1 = -(m[1][0] * m[2][2] - m[1][2] * m[2][0]) / det
-        y2 = (m[1][0] * m[2][1] - m[1][1] * m[2][0]) / det
-        return CubicNumber(y0, y1, y2)
+        n0, n1, n2, d = self.n0, self.n1, self.n2, self.d
+        if not (n1 or n2):
+            if not n0:
+                raise ZeroDivisionError("inverse of zero in Q(alpha)")
+            return _make(d, 0, 0, n0)
+        # x = t / d with t * y = norm, so 1/x = d * y / norm.
+        y0, y1, y2, norm = _adjugate_row(n0, n1, n2)
+        return _make(d * y0, d * y1, d * y2, norm)
 
     def __truediv__(self, other):
         if isinstance(other, float):
@@ -158,7 +262,8 @@ class CubicNumber:
     def __rtruediv__(self, other):
         if isinstance(other, float):
             return other / float(self)
-        return CubicNumber.coerce(other) * self.inverse()
+        other = CubicNumber.coerce(other)  # rational: a cubic divisor calls __truediv__
+        return _scale(self.inverse(), other.n0, other.d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -177,45 +282,51 @@ class CubicNumber:
     # -- order, sign, embedding ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.c0 == 0 and self.c1 == 0 and self.c2 == 0
+        return not (self.n0 or self.n1 or self.n2)
 
     def is_rational(self) -> bool:
-        return self.c1 == 0 and self.c2 == 0
+        return not (self.n1 or self.n2)
 
-    def _value_interval(self) -> Tuple[Fraction, Fraction]:
-        lo, hi = _ALPHA.lo, _ALPHA.hi
+    def _value_interval(self, iv: _AlphaInterval) -> Tuple[Fraction, Fraction]:
+        lo, hi = iv.lo, iv.hi
         lo2, hi2 = lo * lo, hi * hi
-        v_lo = self.c0
-        v_hi = self.c0
-        if self.c1 >= 0:
-            v_lo += self.c1 * lo
-            v_hi += self.c1 * hi
+        c0, c1, c2 = self.c0, self.c1, self.c2
+        v_lo = v_hi = c0
+        if c1 >= 0:
+            v_lo += c1 * lo
+            v_hi += c1 * hi
         else:
-            v_lo += self.c1 * hi
-            v_hi += self.c1 * lo
-        if self.c2 >= 0:
-            v_lo += self.c2 * lo2
-            v_hi += self.c2 * hi2
+            v_lo += c1 * hi
+            v_hi += c1 * lo
+        if c2 >= 0:
+            v_lo += c2 * lo2
+            v_hi += c2 * hi2
         else:
-            v_lo += self.c2 * hi2
-            v_hi += self.c2 * lo2
+            v_lo += c2 * hi2
+            v_hi += c2 * lo2
         return v_lo, v_hi
 
     def sign(self) -> int:
         """Exact sign of the real embedding (-1, 0, or +1)."""
-        if self.is_zero():
-            return 0
-        if self.c1 == 0 and self.c2 == 0:
-            return -1 if self.c0 < 0 else 1
-        while True:
-            v_lo, v_hi = self._value_interval()
-            if v_lo > 0:
-                return 1
-            if v_hi < 0:
-                return -1
-            # 1, alpha, alpha**2 are Q-independent, so the value is nonzero
-            # and refinement must eventually separate it from 0.
-            _ALPHA.refine()
+        n0, n1, n2 = self.n0, self.n1, self.n2
+        if not (n1 or n2):
+            return (n0 > 0) - (n0 < 0)
+        shift = (abs(n0) | abs(n1) | abs(n2)).bit_length() - _FILTER_BITS
+        slack = 0.0
+        if shift > 0:
+            n0, n1, n2 = n0 >> shift, n1 >> shift, n2 >> shift
+            slack = 2.0
+        f0 = float(n0)
+        t1 = float(n1) * _ALPHA_F
+        t2 = float(n2) * _ALPHA2_F
+        v = f0 + t1 + t2
+        bound = _FILTER_EPS * (abs(f0) + abs(t1) + abs(t2)) + slack
+        if v > bound:
+            return 1
+        if v < -bound:
+            return -1
+        # x is not rational, hence nonzero, and its norm has its sign.
+        return 1 if _adjugate_row(self.n0, self.n1, self.n2)[3] > 0 else -1
 
     def embed_real(self, eps: float) -> float:
         """Real embedding to within eps (alpha -> 0.543689...)."""
@@ -224,14 +335,29 @@ class CubicNumber:
         if self.is_zero():
             return 0.0
         target = Fraction(eps)
+        iv = _AlphaInterval(_ALPHA.lo, _ALPHA.hi)
         while True:
-            v_lo, v_hi = self._value_interval()
+            v_lo, v_hi = self._value_interval(iv)
             if v_hi - v_lo < target:
                 return float((v_lo + v_hi) / 2)
-            _ALPHA.refine()
+            iv.refine()
 
     def __float__(self) -> float:
-        return self.embed_real(2.0 ** -60)
+        """The real embedding, within one ulp."""
+        n0, n1, n2, d = self.n0, self.n1, self.n2, self.d
+        if not (n1 or n2):
+            return n0 / d
+        bits, a, a2 = _ALPHA_BITS, _ALPHA_FIX, _ALPHA_FIX2
+        while True:
+            v = (n0 << (2 * bits)) + ((n1 * a) << bits) + n2 * a2
+            # alpha * 2**bits - a lies in [0, 1), so v is within err of
+            # x * d * 2**(2 * bits); accept a relative error below 2**-60.
+            err = (abs(n1) + 2 * abs(n2)) << bits
+            if abs(v) >> 60 > err:
+                return v / (d << (2 * bits))
+            bits *= 2
+            a = _alpha_fixed(bits)
+            a2 = a * a
 
     # -- comparisons / hashing -----------------------------------------------
 
@@ -240,13 +366,14 @@ class CubicNumber:
             return float(self) == other
         if isinstance(other, (int, Fraction, CubicNumber)):
             other = CubicNumber.coerce(other)
-            return (self.c0, self.c1, self.c2) == (other.c0, other.c1, other.c2)
+            return (self.n0 == other.n0 and self.n1 == other.n1 and self.n2 == other.n2
+                    and self.d == other.d)
         return NotImplemented
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.c0)
-        return hash(("cubic", self.c0, self.c1, self.c2))
+        if self.n1 or self.n2:
+            return hash((self.n0, self.n1, self.n2, self.d))
+        return hash(Fraction(self.n0, self.d))  # as the equal int or Fraction
 
     def _cmp(self, other) -> int:
         return (self - other).sign()
@@ -379,12 +506,6 @@ def mat_inv(m: Mat2) -> Mat2:
     d = mat_det(m)
     if sign(d) == 0:
         raise ZeroDivisionError("singular 2x2 matrix")
-    if isinstance(d, CubicNumber):
-        inv = d.inverse()
-        return (
-            (m[1][1] * inv, -m[0][1] * inv),
-            (-m[1][0] * inv, m[0][0] * inv),
-        )
     return (
         (m[1][1] / d, -m[0][1] / d),
         (-m[1][0] / d, m[0][0] / d),

@@ -1,12 +1,13 @@
 """Walls, cells, and exploration of the iso-Delaunay tessellation."""
 
+import math
 import random
 
 import pytest
 
 from flatsurfkit import delaunay as dl
 from flatsurfkit import isodelaunay as iso
-from flatsurfkit.numeric import CubicNumber, incircle_det, to_float
+from flatsurfkit.numeric import CubicNumber, incircle_det, is_exact, to_float
 from flatsurfkit.surface import Gluing, Polygon, Surface, TRANSLATION
 
 
@@ -158,6 +159,29 @@ class TestExplore:
         assert [c.comb_hash for c in t1.cells] == [c.comb_hash for c in t2.cells]
         assert t1.adjacency == t2.adjacency
 
+    def test_int_coordinates_stay_exact(self, torus):
+        # The conftest torus has Fraction coordinates; plain ints must give
+        # the same exact walls, not their float images.
+        square = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        int_torus = Surface(
+            [square],
+            [Gluing((0, 0), (0, 2), TRANSLATION), Gluing((0, 1), (0, 3), TRANSLATION)],
+        )
+        t_int, t_frac = dl.triangulate(int_torus), dl.triangulate(torus)
+        assert t_int.edges() == t_frac.edges()
+        walls = [(iso.wall_of_hinge(t_int, e), iso.wall_of_hinge(t_frac, e)) for e in t_frac.edges()]
+        assert any(isinstance(w, iso.Wall) for w, _ in walls)
+        for w_int, w_frac in walls:
+            assert w_int == w_frac
+            if isinstance(w_int, iso.Wall):
+                assert all(is_exact(x) for x in (w_int.a, w_int.b, w_int.c))
+                assert w_int.locus_key() == w_frac.locus_key()
+        a = iso.explore(int_torus, iso.HPoint(0.05, 1.2), 1.0)
+        b = iso.explore(torus, iso.HPoint(0.05, 1.2), 1.0)
+        assert [sorted(map(repr, c.key)) for c in a.cells] == [sorted(map(repr, c.key)) for c in b.cells]
+        assert [c.comb_hash for c in a.cells] == [c.comb_hash for c in b.cells]
+        assert a.adjacency == b.adjacency
+
     def test_budget(self, torus):
         with pytest.raises(iso.IsoDelaunayError):
             iso.explore(torus, iso.HPoint(0.05, 1.2), 2.5, cell_budget=2)
@@ -215,12 +239,25 @@ class TestExploreShortcuts:
         tess = iso.explore(float_surface, iso.HPoint(0.0001, 1.0001), 2.5)
         assert (len(tess.cells), len(tess.all_walls()), len(tess.adjacency)) == (279, 193, 803)
 
-    def test_float_ball_cells_match_plain_cell_at(self, float_surface):
-        tess = iso.explore(float_surface, iso.HPoint(0.0001, 1.0001), 1.0)
+    @pytest.fixture(scope="class")
+    def float_ball(self, float_surface):
+        return iso.explore(float_surface, iso.HPoint(0.0001, 1.0001), 1.0)
+
+    def test_float_ball_cells_match_plain_cell_at(self, float_surface, float_ball):
+        tess = float_ball
         assert (len(tess.cells), len(tess.all_walls()), len(tess.adjacency)) == (22, 19, 62)
         for cell in tess.cells:
             again = iso.cell_at(float_surface, cell.sample)
             assert again.key == cell.key and again.comb_hash == cell.comb_hash
+
+    def test_float_keys_have_one_repr(self, float_ball):
+        # explore orders each adjacency pair by repr, so equal keys must
+        # print alike: no -0.0 beside 0.0.
+        stored = {c.key: repr(c.key) for c in float_ball.cells}
+        for a, b, _ in float_ball.adjacency:
+            assert repr(a) == stored[a] and repr(b) == stored[b]
+        zeros = [t for c in float_ball.cells for locus, _ in c.key for t in locus if t == 0]
+        assert zeros and all(math.copysign(1.0, t) > 0 for t in zeros)
 
 
 class TestRenderSvg:
