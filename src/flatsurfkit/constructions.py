@@ -19,6 +19,7 @@ from .numeric import (
     CubicNumber,
     Scalar,
     Vec2,
+    coefficients,
     cross,
     is_exact,
     sign,
@@ -318,29 +319,19 @@ def _develop_offsets(s: Surface) -> List[Vec2]:
     return offsets  # type: ignore[return-value]
 
 
-def _cubic_triple(x) -> Tuple[Fraction, Fraction, Fraction]:
-    if isinstance(x, CubicNumber):
-        return (x.c0, x.c1, x.c2)
-    return (Fraction(x), Fraction(0), Fraction(0))
-
-
 def _from_triple(t: Tuple[Fraction, Fraction, Fraction]):
     if t[1] == 0 and t[2] == 0:
         return t[0]
     return CubicNumber(*t)
 
 
-def _integer_value(x, exact: bool) -> Optional[int]:
-    if exact:
-        if isinstance(x, CubicNumber):
-            if not x.is_rational():
-                return None
-            x = x.c0
-        f = Fraction(x)
-        return int(f) if f.denominator == 1 else None
-    fx = to_float(x)
-    n = round(fx)
-    return int(n) if abs(fx - n) <= 1e-6 else None
+def _integer_value(x) -> Optional[int]:
+    """x as an int: exactly for exact x, within 1e-6 for a float."""
+    if is_exact(x):
+        c0, c1, c2 = coefficients(x)
+        return int(c0) if c0.denominator == 1 and c1 == c2 == 0 else None
+    n = round(x)
+    return int(n) if abs(x - n) <= 1e-6 else None
 
 
 def _cone_positions(s: Surface, offsets: List[Vec2]) -> List[Vec2]:
@@ -372,7 +363,7 @@ def origami_check(s: Surface) -> Optional[OrigamiCertificate]:
 
 
 def _origami_exact(s: Surface, holonomies: List[Vec2]) -> Optional[OrigamiCertificate]:
-    triples = [_cubic_triple(h[0]) + _cubic_triple(h[1]) for h in holonomies]
+    triples = [coefficients(h[0]) + coefficients(h[1]) for h in holonomies]
     den = 1
     for row in triples:
         for x in row:
@@ -393,16 +384,16 @@ def _origami_exact(s: Surface, holonomies: List[Vec2]) -> Optional[OrigamiCertif
     if sign(det) < 0:
         w2 = vec_neg(w2)
         det = cross(w1, w2)
-    n = _integer_value(sf.area(s) / det, exact=True)
+    n = _integer_value(sf.area(s) / det)
     if n is None or n < 1:
         return None
     offsets = _develop_offsets(s)
     cones = _cone_positions(s, offsets)
     for c in cones[1:]:
         d = vec_sub(c, cones[0])
-        if _integer_value(cross(d, w2) / det, exact=True) is None:
+        if _integer_value(cross(d, w2) / det) is None:
             return None
-        if _integer_value(cross(w1, d) / det, exact=True) is None:
+        if _integer_value(cross(w1, d) / det) is None:
             return None
     return OrigamiCertificate((w1, w2), n)
 
@@ -449,7 +440,7 @@ def _origami_float(s: Surface, holonomies: List[Vec2]) -> Optional[OrigamiCertif
         covol = -covol
     if covol <= 0:
         return None
-    n = _integer_value(to_float(sf.area(s)) / covol, exact=False)
+    n = _integer_value(to_float(sf.area(s)) / covol)
     if n is None or n < 1:
         return None
     offsets = _develop_offsets(s)
@@ -458,6 +449,6 @@ def _origami_float(s: Surface, holonomies: List[Vec2]) -> Optional[OrigamiCertif
         d = (to_float(c[0]) - to_float(cones[0][0]), to_float(c[1]) - to_float(cones[0][1]))
         a = (d[0] * w2[1] - d[1] * w2[0]) / covol
         b = (w1[0] * d[1] - w1[1] * d[0]) / covol
-        if _integer_value(a, exact=False) is None or _integer_value(b, exact=False) is None:
+        if _integer_value(a) is None or _integer_value(b) is None:
             return None
     return OrigamiCertificate((w1, w2), n)

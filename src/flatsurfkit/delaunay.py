@@ -11,7 +11,10 @@ adjacent to an edge, developed into one chart.  A hinge is Delaunay when
 the opposite vertex is not strictly inside the circumcircle of the other
 triangle; on exact scalars this is decided exactly, on floats via the
 lifted determinant normalized by the product of the quadrilateral's edge
-lengths (tolerance 1e-9).
+lengths (tolerance numeric.FLOAT_TOL).
+
+delaunayize and isodelaunay.delaunayize_at share one FIFO flip loop,
+flip_until, and differ only in the test that says a hinge needs a flip.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .numeric import (
+    FLOAT_TOL,
     Point,
     Scalar,
     Vec2,
@@ -36,6 +40,7 @@ from .numeric import (
     vec_neg,
     vec_scale,
     vec_sub,
+    vectors_match,
 )
 from . import surface as sf
 from .surface import Gluing, Polygon, Surface
@@ -43,7 +48,6 @@ from .surface import Gluing, Polygon, Surface
 HalfEdge = Tuple[int, int]  # (triangle index, edge index 0..2)
 
 FLIP_CAP = 10 ** 6
-COCIRCULAR_TOL = 1e-9
 
 
 class DelaunayError(RuntimeError):
@@ -94,7 +98,9 @@ class Triangulation:
         return [h for h in self.half_edges() if h <= self.glue[h]]
 
     def copy(self) -> "Triangulation":
-        return Triangulation(self.vecs, self.glue, self.chart_sign)
+        out = Triangulation(self.vecs, self.glue, self.chart_sign)
+        out.flip_count = self.flip_count
+        return out
 
     def is_exact(self) -> bool:
         return self._exact
@@ -111,11 +117,8 @@ class Triangulation:
     def check_invariants(self) -> None:
         for t, tri in enumerate(self.vecs):
             s = vec_add(vec_add(tri[0], tri[1]), tri[2])
-            if sign(s[0]) != 0 or sign(s[1]) != 0:
-                if not self.is_exact() and abs(to_float(s[0])) < 1e-9 and abs(to_float(s[1])) < 1e-9:
-                    pass
-                else:
-                    raise DelaunayError(f"triangle {t} edge vectors do not sum to zero")
+            if sign(s[0], FLOAT_TOL) or sign(s[1], FLOAT_TOL):
+                raise DelaunayError(f"triangle {t} edge vectors do not sum to zero")
             if sign(cross(tri[0], tri[1])) <= 0:
                 raise DelaunayError(f"triangle {t} is not positively oriented")
         for h in self.half_edges():
@@ -125,14 +128,8 @@ class Triangulation:
             eps = self.chart_sign[h]
             if self.chart_sign[tw] != eps:
                 raise DelaunayError(f"chart sign mismatch at {h}")
-            want = vec_scale(-eps, self.vec(h))
-            got = self.vec(tw)
-            d = vec_sub(want, got)
-            if self.is_exact():
-                ok = sign(d[0]) == 0 and sign(d[1]) == 0
-            else:
-                ok = abs(to_float(d[0])) < 1e-9 and abs(to_float(d[1])) < 1e-9
-            if not ok:
+            want = self.vec(h) if eps == -1 else vec_neg(self.vec(h))
+            if not vectors_match(want, self.vec(tw)):
                 raise DelaunayError(f"twin holonomy mismatch at {h}")
 
     # -- corner cycles (surface vertices) ---------------------------------------
@@ -167,31 +164,31 @@ class Hinge:
     p2: Point
     p3: Point
     p4: Point
-    exact: bool
     folded: bool
 
     def incircle_value(self) -> Scalar:
         return incircle_det(self.p1, self.p2, self.p3, self.p4)
 
-    def normalized_incircle(self) -> float:
-        det = to_float(self.incircle_value())
+    def incircle_sign(self) -> int:
+        """+1 when p4 is strictly inside the circumcircle, 0 on it, -1 outside.
+
+        A float determinant is divided by the product of the quadrilateral's
+        edge lengths before it is compared with FLOAT_TOL.
+        """
+        det = self.incircle_value()
+        if is_exact(det):
+            return sign(det)
         scale = 1.0
         for a, b in ((self.p1, self.p2), (self.p2, self.p3), (self.p3, self.p4), (self.p4, self.p1)):
             scale *= math.hypot(to_float(b[0]) - to_float(a[0]), to_float(b[1]) - to_float(a[1]))
-        if scale == 0.0:
-            return math.inf if det > 0 else (-math.inf if det < 0 else 0.0)
-        return det / scale
+        return sign(det / scale, FLOAT_TOL) if scale else sign(det)
 
     def is_delaunay(self) -> bool:
         """True iff the fourth vertex is not strictly inside the circumcircle."""
-        if self.exact:
-            return sign(self.incircle_value()) <= 0
-        return self.normalized_incircle() <= COCIRCULAR_TOL
+        return self.incircle_sign() <= 0
 
     def is_cocircular(self) -> bool:
-        if self.exact:
-            return sign(self.incircle_value()) == 0
-        return abs(self.normalized_incircle()) <= COCIRCULAR_TOL
+        return self.incircle_sign() == 0
 
     def is_strictly_convex(self) -> bool:
         quad = (self.p1, self.p2, self.p3, self.p4)
@@ -211,7 +208,7 @@ def hinge(t: Triangulation, edge: HalfEdge) -> Hinge:
     p2 = vu if eps == 1 else vec_neg(vu)
     p3 = va
     p4 = vec_add(va, vb)
-    return Hinge(edge, p1, p2, p3, p4, t.is_exact(), tw == edge)
+    return Hinge(edge, p1, p2, p3, p4, tw == edge)
 
 
 def is_delaunay(h: Hinge) -> bool:
@@ -341,13 +338,17 @@ def flip(t: Triangulation, edge: HalfEdge) -> Triangulation:
     of half-edge keys, so flipping the same edge twice restores the
     original triangulation."""
     out = t.copy()
-    out.flip_count = t.flip_count
     _flip_in_place(out, edge)
     return out
 
 
-def delaunayize(t: Triangulation, cap: int = FLIP_CAP) -> Triangulation:
-    """Flip non-Delaunay hinges (FIFO queue) until every hinge is Delaunay."""
+def flip_until(t: Triangulation, needs_flip: Callable[[Triangulation, HalfEdge], bool]) -> Triangulation:
+    """Flip a copy of t until needs_flip(out, edge) holds for no edge.
+
+    Edges wait in a FIFO queue, all edges first; a flip queues the edges of
+    its two triangles again.  _flip_in_place rejects folded and non-convex
+    hinges, and more than FLIP_CAP flips raise.
+    """
     out = t.copy()
     queue = deque(out.edges())
     queued = set(queue)
@@ -355,28 +356,30 @@ def delaunayize(t: Triangulation, cap: int = FLIP_CAP) -> Triangulation:
     while queue:
         edge = queue.popleft()
         queued.discard(edge)
-        h = hinge(out, edge)
-        if h.is_delaunay():
+        if not needs_flip(out, edge):
             continue
-        if h.folded:
-            raise DelaunayError(f"non-Delaunay folded hinge at {edge}")
-        if not h.is_strictly_convex():
-            raise DelaunayError(f"non-convex non-Delaunay hinge at {edge}: invariant breach")
-        ta = edge[0]
         tb = out.twin(edge)[0]
         _flip_in_place(out, edge)
         flips += 1
-        if flips > cap:
-            raise DelaunayError(f"flip cap {cap} exceeded; {len(queue)} hinges still queued")
-        for tri in (ta, tb):
+        if flips > FLIP_CAP:
+            raise DelaunayError(f"flip cap {FLIP_CAP} exceeded; {len(queue)} hinges still queued")
+        for tri in (edge[0], tb):
             for e in range(3):
                 he = (tri, e)
                 key = min(he, out.glue[he])
                 if key not in queued:
                     queue.append(key)
                     queued.add(key)
-    out.flip_count = t.flip_count + flips
     return out
+
+
+def _not_delaunay(t: Triangulation, edge: HalfEdge) -> bool:
+    return not hinge(t, edge).is_delaunay()
+
+
+def delaunayize(t: Triangulation) -> Triangulation:
+    """Flip non-Delaunay hinges (FIFO queue) until every hinge is Delaunay."""
+    return flip_until(t, _not_delaunay)
 
 
 def is_delaunay_triangulation(t: Triangulation) -> bool:
@@ -386,19 +389,12 @@ def is_delaunay_triangulation(t: Triangulation) -> bool:
 # -- decomposition -------------------------------------------------------------------
 
 
-def _scalar_cmp(a: Scalar, b: Scalar) -> int:
-    if is_exact(a) and is_exact(b):
-        return sign(a - b)
-    fa, fb = to_float(a), to_float(b)
-    return (fa > fb) - (fa < fb)
-
-
 def _chain_cmp(p: Sequence[Point], q: Sequence[Point]) -> int:
     for (ax, ay), (bx, by) in zip(p, q):
-        c = _scalar_cmp(ax, bx)
+        c = sign(ax - bx)
         if c:
             return c
-        c = _scalar_cmp(ay, by)
+        c = sign(ay - by)
         if c:
             return c
     return (len(p) > len(q)) - (len(p) < len(q))

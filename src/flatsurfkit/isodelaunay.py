@@ -21,20 +21,20 @@ and then verified.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .numeric import CubicNumber, Scalar, is_exact, sign, to_float
+from .numeric import FLOAT_TOL, Scalar, coefficients, exact_divisor, is_exact, sign, to_float
 from . import delaunay as dl
-from .delaunay import DelaunayError, HalfEdge, Triangulation, hinge
+from .delaunay import HalfEdge, Triangulation, hinge
 from .surface import Surface
 
 ALWAYS = "always"
 NEVER = "never"
 
-WALL_FLOAT_TOL = 1e-9
+# The float tolerance of the facet feasibility test in _supporting_interval.
+_FACET_TOL = 1e-13
 
 
 class IsoDelaunayError(RuntimeError):
@@ -80,10 +80,6 @@ class Wall:
     def value_at(self, x: Scalar, y: Scalar) -> Scalar:
         return self.a * (x * x + y * y) + self.b * x + self.c
 
-    @property
-    def is_vertical(self) -> bool:
-        return sign(self.a) == 0
-
     def floats(self) -> Tuple[float, float, float]:
         return (to_float(self.a), to_float(self.b), to_float(self.c))
 
@@ -107,7 +103,7 @@ class Wall:
         """Orientation-free key identifying the geodesic."""
         flip = self._orientation()
         if is_exact(self.a) and is_exact(self.b) and is_exact(self.c):
-            return (_scalar_key(flip * self.a), _scalar_key(flip * self.b), _scalar_key(flip * self.c))
+            return (coefficients(flip * self.a), coefficients(flip * self.b), coefficients(flip * self.c))
         # + 0.0 turns -0.0 into 0.0, so that equal keys have one repr.
         return tuple(round(flip * t, 9) + 0.0 for t in self.floats())
 
@@ -119,12 +115,6 @@ class Wall:
         """Reported form: max |coefficient| = 1, first nonzero positive."""
         flip = self._orientation()
         return tuple(flip * t for t in self.floats())
-
-
-def _scalar_key(x: Scalar):
-    if isinstance(x, CubicNumber):
-        return (x.c0, x.c1, x.c2)
-    return (Fraction(x), Fraction(0), Fraction(0))
 
 
 def _abs_cmp_max(values: Sequence[Scalar]) -> Scalar:
@@ -179,9 +169,7 @@ def wall_of_hinge(t: Triangulation, edge: HalfEdge):
 def _normalize_wall(a: Scalar, b: Scalar, c: Scalar) -> Wall:
     # Positive scaling only: the sign of q must keep matching the
     # Delaunay determinant.
-    m = _abs_cmp_max([a, b, c])
-    if isinstance(m, int):
-        m = Fraction(m)  # int / int would be a float
+    m = exact_divisor(_abs_cmp_max([a, b, c]))
     return Wall(a / m, b / m, c / m)
 
 
@@ -204,59 +192,25 @@ def _memo_wall(t: Triangulation, edge: HalfEdge, walls: Optional[dict]):
     return w
 
 
-def _q_sign(t: Triangulation, edge: HalfEdge, u: Scalar, v: Scalar, exact: bool,
-            walls: Optional[dict]) -> int:
+def _q_sign(t: Triangulation, edge: HalfEdge, u: Scalar, v: Scalar, walls: Optional[dict]) -> int:
     """Sign of the hinge's Delaunay form at (u, v); negative means Delaunay."""
     w = _memo_wall(t, edge, walls)
     if w is ALWAYS:
         return -1
     if w is NEVER:
         return 1
-    val = w.evaluate(u, v)
-    if exact:
-        return sign(val)
-    f = to_float(val)
-    if abs(f) <= WALL_FLOAT_TOL:
-        return 0
-    return 1 if f > 0 else -1
+    return sign(w.evaluate(u, v), FLOAT_TOL)
 
 
-def delaunayize_at(t: Triangulation, u: Scalar, v: Scalar, cap: int = dl.FLIP_CAP,
-                   _walls: Optional[dict] = None) -> Triangulation:
+def delaunayize_at(t: Triangulation, u: Scalar, v: Scalar, _walls: Optional[dict] = None) -> Triangulation:
     """Flip until every hinge is Delaunay for the surface at z with
     (|z|^2, Re z) = (u, v); operates on base-chart holonomies throughout.
 
-    _walls, when given, memoizes wall_of_hinge by developed hinge.
+    Shares delaunay.flip_until with delaunayize: a hinge is flipped when
+    its wall form is positive at (u, v).  _walls, when given, memoizes
+    wall_of_hinge by developed hinge.
     """
-    out = t.copy()
-    exact = out.is_exact() and is_exact(u) and is_exact(v)
-    queue = deque(out.edges())
-    queued = set(queue)
-    flips = 0
-    while queue:
-        edge = queue.popleft()
-        queued.discard(edge)
-        if _q_sign(out, edge, u, v, exact, _walls) <= 0:
-            continue
-        h = hinge(out, edge)
-        if h.folded:
-            raise DelaunayError(f"non-Delaunay folded hinge at {edge}")
-        if not h.is_strictly_convex():
-            raise DelaunayError(f"non-convex non-Delaunay hinge at {edge}")
-        ta = edge[0]
-        tb = out.twin(edge)[0]
-        dl._flip_in_place(out, edge)
-        flips += 1
-        if flips > cap:
-            raise DelaunayError(f"flip cap {cap} exceeded in delaunayize_at")
-        for tri in (ta, tb):
-            for e in range(3):
-                he = (tri, e)
-                key = min(he, out.glue[he])
-                if key not in queued:
-                    queue.append(key)
-                    queued.add(key)
-    return out
+    return dl.flip_until(t, lambda out, edge: _q_sign(out, edge, u, v, _walls) > 0)
 
 
 # -- cells ------------------------------------------------------------------------------
@@ -294,15 +248,11 @@ class _Constraint:
         self.wall = wall
         self.hinges: List[HalfEdge] = []
 
-    def value(self, u: Scalar, v: Scalar) -> Scalar:
-        return self.wall.evaluate(u, v)
-
     def item(self):
         return self.wall.oriented_key()
 
 
-def _collect_constraints(t: Triangulation, u: Scalar, v: Scalar, exact: bool,
-                         walls: Optional[dict]) -> List[_Constraint]:
+def _collect_constraints(t: Triangulation, u: Scalar, v: Scalar, walls: Optional[dict]) -> List[_Constraint]:
     by_key: Dict[object, _Constraint] = {}
     for edge in t.edges():
         w = _memo_wall(t, edge, walls)
@@ -310,8 +260,7 @@ def _collect_constraints(t: Triangulation, u: Scalar, v: Scalar, exact: bool,
             if w is NEVER:
                 raise IsoDelaunayError("never-Delaunay hinge in a Delaunay triangulation")
             continue
-        val = w.evaluate(u, v)
-        s = sign(val) if exact else (0 if abs(to_float(val)) <= WALL_FLOAT_TOL else (1 if to_float(val) > 0 else -1))
+        s = sign(w.evaluate(u, v), FLOAT_TOL)
         if s == 0:
             raise _OnWall(w)
         if s > 0:
@@ -345,7 +294,7 @@ def _line_param(con: _Constraint):
     return (0, 1, -w.c * inv, 0)
 
 
-def _supporting_interval(target: _Constraint, others: Sequence[_Constraint], exact: bool):
+def _supporting_interval(target: _Constraint, others: Sequence[_Constraint]):
     """Parameter interval of the facet: points of the wall on the cell
     boundary and inside H, or None when the wall is redundant.
 
@@ -356,9 +305,6 @@ def _supporting_interval(target: _Constraint, others: Sequence[_Constraint], exa
     lo: Optional[Scalar] = None
     hi: Optional[Scalar] = None
 
-    def val_sign(x: Scalar) -> int:
-        return sign(x) if exact else (0 if abs(to_float(x)) < 1e-13 else (1 if to_float(x) > 0 else -1))
-
     for con in others:
         if con is target:
             continue
@@ -366,19 +312,19 @@ def _supporting_interval(target: _Constraint, others: Sequence[_Constraint], exa
         w = con.wall
         slope = w.a * du + w.b * dv
         const = w.a * u0 + w.b * v0 + w.c
-        ss = val_sign(slope)
+        ss = sign(slope, _FACET_TOL)
         if ss == 0:
-            if val_sign(const) > 0:
+            if sign(const, _FACET_TOL) > 0:
                 return None
             continue
         bound = -const / slope
         if ss > 0:
-            if hi is None or val_sign(bound - hi) < 0:
+            if hi is None or sign(bound - hi, _FACET_TOL) < 0:
                 hi = bound
         else:
-            if lo is None or val_sign(bound - lo) > 0:
+            if lo is None or sign(bound - lo, _FACET_TOL) > 0:
                 lo = bound
-    if lo is not None and hi is not None and val_sign(hi - lo) <= 0:
+    if lo is not None and hi is not None and sign(hi - lo, _FACET_TOL) <= 0:
         return None
     # Inside H: g(s) = u(s) - v(s)**2 > 0.  On circle walls (parametrized
     # by v) g is concave with g2 = -1; on vertical walls (parametrized by
@@ -390,28 +336,28 @@ def _supporting_interval(target: _Constraint, others: Sequence[_Constraint], exa
     def g_at(x: Scalar) -> Scalar:
         return g2 * x * x + g1 * x + g0
 
-    if val_sign(g2) != 0:
+    if sign(g2, _FACET_TOL) != 0:
         vertex = -g1 / (2 * g2)
         candidates = []
-        if (lo is None or val_sign(vertex - lo) > 0) and (hi is None or val_sign(hi - vertex) > 0):
+        if (lo is None or sign(vertex - lo, _FACET_TOL) > 0) and (hi is None or sign(hi - vertex, _FACET_TOL) > 0):
             candidates.append(vertex)
         if lo is not None:
             candidates.append(lo)
         if hi is not None:
             candidates.append(hi)
-        if any(val_sign(g_at(x)) > 0 for x in candidates):
+        if any(sign(g_at(x), _FACET_TOL) > 0 for x in candidates):
             return (lo, hi)
         return None
-    s1 = val_sign(g1)
+    s1 = sign(g1, _FACET_TOL)
     if s1 > 0:
-        if hi is None or val_sign(g_at(hi)) > 0:
+        if hi is None or sign(g_at(hi), _FACET_TOL) > 0:
             return (lo, hi)
         return None
     if s1 < 0:
-        if lo is None or val_sign(g_at(lo)) > 0:
+        if lo is None or sign(g_at(lo), _FACET_TOL) > 0:
             return (lo, hi)
         return None
-    return (lo, hi) if val_sign(g0) > 0 else None
+    return (lo, hi) if sign(g0, _FACET_TOL) > 0 else None
 
 
 @dataclass
@@ -451,7 +397,7 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
         u = vx * vx + vy * vy
         try:
             t = delaunayize_at(base, u, vx, _walls=memo.walls)
-            cons = _collect_constraints(t, u, vx, exact, memo.walls)
+            cons = _collect_constraints(t, u, vx, memo.walls)
         except _OnWall:
             zx += (1e-9 if attempt % 2 == 0 else -2e-9) * (attempt + 1)
             zy += 1e-9 * (attempt + 1)
@@ -463,7 +409,7 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
                 return memo.cells[known]
         supporting = []
         for con in cons:
-            if _supporting_interval(con, cons, exact) is not None:
+            if _supporting_interval(con, cons) is not None:
                 supporting.append(con)
         supporting.sort(key=lambda c: c.item())
         key = frozenset(c.item() for c in supporting)
@@ -491,9 +437,6 @@ class Tessellation:
     surface: Surface
     cells: List[Cell]
     adjacency: Set[Tuple[FrozenSet, FrozenSet, Wall]] = field(default_factory=set)
-
-    def cell_hashes(self) -> List[Tuple[int, ...]]:
-        return sorted(c.comb_hash for c in self.cells)
 
     def all_walls(self) -> List[Wall]:
         """One representative per geodesic among explored supporting walls."""
@@ -573,20 +516,11 @@ def _cross_wall(s: Surface, cell: Cell, con: _Constraint, at: HPoint, memo: _Mem
         else:
             vx, vy = zx, zy
         u = vx * vx + vy * vy
-        crossed = con.wall.evaluate(u, vx)
-        ok = sign(crossed) > 0 if exact else to_float(crossed) > WALL_FLOAT_TOL
-        if not ok:
+        # Strictly across con and strictly inside every other constraint.
+        if sign(con.wall.evaluate(u, vx), FLOAT_TOL) <= 0:
             continue
-        inside = True
-        for other in cell.constraints:
-            if other is con:
-                continue
-            val = other.value(u, vx)
-            good = sign(val) < 0 if exact else to_float(val) < -WALL_FLOAT_TOL
-            if not good:
-                inside = False
-                break
-        if not inside:
+        if any(sign(other.wall.evaluate(u, vx), FLOAT_TOL) >= 0
+               for other in cell.constraints if other is not con):
             continue
         try:
             return cell_at(s, HPoint(to_float(vx), to_float(vy)), _tri=cell.triangulation, _memo=memo)
@@ -613,9 +547,8 @@ def explore(s: Surface, z0: HPoint, radius: float, cell_budget: int = 10 ** 5) -
     """
     if not radius > 0:
         raise IsoDelaunayError("radius must be positive")
-    exact = s.is_exact()
     cells: Dict[FrozenSet, Cell] = {}
-    memo = _Memo(cells, walls={}, supports={}) if exact else _Memo(cells)
+    memo = _Memo(cells, walls={}, supports={}) if s.is_exact() else _Memo(cells)
     start = cell_at(s, z0, _memo=memo)
     cells[start.key] = start
     adjacency: Set = set()
@@ -625,7 +558,7 @@ def explore(s: Surface, z0: HPoint, radius: float, cell_budget: int = 10 ** 5) -
         next_frontier: List[Cell] = []
         for cell in frontier:
             for con in cell.constraints:
-                interval = _supporting_interval(con, cell.constraints, exact)
+                interval = _supporting_interval(con, cell.constraints)
                 if interval is None:
                     continue
                 at = _facet_crossing_point(con, interval, z0, radius)
@@ -650,8 +583,7 @@ def walls_through(tess: Tessellation, u: Scalar, v: Scalar) -> List[Wall]:
     """Distinct explored walls passing exactly through the point (u, v)."""
     out = []
     for w in tess.all_walls():
-        val = w.evaluate(u, v)
-        if (sign(val) == 0) if is_exact(val) else abs(to_float(val)) < 1e-7:
+        if sign(w.evaluate(u, v), 1e-7) == 0:
             out.append(w)
     return out
 

@@ -18,6 +18,13 @@ double-precision evaluation with a proven error bound, backed by the exact
 sign of the field norm when the doubles cannot decide; its float value
 comes from a fixed-point alpha computed once at import.  Neither changes
 any module state.
+
+Sign policy: every decision that other modules make on a scalar goes
+through ``sign(x, tol)``, and the scalar's type picks the rule.  Exact
+scalars (int, Fraction, CubicNumber) get their exact sign and ignore tol;
+a float is 0 when |x| <= tol and otherwise has its literal sign.  Callers
+pass ``FLOAT_TOL`` (1e-9) unless a test needs its own scale, and do not
+fork a decision into an exact and a float branch themselves.
 """
 
 from __future__ import annotations
@@ -423,19 +430,43 @@ def embed_real(x: CubicNumber, eps: float) -> float:
     return CubicNumber.coerce(x).embed_real(eps)
 
 
+# The tolerance of float decisions: cocircular hinges, wall sides, matching
+# vectors, orthogonal derivatives and cone angles.
+FLOAT_TOL = 1e-9
+
+
 def is_exact(x: Scalar) -> bool:
     return not isinstance(x, float)
 
 
-def sign(x: Scalar) -> int:
-    """Sign of a scalar: exact for exact scalars, literal for floats."""
+def sign(x: Scalar, tol: float = 0.0) -> int:
+    """Sign of a scalar (-1, 0 or +1).
+
+    Exact scalars get their exact sign and ignore tol.  A float is 0 when
+    |x| <= tol; the default tol = 0 gives its literal sign.
+    """
     if isinstance(x, CubicNumber):
         return x.sign()
+    if tol and isinstance(x, float) and abs(x) <= tol:
+        return 0
     if x > 0:
         return 1
     if x < 0:
         return -1
     return 0
+
+
+def coefficients(x: Scalar) -> Tuple[Fraction, Fraction, Fraction]:
+    """(c0, c1, c2) with x = c0 + c1*alpha + c2*alpha**2, for exact x."""
+    if isinstance(x, CubicNumber):
+        return (x.c0, x.c1, x.c2)
+    return (Fraction(x), Fraction(0), Fraction(0))
+
+
+def exact_divisor(x: Scalar) -> Scalar:
+    """x as a divisor that keeps quotients exact: an int becomes a Fraction,
+    as int / int would be a float."""
+    return Fraction(x) if isinstance(x, int) else x
 
 
 def to_float(x: Scalar) -> float:
@@ -490,6 +521,10 @@ def dot(a: Vec2, b: Vec2) -> Scalar:
 def cross(a: Vec2, b: Vec2) -> Scalar:
     return a[0] * b[1] - a[1] * b[0]
 
+def vectors_match(v: Vec2, w: Vec2) -> bool:
+    """v == w: exactly on exact coordinates, within FLOAT_TOL on floats."""
+    return sign(v[0] - w[0], FLOAT_TOL) == 0 and sign(v[1] - w[1], FLOAT_TOL) == 0
+
 def mat_vec(m: Mat2, v: Vec2) -> Vec2:
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
@@ -503,7 +538,7 @@ def mat_det(m: Mat2) -> Scalar:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 def mat_inv(m: Mat2) -> Mat2:
-    d = mat_det(m)
+    d = exact_divisor(mat_det(m))
     if sign(d) == 0:
         raise ZeroDivisionError("singular 2x2 matrix")
     return (

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .numeric import (
+    FLOAT_TOL,
     Mat2,
     Point,
     Scalar,
@@ -28,12 +29,11 @@ from .numeric import (
     to_float,
     vec_neg,
     vec_sub,
+    vectors_match,
 )
 
 TRANSLATION = "translation"
 REFLECTION = "reflection"
-
-FLOAT_TOL = 1e-9
 
 EdgeRef = Tuple[int, int]
 
@@ -192,16 +192,9 @@ class Surface:
 # -- validation -----------------------------------------------------------------
 
 
-def _vectors_match(v: Vec2, w: Vec2, exact: bool) -> bool:
-    if exact:
-        return v[0] == w[0] and v[1] == w[1]
-    return abs(to_float(v[0]) - to_float(w[0])) <= FLOAT_TOL and abs(to_float(v[1]) - to_float(w[1])) <= FLOAT_TOL
-
-
 def validate(s: Surface) -> List[Violation]:
     """Check all surface invariants; an empty list means the surface is valid."""
     out: List[Violation] = []
-    exact = s.is_exact()
 
     for p, poly in enumerate(s.polygons):
         if len(poly) < 3:
@@ -231,12 +224,12 @@ def validate(s: Surface) -> List[Violation]:
         va = s.edge_vector(g.edge_a)
         vb = s.edge_vector(g.edge_b)
         if g.kind == TRANSLATION:
-            if not _vectors_match(va, vec_neg(vb), exact):
+            if not vectors_match(va, vec_neg(vb)):
                 out.append(Violation("vector-mismatch", f"translation gluing {g.edge_a}~{g.edge_b} edges not antiparallel"))
         else:
             if s.kind == TRANSLATION:
                 out.append(Violation("kind-mismatch", f"point-reflection gluing {g.edge_a}~{g.edge_b} on a translation surface"))
-            if not _vectors_match(va, vb, exact):
+            if not vectors_match(va, vb):
                 out.append(Violation("vector-mismatch", f"point-reflection gluing {g.edge_a}~{g.edge_b} edges not equal"))
 
     # Connectivity of the polygon gluing graph.
@@ -267,12 +260,6 @@ def validate(s: Surface) -> List[Violation]:
         if s.kind == TRANSLATION and c.angle_pi % 2 != 0:
             out.append(Violation("angle-odd", f"cone angle {c.angle_pi}*pi on a translation surface"))
     return out
-
-
-def require_valid(s: Surface) -> None:
-    violations = validate(s)
-    if violations:
-        raise SurfaceError("; ".join(str(v) for v in violations))
 
 
 # -- vertex cycles and cone angles ------------------------------------------------
@@ -428,8 +415,7 @@ def cut_and_reglue_square(s: Surface, square: int, axis: str = HORIZONTAL) -> Su
     if len(poly) != 4:
         raise SurfaceError(f"polygon {square} is not a quadrilateral")
     ev = poly.edge_vectors()
-    exact = s.is_exact()
-    if not (_vectors_match(ev[0], vec_neg(ev[2]), exact) and _vectors_match(ev[1], vec_neg(ev[3]), exact)):
+    if not (vectors_match(ev[0], vec_neg(ev[2])) and vectors_match(ev[1], vec_neg(ev[3]))):
         raise SurfaceError(f"polygon {square} is not a parallelogram")
     if axis == HORIZONTAL:
         pair = ((square, 0), (square, 2))

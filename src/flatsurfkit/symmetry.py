@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .numeric import (
+    FLOAT_TOL,
     Mat2,
     Vec2,
     cross,
-    is_exact,
     mat_det,
     mat_inv,
     mat_mul,
@@ -30,6 +30,7 @@ from .numeric import (
     vec_neg,
     vec_scale,
     vec_sub,
+    vectors_match,
 )
 from . import delaunay as dl
 from . import surface as sf
@@ -37,34 +38,18 @@ from .surface import Surface, SurfaceError
 
 Flag = Tuple[int, int]  # (cell, corner)
 
-ORTHO_TOL = 1e-9
-
 
 def decompose(s: Surface) -> Surface:
     """The Delaunay decomposition of a surface (cells as a new Surface)."""
     return dl.decomposition(dl.delaunayize(dl.triangulate(s)))
 
 
-def _vec_eq(v: Vec2, w: Vec2, exact: bool) -> bool:
-    if exact:
-        return sign(v[0] - w[0]) == 0 and sign(v[1] - w[1]) == 0
-    return abs(to_float(v[0]) - to_float(w[0])) <= ORTHO_TOL and abs(to_float(v[1]) - to_float(w[1])) <= ORTHO_TOL
-
-
-def _is_orthogonal(m: Mat2, exact: bool) -> bool:
+def _is_orthogonal(m: Mat2) -> bool:
+    """m^T m = I: exactly on exact entries; on floats the Frobenius norm of
+    m^T m - I is at most FLOAT_TOL."""
     g = mat_mul(mat_transpose(m), m)
-    if exact:
-        return (
-            sign(g[0][0] - 1) == 0
-            and sign(g[1][1] - 1) == 0
-            and sign(g[0][1]) == 0
-            and sign(g[1][0]) == 0
-        )
-    fro = 0.0
-    for i in range(2):
-        for j in range(2):
-            fro += (to_float(g[i][j]) - (1.0 if i == j else 0.0)) ** 2
-    return math.sqrt(fro) <= ORTHO_TOL
+    residual = (g[0][0] - 1, g[0][1], g[1][0], g[1][1] - 1)
+    return sign(sum(x * x for x in residual), FLOAT_TOL * FLOAT_TOL) == 0
 
 
 @dataclass
@@ -82,9 +67,6 @@ class Isometry:
     derivative: Mat2
     orientation: int  # +1 preserving, -1 reversing
     flag_map: Dict[Flag, Flag]
-
-    def image_flag(self, flag: Flag) -> Flag:
-        return self.flag_map[flag]
 
     def is_identity(self) -> bool:
         return self.orientation == 1 and all(k == v for k, v in self.flag_map.items())
@@ -136,7 +118,6 @@ def _propagate(
     deriv: Mat2,
     orientation: int,
     seed: Tuple[Flag, Flag],
-    exact: bool,
 ) -> Optional[Dict[Flag, Flag]]:
     """Extend a single flag assignment over the whole complex, or fail.
 
@@ -166,7 +147,7 @@ def _propagate(
             else:
                 m = (c0 - x - 1) % n
                 want = vec_neg(b.polygons[q].edge_vector(m))
-            if not _vec_eq(mat_vec(deriv, poly_a.edge_vector(x)), want, exact):
+            if not vectors_match(mat_vec(deriv, poly_a.edge_vector(x)), want):
                 return None
             if a.gluing_kind((p, x)) != b.gluing_kind((q, m)):
                 return None
@@ -193,7 +174,6 @@ def isometries_between(dec_a: Surface, dec_b: Surface) -> List[Isometry]:
     out: List[Isometry] = []
     if not dec_a.polygons or not dec_b.polygons:
         return out
-    exact = dec_a.is_exact() and dec_b.is_exact()
     base = (0, 0)
     u1, u2 = _corner_edges(dec_a, base)
     for q, poly in enumerate(dec_b.polygons):
@@ -204,9 +184,9 @@ def isometries_between(dec_a: Surface, dec_b: Surface) -> List[Isometry]:
                     deriv = _solve_derivative(u1, u2, w_out, w_in)
                 else:
                     deriv = _solve_derivative(u1, u2, vec_neg(w_in), vec_neg(w_out))
-                if deriv is None or not _is_orthogonal(deriv, exact):
+                if deriv is None or not _is_orthogonal(deriv):
                     continue
-                flag_map = _propagate(dec_a, dec_b, deriv, orientation, (base, (q, j)), exact)
+                flag_map = _propagate(dec_a, dec_b, deriv, orientation, (base, (q, j)))
                 if flag_map is not None:
                     out.append(Isometry(dec_a, dec_b, deriv, orientation, flag_map))
     out.sort(key=lambda iso: (iso.flag_map[base], -iso.orientation))
@@ -360,10 +340,9 @@ def _fixed_line_in_cell(iso: Isometry, p: int, t: Vec2):
     # parallel to w; then x0 = t/2 works because (D - I)(t/2) = -t when
     # t is in the -1 eigenspace.
     w = (-u[1], u[0])
-    skew = sign(cross(w, t)) != 0 if iso.source.is_exact() else abs(to_float(cross(w, t))) > 1e-9
-    if skew:
+    if sign(cross(w, t), FLOAT_TOL) != 0:
         return None  # glide reflection: no fixed points
-    x0 = vec_scale(Fraction(1, 2) if is_exact(t[0]) and is_exact(u[0]) else 0.5, t)
+    x0 = vec_scale(Fraction(1, 2), t)
     poly = iso.source.polygons[p]
     lo_f, hi_f = -math.inf, math.inf
     for i in range(len(poly)):
@@ -401,7 +380,6 @@ def fixed_points(iso: Isometry) -> FixedLocus:
     if iso.is_identity():
         return FixedLocus(all_points=True)
     locus = FixedLocus()
-    exact = s.is_exact()
 
     if iso.orientation == 1:
         # Interior fixed points of rotation-type self-cells.
@@ -411,7 +389,7 @@ def fixed_points(iso: Isometry) -> FixedLocus:
                 continue
             m = ((1 - iso.derivative[0][0], -iso.derivative[0][1]),
                  (-iso.derivative[1][0], 1 - iso.derivative[1][1]))
-            if abs(to_float(mat_det(m))) < 1e-12:
+            if sign(mat_det(m), 1e-12) == 0:
                 continue  # derivative is the identity: a nontrivial translation
             x = mat_vec(mat_inv(m), t)
             if _point_in_polygon(s.polygons[p], x, strict=True):

@@ -269,3 +269,41 @@ class TestRenderSvg:
         tess = iso.explore(torus, iso.HPoint(0.05, 1.2), 0.8)
         assert iso.render_svg(tess) == iso.render_svg(tess)
         assert "<path" in iso.render_svg(tess) or "<line" in iso.render_svg(tess)
+
+
+class TestDelaunayizeAt:
+    """delaunayize_at at z = i, i.e. (u, v) = (1, 0), against delaunayize."""
+
+    @staticmethod
+    def surfaces(torus):
+        from flatsurfkit.constructions import ay_prime, ay_surface, ay_trapezoid_shape, escalator, trapezoid_family
+
+        return {
+            "torus": torus,
+            "ay": ay_surface(),
+            "ay_prime": ay_prime(),
+            "escalator": escalator(),
+            "float ay": trapezoid_family(ay_trapezoid_shape()),
+        }
+
+    @staticmethod
+    def scrambled(t):
+        """t with every flippable edge flipped once, in edge order."""
+        for e in t.edges():
+            h = dl.hinge(t, e)
+            if not h.folded and t.twin(e)[0] != e[0] and h.is_strictly_convex():
+                t = dl.flip(t, e)
+        return t
+
+    def test_agrees_with_delaunayize_at_i(self, torus):
+        for name, s in self.surfaces(torus).items():
+            fan = dl.triangulate(s)
+            for start in (fan, self.scrambled(fan)):
+                at_i = iso.delaunayize_at(start, 1, 0)
+                plain = dl.delaunayize(start)
+                assert dl.is_delaunay_triangulation(at_i), name
+                assert dl.decomposition(at_i) == dl.decomposition(plain), name
+                # One flip loop with one queue order: the same flips.
+                assert at_i.flip_count == plain.flip_count, name
+                assert at_i.vecs == plain.vecs and at_i.glue == plain.glue, name
+            assert self.scrambled(fan).flip_count > 0 and not dl.is_delaunay_triangulation(self.scrambled(fan))

@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatsurfkit import numeric
@@ -388,3 +388,87 @@ class TestSerialization:
     def test_float_shortest_roundtrip(self):
         for x in (0.1, -1.5437e-9, 2.0, 0.5436890126920763):
             assert scalar_from_str(scalar_to_str(x)) == x
+
+
+exact_scalars = st.one_of(
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+    rationals,
+    st.builds(CubicNumber, rationals, rationals, rationals),
+)
+tolerances = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
+
+
+def literal_sign(x) -> int:
+    """The sign before it took a tolerance."""
+    if isinstance(x, CubicNumber):
+        return x.sign()
+    return (x > 0) - (x < 0)
+
+
+class TestSignPolicy:
+    @settings(max_examples=150, deadline=None)
+    @given(exact_scalars, tolerances)
+    def test_exact_scalars_ignore_tol(self, x, tol):
+        assert sign(x, tol) == sign(x) == literal_sign(x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(allow_nan=False), tolerances)
+    @example(1e-9, 1e-9)
+    @example(-1e-9, 1e-9)
+    @example(math.nextafter(1e-9, 1.0), 1e-9)
+    @example(-0.0, 0.0)
+    def test_float_is_zero_exactly_within_tol(self, x, tol):
+        s = sign(x, tol)
+        if abs(x) <= tol:
+            assert s == 0
+        else:
+            assert s == (1 if x > 0 else -1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(exact_scalars, st.floats(allow_nan=False)))
+    def test_tol_zero_is_the_literal_sign(self, x):
+        assert sign(x, 0.0) == sign(x) == literal_sign(x)
+
+    def test_float_tol_is_the_only_1e9_constant(self):
+        from flatsurfkit import delaunay, isodelaunay, surface, symmetry
+
+        for mod in (delaunay, isodelaunay, surface, symmetry):
+            names = [k for k, v in vars(mod).items() if isinstance(v, float) and v == 1e-9]
+            assert names == ["FLOAT_TOL"], mod.__name__
+            assert mod.FLOAT_TOL is numeric.FLOAT_TOL
+
+    def test_no_function_takes_an_exact_flag(self):
+        # A scalar's type says whether it is exact; no caller passes it along.
+        import importlib
+        import inspect
+        import pkgutil
+
+        import flatsurfkit
+
+        names = [m.name for m in pkgutil.iter_modules(flatsurfkit.__path__) if m.name != "__main__"]
+        assert "isodelaunay" in names
+        for name in names:
+            mod = importlib.import_module(f"flatsurfkit.{name}")
+            members = [m for _, m in inspect.getmembers(mod) if getattr(m, "__module__", None) == mod.__name__]
+            for m in list(members):
+                if inspect.isclass(m):
+                    members += [f for f in vars(m).values() if inspect.isfunction(f)]
+            for f in members:
+                if callable(f):
+                    try:
+                        params = inspect.signature(f).parameters
+                    except (TypeError, ValueError):
+                        continue
+                    assert "exact" not in params, f"{mod.__name__}.{f.__qualname__}"
+
+
+class TestMatInv:
+    def test_int_matrices_stay_exact(self):
+        inv = numeric.mat_inv(((2, 0), (1, 3)))
+        assert inv == ((Fraction(1, 2), 0), (Fraction(-1, 6), Fraction(1, 3)))
+        assert all(isinstance(x, Fraction) for row in inv for x in row)
+
+    def test_cubic_and_float_matrices(self):
+        m = ((ALPHA, CubicNumber(1)), (CubicNumber(0), ONE + ALPHA))
+        assert numeric.mat_mul(m, numeric.mat_inv(m)) == ((1, 0), (0, 1))
+        assert numeric.mat_inv(((2.0, 0.0), (0.0, 4.0))) == ((0.5, -0.0), (-0.0, 0.25))

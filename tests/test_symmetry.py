@@ -155,3 +155,19 @@ class TestAffineEquivalent:
     def test_parallelogram_shape_matches_ay_prime(self):
         built = parallelogram_family(ay_prime_parallelogram_shape())
         assert sym.affine_equivalent(built, ay_prime(), IDENTITY) is not None
+
+
+class TestExactDerivatives:
+    def test_int_rectangle_torus(self):
+        # mat_inv keeps int / int exact, so int coordinates give exact derivatives.
+        from flatsurfkit.surface import Gluing, Polygon, Surface, TRANSLATION
+
+        rect = Surface(
+            [Polygon([(0, 0), (2, 0), (2, 1), (0, 1)])],
+            [Gluing((0, 0), (0, 2), TRANSLATION), Gluing((0, 1), (0, 3), TRANSLATION)],
+        )
+        derivatives = [i.derivative for i in sym.isometries(rect)]
+        assert sorted(derivatives) == sorted([
+            ((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((1, 0), (0, -1)), ((-1, 0), (0, 1)),
+        ])
+        assert not any(isinstance(x, float) for d in derivatives for row in d for x in row)
