@@ -349,7 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("delaunay", help="Delaunay decomposition census")
     p.add_argument("surface", nargs="?", default=None)
-    p.add_argument("--census", action="store_true", help="(default output)")
     p.add_argument("--out", default=None, help="write the decomposition as a surface file")
     p.add_argument("--svg", default=None, help="write an SVG net of the cells")
     p.set_defaults(func=_cmd_delaunay)

@@ -419,9 +419,15 @@ def decomposition(t: Triangulation) -> Surface:
     """Merge cocircular hinges into maximal cells; returns the cell surface.
 
     Merging is a transitive closure over zero-determinant hinges, so the
-    result does not depend on any processing order.  Cells are emitted as
-    developed convex polygons with deterministic (lexicographically
-    smallest) vertex chains.
+    set of cells does not depend on the order of the flips or merges.
+    Each cell is emitted as a developed convex polygon with its
+    lexicographically smallest vertex chain, translated to the origin,
+    and cells are sorted by that chain.  Congruent cells have equal
+    chains and keep the order of their smallest triangle index in t, so
+    the order of such cells, and with it every gluing label, depends on
+    the triangulation given: two Delaunay triangulations of a surface
+    with congruent cells (the escalator's unit squares) can give
+    unequal, isomorphic Surfaces.
     """
     if not is_delaunay_triangulation(t):
         raise DelaunayError("decomposition requires a Delaunay triangulation")

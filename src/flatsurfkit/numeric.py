@@ -291,9 +291,6 @@ class CubicNumber:
     def is_zero(self) -> bool:
         return not (self.n0 or self.n1 or self.n2)
 
-    def is_rational(self) -> bool:
-        return not (self.n1 or self.n2)
-
     def _value_interval(self, iv: _AlphaInterval) -> Tuple[Fraction, Fraction]:
         lo, hi = iv.lo, iv.hi
         lo2, hi2 = lo * lo, hi * hi

@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .quadrature import integrate
 
@@ -69,7 +69,6 @@ class CurveA:
 @dataclass(frozen=True)
 class QuadratureConfig:
     tol: float = 1e-12
-    max_level: int = 12
 
     def validate(self) -> None:
         if not self.tol > 0:
@@ -104,9 +103,9 @@ def segment_integrals(c: CurveTU, q: QuadratureConfig = DEFAULT_QUADRATURE) -> T
             (t - w2) * db * (1.0 + w) * (t + u * w2) * (1.0 + u * w2) * (t + u * w2 * w2)
         )
 
-    j1 = integrate(f1, 0.0, 1.0, tol=q.tol, max_level=q.max_level).real
-    j2 = integrate(f2, 1.0, t, tol=q.tol, max_level=q.max_level).real
-    j3 = integrate(f3, 0.0, 1.0, tol=q.tol, max_level=q.max_level).real
+    j1 = integrate(f1, 0.0, 1.0, tol=q.tol).real
+    j2 = integrate(f2, 1.0, t, tol=q.tol).real
+    j3 = integrate(f3, 0.0, 1.0, tol=q.tol).real
     return j1, j2, j3
 
 
@@ -275,189 +274,78 @@ class BranchAmbiguityError(PeriodsError):
     pass
 
 
-class _CheckpointCollision(Exception):
-    pass
-
-
 def _curve_a_roots(a: complex) -> List[complex]:
     return [0.0 + 0.0j, 1.0 + 0.0j, -1.0 + 0.0j, a, 1.0 / a]
 
 
-class _BranchedSegment:
-    """A straight segment with a continuous square-root branch of P.
+def _segment_period(roots: List[complex], i: int, j: int, q: QuadratureConfig) -> complex:
+    """Integral of (1 - x)/y dx along the straight segment from roots[i] to roots[j].
 
-    The branch is fixed at the segment midpoint by the principal value and
-    continued outward by the nearest-value rule over a grid of cell-center
-    checkpoints (regridding if an interior root lands on one).  An
-    interior branch point splits the segment; the branch continues through
-    it by indenting the path into the upper half-plane, which for a real
-    polynomial flips the tracked sign exactly when P changes from positive
-    to negative in the direction of increasing parameter.
+    On x = z0 + s d, each factor of P is x - r_k = d (w_k + s) with
+    w_k = (z0 - r_k)/d, and y(s) = C prod_k sqrt(w_k + s) with principal
+    roots is continuous along the whole segment.  Roots on the segment's
+    line get Im w_k = +0.0, so an interior branch point is passed on the
+    left of the direction of travel; the constant C makes y equal the
+    principal sqrt(P) at s = 0.5 + 2**-10 (at s = 0.5 when a branch point
+    lies within 1e-13 of that).  The integral splits only at interior
+    branch points, and the two factors vanishing at a piece's ends are
+    taken from the quadrature's endpoint distances.
     """
+    z0, d = roots[i], roots[j] - roots[i]
+    length = abs(d)
+    ws: List[complex] = []
+    breaks = [(0.0, i), (1.0, j)]
+    for k, r in enumerate(roots):
+        w = (z0 - r) / d
+        s, gap = -w.real, abs(w.imag) * length
+        if gap <= 1e-14 * max(1.0, length):
+            w = complex(w.real, 0.0)
+            if k not in (i, j) and 1e-12 < s < 1 - 1e-12:
+                breaks.append((s, k))
+        elif gap <= 1e-12 and -1e-12 < s < 1 + 1e-12:
+            raise BranchAmbiguityError(f"integration path passes within 1e-12 of branch point {r}")
+        ws.append(w)
+    breaks.sort()
 
-    CHECKPOINTS = 512
+    s_fix = 0.5 + 2.0 ** -10
+    if any(abs(s - s_fix) < 1e-13 for s, _ in breaks):
+        s_fix = 0.5
+    x_fix = z0 + s_fix * d
+    c = cmath.sqrt(math.prod(x_fix - r for r in roots))
+    for w in ws:
+        c /= cmath.sqrt(w + s_fix)
+    scale = d / (1j * c)  # the factor at a piece's upper end is sqrt(-db + 0.0j) = 1j sqrt(db)
 
-    def __init__(self, z0: complex, z1: complex, factors: Sequence[complex], checkpoints: int = CHECKPOINTS):
-        self.z0 = complex(z0)
-        self.z1 = complex(z1)
-        self.factors = list(factors)
-        self.dir = self.z1 - self.z0
-        length = abs(self.dir)
-        if length == 0:
-            raise PeriodsError("degenerate integration segment")
-        self.interior: List[float] = []
-        for r in self.factors:
-            s = ((r - self.z0) * self.dir.conjugate()).real / (length * length)
-            d = abs(self.z0 + s * self.dir - r)
-            if d <= 1e-14 * max(1.0, length):
-                if 1e-12 < s < 1 - 1e-12:
-                    self.interior.append(s)
-            elif d <= 1e-12 and -1e-12 < s < 1 + 1e-12:
-                raise BranchAmbiguityError(
-                    f"integration path passes within 1e-12 of branch point {r}"
-                )
-        self.interior.sort()
-        for m in (checkpoints, 729, 1000, 677):
-            try:
-                self._build_sign_table(m)
-                return
-            except _CheckpointCollision:
-                continue
-        raise BranchAmbiguityError("interior branch points collide with every checkpoint grid")
-
-    def poly(self, x: complex) -> complex:
-        out = 1.0 + 0.0j
-        for r in self.factors:
-            out *= x - r
-        return out
-
-    def _crossing_sign(self, prev_sign: int, s_prev: float, going_up: bool) -> int:
-        p_prev = self.poly(self.z0 + s_prev * self.dir)
-        if abs(p_prev.imag) > 1e-9 * (abs(p_prev) + 1e-300):
-            raise BranchAmbiguityError("branch point interior to a path where P is not real")
-        positive_below = p_prev.real > 0 if going_up else p_prev.real < 0
-        return -prev_sign if positive_below else prev_sign
-
-    def _build_sign_table(self, m: int) -> None:
-        # Checkpoints at cell centers: never at the (singular) endpoints.
-        grid = [(k + 0.5) / m for k in range(m)]
-        for b in self.interior:
-            if any(abs(b - g) < 1e-13 for g in grid):
-                raise _CheckpointCollision
-        mid = m // 2
-        signs = [0] * m
-        ys: List[complex] = [0j] * m
-        signs[mid] = 1
-        ys[mid] = cmath.sqrt(self.poly(self.z0 + grid[mid] * self.dir))
-
-        def step(k: int, prev: int) -> None:
-            s_prev, s_cur = grid[prev], grid[k]
-            lo, hi = min(s_prev, s_cur), max(s_prev, s_cur)
-            crossed = [b for b in self.interior if lo < b < hi]
-            plus = cmath.sqrt(self.poly(self.z0 + s_cur * self.dir))
-            if len(crossed) > 1:
-                raise BranchAmbiguityError("two branch points within one checkpoint step")
-            if crossed:
-                signs[k] = self._crossing_sign(signs[prev], s_prev, going_up=k > prev)
-            else:
-                ref = ys[prev]
-                signs[k] = 1 if abs(plus - ref) <= abs(plus + ref) else -1
-            ys[k] = signs[k] * plus
-
-        for k in range(mid + 1, m):
-            step(k, k - 1)
-        for k in range(mid - 1, -1, -1):
-            step(k, k + 1)
-
-        # Pieces break at every interior branch point (the integrand is
-        # singular there) and at branch-cut crossings, which are located
-        # precisely by bisection on Im P so that each piece carries a
-        # genuinely constant branch sign.
-        cuts = set(self.interior)
-        for k in range(1, m):
-            if signs[k] != signs[k - 1]:
-                lo, hi = grid[k - 1], grid[k]
-                if any(lo < b < hi for b in self.interior):
-                    continue
-                cuts.add(self._locate_cut(lo, hi))
-        bounds = [0.0] + sorted(cuts) + [1.0]
-        pieces = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi - lo < 1e-15:
-                continue
-            inside = [signs[k] for k in range(m) if lo < grid[k] < hi]
-            if not inside:
-                inside = [signs[min(range(m), key=lambda k: abs(grid[k] - 0.5 * (lo + hi)))]]
-            pieces.append((lo, hi, inside[len(inside) // 2]))
-        self._pieces = pieces
-
-    def _locate_cut(self, lo: float, hi: float) -> float:
-        """Bisect for the principal-branch cut crossing (Im P = 0, Re P < 0)."""
-        g = lambda s: self.poly(self.z0 + s * self.dir).imag
-        glo, ghi = g(lo), g(hi)
-        if glo == 0.0:
-            return lo
-        if ghi == 0.0 or (glo < 0) == (ghi < 0):
-            return 0.5 * (lo + hi)  # not a transversal crossing; best effort
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            gm = g(mid)
-            if gm == 0.0:
-                return mid
-            if (gm < 0) == (glo < 0):
-                lo, glo = mid, gm
-            else:
-                hi, ghi = mid, gm
-        return 0.5 * (lo + hi)
-
-    def pieces(self) -> List[Tuple[float, float, int]]:
-        return list(self._pieces)
-
-
-def _segment_period(seg: _BranchedSegment, q: QuadratureConfig) -> complex:
-    """Integral of (1 - x)/y dx along the branched segment.
-
-    Endpoint factors of P are evaluated from the quadrature's endpoint
-    distances to keep the square-root singularities accurate.
-    """
     total = 0.0 + 0.0j
-    for s_lo, s_hi, sgn_mid in seg.pieces():
-        x_lo = seg.z0 + s_lo * seg.dir
-        x_hi = seg.z0 + s_hi * seg.dir
+    for (lo, k_lo), (hi, k_hi) in zip(breaks, breaks[1:]):
+        inner = [w for k, w in enumerate(ws) if k not in (k_lo, k_hi)]
 
         def integrand(s: float, da: float, db: float) -> complex:
-            x = seg.z0 + s * seg.dir
-            prod = 1.0 + 0.0j
-            for r in seg.factors:
-                dr = x - r
-                if abs(r - x_lo) < 1e-14 * max(1.0, abs(r)) + 1e-300:
-                    dr = da * seg.dir
-                elif abs(r - x_hi) < 1e-14 * max(1.0, abs(r)) + 1e-300:
-                    dr = -db * seg.dir
-                prod *= dr
-            y = sgn_mid * cmath.sqrt(prod)
-            return (1.0 - x) / y * seg.dir
+            y = math.sqrt(da * db)
+            for w in inner:
+                y *= cmath.sqrt(w + s)
+            return (1.0 - (z0 + s * d)) * scale / y
 
-        total += integrate(integrand, s_lo, s_hi, tol=q.tol, max_level=q.max_level)
+        total += integrate(integrand, lo, hi, tol=q.tol)
     return total
 
 
-def silhol_periods(c: CurveA, q: QuadratureConfig = DEFAULT_QUADRATURE,
-                   checkpoints: int = _BranchedSegment.CHECKPOINTS) -> Tuple[complex, complex]:
+def silhol_periods(c: CurveA, q: QuadratureConfig = DEFAULT_QUADRATURE) -> Tuple[complex, complex]:
     """The two marked periods (int_{-1}^0 phi, int_0^{1/a} phi).
 
     phi = (1 - x) dx / y on y**2 = x (x**2 - 1) (x - a) (x - 1/a), each
-    integral along the straight segment with the branch of y fixed at the
-    segment midpoint by the principal square root and continued by the
-    nearest-argument rule; interior branch points split the segment and
-    are crossed with the upper-indentation convention.
+    integral along the straight segment between the two roots.  On each
+    segment y is the closed-form branch of `_segment_period`: a product of
+    principal square roots of the factors of P, scaled to equal the
+    principal sqrt(P) near the segment midpoint, and continued through
+    interior branch points on the left of the direction of travel.
+    Raises BranchAmbiguityError when a root lies within 1e-12 of a segment
+    but off its line, where that side is not determined.
     """
     c.validate()
     q.validate()
     roots = _curve_a_roots(c.a)
-    seg1 = _BranchedSegment(-1.0 + 0.0j, 0.0 + 0.0j, roots, checkpoints=checkpoints)
-    seg2 = _BranchedSegment(0.0 + 0.0j, 1.0 / c.a, roots, checkpoints=checkpoints)
-    return _segment_period(seg1, q), _segment_period(seg2, q)
+    return _segment_period(roots, 2, 0, q), _segment_period(roots, 0, 4, q)
 
 
 def silhol_ratio(c: CurveA, q: QuadratureConfig = DEFAULT_QUADRATURE) -> complex:

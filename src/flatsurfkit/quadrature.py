@@ -25,6 +25,7 @@ class QuadratureError(RuntimeError):
 _HALF_PI = math.pi / 2.0
 _T_MAX = 6.6
 _TERM_STREAK = 3  # consecutive negligible terms before truncating a level
+MAX_LEVEL = 12  # halvings of the mesh before giving up
 
 _node_cache: dict = {}
 
@@ -52,16 +53,16 @@ def _level_nodes(level: int) -> List[Tuple[float, float]]:
 
 
 def integrate(f: Callable[[float, float, float], complex], a: float, b: float,
-              tol: float = 1e-12, max_level: int = 12) -> complex:
+              tol: float = 1e-12) -> complex:
     """Integral over (a, b) of f(x, x - a, b - x) to absolute tolerance tol.
 
     Raises QuadratureError when successive refinements fail to agree
-    within tol by max_level.
+    within tol by level MAX_LEVEL.
     """
     if a == b:
         return 0.0
     if a > b:
-        return -integrate(f, b, a, tol=tol, max_level=max_level)
+        return -integrate(f, b, a, tol=tol)
     half = 0.5 * (b - a)
     mid = a + half
     cut = tol * 1e-3
@@ -84,12 +85,12 @@ def integrate(f: Callable[[float, float, float], complex], a: float, b: float,
 
     value = _HALF_PI * f(mid, half, half) + level_sum(0)
     prev = value * half  # mesh h = 1 at level 0
-    for level in range(1, max_level + 1):
+    for level in range(1, MAX_LEVEL + 1):
         h = 2.0 ** -level
         value = value / 2.0 + h * level_sum(level)
         est = value * half
         if abs(est - prev) <= tol:
             return est
         prev = est
-    raise QuadratureError(f"tanh-sinh did not reach tolerance {tol} within {max_level} levels")
+    raise QuadratureError(f"tanh-sinh did not reach tolerance {tol} within {MAX_LEVEL} levels")
 

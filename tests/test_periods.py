@@ -186,12 +186,49 @@ class TestSilholRatio:
         r = silhol_ratio(CurveA(0.5))
         assert abs(r.imag) > 1e-4
 
-    def test_path_refinement_stable(self):
-        for a in (0.5j, 0.5):
-            coarse = silhol_periods(CurveA(a), checkpoints=512)
-            fine = silhol_periods(CurveA(a), checkpoints=1024 + 3)
-            assert abs(coarse[0] - fine[0]) < 1e-10
-            assert abs(coarse[1] - fine[1]) < 1e-10
+    # silhol_periods as computed by the earlier numerically tracked branch
+    # (a 512-point sign table per segment).  0.5, -0.5, -0.3, -2 and 3 put
+    # branch points inside a segment; -0.4990234375 puts the root a at
+    # s = 0.5 + 2**-10 on [-1, 0], where the branch is fixed at s = 0.5.
+    PINNED_PERIODS = {
+        0.5j: (3.004032243859447 + 0.6393489912492857j, -0.6030696834669318 - 2.5546441743352037j),
+        2j: (3.004032243859447 - 0.6393489912492857j, -1.0887370607735292 - 1.7616135691432306j),
+        0.5: (2.5208297172354626 + 0j, -0.6754542869896176 + 2.520829717235463j),
+        -0.5: (3.196284004225081 - 4.366205147481309j, -1.169921143256226 + 4.366205147481309j),
+        -0.3: (2.068652457972259 - 3.1848660733258365j, -1.1162136153535775 + 3.1848660733258365j),
+        -2.0: (3.196284004225081 - 4.366205147481309j, -3.196284004225081 + 0j),
+        3.0: (2.3807293824897267 + 0j, -1.5822100371664556j),
+        0.7 - 0.4j: (2.670773558519964 - 0.05058480484183574j, 0.4959262786503829 - 2.322073381617236j),
+        1e-13 + 0.5j: (3.004032243859311 + 0.6393489912491389j, -0.6030696834669313 - 2.554644174335096j),
+        -0.4990234375: (3.1898088183327045 - 4.359573681761388j, -1.1697648634286821 + 4.359573681761386j),
+    }
+
+    @pytest.mark.parametrize("a", list(PINNED_PERIODS))
+    def test_pinned_periods(self, a):
+        got = silhol_periods(CurveA(a))
+        for value, want in zip(got, self.PINNED_PERIODS[a]):
+            assert abs(value - want) < 1e-12
+
+    @pytest.mark.parametrize("x", (-0.5, -0.3, 0.5, 3.0))
+    def test_real_a_as_complex(self, x):
+        # 1/complex(x) carries a -0.0 imaginary part for x < 0
+        assert silhol_periods(CurveA(complex(x))) == silhol_periods(CurveA(x))
+
+    @pytest.mark.parametrize("a", (0.5 + 1e-16j, -0.5 - 1e-16j))
+    def test_root_within_rounding_of_the_path(self, a):
+        # the roots a and +-1 inside [0, 1/a] lie about 1e-16 off its line:
+        # passed on the left of travel as if on it, whichever side the
+        # rounding puts them
+        got = silhol_periods(CurveA(a))
+        for value, want in zip(got, self.PINNED_PERIODS[a.real]):
+            assert abs(value - want) < 1e-12
+
+    def test_branch_point_next_to_an_endpoint(self):
+        # a**2 ~ 1.9e-4 puts the root a closer to 0 on [0, 1/a] than the
+        # first cell of a 512-point grid; value from a 20001-point grid
+        got = silhol_periods(CurveA(-0.013908461946763317))
+        assert abs(got[0] - (0.37310928872675675 - 0.941262239484158j)) < 1e-12
+        assert abs(got[1] - (-0.568152950757401 + 0.9412622394841582j)) < 1e-12
 
     def test_branch_ambiguity_near_interior_root(self):
         # a sits 1e-13 off the segment [0, 1/a]: ambiguous continuation
