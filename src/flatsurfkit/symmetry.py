@@ -1,18 +1,21 @@
 """Isometries of flat surfaces via automorphisms of the Delaunay decomposition.
 
-The Delaunay decomposition is canonical and isometry-invariant, so two
-surfaces are isometric exactly when their decompositions admit a
-flag-compatible matching.  The search fixes a base flag (cell 0, corner 0)
-of the first decomposition; every choice of image flag and orientation
-forces the candidate derivative, which is accepted when it is orthogonal
-and the flag map propagates consistently over all cells and gluings.
+The Delaunay decomposition is isometry-invariant and canonical up to the
+order of congruent cells, so two surfaces are isometric exactly when their
+decompositions admit a flag-compatible matching.  The search fixes a base
+flag (cell 0, corner 0) of the first decomposition and tries every flag of
+the second as its image, which makes the order of congruent cells harmless;
+each image flag and orientation forces the candidate derivative, accepted
+when it is orthogonal and the flag map propagates over all cells and gluings.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .numeric import (
@@ -44,6 +47,11 @@ def decompose(s: Surface) -> Surface:
     return dl.decomposition(dl.delaunayize(dl.triangulate(s)))
 
 
+def _offsets(s: Surface) -> List[int]:
+    """Flag numbering: flag (p, i) is offsets[p] + i; offsets[-1] counts the flags."""
+    return list(accumulate((len(poly) for poly in s.polygons), initial=0))
+
+
 def _is_orthogonal(m: Mat2) -> bool:
     """m^T m = I: exactly on exact entries; on floats the Frobenius norm of
     m^T m - I is at most FLOAT_TOL."""
@@ -56,34 +64,43 @@ def _is_orthogonal(m: Mat2) -> bool:
 class Isometry:
     """An isometry presented on the Delaunay decomposition.
 
-    flag_map sends (cell, corner) flags of the source decomposition to
-    flags of the target; the derivative is a single orthogonal matrix (the
-    decompositions here are translation surfaces, whose charts share one
-    tangent plane).
+    perm is the flag map: it sends flag (cell, corner), numbered
+    offsets[cell] + corner (`_offsets`), of the source decomposition to a
+    flag of the target (`image` reads one back), and alone decides equality.
+    The derivative is a single orthogonal matrix (the decompositions here
+    are translation surfaces, whose charts share one tangent plane).
     """
 
     source: Surface
     target: Surface
     derivative: Mat2
     orientation: int  # +1 preserving, -1 reversing
-    flag_map: Dict[Flag, Flag]
+    perm: Tuple[int, ...]
+
+    def image(self, flag: Flag) -> Flag:
+        """The target flag that a source flag is sent to."""
+        p, i = flag
+        k = self.perm[_offsets(self.source)[p] + i]
+        off = _offsets(self.target)
+        q = bisect_right(off, k) - 1
+        return q, k - off[q]
 
     def is_identity(self) -> bool:
-        return self.orientation == 1 and all(k == v for k, v in self.flag_map.items())
+        return self.perm == tuple(range(len(self.perm)))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Isometry) and self.flag_map == other.flag_map
+        return isinstance(other, Isometry) and self.perm == other.perm
 
     def __hash__(self):
-        return hash(tuple(sorted(self.flag_map.items())))
+        return hash(self.perm)
 
     def derivative_floats(self) -> Tuple[Tuple[float, float], Tuple[float, float]]:
         return tuple(tuple(to_float(x) for x in row) for row in self.derivative)
 
     def name_hint(self) -> str:
         """Conventional name by derivative signature (family surfaces only)."""
-        d = self.derivative_floats()
-        near = lambda m: all(abs(d[i][j] - m[i][j]) < 1e-6 for i in range(2) for j in range(2))
+        d = self.derivative
+        near = lambda m: vectors_match(d[0], m[0]) and vectors_match(d[1], m[1])
         if near(((1, 0), (0, 1))):
             return "id"
         if near(((-1, 0), (0, -1))):
@@ -117,21 +134,20 @@ def _propagate(
     b: Surface,
     deriv: Mat2,
     orientation: int,
-    seed: Tuple[Flag, Flag],
-) -> Optional[Dict[Flag, Flag]]:
-    """Extend a single flag assignment over the whole complex, or fail.
+    image: Flag,
+) -> Optional[Tuple[int, ...]]:
+    """Extend 'flag (0, 0) goes to image' to a flag permutation, or fail.
 
     Per-cell assignments are (image cell, c0) with corner map
-    x -> (c0 + x) mod n for orientation-preserving isometries and
-    x -> (c0 - x) mod n for reversing ones.
+    x -> (c0 + orientation * x) mod n.
     """
-    (p0, i0), (q0, j0) = seed
-    cell_map: Dict[int, Tuple[int, int]] = {}
-    queue = [(p0, q0, (j0 - i0) % len(b.polygons[q0]) if orientation == 1 else (j0 + i0) % len(b.polygons[q0]))]
+    off_a, off_b = _offsets(a), _offsets(b)
+    perm: List[Optional[int]] = [None] * off_a[-1]
+    queue = [(0, *image)]
     while queue:
         p, q, c0 = queue.pop()
-        if p in cell_map:
-            if cell_map[p] != (q, c0):
+        if perm[off_a[p]] is not None:
+            if perm[off_a[p]] != off_b[q] + c0:  # corner 0 goes to corner c0
                 return None
             continue
         poly_a = a.polygons[p]
@@ -139,14 +155,14 @@ def _propagate(
         n = len(poly_a)
         if len(poly_b) != n:
             return None
-        cell_map[p] = (q, c0)
         for x in range(n):
+            perm[off_a[p] + x] = off_b[q] + (c0 + orientation * x) % n
             if orientation == 1:
                 m = (c0 + x) % n
-                want = b.polygons[q].edge_vector(m)
+                want = poly_b.edge_vector(m)
             else:
                 m = (c0 - x - 1) % n
-                want = vec_neg(b.polygons[q].edge_vector(m))
+                want = vec_neg(poly_b.edge_vector(m))
             if not vectors_match(mat_vec(deriv, poly_a.edge_vector(x)), want):
                 return None
             if a.gluing_kind((p, x)) != b.gluing_kind((q, m)):
@@ -159,14 +175,9 @@ def _propagate(
             else:
                 c2 = (m2 + 1 + x2) % n2
             queue.append((p2, q2, c2))
-    flag_map: Dict[Flag, Flag] = {}
-    for p, (q, c0) in cell_map.items():
-        n = len(a.polygons[p])
-        for x in range(n):
-            flag_map[(p, x)] = (q, (c0 + x) % n if orientation == 1 else (c0 - x) % n)
-    if len(flag_map) != sum(len(poly) for poly in a.polygons):
+    if None in perm:
         return None
-    return flag_map
+    return tuple(perm)
 
 
 def isometries_between(dec_a: Surface, dec_b: Surface) -> List[Isometry]:
@@ -174,8 +185,7 @@ def isometries_between(dec_a: Surface, dec_b: Surface) -> List[Isometry]:
     out: List[Isometry] = []
     if not dec_a.polygons or not dec_b.polygons:
         return out
-    base = (0, 0)
-    u1, u2 = _corner_edges(dec_a, base)
+    u1, u2 = _corner_edges(dec_a, (0, 0))
     for q, poly in enumerate(dec_b.polygons):
         for j in range(len(poly)):
             for orientation in (1, -1):
@@ -186,10 +196,11 @@ def isometries_between(dec_a: Surface, dec_b: Surface) -> List[Isometry]:
                     deriv = _solve_derivative(u1, u2, vec_neg(w_in), vec_neg(w_out))
                 if deriv is None or not _is_orthogonal(deriv):
                     continue
-                flag_map = _propagate(dec_a, dec_b, deriv, orientation, (base, (q, j)))
-                if flag_map is not None:
-                    out.append(Isometry(dec_a, dec_b, deriv, orientation, flag_map))
-    out.sort(key=lambda iso: (iso.flag_map[base], -iso.orientation))
+                perm = _propagate(dec_a, dec_b, deriv, orientation, (q, j))
+                if perm is not None:
+                    out.append(Isometry(dec_a, dec_b, deriv, orientation, perm))
+    # Offsets are monotone, so this orders by the image of flag (0, 0).
+    out.sort(key=lambda iso: (iso.perm[0], -iso.orientation))
     return out
 
 
@@ -203,19 +214,20 @@ def compose(a: Isometry, b: Isometry) -> Isometry:
     """The isometry 'a after b'."""
     if a.source is not b.target and a.source != b.target:
         raise SurfaceError("cannot compose isometries of different surfaces")
-    flag_map = {k: a.flag_map[v] for k, v in b.flag_map.items()}
     return Isometry(
         b.source,
         a.target,
         mat_mul(a.derivative, b.derivative),
         a.orientation * b.orientation,
-        flag_map,
+        tuple(a.perm[k] for k in b.perm),
     )
 
 
 def inverse(iso: Isometry) -> Isometry:
-    flag_map = {v: k for k, v in iso.flag_map.items()}
-    return Isometry(iso.target, iso.source, mat_transpose(iso.derivative), iso.orientation, flag_map)
+    perm = [0] * len(iso.perm)
+    for k, v in enumerate(iso.perm):
+        perm[v] = k
+    return Isometry(iso.target, iso.source, mat_transpose(iso.derivative), iso.orientation, tuple(perm))
 
 
 @dataclass(frozen=True)
@@ -226,51 +238,58 @@ class GroupSummary:
     dihedral: bool
 
 
-def element_order(iso: Isometry, cap: int = 64) -> int:
-    cur = iso
-    for k in range(1, cap + 1):
-        if cur.is_identity():
-            return k
-        cur = compose(iso, cur)
-    raise SurfaceError(f"element order exceeds {cap}")
+def element_order(iso: Isometry) -> int:
+    """Order of a self-isometry: the lcm of its flag permutation's cycle lengths."""
+    perm, order, seen = iso.perm, 1, set()
+    for start in range(len(perm)):
+        if start not in seen:
+            cycle = [start]
+            while perm[cycle[-1]] != start:
+                cycle.append(perm[cycle[-1]])
+            seen.update(cycle)
+            order = math.lcm(order, len(cycle))
+    return order
 
 
 def group_summary(isos: Sequence[Isometry]) -> GroupSummary:
-    """Order, element orders, abelian and dihedral flags; verifies closure."""
-    elems = list(isos)
-    index = {iso: k for k, iso in enumerate(elems)}
-    n = len(elems)
-    table = [[0] * n for _ in range(n)]
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            z = compose(x, y)
-            if z not in index:
-                raise SurfaceError("isometry list is not closed under composition")
-            table[i][j] = index[z]
-    orders = tuple(sorted(element_order(x) for x in elems))
+    """Order, element orders, abelian and dihedral flags; verifies closure.
+
+    Works on the flag permutations alone, through their Cayley table.
+    """
+    perms = [iso.perm for iso in isos]
+    index = {perm: k for k, perm in enumerate(perms)}
+    n = len(perms)
+    table = []
+    for x in perms:
+        row = [index.get(tuple(x[k] for k in y)) for y in perms]
+        if None in row:
+            raise SurfaceError("isometry list is not closed under composition")
+        table.append(row)
+    orders = [element_order(iso) for iso in isos]
     abelian = all(table[i][j] == table[j][i] for i in range(n) for j in range(n))
     dihedral = False
     if n >= 4 and n % 2 == 0:
         half = n // 2
-        for i, r in enumerate(elems):
-            if element_order(r) != half:
+        ident = orders.index(1)
+        inv = [table[i].index(ident) for i in range(n)]
+        for r in range(n):
+            if orders[r] != half:
                 continue
             powers = set()
             cur = r
             for _ in range(half):
-                powers.add(index[cur])
-                cur = compose(r, cur)
-            for j, s in enumerate(elems):
-                if j in powers or element_order(s) != 2:
+                powers.add(cur)
+                cur = table[r][cur]
+            for s in range(n):
+                if s in powers or orders[s] != 2:
                     continue
                 # s r s^-1 == r^-1
-                conj = compose(compose(s, r), inverse(s))
-                if conj == inverse(r):
+                if table[table[s][r]][inv[s]] == inv[r]:
                     dihedral = True
                     break
             if dihedral:
                 break
-    return GroupSummary(n, orders, abelian, dihedral)
+    return GroupSummary(n, tuple(sorted(orders)), abelian, dihedral)
 
 
 # -- fixed points ---------------------------------------------------------------------
@@ -291,34 +310,33 @@ class FixedLocus:
     segment_components: int = 0
 
 
-def _cell_affine(iso: Isometry, p: int) -> Optional[Vec2]:
-    """Translation part of the self-map of cell p, or None if p moves."""
-    q, j0 = iso.flag_map[(p, 0)]
-    if q != p:
-        return None
-    poly = iso.source.polygons[p]
-    return vec_sub(poly.vertices[j0], mat_vec(iso.derivative, poly.vertices[0]))
+def _self_cells(iso: Isometry):
+    """(p, t) for each cell p sent onto itself, t the translation part of that map."""
+    for p, poly in enumerate(iso.source.polygons):
+        q, j0 = iso.image((p, 0))
+        if q == p:
+            yield p, vec_sub(poly.vertices[j0], mat_vec(iso.derivative, poly.vertices[0]))
 
 
-def _point_in_polygon(poly: sf.Polygon, x: Vec2, strict: bool) -> bool:
-    n = len(poly)
-    for i in range(n):
-        c = sign(cross(poly.edge_vector(i), vec_sub(x, poly.vertices[i])))
-        if strict and c <= 0:
-            return False
-        if not strict and c < 0:
+def _point_in_interior(poly: sf.Polygon, x: Vec2) -> bool:
+    for i in range(len(poly)):
+        if sign(cross(poly.edge_vector(i), vec_sub(x, poly.vertices[i]))) <= 0:
             return False
     return True
 
 
-def _direct_edge_image(iso: Isometry, edge: Flag) -> Flag:
-    """Image of a directed cell edge under the flag map."""
-    p, i = edge
-    q, j = iso.flag_map[(p, i)]
-    if iso.orientation == 1:
-        return (q, j)
-    n = len(iso.target.polygons[q])
-    return (q, (j - 1) % n)
+def _edges_onto_partner(iso: Isometry):
+    """(cell, start, end), in floats, of each glued edge sent onto its partner."""
+    s = iso.source
+    for g in s.gluings:
+        p, i = g.edge_a
+        q, j = iso.image((p, i))
+        if iso.orientation == -1:
+            j = (j - 1) % len(iso.target.polygons[q])  # a reversed edge starts at its end's image
+        if (q, j) == s.partner((p, i)):
+            poly = s.polygons[p]
+            v0, v1 = poly.vertices[i], poly.vertices[(i + 1) % len(poly)]
+            yield p, (to_float(v0[0]), to_float(v0[1])), (to_float(v1[0]), to_float(v1[1]))
 
 
 def _reflection_axis_direction(deriv: Mat2) -> Vec2:
@@ -380,38 +398,29 @@ def fixed_points(iso: Isometry) -> FixedLocus:
     if iso.is_identity():
         return FixedLocus(all_points=True)
     locus = FixedLocus()
+    cycles = sf.corner_cycles(s)
+    cycle_of: Dict[Flag, int] = {}
+    for k, cyc in enumerate(cycles):
+        for c in cyc:
+            cycle_of[c] = k
 
     if iso.orientation == 1:
         # Interior fixed points of rotation-type self-cells.
-        for p in range(len(s.polygons)):
-            t = _cell_affine(iso, p)
-            if t is None:
-                continue
+        for p, t in _self_cells(iso):
             m = ((1 - iso.derivative[0][0], -iso.derivative[0][1]),
                  (-iso.derivative[1][0], 1 - iso.derivative[1][1]))
-            if sign(mat_det(m), 1e-12) == 0:
+            if sign(mat_det(m), FLOAT_TOL) == 0:
                 continue  # derivative is the identity: a nontrivial translation
             x = mat_vec(mat_inv(m), t)
-            if _point_in_polygon(s.polygons[p], x, strict=True):
+            if _point_in_interior(s.polygons[p], x):
                 locus.points.append(LocatedPoint(p, (to_float(x[0]), to_float(x[1])), "interior"))
         # Midpoints of edges sent to their own gluing partner.
-        for g in s.gluings:
-            h = g.edge_a
-            if _direct_edge_image(iso, h) == s.partner(h):
-                p, i = h
-                poly = s.polygons[p]
-                v0 = poly.vertices[i]
-                v1 = poly.vertices[(i + 1) % len(poly)]
-                mid = ((to_float(v0[0]) + to_float(v1[0])) / 2, (to_float(v0[1]) + to_float(v1[1])) / 2)
-                locus.points.append(LocatedPoint(p, mid, "edge-midpoint"))
+        for p, v0, v1 in _edges_onto_partner(iso):
+            mid = ((v0[0] + v1[0]) / 2, (v0[1] + v1[1]) / 2)
+            locus.points.append(LocatedPoint(p, mid, "edge-midpoint"))
         # Vertices whose cycle maps to itself.
-        cycles = sf.corner_cycles(s)
-        cycle_of: Dict[Flag, int] = {}
         for k, cyc in enumerate(cycles):
-            for c in cyc:
-                cycle_of[c] = k
-        for k, cyc in enumerate(cycles):
-            if cycle_of[iso.flag_map[cyc[0]]] == k:
+            if cycle_of[iso.image(cyc[0])] == k:
                 p, i = cyc[0]
                 v = s.polygons[p].vertices[i]
                 locus.points.append(LocatedPoint(p, (to_float(v[0]), to_float(v[1])), "vertex"))
@@ -419,7 +428,6 @@ def fixed_points(iso: Isometry) -> FixedLocus:
 
     # Orientation-reversing: build the fixed 1-manifold.
     segs = []
-    all_cycles = sf.corner_cycles(s)
 
     def endpoint_key(p: int, xy: Tuple[float, float]):
         # Identify endpoints across gluings by locating them on cell edges
@@ -428,10 +436,8 @@ def fixed_points(iso: Isometry) -> FixedLocus:
         n = len(poly)
         for i in range(n):
             v = poly.vertices[i]
-            if math.hypot(to_float(v[0]) - xy[0], to_float(v[1]) - xy[1]) < 1e-9:
-                for k, cyc in enumerate(all_cycles):
-                    if (p, i) in cyc:
-                        return ("vertex", k)
+            if math.hypot(to_float(v[0]) - xy[0], to_float(v[1]) - xy[1]) < FLOAT_TOL:
+                return ("vertex", cycle_of[(p, i)])
         for i in range(n):
             v0, v1 = poly.vertices[i], poly.vertices[(i + 1) % n]
             ex, ey = to_float(v1[0]) - to_float(v0[0]), to_float(v1[1]) - to_float(v0[1])
@@ -439,27 +445,18 @@ def fixed_points(iso: Isometry) -> FixedLocus:
             ll = ex * ex + ey * ey
             t = (px * ex + py * ey) / ll
             d = abs(px * ey - py * ex) / math.sqrt(ll)
-            if d < 1e-9 and -1e-9 <= t <= 1 + 1e-9:
+            if d < FLOAT_TOL and -FLOAT_TOL <= t <= 1 + FLOAT_TOL:
                 q, j = s.partner((p, i))
                 if (q, j, round(1 - t, 9)) < (p, i, round(t, 9)):
                     return ("edge", q, j, round(1 - t, 9))
                 return ("edge", p, i, round(t, 9))
         return ("interior", p, round(xy[0], 9), round(xy[1], 9))
 
-    for p in range(len(s.polygons)):
-        t = _cell_affine(iso, p)
-        if t is None:
-            continue
+    for p, t in _self_cells(iso):
         seg = _fixed_line_in_cell(iso, p, t)
         if seg is not None:
             segs.append((p, seg[0], seg[1]))
-    for g in s.gluings:
-        h = g.edge_a
-        if _direct_edge_image(iso, h) == s.partner(h):
-            p, i = h
-            poly = s.polygons[p]
-            v0, v1 = poly.vertices[i], poly.vertices[(i + 1) % len(poly)]
-            segs.append((p, (to_float(v0[0]), to_float(v0[1])), (to_float(v1[0]), to_float(v1[1]))))
+    segs.extend(_edges_onto_partner(iso))
 
     # Union-find on segment endpoints to count components.
     parent = list(range(len(segs)))

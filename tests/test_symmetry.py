@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 
 from flatsurfkit.numeric import ALPHA, CubicNumber, IDENTITY, mat_mul, mat_transpose, to_float
 from flatsurfkit import symmetry as sym
@@ -10,13 +11,26 @@ from flatsurfkit.constructions import (
     TrapezoidShape,
     ay_prime,
     ay_prime_parallelogram_shape,
+    escalator,
     parallelogram_family,
     trapezoid_family,
 )
+from flatsurfkit.surface import apply_linear
 
 
 def by_name(isos, name):
     return [i for i in isos if i.name_hint() == name]
+
+
+@pytest.fixture(scope="module")
+def escalator_isometries():
+    return sym.isometries(escalator())
+
+
+@pytest.fixture(params=["ay", "escalator"])
+def group(request):
+    """The AY group (order 8) and the escalator's (order 48)."""
+    return request.getfixturevalue(f"{request.param}_isometries")
 
 
 class TestAYGroup:
@@ -62,18 +76,27 @@ class TestAYGroup:
             for s in by_name(ay_isometries, "sigma"):
                 assert sym.element_order(sym.compose(r, s)) == 4
 
-    def test_identity_composition(self, ay_isometries):
-        ident = by_name(ay_isometries, "id")[0]
-        for iso in ay_isometries:
+    def test_identity_composition(self, group):
+        [ident] = [i for i in group if i.is_identity()]
+        for iso in group:
             assert sym.compose(ident, iso) == iso
             assert sym.compose(iso, ident) == iso
 
-    def test_closed_under_composition_and_inverse(self, ay_isometries):
-        pool = set(ay_isometries)
-        for x in ay_isometries:
+    def test_closed_under_composition_and_inverse(self, group):
+        pool = set(group)
+        for x in group:
             assert sym.inverse(x) in pool
-            for y in ay_isometries:
+            assert sym.compose(x, sym.inverse(x)).is_identity()
+            assert sym.compose(sym.inverse(x), x).is_identity()
+            for y in group:
                 assert sym.compose(x, y) in pool
+
+    def test_element_order_is_first_identity_power(self, group):
+        for x in group:
+            power, k = x, 1
+            while not power.is_identity() and k <= len(group):
+                power, k = sym.compose(x, power), k + 1
+            assert sym.element_order(x) == k
 
     def test_derivatives_orthogonal(self, ay_isometries):
         for iso in ay_isometries:
@@ -82,6 +105,20 @@ class TestAYGroup:
                 abs(to_float(g[i][j]) - (1.0 if i == j else 0.0)) < 1e-12
                 for i in range(2) for j in range(2)
             )
+
+
+class TestLargerGroups:
+    @pytest.mark.parametrize("shear, order, orders", [
+        (None, 48, {1: 1, 2: 23, 3: 2, 4: 8, 6: 10, 12: 4}),
+        (((1, 0), (3, 1)), 24, {1: 1, 2: 15, 3: 2, 6: 6}),
+    ], ids=["escalator", "sheared-escalator"])
+    def test_escalator_group_summary(self, shear, order, orders):
+        s = escalator() if shear is None else apply_linear(shear, escalator())
+        summary = sym.group_summary(sym.isometries(s))
+        assert summary.order == order
+        assert not summary.abelian and not summary.dihedral
+        expect = tuple(k for k, count in sorted(orders.items()) for _ in range(count))
+        assert summary.element_orders == expect
 
 
 class TestFixedPoints:
