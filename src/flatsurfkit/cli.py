@@ -76,8 +76,10 @@ def _cmd_build(args) -> int:
     elif name == "rectangle":
         if args.t is None:
             raise CliError("rectangle requires --t")
-        r1, r2 = per.shape_ratios(per.CurveTU(args.t, 1.0))
-        s = cons.trapezoid_family(cons.TrapezoidShape(1.0, r2, r1 / 2.0))
+        # u = 1 makes J3 = J1 exactly (x -> t/x), so the bases are equal;
+        # the computed J3/J1 can round to just below 1
+        r1, _ = per.shape_ratios(per.CurveTU(args.t, 1.0))
+        s = cons.trapezoid_family(cons.TrapezoidShape(1.0, 1.0, r1 / 2.0))
     else:
         raise CliError(f"unknown surface {name!r}")
     _write_surface(s, args.output)

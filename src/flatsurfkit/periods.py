@@ -78,35 +78,43 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
-def segment_integrals(c: CurveTU, q: QuadratureConfig = DEFAULT_QUADRATURE) -> Tuple[float, float, float]:
-    """The three positive segment integrals (J1, J2, J3).
-
-    Endpoint square-root singularities are absorbed by the tanh-sinh rule;
-    the tail over (t, inf) is brought to (0, 1) by x = t/w**2, where the
-    integrand becomes 2 w**2 / sqrt((t-w^2)(1-w^2)(t+uw^2)(1+uw^2)(t+uw^4)).
-    """
+def _j1_j2(c: CurveTU, q: QuadratureConfig) -> Tuple[float, float]:
+    """(J1, J2), the two integrals of `segment_integrals` between finite roots."""
     c.validate()
     q.validate()
     t, u = c.t, c.u
 
     def f1(x: float, da: float, db: float) -> float:
-        # on (0, 1): x = da, 1 - x = db
-        return math.sqrt(da / (db * (t - x) * (x + u) * (x + t * u) * (x * x + t * u)))
+        # on (0, 1): x = da and t - x = (t - 1) + db, exact where t - x is
+        # small; sqrt(da db) is the quadrature's weight
+        return da / math.sqrt(((t - 1.0) + db) * (x + u) * (x + t * u) * (x * x + t * u))
 
     def f2(x: float, da: float, db: float) -> float:
-        # on (1, t): x - 1 = da, t - x = db
-        return math.sqrt(x / (da * db * (x + u) * (x + t * u) * (x * x + t * u)))
+        # on (1, t): sqrt((x - 1)(t - x)) is the quadrature's weight
+        return math.sqrt(x / ((x + u) * (x + t * u) * (x * x + t * u)))
+
+    return integrate(f1, 0.0, 1.0, tol=q.tol).real, integrate(f2, 1.0, t, tol=q.tol).real
+
+
+def segment_integrals(c: CurveTU, q: QuadratureConfig = DEFAULT_QUADRATURE) -> Tuple[float, float, float]:
+    """The three positive segment integrals (J1, J2, J3).
+
+    Each is an integral of h(x) / sqrt((x - p)(q - x)) between two branch
+    points p, q with h analytic near the segment, the form the
+    Chebyshev-weight rule of `quadrature.integrate` takes.  The tail over
+    (t, inf) is brought there by x = t/w**2 and the evenness of the result
+    in w: J3 is the integral over (-1, 1) of
+    w**2 / sqrt((t - w**2)(t + u w**2)(1 + u w**2)(t + u w**4)) / sqrt(1 - w**2).
+    """
+    j1, j2 = _j1_j2(c, q)
+    t, u = c.t, c.u
 
     def f3(w: float, da: float, db: float) -> float:
+        # on (-1, 1): t - w**2 = (t - 1) + da db
         w2 = w * w
-        return 2.0 * w2 / math.sqrt(
-            (t - w2) * db * (1.0 + w) * (t + u * w2) * (1.0 + u * w2) * (t + u * w2 * w2)
-        )
+        return w2 / math.sqrt(((t - 1.0) + da * db) * (t + u * w2) * (1.0 + u * w2) * (t + u * w2 * w2))
 
-    j1 = integrate(f1, 0.0, 1.0, tol=q.tol).real
-    j2 = integrate(f2, 1.0, t, tol=q.tol).real
-    j3 = integrate(f3, 0.0, 1.0, tol=q.tol).real
-    return j1, j2, j3
+    return j1, j2, integrate(f3, -1.0, 1.0, tol=q.tol).real
 
 
 def shape_ratios(c: CurveTU, q: QuadratureConfig = DEFAULT_QUADRATURE) -> Tuple[float, float]:
@@ -174,6 +182,11 @@ def solve_tu(
     raise PeriodsError(f"Newton did not converge: residual {norm:.3e} after {max_iter} iterations")
 
 
+# The rectangle solve scans t = 1 + 10**(k/4 - 1.5), k = -6..24.
+_RECT_GRID = [1.0 + 10.0 ** (k / 4.0 - 1.5) for k in range(-6, 25)]
+_RECT_START = 12  # the grid index of t = 2
+
+
 def solve_t_rectangle(
     mu: float,
     q: QuadratureConfig = DEFAULT_QUADRATURE,
@@ -181,46 +194,59 @@ def solve_t_rectangle(
 ) -> float:
     """Solve J1(t, 1) = mu * J2(t, 1) for t (the rectangle case u = 1).
 
-    2*mu is the width-to-height ratio of the rectangle; bracketing scan on
-    (1, 1e6) followed by bisection/secant refinement.
+    2*mu is the width-to-height ratio of the rectangle.  J1 - mu*J2
+    falls with t, so a scan of `_RECT_GRID` walks from t = 2 in the
+    direction its sign gives until the sign changes; the bracket is then
+    refined by regula falsi with the Illinois modification (the function
+    value kept at an end that survives two steps in a row is halved).
+    Raises PeriodsError when the root lies outside the grid.
     """
     if not mu > 0:
         raise PeriodsError(f"mu must be positive: {mu}")
+    q.validate()
 
     def f(t: float) -> float:
-        j1, j2, _ = segment_integrals(CurveTU(t, 1.0), q)
+        j1, j2 = _j1_j2(CurveTU(t, 1.0), q)
         return j1 - mu * j2
 
-    lo = hi = None
-    prev_t, prev_f = None, None
-    for k in range(-6, 25):
-        t = 1.0 + 10.0 ** (k / 4.0 - 1.5)
-        if t > 1e6:
-            break
-        val = f(t)
-        if prev_t is not None and (val < 0) != (prev_f < 0):
-            lo, hi = prev_t, t
-            flo, fhi = prev_f, val
-            break
-        prev_t, prev_f = t, val
-    if lo is None:
-        raise PeriodsError(f"no sign change of J1 - mu*J2 found in (1 + 1e-9, 1e6) for mu = {mu}")
+    k, fk = _RECT_START, f(_RECT_GRID[_RECT_START])
+    step = 1 if fk > 0 else -1
+    j, fj = k, fk
+    while fj != 0 and (fj > 0) == (fk > 0):
+        k, fk = j, fj
+        j = k + step
+        if not 0 <= j < len(_RECT_GRID):
+            raise PeriodsError(
+                f"no sign change of J1 - mu*J2 for t in [{_RECT_GRID[0]:.6g}, {_RECT_GRID[-1]:.6g}]"
+                f" at mu = {mu}"
+            )
+        fj = f(_RECT_GRID[j])
+    if fj == 0:
+        return _RECT_GRID[j]
+    (lo, flo), (hi, fhi) = sorted([(_RECT_GRID[k], fk), (_RECT_GRID[j], fj)])
     best_t, best_val = lo, flo
+    moved = 0  # the end the last step replaced: -1 for lo, +1 for hi
     for _ in range(200):
-        # secant step, safeguarded by the bracket
-        t_sec = hi - fhi * (hi - lo) / (fhi - flo) if fhi != flo else 0.5 * (lo + hi)
-        if not (lo < t_sec < hi):
-            t_sec = 0.5 * (lo + hi)
-        val = f(t_sec)
+        t = hi - fhi * (hi - lo) / (fhi - flo)
+        if not (lo < t < hi):
+            t = 0.5 * (lo + hi)
+        val = f(t)
         if abs(val) < abs(best_val):
-            best_t, best_val = t_sec, val
+            best_t, best_val = t, val
         # keep shrinking the bracket so t itself is pinned, not just the residual
-        if abs(val) < residual_tol and hi - lo < 1e-9 * max(1.0, hi):
-            return t_sec
+        if val == 0 or abs(val) < residual_tol and hi - lo < 1e-9 * max(1.0, hi):
+            return t
+        # Illinois: an end kept through two steps in a row has its value halved
         if (val < 0) == (flo < 0):
-            lo, flo = t_sec, val
+            lo, flo = t, val
+            if moved == -1:
+                fhi *= 0.5
+            moved = -1
         else:
-            hi, fhi = t_sec, val
+            hi, fhi = t, val
+            if moved == 1:
+                flo *= 0.5
+            moved = 1
         if hi - lo < 1e-13 * hi:
             break
     if abs(best_val) < residual_tol:
@@ -289,7 +315,7 @@ def _segment_period(roots: List[complex], i: int, j: int, q: QuadratureConfig) -
     principal sqrt(P) at s = 0.5 + 2**-10 (at s = 0.5 when a branch point
     lies within 1e-13 of that).  The integral splits only at interior
     branch points, and the two factors vanishing at a piece's ends are
-    taken from the quadrature's endpoint distances.
+    the quadrature's Chebyshev weight.
     """
     z0, d = roots[i], roots[j] - roots[i]
     length = abs(d)
@@ -321,7 +347,7 @@ def _segment_period(roots: List[complex], i: int, j: int, q: QuadratureConfig) -
         inner = [w for k, w in enumerate(ws) if k not in (k_lo, k_hi)]
 
         def integrand(s: float, da: float, db: float) -> complex:
-            y = math.sqrt(da * db)
+            y = 1.0
             for w in inner:
                 y *= cmath.sqrt(w + s)
             return (1.0 - (z0 + s * d)) * scale / y

@@ -91,6 +91,13 @@ class TestCli:
         code, out, _ = invoke(capsys, "origami-check", str(path))
         assert code == 0 and "degree 10" in out
 
+    @pytest.mark.parametrize("t", ("1.5", "2", "3", "4", "10"))
+    def test_build_rectangle(self, t, capsys):
+        # J3/J1 = 1 at u = 1 but may round to just below it
+        code, out, _ = invoke(capsys, "build", "rectangle", "--t", t)
+        assert code == 0
+        assert surface_io.loads(out).kind == "translation"
+
     def test_escalator_origami(self, tmp_path, capsys):
         path = tmp_path / "esc.json"
         invoke(capsys, "build", "escalator", "-o", str(path))

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from flatsurfkit import periods
 from flatsurfkit.numeric import ALPHA, to_float
 from flatsurfkit.periods import (
     BranchAmbiguityError,
@@ -38,10 +39,11 @@ class TestSegmentIntegrals:
         assert abs(j3 / j1 - (1 + A)) < 1e-8
 
     def test_rectangle_line_tail_identity(self):
-        # x -> t/x fixes the integrand when u = 1, so J3 = J1
-        for t in (1.3, 2.0, 3.7, 4.9):
+        # x -> t/x fixes the integrand when u = 1, so J3 = J1; near t = 1 and
+        # for large t the integrands' singularities come close to the segments
+        for t in (1.000001, 1.0001, 1.001, 1.3, 1.5, 2.0, 3.7, 4.9, 49.0, 1e3, 1e4, 3e4, 1e5):
             j1, _, j3 = segment_integrals(CurveTU(t, 1.0))
-            assert abs(j3 / j1 - 1.0) < 1e-9
+            assert abs(j3 / j1 - 1.0) < 1e-12, t
 
     def test_quadrature_self_validation(self):
         c = CurveTU(2.5, 1.5)
@@ -116,6 +118,47 @@ class TestSolveRectangle:
         ts = [solve_t_rectangle(mu) for mu in (0.3, 0.5, 0.8, 1.2)]
         assert all(x > 1 for x in ts)
         assert ts == sorted(ts, reverse=True)
+
+    @pytest.mark.parametrize("t0", (1.2, 2.0, 3.0, 6.0, 50.0))
+    def test_few_integral_evaluations(self, t0, monkeypatch):
+        j1, j2, _ = segment_integrals(CurveTU(t0, 1.0))
+        calls = []
+        inner = periods._j1_j2
+
+        def counted(c, q):
+            calls.append(c.t)
+            return inner(c, q)
+
+        monkeypatch.setattr(periods, "_j1_j2", counted)
+        t = solve_t_rectangle(j1 / j2)
+        assert abs(t - t0) < 1e-8
+        assert len(calls) <= 20
+
+    def test_root_on_a_grid_point(self):
+        # t = 2 is the scan's first point
+        j1, j2, _ = segment_integrals(CurveTU(2.0, 1.0))
+        assert abs(solve_t_rectangle(j1 / j2) - 2.0) < 1e-12
+
+    @pytest.mark.parametrize("k, evaluations", ((12, 1), (14, 3), (9, 4)))
+    def test_zero_residual_on_a_grid_point(self, k, evaluations, monkeypatch):
+        # J1 - mu*J2 replaced by 1/(t - 1) - mu, which falls with t and is
+        # exactly 0 at the grid point t_k for mu = 1/(t_k - 1)
+        t_k = periods._RECT_GRID[k]
+        calls = []
+
+        def fake(c, q):
+            calls.append(c.t)
+            return 1.0 / (c.t - 1.0), 1.0
+
+        monkeypatch.setattr(periods, "_j1_j2", fake)
+        assert solve_t_rectangle(1.0 / (t_k - 1.0)) == t_k
+        assert len(calls) == evaluations
+
+    @pytest.mark.parametrize("mu", (5.0, 0.003))
+    def test_root_outside_the_grid(self, mu):
+        # the scan covers t = 1 + 10**(k/4 - 1.5) for k = -6..24
+        with pytest.raises(PeriodsError, match=r"t in \[1\.001, 31623\.8\]"):
+            solve_t_rectangle(mu)
 
 
 class TestParameterMaps:
