@@ -23,7 +23,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .numeric import (
     FLOAT_TOL,
@@ -550,43 +550,60 @@ def decomposition(t: Triangulation) -> Surface:
 # -- canonical combinatorial codes -----------------------------------------------------
 
 
-def _code_from(t: Triangulation, start: HalfEdge, mirror: bool) -> Tuple[int, ...]:
-    """Canonical relabeling code by BFS from a starting half-edge.
-
-    Half-edges are numbered in discovery order; the code lists, for each
-    half-edge in order, the label of its twin.  Mirror codes traverse each
-    triangle in reversed orientation.
-    """
-    step = _prev if mirror else _next
-    labels: Dict[HalfEdge, int] = {}
-    order: List[HalfEdge] = []
-
-    def visit_triangle(h: HalfEdge) -> None:
-        cur = h
-        for _ in range(3):
-            labels[cur] = len(order)
-            order.append(cur)
-            cur = step(cur)
-
-    visit_triangle(start)
-    i = 0
-    while i < len(order):
-        h = order[i]
-        tw = t.glue[h]
-        if tw not in labels:
-            visit_triangle(tw)
-        i += 1
-    return tuple(labels[t.glue[h]] for h in order)
-
-
 def canonical_code(t: Triangulation, include_mirror: bool = True) -> Tuple[int, ...]:
+    """Combinatorial code of t, invariant under relabeling triangles and edges.
+
+    From a starting half-edge, a breadth-first search numbers half-edges in
+    discovery order, a whole triangle at a time, and the start's code lists
+    for each half-edge in that order the label of its twin; a mirror code
+    walks every triangle backwards.  The canonical code is the minimum over
+    all starts (and, with include_mirror, both orientations).
+
+    Entry i of a code is final at step i of its search, when the twin of
+    the i-th half-edge gets its label, so each start is built one entry at
+    a time and dropped at the first entry above the best code so far.
+    """
+    m = 3 * t.num_triangles
+    twin = [0] * m
+    for (tri, e), (tt, te) in t.glue.items():
+        twin[3 * tri + e] = 3 * tt + te
+    steps = [[h - h % 3 + (h + 1) % 3 for h in range(m)]]
+    if include_mirror:
+        steps.append([h - h % 3 + (h + 2) % 3 for h in range(m)])
     best = None
-    for h in t.half_edges():
-        for mirror in ((False, True) if include_mirror else (False,)):
-            code = _code_from(t, h, mirror)
-            if best is None or code < best:
+    for step in steps:
+        for start in range(m):
+            code = _code_below(twin, step, start, best)
+            if code is not None:
                 best = code
-    return best
+    return tuple(best)
+
+
+def _code_below(twin: List[int], step: List[int], start: int,
+                best: Optional[List[int]]) -> Optional[List[int]]:
+    """The code from start (half-edges 3*tri + e, triangles walked by step),
+    or None as soon as it cannot be smaller than best."""
+    labels = [-1] * len(twin)
+    h1 = step[start]
+    labels[start], labels[h1], labels[step[h1]] = 0, 1, 2
+    order = [start, h1, step[h1]]
+    code: List[int] = []
+    tied = best is not None
+    for h in order:
+        tw = twin[h]
+        label = labels[tw]
+        if label < 0:
+            label = len(order)
+            h1 = step[tw]
+            labels[tw], labels[h1], labels[step[h1]] = label, label + 1, label + 2
+            order += (tw, h1, step[h1])
+        if tied:
+            i = len(code)
+            if i == len(best) or label > best[i]:
+                return None
+            tied = label == best[i]
+        code.append(label)
+    return None if tied and len(code) == len(best) else code
 
 
 def triangle_shape_multiset(t: Triangulation):

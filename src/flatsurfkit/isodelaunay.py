@@ -448,14 +448,22 @@ class Tessellation:
 
 
 def _facet_crossing_point(con: _Constraint, interval, z0: HPoint, radius: float) -> Optional[HPoint]:
-    """Hyperbolic midpoint of the facet clipped to the ball, as a float point."""
+    """Hyperbolic midpoint of the facet clipped to the ball, as a float point.
+
+    A circle wall is sampled at theta = pi k/512 (0 < k < 512), a vertical
+    wall at 1025 heights; of the samples on the facet within the ball, the
+    one whose arclength coordinate is nearest the middle of their range is
+    returned.  On circle walls only the samples near the ball's theta-range
+    are tested.  The test is HPoint.hyperbolic_distance written out, and
+    only the returned point becomes an HPoint.
+    """
     lo, hi = interval
-    lo_f = None if lo is None else to_float(lo)
-    hi_f = None if hi is None else to_float(hi)
+    lo_f = -math.inf if lo is None else to_float(lo)
+    hi_f = math.inf if hi is None else to_float(hi)
     a, b, c = con.wall.floats()
-    # Parametrize the geodesic by its natural coordinate and collect the
-    # sub-range of the facet within the ball by sampling.
-    samples: List[Tuple[float, HPoint]] = []
+    x0, y0 = z0.x, z0.y
+    # Arclength coordinate and point of every sample within the ball.
+    samples: List[Tuple[float, float, float]] = []
     if abs(a) > 1e-300:
         center = -b / (2 * a)
         rad2 = center * center - c / a
@@ -464,36 +472,56 @@ def _facet_crossing_point(con: _Constraint, interval, z0: HPoint, radius: float)
         r = math.sqrt(rad2)
         # v = center + r cos(theta), y = r sin(theta)
         n = 512
-        for k in range(1, n):
+        k_lo, k_hi = 1, n - 1
+        # The ball is the Euclidean disc with centre (x0, Y), Y = y0 cosh(radius),
+        # and radius y0 sinh(radius); the circle meets it where
+        # d cos(theta) - Y sin(theta) <= K with d = center - x0 and
+        # K = -(y0**2 + d**2 + r**2) / (2 r), that is where
+        # cos(theta - phi) <= q = K / hypot(d, Y), phi = atan2(-Y, d).
+        # Rounding moves q by about 1e-15 and theta by under 1e-7, so the
+        # scan keeps two more samples on each side and reads q < -1 - 1e-9
+        # as a miss.  Non-finite q (overflow) scans every sample.
+        d = center - x0
+        big_y = y0 * math.cosh(radius)
+        m = math.hypot(d, big_y)
+        q = -(y0 * y0 + d * d + r * r) / (2 * r * m)
+        if math.isfinite(q):
+            if q < -1 - 1e-9:
+                return None
+            phi = math.atan2(-big_y, d)
+            beta = math.acos(max(q, -1.0))
+            k_lo = max(k_lo, math.floor((phi + beta) * n / math.pi) - 2)
+            k_hi = min(k_hi, math.ceil((phi + 2 * math.pi - beta) * n / math.pi) + 2)
+        for k in range(k_lo, k_hi + 1):
             th = math.pi * k / n
             v = center + r * math.cos(th)
-            if lo_f is not None and v < lo_f:
-                continue
-            if hi_f is not None and v > hi_f:
+            if v < lo_f or v > hi_f:
                 continue
             y = r * math.sin(th)
-            p = HPoint(v, y)
-            if p.hyperbolic_distance(z0) <= radius:
-                samples.append((math.log(math.tan(th / 2)), p))
+            dx = v - x0
+            dy = y - y0
+            if math.acosh(1.0 + (dx * dx + dy * dy) / (2.0 * y * y0)) <= radius:
+                samples.append((math.log(math.tan(th / 2)), v, y))
     else:
         x = -c / b
         n = 512
+        dx = x - x0
         for k in range(-n, n + 1):
-            y = z0.y * math.exp(radius * k / n * 1.5)
+            y = y0 * math.exp(radius * k / n * 1.5)
             u = x * x + y * y
-            if lo_f is not None and u < lo_f:
+            if u < lo_f or u > hi_f:
                 continue
-            if hi_f is not None and u > hi_f:
-                continue
-            p = HPoint(x, y)
-            if p.hyperbolic_distance(z0) <= radius:
-                samples.append((math.log(y), p))
+            if not y > 0:  # exp underflows at radii beyond 496
+                raise IsoDelaunayError(f"not in the upper half-plane: {x} + {y}i")
+            dy = y - y0
+            if math.acosh(1.0 + (dx * dx + dy * dy) / (2.0 * y * y0)) <= radius:
+                samples.append((math.log(y), x, y))
     if not samples:
         return None
     samples.sort(key=lambda t: t[0])
     s_mid = 0.5 * (samples[0][0] + samples[-1][0])
-    best = min(samples, key=lambda t: abs(t[0] - s_mid))
-    return best[1]
+    _, x, y = min(samples, key=lambda t: abs(t[0] - s_mid))
+    return HPoint(x, y)
 
 
 def _cross_wall(s: Surface, cell: Cell, con: _Constraint, at: HPoint, memo: _Memo) -> Optional[Cell]:
@@ -551,6 +579,8 @@ def explore(s: Surface, z0: HPoint, radius: float, cell_budget: int = 10 ** 5) -
     memo = _Memo(cells, walls={}, supports={}) if s.is_exact() else _Memo(cells)
     start = cell_at(s, z0, _memo=memo)
     cells[start.key] = start
+    # repr(key) orders the two ends of an adjacency; computed once per cell.
+    key_repr = {start.key: repr(start.key)}
     adjacency: Set = set()
     frontier = [start]
     while frontier:
@@ -567,14 +597,16 @@ def explore(s: Surface, z0: HPoint, radius: float, cell_budget: int = 10 ** 5) -
                 neighbor = _cross_wall(s, cell, con, at, memo)
                 if neighbor is None:
                     continue
-                adjacency.add(
-                    (min(cell.key, neighbor.key, key=repr), max(cell.key, neighbor.key, key=repr), con.wall)
-                )
                 if neighbor.key not in cells:
                     if len(cells) >= cell_budget:
                         raise IsoDelaunayError(f"cell budget {cell_budget} exceeded")
                     cells[neighbor.key] = neighbor
+                    key_repr[neighbor.key] = repr(neighbor.key)
                     next_frontier.append(neighbor)
+                if key_repr[neighbor.key] < key_repr[cell.key]:
+                    adjacency.add((neighbor.key, cell.key, con.wall))
+                else:
+                    adjacency.add((cell.key, neighbor.key, con.wall))
         frontier = next_frontier
     return Tessellation(s, list(cells.values()), adjacency)
 

@@ -39,9 +39,11 @@ def integrate(f: Callable[[float, float, float], complex], a: float, b: float,
 
     The trapezoid rule in theta on n = 2, 4, 8, ... intervals, each level
     adding the odd nodes of the next.  Returns once two successive levels
-    from _START intervals on agree within the absolute tolerance tol, and
-    raises QuadratureError when they do not by MAX_LEVEL doublings or
-    when f divides by zero (at an endpoint, typically).
+    from _START intervals on agree within tol * max(1, |estimate|), an
+    absolute tolerance for integrals up to 1 and a relative one above (where
+    rounding alone can keep an absolute 1e-12 out of reach), and raises
+    QuadratureError when they do not by MAX_LEVEL doublings or when f
+    divides by zero (at an endpoint, typically).
     """
     if a == b:
         return 0.0
@@ -61,7 +63,7 @@ def integrate(f: Callable[[float, float, float], complex], a: float, b: float,
                 da, db = full * s * s, full * c * c
                 total += f(a + da, da, db) + f(b - da, db, da)
             est = total * (math.pi / n)
-            if prev is not None and abs(est - prev) <= tol:
+            if prev is not None and abs(est - prev) <= tol * max(1.0, abs(est)):
                 return est
             if n >= _START:
                 prev = est

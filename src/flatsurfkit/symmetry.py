@@ -23,6 +23,7 @@ from .numeric import (
     Mat2,
     Vec2,
     cross,
+    dot,
     mat_det,
     mat_inv,
     mat_mul,
@@ -186,10 +187,26 @@ def isometries_between(dec_a: Surface, dec_b: Surface) -> List[Isometry]:
     if not dec_a.polygons or not dec_b.polygons:
         return out
     u1, u2 = _corner_edges(dec_a, (0, 0))
+    # An orthogonal derivative keeps the corner's Gram entries |out|^2, |in|^2
+    # and out.in, so an image corner whose entries differ is rejected before
+    # the derivative is solved.  Exact entries are compared exactly.  A float
+    # derivative D that _is_orthogonal accepts has |D^T D - I| <= FLOAT_TOL,
+    # which moves the entry of vectors x, y by at most FLOAT_TOL |x| |y| plus
+    # rounding; a float entry is rejected only beyond twice that.
+    gram = (dot(u1, u1), dot(u2, u2), dot(u1, u2))
+    n1, n2 = to_float(gram[0]), to_float(gram[1])
+    tols = (2 * FLOAT_TOL * n1, 2 * FLOAT_TOL * n2, 2 * FLOAT_TOL * math.sqrt(n1 * n2))
     for q, poly in enumerate(dec_b.polygons):
         for j in range(len(poly)):
+            w_out, w_in = _corner_edges(dec_b, (q, j))
+            g_out, g_in, g_cross = dot(w_out, w_out), dot(w_in, w_in), dot(w_out, w_in)
+            if sign(g_cross - gram[2], tols[2]) != 0:
+                continue
             for orientation in (1, -1):
-                w_out, w_in = _corner_edges(dec_b, (q, j))
+                # Reversing sends u1 to -w_in and u2 to -w_out.
+                g1, g2 = (g_out, g_in) if orientation == 1 else (g_in, g_out)
+                if sign(g1 - gram[0], tols[0]) != 0 or sign(g2 - gram[1], tols[1]) != 0:
+                    continue
                 if orientation == 1:
                     deriv = _solve_derivative(u1, u2, w_out, w_in)
                 else:

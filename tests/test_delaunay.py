@@ -1,12 +1,15 @@
 """Triangulation, edge flips, and the Delaunay decomposition."""
 
+import functools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatsurfkit import delaunay as dl
-from flatsurfkit.constructions import ay_prime
+from flatsurfkit.constructions import ay_prime, ay_surface, escalator
 from flatsurfkit.numeric import ALPHA, CubicNumber, to_float
 from flatsurfkit.surface import Gluing, Polygon, Surface, TRANSLATION, apply_linear, cut_and_reglue_square
 
@@ -214,6 +217,63 @@ class TestDecomposition:
         dec_plain = decompose(float_ay)
         found = isometries_between(dec_rotated, apply_linear_dec(rot, dec_plain))
         assert found
+
+
+def _brute_force_code(t: dl.Triangulation, include_mirror: bool):
+    """The minimum of the full breadth-first codes over every start and walk."""
+    codes = []
+    for start in t.half_edges():
+        for step in ((dl._next, dl._prev) if include_mirror else (dl._next,)):
+            labels, order = {}, []
+
+            def visit(h):
+                for _ in range(3):
+                    labels[h] = len(order)
+                    order.append(h)
+                    h = step(h)
+
+            visit(start)
+            for h in order:  # order grows while it is walked
+                if t.twin(h) not in labels:
+                    visit(t.twin(h))
+            codes.append(tuple(labels[t.twin(h)] for h in order))
+    return min(codes)
+
+
+@functools.lru_cache(maxsize=None)
+def _code_triangulation(name: str) -> dl.Triangulation:
+    if name == "torus":
+        return sheared_torus_triangulation(0.0)
+    return dl.triangulate({"ay": ay_surface, "ay_prime": ay_prime, "escalator": escalator}[name]())
+
+
+class TestCanonicalCode:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["ay", "ay_prime", "escalator", "torus"]), st.lists(st.integers(0, 10 ** 6), max_size=10))
+    def test_matches_brute_force_after_flips(self, name, picks):
+        t = _code_triangulation(name).copy()
+        for pick in picks:
+            edges = t.edges()
+            try:
+                dl._flip_in_place(t, edges[pick % len(edges)])
+            except dl.DelaunayError:
+                pass  # folded, non-convex or single-triangle hinge
+        for include_mirror in (True, False):
+            assert dl.canonical_code(t, include_mirror) == _brute_force_code(t, include_mirror)
+
+    def test_relabeling_invariance(self, ay):
+        # Renumbering the triangles leaves the code unchanged.
+        t = dl.triangulate(ay)
+        n = t.num_triangles
+        perm = [(5 * i + 3) % n for i in range(n)]
+        vecs = [None] * n
+        for i in range(n):
+            vecs[perm[i]] = t.vecs[i]
+        glue = {(perm[a], e): (perm[b], f) for (a, e), (b, f) in t.glue.items()}
+        signs = {(perm[a], e): v for (a, e), v in t.chart_sign.items()}
+        moved = dl.Triangulation(vecs, glue, signs)
+        for include_mirror in (True, False):
+            assert dl.canonical_code(moved, include_mirror) == dl.canonical_code(t, include_mirror)
 
 
 def apply_linear_dec(m, dec):

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flatsurfkit import delaunay as dl
 from flatsurfkit import isodelaunay as iso
@@ -258,6 +260,106 @@ class TestExploreShortcuts:
             assert repr(a) == stored[a] and repr(b) == stored[b]
         zeros = [t for c in float_ball.cells for locus, _ in c.key for t in locus if t == 0]
         assert zeros and all(math.copysign(1.0, t) > 0 for t in zeros)
+
+
+def _sampled_crossing_point(con, interval, z0, radius):
+    """_facet_crossing_point as it sampled before it was optimized: every
+    sample built as an HPoint and measured with hyperbolic_distance."""
+    lo, hi = interval
+    lo_f = None if lo is None else to_float(lo)
+    hi_f = None if hi is None else to_float(hi)
+    a, b, c = con.wall.floats()
+    samples = []
+    if abs(a) > 1e-300:
+        center = -b / (2 * a)
+        rad2 = center * center - c / a
+        if rad2 <= 0:
+            return None
+        r = math.sqrt(rad2)
+        n = 512
+        for k in range(1, n):
+            th = math.pi * k / n
+            v = center + r * math.cos(th)
+            if lo_f is not None and v < lo_f:
+                continue
+            if hi_f is not None and v > hi_f:
+                continue
+            y = r * math.sin(th)
+            p = iso.HPoint(v, y)
+            if p.hyperbolic_distance(z0) <= radius:
+                samples.append((math.log(math.tan(th / 2)), p))
+    else:
+        x = -c / b
+        n = 512
+        for k in range(-n, n + 1):
+            y = z0.y * math.exp(radius * k / n * 1.5)
+            u = x * x + y * y
+            if lo_f is not None and u < lo_f:
+                continue
+            if hi_f is not None and u > hi_f:
+                continue
+            p = iso.HPoint(x, y)
+            if p.hyperbolic_distance(z0) <= radius:
+                samples.append((math.log(y), p))
+    if not samples:
+        return None
+    samples.sort(key=lambda t: t[0])
+    s_mid = 0.5 * (samples[0][0] + samples[-1][0])
+    return min(samples, key=lambda t: abs(t[0] - s_mid))[1]
+
+
+def _same_point(got, want):
+    if want is None:
+        return got is None
+    return got is not None and (got.x, got.y) == (want.x, want.y)
+
+
+class TestFacetCrossingPoint:
+    """The scan of the ball's theta range picks the sampled point, to the bit."""
+
+    Z0 = iso.HPoint(0.0001, 1.0001)
+
+    @pytest.fixture(scope="class", params=["exact", "float"])
+    def facets(self, request, ay):
+        from flatsurfkit.constructions import ay_trapezoid_shape, trapezoid_family
+
+        s = ay if request.param == "exact" else trapezoid_family(ay_trapezoid_shape())
+        tess = iso.explore(s, self.Z0, 1.0)
+        out = []
+        for cell in tess.cells:
+            for con in cell.constraints:
+                interval = iso._supporting_interval(con, cell.constraints)
+                if interval is not None:
+                    out.append((con, interval))
+        return out
+
+    @pytest.mark.parametrize("z0, radius", [(Z0, 1.0), (Z0, 0.3), (Z0, 3.0), (iso.HPoint(0.3, 0.2), 2.0)])
+    def test_matches_sampling_on_ball_facets(self, facets, z0, radius):
+        got = [iso._facet_crossing_point(con, interval, z0, radius) for con, interval in facets]
+        want = [_sampled_crossing_point(con, interval, z0, radius) for con, interval in facets]
+        assert all(_same_point(g, w) for g, w in zip(got, want))
+        if (z0, radius) == (self.Z0, 1.0):
+            assert any(w is not None for w in want) and any(w is None for w in want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-3, 3), st.floats(-3, 5), st.integers(1, 511), st.floats(-6, 1), st.booleans(),
+        st.sampled_from([0.0, 1e-16, -1e-16, 1e-14, -1e-14, 1e-9]),
+    )
+    def test_matches_sampling_on_tangent_balls(self, center, log_r, k, log_s, inside, nudge):
+        # A ball whose boundary touches the geodesic at sample k, from
+        # outside or from inside: the passing samples hang on rounding.
+        r = math.exp(log_r)
+        s = r * math.exp(log_s) * (-0.999 if inside else 1.0)
+        th = math.pi * k / 512
+        ex, ey = center + (r + s) * math.cos(th), (r + s) * math.sin(th)
+        assume(abs(s) < ey)
+        z0 = iso.HPoint(ex, math.sqrt(ey * ey - s * s))
+        radius = math.atanh(abs(s) / ey) * (1 + nudge)
+        m = max(1.0, abs(2 * center), abs(center * center - r * r))
+        con = iso._Constraint(iso.Wall(1.0 / m, -2 * center / m, (center * center - r * r) / m))
+        got = iso._facet_crossing_point(con, (None, None), z0, radius)
+        assert _same_point(got, _sampled_crossing_point(con, (None, None), z0, radius))
 
 
 class TestRenderSvg:

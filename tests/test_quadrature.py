@@ -70,3 +70,12 @@ class TestIntegrate:
         assert abs(loose - exact) < 1e-4
         assert abs(tight - exact) < 1e-12
         assert n_loose < len(evals) - n_loose
+
+    def test_large_integral_stops_on_relative_change(self):
+        # int_0^1 dx / ((c - x) sqrt(x (1 - x))) = pi / sqrt(eps (1 + eps)),
+        # eps = c - 1, about 993.45: an absolute 1e-12 is below the rounding
+        # floor of a value this size, a relative one is not
+        eps = 1e-5
+        exact = math.pi / math.sqrt(eps * (1.0 + eps))
+        got = integrate(lambda x, da, db: 1.0 / (eps + db), 0.0, 1.0)
+        assert abs(got - exact) < 1e-12 * exact
