@@ -44,7 +44,6 @@ from .periods import (
     CurveA,
     CurveS,
     CurveTU,
-    QuadratureConfig,
     a_from_s,
     a_from_tu,
     induced_q_coefficient,

@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -229,9 +230,8 @@ def _cmd_solve_ay(args) -> int:
 
     a = to_float(ALPHA)
     target = (1.0 / a, 1.0 + a)
-    q = per.QuadratureConfig(tol=args.tol)
-    curve = per.solve_tu(target, q)
-    r1, r2 = per.shape_ratios(curve, q)
+    curve = per.solve_tu(target, args.tol)
+    r1, r2 = per.shape_ratios(curve, args.tol)
     print(f"t = {curve.t:.11f}")
     print(f"u = {curve.u:.11f}")
     print(f"residual = {max(abs(r1 - target[0]), abs(r2 - target[1])):.3e}")
@@ -239,9 +239,8 @@ def _cmd_solve_ay(args) -> int:
 
 
 def _cmd_solve_rect(args) -> int:
-    q = per.QuadratureConfig(tol=args.tol)
-    t = per.solve_t_rectangle(args.mu, q)
-    j1, j2, _ = per.segment_integrals(per.CurveTU(t, 1.0), q)
+    t = per.solve_t_rectangle(args.mu, args.tol)
+    j1, j2, _ = per.segment_integrals(per.CurveTU(t, 1.0), args.tol)
     print(f"t = {t:.11f}")
     print(f"residual = {abs(j1 - args.mu * j2):.3e}")
     return 0
@@ -423,7 +422,15 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`| head`).  Point stdout at devnull so the
+        # interpreter's flush at exit does not fail again, and report failure.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -132,23 +132,6 @@ class Triangulation:
             if not vectors_match(want, self.vec(tw)):
                 raise DelaunayError(f"twin holonomy mismatch at {h}")
 
-    # -- corner cycles (surface vertices) ---------------------------------------
-
-    def corner_cycles(self) -> List[List[HalfEdge]]:
-        remaining = set(self.half_edges())
-        cycles = []
-        while remaining:
-            start = min(remaining)
-            cycle = [start]
-            remaining.discard(start)
-            cur = _next(self.glue[start])
-            while cur != start:
-                cycle.append(cur)
-                remaining.discard(cur)
-                cur = _next(self.glue[cur])
-            cycles.append(cycle)
-        return cycles
-
 
 @dataclass
 class Hinge:

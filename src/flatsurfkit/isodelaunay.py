@@ -230,7 +230,6 @@ class Cell:
     walls: Tuple[Wall, ...]
     sample: HPoint
     key: FrozenSet = field(repr=False, default=frozenset())
-    sample_exact: Tuple[Fraction, Fraction] = field(repr=False, default=(Fraction(0), Fraction(1)))
     triangulation: Optional[Triangulation] = field(repr=False, default=None, compare=False)
     constraints: list = field(repr=False, default_factory=list, compare=False)
 
@@ -422,7 +421,6 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
             walls=tuple(c.wall for c in supporting),
             sample=HPoint(to_float(vx), to_float(vy)),
             key=key,
-            sample_exact=(vx, vy) if exact else (Fraction(0), Fraction(1)),
             triangulation=t,
             constraints=supporting,
         )

@@ -66,22 +66,9 @@ class CurveA:
             raise PeriodsError(f"singular curve: a = {self.a}")
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    tol: float = 1e-12
-
-    def validate(self) -> None:
-        if not self.tol > 0:
-            raise PeriodsError("quadrature tolerance must be positive")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
-
-def _j1_j2(c: CurveTU, q: QuadratureConfig) -> Tuple[float, float]:
+def _j1_j2(c: CurveTU, tol: float = 1e-12) -> Tuple[float, float]:
     """(J1, J2), the two integrals of `segment_integrals` between finite roots."""
     c.validate()
-    q.validate()
     t, u = c.t, c.u
 
     def f1(x: float, da: float, db: float) -> float:
@@ -93,10 +80,10 @@ def _j1_j2(c: CurveTU, q: QuadratureConfig) -> Tuple[float, float]:
         # on (1, t): sqrt((x - 1)(t - x)) is the quadrature's weight
         return math.sqrt(x / ((x + u) * (x + t * u) * (x * x + t * u)))
 
-    return integrate(f1, 0.0, 1.0, tol=q.tol).real, integrate(f2, 1.0, t, tol=q.tol).real
+    return integrate(f1, 0.0, 1.0, tol=tol).real, integrate(f2, 1.0, t, tol=tol).real
 
 
-def segment_integrals(c: CurveTU, q: QuadratureConfig = DEFAULT_QUADRATURE) -> Tuple[float, float, float]:
+def segment_integrals(c: CurveTU, tol: float = 1e-12) -> Tuple[float, float, float]:
     """The three positive segment integrals (J1, J2, J3).
 
     Each is an integral of h(x) / sqrt((x - p)(q - x)) between two branch
@@ -105,8 +92,9 @@ def segment_integrals(c: CurveTU, q: QuadratureConfig = DEFAULT_QUADRATURE) -> T
     (t, inf) is brought there by x = t/w**2 and the evenness of the result
     in w: J3 is the integral over (-1, 1) of
     w**2 / sqrt((t - w**2)(t + u w**2)(1 + u w**2)(t + u w**4)) / sqrt(1 - w**2).
+    tol is the quadrature tolerance of each integral (`quadrature.integrate`).
     """
-    j1, j2 = _j1_j2(c, q)
+    j1, j2 = _j1_j2(c, tol)
     t, u = c.t, c.u
 
     def f3(w: float, da: float, db: float) -> float:
@@ -114,27 +102,28 @@ def segment_integrals(c: CurveTU, q: QuadratureConfig = DEFAULT_QUADRATURE) -> T
         w2 = w * w
         return w2 / math.sqrt(((t - 1.0) + da * db) * (t + u * w2) * (1.0 + u * w2) * (t + u * w2 * w2))
 
-    return j1, j2, integrate(f3, -1.0, 1.0, tol=q.tol).real
+    return j1, j2, integrate(f3, -1.0, 1.0, tol=tol).real
 
 
-def shape_ratios(c: CurveTU, q: QuadratureConfig = DEFAULT_QUADRATURE) -> Tuple[float, float]:
+def shape_ratios(c: CurveTU, tol: float = 1e-12) -> Tuple[float, float]:
     """(J2/J1, J3/J1) = (2 height / short base, long base / short base)."""
-    j1, j2, j3 = segment_integrals(c, q)
+    j1, j2, j3 = segment_integrals(c, tol)
     return j2 / j1, j3 / j1
 
 
-def solve_tu(
-    target: Tuple[float, float],
-    q: QuadratureConfig = DEFAULT_QUADRATURE,
-    initial: Tuple[float, float] = (2.0, 2.0),
-    residual_tol: float = 1e-10,
-    max_iter: int = 50,
-) -> CurveTU:
+# Both solvers stop once their residual is below _RESIDUAL_TOL; Newton in
+# solve_tu starts at (t, u) = _TU_START and gives up after _TU_MAX_ITER steps.
+_RESIDUAL_TOL = 1e-10
+_TU_START = (2.0, 2.0)
+_TU_MAX_ITER = 50
+
+
+def solve_tu(target: Tuple[float, float], tol: float = 1e-12) -> CurveTU:
     """Newton solve for the curve whose shape ratios match the target.
 
     Finite-difference Jacobian, step damping by halving on residual
     increase; raises PeriodsError on divergence or when the iteration
-    leaves the domain t > 1, u > 0.
+    leaves the domain t > 1, u > 0.  tol is the quadrature tolerance.
     """
     r1, r2 = target
     if not (r2 > 0 and r1 > 0):
@@ -143,14 +132,14 @@ def solve_tu(
         raise PeriodsError(f"target ratios outside the feasible cone: {target}")
 
     def residual(t: float, u: float) -> Tuple[float, float]:
-        s1, s2 = shape_ratios(CurveTU(t, u), q)
+        s1, s2 = shape_ratios(CurveTU(t, u), tol)
         return s1 - r1, s2 - r2
 
-    t, u = initial
+    t, u = _TU_START
     fx = residual(t, u)
     norm = max(abs(fx[0]), abs(fx[1]))
-    for _ in range(max_iter):
-        if norm < residual_tol:
+    for _ in range(_TU_MAX_ITER):
+        if norm < _RESIDUAL_TOL:
             return CurveTU(t, u)
         step_t = 1e-7 * max(1.0, abs(t))
         step_u = 1e-7 * max(1.0, abs(u))
@@ -171,15 +160,15 @@ def solve_tu(
             if t_new > 1.0 + 1e-12 and u_new > 1e-12:
                 f_new = residual(t_new, u_new)
                 n_new = max(abs(f_new[0]), abs(f_new[1]))
-                if n_new < norm or n_new < residual_tol:
+                if n_new < norm or n_new < _RESIDUAL_TOL:
                     break
             lam *= 0.5
             if lam < 1e-8:
                 raise PeriodsError("Newton step damping failed to reduce the residual")
         t, u, fx, norm = t_new, u_new, f_new, n_new
-    if norm < residual_tol:
+    if norm < _RESIDUAL_TOL:
         return CurveTU(t, u)
-    raise PeriodsError(f"Newton did not converge: residual {norm:.3e} after {max_iter} iterations")
+    raise PeriodsError(f"Newton did not converge: residual {norm:.3e} after {_TU_MAX_ITER} iterations")
 
 
 # The rectangle solve scans t = 1 + 10**(k/4 - 1.5), k = -6..24.
@@ -187,11 +176,7 @@ _RECT_GRID = [1.0 + 10.0 ** (k / 4.0 - 1.5) for k in range(-6, 25)]
 _RECT_START = 12  # the grid index of t = 2
 
 
-def solve_t_rectangle(
-    mu: float,
-    q: QuadratureConfig = DEFAULT_QUADRATURE,
-    residual_tol: float = 1e-10,
-) -> float:
+def solve_t_rectangle(mu: float, tol: float = 1e-12) -> float:
     """Solve J1(t, 1) = mu * J2(t, 1) for t (the rectangle case u = 1).
 
     2*mu is the width-to-height ratio of the rectangle.  J1 - mu*J2
@@ -199,14 +184,14 @@ def solve_t_rectangle(
     direction its sign gives until the sign changes; the bracket is then
     refined by regula falsi with the Illinois modification (the function
     value kept at an end that survives two steps in a row is halved).
-    Raises PeriodsError when the root lies outside the grid.
+    Raises PeriodsError when the root lies outside the grid.  tol is the
+    quadrature tolerance.
     """
     if not mu > 0:
         raise PeriodsError(f"mu must be positive: {mu}")
-    q.validate()
 
     def f(t: float) -> float:
-        j1, j2 = _j1_j2(CurveTU(t, 1.0), q)
+        j1, j2 = _j1_j2(CurveTU(t, 1.0), tol)
         return j1 - mu * j2
 
     k, fk = _RECT_START, f(_RECT_GRID[_RECT_START])
@@ -234,7 +219,7 @@ def solve_t_rectangle(
         if abs(val) < abs(best_val):
             best_t, best_val = t, val
         # keep shrinking the bracket so t itself is pinned, not just the residual
-        if val == 0 or abs(val) < residual_tol and hi - lo < 1e-9 * max(1.0, hi):
+        if val == 0 or abs(val) < _RESIDUAL_TOL and hi - lo < 1e-9 * max(1.0, hi):
             return t
         # Illinois: an end kept through two steps in a row has its value halved
         if (val < 0) == (flo < 0):
@@ -249,9 +234,9 @@ def solve_t_rectangle(
             moved = 1
         if hi - lo < 1e-13 * hi:
             break
-    if abs(best_val) < residual_tol:
+    if abs(best_val) < _RESIDUAL_TOL:
         return best_t
-    raise PeriodsError(f"rectangle solve did not reach residual {residual_tol}")
+    raise PeriodsError(f"rectangle solve did not reach residual {_RESIDUAL_TOL}")
 
 
 # -- coordinate changes between the families and the genus-2 curves ------------------
@@ -304,7 +289,7 @@ def _curve_a_roots(a: complex) -> List[complex]:
     return [0.0 + 0.0j, 1.0 + 0.0j, -1.0 + 0.0j, a, 1.0 / a]
 
 
-def _segment_period(roots: List[complex], i: int, j: int, q: QuadratureConfig) -> complex:
+def _segment_period(roots: List[complex], i: int, j: int, tol: float = 1e-12) -> complex:
     """Integral of (1 - x)/y dx along the straight segment from roots[i] to roots[j].
 
     On x = z0 + s d, each factor of P is x - r_k = d (w_k + s) with
@@ -352,11 +337,11 @@ def _segment_period(roots: List[complex], i: int, j: int, q: QuadratureConfig) -
                 y *= cmath.sqrt(w + s)
             return (1.0 - (z0 + s * d)) * scale / y
 
-        total += integrate(integrand, lo, hi, tol=q.tol)
+        total += integrate(integrand, lo, hi, tol=tol)
     return total
 
 
-def silhol_periods(c: CurveA, q: QuadratureConfig = DEFAULT_QUADRATURE) -> Tuple[complex, complex]:
+def silhol_periods(c: CurveA, tol: float = 1e-12) -> Tuple[complex, complex]:
     """The two marked periods (int_{-1}^0 phi, int_0^{1/a} phi).
 
     phi = (1 - x) dx / y on y**2 = x (x**2 - 1) (x - a) (x - 1/a), each
@@ -369,12 +354,11 @@ def silhol_periods(c: CurveA, q: QuadratureConfig = DEFAULT_QUADRATURE) -> Tuple
     but off its line, where that side is not determined.
     """
     c.validate()
-    q.validate()
     roots = _curve_a_roots(c.a)
-    return _segment_period(roots, 2, 0, q), _segment_period(roots, 0, 4, q)
+    return _segment_period(roots, 2, 0, tol), _segment_period(roots, 0, 4, tol)
 
 
-def silhol_ratio(c: CurveA, q: QuadratureConfig = DEFAULT_QUADRATURE) -> complex:
+def silhol_ratio(c: CurveA, tol: float = 1e-12) -> complex:
     """The single period parameter of the fourfold-symmetric genus-2 curve.
 
     Computed from the two marked segment periods I1 = int_{-1}^0 phi and
@@ -384,7 +368,7 @@ def silhol_ratio(c: CurveA, q: QuadratureConfig = DEFAULT_QUADRATURE) -> complex
     positive imaginary axis (where the curve's period matrix is purely
     imaginary, the two marked periods being perpendicular).
     """
-    i1, i2 = silhol_periods(c, q)
+    i1, i2 = silhol_periods(c, tol)
     if i2 == 0:
         raise PeriodsError("degenerate period in Silhol ratio")
     return (2.0 * i1 + i2) / (1j * i2)

@@ -42,9 +42,11 @@ def integrate(f: Callable[[float, float, float], complex], a: float, b: float,
     from _START intervals on agree within tol * max(1, |estimate|), an
     absolute tolerance for integrals up to 1 and a relative one above (where
     rounding alone can keep an absolute 1e-12 out of reach), and raises
-    QuadratureError when they do not by MAX_LEVEL doublings or when f
-    divides by zero (at an endpoint, typically).
+    QuadratureError when they do not by MAX_LEVEL doublings, when f
+    divides by zero (at an endpoint, typically) or when tol is not positive.
     """
+    if not tol > 0:
+        raise QuadratureError(f"quadrature tolerance must be positive: {tol}")
     if a == b:
         return 0.0
     if a > b:

@@ -22,7 +22,6 @@ from .numeric import (
     FLOAT_TOL,
     Mat2,
     Vec2,
-    cross,
     dot,
     mat_det,
     mat_inv,
@@ -32,8 +31,6 @@ from .numeric import (
     sign,
     to_float,
     vec_neg,
-    vec_scale,
-    vec_sub,
     vectors_match,
 )
 from . import delaunay as dl
@@ -327,23 +324,25 @@ class FixedLocus:
     segment_components: int = 0
 
 
+def _float_point(v: Vec2) -> Tuple[float, float]:
+    return to_float(v[0]), to_float(v[1])
+
+
+def _edge_midpoint(poly: sf.Polygon, i: int) -> Tuple[float, float]:
+    (x0, y0), (x1, y1) = _float_point(poly.vertices[i]), _float_point(poly.vertices[(i + 1) % len(poly)])
+    return (x0 + x1) / 2, (y0 + y1) / 2
+
+
 def _self_cells(iso: Isometry):
-    """(p, t) for each cell p sent onto itself, t the translation part of that map."""
-    for p, poly in enumerate(iso.source.polygons):
-        q, j0 = iso.image((p, 0))
+    """(p, c0) for each cell p sent onto itself, corner 0 going to corner c0."""
+    for p in range(len(iso.source.polygons)):
+        q, c0 = iso.image((p, 0))
         if q == p:
-            yield p, vec_sub(poly.vertices[j0], mat_vec(iso.derivative, poly.vertices[0]))
-
-
-def _point_in_interior(poly: sf.Polygon, x: Vec2) -> bool:
-    for i in range(len(poly)):
-        if sign(cross(poly.edge_vector(i), vec_sub(x, poly.vertices[i]))) <= 0:
-            return False
-    return True
+            yield p, c0
 
 
 def _edges_onto_partner(iso: Isometry):
-    """(cell, start, end), in floats, of each glued edge sent onto its partner."""
+    """(cell, edge) of each glued edge, one side per gluing, sent onto its partner."""
     s = iso.source
     for g in s.gluings:
         p, i = g.edge_a
@@ -351,151 +350,84 @@ def _edges_onto_partner(iso: Isometry):
         if iso.orientation == -1:
             j = (j - 1) % len(iso.target.polygons[q])  # a reversed edge starts at its end's image
         if (q, j) == s.partner((p, i)):
-            poly = s.polygons[p]
-            v0, v1 = poly.vertices[i], poly.vertices[(i + 1) % len(poly)]
-            yield p, (to_float(v0[0]), to_float(v0[1])), (to_float(v1[0]), to_float(v1[1]))
+            yield p, i
 
 
-def _reflection_axis_direction(deriv: Mat2) -> Vec2:
-    """+1 eigenvector of an orthogonal reflection."""
-    d00, d01 = deriv[0]
-    d10, d11 = deriv[1]
-    u = (d01, 1 - d00)
-    if sign(u[0]) != 0 or sign(u[1]) != 0:
-        return u
-    return (1 - d11, d10)
-
-
-def _fixed_line_in_cell(iso: Isometry, p: int, t: Vec2):
-    """Clip the fixed line of x -> Dx + t to cell p; None if empty or skew."""
-    deriv = iso.derivative
-    u = _reflection_axis_direction(deriv)
-    # Solve (D - I) x = -t on the line x = x0 + s*u.  (D - I) annihilates u
-    # and scales the -1 eigenvector w by -2, so a solution exists iff t is
-    # parallel to w; then x0 = t/2 works because (D - I)(t/2) = -t when
-    # t is in the -1 eigenspace.
-    w = (-u[1], u[0])
-    if sign(cross(w, t), FLOAT_TOL) != 0:
-        return None  # glide reflection: no fixed points
-    x0 = vec_scale(Fraction(1, 2), t)
-    poly = iso.source.polygons[p]
-    lo_f, hi_f = -math.inf, math.inf
-    for i in range(len(poly)):
-        e = poly.edge_vector(i)
-        # inside: cross(e, x0 + s*u - v_i) >= 0
-        a = cross(e, u)
-        b = cross(e, vec_sub(x0, poly.vertices[i]))
-        af, bf = to_float(a), to_float(b)
-        if abs(af) < 1e-15:
-            if bf < -1e-12:
-                return None
-            continue
-        s_bound = -bf / af
-        if af > 0:
-            lo_f = max(lo_f, s_bound)
-        else:
-            hi_f = min(hi_f, s_bound)
-    if lo_f >= hi_f - 1e-12:
-        return None
-    uf = (to_float(u[0]), to_float(u[1]))
-    x0f = (to_float(x0[0]), to_float(x0[1]))
-    p_lo = (x0f[0] + lo_f * uf[0], x0f[1] + lo_f * uf[1])
-    p_hi = (x0f[0] + hi_f * uf[0], x0f[1] + hi_f * uf[1])
-    return (p_lo, p_hi)
+def _reflection_features(n: int, c0: int) -> List[Tuple[str, int]]:
+    """The two features of an n-gon's boundary that x -> c0 - x (mod n) fixes:
+    ("vertex", x) and ("edge", x), the edge from corner x to x + 1."""
+    return [(kind, x) for x in range(n) for kind, k in (("vertex", 2 * x), ("edge", 2 * x + 1))
+            if (k - c0) % n == 0]
 
 
 def fixed_points(iso: Isometry) -> FixedLocus:
-    """Fixed points (preserving) or fixed segments (reversing) of an isometry.
+    """Fixed points (preserving) or fixed segments (reversing) of a self-isometry.
 
-    Points are located by cell id and chart coordinates.  For reversing
-    isometries the 1-dimensional fixed set is returned as per-cell segments
-    together with its number of connected components on the surface.
+    Read off the flag permutation alone.  A cell p sent onto itself (corner
+    0 to corner c0 of p) also fixes the mean of its vertices.  Preserving,
+    it is a rotation about that mean: one "interior" point.  Reversing, it
+    is a reflection, never a glide, whose fixed chord joins the two boundary
+    features its corner map x -> c0 - x fixes (`_reflection_features`): a
+    corner with 2x = c0, or the midpoint of an edge with 2x + 1 = c0 (mod n).
+    A glued edge sent onto its partner has its midpoint fixed (preserving)
+    or is fixed as a whole (reversing).  A preserving isometry also fixes
+    each vertex whose corner cycle it maps to itself.
+
+    Points are located by cell id and chart coordinates, in that order:
+    interior points, edge midpoints, vertices.  Reversing isometries return
+    per-cell segments (self-cell chords, then whole edges) and their number
+    of connected components on the surface, joined at shared vertices and
+    at shared edge midpoints.  Coordinates are the floats of the exact ones.
     """
     s = iso.source
     if iso.is_identity():
         return FixedLocus(all_points=True)
     locus = FixedLocus()
     cycles = sf.corner_cycles(s)
-    cycle_of: Dict[Flag, int] = {}
-    for k, cyc in enumerate(cycles):
-        for c in cyc:
-            cycle_of[c] = k
+    cycle_of: Dict[Flag, int] = {c: k for k, cyc in enumerate(cycles) for c in cyc}
 
     if iso.orientation == 1:
-        # Interior fixed points of rotation-type self-cells.
-        for p, t in _self_cells(iso):
-            m = ((1 - iso.derivative[0][0], -iso.derivative[0][1]),
-                 (-iso.derivative[1][0], 1 - iso.derivative[1][1]))
-            if sign(mat_det(m), FLOAT_TOL) == 0:
-                continue  # derivative is the identity: a nontrivial translation
-            x = mat_vec(mat_inv(m), t)
-            if _point_in_interior(s.polygons[p], x):
-                locus.points.append(LocatedPoint(p, (to_float(x[0]), to_float(x[1])), "interior"))
-        # Midpoints of edges sent to their own gluing partner.
-        for p, v0, v1 in _edges_onto_partner(iso):
-            mid = ((v0[0] + v1[0]) / 2, (v0[1] + v1[1]) / 2)
-            locus.points.append(LocatedPoint(p, mid, "edge-midpoint"))
-        # Vertices whose cycle maps to itself.
+        for p, _ in _self_cells(iso):
+            poly = s.polygons[p]
+            mean = [sum(c) * Fraction(1, len(poly)) for c in zip(*poly.vertices)]
+            locus.points.append(LocatedPoint(p, _float_point(mean), "interior"))
+        for p, i in _edges_onto_partner(iso):
+            locus.points.append(LocatedPoint(p, _edge_midpoint(s.polygons[p], i), "edge-midpoint"))
         for k, cyc in enumerate(cycles):
             if cycle_of[iso.image(cyc[0])] == k:
                 p, i = cyc[0]
-                v = s.polygons[p].vertices[i]
-                locus.points.append(LocatedPoint(p, (to_float(v[0]), to_float(v[1])), "vertex"))
+                locus.points.append(LocatedPoint(p, _float_point(s.polygons[p].vertices[i]), "vertex"))
         return locus
 
-    # Orientation-reversing: build the fixed 1-manifold.
-    segs = []
-
-    def endpoint_key(p: int, xy: Tuple[float, float]):
-        # Identify endpoints across gluings by locating them on cell edges
-        # or vertices; regular interior endpoints cannot occur.
+    # Each segment end is keyed by the vertex (corner cycle) or glued edge it lies on.
+    ends = []
+    for p, c0 in _self_cells(iso):
         poly = s.polygons[p]
-        n = len(poly)
-        for i in range(n):
-            v = poly.vertices[i]
-            if math.hypot(to_float(v[0]) - xy[0], to_float(v[1]) - xy[1]) < FLOAT_TOL:
-                return ("vertex", cycle_of[(p, i)])
-        for i in range(n):
-            v0, v1 = poly.vertices[i], poly.vertices[(i + 1) % n]
-            ex, ey = to_float(v1[0]) - to_float(v0[0]), to_float(v1[1]) - to_float(v0[1])
-            px, py = xy[0] - to_float(v0[0]), xy[1] - to_float(v0[1])
-            ll = ex * ex + ey * ey
-            t = (px * ex + py * ey) / ll
-            d = abs(px * ey - py * ex) / math.sqrt(ll)
-            if d < FLOAT_TOL and -FLOAT_TOL <= t <= 1 + FLOAT_TOL:
-                q, j = s.partner((p, i))
-                if (q, j, round(1 - t, 9)) < (p, i, round(t, 9)):
-                    return ("edge", q, j, round(1 - t, 9))
-                return ("edge", p, i, round(t, 9))
-        return ("interior", p, round(xy[0], 9), round(xy[1], 9))
-
-    for p, t in _self_cells(iso):
-        seg = _fixed_line_in_cell(iso, p, t)
-        if seg is not None:
-            segs.append((p, seg[0], seg[1]))
-    segs.extend(_edges_onto_partner(iso))
-
-    # Union-find on segment endpoints to count components.
-    parent = list(range(len(segs)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    keys: Dict[object, int] = {}
-    for idx, (p, a, b) in enumerate(segs):
-        for xy in (a, b):
-            k = endpoint_key(p, xy)
-            if k in keys:
-                ra, rb = find(keys[k]), find(idx)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
+        chord = []
+        for kind, x in _reflection_features(len(poly), c0):
+            if kind == "vertex":
+                chord.append((_float_point(poly.vertices[x]), ("vertex", cycle_of[(p, x)])))
             else:
-                keys[k] = idx
-    locus.segments = segs
-    locus.segment_components = len({find(i) for i in range(len(segs))})
+                chord.append((_edge_midpoint(poly, x), ("edge", min((p, x), s.partner((p, x))))))
+        (a, key_a), (b, key_b) = chord
+        locus.segments.append((p, a, b))
+        ends.append((key_a, key_b))
+    for p, i in _edges_onto_partner(iso):
+        poly = s.polygons[p]
+        j = (i + 1) % len(poly)
+        locus.segments.append((p, _float_point(poly.vertices[i]), _float_point(poly.vertices[j])))
+        ends.append((("vertex", cycle_of[(p, i)]), ("vertex", cycle_of[(p, j)])))
+
+    root: Dict[object, object] = {}
+
+    def find(k):
+        while root.setdefault(k, k) != k:
+            k = root[k]
+        return k
+
+    for a, b in ends:
+        root[find(a)] = find(b)
+    locus.segment_components = len({find(a) for a, _ in ends})
     return locus
 
 

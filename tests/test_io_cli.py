@@ -1,6 +1,10 @@
 """Surface file round-trips and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +152,27 @@ class TestCli:
         bad.write_text('{"format": "flatsurface/1", "kind": "translation", "scalars": "exact", '
                        '"polygons": [[["0","0"],["1","0"],["1","1"],["0","1"]]], "gluings": []}')
         assert run(["info", str(bad)]) == 1
+
+    @pytest.mark.parametrize("argv", (["solve-ay", "--tol", "0"], ["solve-rect", "--mu", "0.5", "--tol=-1e-9"]))
+    def test_nonpositive_tolerance_exit_code(self, argv, capsys):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 1
+        assert "tolerance must be positive" in err
+
+    @pytest.mark.parametrize("command", ("build", "isometries"))
+    def test_closed_stdout_exits_without_traceback(self, command, tmp_path, capsys):
+        # The reader of a pipe goes away before the child writes, as in `| head`.
+        path = tmp_path / "esc.json"
+        invoke(capsys, "build", "escalator", "-o", str(path))
+        argv = ["build", "escalator"] if command == "build" else ["isometries", str(path)]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.Popen([sys.executable, "-m", "flatsurfkit", *argv], env=env,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait() == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
     def test_stdout_determinism(self, tmp_path, capsys):
         p1 = tmp_path / "a.json"

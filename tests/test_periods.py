@@ -13,7 +13,6 @@ from flatsurfkit.periods import (
     CurveS,
     CurveTU,
     PeriodsError,
-    QuadratureConfig,
     a_from_s,
     a_from_tu,
     induced_q_coefficient,
@@ -47,8 +46,8 @@ class TestSegmentIntegrals:
 
     def test_quadrature_self_validation(self):
         c = CurveTU(2.5, 1.5)
-        coarse = segment_integrals(c, QuadratureConfig(tol=1e-8))
-        fine = segment_integrals(c, QuadratureConfig(tol=1e-13))
+        coarse = segment_integrals(c, tol=1e-8)
+        fine = segment_integrals(c, tol=1e-13)
         for x, y in zip(coarse, fine):
             assert abs(x - y) < 1e-8
 

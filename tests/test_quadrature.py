@@ -54,6 +54,13 @@ class TestIntegrate:
         with pytest.raises(QuadratureError, match="singular"):
             integrate(lambda x, da, db: 1.0 / db, 0.0, 1.0)
 
+    @pytest.mark.parametrize("tol", (0.0, -1e-12, math.nan))
+    def test_nonpositive_tolerance_raises(self, tol):
+        # checked before anything else, an empty interval included
+        for a, b in ((0.0, 1.0), (1.0, 1.0)):
+            with pytest.raises(QuadratureError, match="tolerance must be positive"):
+                integrate(lambda x, da, db: 1.0, a, b, tol=tol)
+
     def test_loose_tolerance_stops_early(self):
         # int_0^1 dx / ((c - x) sqrt(x (1 - x))) = pi / sqrt(c (c - 1))
         c = 1.001

@@ -1,21 +1,50 @@
 """Isometry groups, fixed points, and affine equivalences."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from flatsurfkit.numeric import ALPHA, CubicNumber, IDENTITY, mat_mul, mat_transpose, to_float
+from flatsurfkit.numeric import (
+    ALPHA,
+    FLOAT_TOL,
+    IDENTITY,
+    CubicNumber,
+    cross,
+    mat_det,
+    mat_inv,
+    mat_mul,
+    mat_transpose,
+    mat_vec,
+    sign,
+    to_float,
+    vec_scale,
+    vec_sub,
+)
 from flatsurfkit import symmetry as sym
 from flatsurfkit.constructions import (
     ParallelogramShape,
     TrapezoidShape,
     ay_prime,
     ay_prime_parallelogram_shape,
+    ay_surface,
     escalator,
+    orthogonal_legs_trapezoid_shape,
     parallelogram_family,
     trapezoid_family,
 )
-from flatsurfkit.surface import apply_linear
+from flatsurfkit.surface import (
+    HORIZONTAL,
+    TRANSLATION,
+    VERTICAL,
+    Gluing,
+    Polygon,
+    Surface,
+    apply_linear,
+    corner_cycles,
+    cut_and_reglue_square,
+)
 
 
 def by_name(isos, name):
@@ -208,3 +237,243 @@ class TestExactDerivatives:
             ((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((1, 0), (0, -1)), ((-1, 0), (0, 1)),
         ])
         assert not any(isinstance(x, float) for d in derivatives for row in d for x in row)
+
+
+# -- the fixed-locus reference ----------------------------------------------------------
+#
+# The float fixed-locus computation that `fixed_points` replaced, kept as a
+# reference: it solves for each self-cell's fixed point or clips the fixed
+# line of x -> Dx + t to the cell in floats, and joins segment ends by
+# float proximity.
+
+
+def _ref_self_cells(iso):
+    for p, poly in enumerate(iso.source.polygons):
+        q, j0 = iso.image((p, 0))
+        if q == p:
+            yield p, vec_sub(poly.vertices[j0], mat_vec(iso.derivative, poly.vertices[0]))
+
+
+def _ref_point_in_interior(poly, x):
+    for i in range(len(poly)):
+        if sign(cross(poly.edge_vector(i), vec_sub(x, poly.vertices[i]))) <= 0:
+            return False
+    return True
+
+
+def _ref_edges_onto_partner(iso):
+    s = iso.source
+    for g in s.gluings:
+        p, i = g.edge_a
+        q, j = iso.image((p, i))
+        if iso.orientation == -1:
+            j = (j - 1) % len(iso.target.polygons[q])
+        if (q, j) == s.partner((p, i)):
+            poly = s.polygons[p]
+            v0, v1 = poly.vertices[i], poly.vertices[(i + 1) % len(poly)]
+            yield p, (to_float(v0[0]), to_float(v0[1])), (to_float(v1[0]), to_float(v1[1]))
+
+
+def _ref_reflection_axis_direction(deriv):
+    d00, d01 = deriv[0]
+    d10, d11 = deriv[1]
+    u = (d01, 1 - d00)
+    if sign(u[0]) != 0 or sign(u[1]) != 0:
+        return u
+    return (1 - d11, d10)
+
+
+def _ref_fixed_line_in_cell(iso, p, t):
+    u = _ref_reflection_axis_direction(iso.derivative)
+    w = (-u[1], u[0])
+    if sign(cross(w, t), FLOAT_TOL) != 0:
+        return None
+    x0 = vec_scale(Fraction(1, 2), t)
+    poly = iso.source.polygons[p]
+    lo_f, hi_f = -math.inf, math.inf
+    for i in range(len(poly)):
+        e = poly.edge_vector(i)
+        af, bf = to_float(cross(e, u)), to_float(cross(e, vec_sub(x0, poly.vertices[i])))
+        if abs(af) < 1e-15:
+            if bf < -1e-12:
+                return None
+            continue
+        s_bound = -bf / af
+        if af > 0:
+            lo_f = max(lo_f, s_bound)
+        else:
+            hi_f = min(hi_f, s_bound)
+    if lo_f >= hi_f - 1e-12:
+        return None
+    uf = (to_float(u[0]), to_float(u[1]))
+    x0f = (to_float(x0[0]), to_float(x0[1]))
+    return (x0f[0] + lo_f * uf[0], x0f[1] + lo_f * uf[1]), (x0f[0] + hi_f * uf[0], x0f[1] + hi_f * uf[1])
+
+
+def reference_fixed_points(iso):
+    s = iso.source
+    if iso.is_identity():
+        return sym.FixedLocus(all_points=True)
+    locus = sym.FixedLocus()
+    cycles = corner_cycles(s)
+    cycle_of = {c: k for k, cyc in enumerate(cycles) for c in cyc}
+
+    if iso.orientation == 1:
+        for p, t in _ref_self_cells(iso):
+            d = iso.derivative
+            m = ((1 - d[0][0], -d[0][1]), (-d[1][0], 1 - d[1][1]))
+            if sign(mat_det(m), FLOAT_TOL) == 0:
+                continue
+            x = mat_vec(mat_inv(m), t)
+            if _ref_point_in_interior(s.polygons[p], x):
+                locus.points.append(sym.LocatedPoint(p, (to_float(x[0]), to_float(x[1])), "interior"))
+        for p, v0, v1 in _ref_edges_onto_partner(iso):
+            mid = ((v0[0] + v1[0]) / 2, (v0[1] + v1[1]) / 2)
+            locus.points.append(sym.LocatedPoint(p, mid, "edge-midpoint"))
+        for k, cyc in enumerate(cycles):
+            if cycle_of[iso.image(cyc[0])] == k:
+                p, i = cyc[0]
+                v = s.polygons[p].vertices[i]
+                locus.points.append(sym.LocatedPoint(p, (to_float(v[0]), to_float(v[1])), "vertex"))
+        return locus
+
+    def endpoint_key(p, xy):
+        poly = s.polygons[p]
+        n = len(poly)
+        for i in range(n):
+            v = poly.vertices[i]
+            if math.hypot(to_float(v[0]) - xy[0], to_float(v[1]) - xy[1]) < FLOAT_TOL:
+                return ("vertex", cycle_of[(p, i)])
+        for i in range(n):
+            v0, v1 = poly.vertices[i], poly.vertices[(i + 1) % n]
+            ex, ey = to_float(v1[0]) - to_float(v0[0]), to_float(v1[1]) - to_float(v0[1])
+            px, py = xy[0] - to_float(v0[0]), xy[1] - to_float(v0[1])
+            ll = ex * ex + ey * ey
+            t = (px * ex + py * ey) / ll
+            d = abs(px * ey - py * ex) / math.sqrt(ll)
+            if d < FLOAT_TOL and -FLOAT_TOL <= t <= 1 + FLOAT_TOL:
+                q, j = s.partner((p, i))
+                if (q, j, round(1 - t, 9)) < (p, i, round(t, 9)):
+                    return ("edge", q, j, round(1 - t, 9))
+                return ("edge", p, i, round(t, 9))
+        return ("interior", p, round(xy[0], 9), round(xy[1], 9))
+
+    segs = []
+    for p, t in _ref_self_cells(iso):
+        seg = _ref_fixed_line_in_cell(iso, p, t)
+        if seg is not None:
+            segs.append((p, seg[0], seg[1]))
+    segs.extend(_ref_edges_onto_partner(iso))
+    parent = list(range(len(segs)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    keys = {}
+    for idx, (p, a, b) in enumerate(segs):
+        for xy in (a, b):
+            k = endpoint_key(p, xy)
+            if k in keys:
+                ra, rb = find(keys[k]), find(idx)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+            else:
+                keys[k] = idx
+    locus.segments = segs
+    locus.segment_components = len({find(i) for i in range(len(segs))})
+    return locus
+
+
+def _floated(s):
+    return Surface([Polygon([(float(x), float(y)) for x, y in p.vertices]) for p in s.polygons], s.gluings, s.kind)
+
+
+def _shears(rng, count):
+    """count seeded shears [[1, k], [0, 1]] or [[1, 0], [k, 1]], 1 <= |k| <= 9."""
+    out = []
+    for _ in range(count):
+        k = rng.randint(1, 9) * rng.choice((1, -1))
+        out.append(((1, k), (0, 1)) if rng.random() < 0.5 else ((1, 0), (k, 1)))
+    return out
+
+
+def _reference_surfaces():
+    ay = ay_surface()
+    named = {
+        "ay": ay,
+        "ay-prime": ay_prime(),
+        "escalator": escalator(),
+        "ay-cut-horizontal": cut_and_reglue_square(ay, 0, HORIZONTAL),
+        "ay-cut-vertical": cut_and_reglue_square(ay, 0, VERTICAL),
+        "ay-float": _floated(ay),
+        "trapezoid-1-2-1": trapezoid_family(TrapezoidShape(1, 2, 1)),
+        "orthogonal-legs": trapezoid_family(orthogonal_legs_trapezoid_shape()),
+        "parallelogram-a": parallelogram_family(ParallelogramShape((1.0, 0.1), (-0.3, 1.2))),
+        "parallelogram-b": parallelogram_family(ParallelogramShape((1.0, 0.2), (-0.4, 1.1))),
+        "parallelogram-c": parallelogram_family(ParallelogramShape((-0.2, 1.0), (-1.1, -0.4))),
+        "torus": Surface(
+            [Polygon([(0, 0), (Fraction(1), 0), (Fraction(1), Fraction(1)), (0, Fraction(1))])],
+            [Gluing((0, 0), (0, 2), TRANSLATION), Gluing((0, 1), (0, 3), TRANSLATION)],
+        ),
+    }
+    bases = {"ay": ay, "ay-prime": named["ay-prime"], "escalator": named["escalator"],
+             "ay-cut": cut_and_reglue_square(ay, 0)}
+    rng = random.Random(9)
+    for name, base in bases.items():
+        for k, m in enumerate(_shears(rng, 6)):
+            named[f"{name}-shear-{k}"] = apply_linear(m, base)
+    return named
+
+
+REFERENCE_SURFACES = _reference_surfaces()
+
+
+@pytest.fixture(scope="module", params=sorted(REFERENCE_SURFACES))
+def surface_isometries(request):
+    s = REFERENCE_SURFACES[request.param]
+    return s.is_exact(), sym.isometries(s)
+
+
+def _same_point(exact, a, b):
+    if exact:
+        return a == b
+    return max(abs(a[0] - b[0]), abs(a[1] - b[1])) < 1e-9
+
+
+class TestFixedLocusReference:
+    def test_matches_float_reference(self, surface_isometries):
+        exact, isos = surface_isometries
+        for iso in isos:
+            got, want = sym.fixed_points(iso), reference_fixed_points(iso)
+            assert got.all_points == want.all_points
+            assert [(p.cell, p.kind) for p in got.points] == [(p.cell, p.kind) for p in want.points]
+            for p, q in zip(got.points, want.points):
+                assert _same_point(exact, p.point, q.point), (p, q)
+            assert len(got.segments) == len(want.segments)
+            assert got.segment_components == want.segment_components
+            for (p, a, b), (q, c, d) in zip(got.segments, want.segments):
+                assert p == q
+                assert (_same_point(False, a, c) and _same_point(False, b, d)
+                        or _same_point(False, a, d) and _same_point(False, b, c)), ((a, b), (c, d))
+
+    def test_reversing_self_cells_fix_two_features(self, surface_isometries):
+        _, isos = surface_isometries
+        for iso in isos:
+            if iso.orientation == -1:
+                for p, c0 in sym._self_cells(iso):
+                    n = len(iso.source.polygons[p])
+                    features = sym._reflection_features(n, c0)
+                    assert len(features) == 2
+                    for kind, x in features:
+                        # the corner map x -> c0 - x fixes corner x, or swaps the ends of edge x
+                        assert (c0 - x) % n == (x if kind == "vertex" else (x + 1) % n)
+                    corners = [x for kind, x in features if kind == "vertex"]
+                    assert [iso.image((p, x)) for x in corners] == [(p, x) for x in corners]
+
+    def test_reference_covers_both_orientations(self):
+        isos = sym.isometries(REFERENCE_SURFACES["ay"])
+        loci = [reference_fixed_points(i) for i in isos if not i.is_identity()]
+        assert any(locus.points for locus in loci) and any(locus.segments for locus in loci)
