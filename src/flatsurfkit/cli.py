@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -324,8 +325,21 @@ def _cmd_tessellate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every negative number as a value.
+
+    argparse's own test knows only "-5" and "-0.5", so it takes "-1/2",
+    "-5e-1" or "-1e-9" for options.  No option here looks like a number;
+    add_subparsers makes subparsers of this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flatsurf",
         description="Flat surfaces: build, inspect, transform, solve, tessellate.",
     )

@@ -448,7 +448,7 @@ def decomposition(t: Triangulation) -> Surface:
 
     # Develop each cell: per-triangle transform x -> eps * x + c.
     transforms: Dict[int, Tuple[int, Vec2]] = {}
-    for root, tris in groups.items():
+    for tris in groups.values():
         transforms[tris[0]] = (1, (0, 0))
         todo = deque([tris[0]])
         seen = {tris[0]}
@@ -474,10 +474,10 @@ def decomposition(t: Triangulation) -> Surface:
         eps_t, c_t = transforms[tri]
         return vec_add(vec_scale(eps_t, p), c_t)
 
-    # Walk each cell boundary.
-    cells = []  # (root, boundary half-edges in ccw order, developed points)
-    for root, tris in sorted(groups.items()):
-        tri_set = set(tris)
+    # Walk each cell boundary and put its polygon in canonical form, then
+    # order the cells canonically.
+    emitted = []  # (canonical chain, boundary half-edges from the chain's first vertex)
+    for _, tris in sorted(groups.items()):
         boundary = [
             (tri, e) for tri in tris for e in range(3) if not internal((tri, e))
         ]
@@ -493,22 +493,14 @@ def decomposition(t: Triangulation) -> Surface:
             walk.append(cand)
             cur = cand
         points = [dev_point(h[0], t.corner_position(h)) for h in walk]
-        cells.append((root, walk, points))
-
-    # Canonical polygon per cell, then canonical cell order.
-    emitted = []
-    for root, walk, points in cells:
         chain, r = _canonical_chain(points)
-        walk = walk[r:] + walk[:r]
-        emitted.append((chain, walk, root))
+        emitted.append((chain, walk[r:] + walk[:r]))
     order = sorted(range(len(emitted)), key=cmp_to_key(lambda i, j: _chain_cmp(emitted[i][0], emitted[j][0])))
 
-    cell_index: Dict[int, int] = {}
     edge_index: Dict[HalfEdge, Tuple[int, int]] = {}
     polygons = []
     for new_i, old_i in enumerate(order):
-        chain, walk, root = emitted[old_i]
-        cell_index[root] = new_i
+        chain, walk = emitted[old_i]
         polygons.append(Polygon(chain))
         for k, h in enumerate(walk):
             edge_index[h] = (new_i, k)

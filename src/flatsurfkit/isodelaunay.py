@@ -43,7 +43,8 @@ class IsoDelaunayError(RuntimeError):
 
 @dataclass(frozen=True)
 class HPoint:
-    """A point x + iy of the upper half-plane."""
+    """A point x + iy of the upper half-plane (float, or Fraction where a
+    point is handed to cell_at exactly)."""
 
     x: float
     y: float
@@ -83,10 +84,16 @@ class Wall:
     def floats(self) -> Tuple[float, float, float]:
         return (to_float(self.a), to_float(self.b), to_float(self.c))
 
+    @property
+    def is_vertical(self) -> bool:
+        """Whether the locus q = 0 is a vertical line rather than a
+        half-circle: the one place that decides a wall's shape."""
+        return sign(self.a) == 0
+
     def geometry(self) -> Tuple[str, float, float]:
         """("circle", center, radius) or ("vertical", x, 0)."""
         a, b, c = self.floats()
-        if abs(a) < 1e-300:
+        if self.is_vertical:
             return ("vertical", -c / b, 0.0)
         center = -b / (2 * a)
         rad2 = center * center - c / a
@@ -261,7 +268,7 @@ def _collect_constraints(t: Triangulation, u: Scalar, v: Scalar, walls: Optional
             continue
         s = sign(w.evaluate(u, v), FLOAT_TOL)
         if s == 0:
-            raise _OnWall(w)
+            raise _OnWall
         if s > 0:
             raise IsoDelaunayError("non-Delaunay hinge after delaunayize_at")
         key = w.oriented_key()
@@ -274,33 +281,28 @@ def _collect_constraints(t: Triangulation, u: Scalar, v: Scalar, walls: Optional
 
 
 class _OnWall(Exception):
-    def __init__(self, wall: Wall):
-        self.wall = wall
-
-
-def _line_param(con: _Constraint):
-    """Rational parametrization of the wall line in (u, v) coordinates.
-
-    Returns (u0, du, v0, dv): points (u0 + s*du, v0 + s*dv).
-    """
-    w = con.wall
-    if sign(w.a) != 0:
-        # u = -(b v + c)/a, parametrized by v = s
-        inv = Fraction(1) / w.a
-        return (-w.c * inv, -w.b * inv, 0, 1)
-    # vertical wall: v = -c/b, parametrized by u = s
-    inv = Fraction(1) / w.b
-    return (0, 1, -w.c * inv, 0)
+    """The sample lies on a wall."""
 
 
 def _supporting_interval(target: _Constraint, others: Sequence[_Constraint]):
     """Parameter interval of the facet: points of the wall on the cell
     boundary and inside H, or None when the wall is redundant.
 
-    All computations are linear/quadratic sign evaluations over the scalar
+    The wall line in (u, v) coordinates is (u0 + s*du, v0 + s*dv): a circle
+    wall is parametrized by v = s, a vertical wall by u = s.  All
+    computations are linear/quadratic sign evaluations over the scalar
     field; the parabola u > v**2 enters as a concave quadratic.
     """
-    u0, du, v0, dv = _line_param(target)
+    w = target.wall
+    vertical = w.is_vertical
+    if vertical:
+        # v = -c/b
+        inv = Fraction(1) / w.b
+        u0, du, v0, dv = 0, 1, -w.c * inv, 0
+    else:
+        # u = -(b v + c)/a
+        inv = Fraction(1) / w.a
+        u0, du, v0, dv = -w.c * inv, -w.b * inv, 0, 1
     lo: Optional[Scalar] = None
     hi: Optional[Scalar] = None
 
@@ -325,38 +327,20 @@ def _supporting_interval(target: _Constraint, others: Sequence[_Constraint]):
                 lo = bound
     if lo is not None and hi is not None and sign(hi - lo, _FACET_TOL) <= 0:
         return None
-    # Inside H: g(s) = u(s) - v(s)**2 > 0.  On circle walls (parametrized
-    # by v) g is concave with g2 = -1; on vertical walls (parametrized by
-    # u) it is linear increasing with slope 1.
-    g2 = -(dv * dv)
-    g1 = du - 2 * v0 * dv
-    g0 = u0 - v0 * v0
-
-    def g_at(x: Scalar) -> Scalar:
-        return g2 * x * x + g1 * x + g0
-
-    if sign(g2, _FACET_TOL) != 0:
-        vertex = -g1 / (2 * g2)
-        candidates = []
-        if (lo is None or sign(vertex - lo, _FACET_TOL) > 0) and (hi is None or sign(hi - vertex, _FACET_TOL) > 0):
-            candidates.append(vertex)
-        if lo is not None:
-            candidates.append(lo)
-        if hi is not None:
-            candidates.append(hi)
-        if any(sign(g_at(x), _FACET_TOL) > 0 for x in candidates):
+    # Inside H: g(s) = u(s) - v(s)**2 > 0 somewhere on [lo, hi].
+    if vertical:
+        # g(u) = u - v0**2 grows with u, so its best point is hi.
+        if hi is None or sign(hi - v0 * v0, _FACET_TOL) > 0:
             return (lo, hi)
         return None
-    s1 = sign(g1, _FACET_TOL)
-    if s1 > 0:
-        if hi is None or sign(g_at(hi), _FACET_TOL) > 0:
-            return (lo, hi)
-        return None
-    if s1 < 0:
-        if lo is None or sign(g_at(lo), _FACET_TOL) > 0:
-            return (lo, hi)
-        return None
-    return (lo, hi) if sign(g0, _FACET_TOL) > 0 else None
+    # g(v) = u0 + du v - v**2 is concave with its top at v = du/2.
+    candidates = [x for x in (lo, hi) if x is not None]
+    vertex = du / 2
+    if (lo is None or sign(vertex - lo, _FACET_TOL) > 0) and (hi is None or sign(hi - vertex, _FACET_TOL) > 0):
+        candidates.append(vertex)
+    if any(sign(-x * x + du * x + u0, _FACET_TOL) > 0 for x in candidates):
+        return (lo, hi)
+    return None
 
 
 @dataclass
@@ -379,6 +363,9 @@ class _Memo:
 def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
             _memo: Optional[_Memo] = None) -> Cell:
     """The iso-Delaunay cell containing z (perturbing z off walls if needed).
+
+    On an exact surface z is rationalized to denominators up to 10**9, so a
+    z with such Fraction coordinates is located exactly where it lies.
 
     With _memo, a cell whose supporting key is already in _memo.cells is
     returned as stored instead of being built again.
@@ -458,16 +445,15 @@ def _facet_crossing_point(con: _Constraint, interval, z0: HPoint, radius: float)
     lo, hi = interval
     lo_f = -math.inf if lo is None else to_float(lo)
     hi_f = math.inf if hi is None else to_float(hi)
-    a, b, c = con.wall.floats()
+    kind, p, r = con.wall.geometry()
     x0, y0 = z0.x, z0.y
-    # Arclength coordinate and point of every sample within the ball.
+    # Arclength coordinate and point of every sample within the ball, in
+    # increasing arclength.
     samples: List[Tuple[float, float, float]] = []
-    if abs(a) > 1e-300:
-        center = -b / (2 * a)
-        rad2 = center * center - c / a
-        if rad2 <= 0:
+    if kind == "circle":
+        if r == 0:
             return None
-        r = math.sqrt(rad2)
+        center = p
         # v = center + r cos(theta), y = r sin(theta)
         n = 512
         k_lo, k_hi = 1, n - 1
@@ -501,7 +487,7 @@ def _facet_crossing_point(con: _Constraint, interval, z0: HPoint, radius: float)
             if math.acosh(1.0 + (dx * dx + dy * dy) / (2.0 * y * y0)) <= radius:
                 samples.append((math.log(math.tan(th / 2)), v, y))
     else:
-        x = -c / b
+        x = p
         n = 512
         dx = x - x0
         for k in range(-n, n + 1):
@@ -516,7 +502,6 @@ def _facet_crossing_point(con: _Constraint, interval, z0: HPoint, radius: float)
                 samples.append((math.log(y), x, y))
     if not samples:
         return None
-    samples.sort(key=lambda t: t[0])
     s_mid = 0.5 * (samples[0][0] + samples[-1][0])
     _, x, y = min(samples, key=lambda t: abs(t[0] - s_mid))
     return HPoint(x, y)
@@ -549,7 +534,7 @@ def _cross_wall(s: Surface, cell: Cell, con: _Constraint, at: HPoint, memo: _Mem
                for other in cell.constraints if other is not con):
             continue
         try:
-            return cell_at(s, HPoint(to_float(vx), to_float(vy)), _tri=cell.triangulation, _memo=memo)
+            return cell_at(s, HPoint(vx, vy), _tri=cell.triangulation, _memo=memo)
         except IsoDelaunayError:
             continue
     return None

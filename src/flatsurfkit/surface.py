@@ -109,13 +109,6 @@ class Gluing:
     edge_b: EdgeRef
     kind: str  # TRANSLATION or REFLECTION
 
-    def other(self, ref: EdgeRef) -> EdgeRef:
-        if ref == self.edge_a:
-            return self.edge_b
-        if ref == self.edge_b:
-            return self.edge_a
-        raise KeyError(ref)
-
     @property
     def is_fold(self) -> bool:
         return self.edge_a == self.edge_b

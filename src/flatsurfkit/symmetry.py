@@ -15,6 +15,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -75,11 +76,16 @@ class Isometry:
     orientation: int  # +1 preserving, -1 reversing
     perm: Tuple[int, ...]
 
+    @cached_property
+    def _flag_offsets(self) -> Tuple[List[int], List[int]]:
+        """(_offsets(source), _offsets(target)), built at the first image call."""
+        return _offsets(self.source), _offsets(self.target)
+
     def image(self, flag: Flag) -> Flag:
         """The target flag that a source flag is sent to."""
         p, i = flag
-        k = self.perm[_offsets(self.source)[p] + i]
-        off = _offsets(self.target)
+        src, off = self._flag_offsets
+        k = self.perm[src[p] + i]
         q = bisect_right(off, k) - 1
         return q, k - off[q]
 

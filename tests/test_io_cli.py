@@ -159,6 +159,25 @@ class TestCli:
         assert code == 1
         assert "tolerance must be positive" in err
 
+    @pytest.mark.parametrize("argv, reference", (
+        (["apply", "-m", "1", "-1/2", "0", "1", "AY"], ["apply", "-m", "1", " -1/2", "0", "1", "AY"]),
+        (["apply", "-m", "1", "-5e-1", "0", "1", "AY"], ["apply", "-m", "1", "-0.5", "0", "1", "AY"]),
+        (["periods", "silhol", "--a-imag", "0.5", "--a-real", "-2.5e-1"],
+         ["periods", "silhol", "--a-imag", "0.5", "--a-real=-0.25"]),
+        (["solve-rect", "--mu", "0.5", "--tol", "-1e-9"], ["solve-rect", "--mu", "0.5", "--tol=-1e-9"]),
+    ))
+    def test_negative_number_values(self, argv, reference, tmp_path, capsys):
+        # A negative number is a value however it is spelt, not an option.
+        # The references spell it as argparse reads a value anyway: "-0.5",
+        # "--opt=value", or with a leading space, which scalar_from_str strips.
+        path = tmp_path / "ay.json"
+        invoke(capsys, "build", "ay", "-o", str(path))
+        fill = lambda args: [str(path) if a == "AY" else a for a in args]
+        got = invoke(capsys, *fill(argv))
+        want = invoke(capsys, *fill(reference))
+        assert want[0] == (1 if argv[0] == "solve-rect" else 0)
+        assert got == want
+
     @pytest.mark.parametrize("command", ("build", "isometries"))
     def test_closed_stdout_exits_without_traceback(self, command, tmp_path, capsys):
         # The reader of a pipe goes away before the child writes, as in `| head`.

@@ -252,6 +252,35 @@ class TestExploreShortcuts:
             again = iso.cell_at(float_surface, cell.sample)
             assert again.key == cell.key and again.comb_hash == cell.comb_hash
 
+    def test_crossing_locates_the_verified_point(self, ay, monkeypatch):
+        # _cross_wall checks a point against the cell's walls, then hands it
+        # to cell_at, which must evaluate the walls at that same point.
+        last = []   # the (u, v) of the latest wall evaluation
+        pairs = []  # [verified (u, v), the (u, v) cell_at evaluates at]
+        evaluate, cell_at, delaunayize_at = iso.Wall.evaluate, iso.cell_at, iso.delaunayize_at
+
+        def recording_evaluate(wall, u, v):
+            last[:] = [(u, v)]
+            return evaluate(wall, u, v)
+
+        def recording_cell_at(s, z, _tri=None, _memo=None):
+            if _tri is not None:  # a crossing, not the start
+                pairs.append([last[0], None])
+            return cell_at(s, z, _tri=_tri, _memo=_memo)
+
+        def recording_delaunayize_at(t, u, v, _walls=None):
+            if pairs and pairs[-1][1] is None:
+                pairs[-1][1] = (u, v)
+            return delaunayize_at(t, u, v, _walls=_walls)
+
+        monkeypatch.setattr(iso.Wall, "evaluate", recording_evaluate)
+        monkeypatch.setattr(iso, "cell_at", recording_cell_at)
+        monkeypatch.setattr(iso, "delaunayize_at", recording_delaunayize_at)
+        tess = iso.explore(ay, iso.HPoint(0.0001, 1.0001), 2.0)
+        assert (len(tess.cells), len(tess.all_walls()), len(tess.adjacency)) == (156, 125, 468)
+        assert len(pairs) >= len(tess.adjacency)
+        assert [p for p in pairs if p[0] != p[1]] == []
+
     def test_float_keys_have_one_repr(self, float_ball):
         # explore orders each adjacency pair by repr, so equal keys must
         # print alike: no -0.0 beside 0.0.

@@ -1,6 +1,7 @@
 """Surface representation: validation, invariants, the linear action, and
 the genus-2 cut-and-reglue construction."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,58 @@ class TestValidate:
         )
         codes = {v.code for v in validate(bad)}
         assert "self-gluing" in codes
+
+    @staticmethod
+    def _bad_surfaces():
+        """One minimal surface per violation code, each with no other fault."""
+        square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+
+        def torus(p):
+            return [Gluing((p, 0), (p, 2), TRANSLATION), Gluing((p, 1), (p, 3), TRANSLATION)]
+
+        # Float hexagon of side 1e-3 with one vertex moved by 5e-10: every
+        # gluing matches within FLOAT_TOL, but the two vertex cycles are off
+        # 2*pi by about 5e-7.
+        hexagon = [(1e-3 * math.cos(k * math.pi / 3), 1e-3 * math.sin(k * math.pi / 3)) for k in range(6)]
+        hexagon[1] = (hexagon[1][0] + 5e-10, hexagon[1][1])
+        # Edges under FLOAT_TOL match any edge, so these gluings pass the
+        # vector check although they are not translations.
+        tiny = Polygon([(0.0, 0.0), (1e-11, 0.0), (1e-11, 1e-11), (0.0, 1e-11)])
+        return {
+            "polygon-degenerate": Surface([Polygon([(0, 0), (1, 0)])], [Gluing((0, 0), (0, 1), TRANSLATION)]),
+            "polygon-not-convex": Surface([Polygon(square[::-1])], torus(0)),
+            "bad-kind": Surface(
+                [Polygon(square)], [Gluing((0, 0), (0, 2), "glide"), Gluing((0, 1), (0, 3), TRANSLATION)]
+            ),
+            "vector-mismatch": Surface(
+                [Polygon(square)],
+                [Gluing((0, 0), (0, 2), REFLECTION), Gluing((0, 1), (0, 3), TRANSLATION)],
+                kind="half_translation",
+            ),
+            "disconnected": Surface([Polygon(square), Polygon(square)], torus(0) + torus(1)),
+            "angle-inconsistent": Surface(
+                [Polygon(hexagon)], [Gluing((0, k), (0, k + 3), TRANSLATION) for k in range(3)]
+            ),
+            # A corner of angle 1e-11 closed up on itself by gluing its two edges.
+            "angle-too-small": Surface(
+                [Polygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1e-11)])],
+                [Gluing((0, 0), (0, 1), TRANSLATION), Gluing((0, 2), (0, 2), REFLECTION)],
+                kind="half_translation",
+            ),
+            # Parallel edges glued: two vertex cycles of angle pi.
+            "angle-odd": Surface(
+                [tiny, tiny],
+                [Gluing((0, 0), (1, 0), TRANSLATION), Gluing((0, 1), (1, 1), TRANSLATION),
+                 Gluing((0, 2), (1, 3), TRANSLATION), Gluing((0, 3), (1, 2), TRANSLATION)],
+            ),
+        }
+
+    @pytest.mark.parametrize("code", (
+        "polygon-degenerate", "polygon-not-convex", "bad-kind", "vector-mismatch", "disconnected",
+        "angle-inconsistent", "angle-too-small", "angle-odd",
+    ))
+    def test_violation_code(self, code):
+        assert {v.code for v in validate(self._bad_surfaces()[code])} == {code}
 
 
 class TestVertexCycles:
