@@ -15,6 +15,14 @@ lengths (tolerance numeric.FLOAT_TOL).
 
 delaunayize and isodelaunay.delaunayize_at share one FIFO flip loop,
 flip_until, and differ only in the test that says a hinge needs a flip.
+
+A triangulation also carries hinge_cache: values derived from a hinge,
+keyed by the half-edge it was developed from, normally the canonical one
+(isodelaunay keeps each hinge's wall there).  A flip drops the entries of
+the five edges of its two triangles, the only hinges it changes, and
+copies (so flip and flip_until) carry the rest over: a value computed
+before a flip sequence stays valid for every hinge the sequence did not
+touch.
 """
 
 from __future__ import annotations
@@ -63,7 +71,12 @@ def _prev(h: HalfEdge) -> HalfEdge:
 
 
 class Triangulation:
-    """Half-edge triangulation with per-chart holonomy vectors."""
+    """Half-edge triangulation with per-chart holonomy vectors.
+
+    hinge_cache maps a half-edge to a value computed from its hinge alone.
+    Only _flip_in_place writes vecs, glue and chart_sign, so it is the one
+    place that drops entries; copy() carries the cache over in a new dict.
+    """
 
     def __init__(
         self,
@@ -75,6 +88,7 @@ class Triangulation:
         self.glue = dict(glue)
         self.chart_sign = dict(chart_sign)
         self.flip_count = 0
+        self.hinge_cache: Dict[HalfEdge, object] = {}
         # Flips keep each vector's scalar type, so exactness is fixed here.
         self._exact = all(is_exact(v[0]) and is_exact(v[1]) for tri in self.vecs for v in tri)
 
@@ -100,6 +114,7 @@ class Triangulation:
     def copy(self) -> "Triangulation":
         out = Triangulation(self.vecs, self.glue, self.chart_sign)
         out.flip_count = self.flip_count
+        out.hinge_cache = dict(self.hinge_cache)
         return out
 
     def is_exact(self) -> bool:
@@ -249,6 +264,16 @@ def triangulate(s: Surface) -> Triangulation:
 # -- flips ---------------------------------------------------------------------------
 
 
+def _drop_hinges(t: Triangulation, tris: Tuple[int, int]) -> None:
+    """Drop the hinge_cache entries of every edge with a side in tris."""
+    cache = t.hinge_cache
+    for tri in tris:
+        for e in range(3):
+            h = (tri, e)
+            cache.pop(h, None)
+            cache.pop(t.glue[h], None)
+
+
 def _flip_in_place(t: Triangulation, edge: HalfEdge) -> None:
     h = hinge(t, edge)
     if h.folded:
@@ -304,6 +329,9 @@ def _flip_in_place(t: Triangulation, edge: HalfEdge) -> None:
         if partner in slot_of:
             processed.add(partner)
 
+    # The edges of ta and tb are keyed through the gluing both before and
+    # after it changes.
+    _drop_hinges(t, (ta, tb))
     for key, vec in new_vec.items():
         slot = slot_of[key]
         t.vecs[slot[0]][slot[1]] = vec
@@ -311,6 +339,7 @@ def _flip_in_place(t: Triangulation, edge: HalfEdge) -> None:
     t.vecs[tb][fb] = vec_sub(q2, q1)
     t.glue.update(new_glue)
     t.chart_sign.update(new_sign)
+    _drop_hinges(t, (ta, tb))
     t.flip_count += 1
 
 
@@ -319,7 +348,8 @@ def flip(t: Triangulation, edge: HalfEdge) -> Triangulation:
 
     Returns a new triangulation; the new diagonal occupies the same pair
     of half-edge keys, so flipping the same edge twice restores the
-    original triangulation."""
+    original triangulation.  The copy keeps t's hinge_cache entries for
+    the edges the flip does not touch."""
     out = t.copy()
     _flip_in_place(out, edge)
     return out
@@ -329,8 +359,9 @@ def flip_until(t: Triangulation, needs_flip: Callable[[Triangulation, HalfEdge],
     """Flip a copy of t until needs_flip(out, edge) holds for no edge.
 
     Edges wait in a FIFO queue, all edges first; a flip queues the edges of
-    its two triangles again.  _flip_in_place rejects folded and non-convex
-    hinges, and more than FLIP_CAP flips raise.
+    its two triangles again, the same edges whose hinge_cache entries it
+    drops.  _flip_in_place rejects folded and non-convex hinges, and more
+    than FLIP_CAP flips raise.
     """
     out = t.copy()
     queue = deque(out.edges())

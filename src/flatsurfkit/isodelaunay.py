@@ -20,6 +20,7 @@ and then verified.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,6 +30,8 @@ from .numeric import FLOAT_TOL, Scalar, coefficients, exact_divisor, is_exact, s
 from . import delaunay as dl
 from .delaunay import HalfEdge, Triangulation, hinge
 from .surface import Surface
+
+_log = logging.getLogger("flatsurfkit.isodelaunay")
 
 ALWAYS = "always"
 NEVER = "never"
@@ -184,18 +187,27 @@ def _normalize_wall(a: Scalar, b: Scalar, c: Scalar) -> Wall:
 
 
 def _memo_wall(t: Triangulation, edge: HalfEdge, walls: Optional[dict]):
-    """wall_of_hinge(t, edge), computed once per developed hinge in walls.
+    """wall_of_hinge(t, edge), kept in t.hinge_cache.
 
-    A wall depends only on the hinge developed in the base chart, and p1 is
-    always the origin, so (p2, p3, p4) is the key.
+    The cache rides on the triangulation: flips drop the walls of the
+    hinges they change and copies carry the others over, so a wall is
+    computed again only after its hinge was flipped.  walls, given on exact
+    input, is the second level: one wall per developed hinge across the
+    whole exploration.  A wall depends only on the hinge developed in the
+    base chart, and p1 is always the origin, so (p2, p3, p4) is its key.
     """
+    w = t.hinge_cache.get(edge)
+    if w is not None:
+        return w
     if walls is None:
-        return wall_of_hinge(t, edge)
-    h = hinge(t, edge)
-    key = (h.p2, h.p3, h.p4)
-    w = walls.get(key)
-    if w is None:
-        w = walls[key] = wall_of_hinge(t, edge)
+        w = wall_of_hinge(t, edge)
+    else:
+        h = hinge(t, edge)
+        key = (h.p2, h.p3, h.p4)
+        w = walls.get(key)
+        if w is None:
+            w = walls[key] = wall_of_hinge(t, edge)
+    t.hinge_cache[edge] = w
     return w
 
 
@@ -214,8 +226,10 @@ def delaunayize_at(t: Triangulation, u: Scalar, v: Scalar, _walls: Optional[dict
     (|z|^2, Re z) = (u, v); operates on base-chart holonomies throughout.
 
     Shares delaunay.flip_until with delaunayize: a hinge is flipped when
-    its wall form is positive at (u, v).  _walls, when given, memoizes
-    wall_of_hinge by developed hinge.
+    its wall form is positive at (u, v).  Walls come from t's hinge_cache
+    where t's hinges are unflipped, and the result's cache holds the wall
+    of every edge.  _walls, when given (exact input), memoizes the rest by
+    developed hinge.
     """
     return dl.flip_until(t, lambda out, edge: _q_sign(out, edge, u, v, _walls) > 0)
 
@@ -350,9 +364,14 @@ class _Memo:
     cells maps a supporting key to the cell explore stored under it.  walls
     (developed hinge -> wall) and supports (set of all oriented constraint
     keys -> supporting key) are kept on exact input only, where both are
-    functions of their keys.  Float hinge coordinates drift by ulps across
-    flip sequences, so a float wall memo would mostly miss; float keys are
-    rounded, so one constraint-key set can have different supporting walls.
+    functions of their keys.  walls is the second cache level: the first is
+    each triangulation's hinge_cache, which a neighbour's triangulation
+    inherits from its parent cell for every hinge it did not flip, on both
+    paths.  The developed-hinge level adds the hinges that flips recreate
+    in a shape seen before; float hinge coordinates drift by ulps across
+    flip sequences, so on floats it would mostly miss and only cost memory.
+    Float keys are rounded, so one constraint-key set can have different
+    supporting walls.
     """
 
     cells: Dict[FrozenSet, "Cell"]
@@ -385,6 +404,8 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
             t = delaunayize_at(base, u, vx, _walls=memo.walls)
             cons = _collect_constraints(t, u, vx, memo.walls)
         except _OnWall:
+            _log.debug("cell_at: sample %r + %ri lies on a wall; moving it (attempt %d)",
+                       zx, zy, attempt + 1)
             zx += (1e-9 if attempt % 2 == 0 else -2e-9) * (attempt + 1)
             zy += 1e-9 * (attempt + 1)
             continue
@@ -517,6 +538,7 @@ def _cross_wall(s: Surface, cell: Cell, con: _Constraint, at: HPoint, memo: _Mem
         gy = 2 * a * at.y
         norm = math.hypot(gx, gy)
         if norm == 0:
+            _log.debug("_cross_wall: zero wall gradient at %r + %ri; no crossing", at.x, at.y)
             return None
         zx = at.x + eps * gx / norm
         zy = at.y + eps * gy / norm
@@ -537,6 +559,8 @@ def _cross_wall(s: Surface, cell: Cell, con: _Constraint, at: HPoint, memo: _Mem
             return cell_at(s, HPoint(vx, vy), _tri=cell.triangulation, _memo=memo)
         except IsoDelaunayError:
             continue
+    _log.debug("_cross_wall: no verified sample across wall %r near %r + %ri; no crossing",
+               con.wall.normalized_floats(), at.x, at.y)
     return None
 
 
@@ -549,8 +573,11 @@ def explore(s: Surface, z0: HPoint, radius: float, cell_budget: int = 10 ** 5) -
     Cells are deduplicated by their supporting wall set.  Deterministic:
     the frontier is processed in sorted order.
 
-    One exploration computes each exact wall once (a memo keyed by the
-    developed hinge) and does not rebuild a cell it already holds: a
+    Walls ride on the triangulations: a neighbour's triangulation inherits
+    its parent cell's walls, and cell_at recomputes only the walls of the
+    hinges its own flips changed.  On exact input a second memo, keyed by
+    the developed hinge, computes each exact wall once per exploration.
+    One exploration does not rebuild a cell it already holds: a
     neighbour whose supporting key is known, or on exact input whose full
     constraint set was seen before, is returned from the store.  On exact
     input the Delaunay tessellation is unique, so the constraint set pins

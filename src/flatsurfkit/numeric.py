@@ -519,8 +519,14 @@ def cross(a: Vec2, b: Vec2) -> Scalar:
     return a[0] * b[1] - a[1] * b[0]
 
 def vectors_match(v: Vec2, w: Vec2) -> bool:
-    """v == w: exactly on exact coordinates, within FLOAT_TOL on floats."""
-    return sign(v[0] - w[0], FLOAT_TOL) == 0 and sign(v[1] - w[1], FLOAT_TOL) == 0
+    """v == w: exactly on exact coordinates; on floats, each coordinate of
+    v - w within FLOAT_TOL times the larger of |v| and |w| (max-norm), so
+    that the test does not depend on the scale of the surface."""
+    d0, d1 = v[0] - w[0], v[1] - w[1]
+    tol = 0.0
+    if not (is_exact(d0) and is_exact(d1)):
+        tol = FLOAT_TOL * max(abs(to_float(x)) for x in (v[0], v[1], w[0], w[1]))
+    return sign(d0, tol) == 0 and sign(d1, tol) == 0
 
 def mat_vec(m: Mat2, v: Vec2) -> Vec2:
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])

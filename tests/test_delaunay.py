@@ -93,6 +93,26 @@ class TestFlip:
                 t2.check_invariants()
                 assert t2.num_triangles == t.num_triangles
 
+    def test_copies_never_share_the_hinge_cache(self, ay):
+        t = dl.triangulate(ay)
+        t.hinge_cache[(0, 0)] = "kept"
+        edge = next(e for e in t.edges() if t.twin(e)[0] != e[0] and dl.hinge(t, e).is_strictly_convex())
+        for out in (t.copy(), dl.flip(t, edge), dl.delaunayize(t)):
+            assert out.hinge_cache is not t.hinge_cache
+            out.hinge_cache[(1, 1)] = "new"
+            assert t.hinge_cache == {(0, 0): "kept"}
+        assert t.copy().hinge_cache == t.hinge_cache
+
+    def test_flip_drops_the_cache_of_its_two_triangles(self, ay):
+        t = dl.triangulate(ay)
+        for e in t.edges():
+            t.hinge_cache[e] = e
+        edge = next(e for e in t.edges() if t.twin(e)[0] != e[0] and dl.hinge(t, e).is_strictly_convex())
+        tris = {edge[0], t.twin(edge)[0]}
+        out = dl.flip(t, edge)
+        kept = {e for e in t.edges() if e[0] not in tris and t.twin(e)[0] not in tris}
+        assert out.hinge_cache == {e: e for e in kept}
+
     def test_nonconvex_hinge_rejected(self):
         # an obtuse triangle paired with a thin one gives a non-convex hinge
         tri1 = Polygon([(0.0, 0.0), (4.0, 0.0), (2.0, 0.2)])

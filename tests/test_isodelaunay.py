@@ -1,5 +1,6 @@
 """Walls, cells, and exploration of the iso-Delaunay tessellation."""
 
+import logging
 import math
 import random
 
@@ -225,7 +226,7 @@ class TestExploreShortcuts:
             again = iso.cell_at(ay, cell.sample)
             assert again.key == cell.key and again.comb_hash == cell.comb_hash
 
-    def test_memoized_walls_match_fresh_walls(self, exact_ball):
+    def test_memoized_walls_match_fresh_walls(self, exact_ball, float_ball):
         tess, memo = exact_ball
         assert memo.walls
         for cell in tess.cells:
@@ -233,6 +234,13 @@ class TestExploreShortcuts:
             for edge in t.edges():
                 h = dl.hinge(t, edge)
                 assert memo.walls[(h.p2, h.p3, h.p4)] == iso.wall_of_hinge(t, edge)
+        # Every cell's triangulation holds the wall of each of its edges,
+        # computed from the hinge it has now.
+        for cell in tess.cells + float_ball.cells:
+            t = cell.triangulation
+            assert set(t.edges()) <= set(t.hinge_cache)
+            for edge, w in t.hinge_cache.items():
+                assert w == iso.wall_of_hinge(t, edge)
 
     def test_float_ball_counts(self, float_surface):
         # The float path's figures today (ROADMAP item 4: it drops walls).
@@ -289,6 +297,73 @@ class TestExploreShortcuts:
             assert repr(a) == stored[a] and repr(b) == stored[b]
         zeros = [t for c in float_ball.cells for locus, _ in c.key for t in locus if t == 0]
         assert zeros and all(math.copysign(1.0, t) > 0 for t in zeros)
+
+
+class TestHingeCache:
+    """Walls kept on a triangulation stay those of its current hinges."""
+
+    @pytest.fixture(scope="class", params=("exact", "float"))
+    def base(self, request, ay):
+        from flatsurfkit.constructions import ay_trapezoid_shape, trapezoid_family
+
+        s = ay if request.param == "exact" else trapezoid_family(ay_trapezoid_shape())
+        return dl.triangulate(s)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_random_flips_keep_cached_walls_exact(self, base, data):
+        t = base
+        for _ in range(data.draw(st.integers(1, 8))):
+            for edge in t.edges():
+                iso._memo_wall(t, edge, None)
+            flippable = [
+                e for e in t.edges()
+                if t.twin(e)[0] != e[0] and dl.hinge(t, e).is_strictly_convex()
+            ]
+            edge = data.draw(st.sampled_from(flippable))
+            touched = {edge[0], t.twin(edge)[0]}
+            t = dl.flip(t, edge)
+            for e, w in t.hinge_cache.items():
+                assert w == iso.wall_of_hinge(t, e)
+            # The walls of the hinges the flip did not change are carried over.
+            for e in t.edges():
+                if e[0] not in touched and t.twin(e)[0] not in touched:
+                    assert e in t.hinge_cache
+
+    def test_cell_at_computes_only_the_flipped_walls(self, ay, monkeypatch):
+        cell = iso.cell_at(ay, iso.HPoint(0.0001, 1.0001))
+        computed = []
+        wall_of_hinge = iso.wall_of_hinge
+
+        def counting(t, edge):
+            computed.append(edge)
+            return wall_of_hinge(t, edge)
+
+        monkeypatch.setattr(iso, "wall_of_hinge", counting)
+        again = iso.cell_at(ay, cell.sample, _tri=cell.triangulation)
+        assert again.key == cell.key and computed == []
+
+
+class TestFallbackLogging:
+    def test_cell_at_logs_moving_its_sample(self, torus, caplog):
+        with caplog.at_level(logging.DEBUG, logger="flatsurfkit.isodelaunay"):
+            iso.cell_at(torus, iso.HPoint(0.0, 1.0))  # z = i lies on walls
+        assert any("lies on a wall" in r.getMessage() for r in caplog.records)
+
+    def test_failed_crossing_is_logged(self, torus, caplog):
+        # From the cell's own sample, no step of the ladder gets across the
+        # wall, so the crossing gives up.
+        cell = iso.cell_at(torus, iso.HPoint(0.05, 1.2))
+        memo = iso._Memo({})
+        with caplog.at_level(logging.DEBUG, logger="flatsurfkit.isodelaunay"):
+            got = iso._cross_wall(torus, cell, cell.constraints[0], cell.sample, memo)
+        assert got is None
+        assert any("no verified sample" in r.getMessage() for r in caplog.records)
+
+    def test_silent_when_nothing_falls_back(self, torus, caplog):
+        with caplog.at_level(logging.DEBUG, logger="flatsurfkit.isodelaunay"):
+            iso.cell_at(torus, iso.HPoint(0.05, 1.2))
+        assert caplog.records == []
 
 
 def _sampled_crossing_point(con, interval, z0, radius):

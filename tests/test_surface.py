@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from flatsurfkit import surface as surface_module
 from flatsurfkit.numeric import ALPHA, CubicNumber
 from flatsurfkit.surface import (
     HORIZONTAL,
@@ -95,14 +96,11 @@ class TestValidate:
         def torus(p):
             return [Gluing((p, 0), (p, 2), TRANSLATION), Gluing((p, 1), (p, 3), TRANSLATION)]
 
-        # Float hexagon of side 1e-3 with one vertex moved by 5e-10: every
-        # gluing matches within FLOAT_TOL, but the two vertex cycles are off
-        # 2*pi by about 5e-7.
-        hexagon = [(1e-3 * math.cos(k * math.pi / 3), 1e-3 * math.sin(k * math.pi / 3)) for k in range(6)]
-        hexagon[1] = (hexagon[1][0] + 5e-10, hexagon[1][1])
-        # Edges under FLOAT_TOL match any edge, so these gluings pass the
-        # vector check although they are not translations.
-        tiny = Polygon([(0.0, 0.0), (1e-11, 0.0), (1e-11, 1e-11), (0.0, 1e-11)])
+        # Unit float hexagon with one vertex moved by 9e-10 at 60 degrees:
+        # every gluing matches within FLOAT_TOL of the edge length (at most
+        # 0.9 of it), but the two vertex cycles are off 2*pi by 1.56e-9.
+        hexagon = [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
+        hexagon[1] = (hexagon[1][0] + 9e-10 * math.cos(math.pi / 3), hexagon[1][1] + 9e-10 * math.sin(math.pi / 3))
         return {
             "polygon-degenerate": Surface([Polygon([(0, 0), (1, 0)])], [Gluing((0, 0), (0, 1), TRANSLATION)]),
             "polygon-not-convex": Surface([Polygon(square[::-1])], torus(0)),
@@ -124,9 +122,11 @@ class TestValidate:
                 [Gluing((0, 0), (0, 1), TRANSLATION), Gluing((0, 2), (0, 2), REFLECTION)],
                 kind="half_translation",
             ),
-            # Parallel edges glued: two vertex cycles of angle pi.
+            # Parallel edges glued: two vertex cycles of angle pi.  The
+            # vector check rejects these gluings first (see
+            # test_violation_code), so this code is the fence behind it.
             "angle-odd": Surface(
-                [tiny, tiny],
+                [Polygon(square), Polygon(square)],
                 [Gluing((0, 0), (1, 0), TRANSLATION), Gluing((0, 1), (1, 1), TRANSLATION),
                  Gluing((0, 2), (1, 3), TRANSLATION), Gluing((0, 3), (1, 2), TRANSLATION)],
             ),
@@ -136,8 +136,38 @@ class TestValidate:
         "polygon-degenerate", "polygon-not-convex", "bad-kind", "vector-mismatch", "disconnected",
         "angle-inconsistent", "angle-too-small", "angle-odd",
     ))
-    def test_violation_code(self, code):
+    def test_violation_code(self, code, monkeypatch):
+        if code == "angle-odd":
+            # On a translation surface whose glued vectors match, every cone
+            # angle is an even multiple of pi, so the angle-odd fence is only
+            # reached with the vector check switched off.
+            monkeypatch.setattr(surface_module, "vectors_match", lambda v, w: True)
         assert {v.code for v in validate(self._bad_surfaces()[code])} == {code}
+
+    @pytest.mark.parametrize("side", (1.0, 1e-11, 1e11))
+    def test_vector_check_is_scale_free(self, side):
+        # A vertical edge glued to a horizontal one is a mismatch at every
+        # scale; an absolute tolerance let edges under 1e-9 match anything.
+        square = Polygon([(0.0, 0.0), (side, 0.0), (side, side), (0.0, side)])
+        s = Surface(
+            [square, square],
+            [Gluing((0, 0), (0, 2), TRANSLATION), Gluing((0, 1), (1, 0), TRANSLATION),
+             Gluing((0, 3), (1, 2), TRANSLATION), Gluing((1, 1), (1, 3), TRANSLATION)],
+        )
+        assert [(v.code, v.detail) for v in validate(s)] == [
+            ("vector-mismatch", "translation gluing (0, 1)~(1, 0) edges not antiparallel"),
+            ("vector-mismatch", "translation gluing (0, 3)~(1, 2) edges not antiparallel"),
+        ]
+
+    @pytest.mark.parametrize("side", (1.0, 1e-11, 1e11))
+    def test_vector_check_tolerates_relative_rounding(self, side):
+        # A mismatch of half FLOAT_TOL of the edge length passes at every scale.
+        nudged = side * (1 + 5e-10)
+        s = Surface(
+            [Polygon([(0.0, 0.0), (side, 0.0), (nudged, side), (0.0, side)])],
+            [Gluing((0, 0), (0, 2), TRANSLATION), Gluing((0, 1), (0, 3), TRANSLATION)],
+        )
+        assert validate(s) == []
 
 
 class TestVertexCycles:
