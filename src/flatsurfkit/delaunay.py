@@ -15,6 +15,8 @@ lengths (tolerance numeric.FLOAT_TOL).
 
 delaunayize and isodelaunay.delaunayize_at share one FIFO flip loop,
 flip_until, and differ only in the test that says a hinge needs a flip.
+One breadth-first walk, _code_below, serves canonical_code (over
+triangles) and symmetry.isometries_between (over labelled cell corners).
 
 A triangulation also carries hinge_cache: values derived from a hinge,
 keyed by the half-edge it was developed from, normally the canonical one
@@ -459,23 +461,20 @@ def decomposition(t: Triangulation) -> Surface:
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    cocircular: Dict[HalfEdge, bool] = {}
+    # An edge is interior to a cell only when its own hinge is cocircular;
+    # a cell may also be adjacent to itself across boundary edges (as on
+    # the square torus), which union-find alone cannot distinguish.
+    internal: Dict[HalfEdge, bool] = {}
     for e in t.edges():
         tw = t.twin(e)
         is_co = tw != e and hinge(t, e).is_cocircular()
-        cocircular[e] = cocircular[tw] = is_co
+        internal[e] = internal[tw] = is_co
         if is_co:
             union(e[0], tw[0])
 
     groups: Dict[int, List[int]] = {}
     for tri in range(n):
         groups.setdefault(find(tri), []).append(tri)
-
-    # An edge is interior to a cell only when its own hinge is cocircular;
-    # a cell may also be adjacent to itself across boundary edges (as on
-    # the square torus), which union-find alone cannot distinguish.
-    def internal(h: HalfEdge) -> bool:
-        return cocircular[h]
 
     # Develop each cell: per-triangle transform x -> eps * x + c.
     transforms: Dict[int, Tuple[int, Vec2]] = {}
@@ -488,7 +487,7 @@ def decomposition(t: Triangulation) -> Surface:
             eps_t, c_t = transforms[cur]
             for e in range(3):
                 he = (cur, e)
-                if not internal(he):
+                if not internal[he]:
                     continue
                 tw = t.twin(he)
                 nb = tw[0]
@@ -510,14 +509,14 @@ def decomposition(t: Triangulation) -> Surface:
     emitted = []  # (canonical chain, boundary half-edges from the chain's first vertex)
     for _, tris in sorted(groups.items()):
         boundary = [
-            (tri, e) for tri in tris for e in range(3) if not internal((tri, e))
+            (tri, e) for tri in tris for e in range(3) if not internal[(tri, e)]
         ]
         start = min(boundary)
         walk = [start]
         cur = start
         while True:
             cand = _next(cur)
-            while internal(cand):
+            while internal[cand]:
                 cand = _next(t.twin(cand))
             if cand == start:
                 break
@@ -557,18 +556,9 @@ def decomposition(t: Triangulation) -> Surface:
 
 
 def canonical_code(t: Triangulation, include_mirror: bool = True) -> Tuple[int, ...]:
-    """Combinatorial code of t, invariant under relabeling triangles and edges.
-
-    From a starting half-edge, a breadth-first search numbers half-edges in
-    discovery order, a whole triangle at a time, and the start's code lists
-    for each half-edge in that order the label of its twin; a mirror code
-    walks every triangle backwards.  The canonical code is the minimum over
-    all starts (and, with include_mirror, both orientations).
-
-    Entry i of a code is final at step i of its search, when the twin of
-    the i-th half-edge gets its label, so each start is built one entry at
-    a time and dropped at the first entry above the best code so far.
-    """
+    """Combinatorial code of t, invariant under relabeling triangles and edges:
+    the minimum of `_code_below` over all starts, walking each triangle
+    forwards and, with include_mirror, backwards."""
     m = 3 * t.num_triangles
     twin = [0] * m
     for (tri, e), (tt, te) in t.glue.items():
@@ -579,37 +569,54 @@ def canonical_code(t: Triangulation, include_mirror: bool = True) -> Tuple[int, 
     best = None
     for step in steps:
         for start in range(m):
-            code = _code_below(twin, step, start, best)
-            if code is not None:
-                best = code
+            found = _code_below(twin, step, start, best)
+            if found is not None:
+                best = found[0]
     return tuple(best)
 
 
-def _code_below(twin: List[int], step: List[int], start: int,
-                best: Optional[List[int]]) -> Optional[List[int]]:
-    """The code from start (half-edges 3*tri + e, triangles walked by step),
-    or None as soon as it cannot be smaller than best."""
-    labels = [-1] * len(twin)
-    h1 = step[start]
-    labels[start], labels[h1], labels[step[h1]] = 0, 1, 2
-    order = [start, h1, step[h1]]
+def _code_below(twin: List[int], step: List[int], start: int, best: Optional[List[int]],
+                labels: Optional[List[int]] = None) -> Optional[Tuple[List[int], List[int]]]:
+    """(code, discovery order) of the walk from start, or None as soon as
+    the code is known to be above best.
+
+    A breadth-first walk numbers half-edges in discovery order, a whole
+    cycle of step at a time (a triangle, or a cell's corners).  Entry i is
+    the number of the i-th half-edge h's twin, plus labels[h] * len(twin)
+    with labels; it is final once that twin is numbered, so the walk stops
+    at the first entry above best.  Equal codes from two starts pair their
+    discovery orders into a bijection that keeps twin, step and labels, if
+    equal labels mean equal cycle lengths (3 on a triangulation; cell
+    labels carry the cell's size).
+    """
+    m = len(twin)
+    num = [-1] * m
+    order: List[int] = []
+    h = start
+    while num[h] < 0:
+        num[h] = len(order)
+        order.append(h)
+        h = step[h]
     code: List[int] = []
     tied = best is not None
-    for h in order:
+    for h in order:  # order grows while it is walked
         tw = twin[h]
-        label = labels[tw]
-        if label < 0:
-            label = len(order)
-            h1 = step[tw]
-            labels[tw], labels[h1], labels[step[h1]] = label, label + 1, label + 2
-            order += (tw, h1, step[h1])
+        entry = num[tw]
+        if entry < 0:
+            entry = len(order)
+            while num[tw] < 0:
+                num[tw] = len(order)
+                order.append(tw)
+                tw = step[tw]
+        if labels is not None:
+            entry += labels[h] * m
         if tied:
             i = len(code)
-            if i == len(best) or label > best[i]:
+            if i == len(best) or entry > best[i]:
                 return None
-            tied = label == best[i]
-        code.append(label)
-    return None if tied and len(code) == len(best) else code
+            tied = entry == best[i]
+        code.append(entry)
+    return code, order
 
 
 def triangle_shape_multiset(t: Triangulation):

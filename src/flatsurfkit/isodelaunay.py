@@ -453,6 +453,12 @@ class Tessellation:
         return [seen[k] for k in sorted(seen, key=repr)]
 
 
+def _no_crossing_point(con: _Constraint, lo: float, hi: float, reason: str) -> None:
+    """Log why a facet on v in (lo, hi) gets no crossing point."""
+    _log.debug("_facet_crossing_point: wall %r on (%r, %r): %s; not crossed",
+               con.wall.normalized_floats(), lo, hi, reason)
+
+
 def _facet_crossing_point(con: _Constraint, interval, z0: HPoint, radius: float) -> Optional[HPoint]:
     """Hyperbolic midpoint of the facet clipped to the ball, as a float point.
 
@@ -461,7 +467,8 @@ def _facet_crossing_point(con: _Constraint, interval, z0: HPoint, radius: float)
     one whose arclength coordinate is nearest the middle of their range is
     returned.  On circle walls only the samples near the ball's theta-range
     are tested.  The test is HPoint.hyperbolic_distance written out, and
-    only the returned point becomes an HPoint.
+    only the returned point becomes an HPoint.  None, when the geodesic
+    misses the ball or no sample lands in it, is logged at DEBUG.
     """
     lo, hi = interval
     lo_f = -math.inf if lo is None else to_float(lo)
@@ -473,7 +480,7 @@ def _facet_crossing_point(con: _Constraint, interval, z0: HPoint, radius: float)
     samples: List[Tuple[float, float, float]] = []
     if kind == "circle":
         if r == 0:
-            return None
+            return _no_crossing_point(con, lo_f, hi_f, "the geodesic misses the ball")
         center = p
         # v = center + r cos(theta), y = r sin(theta)
         n = 512
@@ -492,7 +499,7 @@ def _facet_crossing_point(con: _Constraint, interval, z0: HPoint, radius: float)
         q = -(y0 * y0 + d * d + r * r) / (2 * r * m)
         if math.isfinite(q):
             if q < -1 - 1e-9:
-                return None
+                return _no_crossing_point(con, lo_f, hi_f, "the geodesic misses the ball")
             phi = math.atan2(-big_y, d)
             beta = math.acos(max(q, -1.0))
             k_lo = max(k_lo, math.floor((phi + beta) * n / math.pi) - 2)
@@ -522,7 +529,7 @@ def _facet_crossing_point(con: _Constraint, interval, z0: HPoint, radius: float)
             if math.acosh(1.0 + (dx * dx + dy * dy) / (2.0 * y * y0)) <= radius:
                 samples.append((math.log(y), x, y))
     if not samples:
-        return None
+        return _no_crossing_point(con, lo_f, hi_f, "no sample of the facet lies in the ball")
     s_mid = 0.5 * (samples[0][0] + samples[-1][0])
     _, x, y = min(samples, key=lambda t: abs(t[0] - s_mid))
     return HPoint(x, y)

@@ -2,11 +2,9 @@
 
 The Delaunay decomposition is isometry-invariant and canonical up to the
 order of congruent cells, so two surfaces are isometric exactly when their
-decompositions admit a flag-compatible matching.  The search fixes a base
-flag (cell 0, corner 0) of the first decomposition and tries every flag of
-the second as its image, which makes the order of congruent cells harmless;
-each image flag and orientation forces the candidate derivative, accepted
-when it is orthogonal and the flag map propagates over all cells and gluings.
+decompositions admit a flag-compatible matching.  `isometries_between`
+finds each one as a start whose labelled walk (`delaunay._code_below`)
+ties with a base flag's, so the order of congruent cells is harmless.
 """
 
 from __future__ import annotations
@@ -24,12 +22,10 @@ from .numeric import (
     Mat2,
     Vec2,
     dot,
-    mat_det,
+    is_exact,
     mat_inv,
     mat_mul,
     mat_transpose,
-    mat_vec,
-    sign,
     to_float,
     vec_neg,
     vectors_match,
@@ -51,14 +47,6 @@ def _offsets(s: Surface) -> List[int]:
     return list(accumulate((len(poly) for poly in s.polygons), initial=0))
 
 
-def _is_orthogonal(m: Mat2) -> bool:
-    """m^T m = I: exactly on exact entries; on floats the Frobenius norm of
-    m^T m - I is at most FLOAT_TOL."""
-    g = mat_mul(mat_transpose(m), m)
-    residual = (g[0][0] - 1, g[0][1], g[1][0], g[1][1] - 1)
-    return sign(sum(x * x for x in residual), FLOAT_TOL * FLOAT_TOL) == 0
-
-
 @dataclass
 class Isometry:
     """An isometry presented on the Delaunay decomposition.
@@ -66,8 +54,10 @@ class Isometry:
     perm is the flag map: it sends flag (cell, corner), numbered
     offsets[cell] + corner (`_offsets`), of the source decomposition to a
     flag of the target (`image` reads one back), and alone decides equality.
-    The derivative is a single orthogonal matrix (the decompositions here
-    are translation surfaces, whose charts share one tangent plane).
+    The derivative is the orthogonal matrix read in the charts of source
+    cell 0 and its image cell.  The search requires every cell to share it,
+    which on a half-translation surface (`genus2`, `cut_and_reglue_square`)
+    depends on the chart sign each cell was given.
     """
 
     source: Surface
@@ -116,109 +106,103 @@ class Isometry:
         return "other"
 
 
-def _solve_derivative(u1: Vec2, u2: Vec2, w1: Vec2, w2: Vec2) -> Optional[Mat2]:
-    """The matrix sending u1 -> w1, u2 -> w2, if the u's are independent."""
+def _solve_derivative(u1: Vec2, u2: Vec2, w1: Vec2, w2: Vec2) -> Mat2:
+    """The matrix sending u1 -> w1 and u2 -> w2 (the u's independent)."""
     u = ((u1[0], u2[0]), (u1[1], u2[1]))
-    if sign(mat_det(u)) == 0:
-        return None
     w = ((w1[0], w2[0]), (w1[1], w2[1]))
     return mat_mul(w, mat_inv(u))
 
 
-def _corner_edges(s: Surface, flag: Flag) -> Tuple[Vec2, Vec2]:
-    """(outgoing, incoming) edge vectors at a corner."""
-    p, i = flag
-    poly = s.polygons[p]
-    n = len(poly)
-    return poly.edge_vector(i), poly.edge_vector((i - 1) % n)
+def _flags(a: Surface, b: Surface) -> Tuple[List[Vec2], List[int], List[int], List[int], List[tuple]]:
+    """(edge, next, prev, twin, glue) of a's flags, then b's: flag offsets[p] + i
+    is edge i of cell p, from corner i to i + 1, and stands for corner i; twin
+    is the flag glued to it, glue its gluing kind and cell size."""
+    edge, nxt, prev, twin, glue = [], [], [], [], []
+    for s in (a, b):
+        off = [len(edge) + k for k in _offsets(s)]
+        for p, poly in enumerate(s.polygons):
+            n = len(poly)
+            for i in range(n):
+                edge.append(poly.edge_vector(i))
+                nxt.append(off[p] + (i + 1) % n)
+                prev.append(off[p] + (i - 1) % n)
+                q, j = s.partner((p, i))
+                twin.append(off[q] + j)
+                glue.append((s.gluing_kind((p, i)), n))
+    return edge, nxt, prev, twin, glue
 
 
-def _propagate(
-    a: Surface,
-    b: Surface,
-    deriv: Mat2,
-    orientation: int,
-    image: Flag,
-) -> Optional[Tuple[int, ...]]:
-    """Extend 'flag (0, 0) goes to image' to a flag permutation, or fail.
+def _float_ids(values: List[float], relative: bool) -> List[int]:
+    """Ids, equal for values within 2 FLOAT_TOL (times the larger value when
+    relative, for positive values): sorted values merge with their neighbours,
+    and a merged run whose ends are farther apart than that raises SurfaceError."""
+    ids = [0] * len(values)
+    group, first, last = -1, None, None
+    for k in sorted(range(len(values)), key=values.__getitem__):
+        v = values[k]
+        tol = 2 * FLOAT_TOL * (v if relative else 1.0)
+        if last is None or v - last > tol:
+            group, first = group + 1, v
+        elif v - first > tol:
+            raise SurfaceError(f"corner values {first!r} .. {v!r} chain within tolerance "
+                               "but are not within it of each other")
+        ids[k], last = group, v
+    return ids
 
-    Per-cell assignments are (image cell, c0) with corner map
-    x -> (c0 + orientation * x) mod n.
-    """
-    off_a, off_b = _offsets(a), _offsets(b)
-    perm: List[Optional[int]] = [None] * off_a[-1]
-    queue = [(0, *image)]
-    while queue:
-        p, q, c0 = queue.pop()
-        if perm[off_a[p]] is not None:
-            if perm[off_a[p]] != off_b[q] + c0:  # corner 0 goes to corner c0
-                return None
-            continue
-        poly_a = a.polygons[p]
-        poly_b = b.polygons[q]
-        n = len(poly_a)
-        if len(poly_b) != n:
-            return None
-        for x in range(n):
-            perm[off_a[p] + x] = off_b[q] + (c0 + orientation * x) % n
-            if orientation == 1:
-                m = (c0 + x) % n
-                want = poly_b.edge_vector(m)
-            else:
-                m = (c0 - x - 1) % n
-                want = vec_neg(poly_b.edge_vector(m))
-            if not vectors_match(mat_vec(deriv, poly_a.edge_vector(x)), want):
-                return None
-            if a.gluing_kind((p, x)) != b.gluing_kind((q, m)):
-                return None
-            p2, x2 = a.partner((p, x))
-            q2, m2 = b.partner((q, m))
-            n2 = len(b.polygons[q2])
-            if orientation == 1:
-                c2 = (m2 - x2) % n2
-            else:
-                c2 = (m2 + 1 + x2) % n2
-            queue.append((p2, q2, c2))
-    if None in perm:
-        return None
-    return tuple(perm)
+
+def _corner_labels(edge: List[Vec2], nxt: List[int], prev: List[int], glue: List[tuple]):
+    """(forward, mirror) interned labels of the flags.  Forward, flag k gets
+    (|out|^2, |in|^2, out.in) of out = edge k and in = the edge before it, and
+    glue[k]; mirror reads in = the edge after it, as a reversing isometry
+    sends a corner to the corner at the end of an edge.  Exact entries intern
+    by value, float ones as (|out|^2, |in|^2, cos) through `_float_ids`."""
+    sq = [dot(e, e) for e in edge]
+    dots = [dot(e, edge[prev[k]]) for k, e in enumerate(edge)]
+    if not all(map(is_exact, sq + dots)):
+        sq = [to_float(x) for x in sq]
+        dots = _float_ids([to_float(d) / math.sqrt(sq[k] * sq[prev[k]]) for k, d in enumerate(dots)], False)
+        sq = _float_ids(sq, True)
+    index: Dict[tuple, int] = {}
+
+    def label(k: int, other: int, corner: int) -> int:
+        return index.setdefault((sq[k], sq[other], dots[corner], glue[k]), len(index))
+
+    return [label(k, prev[k], k) for k in range(len(edge))], [label(k, nxt[k], nxt[k]) for k in range(len(edge))]
 
 
 def isometries_between(dec_a: Surface, dec_b: Surface) -> List[Isometry]:
-    """All isometries between two Delaunay decompositions (may be empty)."""
+    """All isometries between two Delaunay decompositions (may be empty).
+
+    a's code is `delaunay._code_below`'s walk over the labelled flags from
+    flag 0; every start and orientation of b whose code ties with it is an
+    isometry, its flag map read off the two discovery orders.  Equal Gram
+    entries at a corner fix one orthogonal map of the walk's determinant,
+    two such maps that agree on a shared edge are equal, and equal gluing
+    kinds carry the map across each gluing; so on a connected decomposition
+    equal labels everywhere force one derivative, and no edge is checked
+    after the walk.  The derivative is solved once per isometry, at flag 0.
+    """
     out: List[Isometry] = []
-    if not dec_a.polygons or not dec_b.polygons:
+    edge, nxt, prev, twin, glue = _flags(dec_a, dec_b)
+    m = _offsets(dec_a)[-1]
+    if not m or len(edge) != 2 * m:
         return out
-    u1, u2 = _corner_edges(dec_a, (0, 0))
-    # An orthogonal derivative keeps the corner's Gram entries |out|^2, |in|^2
-    # and out.in, so an image corner whose entries differ is rejected before
-    # the derivative is solved.  Exact entries are compared exactly.  A float
-    # derivative D that _is_orthogonal accepts has |D^T D - I| <= FLOAT_TOL,
-    # which moves the entry of vectors x, y by at most FLOAT_TOL |x| |y| plus
-    # rounding; a float entry is rejected only beyond twice that.
-    gram = (dot(u1, u1), dot(u2, u2), dot(u1, u2))
-    n1, n2 = to_float(gram[0]), to_float(gram[1])
-    tols = (2 * FLOAT_TOL * n1, 2 * FLOAT_TOL * n2, 2 * FLOAT_TOL * math.sqrt(n1 * n2))
-    for q, poly in enumerate(dec_b.polygons):
-        for j in range(len(poly)):
-            w_out, w_in = _corner_edges(dec_b, (q, j))
-            g_out, g_in, g_cross = dot(w_out, w_out), dot(w_in, w_in), dot(w_out, w_in)
-            if sign(g_cross - gram[2], tols[2]) != 0:
+    forward, mirror = _corner_labels(edge, nxt, prev, glue)
+    code, order_a = dl._code_below(twin, nxt, 0, None, forward)
+    if len(order_a) < m:
+        return out  # a is not connected
+    for orientation, step, labels in ((1, nxt, forward), (-1, prev, mirror)):
+        for start in range(m, 2 * m):
+            found = dl._code_below(twin, step, start, code, labels)
+            if found is None or found[0] != code:
                 continue
-            for orientation in (1, -1):
-                # Reversing sends u1 to -w_in and u2 to -w_out.
-                g1, g2 = (g_out, g_in) if orientation == 1 else (g_in, g_out)
-                if sign(g1 - gram[0], tols[0]) != 0 or sign(g2 - gram[1], tols[1]) != 0:
-                    continue
-                if orientation == 1:
-                    deriv = _solve_derivative(u1, u2, w_out, w_in)
-                else:
-                    deriv = _solve_derivative(u1, u2, vec_neg(w_in), vec_neg(w_out))
-                if deriv is None or not _is_orthogonal(deriv):
-                    continue
-                perm = _propagate(dec_a, dec_b, deriv, orientation, (q, j))
-                if perm is not None:
-                    out.append(Isometry(dec_a, dec_b, deriv, orientation, perm))
+            image = dict(zip(order_a, found[1]))
+            # Reversing, edge k goes to edge image[k] backwards: corner k to its end.
+            perm = tuple((image[k] if orientation == 1 else nxt[image[k]]) - m for k in range(m))
+            w1, w2 = edge[image[0]], edge[image[prev[0]]]
+            if orientation == -1:
+                w1, w2 = vec_neg(w1), vec_neg(w2)
+            out.append(Isometry(dec_a, dec_b, _solve_derivative(edge[0], edge[prev[0]], w1, w2), orientation, perm))
     # Offsets are monotone, so this orders by the image of flag (0, 0).
     out.sort(key=lambda iso: (iso.perm[0], -iso.orientation))
     return out

@@ -360,6 +360,18 @@ class TestFallbackLogging:
         assert got is None
         assert any("no verified sample" in r.getMessage() for r in caplog.records)
 
+    @pytest.mark.parametrize("z0, radius, interval, reason", [
+        # The unit circle passes through i, but no theta-sample has v in the interval.
+        (iso.HPoint(0.0, 1.0), 1.0, (1e-6, 2e-6), "no sample of the facet lies in the ball"),
+        (iso.HPoint(0.0, 10.0), 0.1, (None, None), "the geodesic misses the ball"),
+    ], ids=["no-sample", "miss"])
+    def test_facet_without_crossing_point_is_logged(self, z0, radius, interval, reason, caplog):
+        con = iso._Constraint(iso.Wall(1.0, 0.0, -1.0))
+        with caplog.at_level(logging.DEBUG, logger="flatsurfkit.isodelaunay"):
+            assert iso._facet_crossing_point(con, interval, z0, radius) is None
+        [record] = caplog.records
+        assert reason in record.getMessage() and "(1.0, 0.0, -1.0)" in record.getMessage()
+
     def test_silent_when_nothing_falls_back(self, torus, caplog):
         with caplog.at_level(logging.DEBUG, logger="flatsurfkit.isodelaunay"):
             iso.cell_at(torus, iso.HPoint(0.05, 1.2))
