@@ -14,8 +14,11 @@ always, or never.  Cells are intersections of wall half-planes; in the
 coordinates (u, v) = (x**2 + y**2, x) walls become straight lines and H
 the region u > v**2, so supporting walls are found by exact 1-dimensional
 feasibility tests.  On an exact surface every combinatorial decision is
-exact; floating point only chooses sample points, which are rationalized
-and then verified.
+exact: a wall's side of a sample and each sign of the facet test are taken
+in doubles where a proven error bound separates the value from 0 (see
+_SIDE_EPS and _FACET_EPS), and in Q(alpha) otherwise.  Floating point
+otherwise only chooses sample points, which are rationalized and then
+verified.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ _log = logging.getLogger("flatsurfkit.isodelaunay")
 ALWAYS = "always"
 NEVER = "never"
 
-# The float tolerance of the facet feasibility test in _supporting_interval.
+# The float tolerance of the facet test on float walls (_FloatLine).
 _FACET_TOL = 1e-13
 
 
@@ -62,7 +65,20 @@ class HPoint:
         return math.acosh(1.0 + (dx * dx + dy * dy) / (2.0 * self.y * other.y))
 
 
-@dataclass(frozen=True)
+# The wall-side filter of Wall.side.  With u = 2**-53: float(CubicNumber) is
+# within one ulp (relative 2u) of its value and float(Fraction) within u, so
+# fa, fb, fc and the sample's fu, fv carry relative errors of at most 2u and
+# u.  Each product t = fl(fa * fu) is then within 4.1u|t| of a*u, and the two
+# sums add at most 2u(|t1| + |t2|) + u|fc|; with the 2u of fc the computed q
+# lies within 7u * (|t1| + |t2| + |fc|) of a*u + b*v + c, and the filter
+# tests against 8u times that sum.  Wall._filtered keeps every nonzero
+# coefficient's double in [2**-1022, 1], so underflow, of a product or of
+# fu, fv, puts each term off by at most 2**-1075 more: _TINY covers them.
+_SIDE_EPS = 8 * 2.0 ** -53
+_TINY = 2.0 ** -1000
+
+
+@dataclass(frozen=True, slots=True)
 class Wall:
     """Oriented geodesic form q = a (x**2 + y**2) + b x + c.
 
@@ -71,21 +87,71 @@ class Wall:
     vertical line (a = 0, b != 0).  Coefficients are scaled so the largest
     |coefficient| is 1; reporting flips the sign so the first nonzero
     coefficient is positive (the orientation is kept separately).
+
+    The coefficients' doubles (fa, fb, fc), whether all three are exact
+    and the orientation are computed once, and so is an exact wall's
+    oriented key.  On an exact wall every sign is exact: side() and the
+    facet test of _supporting_interval decide it in doubles where a proven
+    error bound separates the value from 0, and in Q(alpha) otherwise.  A
+    float wall's signs are its float expressions against a tolerance.
     """
 
     a: Scalar
     b: Scalar
     c: Scalar
+    fa: float = field(init=False, repr=False, compare=False)
+    fb: float = field(init=False, repr=False, compare=False)
+    fc: float = field(init=False, repr=False, compare=False)
+    exact: bool = field(init=False, repr=False, compare=False)
+    orientation: int = field(init=False, repr=False, compare=False)
+    # Whether the double filters apply: an exact wall whose coefficients are
+    # 0 or have doubles of magnitude in [2**-1022, 1] (normalized walls do).
+    _filtered: bool = field(init=False, repr=False, compare=False)
+    _key: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        a, b, c = self.a, self.b, self.c
+        fa, fb, fc = float(a), float(b), float(c)
+        sa, sb, sc = sign(a), sign(b), sign(c)
+        exact = is_exact(a) and is_exact(b) and is_exact(c)
+        filtered = exact and all(2.0 ** -1022 <= abs(f) <= 1.0 if s else f == 0.0
+                                 for f, s in ((fa, sa), (fb, sb), (fc, sc)))
+        put = object.__setattr__
+        put(self, "fa", fa)
+        put(self, "fb", fb)
+        put(self, "fc", fc)
+        put(self, "exact", exact)
+        put(self, "orientation", sa or sb or sc or 1)
+        put(self, "_filtered", filtered)
+        put(self, "_key", None)
 
     def evaluate(self, u: Scalar, v: Scalar) -> Scalar:
         """The linear form a*u + b*v + c in the coordinates u = |z|^2, v = x."""
         return self.a * u + self.b * v + self.c
 
+    def side(self, u: Scalar, v: Scalar, fu: float, fv: float) -> int:
+        """sign(self.evaluate(u, v), FLOAT_TOL), given fu = float(u) and
+        fv = float(v) (infinite where they overflow).
+
+        An exact wall takes the sign of the double evaluation where it
+        exceeds the error bound (see _SIDE_EPS), and the exact sign
+        otherwise; a float wall evaluates the same expression in doubles.
+        """
+        t1 = self.fa * fu
+        t2 = self.fb * fv
+        q = t1 + t2 + self.fc
+        if not self.exact:
+            return (q > FLOAT_TOL) - (q < -FLOAT_TOL)
+        # A non-finite q or bound fails the test and falls through.
+        if self._filtered and abs(q) > _SIDE_EPS * (abs(t1) + abs(t2) + abs(self.fc)) + _TINY:
+            return 1 if q > 0 else -1
+        return sign(self.evaluate(u, v), FLOAT_TOL)
+
     def value_at(self, x: Scalar, y: Scalar) -> Scalar:
         return self.a * (x * x + y * y) + self.b * x + self.c
 
     def floats(self) -> Tuple[float, float, float]:
-        return (to_float(self.a), to_float(self.b), to_float(self.c))
+        return (self.fa, self.fb, self.fc)
 
     @property
     def is_vertical(self) -> bool:
@@ -102,28 +168,31 @@ class Wall:
         rad2 = center * center - c / a
         return ("circle", center, math.sqrt(max(rad2, 0.0)))
 
-    def _orientation(self) -> int:
-        for lead in (self.a, self.b, self.c):
-            s = sign(lead)
-            if s:
-                return s
-        return 1
-
     def locus_key(self):
         """Orientation-free key identifying the geodesic."""
-        flip = self._orientation()
-        if is_exact(self.a) and is_exact(self.b) and is_exact(self.c):
-            return (coefficients(flip * self.a), coefficients(flip * self.b), coefficients(flip * self.c))
-        # + 0.0 turns -0.0 into 0.0, so that equal keys have one repr.
-        return tuple(round(flip * t, 9) + 0.0 for t in self.floats())
+        return self.oriented_key()[0]
 
     def oriented_key(self):
-        """(locus key, side): identifies the geodesic plus its Delaunay side."""
-        return (self.locus_key(), self._orientation())
+        """(locus key, side): identifies the geodesic plus its Delaunay side.
+
+        An exact wall's key costs nine Fractions and is kept; a float wall
+        rounds its three doubles on each call, which costs less than the
+        memory of keeping the key on every float wall.
+        """
+        key = self._key
+        if key is not None:
+            return key
+        flip = self.orientation
+        if not self.exact:
+            # + 0.0 turns -0.0 into 0.0, so that equal keys have one repr.
+            return (tuple(round(flip * t, 9) + 0.0 for t in self.floats()), flip)
+        key = ((coefficients(flip * self.a), coefficients(flip * self.b), coefficients(flip * self.c)), flip)
+        object.__setattr__(self, "_key", key)
+        return key
 
     def normalized_floats(self) -> Tuple[float, float, float]:
         """Reported form: max |coefficient| = 1, first nonzero positive."""
-        flip = self._orientation()
+        flip = self.orientation
         return tuple(flip * t for t in self.floats())
 
 
@@ -211,14 +280,24 @@ def _memo_wall(t: Triangulation, edge: HalfEdge, walls: Optional[dict]):
     return w
 
 
-def _q_sign(t: Triangulation, edge: HalfEdge, u: Scalar, v: Scalar, walls: Optional[dict]) -> int:
+def _sample_floats(u: Scalar, v: Scalar) -> Tuple[float, float]:
+    """(float(u), float(v)) for Wall.side; infinite where a value overflows,
+    which sends an exact wall's sign to its exact evaluation."""
+    try:
+        return float(u), float(v)
+    except OverflowError:
+        return math.inf, math.inf
+
+
+def _q_sign(t: Triangulation, edge: HalfEdge, u: Scalar, v: Scalar, fu: float, fv: float,
+            walls: Optional[dict]) -> int:
     """Sign of the hinge's Delaunay form at (u, v); negative means Delaunay."""
     w = _memo_wall(t, edge, walls)
     if w is ALWAYS:
         return -1
     if w is NEVER:
         return 1
-    return sign(w.evaluate(u, v), FLOAT_TOL)
+    return w.side(u, v, fu, fv)
 
 
 def delaunayize_at(t: Triangulation, u: Scalar, v: Scalar, _walls: Optional[dict] = None) -> Triangulation:
@@ -231,7 +310,8 @@ def delaunayize_at(t: Triangulation, u: Scalar, v: Scalar, _walls: Optional[dict
     of every edge.  _walls, when given (exact input), memoizes the rest by
     developed hinge.
     """
-    return dl.flip_until(t, lambda out, edge: _q_sign(out, edge, u, v, _walls) > 0)
+    fu, fv = _sample_floats(u, v)
+    return dl.flip_until(t, lambda out, edge: _q_sign(out, edge, u, v, fu, fv, _walls) > 0)
 
 
 # -- cells ------------------------------------------------------------------------------
@@ -272,7 +352,8 @@ class _Constraint:
         return self.wall.oriented_key()
 
 
-def _collect_constraints(t: Triangulation, u: Scalar, v: Scalar, walls: Optional[dict]) -> List[_Constraint]:
+def _collect_constraints(t: Triangulation, u: Scalar, v: Scalar, fu: float, fv: float,
+                         walls: Optional[dict]) -> List[_Constraint]:
     by_key: Dict[object, _Constraint] = {}
     for edge in t.edges():
         w = _memo_wall(t, edge, walls)
@@ -280,7 +361,7 @@ def _collect_constraints(t: Triangulation, u: Scalar, v: Scalar, walls: Optional
             if w is NEVER:
                 raise IsoDelaunayError("never-Delaunay hinge in a Delaunay triangulation")
             continue
-        s = sign(w.evaluate(u, v), FLOAT_TOL)
+        s = w.side(u, v, fu, fv)
         if s == 0:
             raise _OnWall
         if s > 0:
@@ -298,63 +379,233 @@ class _OnWall(Exception):
     """The sample lies on a wall."""
 
 
-def _supporting_interval(target: _Constraint, others: Sequence[_Constraint]):
-    """Parameter interval of the facet: points of the wall on the cell
-    boundary and inside H, or None when the wall is redundant.
+# The facet filter of _ExactLine.  Each sign the facet test takes on an exact
+# target is the sign of a polynomial in the target's coefficients (A, B, C)
+# and another wall's, evaluated in doubles.  Count its error in units of
+# u = 2**-53 along each path from a coefficient to the result: a
+# coefficient's double is 2 units off (one ulp) and every operation adds 1.
+# Then each monomial of the minors p, q is 6 units off, of a bound order
+# p_x q_y - p_y q_x 14, of the parabola p (B q - A p) - C q**2 18 and of the
+# vertical test (p B) B + (C C) q 13.  So the computed value is within
+# gamma_18 = 18u / (1 - 18u) of the sum of the monomials' magnitudes; the
+# same expression on |coefficients| computes that sum to within a factor
+# 1 + gamma_18, and _FACET_EPS = 32u covers both.  Wall._filtered keeps the
+# coefficients in [2**-1022, 1], so |p|, |q| <= 2, and a product that
+# underflows (off by 2**-1075) is scaled by at most 2**4 afterwards: _TINY
+# covers every such term.
+_FACET_EPS = 2.0 ** -48
 
-    The wall line in (u, v) coordinates is (u0 + s*du, v0 + s*dv): a circle
-    wall is parametrized by v = s, a vertical wall by u = s.  All
-    computations are linear/quadratic sign evaluations over the scalar
-    field; the parabola u > v**2 enters as a concave quadratic.
+
+def _filtered_sign(x: float, mag: float) -> int:
+    """The sign of the exact value x approximates, when |x| exceeds the
+    facet filter's bound for monomial magnitude mag; 0 when undecided."""
+    t = _FACET_EPS * mag + _TINY
+    return (x > t) - (x < -t)
+
+
+class _Bound:
+    """The point s = -p/q of an exact target's line (see _ExactLine).
+
+    p, q are doubles, mp, mq the magnitudes of their monomials (infinite
+    when the filter does not apply), sq the exact sign of q; ep, eq are the
+    exact p, q, computed when a sign needs them.  wall is the wall that
+    bounds the facet there, or None for the vertex of the parabola.
     """
-    w = target.wall
-    vertical = w.is_vertical
-    if vertical:
-        # v = -c/b
-        inv = Fraction(1) / w.b
-        u0, du, v0, dv = 0, 1, -w.c * inv, 0
-    else:
-        # u = -(b v + c)/a
-        inv = Fraction(1) / w.a
-        u0, du, v0, dv = -w.c * inv, -w.b * inv, 0, 1
-    lo: Optional[Scalar] = None
-    hi: Optional[Scalar] = None
 
+    __slots__ = ("wall", "p", "q", "mp", "mq", "sq", "ep", "eq")
+
+    def __init__(self, wall, p, q, mp, mq):
+        self.wall = wall
+        self.p, self.q, self.mp, self.mq = p, q, mp, mq
+        self.ep = self.eq = None
+
+
+class _ExactLine:
+    """An exact target wall (A, B, C) as a line in (u, v), division free.
+
+    A circle wall is parametrized by v = s, u = -(B s + C)/A, a vertical
+    wall by u = s, v = -C/B.  Another wall (a, b, c) is (p + q s)/D along
+    it, with D = A, p = c A - a C, q = b A - a B on a circle wall and D = B,
+    p = c B - b C, q = a B on a vertical one, so it bounds the facet at
+    s = -p/q.  sign(D) is the wall's orientation.  Every sign is filtered
+    (see _FACET_EPS) and falls back to the exact sign of its polynomial.
+    """
+
+    def __init__(self, w: Wall):
+        self.wall = w
+        self.vertical = w.is_vertical
+        self.sd = w.orientation
+        self.A, self.B, self.C = w.fa, w.fb, w.fc
+        self.filtered = w._filtered
+        if w._filtered:
+            self.mA, self.mB, self.mC = abs(w.fa), abs(w.fb), abs(w.fc)
+        else:
+            self.mA = self.mB = self.mC = math.inf
+
+    def bound(self, w: Wall):
+        """(sign of w's slope along the line, its bound), or (0, sign of w
+        along the line) when w is parallel to it."""
+        A, B, C = self.A, self.B, self.C
+        a, b, c = w.fa, w.fb, w.fc
+        if self.vertical:
+            cB, bC = c * B, b * C
+            p, q = cB - bC, a * B
+            mp, mq = abs(cB) + abs(bC), abs(q)
+        else:
+            cA, aC, bA, aB = c * A, a * C, b * A, a * B
+            p, q = cA - aC, bA - aB
+            mp, mq = abs(cA) + abs(aC), abs(bA) + abs(aB)
+        if not (self.filtered and w._filtered):
+            mp = mq = math.inf
+        x = _Bound(w, p, q, mp, mq)
+        x.sq = _filtered_sign(q, x.mq) or sign(self._exact(x)[1])
+        if x.sq == 0:
+            return 0, (_filtered_sign(p, x.mp) or sign(self._exact(x)[0])) * self.sd
+        return x.sq * self.sd, x
+
+    def _exact(self, x: _Bound):
+        if x.ep is None:
+            w, t = x.wall, self.wall
+            if self.vertical:
+                x.ep, x.eq = w.c * t.b - w.b * t.c, w.a * t.b
+            else:
+                x.ep, x.eq = w.c * t.a - w.a * t.c, w.b * t.a - w.a * t.b
+        return x.ep, x.eq
+
+    def less(self, x: _Bound, y: _Bound) -> bool:
+        """x < y: y - x = (p_x q_y - p_y q_x) / (q_x q_y)."""
+        s = _filtered_sign(x.p * y.q - y.p * x.q, x.mp * y.mq + y.mp * x.mq)
+        if not s:
+            (xp, xq), (yp, yq) = self._exact(x), self._exact(y)
+            s = sign(xp * yq - yp * xq)
+        return s * x.sq * y.sq > 0
+
+    def vertex(self) -> _Bound:
+        """The top s = -B/(2A) of the parabola along a circle wall."""
+        x = _Bound(None, self.B, 2 * self.A, self.mB, 2 * self.mA)
+        x.sq = self.sd
+        x.ep, x.eq = self.wall.b, 2 * self.wall.a
+        return x
+
+    def inside(self, x: _Bound) -> bool:
+        """Whether g(s) = u(s) - v(s)**2 > 0 at s = x: the point is in H."""
+        p, q, mp, mq = x.p, x.q, x.mp, x.mq
+        A, B, C, mA, mB, mC = self.A, self.B, self.C, self.mA, self.mB, self.mC
+        if self.vertical:
+            # g = s - C**2/B**2 = -(p B**2 + C**2 q) / (q B**2)
+            s = _filtered_sign((p * B) * B + (C * C) * q, (mp * mB) * mB + (mC * mC) * mq)
+            if not s:
+                (ep, eq), t = self._exact(x), self.wall
+                s = sign(ep * t.b * t.b + t.c * t.c * eq)
+            return s * x.sq < 0
+        # g = (p (B q - A p) - C q**2) / (A q**2)
+        s = _filtered_sign(p * (B * q - A * p) - C * (q * q), mp * (mB * mq + mA * mp) + mC * (mq * mq))
+        if not s:
+            (ep, eq), t = self._exact(x), self.wall
+            s = sign(ep * (t.b * eq - t.a * ep) - t.c * (eq * eq))
+        return s * self.sd > 0
+
+    def value(self, x: Optional[_Bound]) -> Optional[Scalar]:
+        if x is None:
+            return None
+        ep, eq = self._exact(x)
+        return -ep / exact_divisor(eq)
+
+
+class _FloatLine:
+    """A float target wall as the line (u0 + s du, v0 + s dv) in (u, v): a
+    circle wall parametrized by v = s, a vertical wall by u = s.  Its bounds
+    are floats and its signs floats against _FACET_TOL."""
+
+    def __init__(self, w: Wall):
+        self.vertical = w.is_vertical
+        if self.vertical:
+            # v = -c/b
+            inv = 1.0 / w.fb
+            self.u0, self.du, self.v0, self.dv = 0, 1, -w.fc * inv, 0
+        else:
+            # u = -(b v + c)/a
+            inv = 1.0 / w.fa
+            self.u0, self.du, self.v0, self.dv = -w.fc * inv, -w.fb * inv, 0, 1
+
+    def bound(self, w: Wall):
+        # a (u0 + s du) + b (v0 + s dv) + c <= 0
+        slope = w.fa * self.du + w.fb * self.dv
+        const = w.fa * self.u0 + w.fb * self.v0 + w.fc
+        ss = (slope > _FACET_TOL) - (slope < -_FACET_TOL)
+        if ss == 0:
+            return 0, (const > _FACET_TOL) - (const < -_FACET_TOL)
+        return ss, -const / slope
+
+    @staticmethod
+    def less(x: float, y: float) -> bool:
+        return x - y < -_FACET_TOL
+
+    def vertex(self) -> float:
+        return self.du / 2
+
+    def inside(self, x: float) -> bool:
+        if self.vertical:
+            return x - self.v0 * self.v0 > _FACET_TOL
+        return -x * x + self.du * x + self.u0 > _FACET_TOL
+
+    @staticmethod
+    def value(x: Optional[float]) -> Optional[float]:
+        return x
+
+
+def _facet(target: _Constraint, others: Sequence[_Constraint]):
+    """(line, lo, hi) for the facet of target's wall, the parameter bounds
+    of its points on the cell boundary and inside H (None where unbounded),
+    or None when the wall is redundant.
+
+    The wall is a line in (u, v) coordinates, each other wall a half-line
+    of it, and the parabola u > v**2 a concave quadratic g along it.
+    """
+    line = _ExactLine(target.wall) if target.wall.exact else _FloatLine(target.wall)
+    lo = hi = None
     for con in others:
         if con is target:
             continue
-        # a (u0 + s du) + b (v0 + s dv) + c <= 0
-        w = con.wall
-        slope = w.a * du + w.b * dv
-        const = w.a * u0 + w.b * v0 + w.c
-        ss = sign(slope, _FACET_TOL)
+        ss, x = line.bound(con.wall)
         if ss == 0:
-            if sign(const, _FACET_TOL) > 0:
+            # Parallel: x is the sign of con's form all along the line.
+            if x > 0:
                 return None
             continue
-        bound = -const / slope
         if ss > 0:
-            if hi is None or sign(bound - hi, _FACET_TOL) < 0:
-                hi = bound
-        else:
-            if lo is None or sign(bound - lo, _FACET_TOL) > 0:
-                lo = bound
-    if lo is not None and hi is not None and sign(hi - lo, _FACET_TOL) <= 0:
+            if hi is None or line.less(x, hi):
+                hi = x
+        elif lo is None or line.less(lo, x):
+            lo = x
+    if lo is not None and hi is not None and not line.less(lo, hi):
         return None
     # Inside H: g(s) = u(s) - v(s)**2 > 0 somewhere on [lo, hi].
-    if vertical:
+    if line.vertical:
         # g(u) = u - v0**2 grows with u, so its best point is hi.
-        if hi is None or sign(hi - v0 * v0, _FACET_TOL) > 0:
-            return (lo, hi)
+        inside = hi is None or line.inside(hi)
+    else:
+        # g(v) = u0 + du v - v**2 is concave with its top at v = du/2.
+        candidates = [x for x in (lo, hi) if x is not None]
+        vertex = line.vertex()
+        if (lo is None or line.less(lo, vertex)) and (hi is None or line.less(vertex, hi)):
+            candidates.append(vertex)
+        inside = any(line.inside(x) for x in candidates)
+    return (line, lo, hi) if inside else None
+
+
+def _supporting_interval(target: _Constraint, others: Sequence[_Constraint]):
+    """Parameter interval (lo, hi) of the facet: points of the wall on the
+    cell boundary and inside H, or None when the wall is redundant.
+
+    A circle wall is parametrized by v, a vertical wall by u; exact walls
+    give exact bounds, float walls float ones.
+    """
+    facet = _facet(target, others)
+    if facet is None:
         return None
-    # g(v) = u0 + du v - v**2 is concave with its top at v = du/2.
-    candidates = [x for x in (lo, hi) if x is not None]
-    vertex = du / 2
-    if (lo is None or sign(vertex - lo, _FACET_TOL) > 0) and (hi is None or sign(hi - vertex, _FACET_TOL) > 0):
-        candidates.append(vertex)
-    if any(sign(-x * x + du * x + u0, _FACET_TOL) > 0 for x in candidates):
-        return (lo, hi)
-    return None
+    line, lo, hi = facet
+    return (line.value(lo), line.value(hi))
 
 
 @dataclass
@@ -402,7 +653,8 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
         u = vx * vx + vy * vy
         try:
             t = delaunayize_at(base, u, vx, _walls=memo.walls)
-            cons = _collect_constraints(t, u, vx, memo.walls)
+            fu, fv = _sample_floats(u, vx)
+            cons = _collect_constraints(t, u, vx, fu, fv, memo.walls)
         except _OnWall:
             _log.debug("cell_at: sample %r + %ri lies on a wall; moving it (attempt %d)",
                        zx, zy, attempt + 1)
@@ -416,7 +668,7 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
                 return memo.cells[known]
         supporting = []
         for con in cons:
-            if _supporting_interval(con, cons) is not None:
+            if _facet(con, cons) is not None:
                 supporting.append(con)
         supporting.sort(key=lambda c: c.item())
         key = frozenset(c.item() for c in supporting)
@@ -556,10 +808,11 @@ def _cross_wall(s: Surface, cell: Cell, con: _Constraint, at: HPoint, memo: _Mem
         else:
             vx, vy = zx, zy
         u = vx * vx + vy * vy
+        fu, fv = _sample_floats(u, vx)
         # Strictly across con and strictly inside every other constraint.
-        if sign(con.wall.evaluate(u, vx), FLOAT_TOL) <= 0:
+        if con.wall.side(u, vx, fu, fv) <= 0:
             continue
-        if any(sign(other.wall.evaluate(u, vx), FLOAT_TOL) >= 0
+        if any(other.wall.side(u, vx, fu, fv) >= 0
                for other in cell.constraints if other is not con):
             continue
         try:

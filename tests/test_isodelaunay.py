@@ -3,6 +3,7 @@
 import logging
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from flatsurfkit import delaunay as dl
 from flatsurfkit import isodelaunay as iso
-from flatsurfkit.numeric import CubicNumber, incircle_det, is_exact, to_float
+from flatsurfkit.numeric import FLOAT_TOL, CubicNumber, incircle_det, is_exact, sign, to_float
 from flatsurfkit.surface import Gluing, Polygon, Surface, TRANSLATION
 
 
@@ -263,13 +264,13 @@ class TestExploreShortcuts:
     def test_crossing_locates_the_verified_point(self, ay, monkeypatch):
         # _cross_wall checks a point against the cell's walls, then hands it
         # to cell_at, which must evaluate the walls at that same point.
-        last = []   # the (u, v) of the latest wall evaluation
+        last = []   # the (u, v) of the latest wall-side test
         pairs = []  # [verified (u, v), the (u, v) cell_at evaluates at]
-        evaluate, cell_at, delaunayize_at = iso.Wall.evaluate, iso.cell_at, iso.delaunayize_at
+        side, cell_at, delaunayize_at = iso.Wall.side, iso.cell_at, iso.delaunayize_at
 
-        def recording_evaluate(wall, u, v):
+        def recording_side(wall, u, v, fu, fv):
             last[:] = [(u, v)]
-            return evaluate(wall, u, v)
+            return side(wall, u, v, fu, fv)
 
         def recording_cell_at(s, z, _tri=None, _memo=None):
             if _tri is not None:  # a crossing, not the start
@@ -281,7 +282,7 @@ class TestExploreShortcuts:
                 pairs[-1][1] = (u, v)
             return delaunayize_at(t, u, v, _walls=_walls)
 
-        monkeypatch.setattr(iso.Wall, "evaluate", recording_evaluate)
+        monkeypatch.setattr(iso.Wall, "side", recording_side)
         monkeypatch.setattr(iso, "cell_at", recording_cell_at)
         monkeypatch.setattr(iso, "delaunayize_at", recording_delaunayize_at)
         tess = iso.explore(ay, iso.HPoint(0.0001, 1.0001), 2.0)
@@ -297,6 +298,277 @@ class TestExploreShortcuts:
             assert repr(a) == stored[a] and repr(b) == stored[b]
         zeros = [t for c in float_ball.cells for locus, _ in c.key for t in locus if t == 0]
         assert zeros and all(math.copysign(1.0, t) > 0 for t in zeros)
+
+
+def _ref_side(wall, u, v):
+    """Wall.side as computed before the double filter: the sign of the form."""
+    return sign(wall.evaluate(u, v), FLOAT_TOL)
+
+
+def _ref_supporting_interval(target, others):
+    """_supporting_interval as computed before it was made division free:
+    each bound is the quotient -const/slope in the walls' own arithmetic."""
+    w = target.wall
+    vertical = w.is_vertical
+    if vertical:
+        # v = -c/b
+        inv = Fraction(1) / w.b
+        u0, du, v0, dv = 0, 1, -w.c * inv, 0
+    else:
+        # u = -(b v + c)/a
+        inv = Fraction(1) / w.a
+        u0, du, v0, dv = -w.c * inv, -w.b * inv, 0, 1
+    lo = hi = None
+    for con in others:
+        if con is target:
+            continue
+        # a (u0 + s du) + b (v0 + s dv) + c <= 0
+        w = con.wall
+        slope = w.a * du + w.b * dv
+        const = w.a * u0 + w.b * v0 + w.c
+        ss = sign(slope, iso._FACET_TOL)
+        if ss == 0:
+            if sign(const, iso._FACET_TOL) > 0:
+                return None
+            continue
+        bound = -const / slope
+        if ss > 0:
+            if hi is None or sign(bound - hi, iso._FACET_TOL) < 0:
+                hi = bound
+        else:
+            if lo is None or sign(bound - lo, iso._FACET_TOL) > 0:
+                lo = bound
+    if lo is not None and hi is not None and sign(hi - lo, iso._FACET_TOL) <= 0:
+        return None
+    # Inside H: g(s) = u(s) - v(s)**2 > 0 somewhere on [lo, hi].
+    if vertical:
+        # g(u) = u - v0**2 grows with u, so its best point is hi.
+        if hi is None or sign(hi - v0 * v0, iso._FACET_TOL) > 0:
+            return (lo, hi)
+        return None
+    # g(v) = u0 + du v - v**2 is concave with its top at v = du/2.
+    candidates = [x for x in (lo, hi) if x is not None]
+    vertex = du / 2
+    if (lo is None or sign(vertex - lo, iso._FACET_TOL) > 0) and (hi is None or sign(hi - vertex, iso._FACET_TOL) > 0):
+        candidates.append(vertex)
+    if any(sign(-x * x + du * x + u0, iso._FACET_TOL) > 0 for x in candidates):
+        return (lo, hi)
+    return None
+
+
+def _same_interval(got, want):
+    if want is None or got is None:
+        return got is want
+    return all(g == w and (g is None or to_float(g) == to_float(w)) for g, w in zip(got, want))
+
+
+def _assert_facets_match_reference(walls):
+    cons = [iso._Constraint(w) for w in walls]
+    for target in cons:
+        want = _ref_supporting_interval(target, cons)
+        assert (iso._facet(target, cons) is None) == (want is None)
+        assert _same_interval(iso._supporting_interval(target, cons), want)
+
+
+class TestFilteredPredicates:
+    """Wall.side and the division-free facet test against their references."""
+
+    BALLS = {
+        "ay r=2": (lambda c: c.ay_surface(), 2.0, (156, 125, 468)),
+        "ay_prime r=1": (lambda c: c.ay_prime(), 1.0, (48, 38, 148)),
+        "escalator r=1": (lambda c: c.escalator(), 1.0, (6, 13, 10)),
+        # Float walls keep their float decisions.
+        "float ay r=1": (lambda c: c.trapezoid_family(c.ay_trapezoid_shape()), 1.0, (22, 19, 62)),
+    }
+
+    @pytest.fixture(scope="class", params=sorted(BALLS))
+    def ball(self, request):
+        """(explored tessellation, the same with the references patched in,
+        predicate calls that disagreed with the reference, counts)."""
+        from flatsurfkit import constructions
+
+        build, radius, counts = self.BALLS[request.param]
+        s = build(constructions)
+        z0 = iso.HPoint(0.0001, 1.0001)
+        side, facet, interval, filtered_sign = (
+            iso.Wall.side, iso._facet, iso._supporting_interval, iso._filtered_sign)
+        bad = []
+        seen = {"side": 0, "facet": 0, "interval": 0, "undecided": 0}
+
+        def checking_side(wall, u, v, fu, fv):
+            got = side(wall, u, v, fu, fv)
+            seen["side"] += 1
+            if got != _ref_side(wall, u, v):
+                bad.append(("side", wall, u, v))
+            return got
+
+        def checking_facet(target, others):
+            got = facet(target, others)
+            seen["facet"] += 1
+            if (got is None) != (_ref_supporting_interval(target, others) is None):
+                bad.append(("facet", target.wall))
+            return got
+
+        def checking_interval(target, others):
+            got = interval(target, others)
+            seen["interval"] += 1
+            if not _same_interval(got, _ref_supporting_interval(target, others)):
+                bad.append(("interval", target.wall))
+            return got
+
+        def counting_filtered_sign(x, mag):
+            got = filtered_sign(x, mag)
+            seen["undecided"] += not got
+            return got
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(iso.Wall, "side", checking_side)
+            mp.setattr(iso, "_facet", checking_facet)
+            mp.setattr(iso, "_supporting_interval", checking_interval)
+            mp.setattr(iso, "_filtered_sign", counting_filtered_sign)
+            tess = iso.explore(s, z0, radius)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(iso.Wall, "side", lambda wall, u, v, fu, fv: _ref_side(wall, u, v))
+            mp.setattr(iso, "_facet", _ref_supporting_interval)
+            mp.setattr(iso, "_supporting_interval", _ref_supporting_interval)
+            ref = iso.explore(s, z0, radius)
+        assert (len(tess.cells), len(tess.all_walls()), len(tess.adjacency)) == counts
+        return tess, ref, bad, seen
+
+    def test_every_decision_matches_the_reference(self, ball):
+        _, _, bad, seen = ball
+        assert bad == []
+        assert seen["side"] and seen["facet"] and seen["interval"]
+
+    def test_exact_fallback_runs(self, ball):
+        # Walls meet at tessellation vertices, so some bound orders tie.
+        tess, _, _, seen = ball
+        assert seen["undecided"] > 0 or not tess.surface.is_exact()
+
+    def test_tessellation_matches_the_reference(self, ball):
+        tess, ref, _, _ = ball
+        assert [c.key for c in tess.cells] == [c.key for c in ref.cells]
+        assert [c.comb_hash for c in tess.cells] == [c.comb_hash for c in ref.cells]
+        assert [c.sample for c in tess.cells] == [c.sample for c in ref.cells]
+        assert [c.walls for c in tess.cells] == [c.walls for c in ref.cells]
+        assert tess.adjacency == ref.adjacency
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_cubic = st.builds(CubicNumber, _small, _small, _small)
+
+
+def _exact_wall(a, b, c, normalize):
+    """The exact wall a u + b v + c, normalized as wall_of_hinge gives it
+    (the double filters apply) or scaled to largest |coefficient| 2 (every
+    sign takes the exact path)."""
+    w = iso._normalize_wall(a, b, c)
+    return w if normalize else iso.Wall(2 * w.a, 2 * w.b, 2 * w.c)
+
+
+class TestFilterEdgeCases:
+    """Inputs where the double filter must defer to the exact sign."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        v0=_small, d=st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2), Fraction(-1, 5)]),
+        slopes=st.lists(st.tuples(st.one_of(st.just(CubicNumber(0)), _cubic), _cubic, st.sampled_from([1, -1])),
+                        min_size=2, max_size=6),
+        extra=st.lists(st.tuples(_cubic, _cubic, _cubic), max_size=2),
+        normalize=st.booleans(),
+    )
+    def test_walls_through_one_point(self, v0, d, slopes, extra, normalize):
+        # Every bound on every target ties at the point; with d = 0 the point
+        # is on the boundary of H, so the parabola tests tie as well.  a = 0
+        # gives vertical walls.
+        u0 = v0 * v0 + d
+        walls = []
+        for a, b, flip in slopes:
+            assume(not (a.is_zero() and b.is_zero()))
+            walls.append(_exact_wall(flip * a, flip * b, -flip * (a * u0 + b * v0), normalize))
+        for a, b, c in extra:
+            assume(not (a.is_zero() and b.is_zero()))
+            walls.append(_exact_wall(a, b, c, normalize))
+        _assert_facets_match_reference(walls)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        a0=_cubic, b0=_cubic,
+        lines=st.lists(st.tuples(st.sampled_from([1, -1, 2, Fraction(-1, 3)]), _cubic), min_size=2, max_size=5),
+        vertical=st.lists(st.tuples(_cubic, _small), max_size=3),
+        normalize=st.booleans(),
+    )
+    def test_parallel_walls(self, a0, b0, lines, vertical, normalize):
+        # Walls with one direction (a : b) are parallel lines in (u, v);
+        # vertical walls (a = 0) are parallel to each other.
+        assume(not (a0.is_zero() and b0.is_zero()))
+        walls = [_exact_wall(k * a0, k * b0, c, normalize) for k, c in lines]
+        for b, c in vertical:
+            assume(not b.is_zero())
+            walls.append(_exact_wall(0, b, c, normalize))
+        _assert_facets_match_reference(walls)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        v0=_small, d=st.fractions(min_value=0, max_value=3, max_denominator=4),
+        slopes=st.lists(st.tuples(_cubic, _cubic, st.integers(-3, 3)), min_size=2, max_size=5),
+    )
+    def test_walls_near_one_point(self, v0, d, slopes):
+        # Each wall misses the point by k * 2**-40: bound orders nearly tie.
+        u0 = v0 * v0 + d
+        walls = []
+        for a, b, k in slopes:
+            assume(not (a.is_zero() and b.is_zero()))
+            walls.append(iso._normalize_wall(a, b, -(a * u0 + b * v0) + Fraction(k, 2 ** 40)))
+        _assert_facets_match_reference(walls)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        a=_cubic, b=_cubic, c=_cubic, at=_small,
+        offset=st.sampled_from([0, 1, -1, 3, -2 ** 12]), along_v=st.booleans(), normalize=st.booleans(),
+    )
+    def test_side_on_and_near_a_wall(self, a, b, c, at, offset, along_v, normalize):
+        # The sample lies on the wall (offset 0) or offset * 2**-40 from it.
+        assume(not (a.is_zero() and b.is_zero()))
+        wall = _exact_wall(a, b, c, normalize)
+        delta = Fraction(offset, 2 ** 40)
+        if along_v or wall.a == 0:
+            assume(wall.b != 0)
+            u, v = at * at + 1, -(wall.a * (at * at + 1) + wall.c) / wall.b + delta
+        else:
+            u, v = -(wall.b * at + wall.c) / wall.a + delta, at
+        assert wall.side(u, v, *iso._sample_floats(u, v)) == _ref_side(wall, u, v)
+        if offset == 0:
+            assert wall.side(u, v, *iso._sample_floats(u, v)) == 0
+
+    def test_side_of_an_overflowing_sample(self):
+        # float(u) overflows; the sign comes from the exact evaluation.
+        wall = iso._normalize_wall(CubicNumber(1, 1), Fraction(-3), Fraction(1, 7))
+        u, v = Fraction(10 ** 400), Fraction(10 ** 200)
+        assert iso._sample_floats(u, v) == (math.inf, math.inf)
+        assert wall.side(u, v, math.inf, math.inf) == _ref_side(wall, u, v) == 1
+
+    @settings(max_examples=15, deadline=None)
+    @given(t=st.fractions(min_value=Fraction(1, 20), max_value=Fraction(9, 10), max_denominator=40))
+    def test_sample_on_a_wall_is_moved(self, ay, t):
+        # (x, y) on the unit circle, a wall of AY's cells near i: cell_at
+        # sees _OnWall and retries off the wall.
+        x, y = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+        raised = []
+        collect = iso._collect_constraints
+
+        def spy(*args):
+            try:
+                return collect(*args)
+            except iso._OnWall:
+                raised.append((args[1], args[2]))
+                raise
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(iso, "_collect_constraints", spy)
+            cell = iso.cell_at(ay, iso.HPoint(x, y))
+        assert raised[0] == (x * x + y * y, x)
+        assert cell.walls and (cell.sample.x, cell.sample.y) != (x, y)
 
 
 class TestHingeCache:
