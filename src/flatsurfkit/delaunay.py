@@ -9,9 +9,11 @@ Twin vectors satisfy vec(twin(h)) == -sign(h) * vec(h).
 The unit of all Delaunay decisions is the hinge: the two triangles
 adjacent to an edge, developed into one chart.  A hinge is Delaunay when
 the opposite vertex is not strictly inside the circumcircle of the other
-triangle; on exact scalars this is decided exactly, on floats via the
-lifted determinant normalized by the product of the quadrilateral's edge
-lengths (tolerance numeric.FLOAT_TOL).
+triangle.  On exact scalars this decision, and the orientations that allow
+a flip, are exact, taken in doubles where a proven bound separates the
+value from 0, else exactly (numeric.incircle_sign, numeric.orient); on
+floats the lifted determinant is normalized by the product of the
+quadrilateral's edge lengths (tolerance numeric.FLOAT_TOL).
 
 delaunayize and isodelaunay.delaunayize_at share one FIFO flip loop,
 flip_until, and differ only in the test that says a hinge needs a flip.
@@ -42,6 +44,7 @@ from .numeric import (
     Vec2,
     cross,
     incircle_det,
+    incircle_sign,
     is_exact,
     orient,
     sign,
@@ -172,15 +175,17 @@ class Hinge:
     def incircle_sign(self) -> int:
         """+1 when p4 is strictly inside the circumcircle, 0 on it, -1 outside.
 
-        A float determinant is divided by the product of the quadrilateral's
-        edge lengths before it is compared with FLOAT_TOL.
+        Exact coordinates take numeric.incircle_sign.  A float determinant
+        is divided by the product of the quadrilateral's edge lengths
+        before it is compared with FLOAT_TOL.
         """
-        det = self.incircle_value()
-        if is_exact(det):
-            return sign(det)
+        p1, p2, p3, p4 = self.p1, self.p2, self.p3, self.p4
+        if float not in map(type, (*p1, *p2, *p3, *p4)):
+            return incircle_sign(p1, p2, p3, p4)
+        det = incircle_det(p1, p2, p3, p4)
         scale = 1.0
-        for a, b in ((self.p1, self.p2), (self.p2, self.p3), (self.p3, self.p4), (self.p4, self.p1)):
-            scale *= math.hypot(to_float(b[0]) - to_float(a[0]), to_float(b[1]) - to_float(a[1]))
+        for a, b in ((p1, p2), (p2, p3), (p3, p4), (p4, p1)):
+            scale *= math.hypot(float(b[0]) - float(a[0]), float(b[1]) - float(a[1]))
         return sign(det / scale, FLOAT_TOL) if scale else sign(det)
 
     def is_delaunay(self) -> bool:
@@ -191,9 +196,9 @@ class Hinge:
         return self.incircle_sign() == 0
 
     def is_strictly_convex(self) -> bool:
-        quad = (self.p1, self.p2, self.p3, self.p4)
-        for i in range(4):
-            if orient(quad[i], quad[(i + 1) % 4], quad[(i + 2) % 4]) <= 0:
+        p1, p2, p3, p4 = self.p1, self.p2, self.p3, self.p4
+        for a, b, c in ((p1, p2, p3), (p2, p3, p4), (p3, p4, p1), (p4, p1, p2)):
+            if orient(a, b, c) <= 0:
                 return False
         return True
 
@@ -445,8 +450,6 @@ def decomposition(t: Triangulation) -> Surface:
     with congruent cells (the escalator's unit squares) can give
     unequal, isomorphic Surfaces.
     """
-    if not is_delaunay_triangulation(t):
-        raise DelaunayError("decomposition requires a Delaunay triangulation")
     n = t.num_triangles
     parent = list(range(n))
 
@@ -463,11 +466,15 @@ def decomposition(t: Triangulation) -> Surface:
 
     # An edge is interior to a cell only when its own hinge is cocircular;
     # a cell may also be adjacent to itself across boundary edges (as on
-    # the square torus), which union-find alone cannot distinguish.
+    # the square torus), which union-find alone cannot distinguish.  One
+    # incircle sign per edge also checks that t is Delaunay.
     internal: Dict[HalfEdge, bool] = {}
     for e in t.edges():
         tw = t.twin(e)
-        is_co = tw != e and hinge(t, e).is_cocircular()
+        s = hinge(t, e).incircle_sign()
+        if s > 0:
+            raise DelaunayError("decomposition requires a Delaunay triangulation")
+        is_co = tw != e and s == 0
         internal[e] = internal[tw] = is_co
         if is_co:
             union(e[0], tw[0])

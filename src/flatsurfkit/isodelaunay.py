@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .numeric import FLOAT_TOL, Scalar, coefficients, exact_divisor, is_exact, sign, to_float
+from .numeric import FLOAT_TOL, Scalar, coefficients, exact_divisor, filtered_sign, is_exact, sign, to_float
 from . import delaunay as dl
 from .delaunay import HalfEdge, Triangulation, hinge
 from .surface import Surface
@@ -73,9 +73,9 @@ class HPoint:
 # lies within 7u * (|t1| + |t2| + |fc|) of a*u + b*v + c, and the filter
 # tests against 8u times that sum.  Wall._filtered keeps every nonzero
 # coefficient's double in [2**-1022, 1], so underflow, of a product or of
-# fu, fv, puts each term off by at most 2**-1075 more: _TINY covers them.
+# fu, fv, puts each term off by at most 2**-1075 more: the absolute term
+# 2**-1000 of numeric.filtered_sign covers them.
 _SIDE_EPS = 8 * 2.0 ** -53
-_TINY = 2.0 ** -1000
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,9 +142,11 @@ class Wall:
         q = t1 + t2 + self.fc
         if not self.exact:
             return (q > FLOAT_TOL) - (q < -FLOAT_TOL)
-        # A non-finite q or bound fails the test and falls through.
-        if self._filtered and abs(q) > _SIDE_EPS * (abs(t1) + abs(t2) + abs(self.fc)) + _TINY:
-            return 1 if q > 0 else -1
+        # A non-finite q or bound leaves the sign undecided.
+        if self._filtered:
+            s = filtered_sign(q, abs(t1) + abs(t2) + abs(self.fc), _SIDE_EPS)
+            if s:
+                return s
         return sign(self.evaluate(u, v), FLOAT_TOL)
 
     def value_at(self, x: Scalar, y: Scalar) -> Scalar:
@@ -391,16 +393,9 @@ class _OnWall(Exception):
 # same expression on |coefficients| computes that sum to within a factor
 # 1 + gamma_18, and _FACET_EPS = 32u covers both.  Wall._filtered keeps the
 # coefficients in [2**-1022, 1], so |p|, |q| <= 2, and a product that
-# underflows (off by 2**-1075) is scaled by at most 2**4 afterwards: _TINY
-# covers every such term.
+# underflows (off by 2**-1075) is scaled by at most 2**4 afterwards: the
+# absolute term 2**-1000 of numeric.filtered_sign covers every such term.
 _FACET_EPS = 2.0 ** -48
-
-
-def _filtered_sign(x: float, mag: float) -> int:
-    """The sign of the exact value x approximates, when |x| exceeds the
-    facet filter's bound for monomial magnitude mag; 0 when undecided."""
-    t = _FACET_EPS * mag + _TINY
-    return (x > t) - (x < -t)
 
 
 class _Bound:
@@ -458,9 +453,9 @@ class _ExactLine:
         if not (self.filtered and w._filtered):
             mp = mq = math.inf
         x = _Bound(w, p, q, mp, mq)
-        x.sq = _filtered_sign(q, x.mq) or sign(self._exact(x)[1])
+        x.sq = filtered_sign(q, x.mq, _FACET_EPS) or sign(self._exact(x)[1])
         if x.sq == 0:
-            return 0, (_filtered_sign(p, x.mp) or sign(self._exact(x)[0])) * self.sd
+            return 0, (filtered_sign(p, x.mp, _FACET_EPS) or sign(self._exact(x)[0])) * self.sd
         return x.sq * self.sd, x
 
     def _exact(self, x: _Bound):
@@ -474,7 +469,7 @@ class _ExactLine:
 
     def less(self, x: _Bound, y: _Bound) -> bool:
         """x < y: y - x = (p_x q_y - p_y q_x) / (q_x q_y)."""
-        s = _filtered_sign(x.p * y.q - y.p * x.q, x.mp * y.mq + y.mp * x.mq)
+        s = filtered_sign(x.p * y.q - y.p * x.q, x.mp * y.mq + y.mp * x.mq, _FACET_EPS)
         if not s:
             (xp, xq), (yp, yq) = self._exact(x), self._exact(y)
             s = sign(xp * yq - yp * xq)
@@ -493,13 +488,14 @@ class _ExactLine:
         A, B, C, mA, mB, mC = self.A, self.B, self.C, self.mA, self.mB, self.mC
         if self.vertical:
             # g = s - C**2/B**2 = -(p B**2 + C**2 q) / (q B**2)
-            s = _filtered_sign((p * B) * B + (C * C) * q, (mp * mB) * mB + (mC * mC) * mq)
+            s = filtered_sign((p * B) * B + (C * C) * q, (mp * mB) * mB + (mC * mC) * mq, _FACET_EPS)
             if not s:
                 (ep, eq), t = self._exact(x), self.wall
                 s = sign(ep * t.b * t.b + t.c * t.c * eq)
             return s * x.sq < 0
         # g = (p (B q - A p) - C q**2) / (A q**2)
-        s = _filtered_sign(p * (B * q - A * p) - C * (q * q), mp * (mB * mq + mA * mp) + mC * (mq * mq))
+        s = filtered_sign(p * (B * q - A * p) - C * (q * q), mp * (mB * mq + mA * mp) + mC * (mq * mq),
+                          _FACET_EPS)
         if not s:
             (ep, eq), t = self._exact(x), self.wall
             s = sign(ep * (t.b * eq - t.a * ep) - t.c * (eq * eq))

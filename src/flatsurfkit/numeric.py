@@ -9,8 +9,9 @@ The scalar tower has three levels:
 
 Mixed arithmetic promotes upward (rational -> cubic -> float); exact values
 never degrade to float unless a float operand is involved.  All geometric
-predicates (orientation, incircle) are generic over the tower and decide
-signs exactly on exact inputs.
+predicates (orientation, incircle) are generic over the tower, and their
+signs on exact inputs are exact, taken in doubles where a proven bound
+separates the value from 0, else exactly (see filtered_sign).
 
 ``CubicNumber`` stores three integer numerators over one positive common
 denominator and does its arithmetic on Python ints.  Its sign comes from a
@@ -30,8 +31,8 @@ fork a decision into an exact and a float branch themselves.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Tuple, Union
+from math import frexp, gcd, lcm, ldexp
+from typing import List, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
 
@@ -557,10 +558,102 @@ IDENTITY: Mat2 = ((1, 0), (0, 1))
 
 # -- geometric predicates -------------------------------------------------------
 
+# The double filters.  filtered_sign(x, mag, eps) takes the sign of a double
+# x that approximates an exact value when |x| > eps * mag + _TINY.  The
+# caller derives eps so that eps * mag bounds the rounding error of x, where
+# mag is the same expression evaluated on the magnitudes of its inputs (so
+# mag >= |x|, and an infinite x comes with an infinite mag), and _TINY
+# bounds what underflow adds to that error.  An undecided sign, 0, sends the
+# caller to the exact value.
+_TINY = 2.0 ** -1000
+
+
+def filtered_sign(x: float, mag: float, eps: float) -> int:
+    """The sign of the exact value the double x approximates, or 0 when |x|
+    does not exceed eps * mag + _TINY (also when x or mag is NaN or mag is
+    infinite)."""
+    t = eps * mag + _TINY
+    return (x > t) - (x < -t)
+
+
+def _filter_doubles(coords: Sequence[Scalar]) -> Optional[List[float]]:
+    """Exact coordinates as doubles, each taken once and all scaled by one
+    power of two so that none exceeds 1 in magnitude; None when a double
+    overflows."""
+    try:
+        c = [float(x) for x in coords]
+    except OverflowError:
+        return None
+    m = max(map(abs, c))
+    if m > 1.0:
+        s = ldexp(1.0, -frexp(m)[1])
+        c = [x * s for x in c]
+    return c
+
+
+# The orientation filter.  With u = 2**-53, a coordinate's double is within
+# 2u of it, relatively: float(CubicNumber) is within one ulp, float(int) and
+# float(Fraction) are correctly rounded, and scaling by a power of two is
+# exact.  Count the error of each monomial of the coordinates in units of u,
+# summed over the paths from its coordinates to the result: a coordinate's
+# double is 2 units off and its difference adds 1, so each factor of
+# (b_x - a_x)(c_y - a_y) is 3 off; the product adds 1 and the subtraction 1:
+# 8.  So the computed cross product is the exact one with each monomial off
+# by a factor within gamma_8 = 8u / (1 - 8u) of 1, and its error is at most
+# gamma_8 times the sum of the monomials' magnitudes.  That sum is the same
+# expression on the magnitudes,
+# (|b_x| + |a_x|)(|c_y| + |a_y|) + (|b_y| + |a_y|)(|c_x| + |a_x|), whose double
+# evaluation (on the same doubles, 8 units per monomial too) is at least
+# 1 - gamma_8 times it.  So the error is below 8.01u times the computed
+# magnitude, and _ORIENT_EPS = 16u covers it.  Underflow: after scaling
+# every |coordinate| <= 1 and every difference <= 2.  A coordinate whose
+# double underflowed, or whose scaling did, is off by at most 2**-1075 more
+# each time, and reaches the result multiplied by at most 4; a product that
+# underflows is off by at most 2**-1075.  Together that is below
+# 2**5 * 2**-1074 (the six coordinates' factors sum to 16), far below
+# _TINY.
+_ORIENT_EPS = 2.0 ** -49
+
+# The incircle filter, derived the same way.  A difference is 3 units off,
+# so a monomial of a lift or a minor, a product of two differences, is
+# 3 + 3 + 1 off and 8 after its sum; a monomial of lift times minor is
+# 8 + 8 + 1 off and 19 after the two outer sums.  So the computed
+# determinant is within gamma_19 = 19u / (1 - 19u) times the sum of its
+# monomials' magnitudes, which is the same polynomial on |a_x| + |d_x|, ...
+# with every subtraction made a sum; its double evaluation is 19 units per
+# monomial too, so the error is below 19.01u times the computed magnitude,
+# and _INCIRCLE_EPS = 32u covers it.  Underflow: after scaling every
+# difference is at most 2 and every lift and minor at most 8.  The
+# determinant's derivative by a coordinate of p1, p2 or p3 is at most
+# 2*2*8 + 8*2 + 8*2 = 64, by one of p4 at most 3 * 64, so the coordinates'
+# underflow (2**-1074 each, as above) moves it by at most 768 * 2**-1074;
+# the 12 products inside lifts and minors (cofactor at most 8) and the 3
+# outer products add 99 * 2**-1075.  That is below 2**10 * 2**-1074, far
+# below _TINY.
+_INCIRCLE_EPS = 2.0 ** -48
+
 
 def orient(p1: Point, p2: Point, p3: Point) -> int:
-    """Orientation of the triple: +1 counterclockwise, -1 clockwise, 0 collinear."""
-    return sign(cross(vec_sub(p2, p1), vec_sub(p3, p1)))
+    """Orientation of the triple: +1 counterclockwise, -1 clockwise, 0 collinear.
+
+    On exact points the sign of the cross product is taken in doubles where
+    the bound of _ORIENT_EPS decides it, and exactly otherwise; float points
+    take the sign of their float cross product.
+    """
+    (ax, ay), (bx, by), (cx, cy) = p1, p2, p3
+    if float not in (type(ax), type(ay), type(bx), type(by), type(cx), type(cy)):
+        f = _filter_doubles((ax, ay, bx, by, cx, cy))
+        if f is not None:
+            fax, fay, fbx, fby, fcx, fcy = f
+            s = filtered_sign(
+                (fbx - fax) * (fcy - fay) - (fby - fay) * (fcx - fax),
+                (abs(fbx) + abs(fax)) * (abs(fcy) + abs(fay)) + (abs(fby) + abs(fay)) * (abs(fcx) + abs(fax)),
+                _ORIENT_EPS,
+            )
+            if s:
+                return s
+    # cross(p2 - p1, p3 - p1)
+    return sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
 
 
 def incircle(p1: Point, p2: Point, p3: Point, p4: Point) -> int:
@@ -572,6 +665,49 @@ def incircle(p1: Point, p2: Point, p3: Point, p4: Point) -> int:
     """
     if orient(p1, p2, p3) == 0:
         raise ValueError("incircle: first three points are collinear")
+    return incircle_sign(p1, p2, p3, p4)
+
+
+def incircle_sign(p1: Point, p2: Point, p3: Point, p4: Point) -> int:
+    """sign(incircle_det(p1, p2, p3, p4)).
+
+    On exact points the determinant is evaluated in doubles, in the order of
+    incircle_det, and its sign is taken where the bound of _INCIRCLE_EPS
+    decides it; otherwise, and on float points, incircle_det gives it.
+    """
+    coords = (*p1, *p2, *p3, *p4)
+    if float not in map(type, coords):
+        f = _filter_doubles(coords)
+        if f is not None:
+            ax, ay, bx, by, cx, cy, dx, dy = f
+            adx = ax - dx
+            ady = ay - dy
+            bdx = bx - dx
+            bdy = by - dy
+            cdx = cx - dx
+            cdy = cy - dy
+            alift = adx * adx + ady * ady
+            blift = bdx * bdx + bdy * bdy
+            clift = cdx * cdx + cdy * cdy
+            # The same on magnitudes.
+            dx, dy = abs(dx), abs(dy)
+            madx = abs(ax) + dx
+            mady = abs(ay) + dy
+            mbdx = abs(bx) + dx
+            mbdy = abs(by) + dy
+            mcdx = abs(cx) + dx
+            mcdy = abs(cy) + dy
+            s = filtered_sign(
+                alift * (bdx * cdy - cdx * bdy)
+                - blift * (adx * cdy - cdx * ady)
+                + clift * (adx * bdy - bdx * ady),
+                (madx * madx + mady * mady) * (mbdx * mcdy + mcdx * mbdy)
+                + (mbdx * mbdx + mbdy * mbdy) * (madx * mcdy + mcdx * mady)
+                + (mcdx * mcdx + mcdy * mcdy) * (madx * mbdy + mbdx * mady),
+                _INCIRCLE_EPS,
+            )
+            if s:
+                return s
     return sign(incircle_det(p1, p2, p3, p4))
 
 

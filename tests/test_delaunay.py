@@ -1,16 +1,19 @@
 """Triangulation, edge flips, and the Delaunay decomposition."""
 
 import functools
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatsurfkit import delaunay as dl
+from flatsurfkit import numeric
 from flatsurfkit.constructions import ay_prime, ay_surface, escalator
-from flatsurfkit.numeric import ALPHA, CubicNumber, to_float
+from flatsurfkit.numeric import ALPHA, FLOAT_TOL, CubicNumber, cross, sign, to_float, vec_sub
 from flatsurfkit.surface import Gluing, Polygon, Surface, TRANSLATION, apply_linear, cut_and_reglue_square
 
 
@@ -237,6 +240,118 @@ class TestDecomposition:
         dec_plain = decompose(float_ay)
         found = isometries_between(dec_rotated, apply_linear_dec(rot, dec_plain))
         assert found
+
+
+def _ref_float_incircle_sign(h: dl.Hinge) -> int:
+    """Hinge.incircle_sign on floats as it was before the exact filter: the
+    determinant over the product of the quadrilateral's edge lengths."""
+    det = h.incircle_value()
+    scale = 1.0
+    for a, b in ((h.p1, h.p2), (h.p2, h.p3), (h.p3, h.p4), (h.p4, h.p1)):
+        scale *= math.hypot(to_float(b[0]) - to_float(a[0]), to_float(b[1]) - to_float(a[1]))
+    return sign(det / scale, FLOAT_TOL) if scale else sign(det)
+
+
+class TestDecompositionSigns:
+    def test_one_incircle_sign_per_edge(self, ay, monkeypatch):
+        t = dl.delaunayize(dl.triangulate(ay))
+        tested = []
+        incircle_sign = dl.Hinge.incircle_sign
+
+        def counting(h):
+            tested.append(h.edge)
+            return incircle_sign(h)
+
+        monkeypatch.setattr(dl.Hinge, "incircle_sign", counting)
+        dl.decomposition(t)
+        assert sorted(tested) == t.edges()
+
+    def test_non_delaunay_input_raises(self):
+        t = sheared_torus_triangulation(0.4)
+        assert not dl.is_delaunay_triangulation(t)
+        with pytest.raises(dl.DelaunayError):
+            dl.decomposition(t)
+
+    def test_float_hinges_keep_their_normalized_sign(self):
+        from flatsurfkit.constructions import ay_trapezoid_shape, trapezoid_family
+
+        for s in (trapezoid_family(ay_trapezoid_shape()), _to_float_surface(apply_linear(((1, 7), (0, 1)), ay_surface()))):
+            t = dl.triangulate(s)
+            for _ in range(2):
+                for e in t.edges():
+                    h = dl.hinge(t, e)
+                    assert h.incircle_sign() == _ref_float_incircle_sign(h)
+                t = dl.delaunayize(t)
+
+
+def _load_benchmark_worker(mp: pytest.MonkeyPatch):
+    """perfbench/worker.py, which builds the benchmark's inputs, as a module."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    mp.syspath_prepend(str(bench))  # for its own imports
+    spec = importlib.util.spec_from_file_location("perfbench_worker", bench / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return worker
+
+
+class TestFilteredPredicatesOnPipelines:
+    """Every orient and incircle sign that delaunayize and decomposition take
+    on the sheared benchmark batches and the exact surfaces equals the exact
+    one, and the exact value is built only for cocircular ties."""
+
+    @pytest.fixture(scope="class")
+    def calls(self):
+        """{"incircle": [...], "orient": [...]}, one (filtered sign, exact
+        sign, whether the exact value was built) per call."""
+        exact_det, exact_sign = numeric.incircle_det, numeric.sign
+        filtered_incircle, filtered_orient = numeric.incircle_sign, numeric.orient
+        built = []
+        calls = {"incircle": [], "orient": []}
+
+        def building_det(*pts):
+            built.append(pts)
+            return exact_det(*pts)
+
+        def signing(x, tol=0.0):
+            # orient takes sign() of its exact cross product only when the
+            # filter leaves it undecided.
+            built.append(x)
+            return exact_sign(x, tol)
+
+        def checking_incircle(*pts):
+            n = len(built)
+            got = filtered_incircle(*pts)
+            calls["incircle"].append((got, sign(exact_det(*pts)), len(built) > n))
+            return got
+
+        def checking_orient(p1, p2, p3):
+            n = len(built)
+            got = filtered_orient(p1, p2, p3)
+            calls["orient"].append((got, sign(cross(vec_sub(p2, p1), vec_sub(p3, p1))), len(built) > n))
+            return got
+
+        with pytest.MonkeyPatch.context() as mp:
+            worker = _load_benchmark_worker(mp)
+            mp.setattr(numeric, "incircle_det", building_det)
+            mp.setattr(numeric, "sign", signing)
+            mp.setattr(dl, "incircle_sign", checking_incircle)
+            mp.setattr(dl, "orient", checking_orient)
+            for seed in (1, 2, 3):
+                worker.run_sheared(worker.make_sheared(seed, False))
+            for s in (ay_surface(), ay_prime(), escalator(), cut_and_reglue_square(ay_surface(), 0)):
+                dl.decomposition(dl.delaunayize(dl.triangulate(s)))
+        return calls
+
+    @pytest.mark.parametrize("predicate", ["incircle", "orient"])
+    def test_every_sign_is_the_exact_one(self, calls, predicate):
+        assert calls[predicate]
+        assert [c for c in calls[predicate] if c[0] != c[1]] == []
+
+    def test_the_exact_value_is_built_only_on_ties(self, calls):
+        ties = [c for c in calls["incircle"] if c[1] == 0]
+        assert ties and all(c[2] for c in ties)
+        assert [c for c in calls["incircle"] if c[2] and c[1] != 0] == []
+        assert [c for c in calls["orient"] if c[2]] == []
 
 
 def _brute_force_code(t: dl.Triangulation, include_mirror: bool):

@@ -391,7 +391,7 @@ class TestFilteredPredicates:
         s = build(constructions)
         z0 = iso.HPoint(0.0001, 1.0001)
         side, facet, interval, filtered_sign = (
-            iso.Wall.side, iso._facet, iso._supporting_interval, iso._filtered_sign)
+            iso.Wall.side, iso._facet, iso._supporting_interval, iso.filtered_sign)
         bad = []
         seen = {"side": 0, "facet": 0, "interval": 0, "undecided": 0}
 
@@ -416,8 +416,8 @@ class TestFilteredPredicates:
                 bad.append(("interval", target.wall))
             return got
 
-        def counting_filtered_sign(x, mag):
-            got = filtered_sign(x, mag)
+        def counting_filtered_sign(x, mag, eps):
+            got = filtered_sign(x, mag, eps)
             seen["undecided"] += not got
             return got
 
@@ -425,7 +425,7 @@ class TestFilteredPredicates:
             mp.setattr(iso.Wall, "side", checking_side)
             mp.setattr(iso, "_facet", checking_facet)
             mp.setattr(iso, "_supporting_interval", checking_interval)
-            mp.setattr(iso, "_filtered_sign", counting_filtered_sign)
+            mp.setattr(iso, "filtered_sign", counting_filtered_sign)
             tess = iso.explore(s, z0, radius)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(iso.Wall, "side", lambda wall, u, v, fu, fv: _ref_side(wall, u, v))

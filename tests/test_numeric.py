@@ -12,15 +12,19 @@ from flatsurfkit import numeric
 from flatsurfkit.numeric import (
     ALPHA,
     CubicNumber,
+    cross,
     cubic_inv,
     cubic_mul,
     embed_real,
+    filtered_sign,
     incircle,
     incircle_det,
+    incircle_sign,
     orient,
     scalar_from_str,
     scalar_to_str,
     sign,
+    vec_sub,
 )
 
 ONE = CubicNumber(1)
@@ -374,6 +378,167 @@ class TestIncircle:
         p3 = (a * a - a, a * a + a)
         p4 = (-a, a * a)
         assert incircle(p1, p2, p3, p4) == 0
+
+
+def exact_orient(p1, p2, p3) -> int:
+    """orient before the double filter: the sign of the cross product."""
+    return sign(cross(vec_sub(p2, p1), vec_sub(p3, p1)))
+
+
+def exact_incircle(p1, p2, p3, p4) -> int:
+    return sign(incircle_det(p1, p2, p3, p4))
+
+
+def assert_filters_match(points):
+    """orient on every triple and incircle_sign on every ordering of four of
+    points equal the exact signs."""
+    from itertools import permutations
+
+    for triple in permutations(points, 3):
+        assert orient(*triple) == exact_orient(*triple), triple
+    for quad in permutations(points, 4):
+        assert incircle_sign(*quad) == exact_incircle(*quad), quad
+
+
+def scaled(points, k):
+    return [(x * k, y * k) for x, y in points]
+
+
+_rat = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+_nonzero_rat = _rat.filter(lambda x: x != 0)
+_cubic = st.builds(CubicNumber, _rat, _rat, _rat)
+# Mixed int, Fraction and CubicNumber coordinates.
+_coord = st.one_of(st.integers(-6, 6), _rat, _cubic)
+_point = st.tuples(_coord, _coord)
+_exact_matrix = st.one_of(
+    st.builds(lambda k: ((1, k), (0, 1)), _rat),
+    st.builds(lambda k: ((1, 0), (k, 1)), _cubic),
+    # Rotation by a Pythagorean angle: cos, sin = (1 - t**2, 2t) / (1 + t**2).
+    st.builds(lambda t: ((
+        (1 - t * t) / (1 + t * t), -2 * t / (1 + t * t)),
+        (2 * t / (1 + t * t), (1 - t * t) / (1 + t * t))), _rat),
+)
+# Scales by 2**-e: 2**-600 sends every product below the doubles; around
+# 2**-265 the incircle's degree-4 products, and around 2**-530 orient's
+# degree-2 products, are subnormal, where rounding noise is nonzero but
+# below every relative bound.
+_tiny_scale = st.one_of(st.just(600), st.integers(255, 275), st.integers(520, 540))
+
+
+def circle_points(center, radius, ts):
+    """Points of the circle at the rational angles ts (all exact)."""
+    cx, cy = center
+    return [(cx + radius * (1 - t * t) / (1 + t * t), cy + radius * 2 * t / (1 + t * t)) for t in ts]
+
+
+class TestFilteredPredicates:
+    """orient and incircle_sign take their signs in doubles under a proven
+    bound; on every input below they equal the exact signs."""
+
+    A = ALPHA
+    # The AY square: its four corners are cocircular.
+    AY_SQUARE = [(CubicNumber(0), CubicNumber(0)), (A * A, A), (A * A - A, A * A + A), (-A, A * A)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(center=_point, radius=st.one_of(_nonzero_rat, _cubic.filter(lambda x: not x.is_zero())),
+           ts=st.lists(_rat, min_size=4, max_size=4, unique=True))
+    def test_cocircular_quadruples(self, center, radius, ts):
+        pts = circle_points(center, radius, ts)
+        assert all(exact_incircle(*quad) == 0 for quad in [pts, pts[::-1]])
+        assert_filters_match(pts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=_exact_matrix, shift=_point)
+    def test_ay_square_under_exact_maps(self, m, shift):
+        # Rotations keep the square inscribed; shears do not.
+        pts = [(m[0][0] * x + m[0][1] * y + shift[0], m[1][0] * x + m[1][1] * y + shift[1])
+               for x, y in self.AY_SQUARE]
+        if m[0][1] == -m[1][0]:
+            assert exact_incircle(*pts) == 0
+        assert_filters_match(pts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(center=_point, radius=st.one_of(_nonzero_rat, _cubic.filter(lambda x: not x.is_zero())),
+           ts=st.lists(_rat, min_size=4, max_size=4, unique=True),
+           k=st.integers(-3, 3).filter(bool), along=st.sampled_from([(1, 0), (0, 1), (ALPHA, 1)]))
+    def test_points_just_off_the_circle(self, center, radius, ts, k, along):
+        pts = circle_points(center, radius, ts)
+        d = Fraction(k, 2 ** 40)
+        pts[3] = (pts[3][0] + d * along[0], pts[3][1] + d * along[1])
+        assert_filters_match(pts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=_point, d=_point, lam=_coord, q=_point)
+    def test_collinear_triples(self, p, d, lam, q):
+        pts = [p, (p[0] + d[0], p[1] + d[1]), (p[0] + lam * d[0], p[1] + lam * d[1])]
+        assert orient(*pts) == exact_orient(*pts) == 0
+        assert_filters_match(pts + [q])
+
+    @settings(max_examples=25, deadline=None)
+    @given(pts=st.lists(_point, min_size=4, max_size=4), cocircular=st.booleans(),
+           ts=st.lists(_rat, min_size=4, max_size=4, unique=True))
+    def test_overflowing_coordinates(self, pts, cocircular, ts):
+        # Fractions near 10**400 have no double: the exact signs decide.
+        if cocircular:
+            pts = circle_points(pts[0], Fraction(1, 3), ts)
+        big = [(Fraction(10 ** 400) + x, Fraction(10 ** 400) * y) for x, y in pts]
+        assert numeric._filter_doubles([x for p in big for x in p]) is None
+        assert_filters_match(big)
+
+    @settings(max_examples=80, deadline=None)
+    @given(center=_point, radius=st.one_of(_nonzero_rat, _cubic.filter(lambda x: not x.is_zero())),
+           ts=st.lists(_rat, min_size=4, max_size=4, unique=True), e=_tiny_scale, collinear=st.booleans())
+    def test_underflowing_coordinates(self, center, radius, ts, e, collinear):
+        pts = circle_points(center, radius, ts)
+        if collinear:
+            d = vec_sub(pts[1], pts[0])
+            pts[2] = (pts[0][0] + ALPHA * d[0], pts[0][1] + ALPHA * d[1])
+        assert_filters_match(scaled(pts, Fraction(1, 2 ** e)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pts=st.lists(_point, min_size=4, max_size=4))
+    def test_mixed_coordinates(self, pts):
+        assert_filters_match(pts)
+
+    def test_float_points_keep_their_float_signs(self, monkeypatch):
+        # Nearly collinear and nearly cocircular float points, some with int
+        # coordinates: the literal sign of the float expression, not a
+        # filtered one.
+        import random
+
+        def fail(coords):
+            raise AssertionError("filtered a float point")
+
+        monkeypatch.setattr(numeric, "_filter_doubles", fail)
+        rnd = random.Random(5)
+        for _ in range(300):
+            x, y, t = rnd.uniform(-1, 1), rnd.uniform(-1, 1), rnd.uniform(0.1, 3)
+            pts = [(x, y), (x + 0.1 * t, y + 0.3 * t), (x + 0.7 * t, y + 2.1 * t)]
+            assert orient(*pts) == exact_orient(*pts)
+            assert orient((0, 0), (1, 3), (t, 3 * t)) == exact_orient((0, 0), (1, 3), (t, 3 * t))
+            circ = [(math.cos(a), math.sin(a)) for a in (0.3, 1.1 * t, 2.5, 4.0 + t)]
+            assert incircle_sign(*circ) == exact_incircle(*circ)
+
+    def test_the_filter_decides_clear_signs(self, monkeypatch):
+        # Off every tie the doubles decide: the exact values are not built.
+        def fail(*args):
+            raise AssertionError("exact fallback")
+
+        pts = [(CubicNumber(0), CubicNumber(0)), (ALPHA, CubicNumber(0)), (ALPHA, ALPHA), (Fraction(1, 3), 2 * ALPHA)]
+        monkeypatch.setattr(numeric, "incircle_det", fail)
+        monkeypatch.setattr(numeric, "sign", fail)
+        assert orient(*pts[:3]) == 1
+        assert incircle_sign(*pts) == -1
+
+    def test_filtered_sign_bound_is_strict(self):
+        eps, mag = 2.0 ** -48, 3.0
+        t = eps * mag + numeric._TINY
+        assert filtered_sign(t, mag, eps) == filtered_sign(-t, mag, eps) == 0
+        assert filtered_sign(math.nextafter(t, 1.0), mag, eps) == 1
+        assert filtered_sign(math.nextafter(-t, -1.0), mag, eps) == -1
+        assert filtered_sign(0.0, 0.0, eps) == 0
+        assert filtered_sign(math.inf, math.inf, eps) == 0
+        assert filtered_sign(math.nan, 1.0, eps) == filtered_sign(1.0, math.nan, eps) == 0
 
 
 class TestSerialization:
