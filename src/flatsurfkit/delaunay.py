@@ -94,8 +94,6 @@ class Triangulation:
         self.chart_sign = dict(chart_sign)
         self.flip_count = 0
         self.hinge_cache: Dict[HalfEdge, object] = {}
-        # Flips keep each vector's scalar type, so exactness is fixed here.
-        self._exact = all(is_exact(v[0]) and is_exact(v[1]) for tri in self.vecs for v in tri)
 
     # -- basics ----------------------------------------------------------------
 
@@ -123,7 +121,7 @@ class Triangulation:
         return out
 
     def is_exact(self) -> bool:
-        return self._exact
+        return all(is_exact(v[0]) and is_exact(v[1]) for tri in self.vecs for v in tri)
 
     def corner_position(self, h: HalfEdge) -> Vec2:
         """Position of the corner at the start of h, in its triangle's chart."""
@@ -439,56 +437,39 @@ def _canonical_chain(points: List[Point]) -> Tuple[List[Point], int]:
 def decomposition(t: Triangulation) -> Surface:
     """Merge cocircular hinges into maximal cells; returns the cell surface.
 
-    Merging is a transitive closure over zero-determinant hinges, so the
-    set of cells does not depend on the order of the flips or merges.
-    Each cell is emitted as a developed convex polygon with its
-    lexicographically smallest vertex chain, translated to the origin,
-    and cells are sorted by that chain.  Congruent cells have equal
+    A cell is a connected component of the triangles across cocircular
+    (zero-determinant) hinges, so the set of cells does not depend on the
+    order of the flips.  Each cell is emitted as a developed convex polygon
+    with its lexicographically smallest vertex chain, translated to the
+    origin, and cells are sorted by that chain.  Congruent cells have equal
     chains and keep the order of their smallest triangle index in t, so
     the order of such cells, and with it every gluing label, depends on
     the triangulation given: two Delaunay triangulations of a surface
     with congruent cells (the escalator's unit squares) can give
     unequal, isomorphic Surfaces.
     """
-    n = t.num_triangles
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
     # An edge is interior to a cell only when its own hinge is cocircular;
     # a cell may also be adjacent to itself across boundary edges (as on
-    # the square torus), which union-find alone cannot distinguish.  One
-    # incircle sign per edge also checks that t is Delaunay.
+    # the square torus).  One incircle sign per edge also checks that t is
+    # Delaunay.
     internal: Dict[HalfEdge, bool] = {}
     for e in t.edges():
         tw = t.twin(e)
         s = hinge(t, e).incircle_sign()
         if s > 0:
             raise DelaunayError("decomposition requires a Delaunay triangulation")
-        is_co = tw != e and s == 0
-        internal[e] = internal[tw] = is_co
-        if is_co:
-            union(e[0], tw[0])
+        internal[e] = internal[tw] = tw != e and s == 0
 
-    groups: Dict[int, List[int]] = {}
-    for tri in range(n):
-        groups.setdefault(find(tri), []).append(tri)
-
-    # Develop each cell: per-triangle transform x -> eps * x + c.
+    # Find and develop each cell by a breadth-first walk across its interior
+    # edges from its smallest triangle: per-triangle transform x -> eps * x + c.
     transforms: Dict[int, Tuple[int, Vec2]] = {}
-    for tris in groups.values():
-        transforms[tris[0]] = (1, (0, 0))
-        todo = deque([tris[0]])
-        seen = {tris[0]}
+    cells: List[List[int]] = []
+    for seed in range(t.num_triangles):
+        if seed in transforms:
+            continue
+        transforms[seed] = (1, (0, 0))
+        tris = [seed]
+        todo = deque(tris)
         while todo:
             cur = todo.popleft()
             eps_t, c_t = transforms[cur]
@@ -498,14 +479,15 @@ def decomposition(t: Triangulation) -> Surface:
                     continue
                 tw = t.twin(he)
                 nb = tw[0]
-                if nb in seen:
+                if nb in transforms:
                     continue
                 eps_h = t.chart_sign[he]
                 end = vec_add(t.corner_position(he), t.vec(he))
                 d = vec_sub(end, vec_scale(eps_h, t.corner_position(tw)))
                 transforms[nb] = (eps_t * eps_h, vec_add(vec_scale(eps_t, d), c_t))
-                seen.add(nb)
+                tris.append(nb)
                 todo.append(nb)
+        cells.append(tris)
 
     def dev_point(tri: int, p: Vec2) -> Vec2:
         eps_t, c_t = transforms[tri]
@@ -514,11 +496,8 @@ def decomposition(t: Triangulation) -> Surface:
     # Walk each cell boundary and put its polygon in canonical form, then
     # order the cells canonically.
     emitted = []  # (canonical chain, boundary half-edges from the chain's first vertex)
-    for _, tris in sorted(groups.items()):
-        boundary = [
-            (tri, e) for tri in tris for e in range(3) if not internal[(tri, e)]
-        ]
-        start = min(boundary)
+    for tris in cells:
+        start = min((tri, e) for tri in tris for e in range(3) if not internal[(tri, e)])
         walk = [start]
         cur = start
         while True:
@@ -542,19 +521,17 @@ def decomposition(t: Triangulation) -> Surface:
         for k, h in enumerate(walk):
             edge_index[h] = (new_i, k)
 
+    # edge_index runs through (cell, edge) in increasing order, so listing
+    # each gluing from its smaller side sorts the gluings.
     gluings = []
-    done = set()
     for h, (ci, ei) in edge_index.items():
-        if h in done:
-            continue
         tw = t.twin(h)
         cj, ej = edge_index[tw]
+        if (cj, ej) < (ci, ei):
+            continue
         eps = transforms[h[0]][0] * t.chart_sign[h] * transforms[tw[0]][0]
         kind = sf.TRANSLATION if eps == 1 else sf.REFLECTION
         gluings.append(Gluing((ci, ei), (cj, ej), kind))
-        done.add(h)
-        done.add(tw)
-    gluings.sort(key=lambda g: (g.edge_a, g.edge_b))
     kind = sf.TRANSLATION if all(g.kind == sf.TRANSLATION for g in gluings) else "half_translation"
     return Surface(polygons, gluings, kind)
 

@@ -324,9 +324,10 @@ class Cell:
     """An iso-Delaunay region: a combinatorial Delaunay class over H.
 
     comb_hash is the canonical combinatorial code of the triangulation
-    (mirror-inclusive, so a reflected surface yields an equal hash); the
-    identity key is the supporting wall set with orientations, which pins
-    the region itself.
+    (mirror-inclusive, so a reflected surface yields an equal hash); walls
+    are the supporting walls, sorted by oriented key, each bounding the
+    cell on its side q < 0; the identity key is the set of their oriented
+    keys, which pins the region itself.
     """
 
     comb_hash: Tuple[int, ...]
@@ -334,29 +335,19 @@ class Cell:
     sample: HPoint
     key: FrozenSet = field(repr=False, default=frozenset())
     triangulation: Optional[Triangulation] = field(repr=False, default=None, compare=False)
-    constraints: list = field(repr=False, default_factory=list, compare=False)
 
 
 def _rationalize(x: float, max_den: int = 10 ** 9) -> Fraction:
     return Fraction(x).limit_denominator(max_den)
 
 
-class _Constraint:
-    """An oriented wall bounding the cell (interior where q < 0)."""
-
-    __slots__ = ("wall", "hinges")
-
-    def __init__(self, wall: Wall):
-        self.wall = wall
-        self.hinges: List[HalfEdge] = []
-
-    def item(self):
-        return self.wall.oriented_key()
-
-
 def _collect_constraints(t: Triangulation, u: Scalar, v: Scalar, fu: float, fv: float,
-                         walls: Optional[dict]) -> List[_Constraint]:
-    by_key: Dict[object, _Constraint] = {}
+                         walls: Optional[dict]) -> List[Wall]:
+    """The distinct walls of t's hinges, each oriented so that the sample
+    (u, v) lies on its side q < 0: the first wall per oriented key, in edge
+    order.  A wall's hinges are the edges of t whose hinge_cache wall has
+    its oriented key."""
+    by_key: Dict[object, Wall] = {}
     for edge in t.edges():
         w = _memo_wall(t, edge, walls)
         if w is ALWAYS or w is NEVER:
@@ -368,12 +359,7 @@ def _collect_constraints(t: Triangulation, u: Scalar, v: Scalar, fu: float, fv: 
             raise _OnWall
         if s > 0:
             raise IsoDelaunayError("non-Delaunay hinge after delaunayize_at")
-        key = w.oriented_key()
-        con = by_key.get(key)
-        if con is None:
-            con = _Constraint(w)
-            by_key[key] = con
-        con.hinges.append(edge)
+        by_key.setdefault(w.oriented_key(), w)
     return list(by_key.values())
 
 
@@ -550,22 +536,22 @@ class _FloatLine:
         return x
 
 
-def _facet(target: _Constraint, others: Sequence[_Constraint]):
-    """(line, lo, hi) for the facet of target's wall, the parameter bounds
+def _facet(target: Wall, others: Sequence[Wall]):
+    """(line, lo, hi) for the facet of the wall target, the parameter bounds
     of its points on the cell boundary and inside H (None where unbounded),
     or None when the wall is redundant.
 
     The wall is a line in (u, v) coordinates, each other wall a half-line
     of it, and the parabola u > v**2 a concave quadratic g along it.
     """
-    line = _ExactLine(target.wall) if target.wall.exact else _FloatLine(target.wall)
+    line = _ExactLine(target) if target.exact else _FloatLine(target)
     lo = hi = None
-    for con in others:
-        if con is target:
+    for w in others:
+        if w is target:
             continue
-        ss, x = line.bound(con.wall)
+        ss, x = line.bound(w)
         if ss == 0:
-            # Parallel: x is the sign of con's form all along the line.
+            # Parallel: x is the sign of w's form all along the line.
             if x > 0:
                 return None
             continue
@@ -590,7 +576,7 @@ def _facet(target: _Constraint, others: Sequence[_Constraint]):
     return (line, lo, hi) if inside else None
 
 
-def _supporting_interval(target: _Constraint, others: Sequence[_Constraint]):
+def _supporting_interval(target: Wall, others: Sequence[Wall]):
     """Parameter interval (lo, hi) of the facet: points of the wall on the
     cell boundary and inside H, or None when the wall is redundant.
 
@@ -650,7 +636,7 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
         try:
             t = delaunayize_at(base, u, vx, _walls=memo.walls)
             fu, fv = _sample_floats(u, vx)
-            cons = _collect_constraints(t, u, vx, fu, fv, memo.walls)
+            walls = _collect_constraints(t, u, vx, fu, fv, memo.walls)
         except _OnWall:
             _log.debug("cell_at: sample %r + %ri lies on a wall; moving it (attempt %d)",
                        zx, zy, attempt + 1)
@@ -658,27 +644,22 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
             zy += 1e-9 * (attempt + 1)
             continue
         if memo.supports is not None:
-            everything = frozenset(c.item() for c in cons)
+            everything = frozenset(w.oriented_key() for w in walls)
             known = memo.supports.get(everything)
             if known in memo.cells:
                 return memo.cells[known]
-        supporting = []
-        for con in cons:
-            if _facet(con, cons) is not None:
-                supporting.append(con)
-        supporting.sort(key=lambda c: c.item())
-        key = frozenset(c.item() for c in supporting)
+        supporting = sorted((w for w in walls if _facet(w, walls) is not None), key=Wall.oriented_key)
+        key = frozenset(w.oriented_key() for w in supporting)
         if memo.supports is not None:
             memo.supports[everything] = key
         if key in memo.cells:
             return memo.cells[key]
         return Cell(
             comb_hash=dl.canonical_code(t, include_mirror=True),
-            walls=tuple(c.wall for c in supporting),
+            walls=tuple(supporting),
             sample=HPoint(to_float(vx), to_float(vy)),
             key=key,
             triangulation=t,
-            constraints=supporting,
         )
     raise IsoDelaunayError(f"could not move sample {z} off the walls")
 
@@ -701,13 +682,13 @@ class Tessellation:
         return [seen[k] for k in sorted(seen, key=repr)]
 
 
-def _no_crossing_point(con: _Constraint, lo: float, hi: float, reason: str) -> None:
+def _no_crossing_point(wall: Wall, lo: float, hi: float, reason: str) -> None:
     """Log why a facet on v in (lo, hi) gets no crossing point."""
     _log.debug("_facet_crossing_point: wall %r on (%r, %r): %s; not crossed",
-               con.wall.normalized_floats(), lo, hi, reason)
+               wall.normalized_floats(), lo, hi, reason)
 
 
-def _facet_crossing_point(con: _Constraint, interval, z0: HPoint, radius: float) -> Optional[HPoint]:
+def _facet_crossing_point(wall: Wall, interval, z0: HPoint, radius: float) -> Optional[HPoint]:
     """Hyperbolic midpoint of the facet clipped to the ball, as a float point.
 
     A circle wall is sampled at theta = pi k/512 (0 < k < 512), a vertical
@@ -721,14 +702,14 @@ def _facet_crossing_point(con: _Constraint, interval, z0: HPoint, radius: float)
     lo, hi = interval
     lo_f = -math.inf if lo is None else to_float(lo)
     hi_f = math.inf if hi is None else to_float(hi)
-    kind, p, r = con.wall.geometry()
+    kind, p, r = wall.geometry()
     x0, y0 = z0.x, z0.y
     # Arclength coordinate and point of every sample within the ball, in
     # increasing arclength.
     samples: List[Tuple[float, float, float]] = []
     if kind == "circle":
         if r == 0:
-            return _no_crossing_point(con, lo_f, hi_f, "the geodesic misses the ball")
+            return _no_crossing_point(wall, lo_f, hi_f, "the geodesic misses the ball")
         center = p
         # v = center + r cos(theta), y = r sin(theta)
         n = 512
@@ -747,7 +728,7 @@ def _facet_crossing_point(con: _Constraint, interval, z0: HPoint, radius: float)
         q = -(y0 * y0 + d * d + r * r) / (2 * r * m)
         if math.isfinite(q):
             if q < -1 - 1e-9:
-                return _no_crossing_point(con, lo_f, hi_f, "the geodesic misses the ball")
+                return _no_crossing_point(wall, lo_f, hi_f, "the geodesic misses the ball")
             phi = math.atan2(-big_y, d)
             beta = math.acos(max(q, -1.0))
             k_lo = max(k_lo, math.floor((phi + beta) * n / math.pi) - 2)
@@ -777,15 +758,15 @@ def _facet_crossing_point(con: _Constraint, interval, z0: HPoint, radius: float)
             if math.acosh(1.0 + (dx * dx + dy * dy) / (2.0 * y * y0)) <= radius:
                 samples.append((math.log(y), x, y))
     if not samples:
-        return _no_crossing_point(con, lo_f, hi_f, "no sample of the facet lies in the ball")
+        return _no_crossing_point(wall, lo_f, hi_f, "no sample of the facet lies in the ball")
     s_mid = 0.5 * (samples[0][0] + samples[-1][0])
     _, x, y = min(samples, key=lambda t: abs(t[0] - s_mid))
     return HPoint(x, y)
 
 
-def _cross_wall(s: Surface, cell: Cell, con: _Constraint, at: HPoint, memo: _Memo) -> Optional[Cell]:
+def _cross_wall(s: Surface, cell: Cell, wall: Wall, at: HPoint, memo: _Memo) -> Optional[Cell]:
     """A sample just across the wall from the cell, verified exactly."""
-    a, b, c = con.wall.floats()
+    a, b, c = wall.floats()
     # gradient of the oriented q in (x, y): points out of the cell
     exact = s.is_exact()
     for eps in (1e-4, 1e-5, 1e-6, 1e-7):
@@ -805,18 +786,17 @@ def _cross_wall(s: Surface, cell: Cell, con: _Constraint, at: HPoint, memo: _Mem
             vx, vy = zx, zy
         u = vx * vx + vy * vy
         fu, fv = _sample_floats(u, vx)
-        # Strictly across con and strictly inside every other constraint.
-        if con.wall.side(u, vx, fu, fv) <= 0:
+        # Strictly across the wall and strictly inside every other one.
+        if wall.side(u, vx, fu, fv) <= 0:
             continue
-        if any(other.wall.side(u, vx, fu, fv) >= 0
-               for other in cell.constraints if other is not con):
+        if any(other.side(u, vx, fu, fv) >= 0 for other in cell.walls if other is not wall):
             continue
         try:
             return cell_at(s, HPoint(vx, vy), _tri=cell.triangulation, _memo=memo)
         except IsoDelaunayError:
             continue
     _log.debug("_cross_wall: no verified sample across wall %r near %r + %ri; no crossing",
-               con.wall.normalized_floats(), at.x, at.y)
+               wall.normalized_floats(), at.x, at.y)
     return None
 
 
@@ -853,14 +833,14 @@ def explore(s: Surface, z0: HPoint, radius: float, cell_budget: int = 10 ** 5) -
         frontier.sort(key=lambda c: (c.comb_hash, sorted(map(repr, c.key))))
         next_frontier: List[Cell] = []
         for cell in frontier:
-            for con in cell.constraints:
-                interval = _supporting_interval(con, cell.constraints)
+            for wall in cell.walls:
+                interval = _supporting_interval(wall, cell.walls)
                 if interval is None:
                     continue
-                at = _facet_crossing_point(con, interval, z0, radius)
+                at = _facet_crossing_point(wall, interval, z0, radius)
                 if at is None:
                     continue
-                neighbor = _cross_wall(s, cell, con, at, memo)
+                neighbor = _cross_wall(s, cell, wall, at, memo)
                 if neighbor is None:
                     continue
                 if neighbor.key not in cells:
@@ -870,9 +850,9 @@ def explore(s: Surface, z0: HPoint, radius: float, cell_budget: int = 10 ** 5) -
                     key_repr[neighbor.key] = repr(neighbor.key)
                     next_frontier.append(neighbor)
                 if key_repr[neighbor.key] < key_repr[cell.key]:
-                    adjacency.add((neighbor.key, cell.key, con.wall))
+                    adjacency.add((neighbor.key, cell.key, wall))
                 else:
-                    adjacency.add((cell.key, neighbor.key, con.wall))
+                    adjacency.add((cell.key, neighbor.key, wall))
         frontier = next_frontier
     return Tessellation(s, list(cells.values()), adjacency)
 

@@ -199,6 +199,9 @@ def validate(s: Surface) -> List[Violation]:
     for g in s.gluings:
         for ref in ((g.edge_a, g.edge_b) if not g.is_fold else (g.edge_a,)):
             seen[ref] = seen.get(ref, 0) + 1
+            p, e = ref
+            if not (0 <= p < len(s.polygons) and 0 <= e < len(s.polygons[p])):
+                out.append(Violation("edge-out-of-range", f"gluing {g.edge_a}~{g.edge_b} names no edge {ref}"))
         if g.kind not in (TRANSLATION, REFLECTION):
             out.append(Violation("bad-kind", f"unknown gluing kind {g.kind!r}"))
         if g.is_fold and g.kind == TRANSLATION:

@@ -8,10 +8,11 @@ floats) so that exact surfaces round-trip bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 from typing import IO
 
-from .numeric import scalar_from_str, scalar_to_str
-from .surface import Gluing, Polygon, Surface, SurfaceError
+from .numeric import Point, Scalar, scalar_from_str, scalar_to_str
+from .surface import TRANSLATION, Gluing, Polygon, Surface, SurfaceError
 
 FORMAT = "flatsurface/1"
 
@@ -30,18 +31,61 @@ def surface_to_dict(s: Surface) -> dict:
     }
 
 
-def surface_from_dict(data: dict) -> Surface:
+def _field(data: dict, name: str):
+    if name not in data:
+        raise SurfaceError(f"surface file: missing field {name!r}")
+    return data[name]
+
+
+def _list(x, where: str) -> list:
+    if not isinstance(x, list):
+        raise SurfaceError(f"surface file: {where} is not a list: {x!r}")
+    return x
+
+
+def _scalar(text, where: str) -> Scalar:
+    if isinstance(text, str):
+        try:
+            x = scalar_from_str(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+        else:
+            if not isinstance(x, float) or math.isfinite(x):
+                return x
+    raise SurfaceError(f"surface file: {where}: bad scalar literal {text!r}")
+
+
+def _vertex(v, where: str) -> Point:
+    if not (isinstance(v, list) and len(v) == 2):
+        raise SurfaceError(f"surface file: {where} is not a pair of scalar literals: {v!r}")
+    return (_scalar(v[0], where), _scalar(v[1], where))
+
+
+def _gluing(g, where: str) -> Gluing:
+    """A gluing [[p, e], [q, f], kind] with integer indices and a string kind."""
+    if (isinstance(g, list) and len(g) == 3 and isinstance(g[2], str)
+            and all(isinstance(ref, list) and len(ref) == 2
+                    and all(type(i) is int for i in ref) for ref in g[:2])):
+        (p, e), (q, f), kind = g
+        return Gluing((p, e), (q, f), kind)
+    raise SurfaceError(f"surface file: {where} is not [[p, e], [q, f], kind]: {g!r}")
+
+
+def surface_from_dict(data) -> Surface:
+    """The surface of a parsed file; SurfaceError names the first bad field."""
+    if not isinstance(data, dict):
+        raise SurfaceError(f"surface file: the top level is not an object: {data!r}")
     if data.get("format") != FORMAT:
         raise SurfaceError(f"unsupported surface format: {data.get('format')!r}")
+    kind = _field(data, "kind")
+    if kind not in (TRANSLATION, "half_translation"):
+        raise SurfaceError(f"surface file: kind is not 'translation' or 'half_translation': {kind!r}")
     polygons = [
-        Polygon([(scalar_from_str(x), scalar_from_str(y)) for x, y in poly])
-        for poly in data["polygons"]
+        Polygon([_vertex(v, f"polygons[{i}][{j}]") for j, v in enumerate(_list(poly, f"polygons[{i}]"))])
+        for i, poly in enumerate(_list(_field(data, "polygons"), "polygons"))
     ]
-    gluings = [
-        Gluing((int(a[0]), int(a[1])), (int(b[0]), int(b[1])), kind)
-        for a, b, kind in data["gluings"]
-    ]
-    return Surface(polygons, gluings, data["kind"])
+    gluings = [_gluing(g, f"gluings[{i}]") for i, g in enumerate(_list(_field(data, "gluings"), "gluings"))]
+    return Surface(polygons, gluings, kind)
 
 
 def dump(s: Surface, fp: IO[str]) -> None:

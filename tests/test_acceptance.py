@@ -210,10 +210,15 @@ def test_criterion_10_iso_delaunay_tessellation():
         inv_a2 = (ALPHA * ALPHA).inverse()
         assert len(iso.walls_through(tess, inv_a2, CubicNumber(0))) == 2
 
+        # Every hinge of every supporting wall: the edges whose cached wall
+        # has an oriented key in the cell's key.
         rnd = random.Random(17)
         for cell in tess.cells:
-            for con in cell.constraints:
-                edge = con.hinges[0]
+            checked = set()
+            for edge, wall in cell.triangulation.hinge_cache.items():
+                if not isinstance(wall, iso.Wall) or wall.oriented_key() not in cell.key:
+                    continue
+                checked.add(wall.oriented_key())
                 h = dl.hinge(cell.triangulation, edge)
                 quad = [(to_float(p[0]), to_float(p[1])) for p in (h.p1, h.p2, h.p3, h.p4)]
                 for _ in range(100):
@@ -221,9 +226,10 @@ def test_criterion_10_iso_delaunay_tessellation():
                     y = rnd.uniform(0.05, 4.0)
                     moved = [(px + x * py, y * py) for px, py in quad]
                     det = incircle_det(*moved)
-                    q = to_float(con.wall.value_at(x, y))
+                    q = to_float(wall.value_at(x, y))
                     if abs(q) > 1e-9 and abs(det) > 1e-12:
                         assert (q > 0) == (det > 0)
+            assert checked == cell.key
 
 
 def test_criterion_11_origami_checks():

@@ -153,6 +153,40 @@ class TestCli:
                        '"polygons": [[["0","0"],["1","0"],["1","1"],["0","1"]]], "gluings": []}')
         assert run(["info", str(bad)]) == 1
 
+    _TRIANGLE = '"polygons": [[["0","0"],["1","0"],["0","1"]]]'
+    _GLUED = '"gluings": [[[0,0],[0,1],"translation"],[[0,2],[0,2],"reflection"]]'
+
+    @pytest.mark.parametrize("text, field", (
+        ('[1,2]', "top level"),
+        ('{"format": "flatsurface/1"}', "kind"),
+        ('{"format": "flatsurface/1", "kind": "translation", ' + _GLUED + '}', "polygons"),
+        ('{"format": "flatsurface/1", "kind": "translation", ' + _TRIANGLE + '}', "gluings"),
+        ('{"format": "flatsurface/1", "kind": "glide", ' + _TRIANGLE + ', ' + _GLUED + '}', "kind"),
+        ('{"format": "flatsurface/1", "kind": "translation", "polygons": {}, ' + _GLUED + '}', "polygons"),
+        ('{"format": "flatsurface/1", "kind": "translation", "polygons": [["x",["1","0"],["0","1"]]], '
+         + _GLUED + '}', "polygons[0][0]"),
+        ('{"format": "flatsurface/1", "kind": "translation", "polygons": [[["x","0"],["1","0"],["0","1"]]], '
+         + _GLUED + '}', "polygons[0][0]"),
+        ('{"format": "flatsurface/1", "kind": "translation", "polygons": [[["1/0","0"],["1","0"],["0","1"]]], '
+         + _GLUED + '}', "polygons[0][0]"),
+        ('{"format": "flatsurface/1", "kind": "translation", "polygons": [[[0,0],["1","0"],["0","1"]]], '
+         + _GLUED + '}', "polygons[0][0]"),
+        ('{"format": "flatsurface/1", "kind": "translation", "polygons": [[["1e999","0"],["1","0"],["0","1"]]], '
+         + _GLUED + '}', "polygons[0][0]"),
+        ('{"format": "flatsurface/1", "kind": "translation", ' + _TRIANGLE
+         + ', "gluings": [[[0,0],[0,1]]]}', "gluings[0]"),
+        ('{"format": "flatsurface/1", "kind": "translation", ' + _TRIANGLE
+         + ', "gluings": [[[0,"a"],[0,1],"translation"]]}', "gluings[0]"),
+    ), ids=["array", "format-only", "no-polygons", "no-gluings", "bad-kind", "polygons-object", "vertex-string",
+            "bad-literal", "zero-denominator", "number-literal", "infinite-literal", "gluing-no-kind", "gluing-string-index"])
+    def test_malformed_file_is_a_domain_error(self, text, field, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = invoke(capsys, "info", str(bad))
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and field in line
+
     @pytest.mark.parametrize("argv", (["solve-ay", "--tol", "0"], ["solve-rect", "--mu", "0.5", "--tol=-1e-9"]))
     def test_nonpositive_tolerance_exit_code(self, argv, capsys):
         code, _, err = invoke(capsys, *argv)

@@ -308,7 +308,7 @@ def _ref_side(wall, u, v):
 def _ref_supporting_interval(target, others):
     """_supporting_interval as computed before it was made division free:
     each bound is the quotient -const/slope in the walls' own arithmetic."""
-    w = target.wall
+    w = target
     vertical = w.is_vertical
     if vertical:
         # v = -c/b
@@ -319,11 +319,10 @@ def _ref_supporting_interval(target, others):
         inv = Fraction(1) / w.a
         u0, du, v0, dv = -w.c * inv, -w.b * inv, 0, 1
     lo = hi = None
-    for con in others:
-        if con is target:
+    for w in others:
+        if w is target:
             continue
         # a (u0 + s du) + b (v0 + s dv) + c <= 0
-        w = con.wall
         slope = w.a * du + w.b * dv
         const = w.a * u0 + w.b * v0 + w.c
         ss = sign(slope, iso._FACET_TOL)
@@ -363,11 +362,10 @@ def _same_interval(got, want):
 
 
 def _assert_facets_match_reference(walls):
-    cons = [iso._Constraint(w) for w in walls]
-    for target in cons:
-        want = _ref_supporting_interval(target, cons)
-        assert (iso._facet(target, cons) is None) == (want is None)
-        assert _same_interval(iso._supporting_interval(target, cons), want)
+    for target in walls:
+        want = _ref_supporting_interval(target, walls)
+        assert (iso._facet(target, walls) is None) == (want is None)
+        assert _same_interval(iso._supporting_interval(target, walls), want)
 
 
 class TestFilteredPredicates:
@@ -406,14 +404,14 @@ class TestFilteredPredicates:
             got = facet(target, others)
             seen["facet"] += 1
             if (got is None) != (_ref_supporting_interval(target, others) is None):
-                bad.append(("facet", target.wall))
+                bad.append(("facet", target))
             return got
 
         def checking_interval(target, others):
             got = interval(target, others)
             seen["interval"] += 1
             if not _same_interval(got, _ref_supporting_interval(target, others)):
-                bad.append(("interval", target.wall))
+                bad.append(("interval", target))
             return got
 
         def counting_filtered_sign(x, mag, eps):
@@ -628,7 +626,7 @@ class TestFallbackLogging:
         cell = iso.cell_at(torus, iso.HPoint(0.05, 1.2))
         memo = iso._Memo({})
         with caplog.at_level(logging.DEBUG, logger="flatsurfkit.isodelaunay"):
-            got = iso._cross_wall(torus, cell, cell.constraints[0], cell.sample, memo)
+            got = iso._cross_wall(torus, cell, cell.walls[0], cell.sample, memo)
         assert got is None
         assert any("no verified sample" in r.getMessage() for r in caplog.records)
 
@@ -638,9 +636,9 @@ class TestFallbackLogging:
         (iso.HPoint(0.0, 10.0), 0.1, (None, None), "the geodesic misses the ball"),
     ], ids=["no-sample", "miss"])
     def test_facet_without_crossing_point_is_logged(self, z0, radius, interval, reason, caplog):
-        con = iso._Constraint(iso.Wall(1.0, 0.0, -1.0))
+        wall = iso.Wall(1.0, 0.0, -1.0)
         with caplog.at_level(logging.DEBUG, logger="flatsurfkit.isodelaunay"):
-            assert iso._facet_crossing_point(con, interval, z0, radius) is None
+            assert iso._facet_crossing_point(wall, interval, z0, radius) is None
         [record] = caplog.records
         assert reason in record.getMessage() and "(1.0, 0.0, -1.0)" in record.getMessage()
 
@@ -650,13 +648,13 @@ class TestFallbackLogging:
         assert caplog.records == []
 
 
-def _sampled_crossing_point(con, interval, z0, radius):
+def _sampled_crossing_point(wall, interval, z0, radius):
     """_facet_crossing_point as it sampled before it was optimized: every
     sample built as an HPoint and measured with hyperbolic_distance."""
     lo, hi = interval
     lo_f = None if lo is None else to_float(lo)
     hi_f = None if hi is None else to_float(hi)
-    a, b, c = con.wall.floats()
+    a, b, c = wall.floats()
     samples = []
     if abs(a) > 1e-300:
         center = -b / (2 * a)
@@ -715,16 +713,16 @@ class TestFacetCrossingPoint:
         tess = iso.explore(s, self.Z0, 1.0)
         out = []
         for cell in tess.cells:
-            for con in cell.constraints:
-                interval = iso._supporting_interval(con, cell.constraints)
+            for wall in cell.walls:
+                interval = iso._supporting_interval(wall, cell.walls)
                 if interval is not None:
-                    out.append((con, interval))
+                    out.append((wall, interval))
         return out
 
     @pytest.mark.parametrize("z0, radius", [(Z0, 1.0), (Z0, 0.3), (Z0, 3.0), (iso.HPoint(0.3, 0.2), 2.0)])
     def test_matches_sampling_on_ball_facets(self, facets, z0, radius):
-        got = [iso._facet_crossing_point(con, interval, z0, radius) for con, interval in facets]
-        want = [_sampled_crossing_point(con, interval, z0, radius) for con, interval in facets]
+        got = [iso._facet_crossing_point(wall, interval, z0, radius) for wall, interval in facets]
+        want = [_sampled_crossing_point(wall, interval, z0, radius) for wall, interval in facets]
         assert all(_same_point(g, w) for g, w in zip(got, want))
         if (z0, radius) == (self.Z0, 1.0):
             assert any(w is not None for w in want) and any(w is None for w in want)
@@ -745,9 +743,9 @@ class TestFacetCrossingPoint:
         z0 = iso.HPoint(ex, math.sqrt(ey * ey - s * s))
         radius = math.atanh(abs(s) / ey) * (1 + nudge)
         m = max(1.0, abs(2 * center), abs(center * center - r * r))
-        con = iso._Constraint(iso.Wall(1.0 / m, -2 * center / m, (center * center - r * r) / m))
-        got = iso._facet_crossing_point(con, (None, None), z0, radius)
-        assert _same_point(got, _sampled_crossing_point(con, (None, None), z0, radius))
+        wall = iso.Wall(1.0 / m, -2 * center / m, (center * center - r * r) / m)
+        got = iso._facet_crossing_point(wall, (None, None), z0, radius)
+        assert _same_point(got, _sampled_crossing_point(wall, (None, None), z0, radius))
 
 
 class TestRenderSvg:

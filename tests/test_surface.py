@@ -104,6 +104,11 @@ class TestValidate:
         return {
             "polygon-degenerate": Surface([Polygon([(0, 0), (1, 0)])], [Gluing((0, 0), (0, 1), TRANSLATION)]),
             "polygon-not-convex": Surface([Polygon(square[::-1])], torus(0)),
+            # Edge 9 of a triangle: the vector check would index past its vertices.
+            "edge-out-of-range": Surface(
+                [Polygon([(0, 0), (1, 0), (0, 1)])],
+                [Gluing((0, 0), (0, 9), TRANSLATION), Gluing((0, 1), (0, 2), TRANSLATION)],
+            ),
             "bad-kind": Surface(
                 [Polygon(square)], [Gluing((0, 0), (0, 2), "glide"), Gluing((0, 1), (0, 3), TRANSLATION)]
             ),
@@ -133,8 +138,8 @@ class TestValidate:
         }
 
     @pytest.mark.parametrize("code", (
-        "polygon-degenerate", "polygon-not-convex", "bad-kind", "vector-mismatch", "disconnected",
-        "angle-inconsistent", "angle-too-small", "angle-odd",
+        "polygon-degenerate", "polygon-not-convex", "edge-out-of-range", "bad-kind", "vector-mismatch",
+        "disconnected", "angle-inconsistent", "angle-too-small", "angle-odd",
     ))
     def test_violation_code(self, code, monkeypatch):
         if code == "angle-odd":
@@ -143,6 +148,19 @@ class TestValidate:
             # reached with the vector check switched off.
             monkeypatch.setattr(surface_module, "vectors_match", lambda v, w: True)
         assert {v.code for v in validate(self._bad_surfaces()[code])} == {code}
+
+    @pytest.mark.parametrize("ref", ((0, 9), (0, 4), (0, -1), (1, 0), (-1, 0)))
+    def test_edge_out_of_range(self, ref):
+        # (0, -1) would alias edge (0, 2) through Python's negative indexing.
+        s = Surface(
+            [Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])],
+            [Gluing((0, 0), (0, 2), TRANSLATION), Gluing((0, 1), ref, TRANSLATION),
+             Gluing((0, 3), (0, 3), REFLECTION)],
+            kind="half_translation",
+        )
+        assert [(v.code, v.detail) for v in validate(s)] == [
+            ("edge-out-of-range", f"gluing (0, 1)~{ref} names no edge {ref}"),
+        ]
 
     @pytest.mark.parametrize("side", (1.0, 1e-11, 1e11))
     def test_vector_check_is_scale_free(self, side):
