@@ -42,6 +42,9 @@ NEVER = "never"
 # The float tolerance of the facet test on float walls (_FloatLine).
 _FACET_TOL = 1e-13
 
+# explore's largest radius: exp(1.5 * radius) overflows a double above 473.2.
+_MAX_RADIUS = 473.0
+
 
 class IsoDelaunayError(RuntimeError):
     pass
@@ -56,8 +59,8 @@ class HPoint:
     y: float
 
     def __post_init__(self):
-        if not self.y > 0:
-            raise IsoDelaunayError(f"not in the upper half-plane: {self.x} + {self.y}i")
+        if not (self.y > 0 and abs(self.x) < math.inf and self.y < math.inf):
+            raise IsoDelaunayError(f"not a finite point of the upper half-plane: {self.x} + {self.y}i")
 
     def hyperbolic_distance(self, other: "HPoint") -> float:
         dx = self.x - other.x
@@ -595,21 +598,20 @@ class _Memo:
     """Work shared by the cell_at calls of one explore.
 
     cells maps a supporting key to the cell explore stored under it.  walls
-    (developed hinge -> wall) and supports (set of all oriented constraint
-    keys -> supporting key) are kept on exact input only, where both are
-    functions of their keys.  walls is the second cache level: the first is
-    each triangulation's hinge_cache, which a neighbour's triangulation
-    inherits from its parent cell for every hinge it did not flip, on both
-    paths.  The developed-hinge level adds the hinges that flips recreate
-    in a shape seen before; float hinge coordinates drift by ulps across
-    flip sequences, so on floats it would mostly miss and only cost memory.
-    Float keys are rounded, so one constraint-key set can have different
-    supporting walls.
+    (developed hinge -> wall) and crossed ((cell key, locus key) -> the cell
+    across that facet) are kept on exact input only.  walls is the second
+    cache level: the first is each triangulation's hinge_cache, which a
+    neighbour's triangulation inherits from its parent cell for every hinge
+    it did not flip, on both paths.  The developed-hinge level adds the
+    hinges that flips recreate in a shape seen before; float hinge
+    coordinates drift by ulps across flip sequences, so on floats it would
+    mostly miss and only cost memory.  crossed relies on every facet being
+    shared by exactly two cells, which float crossings do not keep.
     """
 
     cells: Dict[FrozenSet, "Cell"]
     walls: Optional[dict] = None
-    supports: Optional[Dict[FrozenSet, FrozenSet]] = None
+    crossed: Optional[Dict[tuple, "Cell"]] = None
 
 
 def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
@@ -643,15 +645,8 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
             zx += (1e-9 if attempt % 2 == 0 else -2e-9) * (attempt + 1)
             zy += 1e-9 * (attempt + 1)
             continue
-        if memo.supports is not None:
-            everything = frozenset(w.oriented_key() for w in walls)
-            known = memo.supports.get(everything)
-            if known in memo.cells:
-                return memo.cells[known]
         supporting = sorted((w for w in walls if _facet(w, walls) is not None), key=Wall.oriented_key)
         key = frozenset(w.oriented_key() for w in supporting)
-        if memo.supports is not None:
-            memo.supports[everything] = key
         if key in memo.cells:
             return memo.cells[key]
         return Cell(
@@ -813,16 +808,16 @@ def explore(s: Surface, z0: HPoint, radius: float, cell_budget: int = 10 ** 5) -
     its parent cell's walls, and cell_at recomputes only the walls of the
     hinges its own flips changed.  On exact input a second memo, keyed by
     the developed hinge, computes each exact wall once per exploration.
-    One exploration does not rebuild a cell it already holds: a
-    neighbour whose supporting key is known, or on exact input whose full
-    constraint set was seen before, is returned from the store.  On exact
-    input the Delaunay tessellation is unique, so the constraint set pins
-    the cell.
+    One exploration does not rebuild a cell it already holds, and on exact
+    input it crosses each facet once: the exact tessellation is
+    edge-to-edge, so the far cell of a facet is the cell that crossed it.
+    Float crossings are not reciprocal, so floats cross from both sides.
     """
-    if not radius > 0:
-        raise IsoDelaunayError("radius must be positive")
+    if not 0 < radius <= _MAX_RADIUS:
+        raise IsoDelaunayError(f"radius must be positive and at most {_MAX_RADIUS}: {radius}")
+    exact = s.is_exact()
     cells: Dict[FrozenSet, Cell] = {}
-    memo = _Memo(cells, walls={}, supports={}) if s.is_exact() else _Memo(cells)
+    memo = _Memo(cells, walls={}, crossed={}) if exact else _Memo(cells)
     start = cell_at(s, z0, _memo=memo)
     cells[start.key] = start
     # repr(key) orders the two ends of an adjacency; computed once per cell.
@@ -834,15 +829,19 @@ def explore(s: Surface, z0: HPoint, radius: float, cell_budget: int = 10 ** 5) -
         next_frontier: List[Cell] = []
         for cell in frontier:
             for wall in cell.walls:
-                interval = _supporting_interval(wall, cell.walls)
-                if interval is None:
-                    continue
-                at = _facet_crossing_point(wall, interval, z0, radius)
-                if at is None:
-                    continue
-                neighbor = _cross_wall(s, cell, wall, at, memo)
+                neighbor = memo.crossed.pop((cell.key, wall.locus_key()), None) if exact else None
                 if neighbor is None:
-                    continue
+                    interval = _supporting_interval(wall, cell.walls)
+                    if interval is None:
+                        continue
+                    at = _facet_crossing_point(wall, interval, z0, radius)
+                    if at is None:
+                        continue
+                    neighbor = _cross_wall(s, cell, wall, at, memo)
+                    if neighbor is None:
+                        continue
+                    if exact:
+                        memo.crossed[(neighbor.key, wall.locus_key())] = cell
                 if neighbor.key not in cells:
                     if len(cells) >= cell_budget:
                         raise IsoDelaunayError(f"cell budget {cell_budget} exceeded")

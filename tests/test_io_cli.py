@@ -187,6 +187,19 @@ class TestCli:
         [line] = err.splitlines()
         assert line.startswith("error: ") and field in line
 
+    @pytest.mark.parametrize("argv, names", (
+        (["--radius", "480"], "radius"), (["--radius", "800"], "radius"), (["--radius", "inf"], "radius"),
+        (["--radius", "1", "--x", "nan"], "finite point"), (["--radius", "1", "--x", "inf"], "finite point"),
+        (["--radius", "1", "--y", "inf"], "finite point"),
+    ), ids=["radius-480", "radius-800", "radius-inf", "x-nan", "x-inf", "y-inf"])
+    def test_out_of_range_tessellate_is_a_domain_error(self, argv, names, tmp_path, capsys):
+        path = tmp_path / "ay.json"
+        invoke(capsys, "build", "ay", "-o", str(path))
+        code, out, err = invoke(capsys, "tessellate", str(path), *argv)
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and names in line and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", (["solve-ay", "--tol", "0"], ["solve-rect", "--mu", "0.5", "--tol=-1e-9"]))
     def test_nonpositive_tolerance_exit_code(self, argv, capsys):
         code, _, err = invoke(capsys, *argv)

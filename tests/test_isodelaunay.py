@@ -1,5 +1,6 @@
 """Walls, cells, and exploration of the iso-Delaunay tessellation."""
 
+import hashlib
 import logging
 import math
 import random
@@ -192,7 +193,8 @@ class TestExplore:
 
 
 class TestExploreShortcuts:
-    """explore's wall memo and known-cell short-circuits against plain cell_at."""
+    """explore's wall memo, known-cell short-circuit and crossing record
+    against plain cell_at and a crossing from each side."""
 
     @pytest.fixture(scope="class")
     def exact_ball(self, ay):
@@ -287,8 +289,29 @@ class TestExploreShortcuts:
         monkeypatch.setattr(iso, "delaunayize_at", recording_delaunayize_at)
         tess = iso.explore(ay, iso.HPoint(0.0001, 1.0001), 2.0)
         assert (len(tess.cells), len(tess.all_walls()), len(tess.adjacency)) == (156, 125, 468)
-        assert len(pairs) >= len(tess.adjacency)
+        # Each exact facet is crossed once, and holds two adjacency triples.
+        assert len(pairs) == len(tess.adjacency) // 2
         assert [p for p in pairs if p[0] != p[1]] == []
+
+    @pytest.mark.parametrize("exact, crossings", ((True, 36), (False, 62)))
+    def test_each_exact_facet_is_crossed_once(self, ay, float_surface, exact, crossings, monkeypatch):
+        # On exact input the far cell of a facet is taken from the crossing
+        # record; floats cross every facet from both sides.
+        calls = []
+        cross_wall = iso._cross_wall
+
+        def counting(*args):
+            calls.append(args)
+            return cross_wall(*args)
+
+        monkeypatch.setattr(iso, "_cross_wall", counting)
+        tess = iso.explore(ay if exact else float_surface, iso.HPoint(0.0001, 1.0001), 1.0)
+        assert len(tess.adjacency) == (72 if exact else 62)
+        assert len(calls) == crossings
+
+    def test_float_crossings_are_not_reciprocal(self, float_ball):
+        # Why floats do not use the crossing record (ROADMAP item 14).
+        assert _nonreciprocal(float_ball) == 2
 
     def test_float_keys_have_one_repr(self, float_ball):
         # explore orders each adjacency pair by repr, so equal keys must
@@ -298,6 +321,48 @@ class TestExploreShortcuts:
             assert repr(a) == stored[a] and repr(b) == stored[b]
         zeros = [t for c in float_ball.cells for locus, _ in c.key for t in locus if t == 0]
         assert zeros and all(math.copysign(1.0, t) > 0 for t in zeros)
+
+
+def _nonreciprocal(tess):
+    """The adjacencies (a, b, w) whose wall's locus does not support both a and b."""
+    loci = {c.key: {w.locus_key() for w in c.walls} for c in tess.cells}
+    return sum(1 for a, b, w in tess.adjacency if w.locus_key() not in loci[a] & loci[b])
+
+
+def _sha16(x):
+    return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+
+
+class TestExactBallPins:
+    """Exact balls pinned by the sha256 prefixes of their cells, comb hashes,
+    samples and adjacency, and the crossing record's precondition on them."""
+
+    @pytest.fixture(scope="class", params=(
+        ("ay_surface", 2.0, ("0d6a53b6d39f465e", "81b90e623896dd18", "ede19f31d758e23a", "ee695d6642ebd7d8")),
+        ("ay_prime", 1.0, ("329dc1092e8b9ea3", "cc684d8d612f5957", "2e7a040f8e59325c", "ef64384f2538f7aa")),
+        ("escalator", 1.0, ("bd733d32788626c7", "d9b444bb76a5d6bd", "af0b100f5ff9f218", "ed628ceedec21478")),
+    ), ids=lambda p: f"{p[0]}-r{p[1]:g}")
+    def ball(self, request):
+        from flatsurfkit import constructions
+
+        name, radius, pins = request.param
+        surface = getattr(constructions, name)()
+        return iso.explore(surface, iso.HPoint(0.0001, 1.0001), radius), pins
+
+    def test_pins(self, ball):
+        tess, pins = ball
+        got = (
+            _sha16([sorted(map(repr, c.key)) for c in tess.cells]),
+            _sha16([c.comb_hash for c in tess.cells]),
+            _sha16([(c.sample.x, c.sample.y) for c in tess.cells]),
+            _sha16(sorted((sorted(map(repr, a)), sorted(map(repr, b)), repr(w.oriented_key()))
+                          for a, b, w in tess.adjacency)),
+        )
+        assert got == pins
+
+    def test_every_adjacency_is_reciprocal(self, ball):
+        tess, _ = ball
+        assert tess.adjacency and _nonreciprocal(tess) == 0
 
 
 def _ref_side(wall, u, v):
