@@ -297,7 +297,6 @@ def _cmd_tessellate(args) -> int:
     print(f"walls: {len(tess.all_walls())}")
     if args.json:
         cells = sorted(tess.cells, key=lambda c: (c.sample.x, c.sample.y))
-        index = {id(c): i for i, c in enumerate(cells)}
         key_index = {c.key: i for i, c in enumerate(cells)}
         data = {
             "surface": "input",

@@ -92,11 +92,11 @@ class Wall:
     coefficient is positive (the orientation is kept separately).
 
     The coefficients' doubles (fa, fb, fc), whether all three are exact
-    and the orientation are computed once, and so is an exact wall's
-    oriented key.  On an exact wall every sign is exact: side() and the
-    facet test of _supporting_interval decide it in doubles where a proven
-    error bound separates the value from 0, and in Q(alpha) otherwise.  A
-    float wall's signs are its float expressions against a tolerance.
+    and the orientation are computed once, and so is the oriented key.
+    On an exact wall every sign is exact: side() and the facet test of
+    _supporting_interval decide it in doubles where a proven error bound
+    separates the value from 0, and in Q(alpha) otherwise.  A float wall's
+    signs are its float expressions against a tolerance.
     """
 
     a: Scalar
@@ -180,19 +180,18 @@ class Wall:
     def oriented_key(self):
         """(locus key, side): identifies the geodesic plus its Delaunay side.
 
-        An exact wall's key costs nine Fractions and is kept; a float wall
-        rounds its three doubles on each call, which costs less than the
-        memory of keeping the key on every float wall.
+        Computed once and kept: an exact wall's key holds nine Fractions, a
+        float wall's its three doubles rounded to 9 places.
         """
         key = self._key
-        if key is not None:
-            return key
-        flip = self.orientation
-        if not self.exact:
-            # + 0.0 turns -0.0 into 0.0, so that equal keys have one repr.
-            return (tuple(round(flip * t, 9) + 0.0 for t in self.floats()), flip)
-        key = ((coefficients(flip * self.a), coefficients(flip * self.b), coefficients(flip * self.c)), flip)
-        object.__setattr__(self, "_key", key)
+        if key is None:
+            flip = self.orientation
+            if self.exact:
+                key = ((coefficients(flip * self.a), coefficients(flip * self.b), coefficients(flip * self.c)), flip)
+            else:
+                # + 0.0 turns -0.0 into 0.0, so that equal keys have one repr.
+                key = (tuple(round(flip * t, 9) + 0.0 for t in self.floats()), flip)
+            object.__setattr__(self, "_key", key)
         return key
 
     def normalized_floats(self) -> Tuple[float, float, float]:
@@ -210,35 +209,34 @@ def _abs_cmp_max(values: Sequence[Scalar]) -> Scalar:
     return best
 
 
-def _det4_ones(c1: Sequence[Scalar], c2: Sequence[Scalar], c3: Sequence[Scalar]) -> Scalar:
-    """det of the 4x4 matrix with columns (c1, c2, c3, 1) via row reduction."""
-    r = []
-    for i in range(3):
-        r.append((c1[i] - c1[3], c2[i] - c2[3], c3[i] - c3[3]))
-    return (
-        r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-        - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-        + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-    )
-
-
 def wall_of_hinge(t: Triangulation, edge: HalfEdge):
     """The wall of a hinge, or ALWAYS/NEVER when its sign is constant on H.
 
     The hinge is developed in the base chart; the returned wall is the
     cocircularity locus of the M_z-transformed hinge.  ALWAYS means the
     hinge is Delaunay for every z, NEVER that it never is.
+
+    a, b/2 and c are the 4x4 determinants with columns (x, y, f, 1) over
+    p1..p4 for f = y**2, x*y and x**2.  Each is reduced by subtracting p4's
+    row; the x and y columns of the three reduced rows and their minor
+    r10*r21 - r11*r20 are shared, and p1, which hinge() puts at the origin,
+    contributes 0 - p4's entries.  Every determinant is expanded with the
+    same operations in the same order, so float walls are reproducible.
     """
     h = hinge(t, edge)
-    quad = (h.p1, h.p2, h.p3, h.p4)
-    ax = [p[0] for p in quad]
-    bx = [p[1] for p in quad]
-    asq = [p[0] * p[0] for p in quad]
-    bsq = [p[1] * p[1] for p in quad]
-    ab = [p[0] * p[1] for p in quad]
-    a = _det4_ones(ax, bx, bsq)
-    b = 2 * _det4_ones(ax, bx, ab)
-    c = _det4_ones(ax, bx, asq)
+    (x2, y2), (x3, y3), (x4, y4) = h.p2, h.p3, h.p4
+    r00, r01 = 0 - x4, 0 - y4
+    r10, r11 = x2 - x4, y2 - y4
+    r20, r21 = x3 - x4, y3 - y4
+    minor = r10 * r21 - r11 * r20
+
+    def det(f2: Scalar, f3: Scalar, f4: Scalar) -> Scalar:
+        r02, r12, r22 = 0 - f4, f2 - f4, f3 - f4
+        return r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20) + r02 * minor
+
+    a = det(y2 * y2, y3 * y3, y4 * y4)
+    b = 2 * det(x2 * y2, x3 * y3, x4 * y4)
+    c = det(x2 * x2, x3 * x3, x4 * x4)
     sa, sb, sc = sign(a), sign(b), sign(c)
     if sa == 0 and sb == 0:
         # Constant sign: Delaunay iff c <= 0.
@@ -603,10 +601,13 @@ class _Memo:
     cache level: the first is each triangulation's hinge_cache, which a
     neighbour's triangulation inherits from its parent cell for every hinge
     it did not flip, on both paths.  The developed-hinge level adds the
-    hinges that flips recreate in a shape seen before; float hinge
-    coordinates drift by ulps across flip sequences, so on floats it would
-    mostly miss and only cost memory.  crossed relies on every facet being
-    shared by exactly two cells, which float crossings do not keep.
+    hinges that flips recreate in a shape seen before.  On floats it would
+    hit too (on the float AY ball of radius 3, 8 308 of the 14 603
+    wall_of_hinge calls repeat a bit-identical developed hinge), but there
+    it raised the peak RSS by about 2 MB, near a tenth of the process, for
+    a time gain not yet measured in reference seconds, so it stays off.
+    crossed relies on every facet being shared by exactly two cells, which
+    float crossings do not keep.
     """
 
     cells: Dict[FrozenSet, "Cell"]
@@ -683,40 +684,57 @@ def _no_crossing_point(wall: Wall, lo: float, hi: float, reason: str) -> None:
                wall.normalized_floats(), lo, hi, reason)
 
 
+def _first(lo: int, hi: int, pred) -> int:
+    """The least k in [lo, hi] with pred(k), where pred is false and then
+    true along [lo, hi]; hi + 1 when pred holds nowhere."""
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _facet_crossing_point(wall: Wall, interval, z0: HPoint, radius: float) -> Optional[HPoint]:
     """Hyperbolic midpoint of the facet clipped to the ball, as a float point.
 
     A circle wall is sampled at theta = pi k/512 (0 < k < 512), a vertical
-    wall at 1025 heights; of the samples on the facet within the ball, the
-    one whose arclength coordinate is nearest the middle of their range is
-    returned.  On circle walls only the samples near the ball's theta-range
-    are tested.  The test is HPoint.hyperbolic_distance written out, and
-    only the returned point becomes an HPoint.  None, when the geodesic
-    misses the ball or no sample lands in it, is logged at DEBUG.
+    wall at the heights y0 exp(1.5 radius k/512) (|k| <= 512).  Of the
+    samples on the facet within the ball, the one whose arclength
+    coordinate is nearest the middle of their range is returned, the first
+    in k on a tie.  None, when the geodesic misses the ball or no sample
+    lands in it, is logged at DEBUG.
+
+    Both the facet coordinate (v on a circle wall, u on a vertical one) and
+    the arclength coordinate are monotone in k, and the samples lie far
+    enough apart that rounding keeps them so; so the facet's samples are
+    one run of k, and the middle sample one more bisection.  The distance to
+    z0 is convex along a geodesic, so the samples in the ball are one run
+    as well: a closed form gives a band of k that holds it, and the run's
+    ends are found by testing samples inward from the ends of the facet's
+    run within the band.  The test is HPoint.hyperbolic_distance written
+    out, and only the returned point becomes an HPoint.
     """
     lo, hi = interval
     lo_f = -math.inf if lo is None else to_float(lo)
     hi_f = math.inf if hi is None else to_float(hi)
     kind, p, r = wall.geometry()
     x0, y0 = z0.x, z0.y
-    # Arclength coordinate and point of every sample within the ball, in
-    # increasing arclength.
-    samples: List[Tuple[float, float, float]] = []
+    n = 512
     if kind == "circle":
         if r == 0:
             return _no_crossing_point(wall, lo_f, hi_f, "the geodesic misses the ball")
         center = p
-        # v = center + r cos(theta), y = r sin(theta)
-        n = 512
-        k_lo, k_hi = 1, n - 1
+        k_min, k_max = k_lo, k_hi = 1, n - 1
         # The ball is the Euclidean disc with centre (x0, Y), Y = y0 cosh(radius),
         # and radius y0 sinh(radius); the circle meets it where
         # d cos(theta) - Y sin(theta) <= K with d = center - x0 and
         # K = -(y0**2 + d**2 + r**2) / (2 r), that is where
         # cos(theta - phi) <= q = K / hypot(d, Y), phi = atan2(-Y, d).
         # Rounding moves q by about 1e-15 and theta by under 1e-7, so the
-        # scan keeps two more samples on each side and reads q < -1 - 1e-9
-        # as a miss.  Non-finite q (overflow) scans every sample.
+        # band keeps two more samples on each side and reads q < -1 - 1e-9
+        # as a miss.  Non-finite q (overflow) keeps every sample.
         d = center - x0
         big_y = y0 * math.cosh(radius)
         m = math.hypot(d, big_y)
@@ -728,35 +746,90 @@ def _facet_crossing_point(wall: Wall, interval, z0: HPoint, radius: float) -> Op
             beta = math.acos(max(q, -1.0))
             k_lo = max(k_lo, math.floor((phi + beta) * n / math.pi) - 2)
             k_hi = min(k_hi, math.ceil((phi + 2 * math.pi - beta) * n / math.pi) + 2)
-        for k in range(k_lo, k_hi + 1):
+
+        def point(k: int) -> Tuple[float, float]:
+            # v = center + r cos(theta), y = r sin(theta)
             th = math.pi * k / n
-            v = center + r * math.cos(th)
-            if v < lo_f or v > hi_f:
-                continue
-            y = r * math.sin(th)
-            dx = v - x0
-            dy = y - y0
-            if math.acosh(1.0 + (dx * dx + dy * dy) / (2.0 * y * y0)) <= radius:
-                samples.append((math.log(math.tan(th / 2)), v, y))
+            return center + r * math.cos(th), r * math.sin(th)
+
+        def arclength(k: int) -> float:
+            return math.log(math.tan(math.pi * k / n / 2))
+
+        # The facet coordinate -v grows with k.
+        def coord(k: int) -> float:
+            return -(center + r * math.cos(math.pi * k / n))
+
+        c_lo, c_hi = -hi_f, -lo_f
     else:
         x = p
-        n = 512
-        dx = x - x0
-        for k in range(-n, n + 1):
-            y = y0 * math.exp(radius * k / n * 1.5)
-            u = x * x + y * y
-            if u < lo_f or u > hi_f:
-                continue
+        k_min, k_max = k_lo, k_hi = -n, n
+
+        def point(k: int) -> Tuple[float, float]:
+            return x, y0 * math.exp(radius * k / n * 1.5)
+
+        def arclength(k: int) -> float:
+            return math.log(point(k)[1])
+
+        # The facet coordinate u = x**2 + y**2 grows with k.
+        def coord(k: int) -> float:
+            y = point(k)[1]
+            return x * x + y * y
+
+        c_lo, c_hi = lo_f, hi_f
+    # The facet's samples: the run [first, last] of k.
+    first = _first(k_min, k_max, lambda k: coord(k) >= c_lo)
+    last = _first(first, k_max, lambda k: coord(k) > c_hi) - 1
+    if kind == "vertical":
+        if first <= last:
+            y = point(first)[1]
             if not y > 0:  # exp underflows at radii beyond 496
                 raise IsoDelaunayError(f"not in the upper half-plane: {x} + {y}i")
-            dy = y - y0
-            if math.acosh(1.0 + (dx * dx + dy * dy) / (2.0 * y * y0)) <= radius:
-                samples.append((math.log(y), x, y))
-    if not samples:
+        # The ball, in units of y0, is the disc with centre (x0, ch) and
+        # radius sh, ch = cosh(radius) and sh = sqrt(ch**2 - 1): the line at
+        # e = |x - x0| / y0 meets it at heights eta = exp(1.5 radius k/n) in
+        # [(1 + e**2) / eta_hi, eta_hi], eta_hi = ch + sqrt(sh**2 - e**2).
+        # The distance test reads cosh(distance) to within a relative 1e-13
+        # (nine roundings, and acosh's ulp times radius <= _MAX_RADIUS), so
+        # the band takes ch 1e-12 above cosh(radius), which also covers the
+        # rounding of its ends, and keeps two more samples on each side.
+        # Non-finite ends keep every sample.
+        e = abs(x - x0) / y0
+        ch = math.cosh(radius) * (1 + 1e-12)
+        sh = math.sqrt(ch - 1) * math.sqrt(ch + 1)  # two roots do not overflow
+        if e > sh:  # the line misses the ball: an empty band
+            k_lo, k_hi = k_max, k_min
+        else:
+            t_hi = math.log(ch + math.sqrt((sh - e) * (sh + e)))
+            t_lo = math.log1p(e * e) - t_hi
+            scale = n / (1.5 * radius)
+            if math.isfinite(t_lo * scale) and math.isfinite(t_hi * scale):
+                k_lo = max(k_lo, math.floor(t_lo * scale) - 2)
+                k_hi = min(k_hi, math.ceil(t_hi * scale) + 2)
+
+    def in_ball(k: int) -> bool:
+        px, py = point(k)
+        dx = px - x0
+        dy = py - y0
+        return math.acosh(1.0 + (dx * dx + dy * dy) / (2.0 * py * y0)) <= radius
+
+    # The samples on the facet within the ball: the run [first, last].
+    first, last = max(first, k_lo), min(last, k_hi)
+    while first <= last and not in_ball(first):
+        first += 1
+    while last > first and not in_ball(last):
+        last -= 1
+    if first > last:
         return _no_crossing_point(wall, lo_f, hi_f, "no sample of the facet lies in the ball")
-    s_mid = 0.5 * (samples[0][0] + samples[-1][0])
-    _, x, y = min(samples, key=lambda t: abs(t[0] - s_mid))
-    return HPoint(x, y)
+    s_mid = 0.5 * (arclength(first) + arclength(last))
+    # |s - s_mid| falls up to k = j - 1 and rises from k = j.
+    j = _first(first, last, lambda k: arclength(k) >= s_mid)
+    if j > first:
+        best = abs(arclength(j - 1) - s_mid)
+        if best <= abs(arclength(j) - s_mid):
+            j -= 1
+            while j > first and abs(arclength(j - 1) - s_mid) == best:
+                j -= 1
+    return HPoint(*point(j))
 
 
 def _cross_wall(s: Surface, cell: Cell, wall: Wall, at: HPoint, memo: _Memo) -> Optional[Cell]:

@@ -333,6 +333,18 @@ def _sha16(x):
     return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
 
 
+def _ball_pins(tess):
+    """The sha256 prefixes of a ball's cell keys, comb hashes, samples and
+    adjacency."""
+    return (
+        _sha16([sorted(map(repr, c.key)) for c in tess.cells]),
+        _sha16([c.comb_hash for c in tess.cells]),
+        _sha16([(c.sample.x, c.sample.y) for c in tess.cells]),
+        _sha16(sorted((sorted(map(repr, a)), sorted(map(repr, b)), repr(w.oriented_key()))
+                      for a, b, w in tess.adjacency)),
+    )
+
+
 class TestExactBallPins:
     """Exact balls pinned by the sha256 prefixes of their cells, comb hashes,
     samples and adjacency, and the crossing record's precondition on them."""
@@ -351,18 +363,36 @@ class TestExactBallPins:
 
     def test_pins(self, ball):
         tess, pins = ball
-        got = (
-            _sha16([sorted(map(repr, c.key)) for c in tess.cells]),
-            _sha16([c.comb_hash for c in tess.cells]),
-            _sha16([(c.sample.x, c.sample.y) for c in tess.cells]),
-            _sha16(sorted((sorted(map(repr, a)), sorted(map(repr, b)), repr(w.oriented_key()))
-                          for a, b, w in tess.adjacency)),
-        )
-        assert got == pins
+        assert _ball_pins(tess) == pins
 
     def test_every_adjacency_is_reciprocal(self, ball):
         tess, _ = ball
         assert tess.adjacency and _nonreciprocal(tess) == 0
+
+
+class TestFloatBallPins:
+    """Float balls of the AY trapezoid pinned like TestExactBallPins, plus
+    the doubles of every cell's walls.  Float crossings are not
+    reciprocal, so there is no reciprocity check."""
+
+    @pytest.fixture(scope="class", params=(
+        (1.0, (22, 19, 62),
+         ("d4edd43b0088c8f1", "ff91814583237291", "3cafb78a53c2903c", "39858af525a29244", "f283cde67157fdd1")),
+        (2.5, (279, 193, 803),
+         ("8313e14ddad51c10", "613deca70fe4cd99", "d83732644652e4cb", "76d61d551c335b0f", "7767c8603530acc1")),
+    ), ids=lambda p: f"r{p[0]:g}")
+    def ball(self, request):
+        from flatsurfkit.constructions import ay_trapezoid_shape, trapezoid_family
+
+        radius, counts, pins = request.param
+        tess = iso.explore(trapezoid_family(ay_trapezoid_shape()), iso.HPoint(0.0001, 1.0001), radius)
+        return tess, counts, pins
+
+    def test_pins(self, ball):
+        tess, counts, pins = ball
+        assert (len(tess.cells), len(tess.all_walls()), len(tess.adjacency)) == counts
+        got = _ball_pins(tess) + (_sha16([[w.floats() for w in c.walls] for c in tess.cells]),)
+        assert got == pins
 
 
 def _ref_side(wall, u, v):
@@ -634,6 +664,48 @@ class TestFilterEdgeCases:
         assert cell.walls and (cell.sample.x, cell.sample.y) != (x, y)
 
 
+def _det4_ones(c1, c2, c3):
+    """det of the 4x4 matrix with columns (c1, c2, c3, 1) via row reduction."""
+    r = []
+    for i in range(3):
+        r.append((c1[i] - c1[3], c2[i] - c2[3], c3[i] - c3[3]))
+    return (
+        r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+        - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+        + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
+    )
+
+
+def _ref_wall_of_hinge(t, edge):
+    """wall_of_hinge as computed before its elimination was shared: three
+    independent 4x4 determinants over the developed quadrilateral."""
+    h = dl.hinge(t, edge)
+    quad = (h.p1, h.p2, h.p3, h.p4)
+    ax = [p[0] for p in quad]
+    bx = [p[1] for p in quad]
+    asq = [p[0] * p[0] for p in quad]
+    bsq = [p[1] * p[1] for p in quad]
+    ab = [p[0] * p[1] for p in quad]
+    a = _det4_ones(ax, bx, bsq)
+    b = 2 * _det4_ones(ax, bx, ab)
+    c = _det4_ones(ax, bx, asq)
+    sa, sb, sc = sign(a), sign(b), sign(c)
+    if sa == 0 and sb == 0:
+        return iso.ALWAYS if sc <= 0 else iso.NEVER
+    if sa != 0 and sign(b * b - 4 * a * c) <= 0:
+        return iso.ALWAYS if sa < 0 else iso.NEVER
+    return iso._normalize_wall(a, b, c)
+
+
+def _same_wall(got, want):
+    """The same sentinel, or walls with equal coefficients and the same
+    doubles to the bit (repr tells -0.0 from 0.0)."""
+    if not isinstance(want, iso.Wall):
+        return got is want
+    return (isinstance(got, iso.Wall) and (got.a, got.b, got.c) == (want.a, want.b, want.c)
+            and repr(got.floats()) == repr(want.floats()))
+
+
 class TestHingeCache:
     """Walls kept on a triangulation stay those of its current hinges."""
 
@@ -660,6 +732,9 @@ class TestHingeCache:
             t = dl.flip(t, edge)
             for e, w in t.hinge_cache.items():
                 assert w == iso.wall_of_hinge(t, e)
+            # The shared elimination gives the reference's walls to the bit.
+            for e in t.edges():
+                assert _same_wall(iso.wall_of_hinge(t, e), _ref_wall_of_hinge(t, e))
             # The walls of the hinges the flip did not change are carried over.
             for e in t.edges():
                 if e[0] not in touched and t.twin(e)[0] not in touched:
@@ -809,6 +884,30 @@ class TestFacetCrossingPoint:
         radius = math.atanh(abs(s) / ey) * (1 + nudge)
         m = max(1.0, abs(2 * center), abs(center * center - r * r))
         wall = iso.Wall(1.0 / m, -2 * center / m, (center * center - r * r) / m)
+        got = iso._facet_crossing_point(wall, (None, None), z0, radius)
+        assert _same_point(got, _sampled_crossing_point(wall, (None, None), z0, radius))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-3, 3), st.floats(-3, 3), st.integers(1, 330), st.booleans(),
+        st.sampled_from([0.0, 1e-16, -1e-16, 1e-14, -1e-14, 1e-9, -1e-9]),
+    )
+    def test_matches_sampling_on_tangent_balls_of_vertical_walls(self, x0, log_y0, k, right, nudge):
+        # The ball is the Euclidean disc with centre (x0, y0 cosh(radius))
+        # and radius y0 sinh(radius), so it touches the vertical geodesic
+        # x = x0 +- y0 sinh(radius) at the height of sample k,
+        # y = y0 exp(1.5 radius k/512), where log(cosh(radius)) / radius =
+        # 1.5 k/512; that ratio grows from 0 to 1 with the radius.
+        y0 = math.exp(log_y0)
+        target = 1.5 * k / 512
+        lo, hi = 1e-6, 500.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if math.log(math.cosh(mid)) / mid < target else (lo, mid)
+        radius = 0.5 * (lo + hi)
+        x = x0 + (1 if right else -1) * y0 * math.sinh(radius) * (1 + nudge)
+        wall = iso.Wall(0.0, 1.0, -x)
+        z0 = iso.HPoint(x0, y0)
         got = iso._facet_crossing_point(wall, (None, None), z0, radius)
         assert _same_point(got, _sampled_crossing_point(wall, (None, None), z0, radius))
 
