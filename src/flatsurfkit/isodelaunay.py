@@ -23,6 +23,7 @@ verified.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, field
@@ -684,18 +685,6 @@ def _no_crossing_point(wall: Wall, lo: float, hi: float, reason: str) -> None:
                wall.normalized_floats(), lo, hi, reason)
 
 
-def _first(lo: int, hi: int, pred) -> int:
-    """The least k in [lo, hi] with pred(k), where pred is false and then
-    true along [lo, hi]; hi + 1 when pred holds nowhere."""
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _facet_crossing_point(wall: Wall, interval, z0: HPoint, radius: float) -> Optional[HPoint]:
     """Hyperbolic midpoint of the facet clipped to the ball, as a float point.
 
@@ -711,9 +700,9 @@ def _facet_crossing_point(wall: Wall, interval, z0: HPoint, radius: float) -> Op
     enough apart that rounding keeps them so; so the facet's samples are
     one run of k, and the middle sample one more bisection.  The distance to
     z0 is convex along a geodesic, so the samples in the ball are one run
-    as well: a closed form gives a band of k that holds it, and the run's
-    ends are found by testing samples inward from the ends of the facet's
-    run within the band.  The test is HPoint.hyperbolic_distance written
+    as well, and its ends are found by testing samples inward from the ends
+    of the facet's run (on a circle wall, within a closed-form band of k
+    that holds the ball).  The test is HPoint.hyperbolic_distance written
     out, and only the returned point becomes an HPoint.
     """
     lo, hi = interval
@@ -777,34 +766,12 @@ def _facet_crossing_point(wall: Wall, interval, z0: HPoint, radius: float) -> Op
 
         c_lo, c_hi = lo_f, hi_f
     # The facet's samples: the run [first, last] of k.
-    first = _first(k_min, k_max, lambda k: coord(k) >= c_lo)
-    last = _first(first, k_max, lambda k: coord(k) > c_hi) - 1
-    if kind == "vertical":
-        if first <= last:
-            y = point(first)[1]
-            if not y > 0:  # exp underflows at radii beyond 496
-                raise IsoDelaunayError(f"not in the upper half-plane: {x} + {y}i")
-        # The ball, in units of y0, is the disc with centre (x0, ch) and
-        # radius sh, ch = cosh(radius) and sh = sqrt(ch**2 - 1): the line at
-        # e = |x - x0| / y0 meets it at heights eta = exp(1.5 radius k/n) in
-        # [(1 + e**2) / eta_hi, eta_hi], eta_hi = ch + sqrt(sh**2 - e**2).
-        # The distance test reads cosh(distance) to within a relative 1e-13
-        # (nine roundings, and acosh's ulp times radius <= _MAX_RADIUS), so
-        # the band takes ch 1e-12 above cosh(radius), which also covers the
-        # rounding of its ends, and keeps two more samples on each side.
-        # Non-finite ends keep every sample.
-        e = abs(x - x0) / y0
-        ch = math.cosh(radius) * (1 + 1e-12)
-        sh = math.sqrt(ch - 1) * math.sqrt(ch + 1)  # two roots do not overflow
-        if e > sh:  # the line misses the ball: an empty band
-            k_lo, k_hi = k_max, k_min
-        else:
-            t_hi = math.log(ch + math.sqrt((sh - e) * (sh + e)))
-            t_lo = math.log1p(e * e) - t_hi
-            scale = n / (1.5 * radius)
-            if math.isfinite(t_lo * scale) and math.isfinite(t_hi * scale):
-                k_lo = max(k_lo, math.floor(t_lo * scale) - 2)
-                k_hi = min(k_hi, math.ceil(t_hi * scale) + 2)
+    first = k_min + bisect.bisect_left(range(k_min, k_max + 1), c_lo, key=coord)
+    last = first + bisect.bisect_right(range(first, k_max + 1), c_hi, key=coord) - 1
+    if kind == "vertical" and first <= last:
+        y = point(first)[1]
+        if not y > 0:  # exp underflows at radii beyond 496
+            raise IsoDelaunayError(f"not in the upper half-plane: {x} + {y}i")
 
     def in_ball(k: int) -> bool:
         px, py = point(k)
@@ -822,7 +789,7 @@ def _facet_crossing_point(wall: Wall, interval, z0: HPoint, radius: float) -> Op
         return _no_crossing_point(wall, lo_f, hi_f, "no sample of the facet lies in the ball")
     s_mid = 0.5 * (arclength(first) + arclength(last))
     # |s - s_mid| falls up to k = j - 1 and rises from k = j.
-    j = _first(first, last, lambda k: arclength(k) >= s_mid)
+    j = first + bisect.bisect_left(range(first, last + 1), s_mid, key=arclength)
     if j > first:
         best = abs(arclength(j - 1) - s_mid)
         if best <= abs(arclength(j) - s_mid):
