@@ -377,25 +377,7 @@ def _origami_exact(s: Surface, holonomies: List[Vec2]) -> Optional[OrigamiCertif
         x = _from_triple((Fraction(row[0], den), Fraction(row[1], den), Fraction(row[2], den)))
         y = _from_triple((Fraction(row[3], den), Fraction(row[4], den), Fraction(row[5], den)))
         w.append((x, y))
-    w1, w2 = w
-    det = cross(w1, w2)
-    if sign(det) == 0:
-        return None
-    if sign(det) < 0:
-        w2 = vec_neg(w2)
-        det = cross(w1, w2)
-    n = _integer_value(sf.area(s) / det)
-    if n is None or n < 1:
-        return None
-    offsets = _develop_offsets(s)
-    cones = _cone_positions(s, offsets)
-    for c in cones[1:]:
-        d = vec_sub(c, cones[0])
-        if _integer_value(cross(d, w2) / det) is None:
-            return None
-        if _integer_value(cross(w1, d) / det) is None:
-            return None
-    return OrigamiCertificate((w1, w2), n)
+    return _certificate(s, *w)
 
 
 def _origami_float(s: Surface, holonomies: List[Vec2]) -> Optional[OrigamiCertificate]:
@@ -433,22 +415,27 @@ def _origami_float(s: Surface, holonomies: List[Vec2]) -> Optional[OrigamiCertif
     for row in basis:
         a, b = Fraction(row[0], den), Fraction(row[1], den)
         w.append((float(a) * v1[0] + float(b) * v2[0], float(a) * v1[1] + float(b) * v2[1]))
-    w1, w2 = w
-    covol = w1[0] * w2[1] - w1[1] * w2[0]
-    if covol < 0:
-        w2 = (-w2[0], -w2[1])
-        covol = -covol
-    if covol <= 0:
+    return _certificate(s, *w)
+
+
+def _certificate(s: Surface, w1: Vec2, w2: Vec2) -> Optional[OrigamiCertificate]:
+    """The certificate for the lattice basis w1, w2 (exact or float), or None.
+
+    The basis is oriented; the area must be a positive integer multiple of
+    the covolume, and the cone points congruent modulo the lattice.
+    """
+    det = cross(w1, w2)
+    if sign(det) == 0:
         return None
-    n = _integer_value(to_float(sf.area(s)) / covol)
+    if sign(det) < 0:
+        w2 = vec_neg(w2)
+        det = cross(w1, w2)
+    n = _integer_value(sf.area(s) / det)
     if n is None or n < 1:
         return None
-    offsets = _develop_offsets(s)
-    cones = _cone_positions(s, offsets)
+    cones = _cone_positions(s, _develop_offsets(s))
     for c in cones[1:]:
-        d = (to_float(c[0]) - to_float(cones[0][0]), to_float(c[1]) - to_float(cones[0][1]))
-        a = (d[0] * w2[1] - d[1] * w2[0]) / covol
-        b = (w1[0] * d[1] - w1[1] * d[0]) / covol
-        if _integer_value(a) is None or _integer_value(b) is None:
+        d = vec_sub(c, cones[0])
+        if _integer_value(cross(d, w2) / det) is None or _integer_value(cross(w1, d) / det) is None:
             return None
     return OrigamiCertificate((w1, w2), n)

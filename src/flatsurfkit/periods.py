@@ -66,6 +66,10 @@ class CurveA:
             raise PeriodsError(f"singular curve: a = {self.a}")
 
 
+def _overflow(c: CurveTU) -> PeriodsError:
+    return PeriodsError(f"period integrand overflows for {c}")
+
+
 def _j1_j2(c: CurveTU, tol: float = 1e-12) -> Tuple[float, float]:
     """(J1, J2), the two integrals of `segment_integrals` between finite roots."""
     c.validate()
@@ -74,11 +78,17 @@ def _j1_j2(c: CurveTU, tol: float = 1e-12) -> Tuple[float, float]:
     def f1(x: float, da: float, db: float) -> float:
         # on (0, 1): x = da and t - x = (t - 1) + db, exact where t - x is
         # small; sqrt(da db) is the quadrature's weight
-        return da / math.sqrt(((t - 1.0) + db) * (x + u) * (x + t * u) * (x * x + t * u))
+        d = ((t - 1.0) + db) * (x + u) * (x + t * u) * (x * x + t * u)
+        if d == math.inf:
+            raise _overflow(c)
+        return da / math.sqrt(d)
 
     def f2(x: float, da: float, db: float) -> float:
         # on (1, t): sqrt((x - 1)(t - x)) is the quadrature's weight
-        return math.sqrt(x / ((x + u) * (x + t * u) * (x * x + t * u)))
+        d = (x + u) * (x + t * u) * (x * x + t * u)
+        if d == math.inf:
+            raise _overflow(c)
+        return math.sqrt(x / d)
 
     return integrate(f1, 0.0, 1.0, tol=tol).real, integrate(f2, 1.0, t, tol=tol).real
 
@@ -93,6 +103,9 @@ def segment_integrals(c: CurveTU, tol: float = 1e-12) -> Tuple[float, float, flo
     in w: J3 is the integral over (-1, 1) of
     w**2 / sqrt((t - w**2)(t + u w**2)(1 + u w**2)(t + u w**4)) / sqrt(1 - w**2).
     tol is the quadrature tolerance of each integral (`quadrature.integrate`).
+    Raises PeriodsError when an integrand's denominator overflows on part of
+    its segment (as for t = 5e102 or u = 1e300), where the integral would
+    come out truncated or 0.
     """
     j1, j2 = _j1_j2(c, tol)
     t, u = c.t, c.u
@@ -100,7 +113,10 @@ def segment_integrals(c: CurveTU, tol: float = 1e-12) -> Tuple[float, float, flo
     def f3(w: float, da: float, db: float) -> float:
         # on (-1, 1): t - w**2 = (t - 1) + da db
         w2 = w * w
-        return w2 / math.sqrt(((t - 1.0) + da * db) * (t + u * w2) * (1.0 + u * w2) * (t + u * w2 * w2))
+        d = ((t - 1.0) + da * db) * (t + u * w2) * (1.0 + u * w2) * (t + u * w2 * w2)
+        if d == math.inf:
+            raise _overflow(c)
+        return w2 / math.sqrt(d)
 
     return j1, j2, integrate(f3, -1.0, 1.0, tol=tol).real
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from flatsurfkit.numeric import ALPHA, CubicNumber, IDENTITY, to_float
+from flatsurfkit.numeric import ALPHA, CubicNumber, IDENTITY, cross, to_float
 from flatsurfkit import symmetry as sym
 from flatsurfkit.constructions import (
     ParallelogramShape,
@@ -192,6 +192,21 @@ class TestOrigami:
         sheared = apply_linear(((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))), escalator())
         cert = origami_check(sheared)
         assert cert is not None and cert.degree == cert0.degree
+
+    @pytest.mark.parametrize("build", [escalator, lambda: parallelogram_family(right_isosceles_pair_shape())],
+                             ids=["escalator", "right-isosceles-pair"])
+    def test_exact_and_float_paths_agree(self, build):
+        exact = origami_check(build())
+        floated = origami_check(apply_linear(((1.0, 0.0), (0.0, 1.0)), build()))
+        assert exact is not None and floated is not None
+        assert exact.degree == floated.degree == 6
+        assert exact.basis == ((1, 0), (0, 1))
+        assert floated.basis == ((1.0, 0.0), (-1.0, 1.0))
+        assert cross(*exact.basis) == cross(*floated.basis) == 1
+        e1, e2 = exact.basis
+        for v in floated.basis:  # coordinates in the exact basis, of covolume 1
+            a, b = cross(v, e2), cross(e1, v)
+            assert a == round(a) and b == round(b)
 
     def test_half_translation_rejected(self, ay):
         from flatsurfkit.surface import cut_and_reglue_square

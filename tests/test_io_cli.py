@@ -200,6 +200,13 @@ class TestCli:
         [line] = err.splitlines()
         assert line.startswith("error: ") and names in line and "Traceback" not in err
 
+    @pytest.mark.parametrize("t, u", (("5e102", "1"), ("1e160", "1"), ("1e200", "1"), ("2", "1e300")))
+    def test_overflowing_integrand_is_a_domain_error(self, t, u, capsys):
+        code, out, err = invoke(capsys, "periods", "ratios", "--t", t, "--u", u)
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and "integrand overflows" in line and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", (["solve-ay", "--tol", "0"], ["solve-rect", "--mu", "0.5", "--tol=-1e-9"]))
     def test_nonpositive_tolerance_exit_code(self, argv, capsys):
         code, _, err = invoke(capsys, *argv)

@@ -291,6 +291,25 @@ class TestNormFallback:
         assert norm_calls == []
 
 
+class TestEmbedRealRefines:
+    """eps far below 1e-12 makes embed_real refine its approximation of alpha."""
+
+    @staticmethod
+    def within_eps(x: CubicNumber, eps: float):
+        e = embed_real(x, eps)
+        assert abs(Decimal(e) - decimal_value(x)) <= Decimal(eps) + Decimal(math.ulp(e)), (x, eps, e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ref_cubics)
+    def test_against_200_digit_oracle(self, x):
+        for eps in (1e-6, 1e-30, 1e-100):
+            self.within_eps(x.as_cubic(), eps)
+
+    def test_cancellation_near_convergents(self):
+        for p, q in alpha_convergents(100)[10:]:
+            self.within_eps(CubicNumber(p, -q), 1e-150)
+
+
 class TestFloatConversion:
     @staticmethod
     def within_one_ulp(x: CubicNumber):

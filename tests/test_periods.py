@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import pytest
 
@@ -67,6 +68,13 @@ class TestShapeRatios:
     def test_u_one_gives_rectangle(self):
         _, r2 = shape_ratios(CurveTU(2.0, 1.0))
         assert abs(r2 - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("t, u", ((5e102, 1.0), (1e160, 1.0), (1e200, 1.0), (2.0, 1e300)))
+    def test_overflowing_integrand_is_a_periods_error(self, t, u):
+        # at t = 5e102 J1's integrand overflows only for x > 0.44
+        c = CurveTU(t, u)
+        with pytest.raises(PeriodsError, match=re.escape(f"period integrand overflows for {c}")):
+            shape_ratios(c)
 
 
 class TestSolveTU:
