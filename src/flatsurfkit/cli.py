@@ -8,6 +8,7 @@ error.  Diagnostics go to stderr, results to stdout or to files.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -337,7 +338,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)$")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call; parse_args leaves it unchanged, so
+    every run() of the process shares it."""
     parser = _Parser(
         prog="flatsurf",
         description="Flat surfaces: build, inspect, transform, solve, tessellate.",

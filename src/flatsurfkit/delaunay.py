@@ -11,7 +11,7 @@ adjacent to an edge, developed into one chart.  A hinge is Delaunay when
 the opposite vertex is not strictly inside the circumcircle of the other
 triangle.  On exact scalars this decision, and the orientations that allow
 a flip, are exact, taken in doubles where a proven bound separates the
-value from 0, else exactly (numeric.incircle_sign, numeric.orient); on
+value from 0, else exactly (numeric.incircle_sign, numeric.turn_signs); on
 floats the lifted determinant is normalized by the product of the
 quadrilateral's edge lengths (tolerance numeric.FLOAT_TOL).
 
@@ -46,9 +46,9 @@ from .numeric import (
     incircle_det,
     incircle_sign,
     is_exact,
-    orient,
     sign,
     to_float,
+    turn_signs,
     vec_add,
     vec_neg,
     vec_scale,
@@ -194,11 +194,7 @@ class Hinge:
         return self.incircle_sign() == 0
 
     def is_strictly_convex(self) -> bool:
-        p1, p2, p3, p4 = self.p1, self.p2, self.p3, self.p4
-        for a, b, c in ((p1, p2, p3), (p2, p3, p4), (p3, p4, p1), (p4, p1, p2)):
-            if orient(a, b, c) <= 0:
-                return False
-        return True
+        return all(s > 0 for s in turn_signs((self.p1, self.p2, self.p3, self.p4)))
 
 
 def hinge(t: Triangulation, edge: HalfEdge) -> Hinge:

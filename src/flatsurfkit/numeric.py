@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import frexp, gcd, lcm, ldexp
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
 
@@ -611,7 +611,12 @@ def _filter_doubles(coords: Sequence[Scalar]) -> Optional[List[float]]:
 # each time, and reaches the result multiplied by at most 4; a product that
 # underflows is off by at most 2**-1075.  Together that is below
 # 2**5 * 2**-1074 (the six coordinates' factors sum to 16), far below
-# _TINY.
+# _TINY.  Nothing here depends on which power of two scales the
+# coordinates, only on every scaled |coordinate| being at most 1, so one
+# scale for more points than the three keeps the bound: turn_signs scales
+# all the coordinates of its polygon by the largest, and a turn whose
+# points are much smaller than that only loses more of its doubles to
+# underflow, which the absolute term above still covers.
 _ORIENT_EPS = 2.0 ** -49
 
 # The incircle filter, derived the same way.  A difference is 3 units off,
@@ -633,27 +638,43 @@ _ORIENT_EPS = 2.0 ** -49
 _INCIRCLE_EPS = 2.0 ** -48
 
 
+def turn_signs(pts: Sequence[Point]) -> Iterator[int]:
+    """orient(pts[i], pts[i + 1], pts[i + 2]) for i = 0, 1, ..., len(pts) - 1,
+    indices taken mod len(pts), one at a time.
+
+    On exact points every coordinate is converted to a double once, all of
+    them under one scale (_filter_doubles), and each turn takes its sign from
+    those doubles where the bound of _ORIENT_EPS decides it, exactly
+    otherwise; float points take the sign of their float cross products.
+    """
+    coords = [x for p in pts for x in p]
+    f = _filter_doubles(coords) if float not in map(type, coords) else None
+    n = len(pts)
+    for i in range(n):
+        j, k = (i + 1) % n, (i + 2) % n
+        if f is not None:
+            ax, ay, bx, by, cx, cy = f[2 * i], f[2 * i + 1], f[2 * j], f[2 * j + 1], f[2 * k], f[2 * k + 1]
+            s = filtered_sign(
+                (bx - ax) * (cy - ay) - (by - ay) * (cx - ax),
+                (abs(bx) + abs(ax)) * (abs(cy) + abs(ay)) + (abs(by) + abs(ay)) * (abs(cx) + abs(ax)),
+                _ORIENT_EPS,
+            )
+            if s:
+                yield s
+                continue
+        # cross(p2 - p1, p3 - p1)
+        (ax, ay), (bx, by), (cx, cy) = pts[i], pts[j], pts[k]
+        yield sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+
+
 def orient(p1: Point, p2: Point, p3: Point) -> int:
     """Orientation of the triple: +1 counterclockwise, -1 clockwise, 0 collinear.
 
     On exact points the sign of the cross product is taken in doubles where
     the bound of _ORIENT_EPS decides it, and exactly otherwise; float points
-    take the sign of their float cross product.
+    take the sign of their float cross product (`turn_signs`).
     """
-    (ax, ay), (bx, by), (cx, cy) = p1, p2, p3
-    if float not in (type(ax), type(ay), type(bx), type(by), type(cx), type(cy)):
-        f = _filter_doubles((ax, ay, bx, by, cx, cy))
-        if f is not None:
-            fax, fay, fbx, fby, fcx, fcy = f
-            s = filtered_sign(
-                (fbx - fax) * (fcy - fay) - (fby - fay) * (fcx - fax),
-                (abs(fbx) + abs(fax)) * (abs(fcy) + abs(fay)) + (abs(fby) + abs(fay)) * (abs(fcx) + abs(fax)),
-                _ORIENT_EPS,
-            )
-            if s:
-                return s
-    # cross(p2 - p1, p3 - p1)
-    return sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+    return next(turn_signs((p1, p2, p3)))
 
 
 def incircle(p1: Point, p2: Point, p3: Point, p4: Point) -> int:

@@ -70,27 +70,67 @@ def _overflow(c: CurveTU) -> PeriodsError:
     return PeriodsError(f"period integrand overflows for {c}")
 
 
-def _j1_j2(c: CurveTU, tol: float = 1e-12) -> Tuple[float, float]:
-    """(J1, J2), the two integrals of `segment_integrals` between finite roots."""
+def _integrals(c: CurveTU, tol: float, j3: bool = True, partials: bool = False) -> tuple:
+    """(J1, J2, J3), or (J1, J2) without j3, each with its partials when asked.
+
+    One integrand per segment, in the Chebyshev-weight form of
+    `quadrature.integrate` (see `segment_integrals`).  With partials each
+    returns (value, grad), grad = d value/dt + i d value/du, so the integral
+    comes out as (J, dJ/dt + i dJ/du) on the nodes of J alone.  The partials
+    are the value times the logarithmic derivatives of its factors; J2's end
+    t moves its nodes, x = 1 + (t - 1) s for a fixed s, which adds
+    dx/dt = da/(t - 1) times the value's derivative in x.  The partials
+    recompute the value's factors rather than have the value path name
+    them, which every value-only call would pay for.
+    """
     c.validate()
     t, u = c.t, c.u
+    tu = t * u
 
-    def f1(x: float, da: float, db: float) -> float:
+    def f1(x: float, da: float, db: float):
         # on (0, 1): x = da and t - x = (t - 1) + db, exact where t - x is
         # small; sqrt(da db) is the quadrature's weight
-        d = ((t - 1.0) + db) * (x + u) * (x + t * u) * (x * x + t * u)
+        d = ((t - 1.0) + db) * (x + u) * (x + tu) * (x * x + tu)
         if d == math.inf:
             raise _overflow(c)
-        return da / math.sqrt(d)
+        v = da / math.sqrt(d)
+        if not partials:
+            return v
+        r = 1.0 / (x + tu) + 1.0 / (x * x + tu)
+        return v, -0.5 * v * complex(1.0 / ((t - 1.0) + db) + u * r, 1.0 / (x + u) + t * r)
 
-    def f2(x: float, da: float, db: float) -> float:
+    def f2(x: float, da: float, db: float):
         # on (1, t): sqrt((x - 1)(t - x)) is the quadrature's weight
-        d = (x + u) * (x + t * u) * (x * x + t * u)
+        d = (x + u) * (x + tu) * (x * x + tu)
         if d == math.inf:
             raise _overflow(c)
-        return math.sqrt(x / d)
+        v = math.sqrt(x / d)
+        if not partials:
+            return v
+        ru, rtu, rx2 = 1.0 / (x + u), 1.0 / (x + tu), 1.0 / (x * x + tu)
+        dx = 1.0 / x - ru - rtu - 2.0 * x * rx2  # d log(value)/dx, twice
+        return v, 0.5 * v * complex(dx * da / (t - 1.0) - u * (rtu + rx2), -ru - t * (rtu + rx2))
 
-    return integrate(f1, 0.0, 1.0, tol=tol).real, integrate(f2, 1.0, t, tol=tol).real
+    def f3(w: float, da: float, db: float):
+        # on (-1, 1): t - w**2 = (t - 1) + da db
+        w2 = w * w
+        uw2 = u * w2
+        d = ((t - 1.0) + da * db) * (t + uw2) * (1.0 + uw2) * (t + uw2 * w2)
+        if d == math.inf:
+            raise _overflow(c)
+        v = w2 / math.sqrt(d)
+        if not partials:
+            return v
+        r2, r4 = 1.0 / (t + uw2), 1.0 / (t + uw2 * w2)
+        return v, -0.5 * v * complex(1.0 / ((t - 1.0) + da * db) + r2 + r4, w2 * (r2 + 1.0 / (1.0 + uw2) + w2 * r4))
+
+    j1, j2 = integrate(f1, 0.0, 1.0, tol=tol), integrate(f2, 1.0, t, tol=tol)
+    return (j1, j2, integrate(f3, -1.0, 1.0, tol=tol)) if j3 else (j1, j2)
+
+
+def _j1_j2(c: CurveTU, tol: float = 1e-12) -> Tuple[float, float]:
+    """(J1, J2), the two integrals of `segment_integrals` between finite roots."""
+    return _integrals(c, tol, j3=False)
 
 
 def segment_integrals(c: CurveTU, tol: float = 1e-12) -> Tuple[float, float, float]:
@@ -107,24 +147,22 @@ def segment_integrals(c: CurveTU, tol: float = 1e-12) -> Tuple[float, float, flo
     its segment (as for t = 5e102 or u = 1e300), where the integral would
     come out truncated or 0.
     """
-    j1, j2 = _j1_j2(c, tol)
-    t, u = c.t, c.u
-
-    def f3(w: float, da: float, db: float) -> float:
-        # on (-1, 1): t - w**2 = (t - 1) + da db
-        w2 = w * w
-        d = ((t - 1.0) + da * db) * (t + u * w2) * (1.0 + u * w2) * (t + u * w2 * w2)
-        if d == math.inf:
-            raise _overflow(c)
-        return w2 / math.sqrt(d)
-
-    return j1, j2, integrate(f3, -1.0, 1.0, tol=tol).real
+    return _integrals(c, tol)
 
 
 def shape_ratios(c: CurveTU, tol: float = 1e-12) -> Tuple[float, float]:
     """(J2/J1, J3/J1) = (2 height / short base, long base / short base)."""
     j1, j2, j3 = segment_integrals(c, tol)
     return j2 / j1, j3 / j1
+
+
+def _shape_ratios_and_jacobian(c: CurveTU, tol: float):
+    """`shape_ratios(c, tol)` and its Jacobian ((dr1/dt, dr1/du), (dr2/dt, dr2/du))."""
+    (j1, g1), (j2, g2), (j3, g3) = _integrals(c, tol, partials=True)
+    r1, r2 = j2 / j1, j3 / j1
+    # d(J/J1) = (dJ - (J/J1) dJ1) / J1, on gradients d/dt + i d/du
+    d1, d2 = (g2 - r1 * g1) / j1, (g3 - r2 * g1) / j1
+    return (r1, r2), ((d1.real, d1.imag), (d2.real, d2.imag))
 
 
 # Both solvers stop once their residual is below _RESIDUAL_TOL; Newton in
@@ -137,9 +175,12 @@ _TU_MAX_ITER = 50
 def solve_tu(target: Tuple[float, float], tol: float = 1e-12) -> CurveTU:
     """Newton solve for the curve whose shape ratios match the target.
 
-    Finite-difference Jacobian, step damping by halving on residual
-    increase; raises PeriodsError on divergence or when the iteration
-    leaves the domain t > 1, u > 0.  tol is the quadrature tolerance.
+    Each trial point costs one pass of the period quadrature, which gives
+    the shape ratios and their analytic Jacobian on the same nodes; an
+    accepted point's Jacobian drives the next step.  Steps are damped by
+    halving while the residual does not decrease.  Raises PeriodsError on
+    divergence or when the iteration leaves the domain t > 1, u > 0.  tol
+    is the quadrature tolerance.
     """
     r1, r2 = target
     if not (r2 > 0 and r1 > 0):
@@ -147,24 +188,17 @@ def solve_tu(target: Tuple[float, float], tol: float = 1e-12) -> CurveTU:
         # u < 1 half of the family realizes r2 < 1 and solves just as well.
         raise PeriodsError(f"target ratios outside the feasible cone: {target}")
 
-    def residual(t: float, u: float) -> Tuple[float, float]:
-        s1, s2 = shape_ratios(CurveTU(t, u), tol)
-        return s1 - r1, s2 - r2
+    def residual(t: float, u: float):
+        (s1, s2), jac = _shape_ratios_and_jacobian(CurveTU(t, u), tol)
+        return (s1 - r1, s2 - r2), jac
 
     t, u = _TU_START
-    fx = residual(t, u)
+    fx, jac = residual(t, u)
     norm = max(abs(fx[0]), abs(fx[1]))
     for _ in range(_TU_MAX_ITER):
         if norm < _RESIDUAL_TOL:
             return CurveTU(t, u)
-        step_t = 1e-7 * max(1.0, abs(t))
-        step_u = 1e-7 * max(1.0, abs(u))
-        f_t = residual(t + step_t, u)
-        f_u = residual(t, u + step_u)
-        j00 = (f_t[0] - fx[0]) / step_t
-        j10 = (f_t[1] - fx[1]) / step_t
-        j01 = (f_u[0] - fx[0]) / step_u
-        j11 = (f_u[1] - fx[1]) / step_u
+        (j00, j01), (j10, j11) = jac
         det = j00 * j11 - j01 * j10
         if det == 0 or not math.isfinite(det):
             raise PeriodsError("singular Jacobian in Newton iteration")
@@ -174,14 +208,14 @@ def solve_tu(target: Tuple[float, float], tol: float = 1e-12) -> CurveTU:
         while True:
             t_new, u_new = t + lam * dt, u + lam * du
             if t_new > 1.0 + 1e-12 and u_new > 1e-12:
-                f_new = residual(t_new, u_new)
+                f_new, jac_new = residual(t_new, u_new)
                 n_new = max(abs(f_new[0]), abs(f_new[1]))
                 if n_new < norm or n_new < _RESIDUAL_TOL:
                     break
             lam *= 0.5
             if lam < 1e-8:
                 raise PeriodsError("Newton step damping failed to reduce the residual")
-        t, u, fx, norm = t_new, u_new, f_new, n_new
+        t, u, fx, jac, norm = t_new, u_new, f_new, jac_new, n_new
     if norm < _RESIDUAL_TOL:
         return CurveTU(t, u)
     raise PeriodsError(f"Newton did not converge: residual {norm:.3e} after {_TU_MAX_ITER} iterations")

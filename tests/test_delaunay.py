@@ -339,7 +339,7 @@ class TestFilteredPredicatesOnPipelines:
         """{"incircle": [...], "orient": [...]}, one (filtered sign, exact
         sign, whether the exact value was built) per call."""
         exact_det, exact_sign = numeric.incircle_det, numeric.sign
-        filtered_incircle, filtered_orient = numeric.incircle_sign, numeric.orient
+        filtered_incircle, filtered_turns = numeric.incircle_sign, numeric.turn_signs
         built = []
         calls = {"incircle": [], "orient": []}
 
@@ -359,18 +359,22 @@ class TestFilteredPredicatesOnPipelines:
             calls["incircle"].append((got, sign(exact_det(*pts)), len(built) > n))
             return got
 
-        def checking_orient(p1, p2, p3):
-            n = len(built)
-            got = filtered_orient(p1, p2, p3)
-            calls["orient"].append((got, sign(cross(vec_sub(p2, p1), vec_sub(p3, p1))), len(built) > n))
-            return got
+        def checking_turns(pts):
+            # one orient per turn of the convexity test, which may stop early
+            signs = filtered_turns(pts)
+            for i in range(len(pts)):
+                p1, p2, p3 = pts[i], pts[(i + 1) % len(pts)], pts[(i + 2) % len(pts)]
+                n = len(built)
+                got = next(signs)
+                calls["orient"].append((got, sign(cross(vec_sub(p2, p1), vec_sub(p3, p1))), len(built) > n))
+                yield got
 
         with pytest.MonkeyPatch.context() as mp:
             worker = _load_benchmark_worker(mp)
             mp.setattr(numeric, "incircle_det", building_det)
             mp.setattr(numeric, "sign", signing)
             mp.setattr(dl, "incircle_sign", checking_incircle)
-            mp.setattr(dl, "orient", checking_orient)
+            mp.setattr(dl, "turn_signs", checking_turns)
             for seed in (1, 2, 3):
                 worker.run_sheared(worker.make_sheared(seed, False))
             for s in (ay_surface(), ay_prime(), escalator(), cut_and_reglue_square(ay_surface(), 0)):

@@ -247,6 +247,22 @@ class TestCli:
         assert child.wait() == 1
         assert "Traceback" not in err and "BrokenPipeError" not in err
 
+    def test_shared_parser_prints_what_a_fresh_process_prints(self, capsys):
+        # run() builds its parser once per process; neither a call nor a
+        # usage error may leave state in it that changes a later call
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        sequence = (["periods", "ratios", "--t", "2", "--u", "1"], ["solve-rect", "--mu", "0.5"],
+                    ["periods", "ratios", "--t", "2"], ["periods", "ratios", "--t", "2", "--u", "1"])
+        fresh = {}
+        for argv in sequence:
+            if tuple(argv) not in fresh:
+                child = subprocess.run([sys.executable, "-m", "flatsurfkit", *argv], env=env,
+                                       capture_output=True, text=True, timeout=120)
+                fresh[tuple(argv)] = (child.returncode, child.stdout, child.stderr)
+            assert invoke(capsys, *argv) == fresh[tuple(argv)], argv
+        assert [fresh[tuple(argv)][0] for argv in sequence] == [0, 0, 2, 0]
+
     def test_stdout_determinism(self, tmp_path, capsys):
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"

@@ -107,6 +107,67 @@ class TestSolveTU:
         with pytest.raises(PeriodsError):
             solve_tu((1.0, 0.0))
 
+    def test_ay_solve_takes_few_ratio_evaluations(self, monkeypatch):
+        # one quadrature pass per trial point gives the ratios and their
+        # Jacobian; finite differences took 10 ratio evaluations here
+        calls = []
+        inner = periods._shape_ratios_and_jacobian
+
+        def counted(c, q):
+            calls.append(c)
+            return inner(c, q)
+
+        monkeypatch.setattr(periods, "_shape_ratios_and_jacobian", counted)
+        target = (1 / A, 1 + A)
+        c = solve_tu(target)
+        r1, r2 = shape_ratios(c)
+        assert max(abs(r1 - target[0]), abs(r2 - target[1])) < periods._RESIDUAL_TOL
+        assert len(calls) <= 6
+
+    @pytest.mark.parametrize("t0, u0", ((1.05, 0.5), (1.05, 2.0), (1.05, 0.05), (1.2, 0.05), (4.0, 0.05)))
+    def test_near_degenerate_round_trip(self, t0, u0):
+        # a branch point near a segment's end: J2's segment is short, or
+        # -u and -tu crowd J1's end 0
+        c = solve_tu(shape_ratios(CurveTU(t0, u0)))
+        assert abs(c.t - t0) < 1e-8 and abs(c.u - u0) < 1e-8
+
+    def test_unreachable_target_fails_in_damping(self):
+        # r2 = J3/J1 = 1000 with r1 = 1 is outside the family's image
+        with pytest.raises(PeriodsError, match="damping failed"):
+            solve_tu((1.0, 1000.0))
+
+
+class TestAnalyticPartials:
+    """The partials that the quadrature carries on the nodes of J1, J2, J3."""
+
+    GRID = [(T_AY, U_AY)] + [(t, u) for t in (1.2, 2.6, 4.0) for u in (0.5, 0.8, 2.0, 4.0)]
+
+    @pytest.mark.parametrize("t, u", GRID)
+    def test_match_central_differences(self, t, u):
+        h = 1e-6
+        c = CurveTU(t, u)
+        parts = periods._integrals(c, 1e-12, partials=True)
+        ratios, jac = periods._shape_ratios_and_jacobian(c, 1e-12)
+        shifted = {}
+        for dt, du in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)):
+            shifted[dt, du] = segment_integrals(CurveTU(t + dt, u + du))
+        for k, (_, grad) in enumerate(parts):
+            d_t = (shifted[h, 0.0][k] - shifted[-h, 0.0][k]) / (2 * h)
+            d_u = (shifted[0.0, h][k] - shifted[0.0, -h][k]) / (2 * h)
+            assert abs(grad.real - d_t) <= 1e-6 * abs(d_t), (k, "t")
+            assert abs(grad.imag - d_u) <= 1e-6 * abs(d_u), (k, "u")
+        assert ratios == shape_ratios(c)
+        for k, row in enumerate(jac):
+            r = lambda j: j[k + 1] / j[0]
+            d_t = (r(shifted[h, 0.0]) - r(shifted[-h, 0.0])) / (2 * h)
+            d_u = (r(shifted[0.0, h]) - r(shifted[0.0, -h])) / (2 * h)
+            assert abs(row[0] - d_t) <= 1e-6 * abs(d_t) and abs(row[1] - d_u) <= 1e-6 * abs(d_u), k
+
+    @pytest.mark.parametrize("t, u", GRID)
+    def test_values_are_those_of_segment_integrals(self, t, u):
+        c = CurveTU(t, u)
+        assert tuple(j for j, _ in periods._integrals(c, 1e-12, partials=True)) == segment_integrals(c)
+
 
 class TestSolveRectangle:
     def test_round_trip(self):

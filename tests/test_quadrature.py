@@ -86,3 +86,39 @@ class TestIntegrate:
         exact = math.pi / math.sqrt(eps * (1.0 + eps))
         got = integrate(lambda x, da, db: 1.0 / (eps + db), 0.0, 1.0)
         assert abs(got - exact) < 1e-12 * exact
+
+    def test_pair_integrand_carries_extra_on_the_same_nodes(self):
+        # the value 1/(c - x) as above, the extra x + i x**2: against the
+        # weight, x and x**2 integrate to pi/2 and 3 pi/8 on (0, 1)
+        c = 1.5
+        nodes = {"value": [], "pair": []}
+
+        def value(x, da, db):
+            nodes["value"].append(x)
+            return 1.0 / (c - x)
+
+        def pair(x, da, db):
+            nodes["pair"].append(x)
+            return 1.0 / (c - x), complex(x, x * x)
+
+        alone = integrate(value, 0.0, 1.0)
+        got, extra = integrate(pair, 0.0, 1.0)
+        assert got == alone
+        assert nodes["pair"] == nodes["value"]
+        assert abs(extra - complex(math.pi / 2, 3 * math.pi / 8)) < 1e-12
+        assert integrate(pair, 1.0, 0.0) == (-got, -extra)
+
+    def test_pair_integrand_converges_on_the_value_alone(self):
+        # an extra with a pole 1e-13 past b never converges on its own
+        # (test_divergent_integral_raises); the value stops the rule
+        evals = []
+
+        def pair(x, da, db):
+            evals.append(x)
+            return 1.0, 1.0 / (x - 1.0 - 1e-13)
+
+        got, _ = integrate(pair, 0.0, 1.0)
+        assert abs(got - math.pi) < 1e-12
+        # the 17 nodes of 16 intervals, the first level compared with another
+        assert len(evals) == 17
+
