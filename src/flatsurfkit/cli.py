@@ -24,7 +24,7 @@ from . import periods as per
 from . import surface as sf
 from . import surface_io
 from . import symmetry as sym
-from .numeric import scalar_from_str, to_float
+from .numeric import FLOAT_TOL, scalar_from_str, to_float
 from .quadrature import QuadratureError
 from .surface import Surface, SurfaceError
 
@@ -114,13 +114,13 @@ def _classify_cell(p: sf.Polygon) -> str:
     lengths = [math.hypot(*v) for v in ev]
 
     def parallel(i: int, j: int) -> bool:
-        return abs(ev[i][0] * ev[j][1] - ev[i][1] * ev[j][0]) < 1e-9 * lengths[i] * lengths[j]
+        return abs(ev[i][0] * ev[j][1] - ev[i][1] * ev[j][0]) < FLOAT_TOL * lengths[i] * lengths[j]
 
     par0, par1 = parallel(0, 2), parallel(1, 3)
     if par0 and par1:
         dot = ev[0][0] * ev[1][0] + ev[0][1] * ev[1][1]
-        right = abs(dot) < 1e-9 * lengths[0] * lengths[1]
-        if right and abs(lengths[0] - lengths[1]) < 1e-9:
+        right = abs(dot) < FLOAT_TOL * lengths[0] * lengths[1]
+        if right and abs(lengths[0] - lengths[1]) < FLOAT_TOL:
             return "square"
         if right:
             return "rectangle"

@@ -16,6 +16,7 @@ from typing import List, Optional, Tuple
 
 from .numeric import (
     ALPHA,
+    FLOAT_TOL,
     CubicNumber,
     Scalar,
     Vec2,
@@ -124,6 +125,8 @@ class TrapezoidShape:
     h: float
 
     def validate(self) -> None:
+        if not all(is_exact(x) or math.isfinite(x) for x in (self.b, self.B, self.h)):
+            raise SurfaceError(f"non-finite trapezoid shape {self}")
         if not (self.b > 0 and self.h > 0 and self.B >= self.b):
             raise SurfaceError(f"degenerate trapezoid shape {self}")
 
@@ -161,6 +164,8 @@ class ParallelogramShape:
     side2: Tuple[Scalar, Scalar]
 
     def validate(self) -> None:
+        if not all(is_exact(x) or math.isfinite(x) for x in self.side1 + self.side2):
+            raise SurfaceError(f"non-finite parallelogram shape {self}")
         if sign(cross(self.side1, self.side2)) <= 0:
             raise SurfaceError(f"parallelogram sides must be positively oriented: {self}")
 
@@ -351,7 +356,7 @@ def origami_check(s: Surface) -> Optional[OrigamiCertificate]:
     rank-2 lattice, the surface area an integer multiple of its covolume,
     and all cone points congruent modulo the lattice.  Exact scalars give
     an exact decision; float surfaces are decided by rationalizing the
-    coefficients of each holonomy over a basis pair (tolerance 1e-9).
+    coefficients of each holonomy over a basis pair (tolerance FLOAT_TOL).
     """
     if s.kind != sf.TRANSLATION:
         raise SurfaceError("origami check requires a translation surface")
@@ -400,7 +405,7 @@ def _origami_float(s: Surface, holonomies: List[Vec2]) -> Optional[OrigamiCertif
         # huge denominator would otherwise slip under any float tolerance.
         ar = Fraction(a).limit_denominator(1000)
         br = Fraction(b).limit_denominator(1000)
-        if abs(float(ar) - a) > 1e-9 or abs(float(br) - b) > 1e-9:
+        if abs(float(ar) - a) > FLOAT_TOL or abs(float(br) - b) > FLOAT_TOL:
             return None  # holonomies not commensurable over the basis pair
         coeffs.append((ar, br))
     den = 1

@@ -128,11 +128,6 @@ def _integrals(c: CurveTU, tol: float, j3: bool = True, partials: bool = False) 
     return (j1, j2, integrate(f3, -1.0, 1.0, tol=tol)) if j3 else (j1, j2)
 
 
-def _j1_j2(c: CurveTU, tol: float = 1e-12) -> Tuple[float, float]:
-    """(J1, J2), the two integrals of `segment_integrals` between finite roots."""
-    return _integrals(c, tol, j3=False)
-
-
 def segment_integrals(c: CurveTU, tol: float = 1e-12) -> Tuple[float, float, float]:
     """The three positive segment integrals (J1, J2, J3).
 
@@ -165,11 +160,11 @@ def _shape_ratios_and_jacobian(c: CurveTU, tol: float):
     return (r1, r2), ((d1.real, d1.imag), (d2.real, d2.imag))
 
 
-# Both solvers stop once their residual is below _RESIDUAL_TOL; Newton in
-# solve_tu starts at (t, u) = _TU_START and gives up after _TU_MAX_ITER steps.
+# Both solvers stop once their residual is below _RESIDUAL_TOL and give up
+# after _NEWTON_MAX_ITER Newton steps; solve_tu starts at (t, u) = _TU_START.
 _RESIDUAL_TOL = 1e-10
 _TU_START = (2.0, 2.0)
-_TU_MAX_ITER = 50
+_NEWTON_MAX_ITER = 50
 
 
 def solve_tu(target: Tuple[float, float], tol: float = 1e-12) -> CurveTU:
@@ -195,7 +190,7 @@ def solve_tu(target: Tuple[float, float], tol: float = 1e-12) -> CurveTU:
     t, u = _TU_START
     fx, jac = residual(t, u)
     norm = max(abs(fx[0]), abs(fx[1]))
-    for _ in range(_TU_MAX_ITER):
+    for _ in range(_NEWTON_MAX_ITER):
         if norm < _RESIDUAL_TOL:
             return CurveTU(t, u)
         (j00, j01), (j10, j11) = jac
@@ -218,74 +213,60 @@ def solve_tu(target: Tuple[float, float], tol: float = 1e-12) -> CurveTU:
         t, u, fx, jac, norm = t_new, u_new, f_new, jac_new, n_new
     if norm < _RESIDUAL_TOL:
         return CurveTU(t, u)
-    raise PeriodsError(f"Newton did not converge: residual {norm:.3e} after {_TU_MAX_ITER} iterations")
+    raise PeriodsError(f"Newton did not converge: residual {norm:.3e} after {_NEWTON_MAX_ITER} iterations")
 
 
-# The rectangle solve scans t = 1 + 10**(k/4 - 1.5), k = -6..24.
-_RECT_GRID = [1.0 + 10.0 ** (k / 4.0 - 1.5) for k in range(-6, 25)]
-_RECT_START = 12  # the grid index of t = 2
+# The rectangle solve keeps t in [_RECT_T_MIN, _RECT_T_MAX].
+_RECT_T_MIN = 1.0 + 10.0 ** -3
+_RECT_T_MAX = 1.0 + 10.0 ** 4.5
 
 
 def solve_t_rectangle(mu: float, tol: float = 1e-12) -> float:
     """Solve J1(t, 1) = mu * J2(t, 1) for t (the rectangle case u = 1).
 
-    2*mu is the width-to-height ratio of the rectangle.  J1 - mu*J2
-    falls with t, so a scan of `_RECT_GRID` walks from t = 2 in the
-    direction its sign gives until the sign changes; the bracket is then
-    refined by regula falsi with the Illinois modification (the function
-    value kept at an end that survives two steps in a row is halved).
-    Raises PeriodsError when the root lies outside the grid.  tol is the
-    quadrature tolerance.
+    2*mu is the width-to-height ratio of the rectangle.  Newton runs in
+    s = log(t - 1) on g(s) = log J1 - log J2 - log mu, which falls with t.
+    Each iterate costs one pass of the period quadrature, which gives
+    g'(s) = (t - 1) (dJ1/dt / J1 - dJ2/dt / J2) on the nodes of J1 and J2.
+    Newton starts at t = 2 and halves a step while |g| does not fall.
+    Steps are clamped to t in [_RECT_T_MIN, _RECT_T_MAX]; since g is
+    monotone, a clamped iterate where g keeps its sign puts the root
+    outside that range and raises PeriodsError.  The solve returns once
+    |J1 - mu*J2| < _RESIDUAL_TOL and the next step would move t by less
+    than 1e-13 t, a hundred times the quadrature's noise in t.  tol is
+    the quadrature tolerance.
     """
     if not mu > 0:
         raise PeriodsError(f"mu must be positive: {mu}")
+    log_mu = math.log(mu)
+    s_lo, s_hi = math.log(_RECT_T_MIN - 1.0), math.log(_RECT_T_MAX - 1.0)
 
-    def f(t: float) -> float:
-        j1, j2 = _j1_j2(CurveTU(t, 1.0), tol)
-        return j1 - mu * j2
+    def at(s: float):
+        t = 1.0 + math.exp(s)
+        (j1, g1), (j2, g2) = _integrals(CurveTU(t, 1.0), tol, j3=False, partials=True)
+        return t, math.log(j1 / j2) - log_mu, (t - 1.0) * (g1.real / j1 - g2.real / j2), abs(j1 - mu * j2)
 
-    k, fk = _RECT_START, f(_RECT_GRID[_RECT_START])
-    step = 1 if fk > 0 else -1
-    j, fj = k, fk
-    while fj != 0 and (fj > 0) == (fk > 0):
-        k, fk = j, fj
-        j = k + step
-        if not 0 <= j < len(_RECT_GRID):
-            raise PeriodsError(
-                f"no sign change of J1 - mu*J2 for t in [{_RECT_GRID[0]:.6g}, {_RECT_GRID[-1]:.6g}]"
-                f" at mu = {mu}"
-            )
-        fj = f(_RECT_GRID[j])
-    if fj == 0:
-        return _RECT_GRID[j]
-    (lo, flo), (hi, fhi) = sorted([(_RECT_GRID[k], fk), (_RECT_GRID[j], fj)])
-    best_t, best_val = lo, flo
-    moved = 0  # the end the last step replaced: -1 for lo, +1 for hi
-    for _ in range(200):
-        t = hi - fhi * (hi - lo) / (fhi - flo)
-        if not (lo < t < hi):
-            t = 0.5 * (lo + hi)
-        val = f(t)
-        if abs(val) < abs(best_val):
-            best_t, best_val = t, val
-        # keep shrinking the bracket so t itself is pinned, not just the residual
-        if val == 0 or abs(val) < _RESIDUAL_TOL and hi - lo < 1e-9 * max(1.0, hi):
+    s = 0.0
+    t, g, dg, res = at(s)
+    for _ in range(_NEWTON_MAX_ITER):
+        step = -g / dg
+        if res < _RESIDUAL_TOL and abs(math.expm1(step)) * (t - 1.0) < 1e-13 * t:
             return t
-        # Illinois: an end kept through two steps in a row has its value halved
-        if (val < 0) == (flo < 0):
-            lo, flo = t, val
-            if moved == -1:
-                fhi *= 0.5
-            moved = -1
-        else:
-            hi, fhi = t, val
-            if moved == 1:
-                flo *= 0.5
-            moved = 1
-        if hi - lo < 1e-13 * hi:
-            break
-    if abs(best_val) < _RESIDUAL_TOL:
-        return best_t
+        s_new = min(max(s + step, s_lo), s_hi)
+        clamped, lam = s_new != s + step, 1.0
+        while True:
+            t_new, g_new, dg_new, res_new = at(s_new)
+            if clamped and g_new * g > 0:
+                raise PeriodsError(
+                    f"no sign change of J1 - mu*J2 for t in [{_RECT_T_MIN:.6g}, {_RECT_T_MAX:.6g}]"
+                    f" at mu = {mu}"
+                )
+            if abs(g_new) < abs(g):
+                break
+            s_new, clamped, lam = 0.5 * (s + s_new), False, 0.5 * lam
+            if lam < 1e-8:
+                raise PeriodsError("Newton step damping failed to reduce the residual")
+        s, t, g, dg, res = s_new, t_new, g_new, dg_new, res_new
     raise PeriodsError(f"rectangle solve did not reach residual {_RESIDUAL_TOL}")
 
 

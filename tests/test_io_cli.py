@@ -200,6 +200,17 @@ class TestCli:
         [line] = err.splitlines()
         assert line.startswith("error: ") and names in line and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", (
+        ["trapezoid", "--b", "1", "--B", "2", "--h", "inf"],
+        ["trapezoid", "--b", "1", "--B", "inf", "--h", "1"],
+        ["parallelogram", "--s1x", "inf", "--s1y", "0", "--s2x", "0", "--s2y", "1"],
+    ), ids=["trapezoid-h-inf", "trapezoid-B-inf", "parallelogram-s1x-inf"])
+    def test_non_finite_shape_is_a_domain_error(self, argv, capsys):
+        code, out, err = invoke(capsys, "build", *argv)
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and "non-finite" in line and "Traceback" not in err
+
     @pytest.mark.parametrize("t, u", (("5e102", "1"), ("1e160", "1"), ("1e200", "1"), ("2", "1e300")))
     def test_overflowing_integrand_is_a_domain_error(self, t, u, capsys):
         code, out, err = invoke(capsys, "periods", "ratios", "--t", t, "--u", u)
