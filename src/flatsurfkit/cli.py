@@ -41,11 +41,12 @@ def _read_surface(path: Optional[str]) -> Surface:
 
 
 def _write_surface(s: Surface, path: Optional[str]) -> None:
+    text = surface_io.dumps(s)  # first, so that a SurfaceError leaves no file behind
     if path in (None, "-"):
-        sys.stdout.write(surface_io.dumps(s))
+        sys.stdout.write(text)
     else:
         with open(path, "w") as fp:
-            surface_io.dump(s, fp)
+            fp.write(text)
 
 
 def _require_valid(s: Surface) -> Surface:
@@ -76,15 +77,13 @@ def _cmd_build(args) -> int:
         s = cons.parallelogram_family(
             cons.ParallelogramShape((args.s1x, args.s1y), (args.s2x, args.s2y))
         )
-    elif name == "rectangle":
+    else:  # rectangle
         if args.t is None:
             raise CliError("rectangle requires --t")
         # u = 1 makes J3 = J1 exactly (x -> t/x), so the bases are equal;
         # the computed J3/J1 can round to just below 1
         r1, _ = per.shape_ratios(per.CurveTU(args.t, 1.0))
         s = cons.trapezoid_family(cons.TrapezoidShape(1.0, 1.0, r1 / 2.0))
-    else:
-        raise CliError(f"unknown surface {name!r}")
     _write_surface(s, args.output)
     return 0
 
@@ -259,13 +258,11 @@ def _cmd_periods(args) -> int:
         print(f"r1 = J2/J1 = {r1:.11f}")
         print(f"r2 = J3/J1 = {r2:.11f}")
         return 0
-    if args.mode == "silhol":
-        a = complex(args.a_real, args.a_imag)
-        ratio = per.silhol_ratio(per.CurveA(a))
-        print(f"ratio = {ratio.real:.11f} + {ratio.imag:.11f}i")
-        print(f"|Im|/|ratio| = {abs(ratio.imag) / abs(ratio):.3e}")
-        return 0
-    raise CliError(f"unknown periods mode {args.mode!r}")
+    a = complex(args.a_real, args.a_imag)  # silhol
+    ratio = per.silhol_ratio(per.CurveA(a))
+    print(f"ratio = {ratio.real:.11f} + {ratio.imag:.11f}i")
+    print(f"|Im|/|ratio| = {abs(ratio.imag) / abs(ratio):.3e}")
+    return 0
 
 
 def _cmd_origami_check(args) -> int:
@@ -310,11 +307,7 @@ def _cmd_tessellate(args) -> int:
                 }
                 for c in cells
             ],
-            "adjacency": sorted(
-                [key_index[a], key_index[b]]
-                for a, b, _ in tess.adjacency
-                if a in key_index and b in key_index
-            ),
+            "adjacency": sorted([key_index[a], key_index[b]] for a, b, _ in tess.adjacency),
         }
         with open(args.json, "w") as fp:
             json.dump(data, fp, indent=1)

@@ -22,11 +22,12 @@ triangles) and symmetry.isometries_between (over labelled cell corners).
 
 A triangulation also carries hinge_cache: values derived from a hinge,
 keyed by the half-edge it was developed from, normally the canonical one
-(isodelaunay keeps each hinge's wall there).  A flip drops the entries of
-the five edges of its two triangles, the only hinges it changes, and
-copies (so flip and flip_until) carry the rest over: a value computed
-before a flip sequence stays valid for every hinge the sequence did not
-touch.
+(isodelaunay keeps each hinge's wall there).  A flip changes only the
+hinges of the five edges of its two triangles, and each of those edges
+keeps its partner outside the two, so the flip drops their entries once,
+from both sides, before it rewrites the gluing.  Copies (so flip and
+flip_until) carry the rest over: a value computed before a flip sequence
+stays valid for every hinge the sequence did not touch.
 """
 
 from __future__ import annotations
@@ -292,55 +293,35 @@ def _flip_in_place(t: Triangulation, edge: HalfEdge) -> None:
     if ta == tb:
         raise DelaunayError(f"cannot flip edge {edge} with both sides in one triangle")
     eps = t.chart_sign[a]
-    vb, vc, vw = t.vec(n1), t.vec(n2), t.vec(w)
     q1 = h.p4  # apex of the edge's own triangle
     q2 = h.p2  # apex of the twin triangle, developed
 
-    # The new diagonal keeps the keys (a, tw); the four outer edges rotate
-    # to the remaining slots.  u and w change chart by eps.
+    # The new diagonal keeps the keys (a, tw); each outer edge moves to a
+    # new slot with a chart factor r: eps for tb's edges u and w, which
+    # move into ta's chart, else 1.  A gluing's sign gains r at each end
+    # (r = 1 outside ta and tb), so a fold or a u~w pairing keeps its sign.
     ea, fb = a[1], tw[1]
-    slot_of = {
-        u: (ta, (ea + 2) % 3),
-        n2: (ta, (ea + 1) % 3),
-        w: (tb, (fb + 1) % 3),
-        n1: (tb, (fb + 2) % 3),
+    move = {
+        n1: ((tb, (fb + 2) % 3), 1),
+        n2: ((ta, (ea + 1) % 3), 1),
+        u: ((ta, (ea + 2) % 3), eps),
+        w: ((tb, (fb + 1) % 3), eps),
     }
-    new_vec = {u: q2, n2: vc, w: vw if eps == 1 else vec_neg(vw), n1: vb}
-    recharted = {u, w} if eps == -1 else set()
-    old = {key: (t.glue[key], t.chart_sign[key]) for key in (u, w, n1, n2)}
-
-    new_glue: Dict[HalfEdge, HalfEdge] = {a: tw, tw: a}
-    new_sign: Dict[HalfEdge, int] = {a: 1, tw: 1}
-    processed = set()
-    for key in (u, w, n1, n2):
-        if key in processed:
-            continue
-        partner, s_old = old[key]
-        # Each re-charted endpoint multiplies the gluing's chart sign by eps;
-        # a fold or an internal pairing of u and w is conjugated twice.
-        count = (key in recharted) + (partner in recharted)
-        s_new = s_old * (-1 if (eps == -1 and count % 2 == 1) else 1)
-        slot = slot_of[key]
-        partner_slot = slot_of.get(partner, partner)
-        new_glue[slot] = partner_slot
-        new_glue[partner_slot] = slot
-        new_sign[slot] = s_new
-        new_sign[partner_slot] = s_new
-        processed.add(key)
-        if partner in slot_of:
-            processed.add(partner)
-
-    # The edges of ta and tb are keyed through the gluing both before and
-    # after it changes.
+    old = {key: (t.vec(key), t.glue[key], t.chart_sign[key]) for key in move}
+    # Every edge with a side in ta or tb keeps its outside partner, so one
+    # drop before the mutation covers both gluings.
     _drop_hinges(t, (ta, tb))
-    for key, vec in new_vec.items():
-        slot = slot_of[key]
-        t.vecs[slot[0]][slot[1]] = vec
+    for key, (slot, r) in move.items():
+        vec, partner, s_old = old[key]
+        partner_slot, partner_r = move.get(partner, (partner, 1))
+        t.vecs[slot[0]][slot[1]] = vec if r == 1 else vec_neg(vec)
+        t.glue[slot] = partner_slot
+        t.glue[partner_slot] = slot
+        t.chart_sign[slot] = t.chart_sign[partner_slot] = s_old * r * partner_r
     t.vecs[ta][ea] = vec_sub(q1, q2)
     t.vecs[tb][fb] = vec_sub(q2, q1)
-    t.glue.update(new_glue)
-    t.chart_sign.update(new_sign)
-    _drop_hinges(t, (ta, tb))
+    t.glue[a], t.glue[tw] = tw, a
+    t.chart_sign[a] = t.chart_sign[tw] = 1
     t.flip_count += 1
 
 
@@ -348,9 +329,11 @@ def flip(t: Triangulation, edge: HalfEdge) -> Triangulation:
     """Replace the hinge diagonal by the opposite one.
 
     Returns a new triangulation; the new diagonal occupies the same pair
-    of half-edge keys, so flipping the same edge twice restores the
-    original triangulation.  The copy keeps t's hinge_cache entries for
-    the edges the flip does not touch."""
+    of half-edge keys, so the same edge can be flipped back.  Flipping it
+    twice gives the original triangulation up to relabelling (an equal
+    canonical_code), not the same vecs and glue: the two triangles may
+    trade contents.  The copy keeps t's hinge_cache entries for the edges
+    the flip does not touch."""
     out = t.copy()
     _flip_in_place(out, edge)
     return out

@@ -901,7 +901,7 @@ def walls_through(tess: Tessellation, u: Scalar, v: Scalar) -> List[Wall]:
     """Distinct explored walls passing exactly through the point (u, v)."""
     out = []
     for w in tess.all_walls():
-        if sign(w.evaluate(u, v), 1e-7) == 0:
+        if sign(w.evaluate(u, v), FLOAT_TOL) == 0:
             out.append(w)
     return out
 

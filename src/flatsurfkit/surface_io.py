@@ -17,13 +17,22 @@ from .surface import TRANSLATION, Gluing, Polygon, Surface, SurfaceError
 FORMAT = "flatsurface/1"
 
 
+def _vertex_literals(v: Point, i: int, j: int) -> list:
+    """The literals of polygon i's vertex j, under the reader's rule that a
+    float coordinate is finite."""
+    if any(isinstance(x, float) and not math.isfinite(x) for x in v):
+        raise SurfaceError(f"surface file: polygons[{i}][{j}]: non-finite coordinate in {v!r}")
+    return [scalar_to_str(v[0]), scalar_to_str(v[1])]
+
+
 def surface_to_dict(s: Surface) -> dict:
+    """The file form of s; SurfaceError names a vertex the reader would reject."""
     return {
         "format": FORMAT,
         "kind": s.kind,
         "scalars": "exact" if s.is_exact() else "float",
         "polygons": [
-            [[scalar_to_str(x), scalar_to_str(y)] for x, y in p.vertices] for p in s.polygons
+            [_vertex_literals(v, i, j) for j, v in enumerate(p.vertices)] for i, p in enumerate(s.polygons)
         ],
         "gluings": [
             [[g.edge_a[0], g.edge_a[1]], [g.edge_b[0], g.edge_b[1]], g.kind] for g in s.gluings

@@ -3,6 +3,7 @@
 import functools
 import importlib.util
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,8 @@ from flatsurfkit import delaunay as dl
 from flatsurfkit import numeric
 from flatsurfkit.constructions import ay_prime, ay_surface, escalator
 from flatsurfkit.numeric import ALPHA, FLOAT_TOL, CubicNumber, cross, sign, to_float, vec_sub
-from flatsurfkit.surface import Gluing, Polygon, Surface, TRANSLATION, apply_linear, cut_and_reglue_square
+from flatsurfkit.surface import (
+    Gluing, Polygon, Surface, TRANSLATION, VERTICAL, apply_linear, cut_and_reglue_square)
 
 
 def sheared_torus_triangulation(shear: float):
@@ -115,6 +117,38 @@ class TestFlip:
         out = dl.flip(t, edge)
         kept = {e for e in t.edges() if e[0] not in tris and t.twin(e)[0] not in tris}
         assert out.hinge_cache == {e: e for e in kept}
+
+    @pytest.mark.parametrize("name", ["ay_cut", "escalator_cut", "pillowcase", "sheared_pillowcase"])
+    def test_random_flips_on_half_translation_surfaces(self, name, torus):
+        # eps = -1 diagonals, folded outer edges (the pillowcase folds two)
+        # and gluings inside the two triangles all pass through one flip.
+        pillowcase = cut_and_reglue_square(torus, 0)
+        s = {
+            "ay_cut": lambda: cut_and_reglue_square(ay_surface(), 0),
+            "escalator_cut": lambda: cut_and_reglue_square(escalator(), 2, VERTICAL),
+            "pillowcase": lambda: pillowcase,
+            "sheared_pillowcase": lambda: apply_linear(((1, Fraction(2, 5)), (0, 1)), pillowcase),
+        }[name]()
+        t = dl.triangulate(s)
+        rng = random.Random(name)
+        flips = 0
+        for _ in range(150):
+            edge = rng.choice(t.edges())
+            h = dl.hinge(t, edge)
+            if h.folded or not h.is_strictly_convex() or t.twin(edge)[0] == edge[0]:
+                continue
+            t.hinge_cache = {he: he for he in t.half_edges()}
+            tris = {edge[0], t.twin(edge)[0]}
+            out = dl.flip(t, edge)
+            out.check_invariants()
+            assert out.hinge_cache == {
+                he: he for he in t.half_edges() if he[0] not in tris and t.twin(he)[0] not in tris}
+            back = dl.flip(out, edge)
+            for include_mirror in (True, False):
+                assert dl.canonical_code(back, include_mirror) == dl.canonical_code(t, include_mirror)
+            t = out
+            flips += 1
+        assert flips >= 40
 
     def test_nonconvex_hinge_rejected(self):
         # an obtuse triangle paired with a thin one gives a non-convex hinge

@@ -1,6 +1,7 @@
 """Surface file round-trips and the command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,6 +30,12 @@ class TestSurfaceFiles:
         )
         back = surface_io.loads(surface_io.dumps(floated))
         assert back == floated
+
+    @pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+    def test_writer_rejects_non_finite_floats(self, bad):
+        poly = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, bad), (0.0, 1.0)])
+        with pytest.raises(SurfaceError, match=r"polygons\[0\]\[2\]"):
+            surface_io.dumps(Surface([poly], []))
 
     def test_rejects_unknown_format(self):
         with pytest.raises(SurfaceError):
@@ -210,6 +217,21 @@ class TestCli:
         assert (code, out) == (1, "")
         [line] = err.splitlines()
         assert line.startswith("error: ") and "non-finite" in line and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", (
+        ["trapezoid", "--b", "1e308", "--B", "1.7e308", "--h", "1"],
+        ["parallelogram", "--s1x", "1e200", "--s1y", "0", "--s2x", "0", "--s2y", "1e200"],
+    ), ids=["trapezoid-overflows-to-inf", "parallelogram-overflows-to-nan"])
+    def test_non_finite_vertex_is_a_domain_error(self, argv, tmp_path, capsys):
+        # Finite shapes whose vertices overflow: the writer refuses what the
+        # reader would reject, and leaves no output file behind.
+        path = tmp_path / "out.json"
+        for extra in ([], ["-o", str(path)]):
+            code, out, err = invoke(capsys, "build", *argv, *extra)
+            assert (code, out) == (1, "")
+            [line] = err.splitlines()
+            assert line.startswith("error: ") and "polygons[" in line and "non-finite" in line
+        assert not path.exists()
 
     @pytest.mark.parametrize("t, u", (("5e102", "1"), ("1e160", "1"), ("1e200", "1"), ("2", "1e300")))
     def test_overflowing_integrand_is_a_domain_error(self, t, u, capsys):
