@@ -368,21 +368,8 @@ def origami_check(s: Surface) -> Optional[OrigamiCertificate]:
 
 
 def _origami_exact(s: Surface, holonomies: List[Vec2]) -> Optional[OrigamiCertificate]:
-    triples = [coefficients(h[0]) + coefficients(h[1]) for h in holonomies]
-    den = 1
-    for row in triples:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    rows = [[int(x * den) for x in row] for row in triples]
-    basis = _hermite_row_basis(rows)
-    if len(basis) != 2:
-        return None
-    w = []
-    for row in basis:
-        x = _from_triple((Fraction(row[0], den), Fraction(row[1], den), Fraction(row[2], den)))
-        y = _from_triple((Fraction(row[3], den), Fraction(row[4], den), Fraction(row[5], den)))
-        w.append((x, y))
-    return _certificate(s, *w)
+    rows = [coefficients(h[0]) + coefficients(h[1]) for h in holonomies]
+    return _lattice_certificate(s, rows, lambda r: (_from_triple(r[:3]), _from_triple(r[3:])))
 
 
 def _origami_float(s: Surface, holonomies: List[Vec2]) -> Optional[OrigamiCertificate]:
@@ -408,19 +395,22 @@ def _origami_float(s: Surface, holonomies: List[Vec2]) -> Optional[OrigamiCertif
         if abs(float(ar) - a) > FLOAT_TOL or abs(float(br) - b) > FLOAT_TOL:
             return None  # holonomies not commensurable over the basis pair
         coeffs.append((ar, br))
-    den = 1
-    for a, b in coeffs:
-        for x in (a, b):
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    rows = [[int(a * den), int(b * den)] for a, b in coeffs]
-    basis = _hermite_row_basis(rows)
+
+    def vector(r):
+        a, b = float(r[0]), float(r[1])
+        return (a * v1[0] + b * v2[0], a * v1[1] + b * v2[1])
+
+    return _lattice_certificate(s, coeffs, vector)
+
+
+def _lattice_certificate(s: Surface, rows, vector) -> Optional[OrigamiCertificate]:
+    """The certificate for the lattice the Fraction rows generate, or None
+    when their rank is not 2; vector maps a basis row back to a vector."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    basis = _hermite_row_basis([[int(x * den) for x in row] for row in rows])
     if len(basis) != 2:
         return None
-    w = []
-    for row in basis:
-        a, b = Fraction(row[0], den), Fraction(row[1], den)
-        w.append((float(a) * v1[0] + float(b) * v2[0], float(a) * v1[1] + float(b) * v2[1]))
-    return _certificate(s, *w)
+    return _certificate(s, *(vector([Fraction(x, den) for x in row]) for row in basis))
 
 
 def _certificate(s: Surface, w1: Vec2, w2: Vec2) -> Optional[OrigamiCertificate]:

@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .numeric import (
@@ -387,30 +386,13 @@ def is_delaunay_triangulation(t: Triangulation) -> bool:
 # -- decomposition -------------------------------------------------------------------
 
 
-def _chain_cmp(p: Sequence[Point], q: Sequence[Point]) -> int:
-    for (ax, ay), (bx, by) in zip(p, q):
-        c = sign(ax - bx)
-        if c:
-            return c
-        c = sign(ay - by)
-        if c:
-            return c
-    return (len(p) > len(q)) - (len(p) < len(q))
-
-
 def _canonical_chain(points: List[Point]) -> Tuple[List[Point], int]:
-    """Lexicographically smallest rotation, translated to start at the origin."""
+    """Lexicographically smallest rotation, translated to start at the
+    origin: the first such rotation and its offset."""
     n = len(points)
-    best = None
-    best_r = 0
-    for r in range(n):
-        rot = points[r:] + points[:r]
-        o = rot[0]
-        rot = [vec_sub(v, o) for v in rot]
-        if best is None or _chain_cmp(rot, best) < 0:
-            best = rot
-            best_r = r
-    return best, best_r
+    rots = [[vec_sub(v, points[r]) for v in points[r:] + points[:r]] for r in range(n)]
+    r = min(range(n), key=rots.__getitem__)
+    return rots[r], r
 
 
 def decomposition(t: Triangulation) -> Surface:
@@ -490,7 +472,7 @@ def decomposition(t: Triangulation) -> Surface:
         points = [dev_point(h[0], t.corner_position(h)) for h in walk]
         chain, r = _canonical_chain(points)
         emitted.append((chain, walk[r:] + walk[:r]))
-    order = sorted(range(len(emitted)), key=cmp_to_key(lambda i, j: _chain_cmp(emitted[i][0], emitted[j][0])))
+    order = sorted(range(len(emitted)), key=lambda i: emitted[i][0])
 
     edge_index: Dict[HalfEdge, Tuple[int, int]] = {}
     polygons = []

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .numeric import FLOAT_TOL, Scalar, coefficients, exact_divisor, filtered_sign, is_exact, sign, to_float
+from .numeric import (FLOAT_TOL, Scalar, coefficients, exact_divisor, filtered_sign, is_exact, sign, to_float,
+                      vec_neg)
 from . import delaunay as dl
 from .delaunay import HalfEdge, Triangulation, hinge
 from .surface import Surface
@@ -201,15 +202,6 @@ class Wall:
         return tuple(flip * t for t in self.floats())
 
 
-def _abs_cmp_max(values: Sequence[Scalar]) -> Scalar:
-    best = None
-    for v in values:
-        av = -v if sign(v) < 0 else v
-        if best is None or sign(av - best) > 0:
-            best = av
-    return best
-
-
 def wall_of_hinge(t: Triangulation, edge: HalfEdge):
     """The wall of a hinge, or ALWAYS/NEVER when its sign is constant on H.
 
@@ -252,34 +244,37 @@ def wall_of_hinge(t: Triangulation, edge: HalfEdge):
 def _normalize_wall(a: Scalar, b: Scalar, c: Scalar) -> Wall:
     # Positive scaling only: the sign of q must keep matching the
     # Delaunay determinant.
-    m = exact_divisor(_abs_cmp_max([a, b, c]))
+    m = exact_divisor(max(abs(a), abs(b), abs(c)))
     return Wall(a / m, b / m, c / m)
 
 
 # -- Delaunay triangulations over the half-plane --------------------------------------
 
 
-def _memo_wall(t: Triangulation, edge: HalfEdge, walls: Optional[dict]):
-    """wall_of_hinge(t, edge), kept in t.hinge_cache.
+def _memo_wall(t: Triangulation, edge: HalfEdge, walls: dict):
+    """wall_of_hinge(t, edge), kept in t.hinge_cache and in walls.
 
     The cache rides on the triangulation: flips drop the walls of the
     hinges they change and copies carry the others over, so a wall is
-    computed again only after its hinge was flipped.  walls, given on exact
-    input, is the second level: one wall per developed hinge across the
-    whole exploration.  A wall depends only on the hinge developed in the
-    base chart, and p1 is always the origin, so (p2, p3, p4) is its key.
+    computed again only after its hinge was flipped.  walls is the second
+    level, on exact and float input alike: one wall per developed hinge
+    across the whole exploration.  A wall depends only on the hinge
+    developed in the base chart, with p1 at the origin, so its key is read
+    from t without arithmetic: p2, the twin's next vector (negated where
+    the chart sign is -1), p3 = vec(edge) and p4 - p3 = vec(next(edge)).
+    On exact input that key matches exactly when (p2, p3, p4) does; on
+    floats it is finer, as p3 + (p4 - p3) can round two hinges together.
     """
     w = t.hinge_cache.get(edge)
     if w is not None:
         return w
-    if walls is None:
-        w = wall_of_hinge(t, edge)
-    else:
-        h = hinge(t, edge)
-        key = (h.p2, h.p3, h.p4)
-        w = walls.get(key)
-        if w is None:
-            w = walls[key] = wall_of_hinge(t, edge)
+    tri, e = edge
+    tw = t.glue[edge]
+    vu = t.vecs[tw[0]][(tw[1] + 1) % 3]
+    key = (vu if t.chart_sign[edge] == 1 else vec_neg(vu), t.vecs[tri][e], t.vecs[tri][(e + 1) % 3])
+    w = walls.get(key)
+    if w is None:
+        w = walls[key] = wall_of_hinge(t, edge)
     t.hinge_cache[edge] = w
     return w
 
@@ -294,7 +289,7 @@ def _sample_floats(u: Scalar, v: Scalar) -> Tuple[float, float]:
 
 
 def _q_sign(t: Triangulation, edge: HalfEdge, u: Scalar, v: Scalar, fu: float, fv: float,
-            walls: Optional[dict]) -> int:
+            walls: dict) -> int:
     """Sign of the hinge's Delaunay form at (u, v); negative means Delaunay."""
     w = _memo_wall(t, edge, walls)
     if w is ALWAYS:
@@ -311,11 +306,13 @@ def delaunayize_at(t: Triangulation, u: Scalar, v: Scalar, _walls: Optional[dict
     Shares delaunay.flip_until with delaunayize: a hinge is flipped when
     its wall form is positive at (u, v).  Walls come from t's hinge_cache
     where t's hinges are unflipped, and the result's cache holds the wall
-    of every edge.  _walls, when given (exact input), memoizes the rest by
-    developed hinge.
+    of every edge.  The rest are memoized by developed hinge in _walls
+    (see _memo_wall), which explore shares across its cells; without it,
+    the call keeps its own.
     """
+    walls = {} if _walls is None else _walls
     fu, fv = _sample_floats(u, v)
-    return dl.flip_until(t, lambda out, edge: _q_sign(out, edge, u, v, fu, fv, _walls) > 0)
+    return dl.flip_until(t, lambda out, edge: _q_sign(out, edge, u, v, fu, fv, walls) > 0)
 
 
 # -- cells ------------------------------------------------------------------------------
@@ -344,7 +341,7 @@ def _rationalize(x: float, max_den: int = 10 ** 9) -> Fraction:
 
 
 def _collect_constraints(t: Triangulation, u: Scalar, v: Scalar, fu: float, fv: float,
-                         walls: Optional[dict]) -> List[Wall]:
+                         walls: dict) -> List[Wall]:
     """The distinct walls of t's hinges, each oriented so that the sample
     (u, v) lies on its side q < 0: the first wall per oriented key, in edge
     order.  A wall's hinges are the edges of t whose hinge_cache wall has
@@ -597,23 +594,18 @@ class _Memo:
     """Work shared by the cell_at calls of one explore.
 
     cells maps a supporting key to the cell explore stored under it.  walls
-    (developed hinge -> wall) and crossed ((cell key, locus key) -> the cell
-    across that facet) are kept on exact input only.  walls is the second
-    cache level: the first is each triangulation's hinge_cache, which a
-    neighbour's triangulation inherits from its parent cell for every hinge
-    it did not flip, on both paths.  The developed-hinge level adds the
-    hinges that flips recreate in a shape seen before.  On floats it would
-    hit too (on the float AY ball of radius 3, 8 308 of the 14 603
-    wall_of_hinge calls repeat a bit-identical developed hinge), but there
-    it trades memory for time: on the perfbench ay-float-ball workload it
-    raised peak_rss_mb from 27.28 to 29.24 MB (+7%) and cut run_s by 6%,
-    so it stays off until that trade is chosen.
-    crossed relies on every facet being shared by exactly two cells, which
-    float crossings do not keep.
+    maps a developed hinge to its wall (see _memo_wall), on exact and float
+    input alike; it is the second cache level, under each triangulation's
+    hinge_cache, which a neighbour's triangulation inherits from its parent
+    cell for every hinge it did not flip, and it adds the hinges that flips
+    recreate in a shape seen before.  crossed ((cell key, locus key) -> the
+    cell across that facet) is kept on exact input only: it relies on every
+    facet being shared by exactly two cells, which float crossings do not
+    keep.
     """
 
     cells: Dict[FrozenSet, "Cell"]
-    walls: Optional[dict] = None
+    walls: dict = field(default_factory=dict)
     crossed: Optional[Dict[tuple, "Cell"]] = None
 
 
@@ -847,8 +839,8 @@ def explore(s: Surface, z0: HPoint, radius: float, cell_budget: int = 10 ** 5) -
 
     Walls ride on the triangulations: a neighbour's triangulation inherits
     its parent cell's walls, and cell_at recomputes only the walls of the
-    hinges its own flips changed.  On exact input a second memo, keyed by
-    the developed hinge, computes each exact wall once per exploration.
+    hinges its own flips changed.  A second memo, keyed by the developed
+    hinge, computes each wall once per exploration, exact or float.
     One exploration does not rebuild a cell it already holds, and on exact
     input it crosses each facet once: the exact tessellation is
     edge-to-edge, so the far cell of a facet is the cell that crossed it.
@@ -858,7 +850,7 @@ def explore(s: Surface, z0: HPoint, radius: float, cell_budget: int = 10 ** 5) -
         raise IsoDelaunayError(f"radius must be positive and at most {_MAX_RADIUS}: {radius}")
     exact = s.is_exact()
     cells: Dict[FrozenSet, Cell] = {}
-    memo = _Memo(cells, walls={}, crossed={}) if exact else _Memo(cells)
+    memo = _Memo(cells, crossed={} if exact else None)
     start = cell_at(s, z0, _memo=memo)
     cells[start.key] = start
     # repr(key) orders the two ends of an adjacency; computed once per cell.

@@ -34,34 +34,38 @@ class PeriodsError(RuntimeError):
 
 @dataclass(frozen=True)
 class CurveTU:
-    """Member of the first family: t > 1, u > 0."""
+    """Member of the first family: 1 < t < inf, 0 < u < inf."""
 
     t: float
     u: float
 
     def validate(self) -> None:
-        if not (self.t > 1 and self.u > 0):
+        if not (1 < self.t < math.inf and 0 < self.u < math.inf):
             raise PeriodsError(f"curve parameters out of domain: t={self.t}, u={self.u}")
 
 
 @dataclass(frozen=True)
 class CurveS:
-    """Member of the second family: Im s > 0 and s != i."""
+    """Member of the second family: finite s, Im s > 0 and s != i."""
 
     s: complex
 
     def validate(self) -> None:
+        if not cmath.isfinite(self.s):
+            raise PeriodsError(f"s must be finite: {self.s}")
         if not (self.s.imag > 0) or self.s == 1j:
             raise PeriodsError(f"s must lie in the upper half-plane, s != i: {self.s}")
 
 
 @dataclass(frozen=True)
 class CurveA:
-    """Genus-2 curve y**2 = x (x**2 - 1) (x - a) (x - 1/a)."""
+    """Genus-2 curve y**2 = x (x**2 - 1) (x - a) (x - 1/a), a finite."""
 
     a: complex
 
     def validate(self) -> None:
+        if not cmath.isfinite(self.a):
+            raise PeriodsError(f"a must be finite: {self.a}")
         if self.a == 0 or self.a * self.a == 1:
             raise PeriodsError(f"singular curve: a = {self.a}")
 

@@ -240,6 +240,12 @@ class TestCli:
         [line] = err.splitlines()
         assert line.startswith("error: ") and "integrand overflows" in line and "Traceback" not in err
 
+    def test_non_finite_silhol_parameter_is_a_domain_error(self, capsys):
+        code, out, err = invoke(capsys, "periods", "silhol", "--a-imag", "nan")
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: a must be finite") and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", (["solve-ay", "--tol", "0"], ["solve-rect", "--mu", "0.5", "--tol=-1e-9"]))
     def test_nonpositive_tolerance_exit_code(self, argv, capsys):
         code, _, err = invoke(capsys, *argv)

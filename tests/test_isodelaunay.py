@@ -187,6 +187,22 @@ class TestExplore:
         assert [c.comb_hash for c in a.cells] == [c.comb_hash for c in b.cells]
         assert a.adjacency == b.adjacency
 
+    def test_genus2_correspondence_keeps_the_tessellation(self, ay):
+        # Cutting a square of AY and regluing it by a half-turn changes the
+        # triangulations but not where each hinge is Delaunay over H: the
+        # same cells, walls and adjacencies under other comb hashes.  Its
+        # chart signs of -1 take the negated branch of the wall memo's key.
+        from flatsurfkit.surface import cut_and_reglue_square
+
+        z0 = iso.HPoint(0.0001, 1.0001)
+        cut = cut_and_reglue_square(ay, 0)
+        a, b = iso.explore(ay, z0, 1.0), iso.explore(cut, z0, 1.0)
+        assert {c.key for c in b.cells} == {c.key for c in a.cells} and len(b.cells) == 24
+        assert b.adjacency == a.adjacency
+        hashes = {c.key: c.comb_hash for c in a.cells}
+        assert all(c.comb_hash != hashes[c.key] for c in b.cells)
+        assert any(c.triangulation.chart_sign[e] == -1 for c in b.cells for e in c.triangulation.edges())
+
     def test_budget(self, torus):
         with pytest.raises(iso.IsoDelaunayError):
             iso.explore(torus, iso.HPoint(0.05, 1.2), 2.5, cell_budget=2)
@@ -196,8 +212,8 @@ class TestExploreShortcuts:
     """explore's wall memo, known-cell short-circuit and crossing record
     against plain cell_at and a crossing from each side."""
 
-    @pytest.fixture(scope="class")
-    def exact_ball(self, ay):
+    @staticmethod
+    def _explore_recording_memo(s, radius):
         # Record the memo explore builds, to check its walls afterwards.
         memos = []
 
@@ -208,10 +224,28 @@ class TestExploreShortcuts:
 
         saved, iso._Memo = iso._Memo, Recording
         try:
-            tess = iso.explore(ay, iso.HPoint(0.0001, 1.0001), 0.35)
+            tess = iso.explore(s, iso.HPoint(0.0001, 1.0001), radius)
         finally:
             iso._Memo = saved
         return tess, memos[0]
+
+    @staticmethod
+    def _check_memo_gives_fresh_walls(tess, memo):
+        # On a copy without its hinge_cache, every edge's wall comes from the
+        # memo: the fresh wall, and no new key.
+        assert memo.walls
+        n = len(memo.walls)
+        for cell in tess.cells:
+            t = cell.triangulation
+            bare = t.copy()
+            bare.hinge_cache = {}
+            for edge in t.edges():
+                assert iso._memo_wall(bare, edge, memo.walls) == iso.wall_of_hinge(t, edge)
+        assert len(memo.walls) == n
+
+    @pytest.fixture(scope="class")
+    def exact_ball(self, ay):
+        return self._explore_recording_memo(ay, 0.35)
 
     @pytest.fixture(scope="class")
     def float_surface(self):
@@ -231,12 +265,7 @@ class TestExploreShortcuts:
 
     def test_memoized_walls_match_fresh_walls(self, exact_ball, float_ball):
         tess, memo = exact_ball
-        assert memo.walls
-        for cell in tess.cells:
-            t = cell.triangulation
-            for edge in t.edges():
-                h = dl.hinge(t, edge)
-                assert memo.walls[(h.p2, h.p3, h.p4)] == iso.wall_of_hinge(t, edge)
+        self._check_memo_gives_fresh_walls(tess, memo)
         # Every cell's triangulation holds the wall of each of its edges,
         # computed from the hinge it has now.
         for cell in tess.cells + float_ball.cells:
@@ -253,8 +282,16 @@ class TestExploreShortcuts:
         assert (len(tess.cells), len(tess.all_walls()), len(tess.adjacency)) == (279, 193, 803)
 
     @pytest.fixture(scope="class")
-    def float_ball(self, float_surface):
-        return iso.explore(float_surface, iso.HPoint(0.0001, 1.0001), 1.0)
+    def float_ball_and_memo(self, float_surface):
+        return self._explore_recording_memo(float_surface, 1.0)
+
+    @pytest.fixture(scope="class")
+    def float_ball(self, float_ball_and_memo):
+        return float_ball_and_memo[0]
+
+    def test_float_memo_holds_every_cell_wall(self, float_ball_and_memo):
+        # The developed-hinge memo runs on floats as on exact input.
+        self._check_memo_gives_fresh_walls(*float_ball_and_memo)
 
     def test_float_ball_cells_match_plain_cell_at(self, float_surface, float_ball):
         tess = float_ball
@@ -722,7 +759,7 @@ class TestHingeCache:
         t = base
         for _ in range(data.draw(st.integers(1, 8))):
             for edge in t.edges():
-                iso._memo_wall(t, edge, None)
+                iso._memo_wall(t, edge, {})
             flippable = [
                 e for e in t.edges()
                 if t.twin(e)[0] != e[0] and dl.hinge(t, e).is_strictly_convex()

@@ -350,3 +350,17 @@ class TestCurveDomains:
         with pytest.raises(PeriodsError):
             CurveS(0.5 - 1j).validate()
         CurveS(0.5 + 1j).validate()
+
+    @pytest.mark.parametrize("call, message", (
+        (lambda: a_from_tu(CurveTU(math.inf, 1.0)), "out of domain"),
+        (lambda: phi_map(CurveTU(2.0, math.inf), 0.5), "out of domain"),
+        (lambda: psi_map(complex(math.inf, 1), 0.5), "s must be finite"),
+        (lambda: a_from_s(complex(math.nan, 1)), "s must be finite"),
+        (lambda: silhol_ratio(CurveA(complex(math.nan, 0.5))), "a must be finite"),
+        (lambda: silhol_ratio(CurveA(complex(0.0, math.inf))), "a must be finite"),
+    ), ids=["a_from_tu-t-inf", "phi_map-u-inf", "psi_map-s-inf", "a_from_s-s-nan",
+            "silhol-a-nan", "silhol-a-inf"])
+    def test_non_finite_parameters_are_rejected(self, call, message):
+        # Not NaN, the point at infinity or a quadrature that cannot converge.
+        with pytest.raises(PeriodsError, match=message):
+            call()
