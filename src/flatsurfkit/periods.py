@@ -174,12 +174,15 @@ _NEWTON_MAX_ITER = 50
 def solve_tu(target: Tuple[float, float], tol: float = 1e-12) -> CurveTU:
     """Newton solve for the curve whose shape ratios match the target.
 
-    Each trial point costs one pass of the period quadrature, which gives
-    the shape ratios and their analytic Jacobian on the same nodes; an
-    accepted point's Jacobian drives the next step.  Steps are damped by
-    halving while the residual does not decrease.  Raises PeriodsError on
-    divergence or when the iteration leaves the domain t > 1, u > 0.  tol
-    is the quadrature tolerance.
+    The full step's trial point costs one pass of the period quadrature,
+    which gives the shape ratios and their analytic Jacobian on the same
+    nodes; an accepted point's Jacobian drives the next step.  Steps are
+    damped by halving while the residual does not decrease.  The halved
+    trial points take a value-only pass, whose ratios are the same doubles,
+    and a point accepted after halving gets its Jacobian from one more pass
+    when the next step needs it.  Raises PeriodsError on divergence or when
+    the iteration leaves the domain t > 1, u > 0.  tol is the quadrature
+    tolerance.
     """
     r1, r2 = target
     if not (r2 > 0 and r1 > 0):
@@ -187,16 +190,19 @@ def solve_tu(target: Tuple[float, float], tol: float = 1e-12) -> CurveTU:
         # u < 1 half of the family realizes r2 < 1 and solves just as well.
         raise PeriodsError(f"target ratios outside the feasible cone: {target}")
 
-    def residual(t: float, u: float):
-        (s1, s2), jac = _shape_ratios_and_jacobian(CurveTU(t, u), tol)
+    def residual(t: float, u: float, jacobian: bool):
+        c = CurveTU(t, u)
+        (s1, s2), jac = _shape_ratios_and_jacobian(c, tol) if jacobian else (shape_ratios(c, tol), None)
         return (s1 - r1, s2 - r2), jac
 
     t, u = _TU_START
-    fx, jac = residual(t, u)
+    fx, jac = residual(t, u, True)
     norm = max(abs(fx[0]), abs(fx[1]))
     for _ in range(_NEWTON_MAX_ITER):
         if norm < _RESIDUAL_TOL:
             return CurveTU(t, u)
+        if jac is None:
+            _, jac = residual(t, u, True)
         (j00, j01), (j10, j11) = jac
         det = j00 * j11 - j01 * j10
         if det == 0 or not math.isfinite(det):
@@ -207,7 +213,7 @@ def solve_tu(target: Tuple[float, float], tol: float = 1e-12) -> CurveTU:
         while True:
             t_new, u_new = t + lam * dt, u + lam * du
             if t_new > 1.0 + 1e-12 and u_new > 1e-12:
-                f_new, jac_new = residual(t_new, u_new)
+                f_new, jac_new = residual(t_new, u_new, lam == 1.0)
                 n_new = max(abs(f_new[0]), abs(f_new[1]))
                 if n_new < norm or n_new < _RESIDUAL_TOL:
                     break

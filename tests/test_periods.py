@@ -52,6 +52,22 @@ class TestSegmentIntegrals:
         for x, y in zip(coarse, fine):
             assert abs(x - y) < 1e-8
 
+    def test_integrals_stop_at_the_converged_level(self, monkeypatch):
+        # J1 and J3 return on 16 intervals and J2 on 32, where a level was
+        # accepted only once the next one agreed with it (99 evaluations);
+        # the values stay within 1e-15 of what that rule returned
+        evals = []
+        inner = periods.integrate
+
+        def counted(f, a, b, tol):
+            return inner(lambda *x: evals.append(x[0]) or f(*x), a, b, tol=tol)
+
+        monkeypatch.setattr(periods, "integrate", counted)
+        got = segment_integrals(CurveTU(2.3, 1.7))
+        assert len(evals) == 67
+        for j, pinned in zip(got, ("0.177412560595507", "0.3579206568013992", "0.2523189461954724")):
+            assert abs(j - float(pinned)) <= 1e-15
+
     def test_domain_validation(self):
         with pytest.raises(PeriodsError):
             segment_integrals(CurveTU(0.9, 1.0))
@@ -135,6 +151,35 @@ class TestSolveTU:
         # r2 = J3/J1 = 1000 with r1 = 1 is outside the family's image
         with pytest.raises(PeriodsError, match="damping failed"):
             solve_tu((1.0, 1000.0))
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        passes = {"partials": 0, "value": 0}
+        inner = periods._integrals
+
+        def counted(c, tol, j3=True, partials=False):
+            passes["partials" if partials else "value"] += 1
+            return inner(c, tol, j3, partials)
+
+        monkeypatch.setattr(periods, "_integrals", counted)
+        return passes
+
+    def test_halved_trial_points_take_value_only_passes(self, monkeypatch):
+        # the target's Newton path halves almost every step: a partials
+        # pass at each of them made 172 before the PeriodsError
+        passes = self._count_passes(monkeypatch)
+        with pytest.raises(PeriodsError, match="damping failed"):
+            solve_tu((0.01, 100.0))
+        assert passes["partials"] <= 30
+        assert passes["value"] > passes["partials"]
+
+    def test_round_trip_passes(self, monkeypatch):
+        # the target's value-only pass, then one partials pass per Newton
+        # point: every full step is accepted
+        passes = self._count_passes(monkeypatch)
+        c = solve_tu(shape_ratios(CurveTU(2.3, 1.7)))
+        assert abs(c.t - 2.3) < 1e-8 and abs(c.u - 1.7) < 1e-8
+        assert passes == {"partials": 5, "value": 1}
 
 
 class TestAnalyticPartials:

@@ -122,3 +122,74 @@ class TestIntegrate:
         # the 17 nodes of 16 intervals, the first level compared with another
         assert len(evals) == 17
 
+    @pytest.mark.parametrize("a, b", ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, math.nan)))
+    def test_non_finite_bounds_raise_before_any_evaluation(self, a, b):
+        evals = []
+        with pytest.raises(QuadratureError, match="bounds must be finite"):
+            integrate(lambda x, da, db: evals.append(x) or 1.0, a, b)
+        assert evals == []
+
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf, complex(0.0, math.nan)))
+    def test_non_finite_integrand_raises_at_the_first_level(self, value):
+        # the first level, on 4 intervals, has 5 nodes; the 12 levels of
+        # the ladder would take 32 769
+        evals = []
+
+        def f(x, da, db):
+            evals.append(x)
+            return value if x > 0.9 else 1.0
+
+        with pytest.raises(QuadratureError, match=r"not finite on \[0.0, 1.0\]"):
+            integrate(f, 0.0, 1.0)
+        assert len(evals) == 5
+
+    @pytest.mark.parametrize("tol", (1e-6, 1e-9, 1e-12))
+    @pytest.mark.parametrize("eps", [10.0 ** -k for k in range(1, 7)])
+    def test_pole_past_the_end_is_within_tolerance(self, eps, tol):
+        # int_0^1 dx / ((c - x) sqrt(x (1 - x))) = pi / sqrt(c (c - 1)),
+        # c = 1 + eps: c - x is taken as eps + db, so rounding x near 1
+        # does not count; the rule's rate falls with eps
+        exact = math.pi / math.sqrt((1.0 + eps) * eps)
+        got = integrate(lambda x, da, db: 1.0 / (eps + db), 0.0, 1.0, tol=tol)
+        assert abs(got - exact) <= tol * max(1.0, exact)
+
+    @pytest.mark.parametrize("f", (lambda x: 1.0, lambda x: x, lambda x: 3.0 * x * x - 1.0, lambda x: x**4))
+    def test_no_level_below_16_intervals_is_returned(self, f):
+        # these are exact from 4 intervals on, so every difference is 0,
+        # yet the rule returns the level on 16 intervals and its 17 nodes
+        evals = []
+
+        def counted(x, da, db):
+            evals.append(x)
+            return f(x)
+
+        integrate(counted, -1.0, 1.0)
+        assert len(evals) == 17
+
+    @pytest.mark.parametrize("k, shift", ((47.71, 0.0), (39.93, 1.5)))
+    def test_coincident_levels_do_not_pass_the_extrapolation(self, k, shift):
+        # shift + cos(k x) on (-1, 1): at these k two successive levels
+        # agree while both are still far off (I_16 and I_32 at k = 47.71
+        # are 4.0e-4 and 5.6e-5 off, I_8 and I_16 at 39.93 both 0.86),
+        # and the ratio of the last two differences alone took such a
+        # level for converged; the reference is the rule on 256 intervals,
+        # exact to rounding for these k
+        f = lambda x, da, db: shift + math.cos(k * x)
+        n = 256
+        ref = math.pi / n * math.fsum(
+            (0.5 if j in (0, n) else 1.0) * f(math.cos(math.pi * j / n), 0.0, 0.0) for j in range(n + 1)
+        )
+        got = integrate(f, -1.0, 1.0, tol=1e-6)
+        assert abs(got - ref) <= 1e-6 * max(1.0, abs(ref))
+
+    @pytest.mark.xfail(strict=True, reason="the extrapolation assumes one rate of convergence")
+    def test_faint_slow_term_is_within_tolerance(self):
+        # a pole of residue 1e-12 at 1e-4 past b next to one of residue 1
+        # at distance 2: the differences up to 8 intervals fall at the
+        # fast rate, the faint term keeps the next ones near 1e-9, and the
+        # rule returns on 16 intervals, 7.8e-10 off; agreement of two
+        # levels alone returns on 512, 6.7e-16 off
+        eps = 1e-4
+        exact = math.pi / math.sqrt(8.0) + 1e-12 * math.pi / math.sqrt(eps * (2.0 + eps))
+        got = integrate(lambda x, da, db: 1.0 / (3.0 - x) + 1e-12 / (eps + db), -1.0, 1.0)
+        assert abs(got - exact) <= 1e-12 * max(1.0, exact)
