@@ -10,7 +10,10 @@ b_k), the lifted incircle determinant of the transformed hinge factors as
 
 with A, B, C 4x4 determinants of the base coordinates: every hinge is
 Delaunay on one side of a geodesic a (x**2+y**2) + b x + c = 0 (a wall),
-always, or never.  Cells are intersections of wall half-planes; in the
+always, or never.  On an exact hinge the determinants, their signs and
+the wall's normalization are computed in one pass over Python ints
+(numeric.exact_wall_form); a float hinge expands them in doubles, in a
+fixed order.  Cells are intersections of wall half-planes; in the
 coordinates (u, v) = (x**2 + y**2, x) walls become straight lines and H
 the region u > v**2, so supporting walls are found by exact 1-dimensional
 feasibility tests.  On an exact surface every combinatorial decision is
@@ -30,8 +33,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .numeric import (FLOAT_TOL, Scalar, coefficients, exact_divisor, filtered_sign, is_exact, sign, to_float,
-                      vec_neg)
+from .numeric import (FLOAT_TOL, Scalar, coefficients, exact_divisor, exact_wall_form, filtered_sign, is_exact,
+                      sign, to_float, vec_neg)
 from . import delaunay as dl
 from .delaunay import HalfEdge, Triangulation, hinge
 from .surface import Surface
@@ -210,14 +213,25 @@ def wall_of_hinge(t: Triangulation, edge: HalfEdge):
     hinge is Delaunay for every z, NEVER that it never is.
 
     a, b/2 and c are the 4x4 determinants with columns (x, y, f, 1) over
-    p1..p4 for f = y**2, x*y and x**2.  Each is reduced by subtracting p4's
-    row; the x and y columns of the three reduced rows and their minor
-    r10*r21 - r11*r20 are shared, and p1, which hinge() puts at the origin,
-    contributes 0 - p4's entries.  Every determinant is expanded with the
-    same operations in the same order, so float walls are reproducible.
+    p1..p4 for f = y**2, x*y and x**2.  An exact hinge takes one pass over
+    Python ints (numeric.exact_wall_form): the determinants, their signs and
+    the normalization are computed on int triples of Z[alpha] over one
+    denominator, and a field element is made only for each normalized
+    coefficient.  A float hinge keeps the scalar expansion: each
+    determinant is reduced by subtracting p4's row; the x and y columns of
+    the three reduced rows and their minor r10*r21 - r11*r20 are shared,
+    and p1, which hinge() puts at the origin, contributes 0 - p4's entries.
+    Every determinant is expanded with the same operations in the same
+    order, so float walls are reproducible.  Both give the same wall on
+    exact input, in value and in scalar type.
     """
     h = hinge(t, edge)
     (x2, y2), (x3, y3), (x4, y4) = h.p2, h.p3, h.p4
+    if float not in map(type, (x2, y2, x3, y3, x4, y4)):
+        form = exact_wall_form(h.p2, h.p3, h.p4)
+        if isinstance(form, int):
+            return ALWAYS if form <= 0 else NEVER
+        return Wall(*form)
     r00, r01 = 0 - x4, 0 - y4
     r10, r11 = x2 - x4, y2 - y4
     r20, r21 = x3 - x4, y3 - y4
@@ -336,8 +350,18 @@ class Cell:
     triangulation: Optional[Triangulation] = field(repr=False, default=None, compare=False)
 
 
-def _rationalize(x: float, max_den: int = 10 ** 9) -> Fraction:
-    return Fraction(x).limit_denominator(max_den)
+def _rationalize(x: float, y: float) -> Tuple[Fraction, Fraction]:
+    """x + iy with denominators up to 10**9, for a point of H.
+
+    A y that this rounds to 0 or below (y < 5e-10) keeps its exact value
+    instead: delaunayize_at at y = 0 is off H and flips without end.
+    """
+    vx = Fraction(x).limit_denominator(10 ** 9)
+    vy = Fraction(y).limit_denominator(10 ** 9)
+    if vy <= 0:
+        _log.debug("_rationalize: y = %r rounds to %s; keeping its exact value", y, vy)
+        vy = Fraction(y)
+    return vx, vy
 
 
 def _collect_constraints(t: Triangulation, u: Scalar, v: Scalar, fu: float, fv: float,
@@ -614,7 +638,8 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
     """The iso-Delaunay cell containing z (perturbing z off walls if needed).
 
     On an exact surface z is rationalized to denominators up to 10**9, so a
-    z with such Fraction coordinates is located exactly where it lies.
+    z with such Fraction coordinates is located exactly where it lies; a y
+    below 5e-10 keeps its exact value (see _rationalize).
 
     With _memo, a cell whose supporting key is already in _memo.cells is
     returned as stored instead of being built again.
@@ -625,8 +650,7 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
     zx, zy = z.x, z.y
     for attempt in range(8):
         if exact:
-            vx = _rationalize(zx)
-            vy = _rationalize(zy)
+            vx, vy = _rationalize(zx, zy)
         else:
             vx, vy = zx, zy
         u = vx * vx + vy * vy
@@ -809,7 +833,7 @@ def _cross_wall(s: Surface, cell: Cell, wall: Wall, at: HPoint, memo: _Memo) -> 
         if zy <= 0:
             continue
         if exact:
-            vx, vy = _rationalize(zx), _rationalize(zy)
+            vx, vy = _rationalize(zx, zy)
         else:
             vx, vy = zx, zy
         u = vx * vx + vy * vy

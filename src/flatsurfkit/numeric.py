@@ -18,7 +18,10 @@ denominator and does its arithmetic on Python ints.  Its sign comes from a
 double-precision evaluation with a proven error bound, backed by the exact
 sign of the field norm when the doubles cannot decide; its float value
 comes from a fixed-point alpha computed once at import.  Neither changes
-any module state.
+any module state.  The product and the sign also work on bare int triples
+of Z[alpha] (_zmul, _zsign), which exact_wall_form uses to compute the
+iso-Delaunay wall of an exact hinge without making a CubicNumber until
+the normalized coefficients.
 
 Sign policy: every decision that other modules make on a scalar goes
 through ``sign(x, tol)``, and the scalar's type picks the rule.  Exact
@@ -118,6 +121,45 @@ class _AlphaInterval:
 
 # The shared starting interval; embed_real refines private copies of it.
 _ALPHA = _AlphaInterval(Fraction(_ALPHA_FIX, 1 << _ALPHA_BITS), Fraction(_ALPHA_FIX + 1, 1 << _ALPHA_BITS))
+
+
+def _zmul(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> Tuple[int, int, int]:
+    """The product of a0 + a1*alpha + a2*alpha**2 and b0 + b1*alpha +
+    b2*alpha**2 in Z[alpha], as an int triple.
+
+    The convolution runs up to alpha**4 and is reduced by alpha**3 = 1 -
+    alpha - alpha**2 and alpha**4 = 2*alpha - 1.  CubicNumber.__mul__ and
+    exact_wall_form both multiply through here.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    p3 = a1 * b2 + a2 * b1
+    p4 = a2 * b2
+    return (a0 * b0 + p3 - p4, a0 * b1 + a1 * b0 - p3 + 2 * p4, a0 * b2 + a1 * b1 + a2 * b0 - p3)
+
+
+def _zsign(t: Tuple[int, int, int]) -> int:
+    """The exact sign of t0 + t1*alpha + t2*alpha**2 for ints t_i (see
+    CubicNumber)."""
+    n0, n1, n2 = t
+    if not (n1 or n2):
+        return (n0 > 0) - (n0 < 0)
+    shift = (abs(n0) | abs(n1) | abs(n2)).bit_length() - _FILTER_BITS
+    slack = 0.0
+    if shift > 0:
+        n0, n1, n2 = n0 >> shift, n1 >> shift, n2 >> shift
+        slack = 2.0
+    f0 = float(n0)
+    t1 = float(n1) * _ALPHA_F
+    t2 = float(n2) * _ALPHA2_F
+    v = f0 + t1 + t2
+    bound = _FILTER_EPS * (abs(f0) + abs(t1) + abs(t2)) + slack
+    if v > bound:
+        return 1
+    if v < -bound:
+        return -1
+    # t is not rational, hence nonzero, and its norm has its sign.
+    return 1 if _adjugate_row(*t)[3] > 0 else -1
 
 
 def _make(n0: int, n1: int, n2: int, d: int) -> "CubicNumber":
@@ -234,20 +276,10 @@ class CubicNumber:
         if isinstance(other, float):
             return float(self) * other
         other = CubicNumber.coerce(other)
-        a0, a1, a2 = self.n0, self.n1, self.n2
-        b0, b1, b2 = other.n0, other.n1, other.n2
-        if not (b1 or b2):
-            return _scale(self, b0, other.d)
-        # Convolution up to alpha**4, reduced by alpha**3 = 1 - alpha -
-        # alpha**2 and alpha**4 = 2*alpha - 1.
-        p3 = a1 * b2 + a2 * b1
-        p4 = a2 * b2
-        return _make(
-            a0 * b0 + p3 - p4,
-            a0 * b1 + a1 * b0 - p3 + 2 * p4,
-            a0 * b2 + a1 * b1 + a2 * b0 - p3,
-            self.d * other.d,
-        )
+        if not (other.n1 or other.n2):
+            return _scale(self, other.n0, other.d)
+        n0, n1, n2 = _zmul((self.n0, self.n1, self.n2), (other.n0, other.n1, other.n2))
+        return _make(n0, n1, n2, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -313,25 +345,7 @@ class CubicNumber:
 
     def sign(self) -> int:
         """Exact sign of the real embedding (-1, 0, or +1)."""
-        n0, n1, n2 = self.n0, self.n1, self.n2
-        if not (n1 or n2):
-            return (n0 > 0) - (n0 < 0)
-        shift = (abs(n0) | abs(n1) | abs(n2)).bit_length() - _FILTER_BITS
-        slack = 0.0
-        if shift > 0:
-            n0, n1, n2 = n0 >> shift, n1 >> shift, n2 >> shift
-            slack = 2.0
-        f0 = float(n0)
-        t1 = float(n1) * _ALPHA_F
-        t2 = float(n2) * _ALPHA2_F
-        v = f0 + t1 + t2
-        bound = _FILTER_EPS * (abs(f0) + abs(t1) + abs(t2)) + slack
-        if v > bound:
-            return 1
-        if v < -bound:
-            return -1
-        # x is not rational, hence nonzero, and its norm has its sign.
-        return 1 if _adjugate_row(self.n0, self.n1, self.n2)[3] > 0 else -1
+        return _zsign((self.n0, self.n1, self.n2))
 
     def embed_real(self, eps: float) -> float:
         """Real embedding to within eps (alpha -> 0.543689...)."""
@@ -748,3 +762,76 @@ def incircle_det(p1: Point, p2: Point, p3: Point, p4: Point) -> Scalar:
         - blift * (adx * cdy - cdx * ady)
         + clift * (adx * bdy - bdx * ady)
     )
+
+
+# -- the wall of an exact hinge ---------------------------------------------------
+
+
+def _parts(x: Scalar) -> Tuple[int, int, int, int]:
+    """(n0, n1, n2, d) with x = (n0 + n1*alpha + n2*alpha**2) / d and d > 0,
+    for exact x."""
+    if isinstance(x, CubicNumber):
+        return x.n0, x.n1, x.n2, x.d
+    if isinstance(x, int):
+        return x, 0, 0, 1
+    return x.numerator, 0, 0, x.denominator
+
+
+def _zsub(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> Tuple[int, int, int]:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _zsum(a: Tuple[int, int, int], b: Tuple[int, int, int], c: Tuple[int, int, int]) -> Tuple[int, int, int]:
+    return (a[0] + b[0] + c[0], a[1] + b[1] + c[1], a[2] + b[2] + c[2])
+
+
+def exact_wall_form(p2: Point, p3: Point, p4: Point) -> Union[int, Tuple[Scalar, Scalar, Scalar]]:
+    """The iso-Delaunay form a*u + b*v + c of the exact hinge (0, p2, p3, p4),
+    scaled by a positive number so that max(|a|, |b|, |c|) = 1; or, when the
+    form has one sign on all of the upper half-plane, that sign (0 when the
+    form vanishes).
+
+    a, b/2 and c are the 4x4 determinants with rows (x, y, f, 1) over the
+    origin, p2, p3 and p4, for f = y**2, x*y and x**2.  Expanded along the
+    origin's row, each is k2 f2 + k3 f3 + k4 f4 with the cofactors
+    k2 = x4 y3 - x3 y4, k3 = x2 y4 - x4 y2 and k4 = x3 y2 - x2 y3.  Over one
+    denominator D of the six coordinates, a, b and c are int triples of
+    Z[alpha] divided by D**4 > 0: their signs, the sign of b**2 - 4ac and the
+    normalization are taken on the triples, and a field element is made
+    only for each normalized coefficient.  The form has one sign on H when
+    a = b = 0 (the sign of c) or when a != 0 and b**2 - 4ac <= 0 (the sign
+    of a).  The coefficients are CubicNumbers when a coordinate is one, and
+    Fractions otherwise.
+    """
+    coords = (*p2, *p3, *p4)
+    parts = [_parts(x) for x in coords]
+    den = lcm(*[p[3] for p in parts])
+    x2, y2, x3, y3, x4, y4 = [(n0 * (den // d), n1 * (den // d), n2 * (den // d)) for n0, n1, n2, d in parts]
+    mul, sub = _zmul, _zsub
+    k2 = sub(mul(x4, y3), mul(x3, y4))
+    k3 = sub(mul(x2, y4), mul(x4, y2))
+    k4 = sub(mul(x3, y2), mul(x2, y3))
+    ky2, ky3, ky4 = mul(k2, y2), mul(k3, y3), mul(k4, y4)
+    a = _zsum(mul(ky2, y2), mul(ky3, y3), mul(ky4, y4))
+    b = tuple(2 * t for t in _zsum(mul(ky2, x2), mul(ky3, x3), mul(ky4, x4)))
+    c = _zsum(mul(mul(k2, x2), x2), mul(mul(k3, x3), x3), mul(mul(k4, x4), x4))
+    sa, sb, sc = _zsign(a), _zsign(b), _zsign(c)
+    if sa == 0 and sb == 0:
+        return sc
+    if sa != 0 and _zsign(sub(mul(b, b), tuple(4 * t for t in mul(a, c)))) <= 0:
+        return sa
+    # m = max(|a|, |b|, |c|) > 0; each coefficient becomes t / m.
+    m = None
+    for t, st in ((a, sa), (b, sb), (c, sc)):
+        if st:
+            t_abs = t if st > 0 else (-t[0], -t[1], -t[2])
+            if m is None or _zsign(sub(t_abs, m)) > 0:
+                m = t_abs
+    m0, m1, m2 = m
+    if not any(isinstance(x, CubicNumber) for x in coords):
+        return tuple(Fraction(t[0], m0) for t in (a, b, c))
+    if not (m1 or m2):
+        return tuple(_make(t[0], t[1], t[2], m0) for t in (a, b, c))
+    # m * y = norm > 0, so t / m = t * y / norm.
+    *y, norm = _adjugate_row(m0, m1, m2)
+    return tuple(_make(*mul(t, y), norm) for t in (a, b, c))

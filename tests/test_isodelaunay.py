@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from flatsurfkit import delaunay as dl
 from flatsurfkit import isodelaunay as iso
+from flatsurfkit import numeric
 from flatsurfkit.numeric import FLOAT_TOL, CubicNumber, incircle_det, is_exact, sign, to_float
 from flatsurfkit.surface import Gluing, Polygon, Surface, TRANSLATION
 
@@ -406,6 +407,15 @@ class TestExactBallPins:
         tess, _ = ball
         assert tess.adjacency and _nonreciprocal(tess) == 0
 
+    def test_every_hinge_wall_is_the_reference(self, ball):
+        # Each hinge of each cell: the integer pass gives the reference's
+        # wall or sentinel, with the same scalar types and doubles.
+        tess, _ = ball
+        for cell in tess.cells:
+            t = cell.triangulation
+            for e in t.edges():
+                assert _same_wall(iso.wall_of_hinge(t, e), _ref_wall_of_hinge(t, e))
+
 
 class TestFloatBallPins:
     """Float balls of the AY trapezoid pinned like TestExactBallPins, plus
@@ -713,19 +723,24 @@ def _det4_ones(c1, c2, c3):
     )
 
 
-def _ref_wall_of_hinge(t, edge):
-    """wall_of_hinge as computed before its elimination was shared: three
-    independent 4x4 determinants over the developed quadrilateral."""
-    h = dl.hinge(t, edge)
-    quad = (h.p1, h.p2, h.p3, h.p4)
+def _ref_form(p2, p3, p4):
+    """(a, b, c) as computed before the elimination was shared: three
+    independent 4x4 determinants over the quadrilateral (0, p2, p3, p4),
+    a hinge developed with p1 at the origin."""
+    quad = ((0, 0), p2, p3, p4)
     ax = [p[0] for p in quad]
     bx = [p[1] for p in quad]
     asq = [p[0] * p[0] for p in quad]
     bsq = [p[1] * p[1] for p in quad]
     ab = [p[0] * p[1] for p in quad]
-    a = _det4_ones(ax, bx, bsq)
-    b = 2 * _det4_ones(ax, bx, ab)
-    c = _det4_ones(ax, bx, asq)
+    return _det4_ones(ax, bx, bsq), 2 * _det4_ones(ax, bx, ab), _det4_ones(ax, bx, asq)
+
+
+def _ref_wall(p2, p3, p4):
+    """The wall of the hinge (0, p2, p3, p4) as computed before its
+    elimination was shared, on the hinge's scalars: _ref_form, its signs
+    and _normalize_wall."""
+    a, b, c = _ref_form(p2, p3, p4)
     sa, sb, sc = sign(a), sign(b), sign(c)
     if sa == 0 and sb == 0:
         return iso.ALWAYS if sc <= 0 else iso.NEVER
@@ -734,23 +749,43 @@ def _ref_wall_of_hinge(t, edge):
     return iso._normalize_wall(a, b, c)
 
 
+def _ref_wall_of_hinge(t, edge):
+    h = dl.hinge(t, edge)
+    return _ref_wall(h.p2, h.p3, h.p4)
+
+
 def _same_wall(got, want):
-    """The same sentinel, or walls with equal coefficients and the same
-    doubles to the bit (repr tells -0.0 from 0.0)."""
+    """The same sentinel, or walls with equal coefficients of the same
+    scalar types and the same doubles to the bit (repr tells -0.0 from
+    0.0)."""
     if not isinstance(want, iso.Wall):
         return got is want
-    return (isinstance(got, iso.Wall) and (got.a, got.b, got.c) == (want.a, want.b, want.c)
+    coefficients = (got.a, got.b, got.c), (want.a, want.b, want.c)
+    return (isinstance(got, iso.Wall) and coefficients[0] == coefficients[1]
+            and [type(x) for x in coefficients[0]] == [type(x) for x in coefficients[1]]
             and repr(got.floats()) == repr(want.floats()))
+
+
+def _square_torus(scalar):
+    square = Polygon([tuple(map(scalar, p)) for p in ((0, 0), (1, 0), (1, 1), (0, 1))])
+    return Surface([square], [Gluing((0, 0), (0, 2), TRANSLATION), Gluing((0, 1), (0, 3), TRANSLATION)])
 
 
 class TestHingeCache:
     """Walls kept on a triangulation stay those of its current hinges."""
 
-    @pytest.fixture(scope="class", params=("exact", "float"))
+    @pytest.fixture(scope="class", params=("exact", "float", "escalator", "torus-int", "torus-fraction", "ay-prime"))
     def base(self, request, ay):
-        from flatsurfkit.constructions import ay_trapezoid_shape, trapezoid_family
+        from flatsurfkit.constructions import ay_prime, ay_trapezoid_shape, escalator, trapezoid_family
 
-        s = ay if request.param == "exact" else trapezoid_family(ay_trapezoid_shape())
+        s = {
+            "exact": lambda: ay,
+            "float": lambda: trapezoid_family(ay_trapezoid_shape()),
+            "escalator": escalator,
+            "torus-int": lambda: _square_torus(int),
+            "torus-fraction": lambda: _square_torus(Fraction),
+            "ay-prime": ay_prime,
+        }[request.param]()
         return dl.triangulate(s)
 
     @settings(max_examples=20, deadline=None)
@@ -791,6 +826,93 @@ class TestHingeCache:
         assert again.key == cell.key and computed == []
 
 
+_small_fraction = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+_exact_scalar = st.one_of(
+    st.integers(-5, 5),
+    _small_fraction,
+    st.builds(CubicNumber, _small_fraction, _small_fraction, _small_fraction),
+    st.builds(CubicNumber, st.integers(-3, 3)),
+)
+
+
+class TestExactWallKernel:
+    """The integer pass of exact walls on the branches where the form has
+    one sign on H, against the reference expansion."""
+
+    @staticmethod
+    def _hinges_by_branch(s, flips):
+        # Every hinge met along a seeded walk of flips, by the branch its
+        # reference form takes.
+        rnd = random.Random(7)
+        t = dl.triangulate(s)
+        branches = {}
+        for _ in range(flips + 1):
+            for e in t.edges():
+                h = dl.hinge(t, e)
+                a, b, c = _ref_form(h.p2, h.p3, h.p4)
+                if sign(a) == 0 and sign(b) == 0:
+                    branch = "a_b_zero"
+                elif sign(a) != 0 and sign(b * b - 4 * a * c) <= 0:
+                    branch = "disc_nonpositive"
+                else:
+                    branch = "wall"
+                branches.setdefault(branch, []).append((t, e))
+            t = dl.flip(t, rnd.choice([e for e in t.edges()
+                                       if t.twin(e)[0] != e[0] and dl.hinge(t, e).is_strictly_convex()]))
+        return branches
+
+    @pytest.mark.parametrize("name, flips, branch", [
+        # a = b = 0, and a != 0 with b**2 - 4ac <= 0.
+        ("escalator", 0, "a_b_zero"),
+        ("escalator", 0, "disc_nonpositive"),
+        ("ay_surface", 2, "disc_nonpositive"),
+    ])
+    def test_constant_branches_match_the_reference(self, name, flips, branch):
+        from flatsurfkit import constructions
+
+        hinges = self._hinges_by_branch(getattr(constructions, name)(), flips)[branch]
+        for t, e in hinges:
+            assert iso.wall_of_hinge(t, e) in (iso.ALWAYS, iso.NEVER)
+            assert _same_wall(iso.wall_of_hinge(t, e), _ref_wall_of_hinge(t, e))
+
+    def test_cocircular_square_hinge(self, torus_tri):
+        # The square torus's diagonal hinge (0, 0), (1, 0), (1, 1), (0, 1) is
+        # cocircular at z = i: a = c = 0, the wall v = 0.
+        h = dl.hinge(torus_tri, (0, 2))
+        a, b, c = _ref_form(h.p2, h.p3, h.p4)
+        assert (sign(a), sign(c)) == (0, 0) and sign(b) != 0
+        form = numeric.exact_wall_form(h.p2, h.p3, h.p4)
+        assert form == (0, 1, 0) and all(type(x) is Fraction for x in form)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pts=st.lists(st.tuples(_exact_scalar, _exact_scalar), min_size=3, max_size=3))
+    def test_mixed_scalar_hinges_match_the_reference(self, pts):
+        # ints, Fractions and CubicNumbers (rational-valued ones too) with
+        # different denominators in one hinge.
+        form = numeric.exact_wall_form(*pts)
+        got = (iso.ALWAYS if form <= 0 else iso.NEVER) if isinstance(form, int) else iso.Wall(*form)
+        assert _same_wall(got, _ref_wall(*pts))
+
+    @pytest.mark.parametrize("name", ["escalator", "ay_surface", "ay_prime"])
+    def test_reversed_hinge_negates_the_form(self, name):
+        # Swapping p2 and p4 swaps two rows of every determinant: a constant
+        # sign flips (ALWAYS and NEVER trade places), a wall's normalized
+        # coefficients change sign, and a vanishing form stays 0.
+        from flatsurfkit import constructions
+
+        t = dl.triangulate(getattr(constructions, name)())
+        for e in t.edges():
+            h = dl.hinge(t, e)
+            form = numeric.exact_wall_form(h.p2, h.p3, h.p4)
+            back = numeric.exact_wall_form(h.p4, h.p3, h.p2)
+            if isinstance(form, int):
+                assert back == -form
+            else:
+                assert back == tuple(-x for x in form)
+                assert [type(x) for x in back] == [type(x) for x in form]
+        assert numeric.exact_wall_form((1, 0), (0, 1), (1, 0)) == 0
+
+
 class TestFallbackLogging:
     def test_cell_at_logs_moving_its_sample(self, torus, caplog):
         with caplog.at_level(logging.DEBUG, logger="flatsurfkit.isodelaunay"):
@@ -818,6 +940,18 @@ class TestFallbackLogging:
             assert iso._facet_crossing_point(wall, interval, z0, radius) is None
         [record] = caplog.records
         assert reason in record.getMessage() and "(1.0, 0.0, -1.0)" in record.getMessage()
+
+    def test_tiny_y_keeps_its_exact_value(self, caplog):
+        # 1e-12 rounds to 0 over denominators up to 10**9, which is off H.
+        with caplog.at_level(logging.DEBUG, logger="flatsurfkit.isodelaunay"):
+            vx, vy = iso._rationalize(0.0001, 1e-12)
+        assert vx == Fraction(1, 10000) and vy == Fraction(1e-12) > 0
+        assert any("keeping its exact value" in r.getMessage() for r in caplog.records)
+
+    @pytest.mark.parametrize("y", [1e-12, 4e-10])
+    def test_cell_at_a_tiny_y(self, ay, y):
+        cell = iso.cell_at(ay, iso.HPoint(0.0001, y))
+        assert cell.walls and cell.sample.y > 0
 
     def test_silent_when_nothing_falls_back(self, torus, caplog):
         with caplog.at_level(logging.DEBUG, logger="flatsurfkit.isodelaunay"):
