@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .numeric import (FLOAT_TOL, Scalar, coefficients, exact_divisor, exact_wall_form, filtered_sign, is_exact,
-                      sign, to_float, vec_neg)
+from .numeric import (FLOAT_TOL, CubicNumber, Scalar, coefficients, exact_divisor, exact_wall_form, filtered_sign,
+                      is_exact, sign, to_float, vec_neg)
 from . import delaunay as dl
 from .delaunay import HalfEdge, Triangulation, hinge
 from .surface import Surface
@@ -71,6 +71,50 @@ class HPoint:
         dx = self.x - other.x
         dy = self.y - other.y
         return math.acosh(1.0 + (dx * dx + dy * dy) / (2.0 * self.y * other.y))
+
+
+class _Key(tuple):
+    """An exact wall key (see Wall.oriented_key): a tuple that hashes once
+    and compares to another _Key through a tuple of canonical integers.
+
+    The hash is tuple.__hash__ of the same items, computed when the key is
+    built, so sets and dicts of keys iterate, and print, in the order plain
+    tuples would.  The integers are equal exactly when the items are (see
+    _ints).  Against any other object equality is tuple equality, and
+    ordering is tuple order throughout.  functools._HashedSeq keeps
+    lru_cache keys' hashes the same way.
+    """
+
+    def __new__(cls, items, ints: Tuple[int, ...]):
+        key = super().__new__(cls, items)
+        key._hash = tuple.__hash__(key)
+        key._ints = ints
+        return key
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if type(other) is _Key:
+            return self._ints == other._ints
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        if type(other) is _Key:
+            return self._ints != other._ints
+        return tuple.__ne__(self, other)
+
+    def __reduce__(self):
+        return (_Key, (tuple(self), self._ints))
+
+
+def _ints(x: Scalar) -> Tuple[int, int, int, int]:
+    """The canonical integers of an exact scalar: (n0, n1, n2, d) of a
+    CubicNumber, (p, 0, 0, q) of a rational p/q in lowest terms (q > 0).  A
+    rational CubicNumber is held reduced, so it gives the same four."""
+    if isinstance(x, CubicNumber):
+        return (x.n0, x.n1, x.n2, x.d)
+    return (x.numerator, 0, 0, x.denominator)
 
 
 # The wall-side filter of Wall.side.  With u = 2**-53: float(CubicNumber) is
@@ -179,20 +223,28 @@ class Wall:
         return ("circle", center, math.sqrt(max(rad2, 0.0)))
 
     def locus_key(self):
-        """Orientation-free key identifying the geodesic."""
+        """Orientation-free key identifying the geodesic: the first item of
+        oriented_key(), a _Key on an exact wall."""
         return self.oriented_key()[0]
 
     def oriented_key(self):
         """(locus key, side): identifies the geodesic plus its Delaunay side.
 
-        Computed once and kept: an exact wall's key holds nine Fractions, a
-        float wall's its three doubles rounded to 9 places.
+        Computed once and kept.  An exact wall's locus key holds the
+        normalized coefficients' nine Fractions (three per coefficient, see
+        numeric.coefficients); both keys are _Keys, which hash once, when
+        built, and compare to each other through their canonical integers,
+        with the repr, hash and order of the plain tuples.  A float wall's
+        keys are plain tuples, its three doubles rounded to 9 places.
         """
         key = self._key
         if key is None:
             flip = self.orientation
             if self.exact:
-                key = ((coefficients(flip * self.a), coefficients(flip * self.b), coefficients(flip * self.c)), flip)
+                a, b, c = flip * self.a, flip * self.b, flip * self.c
+                ints = _ints(a) + _ints(b) + _ints(c)
+                locus = _Key((coefficients(a), coefficients(b), coefficients(c)), ints)
+                key = _Key((locus, flip), ints + (flip,))
             else:
                 # + 0.0 turns -0.0 into 0.0, so that equal keys have one repr.
                 key = (tuple(round(flip * t, 9) + 0.0 for t in self.floats()), flip)
@@ -869,6 +921,12 @@ def explore(s: Surface, z0: HPoint, radius: float, cell_budget: int = 10 ** 5) -
     input it crosses each facet once: the exact tessellation is
     edge-to-edge, so the far cell of a facet is the cell that crossed it.
     Float crossings are not reciprocal, so floats cross from both sides.
+
+    A facet that meets the ball but whose crossing finds no verified cell
+    (see _cross_wall) raises IsoDelaunayError naming the wall and the
+    crossing point, rather than leave the tessellation incomplete; a facet
+    whose crossing point misses the ball (see _facet_crossing_point) is
+    not crossed.
     """
     if not 0 < radius <= _MAX_RADIUS:
         raise IsoDelaunayError(f"radius must be positive and at most {_MAX_RADIUS}: {radius}")
@@ -896,7 +954,8 @@ def explore(s: Surface, z0: HPoint, radius: float, cell_budget: int = 10 ** 5) -
                         continue
                     neighbor = _cross_wall(s, cell, wall, at, memo)
                     if neighbor is None:
-                        continue
+                        raise IsoDelaunayError(f"no cell found across wall {wall.normalized_floats()} "
+                                               f"near {at.x!r} + {at.y!r}i")
                     if exact:
                         memo.crossed[(neighbor.key, wall.locus_key())] = cell
                 if neighbor.key not in cells:

@@ -1,5 +1,6 @@
 """Surface file round-trips and the command-line interface."""
 
+import hashlib
 import json
 import math
 import os
@@ -206,6 +207,31 @@ class TestCli:
         assert (code, out) == (1, "")
         [line] = err.splitlines()
         assert line.startswith("error: ") and names in line and "Traceback" not in err
+
+    def test_failed_crossing_near_the_axis_is_a_domain_error(self, tmp_path, capsys):
+        # `flatsurf build ay | flatsurf tessellate --y 1e-12 --radius 0.5`:
+        # two facets of the start cell cannot be crossed, so no partial
+        # tessellation is printed or written.
+        path = tmp_path / "ay.json"
+        out_json = tmp_path / "tess.json"
+        invoke(capsys, "build", "ay", "-o", str(path))
+        code, out, err = invoke(capsys, "tessellate", str(path), "--y", "1e-12", "--radius", "0.5",
+                                "--json", str(out_json))
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: no cell found across wall") and "Traceback" not in err
+        assert not out_json.exists()
+
+    def test_readme_tessellation_json_is_pinned(self, tmp_path, capsys):
+        # `flatsurf build ay | flatsurf tessellate --radius 1.0 --json ...`:
+        # the file's bytes pin the cells, samples, wall order and adjacency.
+        path = tmp_path / "ay.json"
+        out_json = tmp_path / "tess.json"
+        invoke(capsys, "build", "ay", "-o", str(path))
+        code, out, _ = invoke(capsys, "tessellate", str(path), "--radius", "1.0", "--json", str(out_json))
+        assert code == 0 and "cells: 24" in out.splitlines()
+        assert hashlib.sha256(out_json.read_bytes()).hexdigest() == \
+            "268af195a9a16487550b154c152bd574f791853fa95366bdc799edc9edc7f9cb"
 
     @pytest.mark.parametrize("argv", (
         ["trapezoid", "--b", "1", "--B", "2", "--h", "inf"],

@@ -442,6 +442,113 @@ class TestFloatBallPins:
         assert got == pins
 
 
+
+def _plain_keys(wall):
+    """A wall's (oriented, locus) keys rebuilt as plain tuples."""
+    flip = wall.orientation
+    locus = tuple(numeric.coefficients(flip * x) for x in (wall.a, wall.b, wall.c))
+    return (locus, flip), locus
+
+
+_exact_scalars = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.builds(CubicNumber, st.fractions(-2, 2, max_denominator=4), st.integers(-1, 1), st.integers(-1, 1)),
+)
+
+
+class TestExactKeys:
+    """Exact wall keys are _Keys with the plain tuples' items, repr, hash
+    and order, equal to each other exactly when their Fractions are."""
+
+    @pytest.fixture(scope="class", params=("ay_surface", "escalator"))
+    def ball(self, request):
+        from flatsurfkit import constructions
+
+        return iso.explore(getattr(constructions, request.param)(), iso.HPoint(0.0001, 1.0001), 1.0)
+
+    def test_keys_match_their_plain_rebuilds(self, ball):
+        for cell in ball.cells:
+            for w in cell.walls:
+                for key, plain in zip((w.oriented_key(), w.locus_key()), _plain_keys(w)):
+                    assert type(key) is iso._Key and type(plain) is tuple
+                    assert key == plain and plain == key and not (key != plain) and not (plain != key)
+                    assert hash(key) == hash(plain) and repr(key) == repr(plain)
+
+    def test_cell_keys_iterate_as_plain_frozensets(self, ball):
+        for cell in ball.cells:
+            plain = frozenset(_plain_keys(w)[0] for w in cell.walls)
+            assert repr(cell.key) == repr(plain)
+            assert cell.key == plain and plain == cell.key and hash(cell.key) == hash(plain)
+
+    def test_keys_are_equal_exactly_when_their_tuples_are(self, ball):
+        walls = list({id(w): w for c in ball.cells for w in c.walls}.values())
+        keys = [(w.oriented_key(), _plain_keys(w)[0]) for w in walls]
+        for k1, p1 in keys:
+            for k2, p2 in keys:
+                assert (k1 == k2) == (p1 == p2) and (k1 != k2) == (p1 != p2)
+                assert (k1 < k2) == (p1 < p2)
+        assert [w.oriented_key() for w in sorted(walls, key=iso.Wall.oriented_key)] == \
+            sorted(k for k, _ in keys)
+
+    def test_equal_walls_of_different_hinges_find_each_other(self, ball):
+        pairs = 0
+        for cell in ball.cells:
+            t = cell.triangulation
+            walls = [w for w in (iso.wall_of_hinge(t, e) for e in t.edges()) if isinstance(w, iso.Wall)]
+            for i, w1 in enumerate(walls):
+                for w2 in walls[:i]:
+                    if w1 == w2:
+                        k1, k2 = w1.oriented_key(), w2.oriented_key()
+                        assert k1 is not k2 and k1 == k2 and hash(k1) == hash(k2)
+                        assert {k1: w1}[k2] is w1 and {w1.locus_key(): 1}[w2.locus_key()] == 1
+                        pairs += 1
+        assert pairs
+
+    @pytest.mark.parametrize("n, d", [(0, 1), (1, 2), (-3, 7), (5, 1)])
+    def test_a_rational_has_one_key_in_each_type(self, n, d):
+        forms = [CubicNumber(Fraction(n, d)), Fraction(n, d)] + ([n] if d == 1 else [])
+        keys = [iso.Wall(x, Fraction(-1, 2), 1).oriented_key() for x in forms]
+        assert {iso._ints(x) for x in forms} == {(n, 0, 0, d)}
+        for key in keys:
+            assert key == keys[0] and hash(key) == hash(keys[0]) and repr(key) == repr(keys[0])
+            assert {keys[0]: 1}[key] == 1
+
+    def test_zero_has_one_key_in_each_type(self):
+        keys = [iso.Wall(1, zero, Fraction(-1, 3)).oriented_key() for zero in (0, Fraction(0), CubicNumber(0))]
+        assert keys[0] == keys[1] == keys[2] and len({hash(k) for k in keys}) == 1
+        assert len(set(keys)) == 1 and iso._ints(CubicNumber(0)) == (0, 0, 0, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_exact_scalars, _exact_scalars, _exact_scalars)
+    def test_canonical_ints_follow_the_coefficients(self, x, y, z):
+        # Sums and products reduce their CubicNumbers, rational ones included.
+        for p, q in ((x, y), (x * y, y * x), (x + z - z, x), (x * z, z * x + 0 * y)):
+            assert (iso._ints(p) == iso._ints(q)) == (numeric.coefficients(p) == numeric.coefficients(q))
+
+    def test_a_tessellation_survives_copy_and_pickle(self, ball):
+        import copy
+        import pickle
+
+        # A frozenset is rebuilt by insertion, so a clone's key may print in
+        # another order, as plain tuples do.
+        for clone in (copy.deepcopy(ball), pickle.loads(pickle.dumps(ball))):
+            assert [c.key for c in clone.cells] == [c.key for c in ball.cells]
+            assert clone.adjacency == ball.adjacency
+            for c, d in zip(clone.cells, ball.cells):
+                for w, v in zip(c.walls, d.walls):
+                    key = w.oriented_key()
+                    assert type(key) is iso._Key and type(key[0]) is iso._Key
+                    assert key == v.oriented_key() and hash(key) == hash(v.oriented_key())
+
+    def test_float_keys_stay_plain_tuples(self):
+        from flatsurfkit.constructions import ay_trapezoid_shape, trapezoid_family
+
+        tess = iso.explore(trapezoid_family(ay_trapezoid_shape()), iso.HPoint(0.0001, 1.0001), 1.0)
+        for cell in tess.cells:
+            for w in cell.walls:
+                assert type(w.oriented_key()) is tuple and type(w.locus_key()) is tuple
+
 def _ref_side(wall, u, v):
     """Wall.side as computed before the double filter: the sign of the form."""
     return sign(wall.evaluate(u, v), FLOAT_TOL)
@@ -952,6 +1059,13 @@ class TestFallbackLogging:
     def test_cell_at_a_tiny_y(self, ay, y):
         cell = iso.cell_at(ay, iso.HPoint(0.0001, y))
         assert cell.walls and cell.sample.y > 0
+
+    def test_failed_crossing_near_the_axis_raises(self, ay):
+        # Two facets of the start cell meet the ball but no step of
+        # _cross_wall's ladder gets across them: explore must not return
+        # the one cell it found.
+        with pytest.raises(iso.IsoDelaunayError, match="no cell found across wall"):
+            iso.explore(ay, iso.HPoint(0.0001, 1e-12), 0.5)
 
     def test_silent_when_nothing_falls_back(self, torus, caplog):
         with caplog.at_level(logging.DEBUG, logger="flatsurfkit.isodelaunay"):
