@@ -15,11 +15,15 @@ the wall's normalization are computed in one pass over Python ints
 (numeric.exact_wall_form); a float hinge expands them in doubles, in a
 fixed order.  Cells are intersections of wall half-planes; in the
 coordinates (u, v) = (x**2 + y**2, x) walls become straight lines and H
-the region u > v**2, so supporting walls are found by exact 1-dimensional
-feasibility tests.  On an exact surface every combinatorial decision is
-exact: a wall's side of a sample and each sign of the facet test are taken
-in doubles where a proven error bound separates the value from 0 (see
-_SIDE_EPS and _FACET_EPS), and in Q(alpha) otherwise.  Floating point
+the region u > v**2.  An exact cell's supporting walls come from one
+half-plane intersection, the walls sorted by the angle of their normals
+and scanned once, and each edge it keeps takes one 1-dimensional facet
+test, clipped by the parabola; a float cell runs the facet test of every
+wall against all the others.  On an exact surface every combinatorial
+decision is exact: a wall's side of a sample, the corners of the
+intersection and each sign of the facet test are taken in doubles where a
+proven error bound separates the value from 0 (see _SIDE_EPS,
+_CORNER_EPS and _FACET_EPS), and in Q(alpha) otherwise.  Floating point
 otherwise only chooses sample points, which are rationalized and then
 verified.
 """
@@ -29,8 +33,10 @@ from __future__ import annotations
 import bisect
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .numeric import (FLOAT_TOL, CubicNumber, Scalar, coefficients, exact_divisor, exact_wall_form, filtered_sign,
@@ -522,7 +528,9 @@ class _ExactLine:
     def _exact(self, x: _Bound):
         if x.ep is None:
             w, t = x.wall, self.wall
-            if self.vertical:
+            if w is None:
+                x.ep, x.eq = t.b, 2 * t.a
+            elif self.vertical:
                 x.ep, x.eq = w.c * t.b - w.b * t.c, w.a * t.b
             else:
                 x.ep, x.eq = w.c * t.a - w.a * t.c, w.b * t.a - w.a * t.b
@@ -540,7 +548,6 @@ class _ExactLine:
         """The top s = -B/(2A) of the parabola along a circle wall."""
         x = _Bound(None, self.B, 2 * self.A, self.mB, 2 * self.mA)
         x.sq = self.sd
-        x.ep, x.eq = self.wall.b, 2 * self.wall.a
         return x
 
     def inside(self, x: _Bound) -> bool:
@@ -665,6 +672,164 @@ def _supporting_interval(target: Wall, others: Sequence[Wall]):
     return (line.value(lo), line.value(hi))
 
 
+# The corner filter of _supporting_walls, counted as for _FACET_EPS in units
+# of u = 2**-53 along each path from a coefficient to the result.  The cross
+# product a1 b2 - a2 b1 of two normals: 2 + 2 in the factors, 1 in the
+# product and 1 in the difference, 6.  The 3x3 determinant of three walls,
+# expanded along the third row as a3 (b1 c2 - b2 c1) + b3 (c1 a2 - c2 a1)
+# + c3 (a1 b2 - a2 b1): 6 in the three factors, 1 each in the inner product,
+# the inner difference and the outer product, and 2 in the outer sums, 11.
+# So either computed value is within gamma_11 = 11u / (1 - 11u) of the sum
+# of its monomials' magnitudes; the same expression on |coefficients|
+# computes that sum to within a factor 1 + gamma_11, and _CORNER_EPS = 16u
+# covers both.  Wall._filtered keeps the coefficients in [2**-1022, 1], so
+# every monomial is at most 1 and a product that underflows is off by at
+# most 2**-1075: the absolute term 2**-1000 of numeric.filtered_sign covers
+# them.
+_CORNER_EPS = 2.0 ** -49
+
+# Filtered walls are sorted by the double atan2(fb, fa), and neighbours in
+# that order whose angles lie within _ANGLE_TIE of each other are ordered by
+# the exact cross product.  A coefficient's double is within 2u of it, which
+# turns the normal by at most about 3u, and atan2 adds a few ulps of pi; the
+# margin up to 2**-30 also covers a libm that is not correctly rounded.
+_ANGLE_TIE = 2.0 ** -30
+
+
+def _cross_sign(w1: Wall, w2: Wall) -> int:
+    """The exact sign of a1 b2 - a2 b1: positive when w2's normal (a, b)
+    turns counterclockwise from w1's by less than pi."""
+    t1, t2 = w1.fa * w2.fb, w2.fa * w1.fb
+    if w1._filtered and w2._filtered:
+        s = filtered_sign(t1 - t2, abs(t1) + abs(t2), _CORNER_EPS)
+        if s:
+            return s
+    return sign(w1.a * w2.b - w2.a * w1.b)
+
+
+def _corner_inside(w1: Wall, w2: Wall, w3: Wall) -> bool:
+    """Whether the corner where w1 and w2 meet lies strictly inside w3 (q < 0
+    there), for w2's normal counterclockwise of w1's by less than pi.
+
+    At the corner q3 = det / (a1 b2 - a2 b1), with det the 3x3 determinant
+    of the rows (a, b, c) of w1, w2, w3 and a positive denominator, so the
+    answer is det < 0.  It does not depend on the sample.
+    """
+    a1, b1, c1 = w1.fa, w1.fb, w1.fc
+    a2, b2, c2 = w2.fa, w2.fb, w2.fc
+    a3, b3, c3 = w3.fa, w3.fb, w3.fc
+    p1, p2, q1, q2, r1, r2 = b1 * c2, b2 * c1, c1 * a2, c2 * a1, a1 * b2, a2 * b1
+    if w1._filtered and w2._filtered and w3._filtered:
+        s = filtered_sign(a3 * (p1 - p2) + b3 * (q1 - q2) + c3 * (r1 - r2),
+                          abs(a3) * (abs(p1) + abs(p2)) + abs(b3) * (abs(q1) + abs(q2))
+                          + abs(c3) * (abs(r1) + abs(r2)), _CORNER_EPS)
+        if s:
+            return s < 0
+    return sign(w3.a * (w1.b * w2.c - w2.b * w1.c) + w3.b * (w1.c * w2.a - w2.c * w1.a)
+                + w3.c * (w1.a * w2.b - w2.a * w1.b)) < 0
+
+
+def _angle_part(w: Wall) -> int:
+    """Where w's normal (a, b) lies on (-pi, pi]: 0 below the axis, 1 at
+    angle 0, 2 above the axis, 3 at pi."""
+    sb = sign(w.b)
+    return 1 + sb if sb else 1 if sign(w.a) > 0 else 3
+
+
+def _angle_cmp(w1: Wall, w2: Wall) -> int:
+    """-1, 0 or 1 as w1's normal comes before, points the same way as, or
+    comes after w2's, in the order of atan2(b, a) on (-pi, pi]."""
+    k1, k2 = _angle_part(w1), _angle_part(w2)
+    if k1 != k2:
+        return -1 if k1 < k2 else 1
+    return 0 if k1 % 2 else -_cross_sign(w1, w2)
+
+
+_ANGLE_KEY = cmp_to_key(_angle_cmp)
+
+
+def _by_angle(walls: Sequence[Wall]) -> List[Wall]:
+    """The walls in the exact order of their normals' angles on (-pi, pi],
+    one wall per direction: of parallel walls whose normals point the same
+    way, the tighter.
+
+    Filtered walls are sorted by their double angles, and only runs of
+    neighbours within _ANGLE_TIE are ordered exactly; walls outside the
+    filter take the exact order throughout.
+    """
+    n = len(walls)
+    if all(w._filtered for w in walls):
+        keys = [math.atan2(w.fb, w.fa) for w in walls]
+        index = sorted(range(n), key=keys.__getitem__)
+        order = [walls[i] for i in index]
+        # tied[j]: order[j - 1] and order[j] may point the same way.
+        tied = [False] + [keys[index[j]] - keys[index[j - 1]] <= _ANGLE_TIE for j in range(1, n)]
+        j = 1
+        while j < n:
+            if tied[j]:
+                i = j - 1
+                while j < n and tied[j]:
+                    j += 1
+                order[i:j] = sorted(order[i:j], key=_ANGLE_KEY)
+            j += 1
+    else:
+        order = sorted(walls, key=_ANGLE_KEY)
+        tied = [True] * n
+    out = order[:1]
+    for j in range(1, n):
+        w = order[j]
+        if tied[j] and _angle_cmp(out[-1], w) == 0:
+            # w's form along out[-1]'s line: positive where w is the tighter.
+            if _ExactLine(out[-1]).bound(w)[1] > 0:
+                out[-1] = w
+        else:
+            out.append(w)
+    return out
+
+
+def _supporting_walls(walls: Sequence[Wall]) -> List[Wall]:
+    """The exact walls, each with the cell's sample on its side q < 0, that
+    bound a facet: an edge of positive length of the polygon where every
+    q < 0, in (u, v), whose edge meets H.  [w for w in walls if
+    _facet(w, walls) is not None], in angle order.
+
+    One half-plane intersection: the walls sorted by the angle of their
+    normals (_by_angle), then scanned once.  Where consecutive normals leave
+    a gap of at least pi the polygon is unbounded, and a stack scans from
+    just after the gap; otherwise a deque scans the closed ring.  A wall at
+    an end of the stack or deque is dropped when its corner with its
+    neighbour there does not lie strictly inside the next wall
+    (_corner_inside), so an edge of length 0 goes too.  Each wall left then
+    takes _facet with its neighbours on the polygon, which bound its edge as
+    all the walls do, for the parabola test.
+    """
+    ring = _by_angle(walls)
+    n = len(ring)
+    # ring[gap] follows a gap of at least pi, where a1 b2 - a2 b1 <= 0.
+    gap = next((j for j in range(n) if _cross_sign(ring[j - 1], ring[j]) <= 0), None)
+    if gap is not None:
+        stack: List[Wall] = []
+        for h in ring[gap:] + ring[:gap]:
+            while len(stack) > 1 and not _corner_inside(stack[-2], stack[-1], h):
+                stack.pop()
+            stack.append(h)
+        # The chain's ends have one neighbour each (stack[-1:0] is empty).
+        edges = [(w, stack[j - 1:j] + stack[j + 1:j + 2]) for j, w in enumerate(stack)]
+    else:
+        dq: deque = deque()
+        for h in ring:
+            while len(dq) > 1 and not _corner_inside(dq[-2], dq[-1], h):
+                dq.pop()
+            while len(dq) > 1 and not _corner_inside(dq[0], dq[1], h):
+                dq.popleft()
+            dq.append(h)
+        while len(dq) > 2 and not _corner_inside(dq[-2], dq[-1], dq[0]):
+            dq.pop()
+        m = len(dq)
+        edges = [(w, (dq[j - 1], dq[(j + 1) % m])) for j, w in enumerate(dq)]
+    return [w for w, neighbours in edges if _facet(w, neighbours) is not None]
+
+
 @dataclass
 class _Memo:
     """Work shared by the cell_at calls of one explore.
@@ -693,6 +858,12 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
     z with such Fraction coordinates is located exactly where it lies; a y
     below 5e-10 keeps its exact value (see _rationalize).
 
+    The supporting walls are the walls of the Delaunay triangulation at the
+    sample that bound a facet inside H.  On an exact surface they come from
+    one half-plane intersection (_supporting_walls), which runs the facet
+    test once per polygon edge; on a float surface every wall takes the
+    facet test against all the others, with float tolerances.
+
     With _memo, a cell whose supporting key is already in _memo.cells is
     returned as stored instead of being built again.
     """
@@ -716,7 +887,11 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
             zx += (1e-9 if attempt % 2 == 0 else -2e-9) * (attempt + 1)
             zy += 1e-9 * (attempt + 1)
             continue
-        supporting = sorted((w for w in walls if _facet(w, walls) is not None), key=Wall.oriented_key)
+        if exact:
+            supporting = _supporting_walls(walls)
+        else:
+            supporting = [w for w in walls if _facet(w, walls) is not None]
+        supporting.sort(key=Wall.oriented_key)
         key = frozenset(w.oriented_key() for w in supporting)
         if key in memo.cells:
             return memo.cells[key]
