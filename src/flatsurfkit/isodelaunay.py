@@ -688,14 +688,6 @@ def _supporting_interval(target: Wall, others: Sequence[Wall]):
 # them.
 _CORNER_EPS = 2.0 ** -49
 
-# Filtered walls are sorted by the double atan2(fb, fa), and neighbours in
-# that order whose angles lie within _ANGLE_TIE of each other are ordered by
-# the exact cross product.  A coefficient's double is within 2u of it, which
-# turns the normal by at most about 3u, and atan2 adds a few ulps of pi; the
-# margin up to 2**-30 also covers a libm that is not correctly rounded.
-_ANGLE_TIE = 2.0 ** -30
-
-
 def _cross_sign(w1: Wall, w2: Wall) -> int:
     """The exact sign of a1 b2 - a2 b1: positive when w2's normal (a, b)
     turns counterclockwise from w1's by less than pi."""
@@ -751,34 +743,10 @@ _ANGLE_KEY = cmp_to_key(_angle_cmp)
 def _by_angle(walls: Sequence[Wall]) -> List[Wall]:
     """The walls in the exact order of their normals' angles on (-pi, pi],
     one wall per direction: of parallel walls whose normals point the same
-    way, the tighter.
-
-    Filtered walls are sorted by their double angles, and only runs of
-    neighbours within _ANGLE_TIE are ordered exactly; walls outside the
-    filter take the exact order throughout.
-    """
-    n = len(walls)
-    if all(w._filtered for w in walls):
-        keys = [math.atan2(w.fb, w.fa) for w in walls]
-        index = sorted(range(n), key=keys.__getitem__)
-        order = [walls[i] for i in index]
-        # tied[j]: order[j - 1] and order[j] may point the same way.
-        tied = [False] + [keys[index[j]] - keys[index[j - 1]] <= _ANGLE_TIE for j in range(1, n)]
-        j = 1
-        while j < n:
-            if tied[j]:
-                i = j - 1
-                while j < n and tied[j]:
-                    j += 1
-                order[i:j] = sorted(order[i:j], key=_ANGLE_KEY)
-            j += 1
-    else:
-        order = sorted(walls, key=_ANGLE_KEY)
-        tied = [True] * n
-    out = order[:1]
-    for j in range(1, n):
-        w = order[j]
-        if tied[j] and _angle_cmp(out[-1], w) == 0:
+    way, the tighter."""
+    out: List[Wall] = []
+    for w in sorted(walls, key=_ANGLE_KEY):
+        if out and _angle_cmp(out[-1], w) == 0:
             # w's form along out[-1]'s line: positive where w is the tighter.
             if _ExactLine(out[-1]).bound(w)[1] > 0:
                 out[-1] = w

@@ -895,15 +895,13 @@ class TestSupportingWalls:
     }
 
     @pytest.fixture(scope="class", params=sorted(BALLS))
-    def ball(self, request):
-        """(the ball's name, the walls of the cell_at passes unlike the
-        reference, the determinant filters that deferred to the exact
-        sign)."""
+    def bad(self, request):
+        """The walls of the ball's cell_at passes unlike the reference."""
         from flatsurfkit import constructions
 
         build, radius, passes = self.BALLS[request.param]
-        supporting, corner_inside, filtered_sign = iso._supporting_walls, iso._corner_inside, iso.filtered_sign
-        seen = {"passes": 0, "in_corner": 0, "undecided": 0}
+        supporting = iso._supporting_walls
+        seen = {"passes": 0}
         bad = []
 
         def checking(walls):
@@ -913,6 +911,21 @@ class TestSupportingWalls:
             except AssertionError:
                 bad.append(walls)
                 return supporting(walls)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(iso, "_supporting_walls", checking)
+            iso.explore(build(constructions), iso.HPoint(0.0001, 1.0001), radius)
+        assert seen["passes"] == passes
+        return bad
+
+    def test_every_pass_matches_the_reference(self, bad):
+        assert bad == []
+
+    def test_determinant_fallback_runs_on_ay(self, ay):
+        # Walls of AY meet at tessellation vertices, where the corner of two
+        # lies on a third and its determinant is 0, so the filter defers.
+        corner_inside, filtered_sign = iso._corner_inside, iso.filtered_sign
+        seen = {"in_corner": 0, "undecided": 0}
 
         def counting_corner(*walls):
             seen["in_corner"] += 1
@@ -927,22 +940,10 @@ class TestSupportingWalls:
             return got
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(iso, "_supporting_walls", checking)
             mp.setattr(iso, "_corner_inside", counting_corner)
             mp.setattr(iso, "filtered_sign", counting_filtered_sign)
-            iso.explore(build(constructions), iso.HPoint(0.0001, 1.0001), radius)
-        assert seen["passes"] == passes
-        return request.param, bad, seen["undecided"]
-
-    def test_every_pass_matches_the_reference(self, ball):
-        _, bad, _ = ball
-        assert bad == []
-
-    def test_determinant_fallback_runs_on_ay(self, ball):
-        # Walls of AY meet at tessellation vertices, where the corner of two
-        # lies on a third and its determinant is 0.
-        name, _, undecided = ball
-        assert undecided > 0 or name != "ay r=1"
+            iso.explore(ay, iso.HPoint(0.0001, 1.0001), 1.0)
+        assert seen["undecided"] > 0
 
     def test_a_single_wall(self):
         # u < 1 meets H; u < -1 does not.
