@@ -688,6 +688,7 @@ def _supporting_interval(target: Wall, others: Sequence[Wall]):
 # them.
 _CORNER_EPS = 2.0 ** -49
 
+
 def _cross_sign(w1: Wall, w2: Wall) -> int:
     """The exact sign of a1 b2 - a2 b1: positive when w2's normal (a, b)
     turns counterclockwise from w1's by less than pi."""
@@ -724,6 +725,10 @@ def _corner_inside(w1: Wall, w2: Wall, w3: Wall) -> bool:
 def _angle_part(w: Wall) -> int:
     """Where w's normal (a, b) lies on (-pi, pi]: 0 below the axis, 1 at
     angle 0, 2 above the axis, 3 at pi."""
+    if w._filtered:
+        # A coefficient's double is within an ulp of it, and 0 only for 0.
+        sb = (w.fb > 0) - (w.fb < 0)
+        return 1 + sb if sb else 1 if w.fa > 0 else 3
     sb = sign(w.b)
     return 1 + sb if sb else 1 if sign(w.a) > 0 else 3
 

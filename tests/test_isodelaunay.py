@@ -960,14 +960,16 @@ class TestSupportingWalls:
         vertex=st.tuples(_q, _q),
         through=st.lists(st.tuples(st.one_of(st.just(0), _q, _q_cubic), st.one_of(_q, _q_cubic)), max_size=5),
         vertical=st.lists(_q_positive, max_size=3),
+        level=st.lists(st.tuples(st.sampled_from([1, -1]), _q_positive), max_size=2),
         half=st.booleans(),
         normalize=st.booleans(),
     )
-    def test_synthetic_walls(self, at, ring, vertex, through, vertical, half, normalize):
+    def test_synthetic_walls(self, at, ring, vertex, through, vertical, level, half, normalize):
         # Around the point at = (u, v) of H: walls that pass it at offsets
         # t / 16, walls through one rational vertex near it (a = 0 gives
-        # vertical ones), and vertical walls v < v_at + t / 16 whose normals
-        # point the same way.  With half, only the walls whose normals lie
+        # vertical ones), vertical walls v < v_at + t / 16 whose normals
+        # point the same way, and walls s u < s u_at + t / 16 whose normals
+        # (s, 0) lie on the axis.  With half, only the walls whose normals lie
         # in b > 0 or b = 0 < a are kept, so the polygon is unbounded.
         # Unnormalized walls take the exact signs only.
         v, d = at
@@ -976,11 +978,12 @@ class TestSupportingWalls:
         forms = [(a, b, -(a * at[0] + b * at[1]) - t / 16) for a, b, t in ring]
         forms += [(a, b, -(a * vertex[0] + b * vertex[1])) for a, b in through]
         forms += [(0, 1, -v - t / 16) for t in vertical]
+        forms += [(s, 0, -s * at[0] - t / 16) for s, t in level]
         walls = {}
         for a, b, c in forms:
             if sign(a) or sign(b):
                 w = _oriented(a, b, c, at, normalize)
-                if w is not None and not (half and iso._angle_part(w) in (0, 3)):
+                if w is not None and not (half and (sign(w.b) < 0 or sign(w.b) == 0 > sign(w.a))):
                     # One wall per line, as _collect_constraints keeps one per key.
                     walls.setdefault(iso._normalize_wall(w.a, w.b, w.c).oriented_key(), w)
         walls = list(walls.values())
