@@ -1,7 +1,7 @@
 """Command-line interface: build, inspect, transform, solve, tessellate.
 
 Surface files travel on stdin/stdout when no path is given.  Exit codes:
-0 success, 1 domain error (invalid surface, solver divergence), 2 usage
+0 success, 1 domain error (invalid surface, I/O error, divergence), 2 usage
 error.  Diagnostics go to stderr, results to stdout or to files.
 """
 
@@ -24,7 +24,7 @@ from . import periods as per
 from . import surface as sf
 from . import surface_io
 from . import symmetry as sym
-from .numeric import FLOAT_TOL, scalar_from_str, to_float
+from .numeric import FLOAT_TOL, is_exact, scalar_from_str, to_float
 from .quadrature import QuadratureError
 from .surface import Surface, SurfaceError
 
@@ -36,7 +36,7 @@ class CliError(Exception):
 def _read_surface(path: Optional[str]) -> Surface:
     if path in (None, "-"):
         return surface_io.loads(sys.stdin.read())
-    with open(path) as fp:
+    with open(path, encoding="utf-8") as fp:  # JSON is UTF-8, whatever the locale
         return surface_io.load(fp)
 
 
@@ -220,9 +220,8 @@ def _cmd_isometries(args) -> int:
 
 def _cmd_apply(args) -> int:
     s = _require_valid(_read_surface(args.surface))
-    entries = [scalar_from_str(t) for t in args.matrix]
-    m = ((entries[0], entries[1]), (entries[2], entries[3]))
-    _write_surface(sf.apply_linear(m, s), args.output)
+    a, b, c, d = args.matrix
+    _write_surface(sf.apply_linear(((a, b), (c, d)), s), args.output)
     return 0
 
 
@@ -318,6 +317,17 @@ def _cmd_tessellate(args) -> int:
     return 0
 
 
+def _finite_scalar(text: str):
+    """A -m entry: a scalar_from_str literal of finite value."""
+    try:
+        x = scalar_from_str(text)
+    except (ValueError, ZeroDivisionError):
+        x = math.nan
+    if not (is_exact(x) or math.isfinite(x)):
+        raise argparse.ArgumentTypeError(f"not a finite scalar: {text!r}")
+    return x
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that reads every negative number as a value.
 
@@ -369,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_isometries)
 
     p = subs.add_parser("apply", help="apply a 2x2 linear map")
-    p.add_argument("-m", "--matrix", nargs=4, required=True, metavar=("A", "B", "C", "D"))
+    p.add_argument("-m", "--matrix", nargs=4, type=_finite_scalar, required=True, metavar=("A", "B", "C", "D"))
     p.add_argument("surface", nargs="?", default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_apply)
@@ -425,8 +435,10 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (SurfaceError, dl.DelaunayError, per.PeriodsError, QuadratureError,
-            iso.IsoDelaunayError, CliError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except BrokenPipeError:  # an OSError, for main to handle
+        raise
+    except (SurfaceError, dl.DelaunayError, per.PeriodsError, QuadratureError, iso.IsoDelaunayError,
+            CliError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,11 +15,12 @@ the wall's normalization are computed in one pass over Python ints
 (numeric.exact_wall_form); a float hinge expands them in doubles, in a
 fixed order.  Cells are intersections of wall half-planes; in the
 coordinates (u, v) = (x**2 + y**2, x) walls become straight lines and H
-the region u > v**2.  An exact cell's supporting walls come from one
-half-plane intersection, the walls sorted by the angle of their normals
-and scanned once, and each edge it keeps takes one 1-dimensional facet
-test, clipped by the parabola; a float cell runs the facet test of every
-wall against all the others.  On an exact surface every combinatorial
+the region u > v**2.  A cell is built with its facets, which explore
+crosses.  An exact cell's come from one half-plane intersection, the
+walls sorted by the angle of their normals and scanned once, and one
+1-dimensional facet test per edge kept, clipped by the parabola; a float
+cell tests every wall against all the others, then each supporting wall
+against the supporting walls.  On an exact surface every combinatorial
 decision is exact: a wall's side of a sample, the corners of the
 intersection and each sign of the facet test are taken in doubles where a
 proven error bound separates the value from 0 (see _SIDE_EPS,
@@ -39,8 +40,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .numeric import (FLOAT_TOL, CubicNumber, Scalar, coefficients, exact_divisor, exact_wall_form, filtered_sign,
-                      is_exact, sign, to_float, vec_neg)
+from .numeric import (FLOAT_TOL, Scalar, canonical_ints, coefficients, exact_divisor, exact_wall_form,
+                      filtered_sign, is_exact, sign, to_float, vec_neg)
 from . import delaunay as dl
 from .delaunay import HalfEdge, Triangulation, hinge
 from .surface import Surface
@@ -86,9 +87,9 @@ class _Key(tuple):
     The hash is tuple.__hash__ of the same items, computed when the key is
     built, so sets and dicts of keys iterate, and print, in the order plain
     tuples would.  The integers are equal exactly when the items are (see
-    _ints).  Against any other object equality is tuple equality, and
-    ordering is tuple order throughout.  functools._HashedSeq keeps
-    lru_cache keys' hashes the same way.
+    numeric.canonical_ints).  Against any other object equality is tuple
+    equality, and ordering is tuple order throughout.
+    functools._HashedSeq keeps lru_cache keys' hashes the same way.
     """
 
     def __new__(cls, items, ints: Tuple[int, ...]):
@@ -112,15 +113,6 @@ class _Key(tuple):
 
     def __reduce__(self):
         return (_Key, (tuple(self), self._ints))
-
-
-def _ints(x: Scalar) -> Tuple[int, int, int, int]:
-    """The canonical integers of an exact scalar: (n0, n1, n2, d) of a
-    CubicNumber, (p, 0, 0, q) of a rational p/q in lowest terms (q > 0).  A
-    rational CubicNumber is held reduced, so it gives the same four."""
-    if isinstance(x, CubicNumber):
-        return (x.n0, x.n1, x.n2, x.d)
-    return (x.numerator, 0, 0, x.denominator)
 
 
 # The wall-side filter of Wall.side.  With u = 2**-53: float(CubicNumber) is
@@ -149,7 +141,7 @@ class Wall:
     The coefficients' doubles (fa, fb, fc), whether all three are exact
     and the orientation are computed once, and so is the oriented key.
     On an exact wall every sign is exact: side() and the facet test of
-    _supporting_interval decide it in doubles where a proven error bound
+    _facet decide it in doubles where a proven error bound
     separates the value from 0, and in Q(alpha) otherwise.  A float wall's
     signs are its float expressions against a tolerance.
     """
@@ -248,7 +240,7 @@ class Wall:
             flip = self.orientation
             if self.exact:
                 a, b, c = flip * self.a, flip * self.b, flip * self.c
-                ints = _ints(a) + _ints(b) + _ints(c)
+                ints = canonical_ints(a) + canonical_ints(b) + canonical_ints(c)
                 locus = _Key((coefficients(a), coefficients(b), coefficients(c)), ints)
                 key = _Key((locus, flip), ints + (flip,))
             else:
@@ -398,7 +390,8 @@ class Cell:
     (mirror-inclusive, so a reflected surface yields an equal hash); walls
     are the supporting walls, sorted by oriented key, each bounding the
     cell on its side q < 0; the identity key is the set of their oriented
-    keys, which pins the region itself.
+    keys, which pins the region itself; facets, each wall's _facet result
+    (None where a float wall has none), are made with the cell.
     """
 
     comb_hash: Tuple[int, ...]
@@ -406,6 +399,7 @@ class Cell:
     sample: HPoint
     key: FrozenSet = field(repr=False, default=frozenset())
     triangulation: Optional[Triangulation] = field(repr=False, default=None, compare=False)
+    facets: Tuple[Optional[tuple], ...] = field(repr=False, default=(), compare=False)
 
 
 def _rationalize(x: float, y: float) -> Tuple[Fraction, Fraction]:
@@ -658,20 +652,6 @@ def _facet(target: Wall, others: Sequence[Wall]):
     return (line, lo, hi) if inside else None
 
 
-def _supporting_interval(target: Wall, others: Sequence[Wall]):
-    """Parameter interval (lo, hi) of the facet: points of the wall on the
-    cell boundary and inside H, or None when the wall is redundant.
-
-    A circle wall is parametrized by v, a vertical wall by u; exact walls
-    give exact bounds, float walls float ones.
-    """
-    facet = _facet(target, others)
-    if facet is None:
-        return None
-    line, lo, hi = facet
-    return (line.value(lo), line.value(hi))
-
-
 # The corner filter of _supporting_walls, counted as for _FACET_EPS in units
 # of u = 2**-53 along each path from a coefficient to the result.  The cross
 # product a1 b2 - a2 b1 of two normals: 2 + 2 in the factors, 1 in the
@@ -760,11 +740,11 @@ def _by_angle(walls: Sequence[Wall]) -> List[Wall]:
     return out
 
 
-def _supporting_walls(walls: Sequence[Wall]) -> List[Wall]:
+def _supporting_walls(walls: Sequence[Wall]) -> List[Tuple[Wall, tuple]]:
     """The exact walls, each with the cell's sample on its side q < 0, that
     bound a facet: an edge of positive length of the polygon where every
-    q < 0, in (u, v), whose edge meets H.  [w for w in walls if
-    _facet(w, walls) is not None], in angle order.
+    q < 0, in (u, v), whose edge meets H; in angle order, each with its
+    facet, which equals _facet(w, walls) inside H.
 
     One half-plane intersection: the walls sorted by the angle of their
     normals (_by_angle), then scanned once.  Where consecutive normals leave
@@ -774,7 +754,7 @@ def _supporting_walls(walls: Sequence[Wall]) -> List[Wall]:
     neighbour there does not lie strictly inside the next wall
     (_corner_inside), so an edge of length 0 goes too.  Each wall left then
     takes _facet with its neighbours on the polygon, which bound its edge as
-    all the walls do, for the parabola test.
+    all the walls do inside H, for the parabola test and its facet.
     """
     ring = _by_angle(walls)
     n = len(ring)
@@ -800,7 +780,7 @@ def _supporting_walls(walls: Sequence[Wall]) -> List[Wall]:
             dq.pop()
         m = len(dq)
         edges = [(w, (dq[j - 1], dq[(j + 1) % m])) for j, w in enumerate(dq)]
-    return [w for w, neighbours in edges if _facet(w, neighbours) is not None]
+    return [(w, f) for w, neighbours in edges if (f := _facet(w, neighbours)) is not None]
 
 
 @dataclass
@@ -832,10 +812,12 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
     below 5e-10 keeps its exact value (see _rationalize).
 
     The supporting walls are the walls of the Delaunay triangulation at the
-    sample that bound a facet inside H.  On an exact surface they come from
-    one half-plane intersection (_supporting_walls), which runs the facet
-    test once per polygon edge; on a float surface every wall takes the
-    facet test against all the others, with float tolerances.
+    sample that bound a facet inside H, and the cell holds their facets.  On
+    an exact surface both come from one half-plane intersection
+    (_supporting_walls), which runs the facet test once per polygon edge;
+    on a float surface every wall takes the facet test against all the
+    others, with float tolerances, and a new cell's walls then take it
+    against the supporting walls alone.
 
     With _memo, a cell whose supporting key is already in _memo.cells is
     returned as stored instead of being built again.
@@ -861,19 +843,24 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
             zy += 1e-9 * (attempt + 1)
             continue
         if exact:
-            supporting = _supporting_walls(walls)
+            found = _supporting_walls(walls)
         else:
-            supporting = [w for w in walls if _facet(w, walls) is not None]
-        supporting.sort(key=Wall.oriented_key)
+            found = [(w, None) for w in walls if _facet(w, walls) is not None]
+        found.sort(key=lambda wf: wf[0].oriented_key())
+        supporting = tuple(w for w, _ in found)
         key = frozenset(w.oriented_key() for w in supporting)
         if key in memo.cells:
             return memo.cells[key]
+        # A float wall's facet, against the supporting walls in this order: the
+        # float less keeps the first of two tied bounds.
+        facets = tuple(_facet(w, supporting) if f is None else f for w, f in found)
         return Cell(
             comb_hash=dl.canonical_code(t, include_mirror=True),
-            walls=tuple(supporting),
+            walls=supporting,
             sample=HPoint(to_float(vx), to_float(vy)),
             key=key,
             triangulation=t,
+            facets=facets,
         )
     raise IsoDelaunayError(f"could not move sample {z} off the walls")
 
@@ -1055,8 +1042,8 @@ def _cross_wall(s: Surface, cell: Cell, wall: Wall, at: HPoint, memo: _Memo) -> 
 def explore(s: Surface, z0: HPoint, radius: float, cell_budget: int = 10 ** 5) -> Tessellation:
     """Breadth-first tessellation of the hyperbolic ball around z0.
 
-    From each cell every supporting wall whose facet meets the ball is
-    crossed by resampling: a point just across the facet is located with
+    A traversal only: every facet of a cell (see cell_at) that meets the
+    ball is crossed by resampling: a point just across it is located with
     cell_at, which runs delaunayize_at from the cell's own triangulation.
     Cells are deduplicated by their supporting wall set.  Deterministic:
     the frontier is processed in sorted order.
@@ -1091,13 +1078,13 @@ def explore(s: Surface, z0: HPoint, radius: float, cell_budget: int = 10 ** 5) -
         frontier.sort(key=lambda c: (c.comb_hash, sorted(map(repr, c.key))))
         next_frontier: List[Cell] = []
         for cell in frontier:
-            for wall in cell.walls:
+            for wall, facet in zip(cell.walls, cell.facets):
                 neighbor = memo.crossed.pop((cell.key, wall.locus_key()), None) if exact else None
                 if neighbor is None:
-                    interval = _supporting_interval(wall, cell.walls)
-                    if interval is None:
+                    if facet is None:
                         continue
-                    at = _facet_crossing_point(wall, interval, z0, radius)
+                    line, lo, hi = facet
+                    at = _facet_crossing_point(wall, (line.value(lo), line.value(hi)), z0, radius)
                     if at is None:
                         continue
                     neighbor = _cross_wall(s, cell, wall, at, memo)

@@ -767,13 +767,12 @@ def incircle_det(p1: Point, p2: Point, p3: Point, p4: Point) -> Scalar:
 # -- the wall of an exact hinge ---------------------------------------------------
 
 
-def _parts(x: Scalar) -> Tuple[int, int, int, int]:
+def canonical_ints(x: Scalar) -> Tuple[int, int, int, int]:
     """(n0, n1, n2, d) with x = (n0 + n1*alpha + n2*alpha**2) / d and d > 0,
-    for exact x."""
+    for exact x; a CubicNumber and a rational are held reduced, so exact
+    scalars of equal value give the same four."""
     if isinstance(x, CubicNumber):
         return x.n0, x.n1, x.n2, x.d
-    if isinstance(x, int):
-        return x, 0, 0, 1
     return x.numerator, 0, 0, x.denominator
 
 
@@ -804,7 +803,7 @@ def exact_wall_form(p2: Point, p3: Point, p4: Point) -> Union[int, Tuple[Scalar,
     Fractions otherwise.
     """
     coords = (*p2, *p3, *p4)
-    parts = [_parts(x) for x in coords]
+    parts = [canonical_ints(x) for x in coords]
     den = lcm(*[p[3] for p in parts])
     x2, y2, x3, y3, x4, y4 = [(n0 * (den // d), n1 * (den // d), n2 * (den // d)) for n0, n1, n2, d in parts]
     mul, sub = _zmul, _zsub

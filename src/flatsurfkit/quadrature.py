@@ -75,7 +75,7 @@ def integrate(f: Callable[[float, float, float], Any], a: float, b: float, tol: 
     docstring).  Raises QuadratureError when neither holds by
     MAX_LEVEL doublings, when a or b is not finite, when a level's
     estimate is not finite, when f divides by zero (at an endpoint,
-    typically) or when tol is not positive.
+    typically) or when tol is not positive and finite.
 
     f may return a pair (value, extra) instead of a value, where extra is a
     number (a complex carries two real components) or anything else that
@@ -85,8 +85,8 @@ def integrate(f: Callable[[float, float, float], Any], a: float, b: float, tol: 
     the double that f returning the value alone gives.  An empty interval
     gives 0.0 either way.
     """
-    if not tol > 0:
-        raise QuadratureError(f"quadrature tolerance must be positive: {tol}")
+    if not 0 < tol < inf:
+        raise QuadratureError(f"quadrature tolerance must be positive and finite: {tol}")
     if not (isfinite(a) and isfinite(b)):
         raise QuadratureError(f"quadrature bounds must be finite: [{a}, {b}]")
     if a == b:

@@ -233,6 +233,20 @@ class TestCli:
         assert hashlib.sha256(out_json.read_bytes()).hexdigest() == \
             "268af195a9a16487550b154c152bd574f791853fa95366bdc799edc9edc7f9cb"
 
+    @pytest.mark.parametrize("what, radius, digest", (
+        ("ay", "2.0", "bc6cc84a8934d6ad791affca70e0fa66c5b7d38658c11187fb184a0d648e44e5"),
+        ("ay-prime", "1.0", "3254a22d5dd780c557442143e840417c5b497b9b15d34739cbcdfa8f601f3075"),
+        ("escalator", "3.0", "7974edb3b051a7339fd91955b684c2eeb99c883bc40f8e479ec7af77e234668a"),
+    ), ids=["ay-r2", "ay-prime-r1", "escalator-r3"])
+    def test_exact_tessellation_json_is_pinned(self, what, radius, digest, tmp_path, capsys):
+        # `flatsurf build <what> | flatsurf tessellate --radius <radius> --json ...`.
+        path = tmp_path / "surface.json"
+        out_json = tmp_path / "tess.json"
+        invoke(capsys, "build", what, "-o", str(path))
+        code, _, _ = invoke(capsys, "tessellate", str(path), "--radius", radius, "--json", str(out_json))
+        assert code == 0
+        assert hashlib.sha256(out_json.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("argv", (
         ["trapezoid", "--b", "1", "--B", "2", "--h", "inf"],
         ["trapezoid", "--b", "1", "--B", "inf", "--h", "1"],
@@ -272,11 +286,41 @@ class TestCli:
         [line] = err.splitlines()
         assert line.startswith("error: a must be finite") and "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", (["solve-ay", "--tol", "0"], ["solve-rect", "--mu", "0.5", "--tol=-1e-9"]))
+    @pytest.mark.parametrize("argv", (["solve-ay", "--tol", "0"], ["solve-rect", "--mu", "0.5", "--tol=-1e-9"],
+                                      ["solve-ay", "--tol", "inf"]))
     def test_nonpositive_tolerance_exit_code(self, argv, capsys):
         code, _, err = invoke(capsys, *argv)
         assert code == 1
         assert "tolerance must be positive" in err
+
+    @pytest.mark.parametrize("entry", ("abc", "nan", "inf", "1/0", "1e999"))
+    def test_bad_matrix_entry_is_a_usage_error(self, entry, tmp_path, capsys):
+        path = tmp_path / "ay.json"
+        invoke(capsys, "build", "ay", "-o", str(path))
+        code, out, err = invoke(capsys, "apply", "-m", "1", "0", "0", entry, str(path))
+        assert (code, out) == (2, "")
+        assert f"error: argument -m/--matrix: not a finite scalar: {entry!r}" in err.splitlines()[-1]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", (
+        ["info", "DIR"], ["tessellate", "AY", "--radius", "0.3", "--json", "DIR"], ["build", "ay", "-o", "DIR"],
+    ), ids=["info", "tessellate-json", "build-output"])
+    def test_directory_path_is_a_domain_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "ay.json"
+        invoke(capsys, "build", "ay", "-o", str(path))
+        fill = {"DIR": str(tmp_path), "AY": str(path)}
+        code, _, err = invoke(capsys, *(fill.get(a, a) for a in argv))
+        assert code == 1
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and "Is a directory" in line and "Traceback" not in err
+
+    def test_non_utf8_file_is_a_domain_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"format": "\xff\xfe"}')
+        code, out, err = invoke(capsys, "info", str(bad))
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and "can't decode" in line and "Traceback" not in err
 
     @pytest.mark.parametrize("argv, reference", (
         (["apply", "-m", "1", "-1/2", "0", "1", "AY"], ["apply", "-m", "1", " -1/2", "0", "1", "AY"]),

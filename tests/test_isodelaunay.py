@@ -509,7 +509,7 @@ class TestExactKeys:
     def test_a_rational_has_one_key_in_each_type(self, n, d):
         forms = [CubicNumber(Fraction(n, d)), Fraction(n, d)] + ([n] if d == 1 else [])
         keys = [iso.Wall(x, Fraction(-1, 2), 1).oriented_key() for x in forms]
-        assert {iso._ints(x) for x in forms} == {(n, 0, 0, d)}
+        assert {numeric.canonical_ints(x) for x in forms} == {(n, 0, 0, d)}
         for key in keys:
             assert key == keys[0] and hash(key) == hash(keys[0]) and repr(key) == repr(keys[0])
             assert {keys[0]: 1}[key] == 1
@@ -517,14 +517,15 @@ class TestExactKeys:
     def test_zero_has_one_key_in_each_type(self):
         keys = [iso.Wall(1, zero, Fraction(-1, 3)).oriented_key() for zero in (0, Fraction(0), CubicNumber(0))]
         assert keys[0] == keys[1] == keys[2] and len({hash(k) for k in keys}) == 1
-        assert len(set(keys)) == 1 and iso._ints(CubicNumber(0)) == (0, 0, 0, 1)
+        assert len(set(keys)) == 1 and numeric.canonical_ints(CubicNumber(0)) == (0, 0, 0, 1)
 
     @settings(max_examples=200, deadline=None)
     @given(_exact_scalars, _exact_scalars, _exact_scalars)
     def test_canonical_ints_follow_the_coefficients(self, x, y, z):
         # Sums and products reduce their CubicNumbers, rational ones included.
         for p, q in ((x, y), (x * y, y * x), (x + z - z, x), (x * z, z * x + 0 * y)):
-            assert (iso._ints(p) == iso._ints(q)) == (numeric.coefficients(p) == numeric.coefficients(q))
+            assert (numeric.canonical_ints(p) == numeric.canonical_ints(q)) == \
+                (numeric.coefficients(p) == numeric.coefficients(q))
 
     def test_a_tessellation_survives_copy_and_pickle(self, ball):
         import copy
@@ -555,8 +556,9 @@ def _ref_side(wall, u, v):
 
 
 def _ref_supporting_interval(target, others):
-    """_supporting_interval as computed before it was made division free:
-    each bound is the quotient -const/slope in the walls' own arithmetic."""
+    """The interval of _facet(target, others) as computed before the facet
+    test was made division free: each bound is the quotient -const/slope in
+    the walls' own arithmetic."""
     w = target
     vertical = w.is_vertical
     if vertical:
@@ -604,6 +606,28 @@ def _ref_supporting_interval(target, others):
     return None
 
 
+class _RefLine:
+    """The line of a reference facet, whose bounds are values already."""
+
+    @staticmethod
+    def value(x):
+        return x
+
+
+def _ref_facet(target, others):
+    """_facet with the reference's bounds: (_RefLine, lo, hi) or None."""
+    interval = _ref_supporting_interval(target, others)
+    return None if interval is None else (_RefLine, *interval)
+
+
+def _interval(facet):
+    """The parameter interval (lo, hi) of a facet (line, lo, hi), or None."""
+    if facet is None:
+        return None
+    line, lo, hi = facet
+    return (line.value(lo), line.value(hi))
+
+
 def _same_interval(got, want):
     if want is None or got is None:
         return got is want
@@ -613,8 +637,7 @@ def _same_interval(got, want):
 def _assert_facets_match_reference(walls):
     for target in walls:
         want = _ref_supporting_interval(target, walls)
-        assert (iso._facet(target, walls) is None) == (want is None)
-        assert _same_interval(iso._supporting_interval(target, walls), want)
+        assert _same_interval(_interval(iso._facet(target, walls)), want)
 
 
 class TestFilteredPredicates:
@@ -637,8 +660,7 @@ class TestFilteredPredicates:
         build, radius, counts = self.BALLS[request.param]
         s = build(constructions)
         z0 = iso.HPoint(0.0001, 1.0001)
-        side, facet, interval, filtered_sign = (
-            iso.Wall.side, iso._facet, iso._supporting_interval, iso.filtered_sign)
+        side, facet, filtered_sign = iso.Wall.side, iso._facet, iso.filtered_sign
         bad = []
         seen = {"side": 0, "facet": 0, "interval": 0, "undecided": 0}
 
@@ -651,16 +673,14 @@ class TestFilteredPredicates:
 
         def checking_facet(target, others):
             got = facet(target, others)
+            want = _ref_supporting_interval(target, others)
             seen["facet"] += 1
-            if (got is None) != (_ref_supporting_interval(target, others) is None):
+            if (got is None) != (want is None):
                 bad.append(("facet", target))
-            return got
-
-        def checking_interval(target, others):
-            got = interval(target, others)
-            seen["interval"] += 1
-            if not _same_interval(got, _ref_supporting_interval(target, others)):
-                bad.append(("interval", target))
+            elif got is not None:
+                seen["interval"] += 1
+                if not _same_interval(_interval(got), want):
+                    bad.append(("interval", target))
             return got
 
         def counting_filtered_sign(x, mag, eps):
@@ -671,13 +691,11 @@ class TestFilteredPredicates:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(iso.Wall, "side", checking_side)
             mp.setattr(iso, "_facet", checking_facet)
-            mp.setattr(iso, "_supporting_interval", checking_interval)
             mp.setattr(iso, "filtered_sign", counting_filtered_sign)
             tess = iso.explore(s, z0, radius)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(iso.Wall, "side", lambda wall, u, v, fu, fv: _ref_side(wall, u, v))
-            mp.setattr(iso, "_facet", _ref_supporting_interval)
-            mp.setattr(iso, "_supporting_interval", _ref_supporting_interval)
+            mp.setattr(iso, "_facet", _ref_facet)
             ref = iso.explore(s, z0, radius)
         assert (len(tess.cells), len(tess.all_walls()), len(tess.adjacency)) == counts
         return tess, ref, bad, seen
@@ -849,19 +867,28 @@ def _ref_edge_walls(walls):
 
 
 def _check_supporting_walls(walls, supporting=iso._supporting_walls):
-    """supporting(walls), asserting that it equals the reference and runs
-    _facet once on each polygon edge, with its two neighbours at most.  The
-    default is the unpatched _supporting_walls."""
+    """supporting(walls), its (wall, facet) pairs, asserting that the walls
+    equal the reference, that _facet runs once on each polygon edge, with
+    its two neighbours at most, and that each wall comes with the facet that
+    call found.  The default is the unpatched _supporting_walls."""
     calls = []
     facet = iso._facet
+
+    def recording(target, others):
+        got = facet(target, others)
+        calls.append((target, others, got))
+        return got
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(iso, "_facet", lambda target, others: calls.append((target, others)) or facet(target, others))
-        got = supporting(walls)
-    assert _same_walls(got, _ref_supporting_walls(walls))
-    targets = [id(target) for target, _ in calls]
+        mp.setattr(iso, "_facet", recording)
+        pairs = supporting(walls)
+    assert _same_walls([w for w, _ in pairs], _ref_supporting_walls(walls))
+    targets = [id(target) for target, _, _ in calls]
     assert sorted(targets) == sorted(map(id, _ref_edge_walls(walls)))
-    assert all(len(others) <= 2 for _, others in calls)
-    return got
+    assert all(len(others) <= 2 for _, others, _ in calls)
+    found = {id(target): f for target, _, f in calls}
+    assert all(f is not None and f is found[id(w)] for w, f in pairs)
+    return pairs
 
 
 def _same_walls(got, want):
@@ -949,7 +976,7 @@ class TestSupportingWalls:
         # u < 1 meets H; u < -1 does not.
         assert iso._supporting_walls([]) == []
         wall = _oriented(Fraction(1), Fraction(0), Fraction(-1), (Fraction(1, 2), Fraction(0)), True)
-        assert _check_supporting_walls([wall]) == [wall]
+        assert [w for w, _ in _check_supporting_walls([wall])] == [wall]
         off = _oriented(Fraction(1), Fraction(0), Fraction(1), (Fraction(-2), Fraction(0)), True)
         assert _check_supporting_walls([off]) == []
 
@@ -1330,10 +1357,9 @@ class TestFacetCrossingPoint:
         tess = iso.explore(s, self.Z0, 1.0)
         out = []
         for cell in tess.cells:
-            for wall in cell.walls:
-                interval = iso._supporting_interval(wall, cell.walls)
-                if interval is not None:
-                    out.append((wall, interval))
+            for wall, facet in zip(cell.walls, cell.facets):
+                if facet is not None:
+                    out.append((wall, _interval(facet)))
         return out
 
     @pytest.mark.parametrize("z0, radius", [(Z0, 1.0), (Z0, 0.3), (Z0, 3.0), (iso.HPoint(0.3, 0.2), 2.0)])
@@ -1387,6 +1413,60 @@ class TestFacetCrossingPoint:
         z0 = iso.HPoint(x0, y0)
         got = iso._facet_crossing_point(wall, (None, None), z0, radius)
         assert _same_point(got, _sampled_crossing_point(wall, (None, None), z0, radius))
+
+
+def _float_bounds(facet):
+    """A float facet's bounds, bit for bit, or None."""
+    return None if facet is None else tuple(None if x is None else x.hex() for x in facet[1:])
+
+
+class TestCellFacets:
+    """The facets cell_at builds a cell with, against the pass explore ran
+    before cells kept them: _facet(w, cell.walls) on each supporting wall, in
+    the cell's wall order."""
+
+    Z0 = iso.HPoint(0.0001, 1.0001)
+    BALLS = {
+        "ay r=2": (lambda c: c.ay_surface(), 2.0),
+        "ay_prime r=1": (lambda c: c.ay_prime(), 1.0),
+        "escalator r=3": (lambda c: c.escalator(), 3.0),
+        "rational trapezoid r=1": (
+            lambda c: c._trapezoid_scheme(Fraction(1, 2), Fraction(1), Fraction(1, 2)), 1.0),
+        "float ay r=1": (lambda c: c.trapezoid_family(c.ay_trapezoid_shape()), 1.0),
+        "float ay r=2.5": (lambda c: c.trapezoid_family(c.ay_trapezoid_shape()), 2.5),
+        "float trapezoid (1, 2, 1) r=2": (lambda c: c.trapezoid_family(c.TrapezoidShape(1.0, 2.0, 1.0)), 2.0),
+    }
+    # Supporting walls without a facet against the supporting walls alone.
+    NONE_FACETS = {"float ay r=2.5": 1}
+
+    @pytest.fixture(scope="class", params=sorted(BALLS))
+    def ball(self, request):
+        """(name, tessellation, radius, [(wall, the cell's facet, the reference facet)])."""
+        from flatsurfkit import constructions
+
+        build, radius = self.BALLS[request.param]
+        tess = iso.explore(build(constructions), self.Z0, radius)
+        facets = []
+        for cell in tess.cells:
+            assert len(cell.facets) == len(cell.walls)
+            facets += [(w, f, iso._facet(w, cell.walls)) for w, f in zip(cell.walls, cell.facets)]
+        return request.param, tess, radius, facets
+
+    def test_facets_are_the_reference_pass(self, ball):
+        name, tess, _, facets = ball
+        assert sum(ref is None for _, _, ref in facets) == self.NONE_FACETS.get(name, 0)
+        if tess.surface.is_exact():
+            # The same exact bounds, inside H and beyond it.
+            assert all(_same_interval(_interval(f), _interval(ref)) for _, f, ref in facets)
+        else:
+            assert [_float_bounds(f) for _, f, _ in facets] == [_float_bounds(ref) for _, _, ref in facets]
+
+    def test_crossing_points_are_the_reference_pass(self, ball):
+        _, _, radius, facets = ball
+        for w, f, ref in facets:
+            if ref is not None:
+                got = iso._facet_crossing_point(w, _interval(f), self.Z0, radius)
+                assert _same_point(got, iso._facet_crossing_point(w, _interval(ref), self.Z0, radius))
 
 
 class TestRenderSvg:

@@ -54,7 +54,7 @@ class TestIntegrate:
         with pytest.raises(QuadratureError, match="singular"):
             integrate(lambda x, da, db: 1.0 / db, 0.0, 1.0)
 
-    @pytest.mark.parametrize("tol", (0.0, -1e-12, math.nan))
+    @pytest.mark.parametrize("tol", (0.0, -1e-12, math.nan, math.inf))
     def test_nonpositive_tolerance_raises(self, tol):
         # checked before anything else, an empty interval included
         for a, b in ((0.0, 1.0), (1.0, 1.0)):
