@@ -3,7 +3,7 @@ groups, hyperelliptic period solvers, and iso-Delaunay tessellations,
 centered on the genus-3 Arnoux-Yoccoz surface and its two symmetric
 families."""
 
-from .numeric import ALPHA, CubicNumber, Rational, Scalar, cubic_inv, cubic_mul, embed_real, incircle, orient, sign
+from .numeric import ALPHA, CubicNumber, Scalar, incircle, orient, sign
 from .surface import (
     ConePoint,
     Gluing,
@@ -18,7 +18,7 @@ from .surface import (
     validate,
     vertex_cycles,
 )
-from .delaunay import Triangulation, decomposition, delaunayize, flip, hinge, is_delaunay, triangulate
+from .delaunay import Triangulation, decomposition, delaunayize, flip, hinge, triangulate
 from .symmetry import (
     GroupSummary,
     Isometry,

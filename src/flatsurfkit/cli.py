@@ -21,6 +21,7 @@ from . import constructions as cons
 from . import delaunay as dl
 from . import isodelaunay as iso
 from . import periods as per
+from . import quadrature
 from . import surface as sf
 from . import surface_io
 from . import symmetry as sym
@@ -119,7 +120,7 @@ def _classify_cell(p: sf.Polygon) -> str:
     if par0 and par1:
         dot = ev[0][0] * ev[1][0] + ev[0][1] * ev[1][1]
         right = abs(dot) < FLOAT_TOL * lengths[0] * lengths[1]
-        if right and abs(lengths[0] - lengths[1]) < FLOAT_TOL:
+        if right and abs(lengths[0] - lengths[1]) < FLOAT_TOL * max(lengths[0], lengths[1]):
             return "square"
         if right:
             return "rectangle"
@@ -152,8 +153,13 @@ def _cmd_delaunay(args) -> int:
     return 0
 
 
-def _decomposition_svg(dec: Surface, size: int = 220) -> str:
-    """All cells side by side, glued edges carrying matching labels."""
+_DECOMPOSITION_SVG_SIZE = 220
+
+
+def _decomposition_svg(dec: Surface) -> str:
+    """All cells side by side, in squares of _DECOMPOSITION_SVG_SIZE pixels,
+    glued edges carrying matching labels."""
+    size = _DECOMPOSITION_SVG_SIZE
     label = {}
     for k, g in enumerate(dec.gluings):
         name = chr(ord("a") + k % 26) + ("" if k < 26 else str(k // 26))
@@ -385,12 +391,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_apply)
 
     p = subs.add_parser("solve-ay", help="solve the integral system for the AY parameters")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=quadrature.TOL)
     p.set_defaults(func=_cmd_solve_ay)
 
     p = subs.add_parser("solve-rect", help="solve the rectangle-case equation for t")
     p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=quadrature.TOL)
     p.set_defaults(func=_cmd_solve_rect)
 
     p = subs.add_parser("periods", help="segment integrals and the genus-2 period ratio")

@@ -40,7 +40,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .numeric import (
     FLOAT_TOL,
     Point,
-    Scalar,
     Vec2,
     cross,
     incircle_det,
@@ -134,8 +133,7 @@ class Triangulation:
 
     def check_invariants(self) -> None:
         for t, tri in enumerate(self.vecs):
-            s = vec_add(vec_add(tri[0], tri[1]), tri[2])
-            if sign(s[0], FLOAT_TOL) or sign(s[1], FLOAT_TOL):
+            if not vectors_match(vec_add(tri[0], tri[1]), vec_neg(tri[2])):
                 raise DelaunayError(f"triangle {t} edge vectors do not sum to zero")
             if sign(cross(tri[0], tri[1])) <= 0:
                 raise DelaunayError(f"triangle {t} is not positively oriented")
@@ -167,9 +165,6 @@ class Hinge:
     p4: Point
     folded: bool
 
-    def incircle_value(self) -> Scalar:
-        return incircle_det(self.p1, self.p2, self.p3, self.p4)
-
     def incircle_sign(self) -> int:
         """+1 when p4 is strictly inside the circumcircle, 0 on it, -1 outside.
 
@@ -190,9 +185,6 @@ class Hinge:
         """True iff the fourth vertex is not strictly inside the circumcircle."""
         return self.incircle_sign() <= 0
 
-    def is_cocircular(self) -> bool:
-        return self.incircle_sign() == 0
-
     def is_strictly_convex(self) -> bool:
         return all(s > 0 for s in turn_signs((self.p1, self.p2, self.p3, self.p4)))
 
@@ -208,10 +200,6 @@ def hinge(t: Triangulation, edge: HalfEdge) -> Hinge:
     p3 = va
     p4 = vec_add(va, vb)
     return Hinge(edge, p1, p2, p3, p4, tw == edge)
-
-
-def is_delaunay(h: Hinge) -> bool:
-    return h.is_delaunay()
 
 
 # -- triangulate --------------------------------------------------------------------

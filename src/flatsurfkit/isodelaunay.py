@@ -57,6 +57,9 @@ _FACET_TOL = 1e-13
 # explore's largest radius: exp(1.5 * radius) overflows a double above 473.2.
 _MAX_RADIUS = 473.0
 
+# explore raises rather than hold more cells than this.
+_CELL_BUDGET = 10 ** 5
+
 
 class IsoDelaunayError(RuntimeError):
     pass
@@ -199,12 +202,6 @@ class Wall:
                 return s
         return sign(self.evaluate(u, v), FLOAT_TOL)
 
-    def value_at(self, x: Scalar, y: Scalar) -> Scalar:
-        return self.a * (x * x + y * y) + self.b * x + self.c
-
-    def floats(self) -> Tuple[float, float, float]:
-        return (self.fa, self.fb, self.fc)
-
     @property
     def is_vertical(self) -> bool:
         """Whether the locus q = 0 is a vertical line rather than a
@@ -213,7 +210,7 @@ class Wall:
 
     def geometry(self) -> Tuple[str, float, float]:
         """("circle", center, radius) or ("vertical", x, 0)."""
-        a, b, c = self.floats()
+        a, b, c = self.fa, self.fb, self.fc
         if self.is_vertical:
             return ("vertical", -c / b, 0.0)
         center = -b / (2 * a)
@@ -245,14 +242,14 @@ class Wall:
                 key = _Key((locus, flip), ints + (flip,))
             else:
                 # + 0.0 turns -0.0 into 0.0, so that equal keys have one repr.
-                key = (tuple(round(flip * t, 9) + 0.0 for t in self.floats()), flip)
+                key = (tuple(round(flip * t, 9) + 0.0 for t in (self.fa, self.fb, self.fc)), flip)
             object.__setattr__(self, "_key", key)
         return key
 
     def normalized_floats(self) -> Tuple[float, float, float]:
         """Reported form: max |coefficient| = 1, first nonzero positive."""
         flip = self.orientation
-        return tuple(flip * t for t in self.floats())
+        return (flip * self.fa, flip * self.fb, flip * self.fc)
 
 
 def wall_of_hinge(t: Triangulation, edge: HalfEdge):
@@ -1005,7 +1002,7 @@ def _facet_crossing_point(wall: Wall, interval, z0: HPoint, radius: float) -> Op
 
 def _cross_wall(s: Surface, cell: Cell, wall: Wall, at: HPoint, memo: _Memo) -> Optional[Cell]:
     """A sample just across the wall from the cell, verified exactly."""
-    a, b, c = wall.floats()
+    a, b, c = wall.fa, wall.fb, wall.fc
     # gradient of the oriented q in (x, y): points out of the cell
     exact = s.is_exact()
     for eps in (1e-4, 1e-5, 1e-6, 1e-7):
@@ -1039,7 +1036,7 @@ def _cross_wall(s: Surface, cell: Cell, wall: Wall, at: HPoint, memo: _Memo) -> 
     return None
 
 
-def explore(s: Surface, z0: HPoint, radius: float, cell_budget: int = 10 ** 5) -> Tessellation:
+def explore(s: Surface, z0: HPoint, radius: float) -> Tessellation:
     """Breadth-first tessellation of the hyperbolic ball around z0.
 
     A traversal only: every facet of a cell (see cell_at) that meets the
@@ -1094,8 +1091,8 @@ def explore(s: Surface, z0: HPoint, radius: float, cell_budget: int = 10 ** 5) -
                     if exact:
                         memo.crossed[(neighbor.key, wall.locus_key())] = cell
                 if neighbor.key not in cells:
-                    if len(cells) >= cell_budget:
-                        raise IsoDelaunayError(f"cell budget {cell_budget} exceeded")
+                    if len(cells) >= _CELL_BUDGET:
+                        raise IsoDelaunayError(f"cell budget {_CELL_BUDGET} exceeded")
                     cells[neighbor.key] = neighbor
                     key_repr[neighbor.key] = repr(neighbor.key)
                     next_frontier.append(neighbor)
@@ -1119,14 +1116,16 @@ def walls_through(tess: Tessellation, u: Scalar, v: Scalar) -> List[Wall]:
 # -- SVG rendering -----------------------------------------------------------------------
 
 
-def render_svg(tess: Tessellation, viewport: Tuple[float, float, float] = (-2.5, 2.5, 3.0),
-               size: int = 800) -> str:
-    """Draw the tessellation's walls as geodesics in the half-plane.
+# render_svg's window on the half-plane, (xmin, xmax, ymax), and its width in pixels.
+_SVG_VIEWPORT = (-2.5, 2.5, 3.0)
+_SVG_SIZE = 800
 
-    viewport = (xmin, xmax, ymax); deterministic output for a given
-    tessellation.
-    """
-    xmin, xmax, ymax = viewport
+
+def render_svg(tess: Tessellation) -> str:
+    """Draw the tessellation's walls as geodesics in the half-plane, over
+    _SVG_VIEWPORT; deterministic output for a given tessellation."""
+    xmin, xmax, ymax = _SVG_VIEWPORT
+    size = _SVG_SIZE
     scale = size / (xmax - xmin)
     height = int(ymax * scale)
 

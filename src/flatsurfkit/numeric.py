@@ -16,12 +16,12 @@ separates the value from 0, else exactly (see filtered_sign).
 ``CubicNumber`` stores three integer numerators over one positive common
 denominator and does its arithmetic on Python ints.  Its sign comes from a
 double-precision evaluation with a proven error bound, backed by the exact
-sign of the field norm when the doubles cannot decide; its float value
-comes from a fixed-point alpha computed once at import.  Neither changes
-any module state.  The product and the sign also work on bare int triples
-of Z[alpha] (_zmul, _zsign), which exact_wall_form uses to compute the
-iso-Delaunay wall of an exact hinge without making a CubicNumber until
-the normalized coefficients.
+sign of the field norm when the doubles cannot decide.  Its real value
+is ``float(x)``, within one ulp, from a fixed-point alpha computed once at
+import.  Neither changes any module state.  The product and the sign also
+work on bare int triples of Z[alpha] (_zmul, _zsign), which
+exact_wall_form uses to compute the iso-Delaunay wall of an exact hinge
+without making a CubicNumber until the normalized coefficients.
 
 Sign policy: every decision that other modules make on a scalar goes
 through ``sign(x, tol)``, and the scalar's type picks the rule.  Exact
@@ -36,8 +36,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import frexp, gcd, lcm, ldexp
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
-
-Rational = Fraction
 
 # alpha to _ALPHA_BITS fractional bits: _ALPHA_FIX = floor(alpha * 2**_ALPHA_BITS).
 _ALPHA_BITS = 320
@@ -95,6 +93,7 @@ def _adjugate_row(n0: int, n1: int, n2: int) -> Tuple[int, int, int, int]:
     return y0, y1, y2, n0 * y0 + n2 * y1 + (n1 - n2) * y2
 
 
+# Unused here; perfbench/tracer.py counts refine() and smoke.py needs that count until ROADMAP 5(b) drops both.
 class _AlphaInterval:
     """Isolating interval for alpha, refined by bisection on demand.
 
@@ -117,10 +116,6 @@ class _AlphaInterval:
             self.lo = mid
         else:
             self.hi = mid
-
-
-# The shared starting interval; embed_real refines private copies of it.
-_ALPHA = _AlphaInterval(Fraction(_ALPHA_FIX, 1 << _ALPHA_BITS), Fraction(_ALPHA_FIX + 1, 1 << _ALPHA_BITS))
 
 
 def _zmul(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> Tuple[int, int, int]:
@@ -233,10 +228,6 @@ class CubicNumber:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def alpha() -> "CubicNumber":
-        return _raw(0, 1, 0, 1)
-
-    @staticmethod
     def coerce(x) -> "CubicNumber":
         if isinstance(x, CubicNumber):
             return x
@@ -324,42 +315,9 @@ class CubicNumber:
     def is_zero(self) -> bool:
         return not (self.n0 or self.n1 or self.n2)
 
-    def _value_interval(self, iv: _AlphaInterval) -> Tuple[Fraction, Fraction]:
-        lo, hi = iv.lo, iv.hi
-        lo2, hi2 = lo * lo, hi * hi
-        c0, c1, c2 = self.c0, self.c1, self.c2
-        v_lo = v_hi = c0
-        if c1 >= 0:
-            v_lo += c1 * lo
-            v_hi += c1 * hi
-        else:
-            v_lo += c1 * hi
-            v_hi += c1 * lo
-        if c2 >= 0:
-            v_lo += c2 * lo2
-            v_hi += c2 * hi2
-        else:
-            v_lo += c2 * hi2
-            v_hi += c2 * lo2
-        return v_lo, v_hi
-
     def sign(self) -> int:
         """Exact sign of the real embedding (-1, 0, or +1)."""
         return _zsign((self.n0, self.n1, self.n2))
-
-    def embed_real(self, eps: float) -> float:
-        """Real embedding to within eps (alpha -> 0.543689...)."""
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.is_zero():
-            return 0.0
-        target = Fraction(eps)
-        iv = _AlphaInterval(_ALPHA.lo, _ALPHA.hi)
-        while True:
-            v_lo, v_hi = self._value_interval(iv)
-            if v_hi - v_lo < target:
-                return float((v_lo + v_hi) / 2)
-            iv.refine()
 
     def __float__(self) -> float:
         """The real embedding, within one ulp."""
@@ -424,26 +382,14 @@ class CubicNumber:
         return f"CubicNumber({self.c0}, {self.c1}, {self.c2})"
 
 
-ALPHA = CubicNumber.alpha()
+ALPHA = _raw(0, 1, 0, 1)
 
 Scalar = Union[int, Fraction, CubicNumber, float]
 Point = Tuple[Scalar, Scalar]
 
 
-def cubic_mul(x: CubicNumber, y: CubicNumber) -> CubicNumber:
-    return CubicNumber.coerce(x) * CubicNumber.coerce(y)
-
-
-def cubic_inv(x: CubicNumber) -> CubicNumber:
-    return CubicNumber.coerce(x).inverse()
-
-
-def embed_real(x: CubicNumber, eps: float) -> float:
-    return CubicNumber.coerce(x).embed_real(eps)
-
-
 # The tolerance of float decisions: cocircular hinges, wall sides, matching
-# vectors, orthogonal derivatives and cone angles.
+# vectors and cone angles.
 FLOAT_TOL = 1e-9
 
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .quadrature import integrate
+from .quadrature import TOL, integrate
 
 POINT_AT_INFINITY = complex(math.inf, math.inf)
 
@@ -132,7 +132,7 @@ def _integrals(c: CurveTU, tol: float, j3: bool = True, partials: bool = False) 
     return (j1, j2, integrate(f3, -1.0, 1.0, tol=tol)) if j3 else (j1, j2)
 
 
-def segment_integrals(c: CurveTU, tol: float = 1e-12) -> Tuple[float, float, float]:
+def segment_integrals(c: CurveTU, tol: float = TOL) -> Tuple[float, float, float]:
     """The three positive segment integrals (J1, J2, J3).
 
     Each is an integral of h(x) / sqrt((x - p)(q - x)) between two branch
@@ -149,7 +149,7 @@ def segment_integrals(c: CurveTU, tol: float = 1e-12) -> Tuple[float, float, flo
     return _integrals(c, tol)
 
 
-def shape_ratios(c: CurveTU, tol: float = 1e-12) -> Tuple[float, float]:
+def shape_ratios(c: CurveTU, tol: float = TOL) -> Tuple[float, float]:
     """(J2/J1, J3/J1) = (2 height / short base, long base / short base)."""
     j1, j2, j3 = segment_integrals(c, tol)
     return j2 / j1, j3 / j1
@@ -171,7 +171,7 @@ _TU_START = (2.0, 2.0)
 _NEWTON_MAX_ITER = 50
 
 
-def solve_tu(target: Tuple[float, float], tol: float = 1e-12) -> CurveTU:
+def solve_tu(target: Tuple[float, float], tol: float = TOL) -> CurveTU:
     """Newton solve for the curve whose shape ratios match the target.
 
     The full step's trial point costs one pass of the period quadrature,
@@ -231,7 +231,7 @@ _RECT_T_MIN = 1.0 + 10.0 ** -3
 _RECT_T_MAX = 1.0 + 10.0 ** 4.5
 
 
-def solve_t_rectangle(mu: float, tol: float = 1e-12) -> float:
+def solve_t_rectangle(mu: float, tol: float = TOL) -> float:
     """Solve J1(t, 1) = mu * J2(t, 1) for t (the rectangle case u = 1).
 
     2*mu is the width-to-height ratio of the rectangle.  Newton runs in
@@ -330,7 +330,7 @@ def _curve_a_roots(a: complex) -> List[complex]:
     return [0.0 + 0.0j, 1.0 + 0.0j, -1.0 + 0.0j, a, 1.0 / a]
 
 
-def _segment_period(roots: List[complex], i: int, j: int, tol: float = 1e-12) -> complex:
+def _segment_period(roots: List[complex], i: int, j: int, tol: float) -> complex:
     """Integral of (1 - x)/y dx along the straight segment from roots[i] to roots[j].
 
     On x = z0 + s d, each factor of P is x - r_k = d (w_k + s) with
@@ -382,7 +382,7 @@ def _segment_period(roots: List[complex], i: int, j: int, tol: float = 1e-12) ->
     return total
 
 
-def silhol_periods(c: CurveA, tol: float = 1e-12) -> Tuple[complex, complex]:
+def silhol_periods(c: CurveA, tol: float = TOL) -> Tuple[complex, complex]:
     """The two marked periods (int_{-1}^0 phi, int_0^{1/a} phi).
 
     phi = (1 - x) dx / y on y**2 = x (x**2 - 1) (x - a) (x - 1/a), each
@@ -399,7 +399,7 @@ def silhol_periods(c: CurveA, tol: float = 1e-12) -> Tuple[complex, complex]:
     return _segment_period(roots, 2, 0, tol), _segment_period(roots, 0, 4, tol)
 
 
-def silhol_ratio(c: CurveA, tol: float = 1e-12) -> complex:
+def silhol_ratio(c: CurveA, tol: float = TOL) -> complex:
     """The single period parameter of the fourfold-symmetric genus-2 curve.
 
     Computed from the two marked segment periods I1 = int_{-1}^0 phi and

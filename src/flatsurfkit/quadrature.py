@@ -60,9 +60,10 @@ class QuadratureError(RuntimeError):
 
 _START = 8  # intervals of the coarsest rule compared
 MAX_LEVEL = 12  # doublings of the coarsest rule before giving up
+TOL = 1e-12  # the default tolerance of integrate and of the period solvers built on it
 
 
-def integrate(f: Callable[[float, float, float], Any], a: float, b: float, tol: float = 1e-12) -> Any:
+def integrate(f: Callable[[float, float, float], Any], a: float, b: float, tol: float = TOL) -> Any:
     """Integral over (a, b) of f(x, x - a, b - x) / sqrt((x - a)(b - x)).
 
     The trapezoid rule in theta on n = 2, 4, 8, ... intervals, each level

@@ -226,7 +226,7 @@ def test_criterion_10_iso_delaunay_tessellation():
                     y = rnd.uniform(0.05, 4.0)
                     moved = [(px + x * py, y * py) for px, py in quad]
                     det = incircle_det(*moved)
-                    q = to_float(wall.value_at(x, y))
+                    q = to_float(wall.evaluate(x * x + y * y, x))
                     if abs(q) > 1e-9 and abs(det) > 1e-12:
                         assert (q > 0) == (det > 0)
             assert checked == cell.key

@@ -66,6 +66,20 @@ class TestCli:
         assert code == 0
         assert "2 squares" in out and "4 trapezoids" in out
 
+    @pytest.mark.parametrize("build, scale, census", (
+        (["ay"], "1e9", "6 cells: 2 squares, 4 trapezoids"),
+        (["trapezoid", "--b", "1", "--B", "3", "--h", "1"], "1e-10", "8 cells: 2 rectangles, 2 squares, 4 triangles"),
+    ))
+    def test_delaunay_census_does_not_depend_on_scale(self, build, scale, census, tmp_path, capsys):
+        # Equal sides are equal relative to the longer side, as the parallel
+        # and right-angle tests are.
+        src, scaled = tmp_path / "s.json", tmp_path / "scaled.json"
+        invoke(capsys, "build", *build, "-o", str(src))
+        invoke(capsys, "apply", "-m", scale, "0", "0", scale, str(src), "-o", str(scaled))
+        code, out, _ = invoke(capsys, "delaunay", str(scaled))
+        assert code == 0
+        assert out.splitlines()[0] == census
+
     def test_delaunay_svg_net(self, tmp_path, capsys):
         path = tmp_path / "ay.json"
         svg = tmp_path / "net.svg"

@@ -34,7 +34,7 @@ class TestWallOfHinge:
     def test_wall_passes_through_base_point_when_cocircular(self, torus_tri):
         # the square-torus diagonal hinge is cocircular at z = i
         w = iso.wall_of_hinge(torus_tri, (0, 2))
-        assert to_float(w.value_at(0, 1)) == 0.0
+        assert to_float(w.evaluate(1, 0)) == 0.0
 
     def test_sign_oracle_random_points(self, ay):
         # for every hinge wall, the sign of a(x^2+y^2)+bx+c agrees with the
@@ -56,7 +56,7 @@ class TestWallOfHinge:
                     if w == iso.ALWAYS:
                         assert det < 1e-9
                     continue
-                q = to_float(w.value_at(x, y))
+                q = to_float(w.evaluate(x * x + y * y, x))
                 if abs(q) > 1e-9 and abs(det) > 1e-12:
                     assert (q > 0) == (det > 0)
 
@@ -110,7 +110,7 @@ class TestCellAt:
         cell = iso.cell_at(ay, iso.HPoint(0.0001, 1.0001))
         assert len(cell.walls) == 4
         # boundary reaches down to i: two of its walls pass through (0, 1)
-        through_i = [w for w in cell.walls if sign_is_zero(w.value_at(CubicNumber(0), CubicNumber(1)))]
+        through_i = [w for w in cell.walls if sign_is_zero(w.evaluate(CubicNumber(1), CubicNumber(0)))]
         assert len(through_i) == 2
 
 
@@ -204,9 +204,10 @@ class TestExplore:
         assert all(c.comb_hash != hashes[c.key] for c in b.cells)
         assert any(c.triangulation.chart_sign[e] == -1 for c in b.cells for e in c.triangulation.edges())
 
-    def test_budget(self, torus):
-        with pytest.raises(iso.IsoDelaunayError):
-            iso.explore(torus, iso.HPoint(0.05, 1.2), 2.5, cell_budget=2)
+    def test_budget(self, torus, monkeypatch):
+        monkeypatch.setattr(iso, "_CELL_BUDGET", 2)
+        with pytest.raises(iso.IsoDelaunayError, match="cell budget 2 exceeded"):
+            iso.explore(torus, iso.HPoint(0.05, 1.2), 2.5)
 
 
 class TestExploreShortcuts:
@@ -438,7 +439,7 @@ class TestFloatBallPins:
     def test_pins(self, ball):
         tess, counts, pins = ball
         assert (len(tess.cells), len(tess.all_walls()), len(tess.adjacency)) == counts
-        got = _ball_pins(tess) + (_sha16([[w.floats() for w in c.walls] for c in tess.cells]),)
+        got = _ball_pins(tess) + (_sha16([[(w.fa, w.fb, w.fc) for w in c.walls] for c in tess.cells]),)
         assert got == pins
 
 
@@ -1071,7 +1072,7 @@ def _same_wall(got, want):
     coefficients = (got.a, got.b, got.c), (want.a, want.b, want.c)
     return (isinstance(got, iso.Wall) and coefficients[0] == coefficients[1]
             and [type(x) for x in coefficients[0]] == [type(x) for x in coefficients[1]]
-            and repr(got.floats()) == repr(want.floats()))
+            and repr((got.fa, got.fb, got.fc)) == repr((want.fa, want.fb, want.fc)))
 
 
 def _square_torus(scalar):
@@ -1291,6 +1292,24 @@ class TestNearAxisBall:
                                y0 * math.cosh(rho) + y0 * math.sinh(rho) * math.sin(theta))
                 assert iso.cell_at(ay, z).key in keys, (rho, k)
 
+    @pytest.mark.xfail(strict=True, reason="float wall geometry loses the radius far from the origin "
+                                           "(ROADMAP items 20 and 15)")
+    def test_far_ball_holds_the_cells_of_its_points(self, ay):
+        # Centred at x0 = 1e9 the ball returns 1 cell and no adjacency, with
+        # no error: Wall.geometry() takes rad**2 = centre**2 - c/a with a
+        # centre near 1e9, so the radius is rounded to a multiple of
+        # ulp(1e18) = 128, and every facet's geodesic "misses the ball".
+        # 6 points at hyperbolic distance 0.3 land outside the ball's cells.
+        x0, y0 = 1e9, 1.0001
+        tess = iso.explore(ay, iso.HPoint(Fraction(10 ** 9), Fraction(10001, 10000)), 0.5)
+        keys = {c.key for c in tess.cells}
+        rho = 0.3
+        for k in range(6):
+            theta = math.pi / 6 + math.pi * k / 3
+            z = iso.HPoint(x0 + y0 * math.sinh(rho) * math.cos(theta),
+                           y0 * math.cosh(rho) + y0 * math.sinh(rho) * math.sin(theta))
+            assert iso.cell_at(ay, z).key in keys, k
+
 
 def _sampled_crossing_point(wall, interval, z0, radius):
     """_facet_crossing_point as it sampled before it was optimized: every
@@ -1298,7 +1317,7 @@ def _sampled_crossing_point(wall, interval, z0, radius):
     lo, hi = interval
     lo_f = None if lo is None else to_float(lo)
     hi_f = None if hi is None else to_float(hi)
-    a, b, c = wall.floats()
+    a, b, c = wall.fa, wall.fb, wall.fc
     samples = []
     if abs(a) > 1e-300:
         center = -b / (2 * a)

@@ -13,9 +13,6 @@ from flatsurfkit.numeric import (
     ALPHA,
     CubicNumber,
     cross,
-    cubic_inv,
-    cubic_mul,
-    embed_real,
     filtered_sign,
     incircle,
     incircle_det,
@@ -45,51 +42,51 @@ def bisect_alpha(eps: float) -> Fraction:
 class TestCubicMul:
     def test_minimal_polynomial(self):
         # alpha * alpha**2 = 1 - alpha - alpha**2
-        assert cubic_mul(ALPHA, ALPHA * ALPHA) == CubicNumber(1, -1, -1)
+        assert ALPHA * (ALPHA * ALPHA) == CubicNumber(1, -1, -1)
 
     def test_inverse_of_alpha_identity(self):
         # alpha * (1 + alpha + alpha**2) = 1
-        assert cubic_mul(ALPHA, CubicNumber(1, 1, 1)) == ONE
+        assert ALPHA * CubicNumber(1, 1, 1) == ONE
 
     def test_difference_of_squares(self):
-        assert cubic_mul(ONE - ALPHA, ONE + ALPHA) == ONE - ALPHA * ALPHA
+        assert (ONE - ALPHA) * (ONE + ALPHA) == ONE - ALPHA * ALPHA
 
 
 class TestCubicInv:
     def test_inv_alpha(self):
-        assert cubic_inv(ALPHA) == CubicNumber(1, 1, 1)
+        assert ALPHA.inverse() == CubicNumber(1, 1, 1)
 
     def test_inv_one(self):
-        assert cubic_inv(ONE) == ONE
+        assert ONE.inverse() == ONE
 
     def test_inv_alpha_squared_is_inv_product(self):
-        lhs = cubic_inv(ALPHA * ALPHA)
-        rhs = cubic_mul(cubic_inv(ALPHA), cubic_inv(ALPHA))
+        lhs = (ALPHA * ALPHA).inverse()
+        rhs = ALPHA.inverse() * ALPHA.inverse()
         assert lhs == rhs
-        assert cubic_mul(ALPHA * ALPHA, lhs) == ONE
+        assert ALPHA * ALPHA * lhs == ONE
 
     def test_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
-            cubic_inv(CubicNumber(0))
+            CubicNumber(0).inverse()
 
 
 class TestEmbedReal:
     def test_alpha_value(self):
-        assert abs(embed_real(ALPHA, 1e-6) - 0.543689) <= 1e-6 + 1e-6
+        assert abs(float(ALPHA) - 0.543689) <= 1e-6 + 1e-6
 
     def test_zero(self):
-        assert embed_real(CubicNumber(0), 1e-6) == 0.0
+        assert float(CubicNumber(0)) == 0.0
 
     def test_inverse_alpha(self):
         # oracle: refine the root independently and invert
         oracle = 1 / float(bisect_alpha(1e-12))
-        assert abs(embed_real(CubicNumber(1, 1, 1), 1e-6) - oracle) < 2e-6
+        assert abs(float(CubicNumber(1, 1, 1)) - oracle) < 2e-6
 
     def test_against_bisection_oracle(self):
         x = CubicNumber(Fraction(3, 7), Fraction(-2, 5), Fraction(1, 3))
         a = bisect_alpha(1e-15)
         oracle = float(Fraction(3, 7) + Fraction(-2, 5) * a + Fraction(1, 3) * a * a)
-        assert abs(embed_real(x, 1e-9) - oracle) < 1e-8
+        assert abs(float(x) - oracle) < 1e-8
 
 
 class TestSign:
@@ -105,7 +102,7 @@ class TestSign:
     def test_agrees_with_embedding(self):
         for coeffs in [(1, -2, 1), (0, 5, -3), (-1, 1, 1), (2, -4, 1)]:
             x = CubicNumber(*coeffs)
-            emb = embed_real(x, 1e-12)
+            emb = float(x)
             if abs(emb) > 2e-12:
                 assert sign(x) == (1 if emb > 0 else -1)
 
@@ -119,7 +116,7 @@ def test_mul_inv_roundtrip(c0, c1, c2):
     x = CubicNumber(c0, c1, c2)
     if x.is_zero():
         return
-    assert cubic_mul(x, cubic_inv(x)) == ONE
+    assert x * x.inverse() == ONE
 
 
 @settings(max_examples=60, deadline=None)
@@ -291,25 +288,6 @@ class TestNormFallback:
         assert norm_calls == []
 
 
-class TestEmbedRealRefines:
-    """eps far below 1e-12 makes embed_real refine its approximation of alpha."""
-
-    @staticmethod
-    def within_eps(x: CubicNumber, eps: float):
-        e = embed_real(x, eps)
-        assert abs(Decimal(e) - decimal_value(x)) <= Decimal(eps) + Decimal(math.ulp(e)), (x, eps, e)
-
-    @settings(max_examples=300, deadline=None)
-    @given(ref_cubics)
-    def test_against_200_digit_oracle(self, x):
-        for eps in (1e-6, 1e-30, 1e-100):
-            self.within_eps(x.as_cubic(), eps)
-
-    def test_cancellation_near_convergents(self):
-        for p, q in alpha_convergents(100)[10:]:
-            self.within_eps(CubicNumber(p, -q), 1e-150)
-
-
 class TestFloatConversion:
     @staticmethod
     def within_one_ulp(x: CubicNumber):
@@ -333,17 +311,9 @@ class TestFloatConversion:
     def test_no_dependence_on_earlier_calls(self):
         xs = [CubicNumber(Fraction(3, 7), Fraction(-2, 5), Fraction(1, 3)), ALPHA, CubicNumber(1, 1, 1)]
         first = [float(x) for x in xs]
-        embed_real(xs[0], 1e-40)
         for p, q in alpha_convergents(40):
             float(CubicNumber(p, -q))
         assert [float(x) for x in xs] == first
-
-    def test_shared_alpha_interval_untouched(self):
-        before = (numeric._ALPHA.lo, numeric._ALPHA.hi)
-        float(ALPHA)
-        float(CubicNumber(7, -13, 2))
-        embed_real(CubicNumber(1, 2, 3), 1e-100)
-        assert (numeric._ALPHA.lo, numeric._ALPHA.hi) == before
 
 
 class TestIncircle:
