@@ -789,15 +789,11 @@ class _Memo:
     input alike; it is the second cache level, under each triangulation's
     hinge_cache, which a neighbour's triangulation inherits from its parent
     cell for every hinge it did not flip, and it adds the hinges that flips
-    recreate in a shape seen before.  crossed ((cell key, locus key) -> the
-    cell across that facet) is kept on exact input only: it relies on every
-    facet being shared by exactly two cells, which float crossings do not
-    keep.
+    recreate in a shape seen before.
     """
 
     cells: Dict[FrozenSet, "Cell"]
     walls: dict = field(default_factory=dict)
-    crossed: Optional[Dict[tuple, "Cell"]] = None
 
 
 def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
@@ -1049,10 +1045,15 @@ def explore(s: Surface, z0: HPoint, radius: float) -> Tessellation:
     its parent cell's walls, and cell_at recomputes only the walls of the
     hinges its own flips changed.  A second memo, keyed by the developed
     hinge, computes each wall once per exploration, exact or float.
-    One exploration does not rebuild a cell it already holds, and on exact
-    input it crosses each facet once: the exact tessellation is
-    edge-to-edge, so the far cell of a facet is the cell that crossed it.
-    Float crossings are not reciprocal, so floats cross from both sides.
+    One exploration does not rebuild a cell it already holds.  On exact
+    input the tessellation is edge-to-edge, so the far cell of a facet is
+    looked up, not located again: every stored cell indexes its facets by
+    locus key, exact endpoints and orientation, and a facet is crossed
+    into the cell indexed on its other side; only a facet with no indexed
+    partner is resampled, and one whose resampling lands in a cell already
+    held is logged at DEBUG.  Each exact facet takes the ball test once,
+    from whichever side comes first.  Float crossings are not reciprocal,
+    so floats resample every facet from both sides.
 
     A facet that meets the ball but whose crossing finds no verified cell
     (see _cross_wall) raises IsoDelaunayError naming the wall and the
@@ -1064,37 +1065,62 @@ def explore(s: Surface, z0: HPoint, radius: float) -> Tessellation:
         raise IsoDelaunayError(f"radius must be positive and at most {_MAX_RADIUS}: {radius}")
     exact = s.is_exact()
     cells: Dict[FrozenSet, Cell] = {}
-    memo = _Memo(cells, crossed={} if exact else None)
-    start = cell_at(s, z0, _memo=memo)
-    cells[start.key] = start
+    memo = _Memo(cells)
     # repr(key) orders the two ends of an adjacency; computed once per cell.
-    key_repr = {start.key: repr(start.key)}
+    key_repr: Dict[FrozenSet, str] = {}
+    # On exact input: the facet loci of each stored cell not yet crossed
+    # from; (locus, orientation) -> the cell on that side of the facet; and
+    # locus -> the facet's crossing point or None.
+    loci: Dict[FrozenSet, List[Optional[tuple]]] = {}
+    index: Dict[tuple, Cell] = {}
+    crossing_points: Dict[tuple, Optional[HPoint]] = {}
+
+    def facet_loci(cell: Cell) -> List[Optional[tuple]]:
+        """Per wall of the cell: (locus key, the ends of its facet), or None."""
+        return [None if facet is None else (wall.locus_key(), facet[0].value(facet[1]), facet[0].value(facet[2]))
+                for wall, facet in zip(cell.walls, cell.facets)]
+
+    def store(cell: Cell) -> None:
+        cells[cell.key] = cell
+        key_repr[cell.key] = repr(cell.key)
+        if exact:
+            loci[cell.key] = facet_loci(cell)
+            for wall, locus in zip(cell.walls, loci[cell.key]):
+                index[locus + (wall.orientation,)] = cell
+
+    start = cell_at(s, z0, _memo=memo)
+    store(start)
     adjacency: Set = set()
     frontier = [start]
     while frontier:
         frontier.sort(key=lambda c: (c.comb_hash, sorted(map(repr, c.key))))
         next_frontier: List[Cell] = []
         for cell in frontier:
-            for wall, facet in zip(cell.walls, cell.facets):
-                neighbor = memo.crossed.pop((cell.key, wall.locus_key()), None) if exact else None
+            for wall, locus in zip(cell.walls, loci.pop(cell.key) if exact else facet_loci(cell)):
+                if locus is None:
+                    continue
+                if exact:
+                    if locus not in crossing_points:
+                        crossing_points[locus] = _facet_crossing_point(wall, locus[1:], z0, radius)
+                    at = crossing_points[locus]
+                else:
+                    at = _facet_crossing_point(wall, locus[1:], z0, radius)
+                if at is None:
+                    continue
+                neighbor = index.get(locus + (-wall.orientation,)) if exact else None
                 if neighbor is None:
-                    if facet is None:
-                        continue
-                    line, lo, hi = facet
-                    at = _facet_crossing_point(wall, (line.value(lo), line.value(hi)), z0, radius)
-                    if at is None:
-                        continue
                     neighbor = _cross_wall(s, cell, wall, at, memo)
                     if neighbor is None:
                         raise IsoDelaunayError(f"no cell found across wall {wall.normalized_floats()} "
                                                f"near {at.x!r} + {at.y!r}i")
-                    if exact:
-                        memo.crossed[(neighbor.key, wall.locus_key())] = cell
+                    if exact and neighbor.key in cells:
+                        _log.debug("explore: facet of wall %r near %r + %ri has no indexed partner; "
+                                   "its crossing found a cell already held",
+                                   wall.normalized_floats(), at.x, at.y)
                 if neighbor.key not in cells:
                     if len(cells) >= _CELL_BUDGET:
                         raise IsoDelaunayError(f"cell budget {_CELL_BUDGET} exceeded")
-                    cells[neighbor.key] = neighbor
-                    key_repr[neighbor.key] = repr(neighbor.key)
+                    store(neighbor)
                     next_frontier.append(neighbor)
                 if key_repr[neighbor.key] < key_repr[cell.key]:
                     adjacency.add((neighbor.key, cell.key, wall))

@@ -211,8 +211,10 @@ class TestExplore:
 
 
 class TestExploreShortcuts:
-    """explore's wall memo, known-cell short-circuit and crossing record
-    against plain cell_at and a crossing from each side."""
+    """explore's wall memo, known-cell short-circuit and exact facet index
+    against plain cell_at and a crossing from each side: the far cell of an
+    exact facet is looked up among the stored cells' facets, not located
+    again."""
 
     @staticmethod
     def _explore_recording_memo(s, radius):
@@ -328,14 +330,15 @@ class TestExploreShortcuts:
         monkeypatch.setattr(iso, "delaunayize_at", recording_delaunayize_at)
         tess = iso.explore(ay, iso.HPoint(0.0001, 1.0001), 2.0)
         assert (len(tess.cells), len(tess.all_walls()), len(tess.adjacency)) == (156, 125, 468)
-        # Each exact facet is crossed once, and holds two adjacency triples.
-        assert len(pairs) == len(tess.adjacency) // 2
+        # Only the crossings that find a new cell locate a point.
+        assert len(pairs) == len(tess.cells) - 1 == 155
         assert [p for p in pairs if p[0] != p[1]] == []
 
-    @pytest.mark.parametrize("exact, crossings", ((True, 36), (False, 62)))
+    @pytest.mark.parametrize("exact, crossings", ((True, 23), (False, 62)))
     def test_each_exact_facet_is_crossed_once(self, ay, float_surface, exact, crossings, monkeypatch):
-        # On exact input the far cell of a facet is taken from the crossing
-        # record; floats cross every facet from both sides.
+        # On exact input the far cell of a facet is looked up in the facet
+        # index, so only the crossing that finds each new cell resamples:
+        # cells - 1 of them.  Floats cross every facet from both sides.
         calls = []
         cross_wall = iso._cross_wall
 
@@ -349,7 +352,7 @@ class TestExploreShortcuts:
         assert len(calls) == crossings
 
     def test_float_crossings_are_not_reciprocal(self, float_ball):
-        # Why floats do not use the crossing record (ROADMAP item 14).
+        # Why floats do not use the facet index (ROADMAP item 14).
         assert _nonreciprocal(float_ball) == 2
 
     def test_float_keys_have_one_repr(self, float_ball):
@@ -386,7 +389,7 @@ def _ball_pins(tess):
 
 class TestExactBallPins:
     """Exact balls pinned by the sha256 prefixes of their cells, comb hashes,
-    samples and adjacency, and the crossing record's precondition on them."""
+    samples and adjacency, and the facet index's precondition on them."""
 
     @pytest.fixture(scope="class", params=(
         ("ay_surface", 2.0, ("0d6a53b6d39f465e", "81b90e623896dd18", "ede19f31d758e23a", "ee695d6642ebd7d8")),
@@ -394,24 +397,52 @@ class TestExactBallPins:
         ("escalator", 1.0, ("bd733d32788626c7", "d9b444bb76a5d6bd", "af0b100f5ff9f218", "ed628ceedec21478")),
     ), ids=lambda p: f"{p[0]}-r{p[1]:g}")
     def ball(self, request):
+        """(the ball, its pins, the DEBUG records explore logged)."""
         from flatsurfkit import constructions
 
         name, radius, pins = request.param
         surface = getattr(constructions, name)()
-        return iso.explore(surface, iso.HPoint(0.0001, 1.0001), radius), pins
+        records = []
+        handler = logging.Handler(logging.DEBUG)
+        handler.emit = records.append
+        logger = logging.getLogger("flatsurfkit.isodelaunay")
+        level = logger.level
+        logger.addHandler(handler)
+        logger.setLevel(logging.DEBUG)
+        try:
+            tess = iso.explore(surface, iso.HPoint(0.0001, 1.0001), radius)
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
+        return tess, pins, records
 
     def test_pins(self, ball):
-        tess, pins = ball
+        tess, pins, _ = ball
         assert _ball_pins(tess) == pins
 
     def test_every_adjacency_is_reciprocal(self, ball):
-        tess, _ = ball
+        tess, _, _ = ball
         assert tess.adjacency and _nonreciprocal(tess) == 0
+
+    def test_every_adjacency_shares_one_exact_facet(self, ball):
+        # Both ends of each adjacency (a, b, w) hold a facet on w's locus
+        # with equal exact ends: the tessellation is edge-to-edge there.
+        tess, _, _ = ball
+        ends = {c.key: {(w.locus_key(), line.value(lo), line.value(hi))
+                        for w, (line, lo, hi) in zip(c.walls, c.facets)} for c in tess.cells}
+        for a, b, w in tess.adjacency:
+            assert len([f for f in ends[a] & ends[b] if f[0] == w.locus_key()]) == 1
+
+    def test_no_crossing_lands_in_a_held_cell(self, ball):
+        # No facet of these balls lacks its indexed partner, so no crossing
+        # lands in a cell explore already holds.
+        _, _, records = ball
+        assert [r.getMessage() for r in records if "no indexed partner" in r.getMessage()] == []
 
     def test_every_hinge_wall_is_the_reference(self, ball):
         # Each hinge of each cell: the integer pass gives the reference's
         # wall or sentinel, with the same scalar types and doubles.
-        tess, _ = ball
+        tess, _, _ = ball
         for cell in tess.cells:
             t = cell.triangulation
             for e in t.edges():
@@ -914,12 +945,12 @@ class TestSupportingWalls:
     pass over all the walls per wall."""
 
     BALLS = {
-        "ay r=1": (lambda c: c.ay_surface(), 1.0, 37),
-        "ay r=2": (lambda c: c.ay_surface(), 2.0, 235),
-        "ay_prime r=1": (lambda c: c.ay_prime(), 1.0, 75),
+        "ay r=1": (lambda c: c.ay_surface(), 1.0, 24),
+        "ay r=2": (lambda c: c.ay_surface(), 2.0, 156),
+        "ay_prime r=1": (lambda c: c.ay_prime(), 1.0, 48),
         "escalator r=1": (lambda c: c.escalator(), 1.0, 6),
         "rational trapezoid r=1": (
-            lambda c: c._trapezoid_scheme(Fraction(1, 2), Fraction(1), Fraction(1, 2)), 1.0, 29),
+            lambda c: c._trapezoid_scheme(Fraction(1, 2), Fraction(1), Fraction(1, 2)), 1.0, 20),
     }
 
     @pytest.fixture(scope="class", params=sorted(BALLS))
