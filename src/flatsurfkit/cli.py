@@ -25,7 +25,7 @@ from . import quadrature
 from . import surface as sf
 from . import surface_io
 from . import symmetry as sym
-from .numeric import FLOAT_TOL, is_exact, scalar_from_str, to_float
+from .numeric import FLOAT_TOL, is_exact, scalar_from_str
 from .quadrature import QuadratureError
 from .surface import Surface, SurfaceError
 
@@ -98,7 +98,7 @@ def _cmd_info(args) -> int:
     cones = sf.cone_points(s)
     print(f"genus {sf.genus(s)}")
     print("cone angles: " + (" ".join(_fmt_cone(c) for c in cones) if cones else "none"))
-    print(f"area: {to_float(sf.area(s))!r}")
+    print(f"area: {float(sf.area(s))!r}")
     print(f"kind: {s.kind}")
     print(f"polygons: {len(s.polygons)}, gluings: {len(s.gluings)}")
     return 0
@@ -110,7 +110,7 @@ def _classify_cell(p: sf.Polygon) -> str:
         return "triangle"
     if n != 4:
         return f"{n}-gon"
-    ev = [(to_float(v[0]), to_float(v[1])) for v in p.edge_vectors()]
+    ev = [(float(v[0]), float(v[1])) for v in p.edge_vectors()]
     lengths = [math.hypot(*v) for v in ev]
 
     def parallel(i: int, j: int) -> bool:
@@ -143,8 +143,8 @@ def _cmd_delaunay(args) -> int:
     print(f"flips: {tri.flip_count}")
     for kind, cells in sorted(census.items()):
         for p in cells:
-            vecs = " ".join(f"({to_float(v[0]):.6g},{to_float(v[1]):.6g})" for v in p.edge_vectors())
-            print(f"  {kind}: area {to_float(p.area()):.6g}, edges {vecs}")
+            vecs = " ".join(f"({float(v[0]):.6g},{float(v[1]):.6g})" for v in p.edge_vectors())
+            print(f"  {kind}: area {float(p.area()):.6g}, edges {vecs}")
     if args.out:
         _write_surface(dec, args.out)
     if args.svg:
@@ -168,8 +168,8 @@ def _decomposition_svg(dec: Surface) -> str:
     span = 0.0
     boxes = []
     for p in dec.polygons:
-        xs = [to_float(v[0]) for v in p.vertices]
-        ys = [to_float(v[1]) for v in p.vertices]
+        xs = [float(v[0]) for v in p.vertices]
+        ys = [float(v[1]) for v in p.vertices]
         boxes.append((min(xs), max(xs), min(ys), max(ys)))
         span = max(span, max(xs) - min(xs), max(ys) - min(ys))
     scale = size / (span * 1.2) if span else 1.0
@@ -184,7 +184,7 @@ def _decomposition_svg(dec: Surface) -> str:
         oy = (size + (y1 - y0) * scale) / 2
 
         def to_px(v):
-            return (ox + (to_float(v[0]) - x0) * scale, oy - (to_float(v[1]) - y0) * scale)
+            return (ox + (float(v[0]) - x0) * scale, oy - (float(v[1]) - y0) * scale)
 
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(v) for v in p.vertices))
         parts.append(f'<polygon points="{pts}" fill="#eef" stroke="black" stroke-width="1"/>')
@@ -234,7 +234,7 @@ def _cmd_apply(args) -> int:
 def _cmd_solve_ay(args) -> int:
     from .numeric import ALPHA
 
-    a = to_float(ALPHA)
+    a = float(ALPHA)
     target = (1.0 / a, 1.0 + a)
     curve = per.solve_tu(target, args.tol)
     r1, r2 = per.shape_ratios(curve, args.tol)
@@ -278,7 +278,7 @@ def _cmd_origami_check(args) -> int:
         return 0
     b1, b2 = cert.basis
     print(f"origami: degree {cert.degree}")
-    print(f"lattice basis: ({to_float(b1[0])!r}, {to_float(b1[1])!r}) ({to_float(b2[0])!r}, {to_float(b2[1])!r})")
+    print(f"lattice basis: ({float(b1[0])!r}, {float(b1[1])!r}) ({float(b2[0])!r}, {float(b2[1])!r})")
     return 0
 
 

@@ -24,7 +24,6 @@ from .numeric import (
     cross,
     is_exact,
     sign,
-    to_float,
     vec_add,
     vec_neg,
     vec_sub,
@@ -140,7 +139,7 @@ def trapezoid_family(shape: TrapezoidShape) -> Surface:
 
 def ay_trapezoid_shape() -> TrapezoidShape:
     """The trapezoid realizing the Arnoux-Yoccoz surface, in float."""
-    a = to_float(ALPHA)
+    a = float(ALPHA)
     s2 = math.sqrt(2.0)
     return TrapezoidShape(b=(1 - a) * s2, B=(1 - a * a) * s2, h=(a + a * a) * s2 / 2)
 
@@ -373,7 +372,7 @@ def _origami_exact(s: Surface, holonomies: List[Vec2]) -> Optional[OrigamiCertif
 
 
 def _origami_float(s: Surface, holonomies: List[Vec2]) -> Optional[OrigamiCertificate]:
-    hs = [(to_float(h[0]), to_float(h[1])) for h in holonomies]
+    hs = [(float(h[0]), float(h[1])) for h in holonomies]
     seen = {}
     for h in hs:
         seen[(round(h[0], 12), round(h[1], 12))] = h

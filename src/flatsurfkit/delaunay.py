@@ -46,7 +46,6 @@ from .numeric import (
     incircle_sign,
     is_exact,
     sign,
-    to_float,
     turn_signs,
     vec_add,
     vec_neg,
@@ -488,19 +487,18 @@ def decomposition(t: Triangulation) -> Surface:
 # -- canonical combinatorial codes -----------------------------------------------------
 
 
-def canonical_code(t: Triangulation, include_mirror: bool = True) -> Tuple[int, ...]:
-    """Combinatorial code of t, invariant under relabeling triangles and edges:
-    the minimum of `_code_below` over all starts, walking each triangle
-    forwards and, with include_mirror, backwards."""
+def canonical_code(t: Triangulation) -> Tuple[int, ...]:
+    """Combinatorial code of t, invariant under relabeling triangles and edges
+    and under mirroring: the minimum of `_code_below` over all starts,
+    walking each triangle forwards and backwards."""
     m = 3 * t.num_triangles
     twin = [0] * m
     for (tri, e), (tt, te) in t.glue.items():
         twin[3 * tri + e] = 3 * tt + te
-    steps = [[h - h % 3 + (h + 1) % 3 for h in range(m)]]
-    if include_mirror:
-        steps.append([h - h % 3 + (h + 2) % 3 for h in range(m)])
+    forwards = [h - h % 3 + (h + 1) % 3 for h in range(m)]
+    backwards = [h - h % 3 + (h + 2) % 3 for h in range(m)]
     best = None
-    for step in steps:
+    for step in (forwards, backwards):
         for start in range(m):
             found = _code_below(twin, step, start, best)
             if found is not None:
@@ -557,5 +555,5 @@ def triangle_shape_multiset(t: Triangulation):
     out = []
     for tri in t.vecs:
         rots = [tuple(tri[i:] + tri[:i]) for i in range(3)]
-        out.append(min(rots, key=lambda r: [(to_float(v[0]), to_float(v[1])) for v in r]))
-    return sorted(out, key=lambda r: [(to_float(v[0]), to_float(v[1])) for v in r])
+        out.append(min(rots, key=lambda r: [(float(v[0]), float(v[1])) for v in r]))
+    return sorted(out, key=lambda r: [(float(v[0]), float(v[1])) for v in r])

@@ -15,12 +15,13 @@ the wall's normalization are computed in one pass over Python ints
 (numeric.exact_wall_form); a float hinge expands them in doubles, in a
 fixed order.  Cells are intersections of wall half-planes; in the
 coordinates (u, v) = (x**2 + y**2, x) walls become straight lines and H
-the region u > v**2.  A cell is built with its facets, which explore
-crosses.  An exact cell's come from one half-plane intersection, the
-walls sorted by the angle of their normals and scanned once, and one
-1-dimensional facet test per edge kept, clipped by the parabola; a float
-cell tests every wall against all the others, then each supporting wall
-against the supporting walls.  On an exact surface every combinatorial
+the region u > v**2.  A cell is built with its facets, each the end
+values of a supporting wall's segment, which explore crosses.  An exact
+cell's come from one half-plane intersection, the walls sorted by the
+angle of their normals and scanned once, and one 1-dimensional facet test
+per edge kept, clipped by the parabola, which makes that edge's ends; a
+float cell tests every wall against all the others, then each supporting
+wall against the supporting walls.  On an exact surface every combinatorial
 decision is exact: a wall's side of a sample, the corners of the
 intersection and each sign of the facet test are taken in doubles where a
 proven error bound separates the value from 0 (see _SIDE_EPS,
@@ -41,7 +42,7 @@ from functools import cmp_to_key
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .numeric import (FLOAT_TOL, Scalar, canonical_ints, coefficients, exact_divisor, exact_wall_form,
-                      filtered_sign, is_exact, sign, to_float, vec_neg)
+                      filtered_sign, is_exact, sign, vec_neg)
 from . import delaunay as dl
 from .delaunay import HalfEdge, Triangulation, hinge
 from .surface import Surface
@@ -387,8 +388,9 @@ class Cell:
     (mirror-inclusive, so a reflected surface yields an equal hash); walls
     are the supporting walls, sorted by oriented key, each bounding the
     cell on its side q < 0; the identity key is the set of their oriented
-    keys, which pins the region itself; facets, each wall's _facet result
-    (None where a float wall has none), are made with the cell.
+    keys, which pins the region itself; facets, made with the cell, hold
+    each wall's _facet result: the end values (lo, hi) of its facet, or None
+    where a float wall has none.
     """
 
     comb_hash: Tuple[int, ...]
@@ -610,9 +612,11 @@ class _FloatLine:
 
 
 def _facet(target: Wall, others: Sequence[Wall]):
-    """(line, lo, hi) for the facet of the wall target, the parameter bounds
-    of its points on the cell boundary and inside H (None where unbounded),
-    or None when the wall is redundant.
+    """(lo, hi) for the facet of the wall target, the parameter values of
+    its ends on the cell boundary (v on a circle wall, u on a vertical one;
+    None where no wall bounds that end), or None when the wall is redundant
+    or its facet misses H.  Exact walls give exact values, float walls
+    floats.
 
     The wall is a line in (u, v) coordinates, each other wall a half-line
     of it, and the parabola u > v**2 a concave quadratic g along it.
@@ -646,7 +650,7 @@ def _facet(target: Wall, others: Sequence[Wall]):
         if (lo is None or line.less(lo, vertex)) and (hi is None or line.less(vertex, hi)):
             candidates.append(vertex)
         inside = any(line.inside(x) for x in candidates)
-    return (line, lo, hi) if inside else None
+    return (line.value(lo), line.value(hi)) if inside else None
 
 
 # The corner filter of _supporting_walls, counted as for _FACET_EPS in units
@@ -848,9 +852,9 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
         # float less keeps the first of two tied bounds.
         facets = tuple(_facet(w, supporting) if f is None else f for w, f in found)
         return Cell(
-            comb_hash=dl.canonical_code(t, include_mirror=True),
+            comb_hash=dl.canonical_code(t),
             walls=supporting,
-            sample=HPoint(to_float(vx), to_float(vy)),
+            sample=HPoint(float(vx), float(vy)),
             key=key,
             triangulation=t,
             facets=facets,
@@ -903,8 +907,8 @@ def _facet_crossing_point(wall: Wall, interval, z0: HPoint, radius: float) -> Op
     out, and only the returned point becomes an HPoint.
     """
     lo, hi = interval
-    lo_f = -math.inf if lo is None else to_float(lo)
-    hi_f = math.inf if hi is None else to_float(hi)
+    lo_f = -math.inf if lo is None else float(lo)
+    hi_f = math.inf if hi is None else float(hi)
     kind, p, r = wall.geometry()
     x0, y0 = z0.x, z0.y
     n = 512
@@ -998,16 +1002,16 @@ def _facet_crossing_point(wall: Wall, interval, z0: HPoint, radius: float) -> Op
 
 def _cross_wall(s: Surface, cell: Cell, wall: Wall, at: HPoint, memo: _Memo) -> Optional[Cell]:
     """A sample just across the wall from the cell, verified exactly."""
-    a, b, c = wall.fa, wall.fb, wall.fc
+    a, b = wall.fa, wall.fb
     # gradient of the oriented q in (x, y): points out of the cell
+    gx = 2 * a * at.x + b
+    gy = 2 * a * at.y
+    norm = math.hypot(gx, gy)
+    if norm == 0:
+        _log.debug("_cross_wall: zero wall gradient at %r + %ri; no crossing", at.x, at.y)
+        return None
     exact = s.is_exact()
     for eps in (1e-4, 1e-5, 1e-6, 1e-7):
-        gx = 2 * a * at.x + b
-        gy = 2 * a * at.y
-        norm = math.hypot(gx, gy)
-        if norm == 0:
-            _log.debug("_cross_wall: zero wall gradient at %r + %ri; no crossing", at.x, at.y)
-            return None
         zx = at.x + eps * gx / norm
         zy = at.y + eps * gy / norm
         if zy <= 0:
@@ -1035,9 +1039,10 @@ def _cross_wall(s: Surface, cell: Cell, wall: Wall, at: HPoint, memo: _Memo) -> 
 def explore(s: Surface, z0: HPoint, radius: float) -> Tessellation:
     """Breadth-first tessellation of the hyperbolic ball around z0.
 
-    A traversal only: every facet of a cell (see cell_at) that meets the
-    ball is crossed by resampling: a point just across it is located with
-    cell_at, which runs delaunayize_at from the cell's own triangulation.
+    A traversal only: every facet in Cell.facets, the end values cell_at
+    builds each cell with, that meets the ball is crossed by resampling: a
+    point just across it is located with cell_at, which runs delaunayize_at
+    from the cell's own triangulation.
     Cells are deduplicated by their supporting wall set.  Deterministic:
     the frontier is processed in sorted order.
 
@@ -1048,7 +1053,7 @@ def explore(s: Surface, z0: HPoint, radius: float) -> Tessellation:
     One exploration does not rebuild a cell it already holds.  On exact
     input the tessellation is edge-to-edge, so the far cell of a facet is
     looked up, not located again: every stored cell indexes its facets by
-    locus key, exact endpoints and orientation, and a facet is crossed
+    locus key, exact end values and orientation, and a facet is crossed
     into the cell indexed on its other side; only a facet with no indexed
     partner is resampled, and one whose resampling lands in a cell already
     held is logged at DEBUG.  Each exact facet takes the ball test once,
@@ -1068,25 +1073,18 @@ def explore(s: Surface, z0: HPoint, radius: float) -> Tessellation:
     memo = _Memo(cells)
     # repr(key) orders the two ends of an adjacency; computed once per cell.
     key_repr: Dict[FrozenSet, str] = {}
-    # On exact input: the facet loci of each stored cell not yet crossed
-    # from; (locus, orientation) -> the cell on that side of the facet; and
-    # locus -> the facet's crossing point or None.
-    loci: Dict[FrozenSet, List[Optional[tuple]]] = {}
+    # On exact input, a facet's locus is (locus key, lo, hi): (locus,
+    # orientation) -> the cell on that side of the facet, and locus -> the
+    # facet's crossing point or None.
     index: Dict[tuple, Cell] = {}
     crossing_points: Dict[tuple, Optional[HPoint]] = {}
-
-    def facet_loci(cell: Cell) -> List[Optional[tuple]]:
-        """Per wall of the cell: (locus key, the ends of its facet), or None."""
-        return [None if facet is None else (wall.locus_key(), facet[0].value(facet[1]), facet[0].value(facet[2]))
-                for wall, facet in zip(cell.walls, cell.facets)]
 
     def store(cell: Cell) -> None:
         cells[cell.key] = cell
         key_repr[cell.key] = repr(cell.key)
         if exact:
-            loci[cell.key] = facet_loci(cell)
-            for wall, locus in zip(cell.walls, loci[cell.key]):
-                index[locus + (wall.orientation,)] = cell
+            for wall, facet in zip(cell.walls, cell.facets):
+                index[(wall.locus_key(), *facet, wall.orientation)] = cell
 
     start = cell_at(s, z0, _memo=memo)
     store(start)
@@ -1096,15 +1094,16 @@ def explore(s: Surface, z0: HPoint, radius: float) -> Tessellation:
         frontier.sort(key=lambda c: (c.comb_hash, sorted(map(repr, c.key))))
         next_frontier: List[Cell] = []
         for cell in frontier:
-            for wall, locus in zip(cell.walls, loci.pop(cell.key) if exact else facet_loci(cell)):
-                if locus is None:
+            for wall, facet in zip(cell.walls, cell.facets):
+                if facet is None:
                     continue
                 if exact:
+                    locus = (wall.locus_key(), *facet)
                     if locus not in crossing_points:
-                        crossing_points[locus] = _facet_crossing_point(wall, locus[1:], z0, radius)
+                        crossing_points[locus] = _facet_crossing_point(wall, facet, z0, radius)
                     at = crossing_points[locus]
                 else:
-                    at = _facet_crossing_point(wall, locus[1:], z0, radius)
+                    at = _facet_crossing_point(wall, facet, z0, radius)
                 if at is None:
                     continue
                 neighbor = index.get(locus + (-wall.orientation,)) if exact else None

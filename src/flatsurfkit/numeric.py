@@ -427,10 +427,6 @@ def exact_divisor(x: Scalar) -> Scalar:
     return Fraction(x) if isinstance(x, int) else x
 
 
-def to_float(x: Scalar) -> float:
-    return float(x)
-
-
 # -- serialization ------------------------------------------------------------
 
 
@@ -486,7 +482,7 @@ def vectors_match(v: Vec2, w: Vec2) -> bool:
     d0, d1 = v[0] - w[0], v[1] - w[1]
     tol = 0.0
     if not (is_exact(d0) and is_exact(d1)):
-        tol = FLOAT_TOL * max(abs(to_float(x)) for x in (v[0], v[1], w[0], w[1]))
+        tol = FLOAT_TOL * max(abs(float(x)) for x in (v[0], v[1], w[0], w[1]))
     return sign(d0, tol) == 0 and sign(d1, tol) == 0
 
 def mat_vec(m: Mat2, v: Vec2) -> Vec2:

@@ -26,7 +26,6 @@ from .numeric import (
     mat_det,
     mat_vec,
     sign,
-    to_float,
     vec_neg,
     vec_sub,
     vectors_match,
@@ -294,7 +293,7 @@ def _corner_angle_data(s: Surface, corner: EdgeRef):
     # conj(out) * back, as a complex number over the scalar tower
     re = out_e[0] * back[0] + out_e[1] * back[1]
     im = out_e[0] * back[1] - out_e[1] * back[0]
-    ang = math.atan2(to_float(im), to_float(re))
+    ang = math.atan2(float(im), float(re))
     if ang <= 0:
         ang += 2 * math.pi
     return ang, (re, im)

@@ -26,7 +26,6 @@ from .numeric import (
     mat_inv,
     mat_mul,
     mat_transpose,
-    to_float,
     vec_neg,
     vectors_match,
 )
@@ -89,7 +88,7 @@ class Isometry:
         return hash(self.perm)
 
     def derivative_floats(self) -> Tuple[Tuple[float, float], Tuple[float, float]]:
-        return tuple(tuple(to_float(x) for x in row) for row in self.derivative)
+        return tuple(tuple(float(x) for x in row) for row in self.derivative)
 
     def name_hint(self) -> str:
         """Conventional name by derivative signature (family surfaces only)."""
@@ -159,8 +158,8 @@ def _corner_labels(edge: List[Vec2], nxt: List[int], prev: List[int], glue: List
     sq = [dot(e, e) for e in edge]
     dots = [dot(e, edge[prev[k]]) for k, e in enumerate(edge)]
     if not all(map(is_exact, sq + dots)):
-        sq = [to_float(x) for x in sq]
-        dots = _float_ids([to_float(d) / math.sqrt(sq[k] * sq[prev[k]]) for k, d in enumerate(dots)], False)
+        sq = [float(x) for x in sq]
+        dots = _float_ids([float(d) / math.sqrt(sq[k] * sq[prev[k]]) for k, d in enumerate(dots)], False)
         sq = _float_ids(sq, True)
     index: Dict[tuple, int] = {}
 
@@ -315,7 +314,7 @@ class FixedLocus:
 
 
 def _float_point(v: Vec2) -> Tuple[float, float]:
-    return to_float(v[0]), to_float(v[1])
+    return float(v[0]), float(v[1])
 
 
 def _edge_midpoint(poly: sf.Polygon, i: int) -> Tuple[float, float]:

@@ -16,10 +16,10 @@ from flatsurfkit import isodelaunay as iso
 from flatsurfkit import periods as per
 from flatsurfkit import symmetry as sym
 from flatsurfkit.constructions import TrapezoidShape, ay_surface, origami_check, trapezoid_family
-from flatsurfkit.numeric import ALPHA, CubicNumber, incircle_det, sign, to_float
+from flatsurfkit.numeric import ALPHA, CubicNumber, incircle_det, sign
 from flatsurfkit.surface import cone_points, cut_and_reglue_square, genus
 
-A = to_float(ALPHA)
+A = float(ALPHA)
 
 
 @contextmanager
@@ -67,7 +67,7 @@ def test_criterion_02_delaunay_decomposition():
 
         def length2_profile(p):
             return sorted((v[0] * v[0] + v[1] * v[1] for v in p.edge_vectors()),
-                          key=lambda x: to_float(x))
+                          key=float)
 
         base = length2_profile(trapezoids[0])
         for p in trapezoids[1:]:
@@ -220,13 +220,13 @@ def test_criterion_10_iso_delaunay_tessellation():
                     continue
                 checked.add(wall.oriented_key())
                 h = dl.hinge(cell.triangulation, edge)
-                quad = [(to_float(p[0]), to_float(p[1])) for p in (h.p1, h.p2, h.p3, h.p4)]
+                quad = [(float(p[0]), float(p[1])) for p in (h.p1, h.p2, h.p3, h.p4)]
                 for _ in range(100):
                     x = rnd.uniform(-3.0, 3.0)
                     y = rnd.uniform(0.05, 4.0)
                     moved = [(px + x * py, y * py) for px, py in quad]
                     det = incircle_det(*moved)
-                    q = to_float(wall.evaluate(x * x + y * y, x))
+                    q = float(wall.evaluate(x * x + y * y, x))
                     if abs(q) > 1e-9 and abs(det) > 1e-12:
                         assert (q > 0) == (det > 0)
             assert checked == cell.key

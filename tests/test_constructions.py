@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from flatsurfkit.numeric import ALPHA, CubicNumber, IDENTITY, cross, to_float
+from flatsurfkit.numeric import ALPHA, CubicNumber, IDENTITY, cross
 from flatsurfkit import symmetry as sym
 from flatsurfkit.constructions import (
     ParallelogramShape,
@@ -81,7 +81,7 @@ class TestTrapezoidFamily:
             d = 0.0
             for p, q in zip(ref.polygons, near.polygons):
                 for (x0, y0), (x1, y1) in zip(p.vertices, q.vertices):
-                    d = max(d, math.hypot(to_float(x1) - to_float(x0), to_float(y1) - to_float(y0)))
+                    d = max(d, math.hypot(float(x1) - float(x0), float(y1) - float(y0)))
             assert d < prev
             prev = d
         assert prev < 1e-5

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from flatsurfkit import delaunay as dl
 from flatsurfkit import numeric
 from flatsurfkit.constructions import ay_prime, ay_surface, escalator
-from flatsurfkit.numeric import ALPHA, FLOAT_TOL, CubicNumber, cross, sign, to_float, vec_sub
+from flatsurfkit.numeric import ALPHA, FLOAT_TOL, CubicNumber, cross, sign, vec_sub
 from flatsurfkit.surface import (
     Gluing, Polygon, Surface, TRANSLATION, VERTICAL, apply_linear, cut_and_reglue_square)
 
@@ -76,7 +76,7 @@ class TestHinge:
         # oracle: the determinant of the developed quadrilateral
         from flatsurfkit.numeric import incircle_det
 
-        assert to_float(incircle_det(h.p1, h.p2, h.p3, h.p4)) < 0
+        assert float(incircle_det(h.p1, h.p2, h.p3, h.p4)) < 0
         assert h.is_delaunay() and h.incircle_sign() != 0
 
     def test_flip_status_follows_determinant_sign(self):
@@ -86,7 +86,7 @@ class TestHinge:
 
         for shear in (-0.4, -0.1, 0.1, 0.4):
             h = dl.hinge(sheared_torus_triangulation(shear), (0, 2))
-            det = to_float(incircle_det(h.p1, h.p2, h.p3, h.p4))
+            det = float(incircle_det(h.p1, h.p2, h.p3, h.p4))
             assert (det > 1e-12) == (shear > 0)
             assert h.is_delaunay() == (shear < 0)
 
@@ -96,7 +96,7 @@ class TestFlip:
         t = dl.triangulate(torus)
         diag = (0, 2)
         t2 = dl.flip(dl.flip(t, diag), diag)
-        assert dl.canonical_code(t2, include_mirror=False) == dl.canonical_code(t, include_mirror=False)
+        assert dl.canonical_code(t2) == dl.canonical_code(t)
         assert dl.triangle_shape_multiset(t2) == dl.triangle_shape_multiset(t)
 
     def test_flip_preserves_invariants(self, ay):
@@ -154,8 +154,7 @@ class TestFlip:
             assert out.hinge_cache == {
                 he: he for he in t.half_edges() if he[0] not in tris and t.twin(he)[0] not in tris}
             back = dl.flip(out, edge)
-            for include_mirror in (True, False):
-                assert dl.canonical_code(back, include_mirror) == dl.canonical_code(t, include_mirror)
+            assert dl.canonical_code(back) == dl.canonical_code(t)
             t = out
             flips += 1
         assert flips >= 40
@@ -223,7 +222,7 @@ class TestDecomposition:
             assert vecs == target or vecs == mirrored
         # the four trapezoids are congruent: equal sorted squared lengths
         def profile(p):
-            return sorted(to_float(v[0]) ** 2 + to_float(v[1]) ** 2 for v in p.edge_vectors())
+            return sorted(float(v[0]) ** 2 + float(v[1]) ** 2 for v in p.edge_vectors())
 
         profiles = [profile(p) for p in others]
         for pr in profiles[1:]:
@@ -249,9 +248,9 @@ class TestDecomposition:
         # circle, so each splits into two congruent Delaunay triangles.
         assert sides == [3] * 8 + [4, 4]
         tris = [p for p in dec.polygons if len(p) == 3]
-        prof = sorted(to_float(v[0]) ** 2 + to_float(v[1]) ** 2 for v in tris[0].edge_vectors())
+        prof = sorted(float(v[0]) ** 2 + float(v[1]) ** 2 for v in tris[0].edge_vectors())
         for p in tris[1:]:
-            got = sorted(to_float(v[0]) ** 2 + to_float(v[1]) ** 2 for v in p.edge_vectors())
+            got = sorted(float(v[0]) ** 2 + float(v[1]) ** 2 for v in p.edge_vectors())
             assert all(abs(x - y) < 1e-12 for x, y in zip(got, prof))
 
     def test_torus_single_cell(self, torus):
@@ -327,7 +326,7 @@ def _ref_float_incircle_sign(h: dl.Hinge) -> int:
     det = numeric.incircle_det(h.p1, h.p2, h.p3, h.p4)
     scale = 1.0
     for a, b in ((h.p1, h.p2), (h.p2, h.p3), (h.p3, h.p4), (h.p4, h.p1)):
-        scale *= math.hypot(to_float(b[0]) - to_float(a[0]), to_float(b[1]) - to_float(a[1]))
+        scale *= math.hypot(float(b[0]) - float(a[0]), float(b[1]) - float(a[1]))
     return sign(det / scale, FLOAT_TOL) if scale else sign(det)
 
 
@@ -437,11 +436,12 @@ class TestFilteredPredicatesOnPipelines:
         assert [c for c in calls["orient"] if c[2]] == []
 
 
-def _brute_force_code(t: dl.Triangulation, include_mirror: bool):
-    """The minimum of the full breadth-first codes over every start and walk."""
+def _brute_force_code(t: dl.Triangulation):
+    """The minimum of the full breadth-first codes over every start and walk,
+    forwards and backwards."""
     codes = []
     for start in t.half_edges():
-        for step in ((dl._next, dl._prev) if include_mirror else (dl._next,)):
+        for step in (dl._next, dl._prev):
             labels, order = {}, []
 
             def visit(h):
@@ -476,8 +476,7 @@ class TestCanonicalCode:
                 dl._flip_in_place(t, edges[pick % len(edges)])
             except dl.DelaunayError:
                 pass  # folded, non-convex or single-triangle hinge
-        for include_mirror in (True, False):
-            assert dl.canonical_code(t, include_mirror) == _brute_force_code(t, include_mirror)
+        assert dl.canonical_code(t) == _brute_force_code(t)
 
     def test_relabeling_invariance(self, ay):
         # Renumbering the triangles leaves the code unchanged.
@@ -490,8 +489,7 @@ class TestCanonicalCode:
         glue = {(perm[a], e): (perm[b], f) for (a, e), (b, f) in t.glue.items()}
         signs = {(perm[a], e): v for (a, e), v in t.chart_sign.items()}
         moved = dl.Triangulation(vecs, glue, signs)
-        for include_mirror in (True, False):
-            assert dl.canonical_code(moved, include_mirror) == dl.canonical_code(t, include_mirror)
+        assert dl.canonical_code(moved) == dl.canonical_code(t)
 
 
 def apply_linear_dec(m, dec):
@@ -499,13 +497,13 @@ def apply_linear_dec(m, dec):
 
 
 def _to_float_surface(s: Surface) -> Surface:
-    polys = [Polygon([(to_float(x), to_float(y)) for x, y in p.vertices]) for p in s.polygons]
+    polys = [Polygon([(float(x), float(y)) for x, y in p.vertices]) for p in s.polygons]
     return Surface(polys, s.gluings, s.kind)
 
 
 def _is_square(p: Polygon) -> bool:
     if len(p) != 4:
         return False
-    ev = [(to_float(v[0]), to_float(v[1])) for v in p.edge_vectors()]
+    ev = [(float(v[0]), float(v[1])) for v in p.edge_vectors()]
     l0 = math.hypot(*ev[0])
     return all(abs(math.hypot(*v) - l0) < 1e-9 for v in ev) and abs(ev[0][0] * ev[1][0] + ev[0][1] * ev[1][1]) < 1e-9

@@ -3,6 +3,7 @@
 import hashlib
 import logging
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from flatsurfkit import delaunay as dl
 from flatsurfkit import isodelaunay as iso
 from flatsurfkit import numeric
-from flatsurfkit.numeric import FLOAT_TOL, CubicNumber, incircle_det, is_exact, sign, to_float
+from flatsurfkit.numeric import FLOAT_TOL, CubicNumber, incircle_det, is_exact, sign
 from flatsurfkit.surface import Gluing, Polygon, Surface, TRANSLATION
 
 
@@ -34,7 +35,7 @@ class TestWallOfHinge:
     def test_wall_passes_through_base_point_when_cocircular(self, torus_tri):
         # the square-torus diagonal hinge is cocircular at z = i
         w = iso.wall_of_hinge(torus_tri, (0, 2))
-        assert to_float(w.evaluate(1, 0)) == 0.0
+        assert float(w.evaluate(1, 0)) == 0.0
 
     def test_sign_oracle_random_points(self, ay):
         # for every hinge wall, the sign of a(x^2+y^2)+bx+c agrees with the
@@ -48,7 +49,7 @@ class TestWallOfHinge:
                 x = rnd.uniform(-2.0, 2.0)
                 y = rnd.uniform(0.05, 3.0)
                 quad = [
-                    (to_float(p[0]) + x * to_float(p[1]), y * to_float(p[1]))
+                    (float(p[0]) + x * float(p[1]), y * float(p[1]))
                     for p in (h.p1, h.p2, h.p3, h.p4)
                 ]
                 det = incircle_det(*quad)
@@ -56,7 +57,7 @@ class TestWallOfHinge:
                     if w == iso.ALWAYS:
                         assert det < 1e-9
                     continue
-                q = to_float(w.evaluate(x * x + y * y, x))
+                q = float(w.evaluate(x * x + y * y, x))
                 if abs(q) > 1e-9 and abs(det) > 1e-12:
                     assert (q > 0) == (det > 0)
 
@@ -78,7 +79,7 @@ class TestWallOfHinge:
                 for x in (-3.0, -0.5, 0.0, 0.5, 3.0):
                     for y in (0.1, 1.0, 5.0):
                         quad = [
-                            (to_float(p[0]) + x * to_float(p[1]), y * to_float(p[1]))
+                            (float(p[0]) + x * float(p[1]), y * float(p[1]))
                             for p in (h.p1, h.p2, h.p3, h.p4)
                         ]
                         det = incircle_det(*quad)
@@ -117,7 +118,7 @@ class TestCellAt:
 def sign_is_zero(v):
     from flatsurfkit.numeric import sign, is_exact
 
-    return sign(v) == 0 if is_exact(v) else abs(to_float(v)) < 1e-9
+    return sign(v) == 0 if is_exact(v) else abs(float(v)) < 1e-9
 
 
 class TestExplore:
@@ -428,8 +429,7 @@ class TestExactBallPins:
         # Both ends of each adjacency (a, b, w) hold a facet on w's locus
         # with equal exact ends: the tessellation is edge-to-edge there.
         tess, _, _ = ball
-        ends = {c.key: {(w.locus_key(), line.value(lo), line.value(hi))
-                        for w, (line, lo, hi) in zip(c.walls, c.facets)} for c in tess.cells}
+        ends = {c.key: {(w.locus_key(), *f) for w, f in zip(c.walls, c.facets)} for c in tess.cells}
         for a, b, w in tess.adjacency:
             assert len([f for f in ends[a] & ends[b] if f[0] == w.locus_key()]) == 1
 
@@ -561,7 +561,6 @@ class TestExactKeys:
 
     def test_a_tessellation_survives_copy_and_pickle(self, ball):
         import copy
-        import pickle
 
         # A frozenset is rebuilt by insertion, so a clone's key may print in
         # another order, as plain tuples do.
@@ -638,38 +637,16 @@ def _ref_supporting_interval(target, others):
     return None
 
 
-class _RefLine:
-    """The line of a reference facet, whose bounds are values already."""
-
-    @staticmethod
-    def value(x):
-        return x
-
-
-def _ref_facet(target, others):
-    """_facet with the reference's bounds: (_RefLine, lo, hi) or None."""
-    interval = _ref_supporting_interval(target, others)
-    return None if interval is None else (_RefLine, *interval)
-
-
-def _interval(facet):
-    """The parameter interval (lo, hi) of a facet (line, lo, hi), or None."""
-    if facet is None:
-        return None
-    line, lo, hi = facet
-    return (line.value(lo), line.value(hi))
-
-
 def _same_interval(got, want):
     if want is None or got is None:
         return got is want
-    return all(g == w and (g is None or to_float(g) == to_float(w)) for g, w in zip(got, want))
+    return all(g == w and (g is None or float(g) == float(w)) for g, w in zip(got, want))
 
 
 def _assert_facets_match_reference(walls):
     for target in walls:
         want = _ref_supporting_interval(target, walls)
-        assert _same_interval(_interval(iso._facet(target, walls)), want)
+        assert _same_interval(iso._facet(target, walls), want)
 
 
 class TestFilteredPredicates:
@@ -711,7 +688,7 @@ class TestFilteredPredicates:
                 bad.append(("facet", target))
             elif got is not None:
                 seen["interval"] += 1
-                if not _same_interval(_interval(got), want):
+                if not _same_interval(got, want):
                     bad.append(("interval", target))
             return got
 
@@ -727,7 +704,7 @@ class TestFilteredPredicates:
             tess = iso.explore(s, z0, radius)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(iso.Wall, "side", lambda wall, u, v, fu, fv: _ref_side(wall, u, v))
-            mp.setattr(iso, "_facet", _ref_facet)
+            mp.setattr(iso, "_facet", _ref_supporting_interval)
             ref = iso.explore(s, z0, radius)
         assert (len(tess.cells), len(tess.all_walls()), len(tess.adjacency)) == counts
         return tess, ref, bad, seen
@@ -1346,8 +1323,8 @@ def _sampled_crossing_point(wall, interval, z0, radius):
     """_facet_crossing_point as it sampled before it was optimized: every
     sample built as an HPoint and measured with hyperbolic_distance."""
     lo, hi = interval
-    lo_f = None if lo is None else to_float(lo)
-    hi_f = None if hi is None else to_float(hi)
+    lo_f = None if lo is None else float(lo)
+    hi_f = None if hi is None else float(hi)
     a, b, c = wall.fa, wall.fb, wall.fc
     samples = []
     if abs(a) > 1e-300:
@@ -1409,7 +1386,7 @@ class TestFacetCrossingPoint:
         for cell in tess.cells:
             for wall, facet in zip(cell.walls, cell.facets):
                 if facet is not None:
-                    out.append((wall, _interval(facet)))
+                    out.append((wall, facet))
         return out
 
     @pytest.mark.parametrize("z0, radius", [(Z0, 1.0), (Z0, 0.3), (Z0, 3.0), (iso.HPoint(0.3, 0.2), 2.0)])
@@ -1467,7 +1444,7 @@ class TestFacetCrossingPoint:
 
 def _float_bounds(facet):
     """A float facet's bounds, bit for bit, or None."""
-    return None if facet is None else tuple(None if x is None else x.hex() for x in facet[1:])
+    return None if facet is None else tuple(None if x is None else x.hex() for x in facet)
 
 
 class TestCellFacets:
@@ -1504,10 +1481,18 @@ class TestCellFacets:
 
     def test_facets_are_the_reference_pass(self, ball):
         name, tess, _, facets = ball
+        # Each facet is None or (lo, hi): exact scalars or None on exact
+        # input, floats or None on float input; no line or bound object is
+        # kept, so none is reachable from the tessellation.
+        plain = (int, Fraction, CubicNumber) if tess.surface.is_exact() else float
+        for _, f, _ in facets:
+            assert f is None or (type(f) is tuple and len(f) == 2
+                                 and all(x is None or isinstance(x, plain) for x in f))
+        assert not any(cls in pickle.dumps(tess) for cls in (b"_ExactLine", b"_FloatLine", b"_Bound"))
         assert sum(ref is None for _, _, ref in facets) == self.NONE_FACETS.get(name, 0)
         if tess.surface.is_exact():
             # The same exact bounds, inside H and beyond it.
-            assert all(_same_interval(_interval(f), _interval(ref)) for _, f, ref in facets)
+            assert all(_same_interval(f, ref) for _, f, ref in facets)
         else:
             assert [_float_bounds(f) for _, f, _ in facets] == [_float_bounds(ref) for _, _, ref in facets]
 
@@ -1515,8 +1500,8 @@ class TestCellFacets:
         _, _, radius, facets = ball
         for w, f, ref in facets:
             if ref is not None:
-                got = iso._facet_crossing_point(w, _interval(f), self.Z0, radius)
-                assert _same_point(got, iso._facet_crossing_point(w, _interval(ref), self.Z0, radius))
+                got = iso._facet_crossing_point(w, f, self.Z0, radius)
+                assert _same_point(got, iso._facet_crossing_point(w, ref, self.Z0, radius))
 
 
 class TestRenderSvg:

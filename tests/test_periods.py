@@ -7,7 +7,7 @@ import re
 import pytest
 
 from flatsurfkit import periods
-from flatsurfkit.numeric import ALPHA, to_float
+from flatsurfkit.numeric import ALPHA
 from flatsurfkit.periods import (
     BranchAmbiguityError,
     CurveA,
@@ -27,7 +27,7 @@ from flatsurfkit.periods import (
     solve_tu,
 )
 
-A = to_float(ALPHA)
+A = float(ALPHA)
 T_AY = 1.91709843377
 U_AY = 2.07067976690
 

@@ -19,7 +19,6 @@ from flatsurfkit.numeric import (
     mat_transpose,
     mat_vec,
     sign,
-    to_float,
     vec_neg,
     vec_scale,
     vec_sub,
@@ -136,7 +135,7 @@ class TestAYGroup:
         for iso in ay_isometries:
             g = mat_mul(mat_transpose(iso.derivative), iso.derivative)
             assert all(
-                abs(to_float(g[i][j]) - (1.0 if i == j else 0.0)) < 1e-12
+                abs(float(g[i][j]) - (1.0 if i == j else 0.0)) < 1e-12
                 for i in range(2) for j in range(2)
             )
 
@@ -276,7 +275,7 @@ def _ref_edges_onto_partner(iso):
         if (q, j) == s.partner((p, i)):
             poly = s.polygons[p]
             v0, v1 = poly.vertices[i], poly.vertices[(i + 1) % len(poly)]
-            yield p, (to_float(v0[0]), to_float(v0[1])), (to_float(v1[0]), to_float(v1[1]))
+            yield p, (float(v0[0]), float(v0[1])), (float(v1[0]), float(v1[1]))
 
 
 def _ref_reflection_axis_direction(deriv):
@@ -298,7 +297,7 @@ def _ref_fixed_line_in_cell(iso, p, t):
     lo_f, hi_f = -math.inf, math.inf
     for i in range(len(poly)):
         e = poly.edge_vector(i)
-        af, bf = to_float(cross(e, u)), to_float(cross(e, vec_sub(x0, poly.vertices[i])))
+        af, bf = float(cross(e, u)), float(cross(e, vec_sub(x0, poly.vertices[i])))
         if abs(af) < 1e-15:
             if bf < -1e-12:
                 return None
@@ -310,8 +309,8 @@ def _ref_fixed_line_in_cell(iso, p, t):
             hi_f = min(hi_f, s_bound)
     if lo_f >= hi_f - 1e-12:
         return None
-    uf = (to_float(u[0]), to_float(u[1]))
-    x0f = (to_float(x0[0]), to_float(x0[1]))
+    uf = (float(u[0]), float(u[1]))
+    x0f = (float(x0[0]), float(x0[1]))
     return (x0f[0] + lo_f * uf[0], x0f[1] + lo_f * uf[1]), (x0f[0] + hi_f * uf[0], x0f[1] + hi_f * uf[1])
 
 
@@ -331,7 +330,7 @@ def reference_fixed_points(iso):
                 continue
             x = mat_vec(mat_inv(m), t)
             if _ref_point_in_interior(s.polygons[p], x):
-                locus.points.append(sym.LocatedPoint(p, (to_float(x[0]), to_float(x[1])), "interior"))
+                locus.points.append(sym.LocatedPoint(p, (float(x[0]), float(x[1])), "interior"))
         for p, v0, v1 in _ref_edges_onto_partner(iso):
             mid = ((v0[0] + v1[0]) / 2, (v0[1] + v1[1]) / 2)
             locus.points.append(sym.LocatedPoint(p, mid, "edge-midpoint"))
@@ -339,7 +338,7 @@ def reference_fixed_points(iso):
             if cycle_of[iso.image(cyc[0])] == k:
                 p, i = cyc[0]
                 v = s.polygons[p].vertices[i]
-                locus.points.append(sym.LocatedPoint(p, (to_float(v[0]), to_float(v[1])), "vertex"))
+                locus.points.append(sym.LocatedPoint(p, (float(v[0]), float(v[1])), "vertex"))
         return locus
 
     def endpoint_key(p, xy):
@@ -347,12 +346,12 @@ def reference_fixed_points(iso):
         n = len(poly)
         for i in range(n):
             v = poly.vertices[i]
-            if math.hypot(to_float(v[0]) - xy[0], to_float(v[1]) - xy[1]) < FLOAT_TOL:
+            if math.hypot(float(v[0]) - xy[0], float(v[1]) - xy[1]) < FLOAT_TOL:
                 return ("vertex", cycle_of[(p, i)])
         for i in range(n):
             v0, v1 = poly.vertices[i], poly.vertices[(i + 1) % n]
-            ex, ey = to_float(v1[0]) - to_float(v0[0]), to_float(v1[1]) - to_float(v0[1])
-            px, py = xy[0] - to_float(v0[0]), xy[1] - to_float(v0[1])
+            ex, ey = float(v1[0]) - float(v0[0]), float(v1[1]) - float(v0[1])
+            px, py = xy[0] - float(v0[0]), xy[1] - float(v0[1])
             ll = ex * ex + ey * ey
             t = (px * ex + py * ey) / ll
             d = abs(px * ey - py * ex) / math.sqrt(ll)
@@ -553,7 +552,7 @@ def reference_isometries_between(dec_a, dec_b):
     out = []
     u1, u2 = _ref_corner_edges(dec_a, (0, 0))
     gram = (dot(u1, u1), dot(u2, u2), dot(u1, u2))
-    n1, n2 = to_float(gram[0]), to_float(gram[1])
+    n1, n2 = float(gram[0]), float(gram[1])
     tols = (2 * FLOAT_TOL * n1, 2 * FLOAT_TOL * n2, 2 * FLOAT_TOL * math.sqrt(n1 * n2))
     for q, poly in enumerate(dec_b.polygons):
         for j in range(len(poly)):
