@@ -11,9 +11,19 @@ adjacent to an edge, developed into one chart.  A hinge is Delaunay when
 the opposite vertex is not strictly inside the circumcircle of the other
 triangle.  On exact scalars this decision, and the orientations that allow
 a flip, are exact, taken in doubles where a proven bound separates the
-value from 0, else exactly (numeric.incircle_sign, numeric.turn_signs); on
+value from 0, else exactly (numeric.incircle_filter, numeric.turn_signs); on
 floats the lifted determinant is normalized by the product of the
 quadrilateral's edge lengths (tolerance numeric.FLOAT_TOL).
+
+An exact triangulation keeps those doubles: `doubles` holds float() of
+each edge vector's coordinates beside vecs (None for a vector whose double
+overflows).  The first incircle test builds them, copies carry them, and
+_flip_in_place, the one writer of vecs, keeps them in step: a moved vector's
+doubles are negated where its chart factor is -1, and only the new
+diagonal takes a fresh float().  A hinge's doubles are then read, not
+computed (_hinge_doubles), and its exact points are built only where the
+doubles leave a sign undecided or a flip needs its new diagonal.  A float
+triangulation has none.
 
 delaunayize and isodelaunay.delaunayize_at share one FIFO flip loop,
 flip_until, and differ only in the test that says a hinge needs a flip.
@@ -43,8 +53,10 @@ from .numeric import (
     Vec2,
     cross,
     incircle_det,
+    incircle_filter,
     incircle_sign,
     is_exact,
+    scaled_doubles,
     sign,
     turn_signs,
     vec_add,
@@ -79,6 +91,11 @@ class Triangulation:
     hinge_cache maps a half-edge to a value computed from its hinge alone.
     Only _flip_in_place writes vecs, glue and chart_sign, so it is the one
     place that drops entries; copy() carries the cache over in a new dict.
+
+    doubles mirrors vecs with (float(x), float(y)) per edge vector, or None
+    where a double overflows.  It is None until kept_doubles() first builds
+    it, and stays None on a float triangulation; _flip_in_place keeps it in
+    step with vecs, and copy() carries it over in new lists.
     """
 
     def __init__(
@@ -92,6 +109,7 @@ class Triangulation:
         self.chart_sign = dict(chart_sign)
         self.flip_count = 0
         self.hinge_cache: Dict[HalfEdge, object] = {}
+        self.doubles: Optional[List[List[Optional[Tuple[float, float]]]]] = None
 
     # -- basics ----------------------------------------------------------------
 
@@ -116,10 +134,18 @@ class Triangulation:
         out = Triangulation(self.vecs, self.glue, self.chart_sign)
         out.flip_count = self.flip_count
         out.hinge_cache = dict(self.hinge_cache)
+        if self.doubles is not None:
+            out.doubles = [list(tri) for tri in self.doubles]
         return out
 
     def is_exact(self) -> bool:
         return all(is_exact(v[0]) and is_exact(v[1]) for tri in self.vecs for v in tri)
+
+    def kept_doubles(self) -> Optional[List[List[Optional[Tuple[float, float]]]]]:
+        """doubles, built on the first call; None on a float triangulation."""
+        if self.doubles is None and self.is_exact():
+            self.doubles = [[_double_pair(v) for v in tri] for tri in self.vecs]
+        return self.doubles
 
     def corner_position(self, h: HalfEdge) -> Vec2:
         """Position of the corner at the start of h, in its triangle's chart."""
@@ -201,6 +227,39 @@ def hinge(t: Triangulation, edge: HalfEdge) -> Hinge:
     return Hinge(edge, p1, p2, p3, p4, tw == edge)
 
 
+def _double_pair(v: Vec2) -> Optional[Tuple[float, float]]:
+    try:
+        return (float(v[0]), float(v[1]))
+    except OverflowError:
+        return None
+
+
+def _hinge_doubles(t: Triangulation, kept, edge: HalfEdge) -> Optional[List[float]]:
+    """The scaled doubles of hinge(t, edge)'s eight coordinates, as
+    numeric._filter_doubles would make them, read from kept (t's doubles,
+    or None): p1 = 0, p2 = +-vec(next twin), p3 = vec(e) and p4 =
+    -vec(prev e), which equals vec(e) + vec(next e) exactly.  None without
+    kept doubles or where one of the three vectors overflows."""
+    if kept is None:
+        return None
+    tri, e = edge
+    tw, tw_e = t.glue[edge]
+    a, c, u = kept[tri][e], kept[tri][(e + 2) % 3], kept[tw][(tw_e + 1) % 3]
+    if a is None or c is None or u is None:
+        return None
+    if t.chart_sign[edge] == -1:
+        u = vec_neg(u)
+    return scaled_doubles([0.0, 0.0, u[0], u[1], a[0], a[1], -c[0], -c[1]])
+
+
+def _incircle_sign(t: Triangulation, edge: HalfEdge) -> int:
+    """hinge(t, edge).incircle_sign(), filtered on t's kept doubles; the
+    hinge is built only where they leave the sign undecided."""
+    f = _hinge_doubles(t, t.kept_doubles(), edge)
+    s = incircle_filter(f) if f is not None else 0
+    return s or hinge(t, edge).incircle_sign()
+
+
 # -- triangulate --------------------------------------------------------------------
 
 
@@ -266,7 +325,10 @@ def _flip_in_place(t: Triangulation, edge: HalfEdge) -> None:
     h = hinge(t, edge)
     if h.folded:
         raise DelaunayError(f"cannot flip folded edge {edge}")
-    if not h.is_strictly_convex():
+    # Read, not built: isodelaunay.delaunayize_at flips on wall signs and
+    # takes no incircle sign, so building the doubles would serve one test.
+    kept = t.doubles
+    if not all(s > 0 for s in turn_signs((h.p1, h.p2, h.p3, h.p4), _hinge_doubles(t, kept, edge))):
         raise DelaunayError(f"cannot flip non-convex hinge at {edge}")
     a = edge
     ta = a[0]
@@ -294,6 +356,8 @@ def _flip_in_place(t: Triangulation, edge: HalfEdge) -> None:
         w: ((tb, (fb + 1) % 3), eps),
     }
     old = {key: (t.vec(key), t.glue[key], t.chart_sign[key]) for key in move}
+    if kept is not None:
+        moved = [(slot, r, kept[key[0]][key[1]]) for key, (slot, r) in move.items()]
     # Every edge with a side in ta or tb keeps its outside partner, so one
     # drop before the mutation covers both gluings.
     _drop_hinges(t, (ta, tb))
@@ -306,6 +370,11 @@ def _flip_in_place(t: Triangulation, edge: HalfEdge) -> None:
         t.chart_sign[slot] = t.chart_sign[partner_slot] = s_old * r * partner_r
     t.vecs[ta][ea] = vec_sub(q1, q2)
     t.vecs[tb][fb] = vec_sub(q2, q1)
+    if kept is not None:
+        for slot, r, d in moved:
+            kept[slot[0]][slot[1]] = d if r == 1 or d is None else vec_neg(d)
+        d = kept[ta][ea] = _double_pair(t.vecs[ta][ea])
+        kept[tb][fb] = None if d is None else vec_neg(d)
     t.glue[a], t.glue[tw] = tw, a
     t.chart_sign[a] = t.chart_sign[tw] = 1
     t.flip_count += 1
@@ -358,7 +427,7 @@ def flip_until(t: Triangulation, needs_flip: Callable[[Triangulation, HalfEdge],
 
 
 def _not_delaunay(t: Triangulation, edge: HalfEdge) -> bool:
-    return not hinge(t, edge).is_delaunay()
+    return _incircle_sign(t, edge) > 0
 
 
 def delaunayize(t: Triangulation) -> Triangulation:
@@ -367,7 +436,7 @@ def delaunayize(t: Triangulation) -> Triangulation:
 
 
 def is_delaunay_triangulation(t: Triangulation) -> bool:
-    return all(hinge(t, e).is_delaunay() for e in t.edges())
+    return all(_incircle_sign(t, e) <= 0 for e in t.edges())
 
 
 # -- decomposition -------------------------------------------------------------------
@@ -375,11 +444,20 @@ def is_delaunay_triangulation(t: Triangulation) -> bool:
 
 def _canonical_chain(points: List[Point]) -> Tuple[List[Point], int]:
     """Lexicographically smallest rotation, translated to start at the
-    origin: the first such rotation and its offset."""
+    origin: the first such rotation and its offset.
+
+    The candidate offsets are narrowed one chain entry at a time, so only
+    the rotations still tied at an entry compute it."""
     n = len(points)
-    rots = [[vec_sub(v, points[r]) for v in points[r:] + points[:r]] for r in range(n)]
-    r = min(range(n), key=rots.__getitem__)
-    return rots[r], r
+    cands = list(range(n))
+    for k in range(1, n):
+        if len(cands) == 1:
+            break
+        entries = [vec_sub(points[(r + k) % n], points[r]) for r in cands]
+        least = min(entries)
+        cands = [r for r, v in zip(cands, entries) if v == least]
+    r = cands[0]
+    return [vec_sub(v, points[r]) for v in points[r:] + points[:r]], r
 
 
 def decomposition(t: Triangulation) -> Surface:
@@ -403,7 +481,7 @@ def decomposition(t: Triangulation) -> Surface:
     internal: Dict[HalfEdge, bool] = {}
     for e in t.edges():
         tw = t.twin(e)
-        s = hinge(t, e).incircle_sign()
+        s = _incircle_sign(t, e)
         if s > 0:
             raise DelaunayError("decomposition requires a Delaunay triangulation")
         internal[e] = internal[tw] = tw != e and s == 0

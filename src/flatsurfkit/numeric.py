@@ -532,14 +532,9 @@ def filtered_sign(x: float, mag: float, eps: float) -> int:
     return (x > t) - (x < -t)
 
 
-def _filter_doubles(coords: Sequence[Scalar]) -> Optional[List[float]]:
-    """Exact coordinates as doubles, each taken once and all scaled by one
-    power of two so that none exceeds 1 in magnitude; None when a double
-    overflows."""
-    try:
-        c = [float(x) for x in coords]
-    except OverflowError:
-        return None
+def scaled_doubles(c: List[float]) -> List[float]:
+    """The doubles c, all scaled by one power of two so that none exceeds 1
+    in magnitude."""
     m = max(map(abs, c))
     if m > 1.0:
         s = ldexp(1.0, -frexp(m)[1])
@@ -547,15 +542,29 @@ def _filter_doubles(coords: Sequence[Scalar]) -> Optional[List[float]]:
     return c
 
 
+def _filter_doubles(coords: Sequence[Scalar]) -> Optional[List[float]]:
+    """Exact coordinates as doubles, each taken once, under scaled_doubles;
+    None when a double overflows."""
+    try:
+        c = [float(x) for x in coords]
+    except OverflowError:
+        return None
+    return scaled_doubles(c)
+
+
 # The orientation filter.  With u = 2**-53, a coordinate's double is within
 # 2u of it, relatively: float(CubicNumber) is within one ulp, float(int) and
 # float(Fraction) are correctly rounded, and scaling by a power of two is
-# exact.  Count the error of each monomial of the coordinates in units of u,
-# summed over the paths from its coordinates to the result: a coordinate's
-# double is 2 units off and its difference adds 1, so each factor of
-# (b_x - a_x)(c_y - a_y) is 3 off; the product adds 1 and the subtraction 1:
-# 8.  So the computed cross product is the exact one with each monomial off
-# by a factor within gamma_8 = 8u / (1 - 8u) of 1, and its error is at most
+# exact.  The doubles may come from a cache: delaunay keeps float() of each
+# coordinate of an exact triangulation's edge vectors and hands them over
+# negated where a point is a negated vector; float() is odd, so these are
+# the doubles of the points themselves.  Count the error of each monomial
+# of the coordinates in units of u, summed over the paths from its
+# coordinates to the result: a coordinate's double is 2 units off and its
+# difference adds 1, so each factor of (b_x - a_x)(c_y - a_y) is 3 off; the
+# product adds 1 and the subtraction 1: 8.  So the computed cross product
+# is the exact one with each monomial off by a factor within
+# gamma_8 = 8u / (1 - 8u) of 1, and its error is at most
 # gamma_8 times the sum of the monomials' magnitudes.  That sum is the same
 # expression on the magnitudes,
 # (|b_x| + |a_x|)(|c_y| + |a_y|) + (|b_y| + |a_y|)(|c_x| + |a_x|), whose double
@@ -590,31 +599,75 @@ _ORIENT_EPS = 2.0 ** -49
 # underflow (2**-1074 each, as above) moves it by at most 768 * 2**-1074;
 # the 12 products inside lifts and minors (cofactor at most 8) and the 3
 # outer products add 99 * 2**-1075.  That is below 2**10 * 2**-1074, far
-# below _TINY.
+# below _TINY.  A hinge's p4 is vec(e) + vec(next e), which equals
+# -vec(prev e) exactly on an exact triangle, so the double delaunay hands
+# over for p4 is -float(vec(prev e)), the double of p4 itself.
 _INCIRCLE_EPS = 2.0 ** -48
 
 
-def turn_signs(pts: Sequence[Point]) -> Iterator[int]:
+def orient_filter(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> int:
+    """The sign of cross(b - a, c - a) on the exact points whose scaled
+    doubles these are, or 0 when the bound of _ORIENT_EPS leaves it
+    undecided."""
+    return filtered_sign(
+        (bx - ax) * (cy - ay) - (by - ay) * (cx - ax),
+        (abs(bx) + abs(ax)) * (abs(cy) + abs(ay)) + (abs(by) + abs(ay)) * (abs(cx) + abs(ax)),
+        _ORIENT_EPS,
+    )
+
+
+def incircle_filter(f: Sequence[float]) -> int:
+    """The sign of incircle_det on the exact points whose scaled doubles f
+    holds (p1x, p1y, ..., p4y), evaluated in the order of incircle_det, or
+    0 when the bound of _INCIRCLE_EPS leaves it undecided."""
+    ax, ay, bx, by, cx, cy, dx, dy = f
+    adx = ax - dx
+    ady = ay - dy
+    bdx = bx - dx
+    bdy = by - dy
+    cdx = cx - dx
+    cdy = cy - dy
+    alift = adx * adx + ady * ady
+    blift = bdx * bdx + bdy * bdy
+    clift = cdx * cdx + cdy * cdy
+    # The same on magnitudes.
+    dx, dy = abs(dx), abs(dy)
+    madx = abs(ax) + dx
+    mady = abs(ay) + dy
+    mbdx = abs(bx) + dx
+    mbdy = abs(by) + dy
+    mcdx = abs(cx) + dx
+    mcdy = abs(cy) + dy
+    return filtered_sign(
+        alift * (bdx * cdy - cdx * bdy)
+        - blift * (adx * cdy - cdx * ady)
+        + clift * (adx * bdy - bdx * ady),
+        (madx * madx + mady * mady) * (mbdx * mcdy + mcdx * mbdy)
+        + (mbdx * mbdx + mbdy * mbdy) * (madx * mcdy + mcdx * mady)
+        + (mcdx * mcdx + mcdy * mcdy) * (madx * mbdy + mbdx * mady),
+        _INCIRCLE_EPS,
+    )
+
+
+def turn_signs(pts: Sequence[Point], f: Optional[Sequence[float]] = None) -> Iterator[int]:
     """orient(pts[i], pts[i + 1], pts[i + 2]) for i = 0, 1, ..., len(pts) - 1,
     indices taken mod len(pts), one at a time.
 
     On exact points every coordinate is converted to a double once, all of
     them under one scale (_filter_doubles), and each turn takes its sign from
-    those doubles where the bound of _ORIENT_EPS decides it, exactly
-    otherwise; float points take the sign of their float cross products.
+    those doubles where orient_filter decides it, exactly otherwise; float
+    points take the sign of their float cross products.  A caller that keeps
+    the doubles of exact points passes them, scaled, as f.
     """
-    coords = [x for p in pts for x in p]
-    f = _filter_doubles(coords) if float not in map(type, coords) else None
+    if f is None:
+        coords = [x for p in pts for x in p]
+        if float not in map(type, coords):
+            f = _filter_doubles(coords)
     n = len(pts)
     for i in range(n):
         j, k = (i + 1) % n, (i + 2) % n
         if f is not None:
-            ax, ay, bx, by, cx, cy = f[2 * i], f[2 * i + 1], f[2 * j], f[2 * j + 1], f[2 * k], f[2 * k + 1]
-            s = filtered_sign(
-                (bx - ax) * (cy - ay) - (by - ay) * (cx - ax),
-                (abs(bx) + abs(ax)) * (abs(cy) + abs(ay)) + (abs(by) + abs(ay)) * (abs(cx) + abs(ax)),
-                _ORIENT_EPS,
-            )
+            s = orient_filter(f[2 * i], f[2 * i + 1], f[2 * j], f[2 * j + 1], f[2 * k], f[2 * k + 1])
             if s:
                 yield s
                 continue
@@ -648,43 +701,17 @@ def incircle(p1: Point, p2: Point, p3: Point, p4: Point) -> int:
 def incircle_sign(p1: Point, p2: Point, p3: Point, p4: Point) -> int:
     """sign(incircle_det(p1, p2, p3, p4)).
 
-    On exact points the determinant is evaluated in doubles, in the order of
-    incircle_det, and its sign is taken where the bound of _INCIRCLE_EPS
-    decides it; otherwise, and on float points, incircle_det gives it.
+    On exact points the determinant is evaluated in doubles
+    (_filter_doubles, incircle_filter), and its sign is taken where the
+    bound of _INCIRCLE_EPS decides it; otherwise, and on float points,
+    incircle_det gives it.
     """
     coords = (*p1, *p2, *p3, *p4)
     if float not in map(type, coords):
         f = _filter_doubles(coords)
-        if f is not None:
-            ax, ay, bx, by, cx, cy, dx, dy = f
-            adx = ax - dx
-            ady = ay - dy
-            bdx = bx - dx
-            bdy = by - dy
-            cdx = cx - dx
-            cdy = cy - dy
-            alift = adx * adx + ady * ady
-            blift = bdx * bdx + bdy * bdy
-            clift = cdx * cdx + cdy * cdy
-            # The same on magnitudes.
-            dx, dy = abs(dx), abs(dy)
-            madx = abs(ax) + dx
-            mady = abs(ay) + dy
-            mbdx = abs(bx) + dx
-            mbdy = abs(by) + dy
-            mcdx = abs(cx) + dx
-            mcdy = abs(cy) + dy
-            s = filtered_sign(
-                alift * (bdx * cdy - cdx * bdy)
-                - blift * (adx * cdy - cdx * ady)
-                + clift * (adx * bdy - bdx * ady),
-                (madx * madx + mady * mady) * (mbdx * mcdy + mcdx * mbdy)
-                + (mbdx * mbdx + mbdy * mbdy) * (madx * mcdy + mcdx * mady)
-                + (mcdx * mcdx + mcdy * mcdy) * (madx * mbdy + mbdx * mady),
-                _INCIRCLE_EPS,
-            )
-            if s:
-                return s
+        s = incircle_filter(f) if f is not None else 0
+        if s:
+            return s
     return sign(incircle_det(p1, p2, p3, p4))
 
 

@@ -179,6 +179,73 @@ class TestFlip:
                 dl.flip(t, (0, 1))
 
 
+def _float_pairs(t: dl.Triangulation):
+    return [[(float(x), float(y)) for x, y in tri] for tri in t.vecs]
+
+
+@functools.lru_cache(maxsize=None)
+def _doubles_base(name: str) -> dl.Triangulation:
+    return dl.triangulate({
+        "ay": ay_surface,
+        "ay_prime": ay_prime,
+        "escalator": escalator,
+        "ay_cut": lambda: cut_and_reglue_square(ay_surface(), 0),
+    }[name]())
+
+
+class TestKeptDoubles:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["ay", "ay_prime", "escalator", "ay_cut"]), st.integers(0, 2 ** 32))
+    def test_flips_keep_the_doubles_of_their_vectors(self, name, seed):
+        # ay_cut glues with chart sign -1, so its flips move vectors with a
+        # chart factor of -1, whose doubles are negated.
+        t = _doubles_base(name).copy()
+        assert t.kept_doubles() == _float_pairs(t)
+        rng = random.Random(seed)
+        flips = 0
+        for _ in range(30):
+            edge = rng.choice(t.edges())
+            h = dl.hinge(t, edge)
+            if h.folded or not h.is_strictly_convex() or t.twin(edge)[0] == edge[0]:
+                continue
+            out = dl.flip(t, edge)
+            assert out.doubles == _float_pairs(out)
+            assert out.doubles is not t.doubles
+            assert all(a is not b for a, b in zip(out.doubles, t.doubles))
+            t = out
+            flips += 1
+        assert flips >= 5
+
+    def test_copies_never_share_the_doubles(self, ay):
+        m = ((ALPHA.inverse(), CubicNumber(0)), (CubicNumber(0), ALPHA))
+        t = dl.triangulate(apply_linear(m, ay))
+        t.kept_doubles()
+        edge = next(e for e in t.edges() if t.twin(e)[0] != e[0] and dl.hinge(t, e).is_strictly_convex())
+        for out in (t.copy(), dl.flip(t, edge), dl.delaunayize(t)):
+            assert out.doubles is not t.doubles
+            assert all(a is not b for a, b in zip(out.doubles, t.doubles))
+            out.doubles[0][0] = None
+            assert t.doubles == _float_pairs(t)
+        assert t.copy().doubles == t.doubles
+
+    def test_the_first_incircle_test_builds_them(self, ay):
+        t = dl.triangulate(ay)
+        assert t.doubles is None
+        out = dl.delaunayize(t)
+        assert t.doubles is None  # delaunayize works on a copy
+        assert out.doubles == _float_pairs(out)
+
+    def test_a_float_triangulation_holds_none(self):
+        from flatsurfkit.constructions import ay_trapezoid_shape, trapezoid_family
+
+        for s in (trapezoid_family(ay_trapezoid_shape()), _to_float_surface(apply_linear(((1, 7), (0, 1)), ay_surface()))):
+            t = dl.triangulate(s)
+            out = dl.delaunayize(t)
+            dl.decomposition(out)
+            for tri in (t, out, out.copy()):
+                assert tri.kept_doubles() is None and tri.doubles is None
+
+
 class TestDelaunayize:
     def test_ay_fan_is_already_delaunay(self, ay):
         t = dl.triangulate(ay)
@@ -196,6 +263,22 @@ class TestDelaunayize:
         t = dl.delaunayize(dl.triangulate(apply_linear(m, ay)))
         assert dl.is_delaunay_triangulation(t)
         assert t.flip_count == 2  # regression-tracked
+
+    @pytest.mark.parametrize("scale", [10 ** 400, Fraction(1, 10 ** 400)], ids=["overflow", "underflow"])
+    def test_scale_does_not_change_the_flips(self, scale):
+        # At 10**400 no coordinate has a double, at 10**-400 every double is
+        # 0: every sign takes the exact path, with the unscaled result.
+        base = apply_linear(((1, 7), (0, 1)), ay_surface())
+        ref = dl.delaunayize(dl.triangulate(base))
+        t = dl.delaunayize(dl.triangulate(apply_linear(((scale, 0), (0, scale)), base)))
+        assert t.flip_count == ref.flip_count == 29
+        assert (t.glue, t.chart_sign) == (ref.glue, ref.chart_sign)
+        if scale > 1:
+            assert t.doubles and all(d is None for tri in t.doubles for d in tri)
+        dec, ref_dec = dl.decomposition(t), dl.decomposition(ref)
+        assert dec.gluings == ref_dec.gluings
+        assert [list(p.vertices) for p in dec.polygons] == [
+            [(scale * x, scale * y) for x, y in p.vertices] for p in ref_dec.polygons]
 
     def test_sheared_torus(self, torus):
         sheared = apply_linear(((Fraction(1), Fraction(3)), (Fraction(0), Fraction(1))), torus)
@@ -300,6 +383,21 @@ class TestDecomposition:
         text = surface_io.dumps(dl.decomposition(dl.delaunayize(dl.triangulate(build()))))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == self.PINNED_DECOMPOSITIONS[name]
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=5),
+           st.integers(1, 3), st.integers(0, 10))
+    def test_canonical_chain_is_the_first_least_rotation(self, steps, repeat, shift):
+        # Repeated steps give chains whose rotations tie: the first least
+        # offset is kept.
+        points, at = [], (Fraction(shift, 3), ALPHA * shift)
+        for step in steps * repeat:
+            points.append(at)
+            at = (at[0] + step[0], at[1] + step[1])
+        n = len(points)
+        rots = [[vec_sub(v, points[r]) for v in points[r:] + points[:r]] for r in range(n)]
+        r = min(range(n), key=rots.__getitem__)
+        assert dl._canonical_chain(points) == (rots[r], r)
+
     def test_rotation_invariance_exact(self, ay):
         from flatsurfkit.symmetry import decompose, isometries_between
 
@@ -334,13 +432,13 @@ class TestDecompositionSigns:
     def test_one_incircle_sign_per_edge(self, ay, monkeypatch):
         t = dl.delaunayize(dl.triangulate(ay))
         tested = []
-        incircle_sign = dl.Hinge.incircle_sign
+        incircle_sign = dl._incircle_sign
 
-        def counting(h):
-            tested.append(h.edge)
-            return incircle_sign(h)
+        def counting(tri, edge):
+            tested.append(edge)
+            return incircle_sign(tri, edge)
 
-        monkeypatch.setattr(dl.Hinge, "incircle_sign", counting)
+        monkeypatch.setattr(dl, "_incircle_sign", counting)
         dl.decomposition(t)
         assert sorted(tested) == t.edges()
 
@@ -375,15 +473,18 @@ def _load_benchmark_worker(mp: pytest.MonkeyPatch):
 class TestFilteredPredicatesOnPipelines:
     """Every orient and incircle sign that delaunayize and decomposition take
     on the sheared benchmark batches and the exact surfaces equals the exact
-    one, and the exact value is built only for cocircular ties."""
+    one, each is filtered on the triangulation's kept doubles, and the exact
+    value, or for an incircle sign the exact hinge, is built only for
+    cocircular ties."""
 
     @pytest.fixture(scope="class")
     def calls(self):
         """{"incircle": [...], "orient": [...]}, one (filtered sign, exact
-        sign, whether the exact value was built) per call."""
+        sign, whether the exact value was built, whether the exact hinge was
+        built / whether kept doubles were passed) per call."""
         exact_det, exact_sign = numeric.incircle_det, numeric.sign
-        filtered_incircle, filtered_turns = numeric.incircle_sign, numeric.turn_signs
-        built = []
+        exact_hinge, filtered_incircle, filtered_turns = dl.hinge, dl._incircle_sign, dl.turn_signs
+        built, hinges = [], []
         calls = {"incircle": [], "orient": []}
 
         def building_det(*pts):
@@ -396,27 +497,33 @@ class TestFilteredPredicatesOnPipelines:
             built.append(x)
             return exact_sign(x, tol)
 
-        def checking_incircle(*pts):
-            n = len(built)
-            got = filtered_incircle(*pts)
-            calls["incircle"].append((got, sign(exact_det(*pts)), len(built) > n))
+        def building_hinge(t, edge):
+            hinges.append(edge)
+            return exact_hinge(t, edge)
+
+        def checking_incircle(t, edge):
+            n, m = len(built), len(hinges)
+            got = filtered_incircle(t, edge)
+            h = exact_hinge(t, edge)
+            calls["incircle"].append((got, sign(exact_det(h.p1, h.p2, h.p3, h.p4)), len(built) > n, len(hinges) > m))
             return got
 
-        def checking_turns(pts):
+        def checking_turns(pts, f=None):
             # one orient per turn of the convexity test, which may stop early
-            signs = filtered_turns(pts)
+            signs = filtered_turns(pts, f)
             for i in range(len(pts)):
                 p1, p2, p3 = pts[i], pts[(i + 1) % len(pts)], pts[(i + 2) % len(pts)]
                 n = len(built)
                 got = next(signs)
-                calls["orient"].append((got, sign(cross(vec_sub(p2, p1), vec_sub(p3, p1))), len(built) > n))
+                calls["orient"].append((got, sign(cross(vec_sub(p2, p1), vec_sub(p3, p1))), len(built) > n, f is not None))
                 yield got
 
         with pytest.MonkeyPatch.context() as mp:
             worker = _load_benchmark_worker(mp)
             mp.setattr(numeric, "incircle_det", building_det)
             mp.setattr(numeric, "sign", signing)
-            mp.setattr(dl, "incircle_sign", checking_incircle)
+            mp.setattr(dl, "hinge", building_hinge)
+            mp.setattr(dl, "_incircle_sign", checking_incircle)
             mp.setattr(dl, "turn_signs", checking_turns)
             for seed in (1, 2, 3):
                 worker.run_sheared(worker.make_sheared(seed, False))
@@ -432,8 +539,14 @@ class TestFilteredPredicatesOnPipelines:
     def test_the_exact_value_is_built_only_on_ties(self, calls):
         ties = [c for c in calls["incircle"] if c[1] == 0]
         assert ties and all(c[2] for c in ties)
-        assert [c for c in calls["incircle"] if c[2] and c[1] != 0] == []
+        assert [c for c in calls["incircle"] if (c[2] or c[3]) and c[1] != 0] == []
         assert [c for c in calls["orient"] if c[2]] == []
+
+    def test_every_sign_reads_the_kept_doubles(self, calls):
+        # A flip follows an incircle test, which builds the doubles, so each
+        # convexity test gets them; an incircle sign without them would
+        # build its hinge, which the test above allows on ties only.
+        assert all(c[3] for c in calls["orient"])
 
 
 def _brute_force_code(t: dl.Triangulation):
