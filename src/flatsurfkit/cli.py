@@ -25,7 +25,7 @@ from . import quadrature
 from . import surface as sf
 from . import surface_io
 from . import symmetry as sym
-from .numeric import FLOAT_TOL, is_exact, scalar_from_str
+from .numeric import FLOAT_TOL, is_exact, scalar_from_str, scaled_points
 from .quadrature import QuadratureError
 from .surface import Surface, SurfaceError
 
@@ -110,7 +110,10 @@ def _classify_cell(p: sf.Polygon) -> str:
         return "triangle"
     if n != 4:
         return f"{n}-gon"
-    ev = [(float(v[0]), float(v[1])) for v in p.edge_vectors()]
+    # One power of two for every coordinate keeps the tests below scale-free.
+    ev = scaled_points(p.edge_vectors())
+    if ev is None:
+        raise SurfaceError("a cell's edge vectors have no finite doubles")
     lengths = [math.hypot(*v) for v in ev]
 
     def parallel(i: int, j: int) -> bool:

@@ -7,22 +7,26 @@ the twin's chart is a translation, -1 when it is a point reflection.
 Twin vectors satisfy vec(twin(h)) == -sign(h) * vec(h).
 
 The unit of all Delaunay decisions is the hinge: the two triangles
-adjacent to an edge, developed into one chart.  A hinge is Delaunay when
-the opposite vertex is not strictly inside the circumcircle of the other
-triangle.  On exact scalars this decision, and the orientations that allow
-a flip, are exact, taken in doubles where a proven bound separates the
-value from 0, else exactly (numeric.incircle_filter, numeric.turn_signs); on
-floats the lifted determinant is normalized by the product of the
-quadrilateral's edge lengths (tolerance numeric.FLOAT_TOL).
+adjacent to an edge, developed into one chart (hinge, from hinge_vectors).
+A hinge is Delaunay when the opposite vertex is not strictly inside the
+circumcircle of the other triangle, and one function decides that:
+_incircle_sign.  On exact scalars the decision, and the orientations that
+allow a flip, are exact, taken in doubles where a proven bound separates
+the value from 0 (numeric.incircle_filter, numeric.turn_signs), else from
+the exact determinant of the developed hinge; on floats the lifted
+determinant is normalized by the product of the quadrilateral's edge
+lengths (tolerance numeric.FLOAT_TOL), on coordinates scaled by one power
+of two, so that the decision does not depend on the surface's scale.
 
-An exact triangulation keeps those doubles: `doubles` holds float() of
-each edge vector's coordinates beside vecs (None for a vector whose double
-overflows).  The first incircle test builds them, copies carry them, and
-_flip_in_place, the one writer of vecs, keeps them in step: a moved vector's
-doubles are negated where its chart factor is -1, and only the new
-diagonal takes a fresh float().  A hinge's doubles are then read, not
-computed (_hinge_doubles), and its exact points are built only where the
-doubles leave a sign undecided or a flip needs its new diagonal.  A float
+A triangulation is exact when every coordinate of its edge vectors is,
+and an exact one has those doubles from its construction: `doubles`
+holds float() of each edge vector's coordinates beside vecs (None for a
+vector whose double overflows).  Copies carry them, and _flip_in_place,
+the one writer of vecs, keeps them in step: a moved vector's doubles are
+negated where its chart factor is -1, and only the new diagonal takes a
+fresh float().  A hinge's doubles are then read, not computed
+(_hinge_doubles), and its exact points are built only where the doubles
+leave a sign undecided or a flip needs its new diagonal.  A float
 triangulation has none.
 
 delaunayize and isodelaunay.delaunayize_at share one FIFO flip loop,
@@ -54,9 +58,9 @@ from .numeric import (
     cross,
     incircle_det,
     incircle_filter,
-    incircle_sign,
     is_exact,
     scaled_doubles,
+    scaled_points,
     sign,
     turn_signs,
     vec_add,
@@ -93,9 +97,10 @@ class Triangulation:
     place that drops entries; copy() carries the cache over in a new dict.
 
     doubles mirrors vecs with (float(x), float(y)) per edge vector, or None
-    where a double overflows.  It is None until kept_doubles() first builds
-    it, and stays None on a float triangulation; _flip_in_place keeps it in
-    step with vecs, and copy() carries it over in new lists.
+    where a double overflows.  The constructor builds it when every
+    coordinate is exact, and it is None on a float triangulation;
+    _flip_in_place keeps it in step with vecs, and copy() carries it over
+    in new lists.
     """
 
     def __init__(
@@ -109,7 +114,9 @@ class Triangulation:
         self.chart_sign = dict(chart_sign)
         self.flip_count = 0
         self.hinge_cache: Dict[HalfEdge, object] = {}
-        self.doubles: Optional[List[List[Optional[Tuple[float, float]]]]] = None
+        exact = all(is_exact(x) for tri in self.vecs for v in tri for x in v)
+        self.doubles: Optional[List[List[Optional[Tuple[float, float]]]]] = (
+            [[_double_pair(v) for v in tri] for tri in self.vecs] if exact else None)
 
     # -- basics ----------------------------------------------------------------
 
@@ -131,21 +138,14 @@ class Triangulation:
         return [h for h in self.half_edges() if h <= self.glue[h]]
 
     def copy(self) -> "Triangulation":
-        out = Triangulation(self.vecs, self.glue, self.chart_sign)
+        out = Triangulation.__new__(Triangulation)
+        out.vecs = [list(tri) for tri in self.vecs]
+        out.glue = dict(self.glue)
+        out.chart_sign = dict(self.chart_sign)
         out.flip_count = self.flip_count
         out.hinge_cache = dict(self.hinge_cache)
-        if self.doubles is not None:
-            out.doubles = [list(tri) for tri in self.doubles]
+        out.doubles = None if self.doubles is None else [list(tri) for tri in self.doubles]
         return out
-
-    def is_exact(self) -> bool:
-        return all(is_exact(v[0]) and is_exact(v[1]) for tri in self.vecs for v in tri)
-
-    def kept_doubles(self) -> Optional[List[List[Optional[Tuple[float, float]]]]]:
-        """doubles, built on the first call; None on a float triangulation."""
-        if self.doubles is None and self.is_exact():
-            self.doubles = [[_double_pair(v) for v in tri] for tri in self.vecs]
-        return self.doubles
 
     def corner_position(self, h: HalfEdge) -> Vec2:
         """Position of the corner at the start of h, in its triangle's chart."""
@@ -183,48 +183,26 @@ class Hinge:
     of the twin triangle, p4 the apex of the edge's own triangle.
     """
 
-    edge: HalfEdge
     p1: Point
     p2: Point
     p3: Point
     p4: Point
     folded: bool
 
-    def incircle_sign(self) -> int:
-        """+1 when p4 is strictly inside the circumcircle, 0 on it, -1 outside.
 
-        Exact coordinates take numeric.incircle_sign.  A float determinant
-        is divided by the product of the quadrilateral's edge lengths
-        before it is compared with FLOAT_TOL.
-        """
-        p1, p2, p3, p4 = self.p1, self.p2, self.p3, self.p4
-        if float not in map(type, (*p1, *p2, *p3, *p4)):
-            return incircle_sign(p1, p2, p3, p4)
-        det = incircle_det(p1, p2, p3, p4)
-        scale = 1.0
-        for a, b in ((p1, p2), (p2, p3), (p3, p4), (p4, p1)):
-            scale *= math.hypot(float(b[0]) - float(a[0]), float(b[1]) - float(a[1]))
-        return sign(det / scale, FLOAT_TOL) if scale else sign(det)
-
-    def is_delaunay(self) -> bool:
-        """True iff the fourth vertex is not strictly inside the circumcircle."""
-        return self.incircle_sign() <= 0
-
-    def is_strictly_convex(self) -> bool:
-        return all(s > 0 for s in turn_signs((self.p1, self.p2, self.p3, self.p4)))
+def hinge_vectors(t: Triangulation, edge: HalfEdge) -> Tuple[Vec2, Vec2, Vec2]:
+    """(p2, p3, p4 - p3) of hinge(t, edge), read from t without arithmetic:
+    the twin's next vector (negated where the chart sign is -1), vec(edge)
+    and vec(next(edge)).  p1 is the origin, so these determine the hinge."""
+    tri, e = edge
+    tw, tw_e = t.glue[edge]
+    vu = t.vecs[tw][(tw_e + 1) % 3]
+    return (vu if t.chart_sign[edge] == 1 else vec_neg(vu)), t.vecs[tri][e], t.vecs[tri][(e + 1) % 3]
 
 
 def hinge(t: Triangulation, edge: HalfEdge) -> Hinge:
-    tw = t.twin(edge)
-    va = t.vec(edge)
-    vb = t.vec(_next(edge))
-    vu = t.vec(_next(tw))
-    eps = t.chart_sign[edge]
-    p1 = (0, 0)
-    p2 = vu if eps == 1 else vec_neg(vu)
-    p3 = va
-    p4 = vec_add(va, vb)
-    return Hinge(edge, p1, p2, p3, p4, tw == edge)
+    p2, p3, d = hinge_vectors(t, edge)
+    return Hinge((0, 0), p2, p3, vec_add(p3, d), t.glue[edge] == edge)
 
 
 def _double_pair(v: Vec2) -> Optional[Tuple[float, float]]:
@@ -234,12 +212,13 @@ def _double_pair(v: Vec2) -> Optional[Tuple[float, float]]:
         return None
 
 
-def _hinge_doubles(t: Triangulation, kept, edge: HalfEdge) -> Optional[List[float]]:
+def _hinge_doubles(t: Triangulation, edge: HalfEdge) -> Optional[List[float]]:
     """The scaled doubles of hinge(t, edge)'s eight coordinates, as
-    numeric._filter_doubles would make them, read from kept (t's doubles,
-    or None): p1 = 0, p2 = +-vec(next twin), p3 = vec(e) and p4 =
-    -vec(prev e), which equals vec(e) + vec(next e) exactly.  None without
-    kept doubles or where one of the three vectors overflows."""
+    numeric._filter_doubles would make them, read from t.doubles: p1 = 0,
+    p2 = +-vec(next twin), p3 = vec(e) and p4 = -vec(prev e), which equals
+    vec(e) + vec(next e) exactly.  None on a float triangulation or where
+    one of the three vectors overflows."""
+    kept = t.doubles
     if kept is None:
         return None
     tri, e = edge
@@ -253,11 +232,34 @@ def _hinge_doubles(t: Triangulation, kept, edge: HalfEdge) -> Optional[List[floa
 
 
 def _incircle_sign(t: Triangulation, edge: HalfEdge) -> int:
-    """hinge(t, edge).incircle_sign(), filtered on t's kept doubles; the
-    hinge is built only where they leave the sign undecided."""
-    f = _hinge_doubles(t, t.kept_doubles(), edge)
-    s = incircle_filter(f) if f is not None else 0
-    return s or hinge(t, edge).incircle_sign()
+    """+1 when hinge(t, edge)'s p4 is strictly inside the circumcircle of
+    (p1, p2, p3), 0 on it, -1 outside: the one incircle decision.
+
+    An exact triangulation takes the filter on its doubles, and where that
+    leaves the sign undecided the exact sign of incircle_det.  A float
+    determinant is divided by the product of the quadrilateral's edge
+    lengths before it is compared with FLOAT_TOL.  Both are of degree 4 in
+    the coordinates, which are first scaled by one power of two
+    (scaled_points): the quotient is the same at any scale, and neither
+    overflows nor underflows.
+    """
+    if t.doubles is not None:
+        f = _hinge_doubles(t, edge)
+        s = incircle_filter(f) if f is not None else 0
+        if s:
+            return s
+        h = hinge(t, edge)
+        return sign(incircle_det(h.p1, h.p2, h.p3, h.p4))
+    h = hinge(t, edge)
+    pts = scaled_points((h.p1, h.p2, h.p3, h.p4))
+    if pts is None:
+        raise DelaunayError(f"hinge {edge} has no finite doubles")
+    p1, p2, p3, p4 = pts
+    det = incircle_det(p1, p2, p3, p4)
+    scale = 1.0
+    for a, b in ((p1, p2), (p2, p3), (p3, p4), (p4, p1)):
+        scale *= math.hypot(b[0] - a[0], b[1] - a[1])
+    return sign(det / scale, FLOAT_TOL) if scale else sign(det)
 
 
 # -- triangulate --------------------------------------------------------------------
@@ -325,10 +327,7 @@ def _flip_in_place(t: Triangulation, edge: HalfEdge) -> None:
     h = hinge(t, edge)
     if h.folded:
         raise DelaunayError(f"cannot flip folded edge {edge}")
-    # Read, not built: isodelaunay.delaunayize_at flips on wall signs and
-    # takes no incircle sign, so building the doubles would serve one test.
-    kept = t.doubles
-    if not all(s > 0 for s in turn_signs((h.p1, h.p2, h.p3, h.p4), _hinge_doubles(t, kept, edge))):
+    if not all(s > 0 for s in turn_signs((h.p1, h.p2, h.p3, h.p4), _hinge_doubles(t, edge))):
         raise DelaunayError(f"cannot flip non-convex hinge at {edge}")
     a = edge
     ta = a[0]
@@ -356,6 +355,7 @@ def _flip_in_place(t: Triangulation, edge: HalfEdge) -> None:
         w: ((tb, (fb + 1) % 3), eps),
     }
     old = {key: (t.vec(key), t.glue[key], t.chart_sign[key]) for key in move}
+    kept = t.doubles
     if kept is not None:
         moved = [(slot, r, kept[key[0]][key[1]]) for key, (slot, r) in move.items()]
     # Every edge with a side in ta or tb keeps its outside partner, so one

@@ -42,9 +42,9 @@ from functools import cmp_to_key
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .numeric import (FLOAT_TOL, Scalar, canonical_ints, coefficients, exact_divisor, exact_wall_form,
-                      filtered_sign, is_exact, sign, vec_neg)
+                      filtered_sign, is_exact, sign)
 from . import delaunay as dl
-from .delaunay import HalfEdge, Triangulation, hinge
+from .delaunay import HalfEdge, Triangulation, hinge, hinge_vectors
 from .surface import Surface
 
 _log = logging.getLogger("flatsurfkit.isodelaunay")
@@ -321,19 +321,16 @@ def _memo_wall(t: Triangulation, edge: HalfEdge, walls: dict):
     computed again only after its hinge was flipped.  walls is the second
     level, on exact and float input alike: one wall per developed hinge
     across the whole exploration.  A wall depends only on the hinge
-    developed in the base chart, with p1 at the origin, so its key is read
-    from t without arithmetic: p2, the twin's next vector (negated where
-    the chart sign is -1), p3 = vec(edge) and p4 - p3 = vec(next(edge)).
-    On exact input that key matches exactly when (p2, p3, p4) does; on
-    floats it is finer, as p3 + (p4 - p3) can round two hinges together.
+    developed in the base chart, with p1 at the origin, so its key is
+    delaunay.hinge_vectors, (p2, p3, p4 - p3) read from t without
+    arithmetic.  On exact input that key matches exactly when (p2, p3, p4)
+    does; on floats it is finer, as p3 + (p4 - p3) can round two hinges
+    together.
     """
     w = t.hinge_cache.get(edge)
     if w is not None:
         return w
-    tri, e = edge
-    tw = t.glue[edge]
-    vu = t.vecs[tw[0]][(tw[1] + 1) % 3]
-    key = (vu if t.chart_sign[edge] == 1 else vec_neg(vu), t.vecs[tri][e], t.vecs[tri][(e + 1) % 3])
+    key = hinge_vectors(t, edge)
     w = walls.get(key)
     if w is None:
         w = walls[key] = wall_of_hinge(t, edge)

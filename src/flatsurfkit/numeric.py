@@ -34,7 +34,7 @@ fork a decision into an exact and a float branch themselves.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import frexp, gcd, lcm, ldexp
+from math import frexp, gcd, isfinite, lcm, ldexp
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 # alpha to _ALPHA_BITS fractional bits: _ALPHA_FIX = floor(alpha * 2**_ALPHA_BITS).
@@ -534,12 +534,32 @@ def filtered_sign(x: float, mag: float, eps: float) -> int:
 
 def scaled_doubles(c: List[float]) -> List[float]:
     """The doubles c, all scaled by one power of two so that none exceeds 1
-    in magnitude."""
+    in magnitude.  Never scaled up: the filters' underflow bounds below
+    count on that."""
     m = max(map(abs, c))
     if m > 1.0:
         s = ldexp(1.0, -frexp(m)[1])
         c = [x * s for x in c]
     return c
+
+
+def scaled_points(pts: Sequence[Point]) -> Optional[List[Tuple[float, float]]]:
+    """The points as doubles, all scaled by the one power of two that brings
+    the largest magnitude into [0.5, 1); None where a double overflows or
+    is not finite, or where every one is 0.  Scaling by a power of two is
+    exact (short of subnormal results), so a float expression homogeneous
+    in the coordinates, such as a quotient of products of equal degree,
+    takes the same value at any scale, without overflow or underflow.  Not
+    for the exact filters: a subnormal double scaled up keeps its larger
+    relative error, which their bounds do not allow for."""
+    try:
+        c = [float(x) for p in pts for x in p]
+    except OverflowError:
+        return None
+    if not all(map(isfinite, c)) or not any(c):
+        return None
+    e = -frexp(max(map(abs, c)))[1]
+    return [(ldexp(c[i], e), ldexp(c[i + 1], e)) for i in range(0, len(c), 2)]
 
 
 def _filter_doubles(coords: Sequence[Scalar]) -> Optional[List[float]]:

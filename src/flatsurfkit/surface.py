@@ -25,6 +25,7 @@ from .numeric import (
     is_exact,
     mat_det,
     mat_vec,
+    scaled_points,
     sign,
     vec_neg,
     vec_sub,
@@ -284,7 +285,12 @@ def corner_cycles(s: Surface) -> List[List[EdgeRef]]:
 
 
 def _corner_angle_data(s: Surface, corner: EdgeRef):
-    """(float angle, exact complex) of the interior angle at a corner."""
+    """(float angle, exact complex) of the interior angle at a corner.
+
+    The float angle is taken from the doubles of the corner's two edge
+    vectors, scaled by one power of two (scaled_points) so that it does
+    not depend on the surface's scale; SurfaceError where a vector's
+    doubles are 0 or not finite."""
     p, i = corner
     poly = s.polygons[p]
     n = len(poly)
@@ -293,7 +299,11 @@ def _corner_angle_data(s: Surface, corner: EdgeRef):
     # conj(out) * back, as a complex number over the scalar tower
     re = out_e[0] * back[0] + out_e[1] * back[1]
     im = out_e[0] * back[1] - out_e[1] * back[0]
-    ang = math.atan2(float(im), float(re))
+    d = scaled_points((out_e, back))
+    if d is None or not all(map(any, d)):
+        raise SurfaceError(f"corner {corner} has no finite nonzero edge vector doubles")
+    (ox, oy), (bx, by) = d
+    ang = math.atan2(ox * by - oy * bx, ox * bx + oy * by)
     if ang <= 0:
         ang += 2 * math.pi
     return ang, (re, im)

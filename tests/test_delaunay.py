@@ -62,12 +62,18 @@ class TestTriangulate:
         assert dl.is_delaunay_triangulation(dl.delaunayize(t))
 
 
+def _flippable(t: dl.Triangulation, edge) -> bool:
+    """The hinge of edge is unfolded, spans two triangles and is strictly
+    convex, so _flip_in_place accepts it."""
+    h = dl.hinge(t, edge)
+    return (not h.folded and t.twin(edge)[0] != edge[0]
+            and all(s > 0 for s in numeric.turn_signs((h.p1, h.p2, h.p3, h.p4))))
+
+
 class TestHinge:
     def test_unit_square_cocircular(self, torus):
         t = dl.triangulate(torus)
-        h = dl.hinge(t, (0, 2))  # the fan diagonal of the square
-        assert h.incircle_sign() == 0
-        assert h.is_delaunay()
+        assert dl._incircle_sign(t, (0, 2)) == 0  # the fan diagonal of the square
 
     def test_sheared_hinge_strictly_delaunay(self):
         # shearing left makes the fan diagonal the strictly shorter one
@@ -77,7 +83,7 @@ class TestHinge:
         from flatsurfkit.numeric import incircle_det
 
         assert float(incircle_det(h.p1, h.p2, h.p3, h.p4)) < 0
-        assert h.is_delaunay() and h.incircle_sign() != 0
+        assert dl._incircle_sign(t, (0, 2)) == -1
 
     def test_flip_status_follows_determinant_sign(self):
         # the same combinatorial hinge changes status exactly where the
@@ -85,10 +91,11 @@ class TestHinge:
         from flatsurfkit.numeric import incircle_det
 
         for shear in (-0.4, -0.1, 0.1, 0.4):
-            h = dl.hinge(sheared_torus_triangulation(shear), (0, 2))
+            t = sheared_torus_triangulation(shear)
+            h = dl.hinge(t, (0, 2))
             det = float(incircle_det(h.p1, h.p2, h.p3, h.p4))
             assert (det > 1e-12) == (shear > 0)
-            assert h.is_delaunay() == (shear < 0)
+            assert (dl._incircle_sign(t, (0, 2)) <= 0) == (shear < 0)
 
 
 class TestFlip:
@@ -102,8 +109,7 @@ class TestFlip:
     def test_flip_preserves_invariants(self, ay):
         t = dl.triangulate(ay)
         for e in t.edges():
-            h = dl.hinge(t, e)
-            if not h.folded and h.is_strictly_convex() and t.twin(e)[0] != e[0]:
+            if _flippable(t, e):
                 t2 = dl.flip(t, e)
                 t2.check_invariants()
                 assert t2.num_triangles == t.num_triangles
@@ -111,7 +117,7 @@ class TestFlip:
     def test_copies_never_share_the_hinge_cache(self, ay):
         t = dl.triangulate(ay)
         t.hinge_cache[(0, 0)] = "kept"
-        edge = next(e for e in t.edges() if t.twin(e)[0] != e[0] and dl.hinge(t, e).is_strictly_convex())
+        edge = next(e for e in t.edges() if _flippable(t, e))
         for out in (t.copy(), dl.flip(t, edge), dl.delaunayize(t)):
             assert out.hinge_cache is not t.hinge_cache
             out.hinge_cache[(1, 1)] = "new"
@@ -122,7 +128,7 @@ class TestFlip:
         t = dl.triangulate(ay)
         for e in t.edges():
             t.hinge_cache[e] = e
-        edge = next(e for e in t.edges() if t.twin(e)[0] != e[0] and dl.hinge(t, e).is_strictly_convex())
+        edge = next(e for e in t.edges() if _flippable(t, e))
         tris = {edge[0], t.twin(edge)[0]}
         out = dl.flip(t, edge)
         kept = {e for e in t.edges() if e[0] not in tris and t.twin(e)[0] not in tris}
@@ -144,8 +150,7 @@ class TestFlip:
         flips = 0
         for _ in range(150):
             edge = rng.choice(t.edges())
-            h = dl.hinge(t, edge)
-            if h.folded or not h.is_strictly_convex() or t.twin(edge)[0] == edge[0]:
+            if not _flippable(t, edge):
                 continue
             t.hinge_cache = {he: he for he in t.half_edges()}
             tris = {edge[0], t.twin(edge)[0]}
@@ -173,8 +178,7 @@ class TestFlip:
         )
         t = dl.triangulate(s)
         # hinge across (0,1)/(1,1): developed quad is a non-convex kite
-        h = dl.hinge(t, (0, 1))
-        if not h.is_strictly_convex():
+        if not _flippable(t, (0, 1)):
             with pytest.raises(dl.DelaunayError):
                 dl.flip(t, (0, 1))
 
@@ -200,13 +204,12 @@ class TestKeptDoubles:
         # ay_cut glues with chart sign -1, so its flips move vectors with a
         # chart factor of -1, whose doubles are negated.
         t = _doubles_base(name).copy()
-        assert t.kept_doubles() == _float_pairs(t)
+        assert t.doubles == _float_pairs(t)
         rng = random.Random(seed)
         flips = 0
         for _ in range(30):
             edge = rng.choice(t.edges())
-            h = dl.hinge(t, edge)
-            if h.folded or not h.is_strictly_convex() or t.twin(edge)[0] == edge[0]:
+            if not _flippable(t, edge):
                 continue
             out = dl.flip(t, edge)
             assert out.doubles == _float_pairs(out)
@@ -219,8 +222,7 @@ class TestKeptDoubles:
     def test_copies_never_share_the_doubles(self, ay):
         m = ((ALPHA.inverse(), CubicNumber(0)), (CubicNumber(0), ALPHA))
         t = dl.triangulate(apply_linear(m, ay))
-        t.kept_doubles()
-        edge = next(e for e in t.edges() if t.twin(e)[0] != e[0] and dl.hinge(t, e).is_strictly_convex())
+        edge = next(e for e in t.edges() if _flippable(t, e))
         for out in (t.copy(), dl.flip(t, edge), dl.delaunayize(t)):
             assert out.doubles is not t.doubles
             assert all(a is not b for a, b in zip(out.doubles, t.doubles))
@@ -228,12 +230,12 @@ class TestKeptDoubles:
             assert t.doubles == _float_pairs(t)
         assert t.copy().doubles == t.doubles
 
-    def test_the_first_incircle_test_builds_them(self, ay):
+    def test_construction_builds_them(self, ay):
         t = dl.triangulate(ay)
-        assert t.doubles is None
-        out = dl.delaunayize(t)
-        assert t.doubles is None  # delaunayize works on a copy
-        assert out.doubles == _float_pairs(out)
+        assert t.doubles == _float_pairs(t)
+        assert dl.Triangulation(t.vecs, t.glue, t.chart_sign).doubles == t.doubles
+        out = dl.delaunayize(dl.triangulate(apply_linear(((1, 7), (0, 1)), ay)))
+        assert out.flip_count > 0 and out.doubles == _float_pairs(out)
 
     def test_a_float_triangulation_holds_none(self):
         from flatsurfkit.constructions import ay_trapezoid_shape, trapezoid_family
@@ -243,7 +245,7 @@ class TestKeptDoubles:
             out = dl.delaunayize(t)
             dl.decomposition(out)
             for tri in (t, out, out.copy()):
-                assert tri.kept_doubles() is None and tri.doubles is None
+                assert tri.doubles is None
 
 
 class TestDelaunayize:
@@ -280,6 +282,24 @@ class TestDelaunayize:
         assert [list(p.vertices) for p in dec.polygons] == [
             [(scale * x, scale * y) for x, y in p.vertices] for p in ref_dec.polygons]
 
+    @pytest.mark.parametrize("scale", [1e100, 1e-100, 1e150, 1e-150])
+    @pytest.mark.parametrize("shear, flips", [(0, 0), (7, 28)])
+    def test_float_scale_does_not_change_the_flips(self, scale, shear, flips):
+        # The normalized float determinant is of degree 0: beyond 1e77, or
+        # below 1e-80, its terms overflowed or underflowed, and every hinge
+        # read as cocircular.
+        from flatsurfkit.constructions import TrapezoidShape, trapezoid_family
+
+        base = apply_linear(((1, shear), (0, 1)), trapezoid_family(TrapezoidShape(1.0, 2.0, 1.0)))
+        ref = dl.delaunayize(dl.triangulate(base))
+        t = dl.delaunayize(dl.triangulate(apply_linear(((scale, 0.0), (0.0, scale)), base)))
+        assert t.flip_count == ref.flip_count == flips
+        assert (t.glue, t.chart_sign) == (ref.glue, ref.chart_sign)
+        # Congruent cells round apart when scaled by a power of ten, so their
+        # order, and with it the gluing labels, may change.
+        cells = [sorted(len(p) for p in dl.decomposition(x).polygons) for x in (t, ref)]
+        assert cells[0] == cells[1] == ([4] * 6 if shear == 0 else [3] * 8 + [4] * 2)
+
     def test_sheared_torus(self, torus):
         sheared = apply_linear(((Fraction(1), Fraction(3)), (Fraction(0), Fraction(1))), torus)
         t = dl.delaunayize(dl.triangulate(sheared))
@@ -314,8 +334,8 @@ class TestDecomposition:
     def test_merging_is_exact_on_ay(self, ay):
         # drop the float tolerance to zero equivalent: exact scalars decide
         t = dl.delaunayize(dl.triangulate(ay))
-        assert t.is_exact()
-        zero_hinges = [e for e in t.edges() if dl.hinge(t, e).incircle_sign() == 0]
+        assert t.doubles is not None
+        zero_hinges = [e for e in t.edges() if dl._incircle_sign(t, e) == 0]
         assert len(zero_hinges) == 6  # one fan diagonal per cell
 
     def test_pseudo_anosov_invariance(self, ay):
@@ -419,7 +439,7 @@ class TestDecomposition:
 
 
 def _ref_float_incircle_sign(h: dl.Hinge) -> int:
-    """Hinge.incircle_sign on floats as it was before the exact filter: the
+    """The float incircle sign as it was before the exact filter: the
     determinant over the product of the quadrilateral's edge lengths."""
     det = numeric.incircle_det(h.p1, h.p2, h.p3, h.p4)
     scale = 1.0
@@ -448,6 +468,48 @@ class TestDecompositionSigns:
         with pytest.raises(dl.DelaunayError):
             dl.decomposition(t)
 
+    @pytest.mark.parametrize("build, m, ties", [(escalator, ((1, -13), (0, 1)), 6), (ay_surface, ((1, 7), (0, 1)), 0)],
+                             ids=["escalator", "ay"])
+    def test_an_exact_hinge_is_filtered_once(self, build, m, ties, monkeypatch):
+        # Every square hinge of the sheared escalator is a tie.  The filter
+        # on the kept doubles leaves a tie undecided, and the exact
+        # determinant decides it: no coordinate is converted to a double
+        # again, for a filter that could not decide it either.
+        t = dl.triangulate(apply_linear(m, build()))
+        converted = []
+        filter_doubles = numeric._filter_doubles
+
+        def counting(coords):
+            converted.append(coords)
+            return filter_doubles(coords)
+
+        monkeypatch.setattr(numeric, "_filter_doubles", counting)
+        out = dl.delaunayize(t)
+        dl.decomposition(out)
+        assert converted == []
+        assert sum(dl._incircle_sign(out, e) == 0 for e in out.edges()) == ties
+
+    @pytest.mark.parametrize("build, m", [(ay_surface, ((1, 0), (0, 1))), (escalator, ((1, -13), (0, 1)))],
+                             ids=["ay", "escalator"])
+    def test_subnormal_doubles_leave_ties_to_the_exact_sign(self, build, m):
+        # At 1/10**310 every kept double is subnormal, relatively far less
+        # accurate than the filters' bounds allow for.  Left below 1, never
+        # scaled up, they decide nothing, and the exact signs give the
+        # unscaled flips, ties and cells.
+        from flatsurfkit.cli import _classify_cell
+
+        def run(s):
+            out = dl.delaunayize(dl.triangulate(s))
+            ties = sum(dl._incircle_sign(out, e) == 0 for e in out.edges())
+            return out.flip_count, out.glue, out.chart_sign, ties, sorted(map(_classify_cell, dl.decomposition(out).polygons))
+
+        k = Fraction(1, 10 ** 310)
+        s = apply_linear(m, build())
+        got = run(apply_linear(((k, 0), (0, k)), s))
+        assert got == run(s)
+        if build is ay_surface:
+            assert got[3:] == (6, ["square"] * 2 + ["trapezoid"] * 4)
+
     def test_float_hinges_keep_their_normalized_sign(self):
         from flatsurfkit.constructions import ay_trapezoid_shape, trapezoid_family
 
@@ -455,8 +517,7 @@ class TestDecompositionSigns:
             t = dl.triangulate(s)
             for _ in range(2):
                 for e in t.edges():
-                    h = dl.hinge(t, e)
-                    assert h.incircle_sign() == _ref_float_incircle_sign(h)
+                    assert dl._incircle_sign(t, e) == _ref_float_incircle_sign(dl.hinge(t, e))
                 t = dl.delaunayize(t)
 
 
@@ -520,7 +581,7 @@ class TestFilteredPredicatesOnPipelines:
 
         with pytest.MonkeyPatch.context() as mp:
             worker = _load_benchmark_worker(mp)
-            mp.setattr(numeric, "incircle_det", building_det)
+            mp.setattr(dl, "incircle_det", building_det)
             mp.setattr(numeric, "sign", signing)
             mp.setattr(dl, "hinge", building_hinge)
             mp.setattr(dl, "_incircle_sign", checking_incircle)
@@ -543,7 +604,7 @@ class TestFilteredPredicatesOnPipelines:
         assert [c for c in calls["orient"] if c[2]] == []
 
     def test_every_sign_reads_the_kept_doubles(self, calls):
-        # A flip follows an incircle test, which builds the doubles, so each
+        # An exact triangulation has its doubles from construction, so each
         # convexity test gets them; an incircle sign without them would
         # build its hinge, which the test above allows on ties only.
         assert all(c[3] for c in calls["orient"])

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,48 @@ class TestCli:
         code, out, _ = invoke(capsys, "delaunay", str(scaled))
         assert code == 0
         assert out.splitlines()[0] == census
+
+    @pytest.mark.parametrize("name, exponent", [
+        *((name, e) for name in ("ay", "ay_prime", "escalator") for e in (200, -200)),
+        ("float_trapezoid", 150),
+        ("float_trapezoid", -150),
+    ])
+    def test_cone_angles_and_census_do_not_depend_on_scale(self, name, exponent):
+        # A corner angle and the cell census take their doubles under one
+        # power of two: the products of the coordinates overflowed or
+        # underflowed, and 1/10**200 read as 20pi per cone with 6
+        # "quadrilaterals".
+        from flatsurfkit import constructions, delaunay as dl
+        from flatsurfkit.cli import _classify_cell
+        from flatsurfkit.surface import apply_linear, validate, vertex_cycles
+
+        base = {
+            "ay": constructions.ay_surface,
+            "ay_prime": constructions.ay_prime,
+            "escalator": constructions.escalator,
+            "float_trapezoid": lambda: constructions.trapezoid_family(constructions.TrapezoidShape(1.0, 2.0, 1.0)),
+        }[name]()
+        scale = 10.0 ** exponent if name == "float_trapezoid" else Fraction(10) ** exponent
+        scaled = apply_linear(((scale, 0), (0, scale)), base)
+        assert validate(scaled) == []
+        assert [c.angle_pi for c in vertex_cycles(scaled)] == [c.angle_pi for c in vertex_cycles(base)]
+
+        def census(s):
+            return sorted(map(_classify_cell, dl.decomposition(dl.delaunayize(dl.triangulate(s))).polygons))
+
+        assert census(scaled) == census(base)
+
+    def test_corners_without_doubles_raise(self):
+        # At 10**400 no coordinate has a double: no angle, rather than a
+        # wrong multiple of pi.
+        from flatsurfkit import constructions
+        from flatsurfkit.surface import apply_linear, validate, vertex_cycles
+
+        big = Fraction(10) ** 400
+        scaled = apply_linear(((big, 0), (0, big)), constructions.ay_surface())
+        with pytest.raises(SurfaceError, match="no finite nonzero edge vector doubles"):
+            vertex_cycles(scaled)
+        assert [v.code for v in validate(scaled)] == ["angle-inconsistent"]
 
     def test_delaunay_svg_net(self, tmp_path, capsys):
         path = tmp_path / "ay.json"

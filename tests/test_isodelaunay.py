@@ -1071,6 +1071,10 @@ def _ref_wall_of_hinge(t, edge):
     return _ref_wall(h.p2, h.p3, h.p4)
 
 
+def _convex(h: dl.Hinge) -> bool:
+    return all(s > 0 for s in numeric.turn_signs((h.p1, h.p2, h.p3, h.p4)))
+
+
 def _same_wall(got, want):
     """The same sentinel, or walls with equal coefficients of the same
     scalar types and the same doubles to the bit (repr tells -0.0 from
@@ -1114,7 +1118,7 @@ class TestHingeCache:
                 iso._memo_wall(t, edge, {})
             flippable = [
                 e for e in t.edges()
-                if t.twin(e)[0] != e[0] and dl.hinge(t, e).is_strictly_convex()
+                if t.twin(e)[0] != e[0] and _convex(dl.hinge(t, e))
             ]
             edge = data.draw(st.sampled_from(flippable))
             touched = {edge[0], t.twin(edge)[0]}
@@ -1175,7 +1179,7 @@ class TestExactWallKernel:
                     branch = "wall"
                 branches.setdefault(branch, []).append((t, e))
             t = dl.flip(t, rnd.choice([e for e in t.edges()
-                                       if t.twin(e)[0] != e[0] and dl.hinge(t, e).is_strictly_convex()]))
+                                       if t.twin(e)[0] != e[0] and _convex(dl.hinge(t, e))]))
         return branches
 
     @pytest.mark.parametrize("name, flips, branch", [
@@ -1317,6 +1321,29 @@ class TestNearAxisBall:
             z = iso.HPoint(x0 + y0 * math.sinh(rho) * math.cos(theta),
                            y0 * math.cosh(rho) + y0 * math.sinh(rho) * math.sin(theta))
             assert iso.cell_at(ay, z).key in keys, k
+
+
+class TestFrameEquivariance:
+    @pytest.mark.xfail(strict=True, reason="sampled facet clipping misses the cells behind a long facet at unit "
+                                           "scale (ROADMAP items 25 and 15)")
+    def test_ay_prime_ball_in_two_frames(self):
+        # For g in SL(2, Z) the cell of g.S at z is the cell of S at h_g(z):
+        # with P = |g11 + g21 z|**2 and R = g11 g12 + (g11 g22 + g12 g21) x
+        # + g21 g22 |z|**2, h_g(z) = R / P + i y / P, rational at rational z.
+        # So both balls hold the same cells.  The g frame returns 20 and the
+        # other 31: a facet on a circle wall of radius 554 passes within 0.30
+        # of the centre, but no sample of its theta grid lies in the ball.
+        from flatsurfkit.constructions import ay_prime
+        from flatsurfkit.surface import apply_linear
+
+        g = ((-1, -2), (3, 5))
+        (g11, g12), (g21, g22) = g
+        moved = iso.explore(apply_linear(g, ay_prime()), iso.HPoint(0.0001, 1.0001), 1)
+        x, y = Fraction(1, 10 ** 4), Fraction(10001, 10 ** 4)
+        p = (g11 + g21 * x) ** 2 + (g21 * y) ** 2
+        r = g11 * g12 + (g11 * g22 + g12 * g21) * x + g21 * g22 * (x * x + y * y)
+        fixed = iso.explore(ay_prime(), iso.HPoint(r / p, y / p), 1)
+        assert sorted(c.comb_hash for c in moved.cells) == sorted(c.comb_hash for c in fixed.cells)
 
 
 def _sampled_crossing_point(wall, interval, z0, radius):
@@ -1535,7 +1562,7 @@ class TestDelaunayizeAt:
         """t with every flippable edge flipped once, in edge order."""
         for e in t.edges():
             h = dl.hinge(t, e)
-            if not h.folded and t.twin(e)[0] != e[0] and h.is_strictly_convex():
+            if not h.folded and t.twin(e)[0] != e[0] and _convex(h):
                 t = dl.flip(t, e)
         return t
 
