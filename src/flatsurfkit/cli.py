@@ -93,12 +93,20 @@ def _fmt_cone(c: sf.ConePoint) -> str:
     return f"{c.angle_pi}pi"
 
 
+def _area_double(area) -> float:
+    """float(area), or inf where an exact area is beyond the double range."""
+    try:
+        return float(area)
+    except OverflowError:
+        return math.inf
+
+
 def _cmd_info(args) -> int:
     s = _require_valid(_read_surface(args.surface))
     cones = sf.cone_points(s)
     print(f"genus {sf.genus(s)}")
     print("cone angles: " + (" ".join(_fmt_cone(c) for c in cones) if cones else "none"))
-    print(f"area: {float(sf.area(s))!r}")
+    print(f"area: {_area_double(sf.area(s))!r}")
     print(f"kind: {s.kind}")
     print(f"polygons: {len(s.polygons)}, gluings: {len(s.gluings)}")
     return 0
@@ -147,7 +155,7 @@ def _cmd_delaunay(args) -> int:
     for kind, cells in sorted(census.items()):
         for p in cells:
             vecs = " ".join(f"({float(v[0]):.6g},{float(v[1]):.6g})" for v in p.edge_vectors())
-            print(f"  {kind}: area {float(p.area()):.6g}, edges {vecs}")
+            print(f"  {kind}: area {_area_double(p.area()):.6g}, edges {vecs}")
     if args.out:
         _write_surface(dec, args.out)
     if args.svg:

@@ -12,8 +12,10 @@ with A, B, C 4x4 determinants of the base coordinates: every hinge is
 Delaunay on one side of a geodesic a (x**2+y**2) + b x + c = 0 (a wall),
 always, or never.  On an exact hinge the determinants, their signs and
 the wall's normalization are computed in one pass over Python ints
-(numeric.exact_wall_form); a float hinge expands them in doubles, in a
-fixed order.  Cells are intersections of wall half-planes; in the
+(numeric.exact_wall_form), once per hinge quadrilateral in an
+exploration, whichever side it is read from (see _memo_wall); a float
+hinge expands them in doubles, in a fixed order, once per developed
+hinge.  Cells are intersections of wall half-planes; in the
 coordinates (u, v) = (x**2 + y**2, x) walls become straight lines and H
 the region u > v**2.  A cell is built with its facets, each the end
 values of a supporting wall's segment, which explore crosses.  An exact
@@ -21,7 +23,9 @@ cell's come from one half-plane intersection, the walls sorted by the
 angle of their normals and scanned once, and one 1-dimensional facet test
 per edge kept, clipped by the parabola, which makes that edge's ends; a
 float cell tests every wall against all the others, then each supporting
-wall against the supporting walls.  On an exact surface every combinatorial
+wall against the supporting walls.  An exact facet end is computed once
+per pair of walls and kept with the walls (see Wall and _ExactLine.value).
+On an exact surface every combinatorial
 decision is exact: a wall's side of a sample, the corners of the
 intersection and each sign of the facet test are taken in doubles where a
 proven error bound separates the value from 0 (see _SIDE_EPS,
@@ -42,7 +46,7 @@ from functools import cmp_to_key
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .numeric import (FLOAT_TOL, Scalar, canonical_ints, coefficients, exact_divisor, exact_wall_form,
-                      filtered_sign, is_exact, sign)
+                      filtered_sign, is_exact, sign, vec_neg)
 from . import delaunay as dl
 from .delaunay import HalfEdge, Triangulation, hinge, hinge_vectors
 from .surface import Surface
@@ -93,7 +97,10 @@ class _Key(tuple):
     tuples would.  The integers are equal exactly when the items are (see
     numeric.canonical_ints).  Against any other object equality is tuple
     equality, and ordering is tuple order throughout.
-    functools._HashedSeq keeps lru_cache keys' hashes the same way.
+    functools._HashedSeq keeps lru_cache keys' hashes the same way.  A
+    locus key also carries its wall's facet ends, as ends, once the facet
+    test has made them (see _facet_ends); they take no part in equality,
+    hashing or pickling.
     """
 
     def __new__(cls, items, ints: Tuple[int, ...]):
@@ -148,6 +155,14 @@ class Wall:
     _facet decide it in doubles where a proven error bound
     separates the value from 0, and in Q(alpha) otherwise.  A float wall's
     signs are its float expressions against a tolerance.
+
+    An exact wall also keeps its facet ends, on its locus key and filled
+    on first use: the parameter value where another wall bounds it, by that
+    wall's locus key (see _ExactLine.value).  The ends depend on the two
+    loci alone, so cell_at hands the walls of one locus in an exploration,
+    of either orientation, one dict, and each corner is computed once per
+    pair of walls.  A float wall keeps none, and no wall gets a field for
+    them.
     """
 
     a: Scalar
@@ -319,13 +334,19 @@ def _memo_wall(t: Triangulation, edge: HalfEdge, walls: dict):
     The cache rides on the triangulation: flips drop the walls of the
     hinges they change and copies carry the others over, so a wall is
     computed again only after its hinge was flipped.  walls is the second
-    level, on exact and float input alike: one wall per developed hinge
-    across the whole exploration.  A wall depends only on the hinge
+    level, across the whole exploration.  A wall depends only on the hinge
     developed in the base chart, with p1 at the origin, so its key is
-    delaunay.hinge_vectors, (p2, p3, p4 - p3) read from t without
-    arithmetic.  On exact input that key matches exactly when (p2, p3, p4)
-    does; on floats it is finer, as p3 + (p4 - p3) can round two hinges
-    together.
+    delaunay.hinge_vectors, (p2, p3, d) with d = p4 - p3, read from t
+    without arithmetic.
+
+    On exact input walls holds one wall per hinge quadrilateral, read from
+    either side.  The twin's side develops the same quadrilateral as
+    (d, -p3, p2), and a half-translation chart negates either key; a, b/2
+    and c are 4x4 determinants that neither translating the points, the
+    even relabelling (p1 p3)(p2 p4) nor p -> -p changes, so the wall is
+    stored under all four keys.  A float wall keeps the one developed-hinge
+    key: its expansion is not symmetric in the points, so an alias would
+    hand one side the other side's rounding.
     """
     w = t.hinge_cache.get(edge)
     if w is not None:
@@ -334,6 +355,10 @@ def _memo_wall(t: Triangulation, edge: HalfEdge, walls: dict):
     w = walls.get(key)
     if w is None:
         w = walls[key] = wall_of_hinge(t, edge)
+        if t.doubles is not None:  # an exact triangulation
+            p2, p3, d = key
+            n2, n3, nd = vec_neg(p2), vec_neg(p3), vec_neg(d)
+            walls[(d, n3, p2)] = walls[(n2, n3, nd)] = walls[(nd, p3, n2)] = w
     t.hinge_cache[edge] = w
     return w
 
@@ -560,10 +585,35 @@ class _ExactLine:
         return s * self.sd > 0
 
     def value(self, x: Optional[_Bound]) -> Optional[Scalar]:
+        """The exact parameter value -p/q at x, kept in the target wall's
+        facet ends by the locus key of the wall that bounds it there.  p and
+        q change sign together with either wall's orientation, so the value
+        depends on the two loci alone.  Two circle walls are both
+        parametrized by v and their corner has one v, so it is kept on the
+        other wall as well."""
         if x is None:
             return None
-        ep, eq = self._exact(x)
-        return -ep / exact_divisor(eq)
+        t, w = self.wall, x.wall
+        ends = _facet_ends(t)
+        key = w.locus_key()
+        v = ends.get(key)
+        if v is None:
+            ep, eq = self._exact(x)
+            v = ends[key] = -ep / exact_divisor(eq)
+            if not (self.vertical or w.is_vertical):
+                _facet_ends(w)[t.locus_key()] = v
+        return v
+
+
+def _facet_ends(w: Wall, shared: Optional[dict] = None) -> dict:
+    """The facet ends an exact wall keeps on its locus key (see Wall): made
+    on first use, from shared, a dict of locus key -> ends, where it is
+    given."""
+    key = w.locus_key()
+    ends = getattr(key, "ends", None)
+    if ends is None:
+        ends = key.ends = {} if shared is None else shared.setdefault(key, {})
+    return ends
 
 
 class _FloatLine:
@@ -786,15 +836,19 @@ class _Memo:
     """Work shared by the cell_at calls of one explore.
 
     cells maps a supporting key to the cell explore stored under it.  walls
-    maps a developed hinge to its wall (see _memo_wall), on exact and float
-    input alike; it is the second cache level, under each triangulation's
-    hinge_cache, which a neighbour's triangulation inherits from its parent
-    cell for every hinge it did not flip, and it adds the hinges that flips
-    recreate in a shape seen before.
+    maps a hinge to its wall (see _memo_wall): on exact input every key of
+    its quadrilateral, from either side and negated, finds one wall; on
+    float input the developed hinge is the key.  It is the second cache
+    level, under each triangulation's hinge_cache, which a neighbour's
+    triangulation inherits from its parent cell for every hinge it did not
+    flip, and it adds the hinges that flips recreate in a shape seen
+    before.  ends maps an exact wall's locus key to the facet ends that the
+    walls of that locus share (see Wall).
     """
 
     cells: Dict[FrozenSet, "Cell"]
     walls: dict = field(default_factory=dict)
+    ends: dict = field(default_factory=dict)
 
 
 def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
@@ -837,6 +891,8 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
             zy += 1e-9 * (attempt + 1)
             continue
         if exact:
+            for w in walls:
+                _facet_ends(w, memo.ends)
             found = _supporting_walls(walls)
         else:
             found = [(w, None) for w in walls if _facet(w, walls) is not None]
@@ -1045,8 +1101,11 @@ def explore(s: Surface, z0: HPoint, radius: float) -> Tessellation:
 
     Walls ride on the triangulations: a neighbour's triangulation inherits
     its parent cell's walls, and cell_at recomputes only the walls of the
-    hinges its own flips changed.  A second memo, keyed by the developed
-    hinge, computes each wall once per exploration, exact or float.
+    hinges its own flips changed.  A second memo computes each exact wall
+    once per hinge quadrilateral, read from either side, and each float
+    wall once per developed hinge, whose float expansion depends on the
+    side.  Each exact facet end is computed once per pair of walls, and
+    kept with the walls of both loci where both are circles.
     One exploration does not rebuild a cell it already holds.  On exact
     input the tessellation is edge-to-edge, so the far cell of a facet is
     looked up, not located again: every stored cell indexes its facets by

@@ -712,20 +712,14 @@ def incircle(p1: Point, p2: Point, p3: Point, p4: Point) -> int:
     Returns +1 if p4 is strictly inside, 0 if cocircular, -1 if strictly
     outside; the sign of the lifted 4x4 determinant with rows
     (x, y, x**2 + y**2, 1).  Raises ValueError when p1, p2, p3 are collinear.
-    """
-    if orient(p1, p2, p3) == 0:
-        raise ValueError("incircle: first three points are collinear")
-    return incircle_sign(p1, p2, p3, p4)
-
-
-def incircle_sign(p1: Point, p2: Point, p3: Point, p4: Point) -> int:
-    """sign(incircle_det(p1, p2, p3, p4)).
 
     On exact points the determinant is evaluated in doubles
     (_filter_doubles, incircle_filter), and its sign is taken where the
     bound of _INCIRCLE_EPS decides it; otherwise, and on float points,
     incircle_det gives it.
     """
+    if orient(p1, p2, p3) == 0:
+        raise ValueError("incircle: first three points are collinear")
     coords = (*p1, *p2, *p3, *p4)
     if float not in map(type, coords):
         f = _filter_doubles(coords)

@@ -111,6 +111,22 @@ class TestCli:
 
         assert census(scaled) == census(base)
 
+    def test_area_beyond_doubles_prints_inf(self, tmp_path, capsys):
+        # AY scaled by 10**200 has an area near 10**400: info and delaunay
+        # print inf for it, with the usual genus, cone angles and census.
+        big = str(10 ** 200)
+        src, scaled = tmp_path / "ay.json", tmp_path / "big.json"
+        invoke(capsys, "build", "ay", "-o", str(src))
+        assert invoke(capsys, "apply", "-m", big, "0", "0", big, str(src), "-o", str(scaled))[0] == 0
+        code, out, err = invoke(capsys, "info", str(scaled))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:3] == ["genus 3", "cone angles: 6pi 6pi", "area: inf"]
+        code, out, err = invoke(capsys, "delaunay", str(scaled))
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "6 cells: 2 squares, 4 trapezoids"
+        assert len(lines) == 8 and all(line.split(", edges")[0].endswith(": area inf") for line in lines[2:])
+
     def test_corners_without_doubles_raise(self):
         # At 10**400 no coordinate has a double: no angle, rather than a
         # wrong multiple of pi.

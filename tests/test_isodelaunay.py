@@ -1147,6 +1147,112 @@ class TestHingeCache:
         assert again.key == cell.key and computed == []
 
 
+def _same_form(got, want):
+    """The same int, or equal triples of the same scalar types."""
+    if isinstance(want, int):
+        return type(got) is int and got == want
+    return (not isinstance(got, int) and got == want
+            and [type(x) for x in got] == [type(x) for x in want])
+
+
+class TestWallMemoAliases:
+    """On exact input the wall memo holds one wall per hinge quadrilateral:
+    the key read from the twin's side and both negated keys find it too."""
+
+    @pytest.fixture(scope="class", params=("ay", "ay-prime", "escalator", "rational-trapezoids", "half-translation"))
+    def triangulations(self, request, ay):
+        # Each surface's triangulation as built and after each of 3 seeded flips.
+        from flatsurfkit import constructions as c
+        from flatsurfkit.surface import cut_and_reglue_square
+
+        s = {
+            "ay": lambda: ay,
+            "ay-prime": c.ay_prime,
+            "escalator": c.escalator,
+            "rational-trapezoids": lambda: c._trapezoid_scheme(Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)),
+            "half-translation": lambda: cut_and_reglue_square(ay, 0),
+        }[request.param]()
+        rnd = random.Random(11)
+        out = [dl.triangulate(s)]
+        for _ in range(3):
+            t = out[-1]
+            out.append(dl.flip(t, rnd.choice([e for e in t.edges()
+                                              if t.twin(e)[0] != e[0] and _convex(dl.hinge(t, e))])))
+        return request.param, out
+
+    def test_every_key_of_a_quadrilateral_gives_one_form(self, triangulations):
+        name, ts = triangulations
+        neg = numeric.vec_neg
+        signs = set()
+        for t in ts:
+            for e in t.edges():
+                p2, p3, d = dl.hinge_vectors(t, e)
+                q2, q3, dq = dl.hinge_vectors(t, t.twin(e))
+                signs.add(t.chart_sign[e])
+                # The twin develops the same quadrilateral, negated across a
+                # half-translation gluing.
+                flip = neg if t.chart_sign[e] == -1 else (lambda v: v)
+                assert (q2, q3, dq) == (flip(d), flip(neg(p3)), flip(p2))
+                form = numeric.exact_wall_form(p2, p3, numeric.vec_add(p3, d))
+                for k2, k3, kd in ((q2, q3, dq), (neg(p2), neg(p3), neg(d)), (neg(q2), neg(q3), neg(dq))):
+                    assert _same_form(numeric.exact_wall_form(k2, k3, numeric.vec_add(k3, kd)), form)
+        assert signs == ({-1, 1} if name == "half-translation" else {1})
+
+    def test_the_memo_answers_every_key_with_one_wall(self, triangulations, monkeypatch):
+        _, ts = triangulations
+        computed = []
+        wall_of_hinge = iso.wall_of_hinge
+
+        def counting(t, edge):
+            computed.append(edge)
+            return wall_of_hinge(t, edge)
+
+        monkeypatch.setattr(iso, "wall_of_hinge", counting)
+        for t in ts:
+            for e in t.edges():
+                walls = {}
+                w = iso._memo_wall(t, e, walls)
+                # A parallelogram's keys coincide in pairs: there d = -p2.
+                p2, p3, d = dl.hinge_vectors(t, e)
+                neg = numeric.vec_neg
+                keys = {(p2, p3, d), (d, neg(p3), p2), (neg(p2), neg(p3), neg(d)), (neg(d), p3, neg(p2))}
+                assert walls.keys() == keys and all(v is w for v in walls.values())
+                bare = t.copy()
+                bare.hinge_cache = {}
+                assert iso._memo_wall(bare, t.twin(e), walls) is w and walls.keys() == keys
+        assert len(computed) == sum(len(t.edges()) for t in ts)
+
+    def test_float_walls_keep_one_key(self):
+        from flatsurfkit.constructions import ay_trapezoid_shape, trapezoid_family
+
+        t = dl.triangulate(trapezoid_family(ay_trapezoid_shape()))
+        for e in t.edges():
+            walls = {}
+            iso._memo_wall(t, e, walls)
+            assert list(walls) == [dl.hinge_vectors(t, e)]
+
+    @pytest.mark.parametrize("radius, most, most_ends", [(1.0, 64, 63), (2.0, 475, 371)])
+    def test_exact_ball_computes_each_quadrilateral_once(self, ay, monkeypatch, radius, most, most_ends):
+        # 127 and 925 walls while the memo was keyed by one side of a hinge,
+        # and 192 and 1096 facet ends, one quotient each, while no wall
+        # kept them.
+        calls, ends = [], []
+        exact_wall_form, exact_divisor = iso.exact_wall_form, iso.exact_divisor
+
+        def counting(*points):
+            calls.append(points)
+            return exact_wall_form(*points)
+
+        def counting_ends(x):
+            ends.append(x)
+            return exact_divisor(x)
+
+        monkeypatch.setattr(iso, "exact_wall_form", counting)
+        monkeypatch.setattr(iso, "exact_divisor", counting_ends)
+        iso.explore(ay, iso.HPoint(0.0001, 1.0001), radius)
+        assert len(calls) <= most and len(ends) <= most_ends
+
+
 _small_fraction = st.fractions(min_value=-20, max_value=20, max_denominator=9)
 _exact_scalar = st.one_of(
     st.integers(-5, 5),
@@ -1474,6 +1580,13 @@ def _float_bounds(facet):
     return None if facet is None else tuple(None if x is None else x.hex() for x in facet)
 
 
+def _fresh_facet(j, walls):
+    """_facet(walls[j], walls) on new walls equal to these, so that no end
+    comes from the facet ends an exact wall keeps."""
+    fresh = [iso.Wall(w.a, w.b, w.c) for w in walls]
+    return iso._facet(fresh[j], fresh)
+
+
 class TestCellFacets:
     """The facets cell_at builds a cell with, against the pass explore ran
     before cells kept them: _facet(w, cell.walls) on each supporting wall, in
@@ -1503,7 +1616,7 @@ class TestCellFacets:
         facets = []
         for cell in tess.cells:
             assert len(cell.facets) == len(cell.walls)
-            facets += [(w, f, iso._facet(w, cell.walls)) for w, f in zip(cell.walls, cell.facets)]
+            facets += [(w, f, _fresh_facet(j, cell.walls)) for j, (w, f) in enumerate(zip(cell.walls, cell.facets))]
         return request.param, tess, radius, facets
 
     def test_facets_are_the_reference_pass(self, ball):
@@ -1522,6 +1635,22 @@ class TestCellFacets:
             assert all(_same_interval(f, ref) for _, f, ref in facets)
         else:
             assert [_float_bounds(f) for _, f, _ in facets] == [_float_bounds(ref) for _, _, ref in facets]
+
+    def test_exact_walls_of_one_locus_share_their_facet_ends(self, ball):
+        # Each finite end of an exact facet is kept under the locus of the
+        # wall that bounds it there; the walls of a locus, of either
+        # orientation, hold one dict.  Float walls keep no ends.
+        _, tess, _, facets = ball
+        if not tess.surface.is_exact():
+            assert not any(hasattr(w.locus_key(), "ends") for w, _, _ in facets)
+            return
+        shared = {}
+        for w, f, _ in facets:
+            ends = w.locus_key().ends
+            assert shared.setdefault(w.locus_key(), ends) is ends
+            assert all(x in ends.values() for x in f if x is not None)
+        assert len({id(d) for d in shared.values()}) == len(shared)
+        assert b"ends" not in pickle.dumps(tess)
 
     def test_crossing_points_are_the_reference_pass(self, ball):
         _, _, radius, facets = ball

@@ -16,7 +16,7 @@ from flatsurfkit.numeric import (
     filtered_sign,
     incircle,
     incircle_det,
-    incircle_sign,
+    incircle_filter,
     orient,
     scalar_from_str,
     scalar_to_str,
@@ -379,14 +379,24 @@ def exact_incircle(p1, p2, p3, p4) -> int:
 
 
 def assert_filters_match(points):
-    """orient on every triple and incircle_sign on every ordering of four of
-    points equal the exact signs."""
+    """orient on every triple and incircle on every ordering of four of
+    points equal the exact signs, and on every ordering the sign that
+    incircle_filter decides is the exact one.  An ordering whose first
+    triple is collinear makes incircle raise, but its filter is checked."""
     from itertools import permutations
 
     for triple in permutations(points, 3):
         assert orient(*triple) == exact_orient(*triple), triple
     for quad in permutations(points, 4):
-        assert incircle_sign(*quad) == exact_incircle(*quad), quad
+        want = exact_incircle(*quad)
+        f = numeric._filter_doubles([x for p in quad for x in p])
+        if f is not None:
+            assert incircle_filter(f) in (0, want), quad
+        if exact_orient(*quad[:3]) == 0:
+            with pytest.raises(ValueError):
+                incircle(*quad)
+        else:
+            assert incircle(*quad) == want, quad
 
 
 def scaled(points, k):
@@ -421,7 +431,7 @@ def circle_points(center, radius, ts):
 
 
 class TestFilteredPredicates:
-    """orient and incircle_sign take their signs in doubles under a proven
+    """orient and incircle take their signs in doubles under a proven
     bound; on every input below they equal the exact signs."""
 
     A = ALPHA
@@ -506,7 +516,7 @@ class TestFilteredPredicates:
             assert orient(*pts) == exact_orient(*pts)
             assert orient((0, 0), (1, 3), (t, 3 * t)) == exact_orient((0, 0), (1, 3), (t, 3 * t))
             circ = [(math.cos(a), math.sin(a)) for a in (0.3, 1.1 * t, 2.5, 4.0 + t)]
-            assert incircle_sign(*circ) == exact_incircle(*circ)
+            assert incircle(*circ) == exact_incircle(*circ)
 
     def test_the_filter_decides_clear_signs(self, monkeypatch):
         # Off every tie the doubles decide: the exact values are not built.
@@ -517,7 +527,7 @@ class TestFilteredPredicates:
         monkeypatch.setattr(numeric, "incircle_det", fail)
         monkeypatch.setattr(numeric, "sign", fail)
         assert orient(*pts[:3]) == 1
-        assert incircle_sign(*pts) == -1
+        assert incircle(*pts) == -1
 
     def test_filtered_sign_bound_is_strict(self):
         eps, mag = 2.0 ** -48, 3.0
