@@ -101,8 +101,7 @@ def _area_double(area) -> float:
         return math.inf
 
 
-def _cmd_info(args) -> int:
-    s = _require_valid(_read_surface(args.surface))
+def _cmd_info(s: Surface, args) -> int:
     cones = sf.cone_points(s)
     print(f"genus {sf.genus(s)}")
     print("cone angles: " + (" ".join(_fmt_cone(c) for c in cones) if cones else "none"))
@@ -141,8 +140,7 @@ def _classify_cell(p: sf.Polygon) -> str:
     return "quadrilateral"
 
 
-def _cmd_delaunay(args) -> int:
-    s = _require_valid(_read_surface(args.surface))
+def _cmd_delaunay(s: Surface, args) -> int:
     tri = dl.delaunayize(dl.triangulate(s))
     dec = dl.decomposition(tri)
     census = {}
@@ -211,8 +209,7 @@ def _decomposition_svg(dec: Surface) -> str:
     return "\n".join(parts)
 
 
-def _cmd_isometries(args) -> int:
-    s = _require_valid(_read_surface(args.surface))
+def _cmd_isometries(s: Surface, args) -> int:
     isos = sym.isometries(s)
     summary = sym.group_summary(isos)
     print(f"group order {summary.order}")
@@ -235,8 +232,7 @@ def _cmd_isometries(args) -> int:
     return 0
 
 
-def _cmd_apply(args) -> int:
-    s = _require_valid(_read_surface(args.surface))
+def _cmd_apply(s: Surface, args) -> int:
     a, b, c, d = args.matrix
     _write_surface(sf.apply_linear(((a, b), (c, d)), s), args.output)
     return 0
@@ -281,8 +277,7 @@ def _cmd_periods(args) -> int:
     return 0
 
 
-def _cmd_origami_check(args) -> int:
-    s = _require_valid(_read_surface(args.surface))
+def _cmd_origami_check(s: Surface, args) -> int:
     cert = cons.origami_check(s)
     if cert is None:
         print("not an origami")
@@ -293,8 +288,7 @@ def _cmd_origami_check(args) -> int:
     return 0
 
 
-def _cmd_genus2(args) -> int:
-    s = _require_valid(_read_surface(args.surface))
+def _cmd_genus2(s: Surface, args) -> int:
     out = sf.cut_and_reglue_square(s, args.square, args.axis)
     _write_surface(out, args.output)
     return 0
@@ -304,8 +298,7 @@ def _cell_digest(cell: iso.Cell) -> str:
     return hashlib.sha1(repr(cell.comb_hash).encode()).hexdigest()[:12]
 
 
-def _cmd_tessellate(args) -> int:
-    s = _require_valid(_read_surface(args.surface))
+def _cmd_tessellate(s: Surface, args) -> int:
     tess = iso.explore(s, iso.HPoint(args.x, args.y), args.radius)
     print(f"cells: {len(tess.cells)}")
     print(f"walls: {len(tess.all_walls())}")
@@ -368,6 +361,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
+    def surface_command(name: str, help: str, cmd) -> argparse.ArgumentParser:
+        """A subcommand reading the optional positional `surface` (stdin when
+        absent or "-"); cmd(s, args) gets it read and through _require_valid."""
+        p = subs.add_parser(name, help=help)
+        p.add_argument("surface", nargs="?", default=None)
+        p.set_defaults(func=lambda args: cmd(_require_valid(_read_surface(args.surface)), args))
+        return p
+
     p = subs.add_parser("build", help="construct a named surface")
     p.add_argument("what", choices=["ay", "ay-prime", "trapezoid", "parallelogram", "escalator", "rectangle"])
     p.add_argument("--b", type=float, help="trapezoid short base")
@@ -381,25 +382,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_build)
 
-    p = subs.add_parser("info", help="genus, cone angles, area")
-    p.add_argument("surface", nargs="?", default=None)
-    p.set_defaults(func=_cmd_info)
+    surface_command("info", "genus, cone angles, area", _cmd_info)
 
-    p = subs.add_parser("delaunay", help="Delaunay decomposition census")
-    p.add_argument("surface", nargs="?", default=None)
+    p = surface_command("delaunay", "Delaunay decomposition census", _cmd_delaunay)
     p.add_argument("--out", default=None, help="write the decomposition as a surface file")
     p.add_argument("--svg", default=None, help="write an SVG net of the cells")
-    p.set_defaults(func=_cmd_delaunay)
 
-    p = subs.add_parser("isometries", help="isometry group of the surface")
-    p.add_argument("surface", nargs="?", default=None)
-    p.set_defaults(func=_cmd_isometries)
+    surface_command("isometries", "isometry group of the surface", _cmd_isometries)
 
-    p = subs.add_parser("apply", help="apply a 2x2 linear map")
+    p = surface_command("apply", "apply a 2x2 linear map", _cmd_apply)
     p.add_argument("-m", "--matrix", nargs=4, type=_finite_scalar, required=True, metavar=("A", "B", "C", "D"))
-    p.add_argument("surface", nargs="?", default=None)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_apply)
 
     p = subs.add_parser("solve-ay", help="solve the integral system for the AY parameters")
     p.add_argument("--tol", type=float, default=quadrature.TOL)
@@ -421,25 +414,19 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--a-real", type=float, default=0.0)
     ps.set_defaults(func=_cmd_periods)
 
-    p = subs.add_parser("origami-check", help="square-tiled (torus cover) test")
-    p.add_argument("surface", nargs="?", default=None)
-    p.set_defaults(func=_cmd_origami_check)
+    surface_command("origami-check", "square-tiled (torus cover) test", _cmd_origami_check)
 
-    p = subs.add_parser("genus2", help="cut and reglue a square: the genus-2 correspondence")
-    p.add_argument("surface", nargs="?", default=None)
+    p = surface_command("genus2", "cut and reglue a square: the genus-2 correspondence", _cmd_genus2)
     p.add_argument("--square", type=int, required=True)
     p.add_argument("--axis", choices=[sf.HORIZONTAL, sf.VERTICAL], default=sf.HORIZONTAL)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_genus2)
 
-    p = subs.add_parser("tessellate", help="iso-Delaunay tessellation of the half-plane")
-    p.add_argument("surface", nargs="?", default=None)
+    p = surface_command("tessellate", "iso-Delaunay tessellation of the half-plane", _cmd_tessellate)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--x", type=float, default=0.0001)
     p.add_argument("--y", type=float, default=1.0001)
     p.add_argument("--svg", default=None)
     p.add_argument("--json", default=None)
-    p.set_defaults(func=_cmd_tessellate)
 
     return parser
 

@@ -22,7 +22,9 @@ from .numeric import (
     Vec2,
     coefficients,
     cross,
+    cross_sign,
     is_exact,
+    scaled_points,
     sign,
     vec_add,
     vec_neg,
@@ -117,13 +119,14 @@ def ay_surface() -> Surface:
 
 @dataclass(frozen=True)
 class TrapezoidShape:
-    """Isosceles trapezoid: short base b, long base B >= b, height h > 0."""
+    """Isosceles trapezoid: finite short base b > 0, long base B >= b, height
+    h > 0; SurfaceError when made off them."""
 
     b: float
     B: float
     h: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not all(is_exact(x) or math.isfinite(x) for x in (self.b, self.B, self.h)):
             raise SurfaceError(f"non-finite trapezoid shape {self}")
         if not (self.b > 0 and self.h > 0 and self.B >= self.b):
@@ -132,7 +135,6 @@ class TrapezoidShape:
 
 def trapezoid_family(shape: TrapezoidShape) -> Surface:
     """Genus-3 surface built from an isosceles trapezoid (rectangle allowed)."""
-    shape.validate()
     s2 = math.sqrt(2.0)
     return _trapezoid_scheme(shape.b / s2, shape.B / s2, shape.h * s2 / 2)
 
@@ -157,20 +159,30 @@ def ay_prime() -> Surface:
 
 @dataclass(frozen=True)
 class ParallelogramShape:
-    """Parallelogram spanned by side1, side2 with positive cross product."""
+    """Parallelogram spanned by finite side1, side2 with positive cross
+    product (cross_sign, at any float scale); SurfaceError when made off it."""
 
     side1: Tuple[Scalar, Scalar]
     side2: Tuple[Scalar, Scalar]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not all(is_exact(x) or math.isfinite(x) for x in self.side1 + self.side2):
             raise SurfaceError(f"non-finite parallelogram shape {self}")
-        if sign(cross(self.side1, self.side2)) <= 0:
+        if cross_sign(self.side1, self.side2) <= 0:
             raise SurfaceError(f"parallelogram sides must be positively oriented: {self}")
 
 
 def _reflection_across(w: Vec2):
-    """Linear reflection fixing the direction w (exact over exact scalars)."""
+    """Linear reflection fixing the direction w (exact over exact scalars).
+
+    A float w below 1 in magnitude is first scaled up by a power of two
+    (scaled_points), which leaves the reflection as it is, so that its
+    squared length does not underflow.  A large w is left as it is: where
+    its squared length overflows, the surface's vertices come out NaN and
+    the writer refuses them (test_non_finite_vertex_is_a_domain_error).
+    """
+    if not all(map(is_exact, w)) and max(abs(w[0]), abs(w[1])) < 1.0:
+        w = scaled_points((w,))[0]
     n2 = w[0] * w[0] + w[1] * w[1]
     inv = Fraction(1) / n2
     a = (w[0] * w[0] - w[1] * w[1]) * inv
@@ -213,7 +225,6 @@ def parallelogram_family(shape: ParallelogramShape) -> Surface:
     the unfolded side1.  Exact inputs produce exact surfaces (the
     reflections are rational in the side coordinates).
     """
-    shape.validate()
     w1 = shape.side1
     w2 = vec_neg(shape.side2)  # internal convention: cross(w1, w2) < 0
     m2 = _reflection_across(w2)
@@ -373,9 +384,14 @@ def _origami_exact(s: Surface, holonomies: List[Vec2]) -> Optional[OrigamiCertif
 
 def _origami_float(s: Surface, holonomies: List[Vec2]) -> Optional[OrigamiCertificate]:
     hs = [(float(h[0]), float(h[1])) for h in holonomies]
+    # Equal holonomies are found on their doubles under one power of two,
+    # so at any scale; the unscaled doubles stay the representatives.
+    keys = scaled_points(hs)
+    if keys is None:
+        raise SurfaceError("the Delaunay edge holonomies have no finite doubles")
     seen = {}
-    for h in hs:
-        seen[(round(h[0], 12), round(h[1], 12))] = h
+    for k, h in zip(keys, hs):
+        seen[(round(k[0], 12), round(k[1], 12))] = h
     hs = list(seen.values())
     scale = max(math.hypot(*h) for h in hs)
     v1 = max(hs, key=lambda h: math.hypot(*h))

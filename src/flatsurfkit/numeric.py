@@ -485,6 +485,16 @@ def vectors_match(v: Vec2, w: Vec2) -> bool:
         tol = FLOAT_TOL * max(abs(float(x)) for x in (v[0], v[1], w[0], w[1]))
     return sign(d0, tol) == 0 and sign(d1, tol) == 0
 
+def cross_sign(a: Vec2, b: Vec2) -> int:
+    """sign(cross(a, b)): exact on exact vectors.  On float ones it is taken
+    on the doubles of each vector scaled by its own power of two
+    (scaled_points), which keeps the sign and makes it independent of the
+    vectors' scales; 0 where a vector has no finite nonzero doubles."""
+    if all(map(is_exact, a + b)):
+        return sign(cross(a, b))
+    da, db = scaled_points((a,)), scaled_points((b,))
+    return 0 if da is None or db is None else sign(cross(da[0], db[0]))
+
 def mat_vec(m: Mat2, v: Vec2) -> Vec2:
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 

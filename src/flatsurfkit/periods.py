@@ -34,23 +34,23 @@ class PeriodsError(RuntimeError):
 
 @dataclass(frozen=True)
 class CurveTU:
-    """Member of the first family: 1 < t < inf, 0 < u < inf."""
+    """Member of the first family: 1 < t < inf, 0 < u < inf; PeriodsError when made off it."""
 
     t: float
     u: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (1 < self.t < math.inf and 0 < self.u < math.inf):
             raise PeriodsError(f"curve parameters out of domain: t={self.t}, u={self.u}")
 
 
 @dataclass(frozen=True)
 class CurveS:
-    """Member of the second family: finite s, Im s > 0 and s != i."""
+    """Member of the second family: finite s, Im s > 0, s != i; PeriodsError when made off it."""
 
     s: complex
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not cmath.isfinite(self.s):
             raise PeriodsError(f"s must be finite: {self.s}")
         if not (self.s.imag > 0) or self.s == 1j:
@@ -59,11 +59,12 @@ class CurveS:
 
 @dataclass(frozen=True)
 class CurveA:
-    """Genus-2 curve y**2 = x (x**2 - 1) (x - a) (x - 1/a), a finite."""
+    """Genus-2 curve y**2 = x (x**2 - 1) (x - a) (x - 1/a), a finite, a != 0, a**2 != 1;
+    PeriodsError when made with another a."""
 
     a: complex
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not cmath.isfinite(self.a):
             raise PeriodsError(f"a must be finite: {self.a}")
         if self.a == 0 or self.a * self.a == 1:
@@ -87,7 +88,6 @@ def _integrals(c: CurveTU, tol: float, j3: bool = True, partials: bool = False) 
     recompute the value's factors rather than have the value path name
     them, which every value-only call would pay for.
     """
-    c.validate()
     t, u = c.t, c.u
     tu = t * u
 
@@ -285,7 +285,6 @@ def solve_t_rectangle(mu: float, tol: float = TOL) -> float:
 
 def phi_map(c: CurveTU, x: complex) -> complex:
     """Phi(x) = i sqrt(tu) (x - 1)/(x + tu); the pole maps to infinity."""
-    c.validate()
     tu = c.t * c.u
     if abs(x + tu) <= 1e-14 * (abs(x) + tu):
         return POINT_AT_INFINITY
@@ -294,13 +293,12 @@ def phi_map(c: CurveTU, x: complex) -> complex:
 
 def a_from_tu(c: CurveTU) -> complex:
     """a = i sqrt(u/t) (t - 1)/(u + 1), on the positive imaginary axis."""
-    c.validate()
     return 1j * math.sqrt(c.u / c.t) * (c.t - 1) / (c.u + 1)
 
 
 def psi_map(s: complex, x: complex) -> complex:
     """Psi(x) = i (x - s)/(s x + 1); the pole maps to infinity."""
-    CurveS(s).validate()
+    CurveS(s)  # PeriodsError off the second family's domain
     if abs(s * x + 1) <= 1e-14 * (abs(s * x) + 1):
         return POINT_AT_INFINITY
     return 1j * (x - s) / (s * x + 1)
@@ -308,13 +306,12 @@ def psi_map(s: complex, x: complex) -> complex:
 
 def a_from_s(s: complex) -> float:
     """a = 2 Im s / (1 + |s|**2), in (0, 1)."""
-    CurveS(s).validate()
+    CurveS(s)  # PeriodsError off the second family's domain
     return 2.0 * s.imag / (1.0 + abs(s) ** 2)
 
 
 def induced_q_coefficient(c: CurveTU) -> complex:
     """Linear coefficient k of the induced differential (x**2 + k x + 1) dx**2/y**2."""
-    c.validate()
     tu = c.t * c.u
     return 1j * (tu - 1.0) / math.sqrt(tu)
 
@@ -394,7 +391,6 @@ def silhol_periods(c: CurveA, tol: float = TOL) -> Tuple[complex, complex]:
     Raises BranchAmbiguityError when a root lies within 1e-12 of a segment
     but off its line, where that side is not determined.
     """
-    c.validate()
     roots = _curve_a_roots(c.a)
     return _segment_period(roots, 2, 0, tol), _segment_period(roots, 0, 4, tol)
 

@@ -21,9 +21,8 @@ from .numeric import (
     Point,
     Scalar,
     Vec2,
-    cross,
+    cross_sign,
     is_exact,
-    mat_det,
     mat_vec,
     scaled_points,
     sign,
@@ -87,13 +86,12 @@ class Polygon:
         return total * Fraction(1, 2)
 
     def is_strictly_convex(self) -> bool:
+        """Every turn strictly left; on floats at any scale (cross_sign)."""
         n = len(self.vertices)
         if n < 3:
             return False
-        for i in range(n):
-            if sign(cross(self.edge_vector(i), self.edge_vector((i + 1) % n))) <= 0:
-                return False
-        return True
+        ev = self.edge_vectors()
+        return all(cross_sign(ev[i], ev[(i + 1) % n]) > 0 for i in range(n))
 
     def translated_to_origin(self) -> "Polygon":
         v0 = self.vertices[0]
@@ -377,9 +375,11 @@ def apply_linear(m: Mat2, s: Surface) -> Surface:
     """Apply an invertible linear map to every chart.
 
     Orientation-reversing maps reverse each vertex chain (to keep polygons
-    counterclockwise) and remap the gluing edge indices accordingly.
+    counterclockwise) and remap the gluing edge indices accordingly.  The
+    determinant's sign is cross_sign of the rows, so a float matrix is
+    singular only where a row is 0 or its rows are parallel, at any scale.
     """
-    d = sign(mat_det(m))
+    d = cross_sign(m[0], m[1])
     if d == 0:
         raise SurfaceError("apply_linear: singular matrix")
     if d > 0:

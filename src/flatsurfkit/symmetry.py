@@ -26,6 +26,7 @@ from .numeric import (
     mat_inv,
     mat_mul,
     mat_transpose,
+    scaled_points,
     vec_neg,
     vectors_match,
 )
@@ -180,12 +181,19 @@ def isometries_between(dec_a: Surface, dec_b: Surface) -> List[Isometry]:
     kinds carry the map across each gluing; so on a connected decomposition
     equal labels everywhere force one derivative, and no edge is checked
     after the walk.  The derivative is solved once per isometry, at flag 0.
+    Float edge vectors are first scaled, all by one power of two
+    (scaled_points), so that neither their Gram entries nor the derivative
+    depend on the surfaces' scale.
     """
     out: List[Isometry] = []
     edge, nxt, prev, twin, glue = _flags(dec_a, dec_b)
     m = _offsets(dec_a)[-1]
     if not m or len(edge) != 2 * m:
         return out
+    if not all(is_exact(x) for e in edge for x in e):
+        edge = scaled_points(edge)
+        if edge is None:
+            raise SurfaceError("the cells' edge vectors have no finite doubles")
     forward, mirror = _corner_labels(edge, nxt, prev, glue)
     code, order_a = dl._code_below(twin, nxt, 0, None, forward)
     if len(order_a) < m:

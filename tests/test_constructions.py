@@ -7,6 +7,7 @@ import pytest
 
 from flatsurfkit.numeric import ALPHA, CubicNumber, IDENTITY, cross
 from flatsurfkit import symmetry as sym
+from flatsurfkit.periods import CurveA, CurveS, CurveTU, PeriodsError
 from flatsurfkit.constructions import (
     ParallelogramShape,
     TrapezoidShape,
@@ -21,6 +22,32 @@ from flatsurfkit.constructions import (
     trapezoid_family,
 )
 from flatsurfkit.surface import SurfaceError, apply_linear, area, cone_points, genus, validate
+
+
+class TestInputDomains:
+    @pytest.mark.parametrize("make, error", (
+        (lambda: CurveTU(1.0, 2.0), PeriodsError),
+        (lambda: CurveTU(2.0, 0.0), PeriodsError),
+        (lambda: CurveTU(2.0, math.nan), PeriodsError),
+        (lambda: CurveS(1j), PeriodsError),
+        (lambda: CurveS(0.5 - 1j), PeriodsError),
+        (lambda: CurveS(complex(math.inf, 1.0)), PeriodsError),
+        (lambda: CurveA(0.0), PeriodsError),
+        (lambda: CurveA(-1.0), PeriodsError),
+        (lambda: CurveA(complex(math.nan, 0.5)), PeriodsError),
+        (lambda: TrapezoidShape(2.0, 1.0, 1.0), SurfaceError),
+        (lambda: TrapezoidShape(1.0, 2.0, 0.0), SurfaceError),
+        (lambda: TrapezoidShape(1.0, math.inf, 1.0), SurfaceError),
+        (lambda: ParallelogramShape((1.0, 0.0), (2.0, 0.0)), SurfaceError),
+        (lambda: ParallelogramShape((0, 1), (1, 0)), SurfaceError),
+        (lambda: ParallelogramShape((1.0, 0.0), (0.0, math.nan)), SurfaceError),
+    ), ids=["tu-t-1", "tu-u-0", "tu-u-nan", "s-i", "s-lower", "s-inf", "a-0", "a-minus-1", "a-nan",
+            "trapezoid-B-below-b", "trapezoid-h-0", "trapezoid-B-inf", "parallelogram-parallel",
+            "parallelogram-exact-clockwise", "parallelogram-nan"])
+    def test_out_of_domain_input_cannot_be_made(self, make, error):
+        # Checked on construction: no function taking these has to check again.
+        with pytest.raises(error):
+            make()
 
 
 def _involution_census(s):
@@ -65,6 +92,11 @@ class TestTrapezoidFamily:
         assert validate(s) == []
         assert genus(s) == 3
 
+    @pytest.mark.parametrize("scale", (1e-200, 1e200))
+    def test_float_shape_far_from_unit_scale(self, scale):
+        s = trapezoid_family(TrapezoidShape(scale, 2 * scale, scale))
+        assert validate(s) == [] and genus(s) == 3
+
     def test_degenerate_shape_rejected(self):
         with pytest.raises(SurfaceError):
             trapezoid_family(TrapezoidShape(2.0, 1.0, 1.0))
@@ -108,6 +140,12 @@ class TestParallelogramFamily:
             assert len(reversing) == 4
             assert all(sym.element_order(i) == 2 for i in reversing)
             assert len([i for i in isos if i.name_hint() == "tau"]) == 1
+
+    def test_tiny_float_shape(self):
+        # Its cross product, 1.1e-400, and its sides' squared lengths underflow.
+        s = parallelogram_family(ParallelogramShape((1e-200, 0.0), (3e-201, 1.1e-200)))
+        assert validate(s) == [] and genus(s) == 3
+        assert sorted(c.angle_pi for c in cone_points(s)) == [6, 6]
 
     def test_ay_prime_shape(self):
         built = parallelogram_family(ay_prime_parallelogram_shape())
@@ -175,6 +213,11 @@ class TestOrigami:
         xs = {h[0] for h in holonomies}
         assert any(CubicNumber.coerce(v) == x for v in xs)
         assert any(CubicNumber.coerce(v) == y for v in xs)
+
+    @pytest.mark.parametrize("scale", (1e-100, 1e-20, 1e20, 1e100))
+    def test_float_degree_does_not_depend_on_scale(self, scale):
+        cert = origami_check(trapezoid_family(TrapezoidShape(scale, 3 * scale, scale)))
+        assert cert is not None and cert.degree == 12
 
     def test_irrational_shapes_rejected(self):
         assert origami_check(trapezoid_family(TrapezoidShape(1.0, 2.0, math.pi / 4))) is None

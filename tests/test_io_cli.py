@@ -228,11 +228,30 @@ class TestCli:
         assert run(["no-such-command"]) == 2
         assert run([]) == 2
 
+    _UNGLUED_SQUARE = ('{"format": "flatsurface/1", "kind": "translation", "scalars": "exact", '
+                       '"polygons": [[["0","0"],["1","0"],["1","1"],["0","1"]]], "gluings": []}')
+
     def test_domain_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"format": "flatsurface/1", "kind": "translation", "scalars": "exact", '
-                       '"polygons": [[["0","0"],["1","0"],["1","1"],["0","1"]]], "gluings": []}')
+        bad.write_text(self._UNGLUED_SQUARE)
         assert run(["info", str(bad)]) == 1
+
+    @pytest.mark.parametrize("argv", (
+        ["info"],
+        ["delaunay"],
+        ["isometries"],
+        ["apply", "-m", "1", "0", "0", "1"],
+        ["origami-check"],
+        ["genus2", "--square", "0"],
+        ["tessellate", "--radius", "1.0"],
+    ), ids=lambda argv: argv[0])
+    def test_every_surface_command_rejects_an_invalid_surface(self, argv, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(self._UNGLUED_SQUARE)
+        code, out, err = invoke(capsys, *argv, str(bad))
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: invalid surface: edge-unmatched")
 
     _TRIANGLE = '"polygons": [[["0","0"],["1","0"],["0","1"]]]'
     _GLUED = '"gluings": [[[0,0],[0,1],"translation"],[[0,2],[0,2],"reflection"]]'

@@ -391,10 +391,10 @@ class TestSilholRatio:
 class TestCurveDomains:
     def test_curve_s(self):
         with pytest.raises(PeriodsError):
-            CurveS(1j).validate()
+            CurveS(1j)
         with pytest.raises(PeriodsError):
-            CurveS(0.5 - 1j).validate()
-        CurveS(0.5 + 1j).validate()
+            CurveS(0.5 - 1j)
+        assert CurveS(0.5 + 1j).s == 0.5 + 1j
 
     @pytest.mark.parametrize("call, message", (
         (lambda: a_from_tu(CurveTU(math.inf, 1.0)), "out of domain"),

@@ -42,6 +42,14 @@ class TestValidate:
     def test_torus_valid(self, torus):
         assert validate(torus) == []
 
+    @pytest.mark.parametrize("scale", (1e-200, 1.0, 1e200))
+    def test_float_convexity_does_not_depend_on_scale(self, scale):
+        # At 1e-200 the cross products underflow to 0, at 1e200 they overflow.
+        square = [(0.0, 0.0), (scale, 0.0), (scale, scale), (0.0, scale)]
+        assert Polygon(square).is_strictly_convex()
+        assert not Polygon(square[::-1]).is_strictly_convex()
+        assert not Polygon(square[:2] + [(2 * scale, 0.0), (scale, scale)]).is_strictly_convex()
+
     def test_ay_valid(self, ay):
         assert validate(ay) == []
 
@@ -252,6 +260,17 @@ class TestApplyLinear:
     def test_singular_matrix_rejected(self, torus):
         with pytest.raises(SurfaceError):
             apply_linear(((1, 1), (1, 1)), torus)
+
+    def test_float_determinant_that_underflows(self):
+        # det = 1e-400 is 0 in doubles; the rows decide it at their own scales.
+        torus = Surface([Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])],
+                        [Gluing((0, 0), (0, 2), TRANSLATION), Gluing((0, 1), (0, 3), TRANSLATION)])
+        for m, flipped in ((((1e-200, 0.0), (0.0, 1e-200)), False), (((0.0, 1e-200), (1e-200, 0.0)), True)):
+            image = apply_linear(m, torus)
+            assert validate(image) == []
+            assert image.gluings[0].edge_a == ((0, 3) if flipped else (0, 0))
+        with pytest.raises(SurfaceError, match="singular"):
+            apply_linear(((1e-200, 2e-200), (0.5e-200, 1e-200)), torus)
 
     def test_orientation_reversing_stays_valid(self, ay):
         image = apply_linear(((-1, 0), (0, 1)), ay)

@@ -196,6 +196,16 @@ class TestFamilies:
         summary = sym.group_summary(isos)
         assert summary.order == 8 and summary.dihedral
 
+    @pytest.mark.parametrize("k", (-340, 520))
+    def test_float_group_does_not_depend_on_scale(self, k):
+        # At 2**-340 the edges' squared lengths underflow, at 2**520 they
+        # overflow; the search works on the edge vectors scaled back.
+        unit = trapezoid_family(TrapezoidShape(1.0, 2.0, 1.0))
+        scaled = apply_linear(((2.0 ** k, 0), (0, 2.0 ** k)), unit)
+        want, got = sym.isometries(unit), sym.isometries(scaled)
+        assert sym.group_summary(got) == sym.group_summary(want)
+        assert [i.derivative_floats() for i in got] == [i.derivative_floats() for i in want]
+
     def test_parallelogram_family_dihedral(self):
         isos = sym.isometries(parallelogram_family(ParallelogramShape((1.0, 0.1), (-0.3, 1.2))))
         summary = sym.group_summary(isos)
