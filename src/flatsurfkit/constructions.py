@@ -175,13 +175,11 @@ class ParallelogramShape:
 def _reflection_across(w: Vec2):
     """Linear reflection fixing the direction w (exact over exact scalars).
 
-    A float w below 1 in magnitude is first scaled up by a power of two
-    (scaled_points), which leaves the reflection as it is, so that its
-    squared length does not underflow.  A large w is left as it is: where
-    its squared length overflows, the surface's vertices come out NaN and
-    the writer refuses them (test_non_finite_vertex_is_a_domain_error).
+    A float w is first scaled by the power of two that brings it into
+    [0.5, 1) (scaled_points), which leaves the reflection as it is, so that
+    its squared length neither underflows nor overflows.
     """
-    if not all(map(is_exact, w)) and max(abs(w[0]), abs(w[1])) < 1.0:
+    if not all(map(is_exact, w)):
         w = scaled_points((w,))[0]
     n2 = w[0] * w[0] + w[1] * w[1]
     inv = Fraction(1) / n2

@@ -23,7 +23,8 @@ cell's come from one half-plane intersection, the walls sorted by the
 angle of their normals and scanned once, and one 1-dimensional facet test
 per edge kept, clipped by the parabola, which makes that edge's ends; a
 float cell tests every wall against all the others, then each supporting
-wall against the supporting walls.  An exact facet end is computed once
+wall against the supporting walls, each test one loop over the walls
+(_float_facet).  An exact facet end is computed once
 per pair of walls and kept with the walls (see Wall and _ExactLine.value).
 On an exact surface every combinatorial
 decision is exact: a wall's side of a sample, the corners of the
@@ -31,7 +32,9 @@ intersection and each sign of the facet test are taken in doubles where a
 proven error bound separates the value from 0 (see _SIDE_EPS,
 _CORNER_EPS and _FACET_EPS), and in Q(alpha) otherwise.  Floating point
 otherwise only chooses sample points, which are rationalized and then
-verified.
+verified.  Each cell carries the canonical code of its triangulation (its
+comb hash); an exploration keeps the combinatorial classes it has met, so
+that a cell of a known class, the usual case, reads its code off them.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ _log = logging.getLogger("flatsurfkit.isodelaunay")
 ALWAYS = "always"
 NEVER = "never"
 
-# The float tolerance of the facet test on float walls (_FloatLine).
+# The float tolerance of the facet test on float walls (_float_facet).
 _FACET_TOL = 1e-13
 
 # explore's largest radius: exp(1.5 * radius) overflows a double above 473.2.
@@ -616,59 +619,19 @@ def _facet_ends(w: Wall, shared: Optional[dict] = None) -> dict:
     return ends
 
 
-class _FloatLine:
-    """A float target wall as the line (u0 + s du, v0 + s dv) in (u, v): a
-    circle wall parametrized by v = s, a vertical wall by u = s.  Its bounds
-    are floats and its signs floats against _FACET_TOL."""
-
-    def __init__(self, w: Wall):
-        self.vertical = w.is_vertical
-        if self.vertical:
-            # v = -c/b
-            inv = 1.0 / w.fb
-            self.u0, self.du, self.v0, self.dv = 0, 1, -w.fc * inv, 0
-        else:
-            # u = -(b v + c)/a
-            inv = 1.0 / w.fa
-            self.u0, self.du, self.v0, self.dv = -w.fc * inv, -w.fb * inv, 0, 1
-
-    def bound(self, w: Wall):
-        # a (u0 + s du) + b (v0 + s dv) + c <= 0
-        slope = w.fa * self.du + w.fb * self.dv
-        const = w.fa * self.u0 + w.fb * self.v0 + w.fc
-        ss = (slope > _FACET_TOL) - (slope < -_FACET_TOL)
-        if ss == 0:
-            return 0, (const > _FACET_TOL) - (const < -_FACET_TOL)
-        return ss, -const / slope
-
-    @staticmethod
-    def less(x: float, y: float) -> bool:
-        return x - y < -_FACET_TOL
-
-    def vertex(self) -> float:
-        return self.du / 2
-
-    def inside(self, x: float) -> bool:
-        if self.vertical:
-            return x - self.v0 * self.v0 > _FACET_TOL
-        return -x * x + self.du * x + self.u0 > _FACET_TOL
-
-    @staticmethod
-    def value(x: Optional[float]) -> Optional[float]:
-        return x
-
-
 def _facet(target: Wall, others: Sequence[Wall]):
     """(lo, hi) for the facet of the wall target, the parameter values of
     its ends on the cell boundary (v on a circle wall, u on a vertical one;
     None where no wall bounds that end), or None when the wall is redundant
-    or its facet misses H.  Exact walls give exact values, float walls
-    floats.
+    or its facet misses H.  Exact walls give exact values; a float wall is
+    _float_facet's.
 
     The wall is a line in (u, v) coordinates, each other wall a half-line
     of it, and the parabola u > v**2 a concave quadratic g along it.
     """
-    line = _ExactLine(target) if target.exact else _FloatLine(target)
+    if not target.exact:
+        return _float_facet(target, others)
+    line = _ExactLine(target)
     lo = hi = None
     for w in others:
         if w is target:
@@ -698,6 +661,51 @@ def _facet(target: Wall, others: Sequence[Wall]):
             candidates.append(vertex)
         inside = any(line.inside(x) for x in candidates)
     return (line.value(lo), line.value(hi)) if inside else None
+
+
+def _float_facet(target: Wall, others: Sequence[Wall]):
+    """_facet on a float target wall: the line (u0 + s du, v0 + s dv) in
+    (u, v), a circle wall parametrized by v = s, a vertical wall by u = s.
+    Its bounds are floats and its signs floats against _FACET_TOL: a bound
+    replaces the one kept only where it is tighter by more than the
+    tolerance, so of two bounds within it the first is kept."""
+    vertical = target.is_vertical
+    if vertical:
+        # v = -c/b
+        inv = 1.0 / target.fb
+        u0, du, v0, dv = 0, 1, -target.fc * inv, 0
+    else:
+        # u = -(b v + c)/a
+        inv = 1.0 / target.fa
+        u0, du, v0, dv = -target.fc * inv, -target.fb * inv, 0, 1
+    lo = hi = None
+    for w in others:
+        if w is target:
+            continue
+        # a (u0 + s du) + b (v0 + s dv) + c <= 0
+        slope = w.fa * du + w.fb * dv
+        const = w.fa * u0 + w.fb * v0 + w.fc
+        if slope > _FACET_TOL:
+            x = -const / slope
+            if hi is None or x - hi < -_FACET_TOL:
+                hi = x
+        elif slope < -_FACET_TOL:
+            x = -const / slope
+            if lo is None or lo - x < -_FACET_TOL:
+                lo = x
+        elif const > _FACET_TOL:
+            return None  # parallel, and w's form is positive all along the line
+    if lo is not None and hi is not None and not (lo - hi < -_FACET_TOL):
+        return None
+    if vertical:
+        inside = hi is None or hi - v0 * v0 > _FACET_TOL
+    else:
+        candidates = [x for x in (lo, hi) if x is not None]
+        vertex = du / 2
+        if (lo is None or lo - vertex < -_FACET_TOL) and (hi is None or vertex - hi < -_FACET_TOL):
+            candidates.append(vertex)
+        inside = any(-x * x + du * x + u0 > _FACET_TOL for x in candidates)
+    return (lo, hi) if inside else None
 
 
 # The corner filter of _supporting_walls, counted as for _FACET_EPS in units
@@ -843,12 +851,16 @@ class _Memo:
     triangulation inherits from its parent cell for every hinge it did not
     flip, and it adds the hinges that flips recreate in a shape seen
     before.  ends maps an exact wall's locus key to the facet ends that the
-    walls of that locus share (see Wall).
+    walls of that locus share (see Wall).  classes holds the combinatorial
+    classes of the cells' triangulations met so far, from which
+    delaunay.canonical_code reads each new cell's comb hash where it can,
+    without minimizing over every start again.
     """
 
     cells: Dict[FrozenSet, "Cell"]
     walls: dict = field(default_factory=dict)
     ends: dict = field(default_factory=dict)
+    classes: dl.CodeClasses = field(default_factory=dl.CodeClasses)
 
 
 def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
@@ -901,11 +913,11 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
         key = frozenset(w.oriented_key() for w in supporting)
         if key in memo.cells:
             return memo.cells[key]
-        # A float wall's facet, against the supporting walls in this order: the
-        # float less keeps the first of two tied bounds.
+        # A float wall's facet, against the supporting walls in this order:
+        # _float_facet keeps the first of two tied bounds.
         facets = tuple(_facet(w, supporting) if f is None else f for w, f in found)
         return Cell(
-            comb_hash=dl.canonical_code(t),
+            comb_hash=dl.canonical_code(t, memo.classes),
             walls=supporting,
             sample=HPoint(float(vx), float(vy)),
             key=key,
@@ -1106,6 +1118,9 @@ def explore(s: Surface, z0: HPoint, radius: float) -> Tessellation:
     wall once per developed hinge, whose float expansion depends on the
     side.  Each exact facet end is computed once per pair of walls, and
     kept with the walls of both loci where both are circles.
+    A new cell's comb hash is read off the combinatorial classes of the
+    cells met before (delaunay.CodeClasses), and only a new class runs the
+    full minimum of delaunay.canonical_code.
     One exploration does not rebuild a cell it already holds.  On exact
     input the tessellation is edge-to-edge, so the far cell of a facet is
     looked up, not located again: every stored cell indexes its facets by

@@ -78,12 +78,21 @@ class Polygon:
         return [self.edge_vector(i) for i in range(len(self.vertices))]
 
     def area(self) -> Scalar:
-        total: Scalar = 0
+        """The shoelace area.  On float vertices it is summed on their
+        doubles scaled by one power of two (scaled_points) and scaled back,
+        which is exact in the double range, so an area beyond that range is
+        inf, not the NaN of inf - inf."""
         vs = self.vertices
-        for i in range(len(vs)):
-            j = (i + 1) % len(vs)
-            total = total + (vs[i][0] * vs[j][1] - vs[j][0] * vs[i][1])
-        return total * Fraction(1, 2)
+        if not self.is_exact():
+            pts = scaled_points(vs)
+            if pts is not None:
+                e = math.frexp(max(abs(float(x)) for p in vs for x in p))[1]
+                half = _shoelace(pts) * 0.5
+                try:
+                    return math.ldexp(half, 2 * e)
+                except OverflowError:
+                    return math.copysign(math.inf, half)
+        return _shoelace(vs) * Fraction(1, 2)
 
     def is_strictly_convex(self) -> bool:
         """Every turn strictly left; on floats at any scale (cross_sign)."""
@@ -99,6 +108,15 @@ class Polygon:
 
     def is_exact(self) -> bool:
         return all(is_exact(x) and is_exact(y) for x, y in self.vertices)
+
+
+def _shoelace(vs: Sequence[Point]) -> Scalar:
+    """Twice the signed area of the polygon with vertices vs."""
+    total: Scalar = 0
+    for i in range(len(vs)):
+        j = (i + 1) % len(vs)
+        total = total + (vs[i][0] * vs[j][1] - vs[j][0] * vs[i][1])
+    return total
 
 
 @dataclass(frozen=True)

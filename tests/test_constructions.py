@@ -147,6 +147,12 @@ class TestParallelogramFamily:
         assert validate(s) == [] and genus(s) == 3
         assert sorted(c.angle_pi for c in cone_points(s)) == [6, 6]
 
+    def test_huge_float_shape(self):
+        # Its sides' squared lengths, 1e400, overflow; its vertices do not.
+        s = parallelogram_family(ParallelogramShape((1e200, 0.0), (0.0, 1e200)))
+        assert validate(s) == [] and genus(s) == 3
+        assert sorted(c.angle_pi for c in cone_points(s)) == [6, 6]
+
     def test_ay_prime_shape(self):
         built = parallelogram_family(ay_prime_parallelogram_shape())
         assert built.is_exact()

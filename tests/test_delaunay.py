@@ -666,6 +666,107 @@ class TestCanonicalCode:
         assert dl.canonical_code(moved) == dl.canonical_code(t)
 
 
+
+def _flipped(name: str, picks) -> dl.Triangulation:
+    """The named triangulation after flipping the picked edges where they flip."""
+    t = _code_triangulation(name).copy()
+    for pick in picks:
+        edges = t.edges()
+        try:
+            dl._flip_in_place(t, edges[pick % len(edges)])
+        except dl.DelaunayError:
+            pass  # folded, non-convex or single-triangle hinge
+    return t
+
+
+def _relabelled(t: dl.Triangulation, seed: int) -> dl.Triangulation:
+    """t with its triangles renumbered and each triangle's edges rotated."""
+    rng = random.Random(seed)
+    n = t.num_triangles
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rot = [rng.randrange(3) for _ in range(n)]
+
+    def he(a, e):
+        return perm[a], (e + rot[a]) % 3
+
+    vecs = [None] * n
+    for a, tri in enumerate(t.vecs):
+        vecs[perm[a]] = [tri[(e - rot[a]) % 3] for e in range(3)]
+    return dl.Triangulation(vecs, {he(*h): he(*k) for h, k in t.glue.items()},
+                            {he(*h): v for h, v in t.chart_sign.items()})
+
+
+def _mirrored(t: dl.Triangulation) -> dl.Triangulation:
+    """t reflected in the x-axis: edge e of a triangle becomes edge -e mod 3,
+    walked the other way, so that every triangle stays counterclockwise."""
+    def he(a, e):
+        return a, -e % 3
+
+    vecs = [[(x, -y) for x, y in (tri[-e % 3] for e in range(3))] for tri in t.vecs]
+    return dl.Triangulation(vecs, {he(*h): he(*k) for h, k in t.glue.items()},
+                            {he(*h): v for h, v in t.chart_sign.items()})
+
+
+def _trie_codes(trie: dict) -> int:
+    """The number of whole codes in a class table's trie: its leaves."""
+    return sum(_trie_codes(child) if child else 1 for child in trie.values())
+
+
+class TestCodeClasses:
+    """canonical_code with a class table against the minimum without one."""
+
+    def test_a_shared_table_gives_the_minimum_on_every_path(self):
+        taken = set()
+
+        @settings(max_examples=25, deadline=None)
+        @given(st.lists(st.tuples(st.sampled_from(["ay", "ay_prime", "escalator", "torus"]),
+                                  st.lists(st.integers(0, 10 ** 6), max_size=6), st.integers(0, 2 ** 32)),
+                        min_size=1, max_size=4))
+        def feed(items):
+            table = dl.CodeClasses()
+            for name, picks, seed in items:
+                t = _flipped(name, picks)
+                for u in (t, _relabelled(t, seed), _mirrored(_relabelled(t, seed + 1)), t):
+                    u.check_invariants()
+                    before = len(table.by_start), _trie_codes(table.trie)
+                    code = dl.canonical_code(u, table)
+                    assert code == dl.canonical_code(u) == _brute_force_code(u)
+                    if _trie_codes(table.trie) > before[1]:
+                        taken.add("new class")
+                    elif len(table.by_start) > before[0]:
+                        taken.add("trie")
+                    else:
+                        taken.add("start 0")
+
+        feed()
+        assert taken == {"new class", "trie", "start 0"}
+
+    @pytest.mark.parametrize("ball", ["float ay r=3", "ay r=3"])
+    def test_the_minimum_runs_once_per_comb_hash(self, ball, monkeypatch):
+        from flatsurfkit import isodelaunay as iso
+        from flatsurfkit.constructions import ay_trapezoid_shape, trapezoid_family
+
+        s = trapezoid_family(ay_trapezoid_shape()) if ball.startswith("float") else ay_surface()
+        canonical_code, code_below = dl.canonical_code, dl._code_below
+        minimum = []  # per canonical_code call: whether it walked against a best code
+
+        def counting_code(t, classes=None):
+            minimum.append(False)
+            return canonical_code(t, classes)
+
+        def spying_walk(twin, step, start, best, labels=None, trie=None):
+            if best is not None:
+                minimum[-1] = True
+            return code_below(twin, step, start, best, labels, trie)
+
+        monkeypatch.setattr(dl, "canonical_code", counting_code)
+        monkeypatch.setattr(dl, "_code_below", spying_walk)
+        tess = iso.explore(s, iso.HPoint(0.0001, 1.0001), 3.0)
+        assert len(minimum) == len(tess.cells) == (524 if ball.startswith("float") else 513)
+        assert sum(minimum) == len({c.comb_hash for c in tess.cells}) == 18
+
+
 def apply_linear_dec(m, dec):
     return apply_linear(m, dec)
 

@@ -50,6 +50,19 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _assert_area_prints_inf(capsys, path):
+    """info and delaunay of the surface file print inf for its area and each
+    cell's, with AY's genus, cone angles and census."""
+    code, out, err = invoke(capsys, "info", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:3] == ["genus 3", "cone angles: 6pi 6pi", "area: inf"]
+    code, out, err = invoke(capsys, "delaunay", str(path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "6 cells: 2 squares, 4 trapezoids"
+    assert len(lines) == 8 and all(line.split(", edges")[0].endswith(": area inf") for line in lines[2:])
+
+
 class TestCli:
     def test_build_info_pipeline(self, tmp_path, capsys):
         path = tmp_path / "ay.json"
@@ -118,14 +131,14 @@ class TestCli:
         src, scaled = tmp_path / "ay.json", tmp_path / "big.json"
         invoke(capsys, "build", "ay", "-o", str(src))
         assert invoke(capsys, "apply", "-m", big, "0", "0", big, str(src), "-o", str(scaled))[0] == 0
-        code, out, err = invoke(capsys, "info", str(scaled))
-        assert (code, err) == (0, "")
-        assert out.splitlines()[:3] == ["genus 3", "cone angles: 6pi 6pi", "area: inf"]
-        code, out, err = invoke(capsys, "delaunay", str(scaled))
-        assert (code, err) == (0, "")
-        lines = out.splitlines()
-        assert lines[0] == "6 cells: 2 squares, 4 trapezoids"
-        assert len(lines) == 8 and all(line.split(", edges")[0].endswith(": area inf") for line in lines[2:])
+        _assert_area_prints_inf(capsys, scaled)
+
+    def test_float_area_beyond_doubles_prints_inf(self, tmp_path, capsys):
+        # Each shoelace product of this trapezoid overflows, to inf of
+        # either sign; the area is inf, not their NaN sum.
+        path = tmp_path / "big.json"
+        invoke(capsys, "build", "trapezoid", "--b", "1e200", "--B", "2e200", "--h", "1e200", "-o", str(path))
+        _assert_area_prints_inf(capsys, path)
 
     def test_corners_without_doubles_raise(self):
         # At 10**400 no coordinate has a double: no angle, rather than a
@@ -339,6 +352,16 @@ class TestCli:
         assert code == 0
         assert hashlib.sha256(out_json.read_bytes()).hexdigest() == digest
 
+    def test_float_tessellation_json_is_pinned(self, tmp_path, capsys):
+        # `flatsurf build trapezoid --b 1 --B 2 --h 1 | flatsurf tessellate --radius 2.0 --json ...`:
+        # the float path end to end.
+        path, out_json = tmp_path / "surface.json", tmp_path / "tess.json"
+        invoke(capsys, "build", "trapezoid", "--b", "1", "--B", "2", "--h", "1", "-o", str(path))
+        code, _, _ = invoke(capsys, "tessellate", str(path), "--radius", "2.0", "--json", str(out_json))
+        assert code == 0
+        digest = "9a6f0784df2a3a992ebbc8a4244a7911895e342813071b6d421849f4e54f7761"
+        assert hashlib.sha256(out_json.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("argv", (
         ["trapezoid", "--b", "1", "--B", "2", "--h", "inf"],
         ["trapezoid", "--b", "1", "--B", "inf", "--h", "1"],
@@ -352,8 +375,8 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", (
         ["trapezoid", "--b", "1e308", "--B", "1.7e308", "--h", "1"],
-        ["parallelogram", "--s1x", "1e200", "--s1y", "0", "--s2x", "0", "--s2y", "1e200"],
-    ), ids=["trapezoid-overflows-to-inf", "parallelogram-overflows-to-nan"])
+        ["parallelogram", "--s1x", "1e308", "--s1y", "0", "--s2x", "1e308", "--s2y", "1e308"],
+    ), ids=["trapezoid-overflows-to-inf", "parallelogram-overflows-to-inf"])
     def test_non_finite_vertex_is_a_domain_error(self, argv, tmp_path, capsys):
         # Finite shapes whose vertices overflow: the writer refuses what the
         # reader would reject, and leaves no output file behind.

@@ -475,6 +475,107 @@ class TestFloatBallPins:
 
 
 
+class _FloatLine:
+    """A float target wall as the line (u0 + s du, v0 + s dv) in (u, v): a
+    circle wall parametrized by v = s, a vertical wall by u = s.  Its bounds
+    are floats and its signs floats against _FACET_TOL.  The line object
+    the float facet test was written with, kept as its reference."""
+
+    def __init__(self, w):
+        self.vertical = w.is_vertical
+        if self.vertical:
+            # v = -c/b
+            inv = 1.0 / w.fb
+            self.u0, self.du, self.v0, self.dv = 0, 1, -w.fc * inv, 0
+        else:
+            # u = -(b v + c)/a
+            inv = 1.0 / w.fa
+            self.u0, self.du, self.v0, self.dv = -w.fc * inv, -w.fb * inv, 0, 1
+
+    def bound(self, w):
+        # a (u0 + s du) + b (v0 + s dv) + c <= 0
+        slope = w.fa * self.du + w.fb * self.dv
+        const = w.fa * self.u0 + w.fb * self.v0 + w.fc
+        ss = (slope > iso._FACET_TOL) - (slope < -iso._FACET_TOL)
+        if ss == 0:
+            return 0, (const > iso._FACET_TOL) - (const < -iso._FACET_TOL)
+        return ss, -const / slope
+
+    @staticmethod
+    def less(x, y):
+        return x - y < -iso._FACET_TOL
+
+    def vertex(self):
+        return self.du / 2
+
+    def inside(self, x):
+        if self.vertical:
+            return x - self.v0 * self.v0 > iso._FACET_TOL
+        return -x * x + self.du * x + self.u0 > iso._FACET_TOL
+
+
+def _ref_float_facet(target, others):
+    """_facet(target, others) on a float wall: the generic facet loop over
+    a _FloatLine."""
+    line = _FloatLine(target)
+    lo = hi = None
+    for w in others:
+        if w is target:
+            continue
+        ss, x = line.bound(w)
+        if ss == 0:
+            if x > 0:
+                return None
+            continue
+        if ss > 0:
+            if hi is None or line.less(x, hi):
+                hi = x
+        elif lo is None or line.less(lo, x):
+            lo = x
+    if lo is not None and hi is not None and not line.less(lo, hi):
+        return None
+    if line.vertical:
+        inside = hi is None or line.inside(hi)
+    else:
+        candidates = [x for x in (lo, hi) if x is not None]
+        vertex = line.vertex()
+        if (lo is None or line.less(lo, vertex)) and (hi is None or line.less(vertex, hi)):
+            candidates.append(vertex)
+        inside = any(line.inside(x) for x in candidates)
+    return (lo, hi) if inside else None
+
+
+class TestFloatFacetLoop:
+    """Every _facet call of the float AY balls, in cell_at's selection pass
+    over all of a cell's walls and its pass over the supporting walls,
+    against the line-object reference."""
+
+    @pytest.fixture(scope="class", params=(1.0, 2.5), ids=lambda r: f"r{r:g}")
+    def calls(self, request):
+        from flatsurfkit.constructions import ay_trapezoid_shape, trapezoid_family
+
+        facet, seen = iso._facet, []
+
+        def checking_facet(target, others):
+            got = facet(target, others)
+            seen.append((got, _ref_float_facet(target, others)))
+            return got
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(iso, "_facet", checking_facet)
+            iso.explore(trapezoid_family(ay_trapezoid_shape()), iso.HPoint(0.0001, 1.0001), request.param)
+        return seen
+
+    def test_every_call_is_the_reference(self, calls):
+        # repr tells -0.0 from 0.0, which == does not.
+        assert [(got, want) for got, want in calls if got != want or repr(got) != repr(want)] == []
+
+    def test_calls_take_both_outcomes(self, calls):
+        outcomes = [got is None for got, _ in calls]
+        assert any(outcomes) and not all(outcomes)
+
+
+
 def _plain_keys(wall):
     """A wall's (oriented, locus) keys rebuilt as plain tuples."""
     flip = wall.orientation

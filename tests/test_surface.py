@@ -236,6 +236,19 @@ class TestArea:
         expected = 2 * (a ** 4 + a * a) + 4 * shoelace(t0)
         assert area(ay) == expected
 
+    def test_float_area_is_the_shoelace_at_any_scale(self):
+        from flatsurfkit.constructions import ay_trapezoid_shape, trapezoid_family
+
+        for p in trapezoid_family(ay_trapezoid_shape()).polygons:
+            # Bit for bit the plain shoelace at unit scale, exactly scaled by
+            # a power of two, and inf, not NaN, beyond the double range.
+            assert repr(p.area()) == repr(shoelace(p.vertices))
+            for k in (-400, 400):
+                scaled = Polygon([(math.ldexp(x, k), math.ldexp(y, k)) for x, y in p.vertices])
+                assert scaled.area() == math.ldexp(p.area(), 2 * k)
+            huge = Polygon([(x * 1e200, y * 1e200) for x, y in p.vertices])
+            assert huge.area() == math.inf
+
     def test_linear_map_preserves_area_when_unimodular(self, ay):
         m = ((ALPHA.inverse(), CubicNumber(0)), (CubicNumber(0), ALPHA))
         assert area(apply_linear(m, ay)) == area(ay)
