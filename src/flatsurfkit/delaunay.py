@@ -31,6 +31,8 @@ triangulation has none.
 
 delaunayize and isodelaunay.delaunayize_at share one FIFO flip loop,
 flip_until, and differ only in the test that says a hinge needs a flip.
+A flip, like isodelaunay's walls, reads its hinge off hinge_vectors
+without building a Hinge.
 One breadth-first walk, _code_below, serves canonical_code (over
 triangles) and symmetry.isometries_between (over labelled cell corners).
 canonical_code can keep the classes it has met in a CodeClasses table,
@@ -104,6 +106,11 @@ class Triangulation:
     coordinate is exact, and it is None on a float triangulation;
     _flip_in_place keeps it in step with vecs, and copy() carries it over
     in new lists.
+
+    The (tri, e) half-edges are one tuple, made by the constructor and
+    shared by every copy: flips never change the number of triangles.
+    half_edges() and edges() read it in that order, so a flip loop meets
+    the edges in the same order on every copy.
     """
 
     def __init__(
@@ -117,6 +124,7 @@ class Triangulation:
         self.chart_sign = dict(chart_sign)
         self.flip_count = 0
         self.hinge_cache: Dict[HalfEdge, object] = {}
+        self._half_edges = tuple((t, e) for t in range(len(self.vecs)) for e in range(3))
         exact = all(is_exact(x) for tri in self.vecs for v in tri for x in v)
         self.doubles: Optional[List[List[Optional[Tuple[float, float]]]]] = (
             [[_double_pair(v) for v in tri] for tri in self.vecs] if exact else None)
@@ -134,11 +142,12 @@ class Triangulation:
         return self.glue[h]
 
     def half_edges(self) -> List[HalfEdge]:
-        return [(t, e) for t in range(self.num_triangles) for e in range(3)]
+        return list(self._half_edges)
 
     def edges(self) -> List[HalfEdge]:
         """One canonical half-edge per surface edge."""
-        return [h for h in self.half_edges() if h <= self.glue[h]]
+        glue = self.glue
+        return [h for h in self._half_edges if h <= glue[h]]
 
     def copy(self) -> "Triangulation":
         out = Triangulation.__new__(Triangulation)
@@ -147,6 +156,7 @@ class Triangulation:
         out.chart_sign = dict(self.chart_sign)
         out.flip_count = self.flip_count
         out.hinge_cache = dict(self.hinge_cache)
+        out._half_edges = self._half_edges
         out.doubles = None if self.doubles is None else [list(tri) for tri in self.doubles]
         return out
 
@@ -327,10 +337,11 @@ def _drop_hinges(t: Triangulation, tris: Tuple[int, int]) -> None:
 
 
 def _flip_in_place(t: Triangulation, edge: HalfEdge) -> None:
-    h = hinge(t, edge)
-    if h.folded:
+    if t.glue[edge] == edge:
         raise DelaunayError(f"cannot flip folded edge {edge}")
-    if not all(s > 0 for s in turn_signs((h.p1, h.p2, h.p3, h.p4), _hinge_doubles(t, edge))):
+    p2, p3, d = hinge_vectors(t, edge)
+    p4 = vec_add(p3, d)
+    if not all(s > 0 for s in turn_signs(((0, 0), p2, p3, p4), _hinge_doubles(t, edge))):
         raise DelaunayError(f"cannot flip non-convex hinge at {edge}")
     a = edge
     ta = a[0]
@@ -343,8 +354,8 @@ def _flip_in_place(t: Triangulation, edge: HalfEdge) -> None:
     if ta == tb:
         raise DelaunayError(f"cannot flip edge {edge} with both sides in one triangle")
     eps = t.chart_sign[a]
-    q1 = h.p4  # apex of the edge's own triangle
-    q2 = h.p2  # apex of the twin triangle, developed
+    q1 = p4  # apex of the edge's own triangle
+    q2 = p2  # apex of the twin triangle, developed
 
     # The new diagonal keeps the keys (a, tw); each outer edge moves to a
     # new slot with a chart factor r: eps for tb's edges u and w, which

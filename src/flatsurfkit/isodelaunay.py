@@ -15,7 +15,11 @@ the wall's normalization are computed in one pass over Python ints
 (numeric.exact_wall_form), once per hinge quadrilateral in an
 exploration, whichever side it is read from (see _memo_wall); a float
 hinge expands them in doubles, in a fixed order, once per developed
-hinge.  Cells are intersections of wall half-planes; in the
+hinge, and takes their signs by comparison.  Both read the hinge off
+delaunay.hinge_vectors.  A hinge's wall is kept on the triangulation
+(hinge_cache): the flip loop of delaunayize_at tests each hinge with one
+Wall.side, and the cell reads the walls it left there.  Cells are
+intersections of wall half-planes; in the
 coordinates (u, v) = (x**2 + y**2, x) walls become straight lines and H
 the region u > v**2.  A cell is built with its facets, each the end
 values of a supporting wall's segment, which explore crosses.  An exact
@@ -24,7 +28,9 @@ angle of their normals and scanned once, and one 1-dimensional facet test
 per edge kept, clipped by the parabola, which makes that edge's ends; a
 float cell tests every wall against all the others, then each supporting
 wall against the supporting walls, each test one loop over the walls
-(_float_facet).  An exact facet end is computed once
+that stops once the wall's bounds leave it no facet (_float_facet).  A
+float wall is built from its doubles alone, with no exact-scalar
+dispatch (see Wall).  An exact facet end is computed once
 per pair of walls and kept with the walls (see Wall and _ExactLine.value).
 On an exact surface every combinatorial
 decision is exact: a wall's side of a sample, the corners of the
@@ -49,9 +55,9 @@ from functools import cmp_to_key
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .numeric import (FLOAT_TOL, Scalar, canonical_ints, coefficients, exact_divisor, exact_wall_form,
-                      filtered_sign, is_exact, sign, vec_neg)
+                      filtered_sign, is_exact, sign, vec_add, vec_neg)
 from . import delaunay as dl
-from .delaunay import HalfEdge, Triangulation, hinge, hinge_vectors
+from .delaunay import HalfEdge, Triangulation, hinge_vectors
 from .surface import Surface
 
 _log = logging.getLogger("flatsurfkit.isodelaunay")
@@ -154,6 +160,8 @@ class Wall:
 
     The coefficients' doubles (fa, fb, fc), whether all three are exact
     and the orientation are computed once, and so is the oriented key.
+    Three float coefficients are their own doubles, and their orientation
+    is read by comparison, as numeric.sign would give it.
     On an exact wall every sign is exact: side() and the facet test of
     _facet decide it in doubles where a proven error bound
     separates the value from 0, and in Q(alpha) otherwise.  A float wall's
@@ -183,12 +191,23 @@ class Wall:
 
     def __post_init__(self):
         a, b, c = self.a, self.b, self.c
+        put = object.__setattr__
+        if type(a) is float and type(b) is float and type(c) is float:
+            # The fields below, read off the doubles by comparison.
+            put(self, "fa", a)
+            put(self, "fb", b)
+            put(self, "fc", c)
+            put(self, "exact", False)
+            put(self, "orientation", (1 if a > 0 else -1 if a < 0 else 1 if b > 0 else -1 if b < 0
+                                      else -1 if c < 0 else 1))
+            put(self, "_filtered", False)
+            put(self, "_key", None)
+            return
         fa, fb, fc = float(a), float(b), float(c)
         sa, sb, sc = sign(a), sign(b), sign(c)
         exact = is_exact(a) and is_exact(b) and is_exact(c)
         filtered = exact and all(2.0 ** -1022 <= abs(f) <= 1.0 if s else f == 0.0
                                  for f, s in ((fa, sa), (fb, sb), (fc, sc)))
-        put = object.__setattr__
         put(self, "fa", fa)
         put(self, "fb", fb)
         put(self, "fc", fc)
@@ -261,7 +280,8 @@ class Wall:
                 key = _Key((locus, flip), ints + (flip,))
             else:
                 # + 0.0 turns -0.0 into 0.0, so that equal keys have one repr.
-                key = (tuple(round(flip * t, 9) + 0.0 for t in (self.fa, self.fb, self.fc)), flip)
+                key = ((round(flip * self.fa, 9) + 0.0, round(flip * self.fb, 9) + 0.0,
+                        round(flip * self.fc, 9) + 0.0), flip)
             object.__setattr__(self, "_key", key)
         return key
 
@@ -291,10 +311,11 @@ def wall_of_hinge(t: Triangulation, edge: HalfEdge):
     order, so float walls are reproducible.  Both give the same wall on
     exact input, in value and in scalar type.
     """
-    h = hinge(t, edge)
-    (x2, y2), (x3, y3), (x4, y4) = h.p2, h.p3, h.p4
+    p2, p3, d = hinge_vectors(t, edge)
+    p4 = vec_add(p3, d)
+    (x2, y2), (x3, y3), (x4, y4) = p2, p3, p4
     if float not in map(type, (x2, y2, x3, y3, x4, y4)):
-        form = exact_wall_form(h.p2, h.p3, h.p4)
+        form = exact_wall_form(p2, p3, p4)
         if isinstance(form, int):
             return ALWAYS if form <= 0 else NEVER
         return Wall(*form)
@@ -310,14 +331,14 @@ def wall_of_hinge(t: Triangulation, edge: HalfEdge):
     a = det(y2 * y2, y3 * y3, y4 * y4)
     b = 2 * det(x2 * y2, x3 * y3, x4 * y4)
     c = det(x2 * x2, x3 * x3, x4 * x4)
-    sa, sb, sc = sign(a), sign(b), sign(c)
-    if sa == 0 and sb == 0:
-        # Constant sign: Delaunay iff c <= 0.
-        return ALWAYS if sc <= 0 else NEVER
-    if sa != 0:
-        disc = b * b - 4 * a * c
-        if sign(disc) <= 0:
-            return ALWAYS if sa < 0 else NEVER
+    # Any float operand makes a, b and c floats; their signs by comparison
+    # are numeric.sign's, NaN (neither > 0 nor < 0) included.
+    if not (a > 0 or a < 0):
+        if not (b > 0 or b < 0):
+            # Constant sign: Delaunay iff c <= 0.
+            return NEVER if c > 0 else ALWAYS
+    elif not b * b - 4 * a * c > 0:
+        return ALWAYS if a < 0 else NEVER
     return _normalize_wall(a, b, c)
 
 
@@ -375,31 +396,32 @@ def _sample_floats(u: Scalar, v: Scalar) -> Tuple[float, float]:
         return math.inf, math.inf
 
 
-def _q_sign(t: Triangulation, edge: HalfEdge, u: Scalar, v: Scalar, fu: float, fv: float,
-            walls: dict) -> int:
-    """Sign of the hinge's Delaunay form at (u, v); negative means Delaunay."""
-    w = _memo_wall(t, edge, walls)
-    if w is ALWAYS:
-        return -1
-    if w is NEVER:
-        return 1
-    return w.side(u, v, fu, fv)
-
-
 def delaunayize_at(t: Triangulation, u: Scalar, v: Scalar, _walls: Optional[dict] = None) -> Triangulation:
     """Flip until every hinge is Delaunay for the surface at z with
     (|z|^2, Re z) = (u, v); operates on base-chart holonomies throughout.
 
-    Shares delaunay.flip_until with delaunayize: a hinge is flipped when
-    its wall form is positive at (u, v).  Walls come from t's hinge_cache
-    where t's hinges are unflipped, and the result's cache holds the wall
-    of every edge.  The rest are memoized by developed hinge in _walls
-    (see _memo_wall), which explore shares across its cells; without it,
-    the call keeps its own.
+    Shares delaunay.flip_until with delaunayize: a hinge is flipped when it
+    is NEVER Delaunay or its wall form is positive at (u, v), one
+    Wall.side per test.  Walls come from t's hinge_cache where t's hinges
+    are unflipped; only a miss goes to _memo_wall, which memoizes the rest
+    by developed hinge in _walls, shared by explore across its cells
+    (without it, the call keeps its own).  Every edge is tested after its
+    last flip, so the result's cache holds the wall of every edge, and
+    each hinge left is ALWAYS Delaunay or has a wall with (u, v) on its
+    side q <= 0.
     """
     walls = {} if _walls is None else _walls
     fu, fv = _sample_floats(u, v)
-    return dl.flip_until(t, lambda out, edge: _q_sign(out, edge, u, v, fu, fv, walls) > 0)
+
+    def needs_flip(out: Triangulation, edge: HalfEdge) -> bool:
+        w = out.hinge_cache.get(edge)
+        if w is None:
+            w = _memo_wall(out, edge, walls)
+        if w is ALWAYS or w is NEVER:
+            return w is NEVER
+        return w.side(u, v, fu, fv) > 0
+
+    return dl.flip_until(t, needs_flip)
 
 
 # -- cells ------------------------------------------------------------------------------
@@ -440,24 +462,23 @@ def _rationalize(x: float, y: float) -> Tuple[Fraction, Fraction]:
     return vx, vy
 
 
-def _collect_constraints(t: Triangulation, u: Scalar, v: Scalar, fu: float, fv: float,
-                         walls: dict) -> List[Wall]:
+def _collect_constraints(t: Triangulation, u: Scalar, v: Scalar, fu: float, fv: float) -> List[Wall]:
     """The distinct walls of t's hinges, each oriented so that the sample
     (u, v) lies on its side q < 0: the first wall per oriented key, in edge
     order.  A wall's hinges are the edges of t whose hinge_cache wall has
-    its oriented key."""
+    its oriented key.
+
+    t is delaunayize_at's result at (u, v), whose hinge_cache holds each
+    edge's wall, every one ALWAYS or with (u, v) on its side q <= 0; a wall
+    through (u, v) raises _OnWall."""
+    cache = t.hinge_cache
     by_key: Dict[object, Wall] = {}
     for edge in t.edges():
-        w = _memo_wall(t, edge, walls)
-        if w is ALWAYS or w is NEVER:
-            if w is NEVER:
-                raise IsoDelaunayError("never-Delaunay hinge in a Delaunay triangulation")
+        w = cache[edge]
+        if w is ALWAYS:
             continue
-        s = w.side(u, v, fu, fv)
-        if s == 0:
+        if w.side(u, v, fu, fv) == 0:
             raise _OnWall
-        if s > 0:
-            raise IsoDelaunayError("non-Delaunay hinge after delaunayize_at")
         by_key.setdefault(w.oriented_key(), w)
     return list(by_key.values())
 
@@ -668,8 +689,12 @@ def _float_facet(target: Wall, others: Sequence[Wall]):
     (u, v), a circle wall parametrized by v = s, a vertical wall by u = s.
     Its bounds are floats and its signs floats against _FACET_TOL: a bound
     replaces the one kept only where it is tighter by more than the
-    tolerance, so of two bounds within it the first is kept."""
-    vertical = target.is_vertical
+    tolerance, so of two bounds within it the first is kept.  lo only
+    rises and hi only falls, and rounding is monotone, so lo - hi only
+    rises: the test returns None as soon as the bounds kept leave no room
+    between them.  Its shape is read off fa: not (fa > 0 or fa < 0) is
+    sign(a) == 0 on every double, -0.0 and NaN included."""
+    vertical = not (target.fa > 0 or target.fa < 0)
     if vertical:
         # v = -c/b
         inv = 1.0 / target.fb
@@ -689,14 +714,16 @@ def _float_facet(target: Wall, others: Sequence[Wall]):
             x = -const / slope
             if hi is None or x - hi < -_FACET_TOL:
                 hi = x
+                if lo is not None and not (lo - hi < -_FACET_TOL):
+                    return None
         elif slope < -_FACET_TOL:
             x = -const / slope
             if lo is None or lo - x < -_FACET_TOL:
                 lo = x
+                if hi is not None and not (lo - hi < -_FACET_TOL):
+                    return None
         elif const > _FACET_TOL:
             return None  # parallel, and w's form is positive all along the line
-    if lo is not None and hi is not None and not (lo - hi < -_FACET_TOL):
-        return None
     if vertical:
         inside = hi is None or hi - v0 * v0 > _FACET_TOL
     else:
@@ -877,13 +904,15 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
     (_supporting_walls), which runs the facet test once per polygon edge;
     on a float surface every wall takes the facet test against all the
     others, with float tolerances, and a new cell's walls then take it
-    against the supporting walls alone.
+    against the supporting walls alone.  Whether the surface is exact is
+    read off the triangulation (its doubles), not off every scalar of s;
+    the walls come from the hinge_cache that delaunayize_at leaves.
 
     With _memo, a cell whose supporting key is already in _memo.cells is
     returned as stored instead of being built again.
     """
-    exact = s.is_exact()
     base = _tri if _tri is not None else dl.triangulate(s)
+    exact = base.doubles is not None
     memo = _memo if _memo is not None else _Memo({})
     zx, zy = z.x, z.y
     for attempt in range(8):
@@ -895,7 +924,7 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
         try:
             t = delaunayize_at(base, u, vx, _walls=memo.walls)
             fu, fv = _sample_floats(u, vx)
-            walls = _collect_constraints(t, u, vx, fu, fv, memo.walls)
+            walls = _collect_constraints(t, u, vx, fu, fv)
         except _OnWall:
             _log.debug("cell_at: sample %r + %ri lies on a wall; moving it (attempt %d)",
                        zx, zy, attempt + 1)
@@ -1075,7 +1104,7 @@ def _cross_wall(s: Surface, cell: Cell, wall: Wall, at: HPoint, memo: _Memo) -> 
     if norm == 0:
         _log.debug("_cross_wall: zero wall gradient at %r + %ri; no crossing", at.x, at.y)
         return None
-    exact = s.is_exact()
+    exact = cell.triangulation.doubles is not None
     for eps in (1e-4, 1e-5, 1e-6, 1e-7):
         zx = at.x + eps * gx / norm
         zy = at.y + eps * gy / norm

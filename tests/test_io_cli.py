@@ -362,6 +362,18 @@ class TestCli:
         digest = "9a6f0784df2a3a992ebbc8a4244a7911895e342813071b6d421849f4e54f7761"
         assert hashlib.sha256(out_json.read_bytes()).hexdigest() == digest
 
+    def test_float_ay_ball_json_is_pinned(self, tmp_path, capsys):
+        # `flatsurf build trapezoid --b 0.6453211869107229 --B 0.9961752258914927
+        # --h 0.5934653559719874 | flatsurf tessellate --radius 3.0 --json ...`:
+        # the float AY trapezoid's r = 3 ball, the benchmark's float ball.
+        path, out_json = tmp_path / "surface.json", tmp_path / "tess.json"
+        invoke(capsys, "build", "trapezoid", "--b", "0.6453211869107229", "--B", "0.9961752258914927",
+               "--h", "0.5934653559719874", "-o", str(path))
+        code, out, _ = invoke(capsys, "tessellate", str(path), "--radius", "3.0", "--json", str(out_json))
+        assert code == 0 and {"cells: 524", "walls: 394"} <= set(out.splitlines())
+        digest = "cd84dfce50200942371bba1f59919748923945b6f00bb7ea7fbe1475450f8187"
+        assert hashlib.sha256(out_json.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("argv", (
         ["trapezoid", "--b", "1", "--B", "2", "--h", "inf"],
         ["trapezoid", "--b", "1", "--B", "inf", "--h", "1"],

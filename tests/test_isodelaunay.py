@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flatsurfkit import delaunay as dl
@@ -459,6 +459,8 @@ class TestFloatBallPins:
          ("d4edd43b0088c8f1", "ff91814583237291", "3cafb78a53c2903c", "39858af525a29244", "f283cde67157fdd1")),
         (2.5, (279, 193, 803),
          ("8313e14ddad51c10", "613deca70fe4cd99", "d83732644652e4cb", "76d61d551c335b0f", "7767c8603530acc1")),
+        (3.0, (524, 394, 1574),
+         ("f52406bb6702ac65", "35b7f40b7a295ba0", "a3fd0b44789d873b", "7f4b76ddb4cf89df", "9812cfd12de848be")),
     ), ids=lambda p: f"r{p[0]:g}")
     def ball(self, request):
         from flatsurfkit.constructions import ay_trapezoid_shape, trapezoid_family
@@ -472,6 +474,14 @@ class TestFloatBallPins:
         assert (len(tess.cells), len(tess.all_walls()), len(tess.adjacency)) == counts
         got = _ball_pins(tess) + (_sha16([[(w.fa, w.fb, w.fc) for w in c.walls] for c in tess.cells]),)
         assert got == pins
+
+    def test_walls_take_the_generic_fields(self, ball):
+        # Every supporting wall and every hinge wall the cells keep.
+        tess, _, _ = ball
+        walls = [w for c in tess.cells for w in c.walls]
+        walls += [w for c in tess.cells for w in c.triangulation.hinge_cache.values() if isinstance(w, iso.Wall)]
+        assert walls and all(type(x) is float for w in walls for x in (w.a, w.b, w.c))
+        assert [w for w in walls if _wall_fields(w) != _ref_wall_fields(w)] == []
 
 
 
@@ -573,6 +583,66 @@ class TestFloatFacetLoop:
     def test_calls_take_both_outcomes(self, calls):
         outcomes = [got is None for got, _ in calls]
         assert any(outcomes) and not all(outcomes)
+
+
+# Coarse doubles, so that equal bounds and parallel walls are common, and
+# the values that make a bound NaN or infinite.
+_facet_coefficients = st.one_of(
+    st.floats(-4, 4, width=16),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-13, math.nan, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def _facet_wall_forms(draw):
+    """(a, b, c) of a target wall, then of walls that are free, parallel to
+    the target, or another wall, of either orientation, moved by a multiple
+    of 2**-46: that puts their bounds, on the same side or on opposite
+    sides, within about _FACET_TOL of each other where the slope is near
+    1."""
+    forms = [draw(st.tuples(_facet_coefficients, _facet_coefficients, _facet_coefficients))]
+    for kind in draw(st.lists(st.sampled_from(("free", "parallel", "near")), max_size=10)):
+        if kind == "free":
+            forms.append(draw(st.tuples(_facet_coefficients, _facet_coefficients, _facet_coefficients)))
+        elif kind == "parallel":
+            scale = draw(st.sampled_from((1.0, -1.0, 0.5, -2.0)))
+            forms.append((scale * forms[0][0], scale * forms[0][1], draw(_facet_coefficients)))
+        else:
+            a, b, c = draw(st.sampled_from(forms))
+            flip = draw(st.sampled_from((1.0, -1.0)))
+            forms.append((flip * a, flip * b, flip * c + draw(st.integers(-16, 16)) * 2.0 ** -46))
+    return forms
+
+
+def _facet_outcome(facet, target, others):
+    """repr of facet(target, others), which tells NaN bounds apart, or the
+    error it raises (a target with a = b = 0 divides by zero)."""
+    try:
+        return repr(facet(target, others))
+    except ArithmeticError as e:
+        return type(e).__name__
+
+
+class TestFloatFacetEarlyExit:
+    """_float_facet stops as soon as its bounds leave no room; the reference
+    runs the whole loop and tests them once, at the end."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(forms=_facet_wall_forms(), data=st.data())
+    # Bounds 5e-14 apart (no facet) and 1.5e-13 apart (a facet), hi or lo
+    # found last; a parallel wall outside; a NaN bound.
+    @example(forms=[(1.0, 0.0, -1.0), (0.0, 1.0, -0.5), (0.0, -1.0, 0.5 - 5e-14)], data=None)
+    @example(forms=[(1.0, 0.0, -1.0), (0.0, -1.0, 0.5 - 5e-14), (0.0, 1.0, -0.5)], data=None)
+    @example(forms=[(1.0, 0.0, -1.0), (0.0, 1.0, -0.5), (0.0, -1.0, 0.5 - 1.5e-13)], data=None)
+    @example(forms=[(1.0, 0.0, -1.0), (0.0, -1.0, 0.5 - 1.5e-13), (0.0, 1.0, -0.5)], data=None)
+    @example(forms=[(1.0, 0.0, -1.0), (2.0, 0.0, -1.0), (0.0, 1.0, -0.5)], data=None)
+    @example(forms=[(1.0, 0.0, -1.0), (0.0, 1.0, math.nan), (0.0, -1.0, 0.5), (0.0, 1.0, -0.5)], data=None)
+    def test_random_walls_match_the_full_loop(self, forms, data):
+        walls = [iso.Wall(*f) for f in forms]
+        target, others = walls[0], walls
+        if data is not None:
+            others = data.draw(st.permutations(walls))
+        assert _facet_outcome(iso._float_facet, target, others) == _facet_outcome(_ref_float_facet, target, others)
 
 
 
@@ -1178,14 +1248,55 @@ def _convex(h: dl.Hinge) -> bool:
 
 def _same_wall(got, want):
     """The same sentinel, or walls with equal coefficients of the same
-    scalar types and the same doubles to the bit (repr tells -0.0 from
-    0.0)."""
+    scalar types, the same doubles to the bit (repr tells -0.0 from 0.0),
+    and the same orientation, exactness, filter flag and oriented key."""
     if not isinstance(want, iso.Wall):
         return got is want
     coefficients = (got.a, got.b, got.c), (want.a, want.b, want.c)
     return (isinstance(got, iso.Wall) and coefficients[0] == coefficients[1]
             and [type(x) for x in coefficients[0]] == [type(x) for x in coefficients[1]]
-            and repr((got.fa, got.fb, got.fc)) == repr((want.fa, want.fb, want.fc)))
+            and repr((got.fa, got.fb, got.fc)) == repr((want.fa, want.fb, want.fc))
+            and (got.orientation, got.exact, got._filtered) == (want.orientation, want.exact, want._filtered)
+            and got.oriented_key() == want.oriented_key())
+
+
+def _ref_wall_fields(w):
+    """The fields Wall derives from (a, b, c), computed as for any scalars:
+    float(), numeric.sign and numeric.is_exact, with a non-exact wall's
+    oriented key from a generator.  Doubles by repr, which tells -0.0 from
+    0.0 and compares NaN."""
+    a, b, c = w.a, w.b, w.c
+    fa, fb, fc = float(a), float(b), float(c)
+    sa, sb, sc = sign(a), sign(b), sign(c)
+    exact = is_exact(a) and is_exact(b) and is_exact(c)
+    filtered = exact and all(2.0 ** -1022 <= abs(f) <= 1.0 if s else f == 0.0
+                             for f, s in ((fa, sa), (fb, sb), (fc, sc)))
+    flip = sa or sb or sc or 1
+    key = None if exact else repr((tuple(round(flip * t, 9) + 0.0 for t in (fa, fb, fc)), flip))
+    return repr((fa, fb, fc)), exact, flip, filtered, key
+
+
+def _wall_fields(w):
+    """_ref_wall_fields as the wall holds them."""
+    return repr((w.fa, w.fb, w.fc)), w.exact, w.orientation, w._filtered, \
+        None if w.exact else repr(w.oriented_key())
+
+
+class TestWallFields:
+    # Signed zeros, subnormals, the filter's lower bound, NaN and infinity,
+    # beside exact scalars, which take Wall's generic path.
+    _COEFFICIENTS = (0.0, -0.0, 5e-324, -1e-310, 2.0 ** -1022, 1.0, -0.75, math.nan, -math.inf,
+                     0, Fraction(-1, 3), CubicNumber(0, 1, 0))
+
+    def test_hand_made_walls_take_the_generic_fields(self):
+        walls = [iso.Wall(a, b, c) for a in self._COEFFICIENTS for b in self._COEFFICIENTS
+                 for c in self._COEFFICIENTS]
+        assert [w for w in walls if _wall_fields(w) != _ref_wall_fields(w)] == []
+
+    @given(st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 3))
+    def test_float_walls_take_the_generic_fields(self, coefficients):
+        w = iso.Wall(*coefficients)
+        assert _wall_fields(w) == _ref_wall_fields(w)
 
 
 def _square_torus(scalar):
