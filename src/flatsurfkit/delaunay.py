@@ -105,7 +105,10 @@ class Triangulation:
     where a double overflows.  The constructor builds it when every
     coordinate is exact, and it is None on a float triangulation;
     _flip_in_place keeps it in step with vecs, and copy() carries it over
-    in new lists.
+    in new lists.  `doubles is not None` is the one record of the scalar
+    kind: triangulate makes every triangulation all exact or all float, and
+    the flips, incircle signs and walls (isodelaunay) read it instead of
+    inspecting coordinates.
 
     The (tri, e) half-edges are one tuple, made by the constructor and
     shared by every copy: flips never change the number of triangles.
@@ -284,7 +287,13 @@ def triangulate(s: Surface) -> Triangulation:
     When the Delaunay decomposition has non-triangular cells, this fan is
     the canonical refinement presented by the rest of the library (all
     Delaunay triangulations refine the same decomposition).
+
+    A surface with any float coordinate is float input: it is triangulated
+    from the doubles of its vertices, as its float image would be.  So every
+    triangulation is all exact or all float, which Triangulation records
+    once (doubles), and nothing downstream meets both kinds at once.
     """
+    floats = not s.is_exact()
     vecs: List[List[Vec2]] = []
     glue: Dict[HalfEdge, HalfEdge] = {}
     chart_sign: Dict[HalfEdge, int] = {}
@@ -294,7 +303,7 @@ def triangulate(s: Surface) -> Triangulation:
     for p, poly in enumerate(s.polygons):
         n = len(poly)
         base.append(len(vecs))
-        vs = poly.vertices
+        vs = [(float(x), float(y)) for x, y in poly.vertices] if floats else poly.vertices
         for j in range(n - 2):
             t = len(vecs)
             e0 = vec_sub(vs[j + 1], vs[0])

@@ -58,7 +58,7 @@ from .numeric import (FLOAT_TOL, Scalar, canonical_ints, coefficients, exact_div
                       filtered_sign, is_exact, sign, vec_add, vec_neg)
 from . import delaunay as dl
 from .delaunay import HalfEdge, Triangulation, hinge_vectors
-from .surface import Surface
+from .surface import Polygon, Surface
 
 _log = logging.getLogger("flatsurfkit.isodelaunay")
 
@@ -299,11 +299,13 @@ def wall_of_hinge(t: Triangulation, edge: HalfEdge):
     hinge is Delaunay for every z, NEVER that it never is.
 
     a, b/2 and c are the 4x4 determinants with columns (x, y, f, 1) over
-    p1..p4 for f = y**2, x*y and x**2.  An exact hinge takes one pass over
-    Python ints (numeric.exact_wall_form): the determinants, their signs and
-    the normalization are computed on int triples of Z[alpha] over one
-    denominator, and a field element is made only for each normalized
-    coefficient.  A float hinge keeps the scalar expansion: each
+    p1..p4 for f = y**2, x*y and x**2.  The kind is t's, read once where
+    t was made (t.doubles is None on a float triangulation), not off the
+    hinge's coordinates.  A hinge of an exact triangulation takes one pass
+    over Python ints (numeric.exact_wall_form): the determinants, their
+    signs and the normalization are computed on int triples of Z[alpha]
+    over one denominator, and a field element is made only for each
+    normalized coefficient.  A float hinge keeps the scalar expansion: each
     determinant is reduced by subtracting p4's row; the x and y columns of
     the three reduced rows and their minor r10*r21 - r11*r20 are shared,
     and p1, which hinge() puts at the origin, contributes 0 - p4's entries.
@@ -313,12 +315,12 @@ def wall_of_hinge(t: Triangulation, edge: HalfEdge):
     """
     p2, p3, d = hinge_vectors(t, edge)
     p4 = vec_add(p3, d)
-    (x2, y2), (x3, y3), (x4, y4) = p2, p3, p4
-    if float not in map(type, (x2, y2, x3, y3, x4, y4)):
+    if t.doubles is not None:
         form = exact_wall_form(p2, p3, p4)
         if isinstance(form, int):
             return ALWAYS if form <= 0 else NEVER
         return Wall(*form)
+    (x2, y2), (x3, y3), (x4, y4) = p2, p3, p4
     r00, r01 = 0 - x4, 0 - y4
     r10, r11 = x2 - x4, y2 - y4
     r20, r21 = x3 - x4, y3 - y4
@@ -331,8 +333,9 @@ def wall_of_hinge(t: Triangulation, edge: HalfEdge):
     a = det(y2 * y2, y3 * y3, y4 * y4)
     b = 2 * det(x2 * y2, x3 * y3, x4 * y4)
     c = det(x2 * x2, x3 * x3, x4 * x4)
-    # Any float operand makes a, b and c floats; their signs by comparison
-    # are numeric.sign's, NaN (neither > 0 nor < 0) included.
+    # A float triangulation's coordinates are all floats, and so are a, b
+    # and c; their signs by comparison are numeric.sign's, NaN (neither > 0
+    # nor < 0) included.
     if not (a > 0 or a < 0):
         if not (b > 0 or b < 0):
             # Constant sign: Delaunay iff c <= 0.
@@ -437,7 +440,9 @@ class Cell:
     cell on its side q < 0; the identity key is the set of their oriented
     keys, which pins the region itself; facets, made with the cell, hold
     each wall's _facet result: the end values (lo, hi) of its facet, or None
-    where a float wall has none.
+    where a float wall has none.  triangulation is the Delaunay
+    triangulation at the sample; on a float surface it holds the surface's
+    vectors scaled by the power of two of cell_at (_unit_scaled).
     """
 
     comb_hash: Tuple[int, ...]
@@ -890,6 +895,27 @@ class _Memo:
     classes: dl.CodeClasses = field(default_factory=dl.CodeClasses)
 
 
+def _unit_scaled(s: Surface) -> Surface:
+    """A float surface as doubles scaled by the power of two that brings its
+    largest |coordinate| into [0.5, 1); s itself when s is exact or that
+    power is 1.
+
+    Normalized walls and Delaunay triangulations do not change under
+    scaling, and a power of two commutes with every rounding of the wall
+    expansion (degree 4, its discriminant degree 8) and of the flips, so
+    the float walls and flips of s are those at unit scale, bit for bit,
+    where at the input's own scale they would underflow or overflow.
+    """
+    if s.is_exact():
+        return s
+    e = -math.frexp(max(abs(float(x)) for p in s.polygons for v in p.vertices for x in v))[1]
+    if not e:
+        return s
+    polys = [Polygon([(math.ldexp(float(x), e), math.ldexp(float(y), e)) for x, y in p.vertices])
+             for p in s.polygons]
+    return Surface(polys, s.gluings, s.kind)
+
+
 def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
             _memo: Optional[_Memo] = None) -> Cell:
     """The iso-Delaunay cell containing z (perturbing z off walls if needed).
@@ -908,10 +934,15 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
     read off the triangulation (its doubles), not off every scalar of s;
     the walls come from the hinge_cache that delaunayize_at leaves.
 
+    Without _tri, s is triangulated (delaunay.triangulate: a surface with
+    any float coordinate is float input), a float one first scaled to unit
+    size by a power of two (_unit_scaled), so its cells do not depend on
+    its scale.  Cell.triangulation then holds the scaled vectors.
+
     With _memo, a cell whose supporting key is already in _memo.cells is
     returned as stored instead of being built again.
     """
-    base = _tri if _tri is not None else dl.triangulate(s)
+    base = _tri if _tri is not None else dl.triangulate(_unit_scaled(s))
     exact = base.doubles is not None
     memo = _memo if _memo is not None else _Memo({})
     zx, zy = z.x, z.y
@@ -1160,6 +1191,11 @@ def explore(s: Surface, z0: HPoint, radius: float) -> Tessellation:
     from whichever side comes first.  Float crossings are not reciprocal,
     so floats resample every facet from both sides.
 
+    Whether the input is exact is read once, off the start cell's
+    triangulation: a surface with any float coordinate is explored as its
+    float image, at unit scale (see cell_at), so a power-of-two scale of s
+    gives the same tessellation bit for bit.
+
     A facet that meets the ball but whose crossing finds no verified cell
     (see _cross_wall) raises IsoDelaunayError naming the wall and the
     crossing point, rather than leave the tessellation incomplete; a facet
@@ -1168,7 +1204,6 @@ def explore(s: Surface, z0: HPoint, radius: float) -> Tessellation:
     """
     if not 0 < radius <= _MAX_RADIUS:
         raise IsoDelaunayError(f"radius must be positive and at most {_MAX_RADIUS}: {radius}")
-    exact = s.is_exact()
     cells: Dict[FrozenSet, Cell] = {}
     memo = _Memo(cells)
     # repr(key) orders the two ends of an adjacency; computed once per cell.
@@ -1187,6 +1222,7 @@ def explore(s: Surface, z0: HPoint, radius: float) -> Tessellation:
                 index[(wall.locus_key(), *facet, wall.orientation)] = cell
 
     start = cell_at(s, z0, _memo=memo)
+    exact = start.triangulation.doubles is not None
     store(start)
     adjacency: Set = set()
     frontier = [start]

@@ -680,19 +680,17 @@ def incircle_filter(f: Sequence[float]) -> int:
 
 
 def turn_signs(pts: Sequence[Point], f: Optional[Sequence[float]] = None) -> Iterator[int]:
-    """orient(pts[i], pts[i + 1], pts[i + 2]) for i = 0, 1, ..., len(pts) - 1,
-    indices taken mod len(pts), one at a time.
+    """The sign of cross(pts[i + 1] - pts[i], pts[i + 2] - pts[i]) for
+    i = 0, 1, ..., len(pts) - 1, indices taken mod len(pts), one at a time.
 
-    On exact points every coordinate is converted to a double once, all of
-    them under one scale (_filter_doubles), and each turn takes its sign from
-    those doubles where orient_filter decides it, exactly otherwise; float
-    points take the sign of their float cross products.  A caller that keeps
-    the doubles of exact points passes them, scaled, as f.
+    f holds the doubles of exact points' coordinates, all under one scale
+    (_filter_doubles): each turn takes its sign from them where
+    orient_filter decides it, and from its exact cross product otherwise.
+    Without f every turn takes the sign of its cross product on the points
+    as given, in their own arithmetic; the points are not inspected, so a
+    caller decides which case it is in once (delaunay hands over the doubles
+    an exact triangulation keeps, and None on a float one).
     """
-    if f is None:
-        coords = [x for p in pts for x in p]
-        if float not in map(type, coords):
-            f = _filter_doubles(coords)
     n = len(pts)
     for i in range(n):
         j, k = (i + 1) % n, (i + 2) % n
@@ -709,11 +707,15 @@ def turn_signs(pts: Sequence[Point], f: Optional[Sequence[float]] = None) -> Ite
 def orient(p1: Point, p2: Point, p3: Point) -> int:
     """Orientation of the triple: +1 counterclockwise, -1 clockwise, 0 collinear.
 
-    On exact points the sign of the cross product is taken in doubles where
-    the bound of _ORIENT_EPS decides it, and exactly otherwise; float points
-    take the sign of their float cross product (`turn_signs`).
+    The one value-level caller of turn_signs, so the one place that reads
+    the points' scalar types: on exact points the sign of the cross product
+    is taken in doubles where the bound of _ORIENT_EPS decides it, and
+    exactly otherwise; points with any float coordinate take the sign of
+    their float cross product.
     """
-    return next(turn_signs((p1, p2, p3)))
+    coords = (*p1, *p2, *p3)
+    f = _filter_doubles(coords) if float not in map(type, coords) else None
+    return next(turn_signs((p1, p2, p3), f))
 
 
 def incircle(p1: Point, p2: Point, p3: Point, p4: Point) -> int:

@@ -247,6 +247,27 @@ class TestKeptDoubles:
             for tri in (t, out, out.copy()):
                 assert tri.doubles is None
 
+    def test_a_mixed_surface_is_triangulated_from_its_doubles(self):
+        # A surface with any float coordinate is float input: all its vectors
+        # are floats, its float image's bit for bit, and it keeps no doubles.
+        from flatsurfkit.constructions import _trapezoid_scheme
+
+        esc = escalator()
+        trap = _trapezoid_scheme(Fraction(1, 2), Fraction(3, 2), Fraction(2, 3))
+        mixed = [
+            # one float polygon; float x and exact y (twice)
+            Surface([_to_float_surface(esc).polygons[0], *esc.polygons[1:]], esc.gluings, esc.kind),
+            apply_linear(((1, 0.5), (0, 1)), ay_surface()),
+            Surface([Polygon([(float(x), y) for x, y in p.vertices]) for p in trap.polygons], trap.gluings),
+        ]
+        for s in mixed:
+            t, image = dl.triangulate(s), dl.triangulate(_to_float_surface(s))
+            assert t.doubles is None
+            assert all(type(x) is float for tri in t.vecs for v in tri for x in v)
+            assert t.vecs == image.vecs
+            out, image_out = dl.delaunayize(t), dl.delaunayize(image)
+            assert (out.flip_count, out.vecs, out.glue) == (image_out.flip_count, image_out.vecs, image_out.glue)
+
 
 class TestDelaunayize:
     def test_ay_fan_is_already_delaunay(self, ay):

@@ -362,6 +362,21 @@ class TestCli:
         digest = "9a6f0784df2a3a992ebbc8a4244a7911895e342813071b6d421849f4e54f7761"
         assert hashlib.sha256(out_json.read_bytes()).hexdigest() == digest
 
+    def test_mixed_input_tessellates_as_its_float_image(self, tmp_path, capsys):
+        # The escalator's file with polygon 0 written as floats: float input,
+        # explored as the float escalator, where a float cell used to meet
+        # exact walls and the command ended in a traceback.
+        path, out_json = tmp_path / "surface.json", tmp_path / "tess.json"
+        invoke(capsys, "build", "escalator", "-o", str(path))
+        data = json.loads(path.read_text())
+        data["polygons"][0] = [[repr(float(Fraction(x))) for x in v] for v in data["polygons"][0]]
+        path.write_text(json.dumps(data))
+        code, out, err = invoke(capsys, "tessellate", str(path), "--radius", "1.0", "--json", str(out_json))
+        assert (code, err) == (0, "")
+        assert {"cells: 6", "walls: 13"} <= set(out.splitlines())
+        tess = json.loads(out_json.read_text())
+        assert (len(tess["cells"]), len(tess["adjacency"])) == (6, 10)
+
     def test_float_ay_ball_json_is_pinned(self, tmp_path, capsys):
         # `flatsurf build trapezoid --b 0.6453211869107229 --B 0.9961752258914927
         # --h 0.5934653559719874 | flatsurf tessellate --radius 3.0 --json ...`:

@@ -1919,3 +1919,138 @@ class TestDelaunayizeAt:
                 assert at_i.flip_count == plain.flip_count, name
                 assert at_i.vecs == plain.vecs and at_i.glue == plain.glue, name
             assert self.scrambled(fan).flip_count > 0 and not dl.is_delaunay_triangulation(self.scrambled(fan))
+
+
+def _float_image(s, polygons=None):
+    """s with the polygons named (all by default) written as floats."""
+    return Surface([Polygon([(float(x), float(y)) for x, y in p.vertices])
+                    if polygons is None or i in polygons else p for i, p in enumerate(s.polygons)],
+                   s.gluings, s.kind)
+
+
+def _fingerprint(tess):
+    """Counts, _ball_pins and every cell's normalized walls: what a float
+    tessellation must reproduce bit for bit."""
+    return ((len(tess.cells), len(tess.all_walls()), len(tess.adjacency)), _ball_pins(tess),
+            [[w.normalized_floats() for w in c.walls] for c in tess.cells])
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as e:  # the float image may raise too; then both must
+        return type(e).__name__, str(e)
+
+
+def _census(s):
+    t = dl.delaunayize(dl.triangulate(s))
+    return t.flip_count, [p.vertices for p in dl.decomposition(t).polygons]
+
+
+def _group(s):
+    from flatsurfkit.symmetry import group_summary, isometries
+
+    return group_summary(isometries(s))
+
+
+_Z0 = iso.HPoint(0.0001, 1.0001)
+
+
+class TestOneScalarKind:
+    """A surface with any float coordinate is float input: its
+    tessellation, Delaunay census and isometry group are its float
+    image's, bit for bit."""
+
+    @staticmethod
+    def _mixed_inputs():
+        from flatsurfkit import constructions as c
+        from flatsurfkit.surface import apply_linear
+
+        return {
+            # int and float sides: float x, exact 0s
+            "parallelogram": c.parallelogram_family(c.ParallelogramShape((1, 0), (0.3, 1.1))),
+            "escalator-polygon-0": _float_image(c.escalator(), {0}),
+            "trapezoids-polygons-0-2": _float_image(
+                c._trapezoid_scheme(Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)), {0, 2}),
+            # `flatsurf build ay | flatsurf apply -m 1 0.5 0 1`: float x, exact y
+            "ay-sheared-by-0.5": apply_linear(((1, 0.5), (0, 1)), c.ay_surface()),
+        }
+
+    @pytest.mark.parametrize("name", ["parallelogram", "escalator-polygon-0", "trapezoids-polygons-0-2",
+                                      "ay-sheared-by-0.5"])
+    def test_mixed_input_explores_as_its_float_image(self, name):
+        # Each used to raise TypeError or AttributeError where a float cell
+        # met an exact wall; the sheared AY gave 44/32/119 instead of its
+        # float image's 40/32/110.
+        s = self._mixed_inputs()[name]
+        assert {is_exact(x) for p in s.polygons for v in p.vertices for x in v} == {True, False}
+        got = _fingerprint(iso.explore(s, _Z0, 1.0))
+        assert got == _fingerprint(iso.explore(_float_image(s), _Z0, 1.0))
+        if name == "ay-sheared-by-0.5":
+            assert got[0] == (40, 32, 110)
+        if name == "escalator-polygon-0":
+            assert got[0] == (6, 13, 10)
+
+    @pytest.mark.parametrize("name", ["escalator-polygon-0", "trapezoids-polygons-0-2", "ay-sheared-by-0.5"])
+    def test_mixed_input_has_its_float_images_census_and_group(self, name):
+        s = self._mixed_inputs()[name]
+        assert _census(s) == _census(_float_image(s))
+        assert _group(s) == _group(_float_image(s))
+
+    @settings(max_examples=25, deadline=None)
+    @given(family=st.sampled_from(["escalator", "trapezoids"]),
+           shape=st.tuples(*[st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=6)] * 3),
+           picks=st.lists(st.integers(0, 5), min_size=1, max_size=5, unique=True),
+           radius=st.sampled_from([0.5, 1.0]))
+    def test_any_proper_subset_of_float_polygons(self, family, shape, picks, radius):
+        from flatsurfkit import constructions as c
+
+        if family == "escalator":
+            s = c.escalator()
+        else:
+            p, d, r = shape
+            s = c._trapezoid_scheme(p, p + d, r)
+        mixed, image = _float_image(s, set(picks)), _float_image(s)
+        explored = [_outcome(lambda t: _fingerprint(iso.explore(t, _Z0, radius)), x) for x in (mixed, image)]
+        assert explored[0] == explored[1]
+        assert _outcome(_census, mixed) == _outcome(_census, image)
+        assert _outcome(_group, mixed) == _outcome(_group, image)
+
+
+def _scaled(s, k):
+    """s with every coordinate a double multiplied by 2**k."""
+    return Surface([Polygon([(math.ldexp(float(x), k), math.ldexp(float(y), k)) for x, y in p.vertices])
+                    for p in s.polygons], s.gluings, s.kind)
+
+
+class TestFloatScale:
+    """A float tessellation does not depend on the surface's scale: walls of
+    degree 4 and their degree-8 discriminant are taken at unit scale, so a
+    power-of-two scale gives the unit-scale ball bit for bit.  At 2**±150
+    and 2**±300 they underflowed (constant hinges, a non-convex flip) or
+    overflowed to NaN (dropped walls)."""
+
+    @pytest.fixture(scope="class", params=["ay", "trapezoid-1-2-1"])
+    def unit(self, request):
+        from flatsurfkit.constructions import TrapezoidShape, ay_trapezoid_shape, trapezoid_family
+
+        shape = ay_trapezoid_shape() if request.param == "ay" else TrapezoidShape(1.0, 2.0, 1.0)
+        s = trapezoid_family(shape)
+        return s, _fingerprint(iso.explore(s, _Z0, 1.0))
+
+    @pytest.mark.parametrize("k", [40, -40, 150, -150, 300, -300])
+    def test_power_of_two_scale_keeps_the_ball(self, unit, k):
+        s, want = unit
+        assert _fingerprint(iso.explore(_scaled(s, k), _Z0, 1.0)) == want
+
+    def test_unit_scale_is_not_copied(self):
+        from flatsurfkit.constructions import TrapezoidShape, ay_surface, trapezoid_family
+
+        ay = ay_surface()
+        assert iso._unit_scaled(ay) is ay
+        half = trapezoid_family(TrapezoidShape(0.5, 0.75, 0.5))
+        assert max(abs(x) for p in half.polygons for v in p.vertices for x in v) < 1
+        assert iso._unit_scaled(half) is half
+        scaled = iso._unit_scaled(_scaled(half, -200))
+        assert [p.vertices for p in scaled.polygons] == [p.vertices for p in _float_image(half).polygons]
