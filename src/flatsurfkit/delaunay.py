@@ -35,9 +35,10 @@ A flip, like isodelaunay's walls, reads its hinge off hinge_vectors
 without building a Hinge.
 One breadth-first walk, _code_below, serves canonical_code (over
 triangles) and symmetry.isometries_between (over labelled cell corners).
-canonical_code can keep the classes it has met in a CodeClasses table,
-and then reads the code of a triangulation of a known class off the
-table instead of minimizing over every start again.
+canonical_code can keep the classes it has met in one dict from every
+walk code of a class to the class's code, and then reads the code of a
+triangulation of a known class off its start-0 walk instead of
+minimizing over every start again.
 
 A triangulation also carries hinge_cache: values derived from a hinge,
 keyed by the half-edge it was developed from, normally the canonical one
@@ -53,14 +54,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .numeric import (
     FLOAT_TOL,
     Point,
     Vec2,
-    cross,
+    cross_sign,
     incircle_det,
     incircle_filter,
     is_exact,
@@ -176,7 +177,7 @@ class Triangulation:
         for t, tri in enumerate(self.vecs):
             if not vectors_match(vec_add(tri[0], tri[1]), vec_neg(tri[2])):
                 raise DelaunayError(f"triangle {t} edge vectors do not sum to zero")
-            if sign(cross(tri[0], tri[1])) <= 0:
+            if cross_sign(tri[0], tri[1]) <= 0:
                 raise DelaunayError(f"triangle {t} is not positively oriented")
         for h in self.half_edges():
             tw = self.glue[h]
@@ -588,39 +589,20 @@ def decomposition(t: Triangulation) -> Surface:
 # -- canonical combinatorial codes -----------------------------------------------------
 
 
-@dataclass
-class CodeClasses:
-    """The combinatorial classes one caller has met, for canonical_code.
-
-    by_start maps the code of start 0 walked forwards (`_code_below`) to
-    the canonical code of the triangulation it came from, and each
-    canonical code to itself (the start-0 code of the relabelling that
-    starts at a minimizing start), so that each class keeps one tuple;
-    trie holds the canonical codes found so far as nested dicts, one level
-    per entry.
-    Either determines a triangulation up to relabelling and mirroring (see
-    canonical_code), so a table may be shared by triangulations of any
-    surfaces; isodelaunay.explore keeps one per exploration.
-    """
-
-    by_start: Dict[Tuple[int, ...], Tuple[int, ...]] = field(default_factory=dict)
-    trie: dict = field(default_factory=dict)
-
-
-def canonical_code(t: Triangulation, classes: Optional[CodeClasses] = None) -> Tuple[int, ...]:
+def canonical_code(t: Triangulation,
+                   classes: Optional[Dict[Tuple[int, ...], Tuple[int, ...]]] = None) -> Tuple[int, ...]:
     """Combinatorial code of t, invariant under relabeling triangles and edges
     and under mirroring: the minimum of `_code_below` over all starts,
     walking each triangle forwards and backwards.
 
-    With classes, t's code is read off a class already met where it can
-    be: from its start-0 code in classes.by_start, else from the first walk,
-    from any start in either direction, that spells a whole code in
-    classes.trie.  Equal codes from two starts pair the walks into a
-    relabelling of t onto the triangulation the code came from, or a
-    mirroring where the directions differ, and the minimum is invariant
-    under both, so the code read is the one the minimum would give.  Only
-    a new class runs the minimum, which the start-0 walk seeds, and is
-    recorded.
+    classes maps every walk code of each class met to the class's code.
+    Equal walk codes from two triangulations pair their walks into a
+    relabelling of one onto the other, or a mirroring where the directions
+    differ, and the minimum is invariant under both; so t's code is read
+    off its start-0 forwards walk where that is in classes, and only a new
+    class walks every start and registers each code it walked.  One table
+    may be shared by triangulations of any surfaces; isodelaunay.explore
+    keeps one per exploration.
     """
     m = 3 * t.num_triangles
     twin = [0] * m
@@ -628,50 +610,31 @@ def canonical_code(t: Triangulation, classes: Optional[CodeClasses] = None) -> T
         twin[3 * tri + e] = 3 * tt + te
     forwards = [h - h % 3 + (h + 1) % 3 for h in range(m)]
     backwards = [h - h % 3 + (h + 2) % 3 for h in range(m)]
-    best = _code_below(twin, forwards, 0, None)[0]
-    first = tuple(best)
-    # Every start but start 0 forwards, whose code is first: a table that
-    # holds first, if it is a canonical code, found it above.
-    starts = [(step, start) for step in (forwards, backwards) for start in range(m)][1:]
-    if classes is not None:
-        known = classes.by_start.get(first)
-        if known is None:
-            found = next((f for step, start in starts
-                          if (f := _code_below(twin, step, start, None, trie=classes.trie)) is not None), None)
-            if found is not None:
-                known = classes.by_start[first] = classes.by_start[tuple(found[0])]
-        if known is not None:
-            return known
-    for step, start in starts:
-        found = _code_below(twin, step, start, best)
-        if found is not None:
-            best = found[0]
-    code = tuple(best)
-    if classes is not None:
-        classes.by_start[first] = classes.by_start[code] = code
-        node = classes.trie
-        for entry in code:
-            node = node.setdefault(entry, {})
+    if classes is None:
+        classes = {}
+    first = tuple(_code_below(twin, forwards, 0, None)[0])
+    code = classes.get(first)
+    if code is None:
+        starts = [(step, start) for step in (forwards, backwards) for start in range(m)][1:]
+        walks = [first] + [tuple(_code_below(twin, step, start, None)[0]) for step, start in starts]
+        code = min(walks)
+        classes.update(dict.fromkeys(walks, code))
     return code
 
 
 def _code_below(twin: List[int], step: List[int], start: int, best: Optional[List[int]],
-                labels: Optional[List[int]] = None,
-                trie: Optional[dict] = None) -> Optional[Tuple[List[int], List[int]]]:
+                labels: Optional[List[int]] = None) -> Optional[Tuple[List[int], List[int]]]:
     """(code, discovery order) of the walk from start, or None as soon as
-    the code is known to be above best, or, with trie (nested dicts of
-    codes, one level per entry) in place of best, to leave the trie.
+    the code is known to be above best.
 
     A breadth-first walk numbers half-edges in discovery order, a whole
     cycle of step at a time (a triangle, or a cell's corners).  Entry i is
     the number of the i-th half-edge h's twin, plus labels[h] * len(twin)
     with labels; it is final once that twin is numbered, so the walk stops
-    at the first entry above best, or outside the trie.  Equal codes from
-    two starts pair their discovery orders into a bijection that keeps
-    twin, step and labels, if equal labels mean equal cycle lengths (3 on a
-    triangulation; cell labels carry the cell's size).  A walk that follows
-    the trie to its end has spelled a whole code in it: the entries fix how
-    far a walk reaches, so no code of one length begins another.
+    at the first entry above best.  Equal codes from two starts pair their
+    discovery orders into a bijection that keeps twin, step and labels, if
+    equal labels mean equal cycle lengths (3 on a triangulation; cell
+    labels carry the cell's size).
     """
     m = len(twin)
     num = [-1] * m
@@ -699,10 +662,6 @@ def _code_below(twin: List[int], step: List[int], start: int, best: Optional[Lis
             if i == len(best) or entry > best[i]:
                 return None
             tied = entry == best[i]
-        elif trie is not None:
-            trie = trie.get(entry)
-            if trie is None:
-                return None
         code.append(entry)
     return code, order
 

@@ -883,16 +883,17 @@ class _Memo:
     triangulation inherits from its parent cell for every hinge it did not
     flip, and it adds the hinges that flips recreate in a shape seen
     before.  ends maps an exact wall's locus key to the facet ends that the
-    walls of that locus share (see Wall).  classes holds the combinatorial
-    classes of the cells' triangulations met so far, from which
-    delaunay.canonical_code reads each new cell's comb hash where it can,
-    without minimizing over every start again.
+    walls of that locus share (see Wall).  classes maps every walk code of
+    each combinatorial class of the cells' triangulations met so far to the
+    class's code, from which delaunay.canonical_code reads a new cell's
+    comb hash off one walk where it can, without minimizing over every
+    start again.
     """
 
     cells: Dict[FrozenSet, "Cell"]
     walls: dict = field(default_factory=dict)
     ends: dict = field(default_factory=dict)
-    classes: dl.CodeClasses = field(default_factory=dl.CodeClasses)
+    classes: Dict[Tuple[int, ...], Tuple[int, ...]] = field(default_factory=dict)
 
 
 def _unit_scaled(s: Surface) -> Surface:
@@ -1179,8 +1180,9 @@ def explore(s: Surface, z0: HPoint, radius: float) -> Tessellation:
     side.  Each exact facet end is computed once per pair of walls, and
     kept with the walls of both loci where both are circles.
     A new cell's comb hash is read off the combinatorial classes of the
-    cells met before (delaunay.CodeClasses), and only a new class runs the
-    full minimum of delaunay.canonical_code.
+    cells met before (_Memo.classes, every walk code of each class): one
+    walk and one lookup, and only a new class runs the full minimum of
+    delaunay.canonical_code.
     One exploration does not rebuild a cell it already holds.  On exact
     input the tessellation is edge-to-edge, so the far cell of a facet is
     looked up, not located again: every stored cell indexes its facets by

@@ -161,6 +161,24 @@ class TestCli:
         text = svg.read_text()
         assert text.startswith("<svg") and "<polygon" in text and "<text" in text
 
+    @pytest.mark.parametrize("build", (["ay"], ["trapezoid", "--b", "1", "--B", "2", "--h", "1"]),
+                             ids=["ay", "float-trapezoid"])
+    def test_delaunay_out_writes_the_decomposition(self, build, tmp_path, capsys):
+        # The written cells are Delaunay already: the file is a valid surface
+        # with the same census, no flips, and the input's genus and cones.
+        from flatsurfkit.surface import validate
+
+        src, dec = tmp_path / "s.json", tmp_path / "dec.json"
+        invoke(capsys, "build", *build, "-o", str(src))
+        code, out, _ = invoke(capsys, "delaunay", str(src), "--out", str(dec))
+        assert code == 0
+        assert validate(surface_io.loads(dec.read_text())) == []
+        code, again, _ = invoke(capsys, "delaunay", str(dec))
+        assert code == 0
+        assert again.splitlines()[:2] == [out.splitlines()[0], "flips: 0"]
+        infos = [invoke(capsys, "info", str(path))[1].splitlines()[:2] for path in (src, dec)]
+        assert infos[0] == infos[1] and infos[0][0] == "genus 3"
+
     def test_isometries_output(self, tmp_path, capsys):
         path = tmp_path / "ay.json"
         invoke(capsys, "build", "ay", "-o", str(path))
@@ -342,7 +360,8 @@ class TestCli:
         ("ay", "2.0", "bc6cc84a8934d6ad791affca70e0fa66c5b7d38658c11187fb184a0d648e44e5"),
         ("ay-prime", "1.0", "3254a22d5dd780c557442143e840417c5b497b9b15d34739cbcdfa8f601f3075"),
         ("escalator", "3.0", "7974edb3b051a7339fd91955b684c2eeb99c883bc40f8e479ec7af77e234668a"),
-    ), ids=["ay-r2", "ay-prime-r1", "escalator-r3"])
+        ("ay", "3.0", "e8fcafc60d1540e5aceeb5830965b14deed0754a8b0c6a372415603e4cc5f407"),
+    ), ids=["ay-r2", "ay-prime-r1", "escalator-r3", "ay-r3"])
     def test_exact_tessellation_json_is_pinned(self, what, radius, digest, tmp_path, capsys):
         # `flatsurf build <what> | flatsurf tessellate --radius <radius> --json ...`.
         path = tmp_path / "surface.json"

@@ -1,6 +1,7 @@
 """Exact arithmetic in Q(alpha) and the geometric predicates."""
 
 import math
+import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -314,6 +315,32 @@ class TestFloatConversion:
         for p, q in alpha_convergents(40):
             float(CubicNumber(p, -q))
         assert [float(x) for x in xs] == first
+
+
+# A rational CubicNumber meets exact operands, checked against Fraction; an
+# irrational one meets float operands, checked against float(x).  One
+# operand of each kind equals x, so == and the order comparisons see ties.
+_RATIONAL = CubicNumber(Fraction(3, 7))
+_IRRATIONAL = CubicNumber(1, 2, -1)
+_MIXED_OPERANDS = [2, Fraction(-5, 3), Fraction(3, 7), 0.75, -2.5, float(_IRRATIONAL)]
+
+
+class TestMixedOperands:
+    @pytest.mark.parametrize("reflected", [False, True], ids=["cubic-first", "cubic-second"])
+    @pytest.mark.parametrize("other", _MIXED_OPERANDS, ids=["int", "fraction", "equal-fraction",
+                                                              "float", "negative-float", "equal-float"])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv, operator.eq,
+                                    operator.lt, operator.le, operator.gt, operator.ge],
+                             ids=lambda op: op.__name__)
+    def test_matches_the_oracle(self, op, other, reflected):
+        x, value = (_IRRATIONAL, float(_IRRATIONAL)) if isinstance(other, float) else (_RATIONAL, Fraction(3, 7))
+        got, want = (op(other, x), op(other, value)) if reflected else (op(x, other), op(value, other))
+        if isinstance(want, bool):
+            assert got is want
+        elif isinstance(other, float):  # mixed arithmetic promotes to float
+            assert type(got) is float and got == want
+        else:
+            assert isinstance(got, CubicNumber) and got == CubicNumber(want)
 
 
 class TestIncircle:
