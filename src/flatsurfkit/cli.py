@@ -1,8 +1,11 @@
 """Command-line interface: build, inspect, transform, solve, tessellate.
 
-Surface files travel on stdin/stdout when no path is given.  Exit codes:
-0 success, 1 domain error (invalid surface, I/O error, divergence), 2 usage
-error.  Diagnostics go to stderr, results to stdout or to files.
+Surface files travel on stdin/stdout when no path is given.  Each `build`
+surface is a subcommand that takes only its own shape options, all
+required, after its name; -o may come before or after the name.  Exit
+codes: 0 success, 1 domain error (invalid surface, I/O error, divergence),
+2 usage error (an unknown command or option, a missing or malformed
+value).  Diagnostics go to stderr, results to stdout or to files.
 """
 
 from __future__ import annotations
@@ -25,13 +28,9 @@ from . import quadrature
 from . import surface as sf
 from . import surface_io
 from . import symmetry as sym
-from .numeric import FLOAT_TOL, is_exact, scalar_from_str, scaled_points
+from .numeric import ALPHA, FLOAT_TOL, is_exact, scalar_from_str, scaled_points
 from .quadrature import QuadratureError
 from .surface import Surface, SurfaceError
-
-
-class CliError(Exception):
-    pass
 
 
 def _read_surface(path: Optional[str]) -> Surface:
@@ -60,33 +59,12 @@ def _require_valid(s: Surface) -> Surface:
 # -- subcommands ------------------------------------------------------------------
 
 
-def _cmd_build(args) -> int:
-    name = args.what
-    if name == "ay":
-        s = cons.ay_surface()
-    elif name == "ay-prime":
-        s = cons.ay_prime()
-    elif name == "escalator":
-        s = cons.escalator()
-    elif name == "trapezoid":
-        if args.b is None or args.B is None or args.h is None:
-            raise CliError("trapezoid requires --b, --B and --h")
-        s = cons.trapezoid_family(cons.TrapezoidShape(args.b, args.B, args.h))
-    elif name == "parallelogram":
-        if None in (args.s1x, args.s1y, args.s2x, args.s2y):
-            raise CliError("parallelogram requires --s1x --s1y --s2x --s2y")
-        s = cons.parallelogram_family(
-            cons.ParallelogramShape((args.s1x, args.s1y), (args.s2x, args.s2y))
-        )
-    else:  # rectangle
-        if args.t is None:
-            raise CliError("rectangle requires --t")
-        # u = 1 makes J3 = J1 exactly (x -> t/x), so the bases are equal;
-        # the computed J3/J1 can round to just below 1
-        r1, _ = per.shape_ratios(per.CurveTU(args.t, 1.0))
-        s = cons.trapezoid_family(cons.TrapezoidShape(1.0, 1.0, r1 / 2.0))
-    _write_surface(s, args.output)
-    return 0
+def _rectangle(t: float) -> Surface:
+    """The u = 1 member of the rectangle family with curve parameter t."""
+    # u = 1 makes J3 = J1 exactly (x -> t/x), so the bases are equal;
+    # the computed J3/J1 can round to just below 1
+    r1, _ = per.shape_ratios(per.CurveTU(t, 1.0))
+    return cons.trapezoid_family(cons.TrapezoidShape(1.0, 1.0, r1 / 2.0))
 
 
 def _fmt_cone(c: sf.ConePoint) -> str:
@@ -101,14 +79,13 @@ def _area_double(area) -> float:
         return math.inf
 
 
-def _cmd_info(s: Surface, args) -> int:
+def _cmd_info(s: Surface, args) -> None:
     cones = sf.cone_points(s)
     print(f"genus {sf.genus(s)}")
     print("cone angles: " + (" ".join(_fmt_cone(c) for c in cones) if cones else "none"))
     print(f"area: {_area_double(sf.area(s))!r}")
     print(f"kind: {s.kind}")
     print(f"polygons: {len(s.polygons)}, gluings: {len(s.gluings)}")
-    return 0
 
 
 def _classify_cell(p: sf.Polygon) -> str:
@@ -140,12 +117,18 @@ def _classify_cell(p: sf.Polygon) -> str:
     return "quadrilateral"
 
 
-def _cmd_delaunay(s: Surface, args) -> int:
+def _cmd_delaunay(s: Surface, args) -> None:
     tri = dl.delaunayize(dl.triangulate(s))
     dec = dl.decomposition(tri)
     census = {}
     for p in dec.polygons:
         census.setdefault(_classify_cell(p), []).append(p)
+    # Files first: a reader that closes stdout early (`| head`) ends the command at its first print.
+    if args.out:
+        _write_surface(dec, args.out)
+    if args.svg:
+        with open(args.svg, "w") as fp:
+            fp.write(_decomposition_svg(dec))
     total = len(dec.polygons)
     summary = ", ".join(f"{len(v)} {k}{'s' if len(v) != 1 else ''}" for k, v in sorted(census.items()))
     print(f"{total} cells: {summary}")
@@ -154,12 +137,6 @@ def _cmd_delaunay(s: Surface, args) -> int:
         for p in cells:
             vecs = " ".join(f"({float(v[0]):.6g},{float(v[1]):.6g})" for v in p.edge_vectors())
             print(f"  {kind}: area {_area_double(p.area()):.6g}, edges {vecs}")
-    if args.out:
-        _write_surface(dec, args.out)
-    if args.svg:
-        with open(args.svg, "w") as fp:
-            fp.write(_decomposition_svg(dec))
-    return 0
 
 
 _DECOMPOSITION_SVG_SIZE = 220
@@ -209,7 +186,7 @@ def _decomposition_svg(dec: Surface) -> str:
     return "\n".join(parts)
 
 
-def _cmd_isometries(s: Surface, args) -> int:
+def _cmd_isometries(s: Surface, args) -> None:
     isos = sym.isometries(s)
     summary = sym.group_summary(isos)
     print(f"group order {summary.order}")
@@ -229,18 +206,14 @@ def _cmd_isometries(s: Surface, args) -> int:
             f"  {isom.name_hint():6s} orientation {'+' if isom.orientation == 1 else '-'} "
             f"derivative [[{d[0][0]:+.6f},{d[0][1]:+.6f}],[{d[1][0]:+.6f},{d[1][1]:+.6f}]]  {census}"
         )
-    return 0
 
 
-def _cmd_apply(s: Surface, args) -> int:
+def _cmd_apply(s: Surface, args) -> None:
     a, b, c, d = args.matrix
     _write_surface(sf.apply_linear(((a, b), (c, d)), s), args.output)
-    return 0
 
 
-def _cmd_solve_ay(args) -> int:
-    from .numeric import ALPHA
-
+def _cmd_solve_ay(args) -> None:
     a = float(ALPHA)
     target = (1.0 / a, 1.0 + a)
     curve = per.solve_tu(target, args.tol)
@@ -248,57 +221,50 @@ def _cmd_solve_ay(args) -> int:
     print(f"t = {curve.t:.11f}")
     print(f"u = {curve.u:.11f}")
     print(f"residual = {max(abs(r1 - target[0]), abs(r2 - target[1])):.3e}")
-    return 0
 
 
-def _cmd_solve_rect(args) -> int:
+def _cmd_solve_rect(args) -> None:
     t = per.solve_t_rectangle(args.mu, args.tol)
     j1, j2, _ = per.segment_integrals(per.CurveTU(t, 1.0), args.tol)
     print(f"t = {t:.11f}")
     print(f"residual = {abs(j1 - args.mu * j2):.3e}")
-    return 0
 
 
-def _cmd_periods(args) -> int:
-    if args.mode == "ratios":
-        c = per.CurveTU(args.t, args.u)
-        j1, j2, j3 = per.segment_integrals(c)
-        r1, r2 = j2 / j1, j3 / j1
-        print(f"J1 = {j1!r}")
-        print(f"J2 = {j2!r}")
-        print(f"J3 = {j3!r}")
-        print(f"r1 = J2/J1 = {r1:.11f}")
-        print(f"r2 = J3/J1 = {r2:.11f}")
-        return 0
-    a = complex(args.a_real, args.a_imag)  # silhol
-    ratio = per.silhol_ratio(per.CurveA(a))
+def _cmd_periods_ratios(args) -> None:
+    j1, j2, j3 = per.segment_integrals(per.CurveTU(args.t, args.u))
+    print(f"J1 = {j1!r}")
+    print(f"J2 = {j2!r}")
+    print(f"J3 = {j3!r}")
+    print(f"r1 = J2/J1 = {j2 / j1:.11f}")
+    print(f"r2 = J3/J1 = {j3 / j1:.11f}")
+
+
+def _cmd_periods_silhol(args) -> None:
+    ratio = per.silhol_ratio(per.CurveA(complex(args.a_real, args.a_imag)))
     print(f"ratio = {ratio.real:.11f} + {ratio.imag:.11f}i")
     print(f"|Im|/|ratio| = {abs(ratio.imag) / abs(ratio):.3e}")
-    return 0
 
 
-def _cmd_origami_check(s: Surface, args) -> int:
+def _cmd_origami_check(s: Surface, args) -> None:
     cert = cons.origami_check(s)
     if cert is None:
         print("not an origami")
-        return 0
+        return
     b1, b2 = cert.basis
     print(f"origami: degree {cert.degree}")
     print(f"lattice basis: ({float(b1[0])!r}, {float(b1[1])!r}) ({float(b2[0])!r}, {float(b2[1])!r})")
-    return 0
 
 
-def _cmd_genus2(s: Surface, args) -> int:
+def _cmd_genus2(s: Surface, args) -> None:
     out = sf.cut_and_reglue_square(s, args.square, args.axis)
     _write_surface(out, args.output)
-    return 0
 
 
 def _cell_digest(cell: iso.Cell) -> str:
     return hashlib.sha1(repr(cell.comb_hash).encode()).hexdigest()[:12]
 
 
-def _cmd_tessellate(s: Surface, args) -> int:
+def _cmd_tessellate(s: Surface, args) -> None:
     tess = iso.explore(s, iso.HPoint(args.x, args.y), args.radius)
     print(f"cells: {len(tess.cells)}")
     print(f"walls: {len(tess.all_walls())}")
@@ -324,7 +290,6 @@ def _cmd_tessellate(s: Surface, args) -> int:
     if args.svg:
         with open(args.svg, "w") as fp:
             fp.write(iso.render_svg(tess))
-    return 0
 
 
 def _finite_scalar(text: str):
@@ -369,18 +334,32 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=lambda args: cmd(_require_valid(_read_surface(args.surface)), args))
         return p
 
+    def output_option(p: argparse.ArgumentParser, default=None) -> None:
+        p.add_argument("-o", "--output", default=default, help="surface file to write (default: stdout)")
+
     p = subs.add_parser("build", help="construct a named surface")
-    p.add_argument("what", choices=["ay", "ay-prime", "trapezoid", "parallelogram", "escalator", "rectangle"])
-    p.add_argument("--b", type=float, help="trapezoid short base")
-    p.add_argument("--B", type=float, help="trapezoid long base")
-    p.add_argument("--h", type=float, help="trapezoid height")
-    p.add_argument("--s1x", type=float)
-    p.add_argument("--s1y", type=float)
-    p.add_argument("--s2x", type=float)
-    p.add_argument("--s2y", type=float)
-    p.add_argument("--t", type=float, help="rectangle-family curve parameter t")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_build)
+    output_option(p)
+    shapes = p.add_subparsers(dest="what", required=True)
+
+    def build_command(name: str, make, **options: str) -> None:
+        """`build NAME` writes make(args) to -o; each option (name=help) is a required float."""
+        p = shapes.add_parser(name)
+        for option, help in options.items():
+            p.add_argument("--" + option, type=float, required=True, help=help)
+        # Unless given here, build's -o stands: `build -o FILE ay` and
+        # `build ay -o FILE` both write FILE.
+        output_option(p, argparse.SUPPRESS)
+        p.set_defaults(func=lambda args: _write_surface(make(args), args.output))
+
+    build_command("ay", lambda _: cons.ay_surface())
+    build_command("ay-prime", lambda _: cons.ay_prime())
+    build_command("trapezoid", lambda a: cons.trapezoid_family(cons.TrapezoidShape(a.b, a.B, a.h)),
+                  b="short base", B="long base", h="height")
+    build_command("parallelogram",
+                  lambda a: cons.parallelogram_family(cons.ParallelogramShape((a.s1x, a.s1y), (a.s2x, a.s2y))),
+                  s1x="side 1 x", s1y="side 1 y", s2x="side 2 x", s2y="side 2 y")
+    build_command("escalator", lambda _: cons.escalator())
+    build_command("rectangle", lambda a: _rectangle(a.t), t="curve parameter t")
 
     surface_command("info", "genus, cone angles, area", _cmd_info)
 
@@ -392,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = surface_command("apply", "apply a 2x2 linear map", _cmd_apply)
     p.add_argument("-m", "--matrix", nargs=4, type=_finite_scalar, required=True, metavar=("A", "B", "C", "D"))
-    p.add_argument("-o", "--output", default=None)
+    output_option(p)
 
     p = subs.add_parser("solve-ay", help="solve the integral system for the AY parameters")
     p.add_argument("--tol", type=float, default=quadrature.TOL)
@@ -408,18 +387,18 @@ def _build_parser() -> argparse.ArgumentParser:
     pr = modes.add_parser("ratios")
     pr.add_argument("--t", type=float, required=True)
     pr.add_argument("--u", type=float, required=True)
-    pr.set_defaults(func=_cmd_periods)
+    pr.set_defaults(func=_cmd_periods_ratios)
     ps = modes.add_parser("silhol")
     ps.add_argument("--a-imag", type=float, required=True)
     ps.add_argument("--a-real", type=float, default=0.0)
-    ps.set_defaults(func=_cmd_periods)
+    ps.set_defaults(func=_cmd_periods_silhol)
 
     surface_command("origami-check", "square-tiled (torus cover) test", _cmd_origami_check)
 
     p = surface_command("genus2", "cut and reglue a square: the genus-2 correspondence", _cmd_genus2)
     p.add_argument("--square", type=int, required=True)
     p.add_argument("--axis", choices=[sf.HORIZONTAL, sf.VERTICAL], default=sf.HORIZONTAL)
-    p.add_argument("-o", "--output", default=None)
+    output_option(p)
 
     p = surface_command("tessellate", "iso-Delaunay tessellation of the half-plane", _cmd_tessellate)
     p.add_argument("--radius", type=float, required=True)
@@ -438,13 +417,14 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        args.func(args)
     except BrokenPipeError:  # an OSError, for main to handle
         raise
     except (SurfaceError, dl.DelaunayError, per.PeriodsError, QuadratureError, iso.IsoDelaunayError,
-            CliError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

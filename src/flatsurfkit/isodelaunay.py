@@ -360,8 +360,9 @@ def _memo_wall(t: Triangulation, edge: HalfEdge, walls: dict):
 
     The cache rides on the triangulation: flips drop the walls of the
     hinges they change and copies carry the others over, so a wall is
-    computed again only after its hinge was flipped.  walls is the second
-    level, across the whole exploration.  A wall depends only on the hinge
+    computed again only after its hinge was flipped.  The caller reads
+    that first level and comes here on a miss.  walls is the second level,
+    across the whole exploration.  A wall depends only on the hinge
     developed in the base chart, with p1 at the origin, so its key is
     delaunay.hinge_vectors, (p2, p3, d) with d = p4 - p3, read from t
     without arithmetic.
@@ -375,9 +376,6 @@ def _memo_wall(t: Triangulation, edge: HalfEdge, walls: dict):
     key: its expansion is not symmetric in the points, so an alias would
     hand one side the other side's rounding.
     """
-    w = t.hinge_cache.get(edge)
-    if w is not None:
-        return w
     key = hinge_vectors(t, edge)
     w = walls.get(key)
     if w is None:
@@ -993,6 +991,13 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
 
 @dataclass
 class Tessellation:
+    """Cells and their crossings.  adjacency holds one (a, b, wall) per
+    crossing, a and b in repr order and wall as the crossing cell holds it,
+    so a pair crossed from both sides is held twice: the exact r = 1 AY
+    ball's 72 entries are 36 pairs.  A crossing not made from the other side
+    holds its pair once (170 of the float r = 3 AY ball's 872 pairs).
+    """
+
     surface: Surface
     cells: List[Cell]
     adjacency: Set[Tuple[FrozenSet, FrozenSet, Wall]] = field(default_factory=set)

@@ -1,6 +1,7 @@
 """Surface file round-trips and the command-line interface."""
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -48,6 +49,13 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _child_env(**extra):
+    """The environment of a `python -m flatsurfkit` child that imports this
+    checkout's package."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
 
 
 def _assert_area_prints_inf(capsys, path):
@@ -219,6 +227,54 @@ class TestCli:
         invoke(capsys, "build", "escalator", "-o", str(path))
         code, out, _ = invoke(capsys, "origami-check", str(path))
         assert code == 0 and "degree 6" in out
+
+    def test_solve_ay(self, capsys):
+        code, out, err = invoke(capsys, "solve-ay")
+        assert (code, err) == (0, "")
+        t, u, residual = out.splitlines()
+        assert t.startswith("t = 1.91709843377") and u.startswith("u = 2.07067976690")
+        assert residual.startswith("residual = ") and float(residual.split("=")[1]) < 1e-10
+
+    def test_ay_is_not_an_origami(self, capsys, monkeypatch):
+        # `flatsurf build ay | flatsurf origami-check`
+        _, ay, _ = invoke(capsys, "build", "ay")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(ay))
+        assert invoke(capsys, "origami-check") == (0, "not an origami\n", "")
+
+    @pytest.mark.parametrize("argv, extra", (
+        (["ay", "--b", "1"], "--b 1"),
+        (["escalator", "--t", "3"], "--t 3"),
+        (["rectangle", "--b", "1", "--t", "3"], "--b 1"),
+    ), ids=["ay-b", "escalator-t", "rectangle-b"])
+    def test_build_rejects_the_options_of_another_surface(self, argv, extra, capsys):
+        code, out, err = invoke(capsys, "build", *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"flatsurf: error: unrecognized arguments: {extra}"
+
+    @pytest.mark.parametrize("argv, missing", (
+        (["trapezoid", "--b", "1"], "--B, --h"),
+        (["parallelogram", "--s1x", "1", "--s1y", "0", "--s2x", "0"], "--s2y"),
+        (["rectangle"], "--t"),
+    ), ids=["trapezoid", "parallelogram", "rectangle"])
+    def test_build_requires_every_option_of_its_surface(self, argv, missing, capsys):
+        code, out, err = invoke(capsys, "build", *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (f"flatsurf build {argv[0]}: error: "
+                                        f"the following arguments are required: {missing}")
+
+    def test_build_takes_shape_options_after_the_surface_only(self, capsys):
+        code, out, err = invoke(capsys, "build", "--b", "1", "trapezoid", "--B", "2", "--h", "1")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith("flatsurf build: error: ")
+
+    @pytest.mark.parametrize("argv", (["ay"], ["trapezoid", "--b", "1", "--B", "2", "--h", "1"]),
+                             ids=["ay", "trapezoid"])
+    def test_build_output_before_or_after_the_surface(self, argv, tmp_path, capsys):
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        assert invoke(capsys, "build", "-o", str(before), *argv) == (0, "", "")
+        assert invoke(capsys, "build", *argv, "-o", str(after)) == (0, "", "")
+        _, text, _ = invoke(capsys, "build", *argv)
+        assert before.read_bytes() == after.read_bytes() == text.encode()
 
     def test_periods_ratios(self, capsys):
         code, out, _ = invoke(capsys, "periods", "ratios", "--t", "2.0", "--u", "1.0")
@@ -508,8 +564,7 @@ class TestCli:
         path = tmp_path / "esc.json"
         invoke(capsys, "build", "escalator", "-o", str(path))
         argv = ["build", "escalator"] if command == "build" else ["isometries", str(path)]
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _child_env()
         child = subprocess.Popen([sys.executable, "-m", "flatsurfkit", *argv], env=env,
                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         child.stdout.close()
@@ -517,11 +572,27 @@ class TestCli:
         assert child.wait() == 1
         assert "Traceback" not in err and "BrokenPipeError" not in err
 
+    def test_delaunay_writes_its_files_before_a_closed_stdout(self, tmp_path, capsys):
+        # `flatsurf build ay | flatsurf delaunay --out F | head -1`: the reader
+        # goes away at the census, and F is written all the same.  Unbuffered,
+        # each print reaches the pipe at once, as under PYTHONUNBUFFERED.
+        ay, dec, svg = tmp_path / "ay.json", tmp_path / "dec.json", tmp_path / "dec.svg"
+        invoke(capsys, "build", "ay", "-o", str(ay))
+        child = subprocess.Popen([sys.executable, "-m", "flatsurfkit", "delaunay", str(ay), "--out", str(dec),
+                                  "--svg", str(svg)], env=_child_env(PYTHONUNBUFFERED="1"),
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait() == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+        code, out, _ = invoke(capsys, "delaunay", str(dec))
+        assert (code, out.splitlines()[0]) == (0, "6 cells: 2 squares, 4 trapezoids")
+        assert svg.read_text().startswith("<svg")
+
     def test_shared_parser_prints_what_a_fresh_process_prints(self, capsys):
         # run() builds its parser once per process; neither a call nor a
         # usage error may leave state in it that changes a later call
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _child_env()
         sequence = (["periods", "ratios", "--t", "2", "--u", "1"], ["solve-rect", "--mu", "0.5"],
                     ["periods", "ratios", "--t", "2"], ["periods", "ratios", "--t", "2", "--u", "1"])
         fresh = {}
