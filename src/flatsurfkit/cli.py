@@ -24,11 +24,10 @@ from . import constructions as cons
 from . import delaunay as dl
 from . import isodelaunay as iso
 from . import periods as per
-from . import quadrature
 from . import surface as sf
 from . import surface_io
 from . import symmetry as sym
-from .numeric import ALPHA, FLOAT_TOL, is_exact, scalar_from_str, scaled_points
+from .numeric import ALPHA, FLOAT_TOL, complex_str, is_exact, scalar_from_str, scaled_points
 from .quadrature import QuadratureError
 from .surface import Surface, SurfaceError
 
@@ -67,10 +66,6 @@ def _rectangle(t: float) -> Surface:
     return cons.trapezoid_family(cons.TrapezoidShape(1.0, 1.0, r1 / 2.0))
 
 
-def _fmt_cone(c: sf.ConePoint) -> str:
-    return f"{c.angle_pi}pi"
-
-
 def _area_double(area) -> float:
     """float(area), or inf where an exact area is beyond the double range."""
     try:
@@ -82,7 +77,7 @@ def _area_double(area) -> float:
 def _cmd_info(s: Surface, args) -> None:
     cones = sf.cone_points(s)
     print(f"genus {sf.genus(s)}")
-    print("cone angles: " + (" ".join(_fmt_cone(c) for c in cones) if cones else "none"))
+    print("cone angles: " + (" ".join(f"{c.angle_pi}pi" for c in cones) if cones else "none"))
     print(f"area: {_area_double(sf.area(s))!r}")
     print(f"kind: {s.kind}")
     print(f"polygons: {len(s.polygons)}, gluings: {len(s.gluings)}")
@@ -216,16 +211,16 @@ def _cmd_apply(s: Surface, args) -> None:
 def _cmd_solve_ay(args) -> None:
     a = float(ALPHA)
     target = (1.0 / a, 1.0 + a)
-    curve = per.solve_tu(target, args.tol)
-    r1, r2 = per.shape_ratios(curve, args.tol)
+    curve = per.solve_tu(target)
+    r1, r2 = per.shape_ratios(curve)
     print(f"t = {curve.t:.11f}")
     print(f"u = {curve.u:.11f}")
     print(f"residual = {max(abs(r1 - target[0]), abs(r2 - target[1])):.3e}")
 
 
 def _cmd_solve_rect(args) -> None:
-    t = per.solve_t_rectangle(args.mu, args.tol)
-    j1, j2, _ = per.segment_integrals(per.CurveTU(t, 1.0), args.tol)
+    t = per.solve_t_rectangle(args.mu)
+    j1, j2, _ = per.segment_integrals(per.CurveTU(t, 1.0))
     print(f"t = {t:.11f}")
     print(f"residual = {abs(j1 - args.mu * j2):.3e}")
 
@@ -241,7 +236,7 @@ def _cmd_periods_ratios(args) -> None:
 
 def _cmd_periods_silhol(args) -> None:
     ratio = per.silhol_ratio(per.CurveA(complex(args.a_real, args.a_imag)))
-    print(f"ratio = {ratio.real:.11f} + {ratio.imag:.11f}i")
+    print(f"ratio = {complex_str(ratio.real, ratio.imag, '.11f')}")
     print(f"|Im|/|ratio| = {abs(ratio.imag) / abs(ratio):.3e}")
 
 
@@ -374,12 +369,10 @@ def _build_parser() -> argparse.ArgumentParser:
     output_option(p)
 
     p = subs.add_parser("solve-ay", help="solve the integral system for the AY parameters")
-    p.add_argument("--tol", type=float, default=quadrature.TOL)
     p.set_defaults(func=_cmd_solve_ay)
 
     p = subs.add_parser("solve-rect", help="solve the rectangle-case equation for t")
     p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--tol", type=float, default=quadrature.TOL)
     p.set_defaults(func=_cmd_solve_rect)
 
     p = subs.add_parser("periods", help="segment integrals and the genus-2 period ratio")

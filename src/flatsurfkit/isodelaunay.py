@@ -54,8 +54,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .numeric import (FLOAT_TOL, Scalar, canonical_ints, coefficients, exact_divisor, exact_wall_form,
-                      filtered_sign, is_exact, sign, vec_add, vec_neg)
+from .numeric import (FLOAT_TOL, Scalar, canonical_ints, coefficients, complex_str, exact_divisor,
+                      exact_wall_form, filtered_sign, is_exact, scaled_points, sign, vec_add, vec_neg)
 from . import delaunay as dl
 from .delaunay import HalfEdge, Triangulation, hinge_vectors
 from .surface import Polygon, Surface
@@ -89,7 +89,7 @@ class HPoint:
 
     def __post_init__(self):
         if not (self.y > 0 and abs(self.x) < math.inf and self.y < math.inf):
-            raise IsoDelaunayError(f"not a finite point of the upper half-plane: {self.x} + {self.y}i")
+            raise IsoDelaunayError(f"not a finite point of the upper half-plane: {complex_str(self.x, self.y)}")
 
     def hyperbolic_distance(self, other: "HPoint") -> float:
         dx = self.x - other.x
@@ -896,8 +896,9 @@ class _Memo:
 
 def _unit_scaled(s: Surface) -> Surface:
     """A float surface as doubles scaled by the power of two that brings its
-    largest |coordinate| into [0.5, 1); s itself when s is exact or that
-    power is 1.
+    largest |coordinate| into [0.5, 1) (numeric.scaled_points), s itself
+    when s is exact or already so; IsoDelaunayError where scaled_points
+    gives None (a coordinate not a finite double, or all 0).
 
     Normalized walls and Delaunay triangulations do not change under
     scaling, and a power of two commutes with every rounding of the wall
@@ -907,12 +908,14 @@ def _unit_scaled(s: Surface) -> Surface:
     """
     if s.is_exact():
         return s
-    e = -math.frexp(max(abs(float(x)) for p in s.polygons for v in p.vertices for x in v))[1]
-    if not e:
+    vertices = [v for p in s.polygons for v in p.vertices]
+    points = scaled_points(vertices)
+    if points is None:
+        raise IsoDelaunayError("cannot scale to unit size: a coordinate is not a finite double, or all are 0")
+    if points == vertices:
         return s
-    polys = [Polygon([(math.ldexp(float(x), e), math.ldexp(float(y), e)) for x, y in p.vertices])
-             for p in s.polygons]
-    return Surface(polys, s.gluings, s.kind)
+    it = iter(points)
+    return Surface([Polygon([next(it) for _ in p.vertices]) for p in s.polygons], s.gluings, s.kind)
 
 
 def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
@@ -1103,7 +1106,7 @@ def _facet_crossing_point(wall: Wall, interval, z0: HPoint, radius: float) -> Op
     if kind == "vertical" and first <= last:
         y = point(first)[1]
         if not y > 0:  # exp underflows at radii beyond 496
-            raise IsoDelaunayError(f"not in the upper half-plane: {x} + {y}i")
+            raise IsoDelaunayError(f"not in the upper half-plane: {complex_str(x, y)}")
 
     def in_ball(k: int) -> bool:
         px, py = point(k)

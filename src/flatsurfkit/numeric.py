@@ -34,7 +34,7 @@ fork a decision into an exact and a float branch themselves.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import frexp, gcd, isfinite, lcm, ldexp
+from math import copysign, frexp, gcd, isfinite, lcm, ldexp
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 # alpha to _ALPHA_BITS fractional bits: _ALPHA_FIX = floor(alpha * 2**_ALPHA_BITS).
@@ -437,6 +437,11 @@ def scalar_to_str(x: Scalar) -> str:
         f = Fraction(x)
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
     return repr(float(x))
+
+
+def complex_str(re, im, spec: str = "") -> str:
+    """re + |im|i, or re - |im|i when im's sign bit is set (-0.0 too), each part formatted by spec."""
+    return f"{re:{spec}} {'-' if copysign(1.0, im) < 0 else '+'} {abs(im):{spec}}i"
 
 
 def scalar_from_str(s: str) -> Scalar:

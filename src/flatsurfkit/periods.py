@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .quadrature import TOL, integrate
+from .quadrature import integrate
 
 POINT_AT_INFINITY = complex(math.inf, math.inf)
 
@@ -75,7 +75,7 @@ def _overflow(c: CurveTU) -> PeriodsError:
     return PeriodsError(f"period integrand overflows for {c}")
 
 
-def _integrals(c: CurveTU, tol: float, j3: bool = True, partials: bool = False) -> tuple:
+def _integrals(c: CurveTU, j3: bool = True, partials: bool = False) -> tuple:
     """(J1, J2, J3), or (J1, J2) without j3, each with its partials when asked.
 
     One integrand per segment, in the Chebyshev-weight form of
@@ -128,11 +128,11 @@ def _integrals(c: CurveTU, tol: float, j3: bool = True, partials: bool = False) 
         r2, r4 = 1.0 / (t + uw2), 1.0 / (t + uw2 * w2)
         return v, -0.5 * v * complex(1.0 / ((t - 1.0) + da * db) + r2 + r4, w2 * (r2 + 1.0 / (1.0 + uw2) + w2 * r4))
 
-    j1, j2 = integrate(f1, 0.0, 1.0, tol=tol), integrate(f2, 1.0, t, tol=tol)
-    return (j1, j2, integrate(f3, -1.0, 1.0, tol=tol)) if j3 else (j1, j2)
+    j1, j2 = integrate(f1, 0.0, 1.0), integrate(f2, 1.0, t)
+    return (j1, j2, integrate(f3, -1.0, 1.0)) if j3 else (j1, j2)
 
 
-def segment_integrals(c: CurveTU, tol: float = TOL) -> Tuple[float, float, float]:
+def segment_integrals(c: CurveTU) -> Tuple[float, float, float]:
     """The three positive segment integrals (J1, J2, J3).
 
     Each is an integral of h(x) / sqrt((x - p)(q - x)) between two branch
@@ -141,23 +141,22 @@ def segment_integrals(c: CurveTU, tol: float = TOL) -> Tuple[float, float, float
     (t, inf) is brought there by x = t/w**2 and the evenness of the result
     in w: J3 is the integral over (-1, 1) of
     w**2 / sqrt((t - w**2)(t + u w**2)(1 + u w**2)(t + u w**4)) / sqrt(1 - w**2).
-    tol is the quadrature tolerance of each integral (`quadrature.integrate`).
     Raises PeriodsError when an integrand's denominator overflows on part of
     its segment (as for t = 5e102 or u = 1e300), where the integral would
     come out truncated or 0.
     """
-    return _integrals(c, tol)
+    return _integrals(c)
 
 
-def shape_ratios(c: CurveTU, tol: float = TOL) -> Tuple[float, float]:
+def shape_ratios(c: CurveTU) -> Tuple[float, float]:
     """(J2/J1, J3/J1) = (2 height / short base, long base / short base)."""
-    j1, j2, j3 = segment_integrals(c, tol)
+    j1, j2, j3 = segment_integrals(c)
     return j2 / j1, j3 / j1
 
 
-def _shape_ratios_and_jacobian(c: CurveTU, tol: float):
-    """`shape_ratios(c, tol)` and its Jacobian ((dr1/dt, dr1/du), (dr2/dt, dr2/du))."""
-    (j1, g1), (j2, g2), (j3, g3) = _integrals(c, tol, partials=True)
+def _shape_ratios_and_jacobian(c: CurveTU):
+    """`shape_ratios(c)` and its Jacobian ((dr1/dt, dr1/du), (dr2/dt, dr2/du))."""
+    (j1, g1), (j2, g2), (j3, g3) = _integrals(c, partials=True)
     r1, r2 = j2 / j1, j3 / j1
     # d(J/J1) = (dJ - (J/J1) dJ1) / J1, on gradients d/dt + i d/du
     d1, d2 = (g2 - r1 * g1) / j1, (g3 - r2 * g1) / j1
@@ -171,7 +170,7 @@ _TU_START = (2.0, 2.0)
 _NEWTON_MAX_ITER = 50
 
 
-def solve_tu(target: Tuple[float, float], tol: float = TOL) -> CurveTU:
+def solve_tu(target: Tuple[float, float]) -> CurveTU:
     """Newton solve for the curve whose shape ratios match the target.
 
     The full step's trial point costs one pass of the period quadrature,
@@ -181,8 +180,7 @@ def solve_tu(target: Tuple[float, float], tol: float = TOL) -> CurveTU:
     trial points take a value-only pass, whose ratios are the same doubles,
     and a point accepted after halving gets its Jacobian from one more pass
     when the next step needs it.  Raises PeriodsError on divergence or when
-    the iteration leaves the domain t > 1, u > 0.  tol is the quadrature
-    tolerance.
+    the iteration leaves the domain t > 1, u > 0.
     """
     r1, r2 = target
     if not (r2 > 0 and r1 > 0):
@@ -192,7 +190,7 @@ def solve_tu(target: Tuple[float, float], tol: float = TOL) -> CurveTU:
 
     def residual(t: float, u: float, jacobian: bool):
         c = CurveTU(t, u)
-        (s1, s2), jac = _shape_ratios_and_jacobian(c, tol) if jacobian else (shape_ratios(c, tol), None)
+        (s1, s2), jac = _shape_ratios_and_jacobian(c) if jacobian else (shape_ratios(c), None)
         return (s1 - r1, s2 - r2), jac
 
     t, u = _TU_START
@@ -231,7 +229,7 @@ _RECT_T_MIN = 1.0 + 10.0 ** -3
 _RECT_T_MAX = 1.0 + 10.0 ** 4.5
 
 
-def solve_t_rectangle(mu: float, tol: float = TOL) -> float:
+def solve_t_rectangle(mu: float) -> float:
     """Solve J1(t, 1) = mu * J2(t, 1) for t (the rectangle case u = 1).
 
     2*mu is the width-to-height ratio of the rectangle.  Newton runs in
@@ -243,8 +241,7 @@ def solve_t_rectangle(mu: float, tol: float = TOL) -> float:
     monotone, a clamped iterate where g keeps its sign puts the root
     outside that range and raises PeriodsError.  The solve returns once
     |J1 - mu*J2| < _RESIDUAL_TOL and the next step would move t by less
-    than 1e-13 t, a hundred times the quadrature's noise in t.  tol is
-    the quadrature tolerance.
+    than 1e-13 t, a hundred times the quadrature's noise in t.
     """
     if not mu > 0:
         raise PeriodsError(f"mu must be positive: {mu}")
@@ -253,7 +250,7 @@ def solve_t_rectangle(mu: float, tol: float = TOL) -> float:
 
     def at(s: float):
         t = 1.0 + math.exp(s)
-        (j1, g1), (j2, g2) = _integrals(CurveTU(t, 1.0), tol, j3=False, partials=True)
+        (j1, g1), (j2, g2) = _integrals(CurveTU(t, 1.0), j3=False, partials=True)
         return t, math.log(j1 / j2) - log_mu, (t - 1.0) * (g1.real / j1 - g2.real / j2), abs(j1 - mu * j2)
 
     s = 0.0
@@ -327,7 +324,7 @@ def _curve_a_roots(a: complex) -> List[complex]:
     return [0.0 + 0.0j, 1.0 + 0.0j, -1.0 + 0.0j, a, 1.0 / a]
 
 
-def _segment_period(roots: List[complex], i: int, j: int, tol: float) -> complex:
+def _segment_period(roots: List[complex], i: int, j: int) -> complex:
     """Integral of (1 - x)/y dx along the straight segment from roots[i] to roots[j].
 
     On x = z0 + s d, each factor of P is x - r_k = d (w_k + s) with
@@ -375,11 +372,11 @@ def _segment_period(roots: List[complex], i: int, j: int, tol: float) -> complex
                 y *= cmath.sqrt(w + s)
             return (1.0 - (z0 + s * d)) * scale / y
 
-        total += integrate(integrand, lo, hi, tol=tol)
+        total += integrate(integrand, lo, hi)
     return total
 
 
-def silhol_periods(c: CurveA, tol: float = TOL) -> Tuple[complex, complex]:
+def silhol_periods(c: CurveA) -> Tuple[complex, complex]:
     """The two marked periods (int_{-1}^0 phi, int_0^{1/a} phi).
 
     phi = (1 - x) dx / y on y**2 = x (x**2 - 1) (x - a) (x - 1/a), each
@@ -392,10 +389,10 @@ def silhol_periods(c: CurveA, tol: float = TOL) -> Tuple[complex, complex]:
     but off its line, where that side is not determined.
     """
     roots = _curve_a_roots(c.a)
-    return _segment_period(roots, 2, 0, tol), _segment_period(roots, 0, 4, tol)
+    return _segment_period(roots, 2, 0), _segment_period(roots, 0, 4)
 
 
-def silhol_ratio(c: CurveA, tol: float = TOL) -> complex:
+def silhol_ratio(c: CurveA) -> complex:
     """The single period parameter of the fourfold-symmetric genus-2 curve.
 
     Computed from the two marked segment periods I1 = int_{-1}^0 phi and
@@ -405,7 +402,7 @@ def silhol_ratio(c: CurveA, tol: float = TOL) -> complex:
     positive imaginary axis (where the curve's period matrix is purely
     imaginary, the two marked periods being perpendicular).
     """
-    i1, i2 = silhol_periods(c, tol)
+    i1, i2 = silhol_periods(c)
     if i2 == 0:
         raise PeriodsError("degenerate period in Silhol ratio")
     return (2.0 * i1 + i2) / (1j * i2)

@@ -60,7 +60,7 @@ class QuadratureError(RuntimeError):
 
 _START = 8  # intervals of the coarsest rule compared
 MAX_LEVEL = 12  # doublings of the coarsest rule before giving up
-TOL = 1e-12  # the default tolerance of integrate and of the period solvers built on it
+TOL = 1e-12  # the tolerance of every period integral
 
 
 def integrate(f: Callable[[float, float, float], Any], a: float, b: float, tol: float = TOL) -> Any:

@@ -286,6 +286,12 @@ class TestCli:
         assert code == 0
         assert "ratio" in out
 
+    def test_periods_silhol_prints_the_sign_of_the_imaginary_part(self, capsys):
+        # used to print "-1.86602540378 + -0.50000000000i"
+        code, out, _ = invoke(capsys, "periods", "silhol", "--a-imag", "0", "--a-real", "0.5")
+        assert code == 0
+        assert out.splitlines()[0] == "ratio = -1.86602540378 - 0.50000000000i"
+
     def test_solve_rect(self, capsys):
         code, out, _ = invoke(capsys, "solve-rect", "--mu", "0.5")
         assert code == 0
@@ -386,6 +392,14 @@ class TestCli:
         assert (code, out) == (1, "")
         [line] = err.splitlines()
         assert line.startswith("error: ") and names in line and "Traceback" not in err
+
+    def test_point_below_the_axis_prints_the_sign_of_y(self, tmp_path, capsys):
+        # used to print "0.0001 + -1.0i"
+        path = tmp_path / "ay.json"
+        invoke(capsys, "build", "ay", "-o", str(path))
+        code, out, err = invoke(capsys, "tessellate", str(path), "--radius", "0.3", "--y", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: not a finite point of the upper half-plane: 0.0001 - 1.0i\n"
 
     def test_failed_crossing_near_the_axis_is_a_domain_error(self, tmp_path, capsys):
         # `flatsurf build ay | flatsurf tessellate --y 1e-12 --radius 0.5`:
@@ -503,12 +517,12 @@ class TestCli:
         [line] = err.splitlines()
         assert line.startswith("error: a must be finite") and "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", (["solve-ay", "--tol", "0"], ["solve-rect", "--mu", "0.5", "--tol=-1e-9"],
-                                      ["solve-ay", "--tol", "inf"]))
-    def test_nonpositive_tolerance_exit_code(self, argv, capsys):
-        code, _, err = invoke(capsys, *argv)
-        assert code == 1
-        assert "tolerance must be positive" in err
+    def test_tol_is_not_an_option(self, capsys):
+        # the solvers integrate at quadrature.TOL, which their stops assume
+        for argv in (["solve-ay", "--tol", "1e-6"], ["solve-rect", "--mu", "0.5", "--tol", "1e-6"]):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "unrecognized arguments: --tol" in err
 
     @pytest.mark.parametrize("entry", ("abc", "nan", "inf", "1/0", "1e999"))
     def test_bad_matrix_entry_is_a_usage_error(self, entry, tmp_path, capsys):
@@ -544,7 +558,7 @@ class TestCli:
         (["apply", "-m", "1", "-5e-1", "0", "1", "AY"], ["apply", "-m", "1", "-0.5", "0", "1", "AY"]),
         (["periods", "silhol", "--a-imag", "0.5", "--a-real", "-2.5e-1"],
          ["periods", "silhol", "--a-imag", "0.5", "--a-real=-0.25"]),
-        (["solve-rect", "--mu", "0.5", "--tol", "-1e-9"], ["solve-rect", "--mu", "0.5", "--tol=-1e-9"]),
+        (["solve-rect", "--mu", "-5e-1"], ["solve-rect", "--mu=-0.5"]),
     ))
     def test_negative_number_values(self, argv, reference, tmp_path, capsys):
         # A negative number is a value however it is spelt, not an option.

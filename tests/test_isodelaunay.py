@@ -2044,6 +2044,15 @@ class TestFloatScale:
         s, want = unit
         assert _fingerprint(iso.explore(_scaled(s, k), _Z0, 1.0)) == want
 
+    def test_non_finite_coordinates_raise(self):
+        # the surface has 8 coordinates beyond the doubles; explore used to
+        # take it unscaled and return 1 cell with no walls
+        from flatsurfkit.constructions import TrapezoidShape, trapezoid_family
+
+        s = trapezoid_family(TrapezoidShape(1e308, 1.7e308, 1.0))
+        with pytest.raises(iso.IsoDelaunayError, match="not a finite double"):
+            iso.explore(s, iso.HPoint(0.0001, 1.0001), 0.5)
+
     def test_unit_scale_is_not_copied(self):
         from flatsurfkit.constructions import TrapezoidShape, ay_surface, trapezoid_family
 

@@ -1,6 +1,7 @@
 """Hyperelliptic segment integrals, solvers, and parameter maps."""
 
 import cmath
+import inspect
 import math
 import re
 
@@ -45,12 +46,11 @@ class TestSegmentIntegrals:
             j1, _, j3 = segment_integrals(CurveTU(t, 1.0))
             assert abs(j3 / j1 - 1.0) < 1e-12, t
 
-    def test_quadrature_self_validation(self):
-        c = CurveTU(2.5, 1.5)
-        coarse = segment_integrals(c, tol=1e-8)
-        fine = segment_integrals(c, tol=1e-13)
-        for x, y in zip(coarse, fine):
-            assert abs(x - y) < 1e-8
+    def test_no_tolerance_parameter(self):
+        # every period integral is taken at quadrature.TOL, which the
+        # solvers' residual and step stops assume
+        for fn in (segment_integrals, shape_ratios, solve_tu, solve_t_rectangle, silhol_periods, silhol_ratio):
+            assert "tol" not in inspect.signature(fn).parameters, fn.__name__
 
     def test_integrals_stop_at_the_converged_level(self, monkeypatch):
         # J1 and J3 return on 16 intervals and J2 on 32, where a level was
@@ -59,8 +59,8 @@ class TestSegmentIntegrals:
         evals = []
         inner = periods.integrate
 
-        def counted(f, a, b, tol):
-            return inner(lambda *x: evals.append(x[0]) or f(*x), a, b, tol=tol)
+        def counted(f, a, b):
+            return inner(lambda *x: evals.append(x[0]) or f(*x), a, b)
 
         monkeypatch.setattr(periods, "integrate", counted)
         got = segment_integrals(CurveTU(2.3, 1.7))
@@ -129,9 +129,9 @@ class TestSolveTU:
         calls = []
         inner = periods._shape_ratios_and_jacobian
 
-        def counted(c, q):
+        def counted(c):
             calls.append(c)
-            return inner(c, q)
+            return inner(c)
 
         monkeypatch.setattr(periods, "_shape_ratios_and_jacobian", counted)
         target = (1 / A, 1 + A)
@@ -157,9 +157,9 @@ class TestSolveTU:
         passes = {"partials": 0, "value": 0}
         inner = periods._integrals
 
-        def counted(c, tol, j3=True, partials=False):
+        def counted(c, j3=True, partials=False):
             passes["partials" if partials else "value"] += 1
-            return inner(c, tol, j3, partials)
+            return inner(c, j3, partials)
 
         monkeypatch.setattr(periods, "_integrals", counted)
         return passes
@@ -191,8 +191,8 @@ class TestAnalyticPartials:
     def test_match_central_differences(self, t, u):
         h = 1e-6
         c = CurveTU(t, u)
-        parts = periods._integrals(c, 1e-12, partials=True)
-        ratios, jac = periods._shape_ratios_and_jacobian(c, 1e-12)
+        parts = periods._integrals(c, partials=True)
+        ratios, jac = periods._shape_ratios_and_jacobian(c)
         shifted = {}
         for dt, du in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)):
             shifted[dt, du] = segment_integrals(CurveTU(t + dt, u + du))
@@ -211,7 +211,7 @@ class TestAnalyticPartials:
     @pytest.mark.parametrize("t, u", GRID)
     def test_values_are_those_of_segment_integrals(self, t, u):
         c = CurveTU(t, u)
-        assert tuple(j for j, _ in periods._integrals(c, 1e-12, partials=True)) == segment_integrals(c)
+        assert tuple(j for j, _ in periods._integrals(c, partials=True)) == segment_integrals(c)
 
 
 class TestSolveRectangle:
@@ -245,9 +245,9 @@ class TestSolveRectangle:
         calls = []
         inner = periods._integrals
 
-        def counted(c, q, **kw):
+        def counted(c, **kw):
             calls.append(c.t)
-            return inner(c, q, **kw)
+            return inner(c, **kw)
 
         monkeypatch.setattr(periods, "_integrals", counted)
         t = solve_t_rectangle(j1 / j2)
