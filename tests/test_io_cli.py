@@ -517,12 +517,14 @@ class TestCli:
         [line] = err.splitlines()
         assert line.startswith("error: a must be finite") and "Traceback" not in err
 
-    def test_tol_is_not_an_option(self, capsys):
-        # the solvers integrate at quadrature.TOL, which their stops assume
-        for argv in (["solve-ay", "--tol", "1e-6"], ["solve-rect", "--mu", "0.5", "--tol", "1e-6"]):
-            code, out, err = invoke(capsys, *argv)
-            assert (code, out) == (2, "")
-            assert "unrecognized arguments: --tol" in err
+    @pytest.mark.parametrize("argv", (["solve-ay", "--tol", "0"], ["solve-rect", "--mu", "0.5", "--tol=-1e-9"],
+                                      ["solve-ay", "--tol", "inf"]))
+    def test_nonpositive_tolerance_exit_code(self, argv, capsys):
+        # the solvers integrate at quadrature.TOL, which their stops assume:
+        # any --tol, nonpositive or not, is a usage error
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --tol" in err
 
     @pytest.mark.parametrize("entry", ("abc", "nan", "inf", "1/0", "1e999"))
     def test_bad_matrix_entry_is_a_usage_error(self, entry, tmp_path, capsys):
