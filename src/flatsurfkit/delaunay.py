@@ -64,6 +64,7 @@ from .numeric import (
     cross_sign,
     incircle_det,
     incircle_filter,
+    int_if_integral,
     is_exact,
     scaled_doubles,
     scaled_points,
@@ -293,6 +294,8 @@ def triangulate(s: Surface) -> Triangulation:
     from the doubles of its vertices, as its float image would be.  So every
     triangulation is all exact or all float, which Triangulation records
     once (doubles), and nothing downstream meets both kinds at once.
+    Exact coordinates that are integral rationals enter as ints
+    (int_if_integral): the same values and hashes, on cheaper arithmetic.
     """
     floats = not s.is_exact()
     vecs: List[List[Vec2]] = []
@@ -304,7 +307,10 @@ def triangulate(s: Surface) -> Triangulation:
     for p, poly in enumerate(s.polygons):
         n = len(poly)
         base.append(len(vecs))
-        vs = [(float(x), float(y)) for x, y in poly.vertices] if floats else poly.vertices
+        if floats:
+            vs = [(float(x), float(y)) for x, y in poly.vertices]
+        else:
+            vs = [(int_if_integral(x), int_if_integral(y)) for x, y in poly.vertices]
         for j in range(n - 2):
             t = len(vecs)
             e0 = vec_sub(vs[j + 1], vs[0])

@@ -54,7 +54,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .numeric import (FLOAT_TOL, Scalar, canonical_ints, coefficients, complex_str, exact_divisor,
+from .numeric import (FLOAT_TOL, Scalar, WallForm, canonical_ints, coefficients, complex_str, exact_divisor,
                       exact_wall_form, filtered_sign, is_exact, scaled_points, sign, vec_add, vec_neg)
 from . import delaunay as dl
 from .delaunay import HalfEdge, Triangulation, hinge_vectors
@@ -203,11 +203,28 @@ class Wall:
             put(self, "_filtered", False)
             put(self, "_key", None)
             return
+        self._put_fields(sign(a), sign(b), sign(c))
+
+    @classmethod
+    def _of_exact_form(cls, form: WallForm) -> "Wall":
+        """Wall(*form), with the signs numeric.exact_wall_form has decided
+        on its int triples instead of three more sign calls."""
+        w = object.__new__(cls)
+        put = object.__setattr__
+        put(w, "a", form[0])
+        put(w, "b", form[1])
+        put(w, "c", form[2])
+        w._put_fields(*form.signs)
+        return w
+
+    def _put_fields(self, sa: int, sb: int, sc: int) -> None:
+        """The fields after a, b, c, given their signs, unless all three are floats."""
+        a, b, c = self.a, self.b, self.c
         fa, fb, fc = float(a), float(b), float(c)
-        sa, sb, sc = sign(a), sign(b), sign(c)
         exact = is_exact(a) and is_exact(b) and is_exact(c)
         filtered = exact and all(2.0 ** -1022 <= abs(f) <= 1.0 if s else f == 0.0
                                  for f, s in ((fa, sa), (fb, sb), (fc, sc)))
+        put = object.__setattr__
         put(self, "fa", fa)
         put(self, "fb", fb)
         put(self, "fc", fc)
@@ -319,7 +336,7 @@ def wall_of_hinge(t: Triangulation, edge: HalfEdge):
         form = exact_wall_form(p2, p3, p4)
         if isinstance(form, int):
             return ALWAYS if form <= 0 else NEVER
-        return Wall(*form)
+        return Wall._of_exact_form(form)
     (x2, y2), (x3, y3), (x4, y4) = p2, p3, p4
     r00, r01 = 0 - x4, 0 - y4
     r10, r11 = x2 - x4, y2 - y4

@@ -159,6 +159,8 @@ def _zsign(t: Tuple[int, int, int]) -> int:
 
 def _make(n0: int, n1: int, n2: int, d: int) -> "CubicNumber":
     """(n0 + n1*alpha + n2*alpha**2) / d in canonical form (d != 0)."""
+    if d == 1:
+        return _raw(n0, n1, n2, 1)
     g = gcd(n0, n1, n2, d)
     if d < 0:
         g = -g
@@ -191,7 +193,10 @@ class CubicNumber:
     d > 0, reduced so that gcd(n0, n1, n2, d) = 1; the form is canonical,
     so equality compares the four ints.  The fields must not be mutated.
     c0, c1, c2 are the coefficients as Fractions.  Products reduce by the
-    minimal polynomial of alpha.
+    minimal polynomial of alpha.  The fast paths (an int added or
+    subtracted without a coercion, the gcd skipped over d = 1, differences
+    taken directly on the four ints) give the same canonical four ints as
+    the general construction.
 
     sign() first evaluates n0 + n1*alpha + n2*alpha**2 in doubles and
     accepts the result when it exceeds the rounding error bound (see
@@ -240,9 +245,13 @@ class CubicNumber:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, float):
-            return float(self) + other
-        other = CubicNumber.coerce(other)
+        if not isinstance(other, CubicNumber):
+            if isinstance(other, int):
+                # gcd(n0 + k*d, n1, n2, d) = gcd(n0, n1, n2, d) = 1: canonical as is.
+                return _raw(self.n0 + other * self.d, self.n1, self.n2, self.d)
+            if isinstance(other, float):
+                return float(self) + other
+            other = CubicNumber.coerce(other)
         d, e = self.d, other.d
         if d == e:
             return _make(self.n0 + other.n0, self.n1 + other.n1, self.n2 + other.n2, d)
@@ -254,14 +263,24 @@ class CubicNumber:
         return _raw(-self.n0, -self.n1, -self.n2, self.d)
 
     def __sub__(self, other):
-        if isinstance(other, float):
-            return float(self) - other
-        return self + (-CubicNumber.coerce(other))
+        if not isinstance(other, CubicNumber):
+            if isinstance(other, int):
+                return _raw(self.n0 - other * self.d, self.n1, self.n2, self.d)
+            if isinstance(other, float):
+                return float(self) - other
+            other = CubicNumber.coerce(other)
+        d, e = self.d, other.d
+        if d == e:
+            return _make(self.n0 - other.n0, self.n1 - other.n1, self.n2 - other.n2, d)
+        return _make(self.n0 * e - other.n0 * d, self.n1 * e - other.n1 * d, self.n2 * e - other.n2 * d, d * e)
 
     def __rsub__(self, other):
+        # other is not a CubicNumber: that case is other.__sub__.
+        if isinstance(other, int):
+            return _raw(other * self.d - self.n0, -self.n1, -self.n2, self.d)
         if isinstance(other, float):
             return other - float(self)
-        return CubicNumber.coerce(other) + (-self)
+        return CubicNumber.coerce(other) - self
 
     def __mul__(self, other):
         if isinstance(other, float):
@@ -339,13 +358,14 @@ class CubicNumber:
     # -- comparisons / hashing -----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, float):
-            return float(self) == other
-        if isinstance(other, (int, Fraction, CubicNumber)):
+        if not isinstance(other, CubicNumber):
+            if isinstance(other, float):
+                return float(self) == other
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = CubicNumber.coerce(other)
-            return (self.n0 == other.n0 and self.n1 == other.n1 and self.n2 == other.n2
-                    and self.d == other.d)
-        return NotImplemented
+        return (self.n0 == other.n0 and self.n1 == other.n1 and self.n2 == other.n2
+                and self.d == other.d)
 
     def __hash__(self):
         if self.n1 or self.n2:
@@ -425,6 +445,15 @@ def exact_divisor(x: Scalar) -> Scalar:
     """x as a divisor that keeps quotients exact: an int becomes a Fraction,
     as int / int would be a float."""
     return Fraction(x) if isinstance(x, int) else x
+
+
+def int_if_integral(x: Scalar) -> Scalar:
+    """x as an int when it is a Fraction of denominator 1, else x itself.
+
+    The int has the same value, == and hash, and does its arithmetic
+    without a Fraction's gcd.
+    """
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
 
 
 # -- serialization ------------------------------------------------------------
@@ -784,7 +813,17 @@ def _zsum(a: Tuple[int, int, int], b: Tuple[int, int, int], c: Tuple[int, int, i
     return (a[0] + b[0] + c[0], a[1] + b[1] + c[1], a[2] + b[2] + c[2])
 
 
-def exact_wall_form(p2: Point, p3: Point, p4: Point) -> Union[int, Tuple[Scalar, Scalar, Scalar]]:
+class WallForm(tuple):
+    """The normalized coefficients (a, b, c) of exact_wall_form, a plain
+    tuple to compare and unpack, with their exact signs in .signs."""
+
+    def __new__(cls, coefficients, signs: Tuple[int, int, int]):
+        form = super().__new__(cls, coefficients)
+        form.signs = signs
+        return form
+
+
+def exact_wall_form(p2: Point, p3: Point, p4: Point) -> Union[int, WallForm]:
     """The iso-Delaunay form a*u + b*v + c of the exact hinge (0, p2, p3, p4),
     scaled by a positive number so that max(|a|, |b|, |c|) = 1; or, when the
     form has one sign on all of the upper half-plane, that sign (0 when the
@@ -800,7 +839,8 @@ def exact_wall_form(p2: Point, p3: Point, p4: Point) -> Union[int, Tuple[Scalar,
     only for each normalized coefficient.  The form has one sign on H when
     a = b = 0 (the sign of c) or when a != 0 and b**2 - 4ac <= 0 (the sign
     of a).  The coefficients are CubicNumbers when a coordinate is one, and
-    Fractions otherwise.
+    Fractions otherwise; they come as a WallForm, whose signs are those of
+    the triples, as the normalization is a positive scaling.
     """
     coords = (*p2, *p3, *p4)
     parts = [canonical_ints(x) for x in coords]
@@ -827,10 +867,11 @@ def exact_wall_form(p2: Point, p3: Point, p4: Point) -> Union[int, Tuple[Scalar,
             if m is None or _zsign(sub(t_abs, m)) > 0:
                 m = t_abs
     m0, m1, m2 = m
+    signs = (sa, sb, sc)
     if not any(isinstance(x, CubicNumber) for x in coords):
-        return tuple(Fraction(t[0], m0) for t in (a, b, c))
+        return WallForm((Fraction(t[0], m0) for t in (a, b, c)), signs)
     if not (m1 or m2):
-        return tuple(_make(t[0], t[1], t[2], m0) for t in (a, b, c))
+        return WallForm((_make(t[0], t[1], t[2], m0) for t in (a, b, c)), signs)
     # m * y = norm > 0, so t / m = t * y / norm.
     *y, norm = _adjugate_row(m0, m1, m2)
-    return tuple(_make(*mul(t, y), norm) for t in (a, b, c))
+    return WallForm((_make(*mul(t, y), norm) for t in (a, b, c)), signs)

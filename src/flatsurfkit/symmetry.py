@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .numeric import (
@@ -270,9 +271,13 @@ def group_summary(isos: Sequence[Isometry]) -> GroupSummary:
     perms = [iso.perm for iso in isos]
     index = {perm: k for k, perm in enumerate(perms)}
     n = len(perms)
+    # table[i][j] indexes x_i after y_j, the tuple of x_i[k] for k in y_j,
+    # which itemgetter(*y_j) builds in C; on fewer than two flags it would
+    # return a bare item (or raise), so those compose in Python.
+    compose_with = [itemgetter(*y) if len(y) > 1 else (lambda x, y=y: tuple(x[k] for k in y)) for y in perms]
     table = []
     for x in perms:
-        row = [index.get(tuple(x[k] for k in y)) for y in perms]
+        row = [index.get(after(x)) for after in compose_with]
         if None in row:
             raise SurfaceError("isometry list is not closed under composition")
         table.append(row)

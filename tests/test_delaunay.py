@@ -55,6 +55,23 @@ class TestTriangulate:
         assert validate(s) == []
         dl.triangulate(s).check_invariants()
 
+    def test_integral_rationals_enter_as_ints(self):
+        t = dl.triangulate(escalator())
+        coords = [x for tri in t.vecs for v in tri for x in v]
+        assert coords and all(type(x) is int for x in coords)
+
+    def test_non_integral_rationals_stay_fractions(self):
+        from flatsurfkit.constructions import _trapezoid_scheme
+
+        s = _trapezoid_scheme(Fraction(1, 2), Fraction(3, 2), Fraction(2, 3))
+        t = dl.triangulate(s)
+        coords = [x for tri in t.vecs for v in tri for x in v]
+        assert all(type(x) is Fraction for x in coords if not isinstance(x, int))
+        assert any(x.denominator > 1 for x in coords)
+        # The fan of the first polygon, in the values of its own vertices.
+        v = s.polygons[0].vertices
+        assert t.vecs[0] == [vec_sub(v[1], v[0]), vec_sub(v[2], v[1]), vec_sub(v[0], v[2])]
+
     def test_half_translation_surface(self, ay):
         xi = cut_and_reglue_square(ay, 0)
         t = dl.triangulate(xi)

@@ -250,6 +250,56 @@ class TestAgainstReference:
         assert x != c0 and x != CubicNumber(c0, c1, 2)
 
 
+def _canonical(x: CubicNumber):
+    return (x.n0, x.n1, x.n2, x.d)
+
+
+def _coefficients(y):
+    return (y.c0, y.c1, y.c2) if isinstance(y, CubicNumber) else (Fraction(y), Fraction(0), Fraction(0))
+
+
+_fraction_coefficients = st.fractions(min_value=-100, max_value=100, max_denominator=50)
+_int_coefficients = st.integers(min_value=-2 ** 200, max_value=2 ** 200)
+# CubicNumber operands over d == 1 and over d > 1.
+_cubic_operands = st.one_of(
+    st.builds(CubicNumber, _int_coefficients, _int_coefficients, _int_coefficients),
+    st.builds(CubicNumber, _fraction_coefficients, _fraction_coefficients, _fraction_coefficients)
+    .filter(lambda x: x.d > 1),
+)
+_fast_path_operands = st.one_of(
+    st.sampled_from([0, 1, -1, 2 ** 200, -2 ** 200]),
+    st.booleans(),
+    _fraction_coefficients,
+    _cubic_operands,
+)
+
+
+class TestFastPaths:
+    """add, sub, mul and == take shortcuts on ints, on d == 1 and on two
+    CubicNumbers; each gives the four ints and the hash of CubicNumber(c0,
+    c1, c2), the general construction."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=_cubic_operands, y=_fast_path_operands)
+    @example(x=CubicNumber(1, 2, 3), y=True)
+    @example(x=CubicNumber(Fraction(1, 2), 0, 1), y=-2 ** 200)
+    @example(x=CubicNumber(2 ** 200, -1, 0), y=CubicNumber(-2 ** 200, 1, 0))
+    def test_same_canonical_form_as_the_general_construction(self, x, y):
+        rx, ry = RefCubic(*_coefficients(x)), RefCubic(*_coefficients(y))
+        for got, want in ((x + y, rx + ry), (y + x, rx + ry), (x - y, rx - ry), (y - x, ry - rx),
+                          (x * y, rx * ry), (y * x, rx * ry)):
+            ref = want.as_cubic()
+            assert type(got) is CubicNumber
+            assert _canonical(got) == _canonical(ref) and hash(got) == hash(ref)
+        equal = rx.c == ry.c
+        assert (x == y) is equal and (y == x) is equal and (x != y) is not equal
+
+    def test_integral_rationals_become_ints(self):
+        assert numeric.int_if_integral(Fraction(6, 3)) == 2 and type(numeric.int_if_integral(Fraction(6, 3))) is int
+        for x in (Fraction(1, 2), CubicNumber(3), 2.0, 7, True):
+            assert numeric.int_if_integral(x) is x
+
+
 class TestNormFallback:
     """Signs the double-precision filter cannot decide."""
 

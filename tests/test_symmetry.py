@@ -154,6 +154,54 @@ class TestLargerGroups:
         assert summary.element_orders == expect
 
 
+def _perm_isometry(perm):
+    """A hand-built Isometry: group_summary reads its flag permutation alone."""
+    return sym.Isometry(None, None, IDENTITY, 1, perm)
+
+
+class TestGroupSummaryTable:
+    # Each table is built from one itemgetter per permutation; on fewer than
+    # two flags itemgetter would not return a tuple.
+    @pytest.mark.parametrize("perms, want", [
+        ([()], sym.GroupSummary(1, (1,), True, False)),
+        ([(0,)], sym.GroupSummary(1, (1,), True, False)),
+        ([(0, 1)], sym.GroupSummary(1, (1,), True, False)),
+        ([(0, 1), (1, 0)], sym.GroupSummary(2, (1, 2), True, False)),
+        ([(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)], sym.GroupSummary(4, (1, 2, 2, 2), True, True)),
+        ([(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2), (3, 2, 1, 0), (0, 3, 2, 1), (1, 0, 3, 2),
+          (2, 1, 0, 3)], sym.GroupSummary(8, (1, 2, 2, 2, 2, 2, 4, 4), False, True)),
+        ([], sym.GroupSummary(0, (), True, False)),
+    ], ids=["0-flag", "1-flag", "2-flag-trivial", "2-flag-swap", "klein-four", "square", "empty"])
+    def test_hand_built_groups(self, perms, want):
+        assert sym.group_summary([_perm_isometry(p) for p in perms]) == want
+
+    @pytest.mark.parametrize("perms", [[(1, 0)], [(0, 1, 2), (1, 2, 0)]], ids=["2-flag", "3-flag"])
+    def test_a_list_not_closed_raises(self, perms):
+        with pytest.raises(SurfaceError, match="not closed under composition"):
+            sym.group_summary([_perm_isometry(p) for p in perms])
+
+
+def _census(s):
+    """Group order, element orders, and the fixed segments and their
+    components of each orientation-reversing element."""
+    isos = sym.isometries(s)
+    summary = sym.group_summary(isos)
+    fixed = [sym.fixed_points(i) for i in isos if i.orientation == -1]
+    return summary.order, summary.element_orders, summary.dihedral, [(len(f.segments), f.segment_components)
+                                                                     for f in fixed]
+
+
+def test_rational_and_int_coordinates_give_one_census():
+    # triangulate makes integral rationals ints, so the escalator's Fraction
+    # coordinates and their ints run the same exact search.
+    esc = escalator()
+    ints = Surface([Polygon([(int(x), int(y)) for x, y in p.vertices]) for p in esc.polygons], esc.gluings, esc.kind)
+    shear = ((1, 0), (-7, 1))
+    got = _census(apply_linear(shear, esc))
+    assert got == _census(apply_linear(shear, ints))
+    assert got[0] == 24 and not got[2]
+
+
 class TestFixedPoints:
     def test_tau_has_eight_weierstrass_points(self, ay_isometries):
         tau = by_name(ay_isometries, "tau")[0]
