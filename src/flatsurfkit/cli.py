@@ -27,7 +27,7 @@ from . import periods as per
 from . import surface as sf
 from . import surface_io
 from . import symmetry as sym
-from .numeric import ALPHA, FLOAT_TOL, complex_str, is_exact, scalar_from_str, scaled_points
+from .numeric import ALPHA, FLOAT_TOL, complex_str, is_exact, scalar_from_str, scaled_points, signed_str
 from .quadrature import QuadratureError
 from .surface import Surface, SurfaceError
 
@@ -189,7 +189,7 @@ def _cmd_isometries(s: Surface, args) -> None:
     print(f"abelian: {'yes' if summary.abelian else 'no'}")
     print(f"dihedral: {'yes' if summary.dihedral else 'no'}")
     for isom in isos:
-        d = isom.derivative_floats()
+        d = "],[".join(",".join(map(signed_str, row)) for row in isom.derivative_floats())
         fixed = sym.fixed_points(isom)
         if fixed.all_points:
             census = "all points"
@@ -199,7 +199,7 @@ def _cmd_isometries(s: Surface, args) -> None:
             census = f"{len(fixed.segments)} fixed segments in {fixed.segment_components} components"
         print(
             f"  {isom.name_hint():6s} orientation {'+' if isom.orientation == 1 else '-'} "
-            f"derivative [[{d[0][0]:+.6f},{d[0][1]:+.6f}],[{d[1][0]:+.6f},{d[1][1]:+.6f}]]  {census}"
+            f"derivative [[{d}]]  {census}"
         )
 
 

@@ -45,9 +45,11 @@ keyed by the half-edge it was developed from, normally the canonical one
 (isodelaunay keeps each hinge's wall there).  A flip changes only the
 hinges of the five edges of its two triangles, and each of those edges
 keeps its partner outside the two, so the flip drops their entries once,
-from both sides, before it rewrites the gluing.  Copies (so flip and
-flip_until) carry the rest over: a value computed before a flip sequence
-stays valid for every hinge the sequence did not touch.
+from both sides, before it rewrites the gluing; on an empty cache, which
+every flip of delaunayize meets (only isodelaunay fills it), there is
+nothing to drop.  Copies (so flip and flip_until) carry the rest over: a
+value computed before a flip sequence stays valid for every hinge the
+sequence did not touch.
 """
 
 from __future__ import annotations
@@ -115,7 +117,8 @@ class Triangulation:
     The (tri, e) half-edges are one tuple, made by the constructor and
     shared by every copy: flips never change the number of triangles.
     half_edges() and edges() read it in that order, so a flip loop meets
-    the edges in the same order on every copy.
+    the edges in the same order on every copy; triangle tri's three
+    half-edges are its slice [3 tri, 3 tri + 3).
     """
 
     def __init__(
@@ -345,11 +348,13 @@ def triangulate(s: Surface) -> Triangulation:
 def _drop_hinges(t: Triangulation, tris: Tuple[int, int]) -> None:
     """Drop the hinge_cache entries of every edge with a side in tris."""
     cache = t.hinge_cache
+    if not cache:
+        return
+    glue, half_edges = t.glue, t._half_edges
     for tri in tris:
-        for e in range(3):
-            h = (tri, e)
+        for h in half_edges[3 * tri:3 * tri + 3]:
             cache.pop(h, None)
-            cache.pop(t.glue[h], None)
+            cache.pop(glue[h], None)
 
 
 def _flip_in_place(t: Triangulation, edge: HalfEdge) -> None:
@@ -433,6 +438,7 @@ def flip_until(t: Triangulation, needs_flip: Callable[[Triangulation, HalfEdge],
     than FLIP_CAP flips raise.
     """
     out = t.copy()
+    glue, half_edges = out.glue, out._half_edges
     queue = deque(out.edges())
     queued = set(queue)
     flips = 0
@@ -441,15 +447,15 @@ def flip_until(t: Triangulation, needs_flip: Callable[[Triangulation, HalfEdge],
         queued.discard(edge)
         if not needs_flip(out, edge):
             continue
-        tb = out.twin(edge)[0]
+        tb = glue[edge][0]
         _flip_in_place(out, edge)
         flips += 1
         if flips > FLIP_CAP:
             raise DelaunayError(f"flip cap {FLIP_CAP} exceeded; {len(queue)} hinges still queued")
         for tri in (edge[0], tb):
-            for e in range(3):
-                he = (tri, e)
-                key = min(he, out.glue[he])
+            for he in half_edges[3 * tri:3 * tri + 3]:
+                tw = glue[he]
+                key = he if he <= tw else tw
                 if key not in queued:
                     queue.append(key)
                     queued.add(key)

@@ -160,6 +160,7 @@ class Surface:
         for g in self.gluings:
             self._partner[g.edge_a] = (g.edge_b, g.kind)
             self._partner[g.edge_b] = (g.edge_a, g.kind)
+        self._corner_cycles: Optional[Tuple[Tuple[EdgeRef, ...], ...]] = None  # kept by corner_cycles
 
     # -- basic queries --------------------------------------------------------
 
@@ -284,19 +285,28 @@ def _corner_step(s: Surface, corner: EdgeRef) -> EdgeRef:
     return (q, (j + 1) % len(s.polygons[q]))
 
 
-def corner_cycles(s: Surface) -> List[List[EdgeRef]]:
-    remaining = {(p, i) for p, poly in enumerate(s.polygons) for i in range(len(poly))}
-    cycles = []
-    while remaining:
-        start = min(remaining)
-        cycle = [start]
-        remaining.discard(start)
-        cur = _corner_step(s, start)
-        while cur != start:
-            cycle.append(cur)
-            remaining.discard(cur)
-            cur = _corner_step(s, cur)
-        cycles.append(cycle)
+def corner_cycles(s: Surface) -> Tuple[Tuple[EdgeRef, ...], ...]:
+    """The corners around each vertex, counterclockwise (_corner_step) from
+    the vertex's least corner, ordered by that corner.
+
+    Computed once per surface and kept on it as tuples, which no caller can
+    change; vertex_cycles, genus and symmetry.fixed_points (once for every
+    isometry of a group) all read the kept value."""
+    cycles = s._corner_cycles
+    if cycles is None:
+        seen = set()
+        found = []
+        for start in s.edge_refs():  # in increasing order
+            if start in seen:
+                continue
+            cycle = [start]
+            cur = _corner_step(s, start)
+            while cur != start:
+                cycle.append(cur)
+                cur = _corner_step(s, cur)
+            seen.update(cycle)
+            found.append(tuple(cycle))
+        cycles = s._corner_cycles = tuple(found)
     return cycles
 
 
@@ -353,7 +363,7 @@ def vertex_cycles(s: Surface) -> List[ConePoint]:
         else:
             if abs(total - k * math.pi) > FLOAT_TOL:
                 raise SurfaceError(f"cone angle {total} at cycle {cycle[0]} is not a multiple of pi at 1e-9")
-        cones.append(ConePoint(tuple(cycle), k, total))
+        cones.append(ConePoint(cycle, k, total))
     for g in s.gluings:
         if g.is_fold:
             cones.append(ConePoint((), 1, math.pi, fold_edge=g.edge_a))

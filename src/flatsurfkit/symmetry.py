@@ -107,19 +107,13 @@ class Isometry:
         return "other"
 
 
-def _solve_derivative(u1: Vec2, u2: Vec2, w1: Vec2, w2: Vec2) -> Mat2:
-    """The matrix sending u1 -> w1 and u2 -> w2 (the u's independent)."""
-    u = ((u1[0], u2[0]), (u1[1], u2[1]))
-    w = ((w1[0], w2[0]), (w1[1], w2[1]))
-    return mat_mul(w, mat_inv(u))
-
-
-def _flags(a: Surface, b: Surface) -> Tuple[List[Vec2], List[int], List[int], List[int], List[tuple]]:
-    """(edge, next, prev, twin, glue) of a's flags, then b's: flag offsets[p] + i
-    is edge i of cell p, from corner i to i + 1, and stands for corner i; twin
-    is the flag glued to it, glue its gluing kind and cell size."""
+def _flags(*surfaces: Surface) -> Tuple[List[Vec2], List[int], List[int], List[int], List[tuple]]:
+    """(edge, next, prev, twin, glue) of the surfaces' flags, one surface
+    after the other: flag offsets[p] + i of a surface (shifted by the flags
+    before it) is edge i of cell p, from corner i to i + 1, and stands for
+    corner i; twin is the flag glued to it, glue its gluing kind and cell size."""
     edge, nxt, prev, twin, glue = [], [], [], [], []
-    for s in (a, b):
+    for s in surfaces:
         off = [len(edge) + k for k in _offsets(s)]
         for p, poly in enumerate(s.polygons):
             n = len(poly)
@@ -136,7 +130,9 @@ def _flags(a: Surface, b: Surface) -> Tuple[List[Vec2], List[int], List[int], Li
 def _float_ids(values: List[float], relative: bool) -> List[int]:
     """Ids, equal for values within 2 FLOAT_TOL (times the larger value when
     relative, for positive values): sorted values merge with their neighbours,
-    and a merged run whose ends are farther apart than that raises SurfaceError."""
+    and a merged run whose ends are farther apart than that raises SurfaceError.
+    A repeated value joins its first copy's group, so the values of two
+    copies of a surface group as one copy's do."""
     ids = [0] * len(values)
     group, first, last = -1, None, None
     for k in sorted(range(len(values)), key=values.__getitem__):
@@ -181,15 +177,25 @@ def isometries_between(dec_a: Surface, dec_b: Surface) -> List[Isometry]:
     two such maps that agree on a shared edge are equal, and equal gluing
     kinds carry the map across each gluing; so on a connected decomposition
     equal labels everywhere force one derivative, and no edge is checked
-    after the walk.  The derivative is solved once per isometry, at flag 0.
-    Float edge vectors are first scaled, all by one power of two
-    (scaled_points), so that neither their Gram entries nor the derivative
-    depend on the surfaces' scale.
+    after the walk.  The derivative is read at flag 0: the frame of its two
+    edges is inverted once per search, and each isometry's derivative is
+    the frame of the two image edges times that inverse.  A start whose
+    label differs from flag 0's is skipped before its walk: a walk's first
+    entry is a flag number below len(twin) plus its start's label times
+    len(twin), so it cannot tie.  Float edge vectors are first scaled, all
+    by one power of two (scaled_points), so that neither their Gram entries
+    nor the derivative depend on the surfaces' scale.
+
+    When dec_b is dec_a (as in `isometries`) the flags, Gram entries and
+    labels are built once, and both walks run on them; float Gram values
+    group the same in one copy as in two (`_float_ids`), so the labels, and
+    the isometries, are those of two copies.
     """
     out: List[Isometry] = []
-    edge, nxt, prev, twin, glue = _flags(dec_a, dec_b)
     m = _offsets(dec_a)[-1]
-    if not m or len(edge) != 2 * m:
+    base = 0 if dec_b is dec_a else m  # b's flag k is flag base + k
+    edge, nxt, prev, twin, glue = _flags(dec_a) if base == 0 else _flags(dec_a, dec_b)
+    if not m or len(edge) != base + m:
         return out
     if not all(is_exact(x) for e in edge for x in e):
         edge = scaled_points(edge)
@@ -199,18 +205,23 @@ def isometries_between(dec_a: Surface, dec_b: Surface) -> List[Isometry]:
     code, order_a = dl._code_below(twin, nxt, 0, None, forward)
     if len(order_a) < m:
         return out  # a is not connected
+    u1, u2 = edge[0], edge[prev[0]]
+    u_inv = mat_inv(((u1[0], u2[0]), (u1[1], u2[1])))
     for orientation, step, labels in ((1, nxt, forward), (-1, prev, mirror)):
-        for start in range(m, 2 * m):
+        for start in range(base, base + m):
+            if labels[start] != forward[0]:
+                continue
             found = dl._code_below(twin, step, start, code, labels)
             if found is None or found[0] != code:
                 continue
             image = dict(zip(order_a, found[1]))
             # Reversing, edge k goes to edge image[k] backwards: corner k to its end.
-            perm = tuple((image[k] if orientation == 1 else nxt[image[k]]) - m for k in range(m))
+            perm = tuple((image[k] if orientation == 1 else nxt[image[k]]) - base for k in range(m))
             w1, w2 = edge[image[0]], edge[image[prev[0]]]
             if orientation == -1:
                 w1, w2 = vec_neg(w1), vec_neg(w2)
-            out.append(Isometry(dec_a, dec_b, _solve_derivative(edge[0], edge[prev[0]], w1, w2), orientation, perm))
+            w = ((w1[0], w2[0]), (w1[1], w2[1]))
+            out.append(Isometry(dec_a, dec_b, mat_mul(w, u_inv), orientation, perm))
     # Offsets are monotone, so this orders by the image of flag (0, 0).
     out.sort(key=lambda iso: (iso.perm[0], -iso.orientation))
     return out
@@ -380,6 +391,8 @@ def fixed_points(iso: Isometry) -> FixedLocus:
     per-cell segments (self-cell chords, then whole edges) and their number
     of connected components on the surface, joined at shared vertices and
     at shared edge midpoints.  Coordinates are the floats of the exact ones.
+    The vertices are the source's corner cycles, which `surface.corner_cycles`
+    keeps on it, so the isometries of one group share one computation.
     """
     s = iso.source
     if iso.is_identity():

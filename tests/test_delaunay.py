@@ -151,6 +151,28 @@ class TestFlip:
         kept = {e for e in t.edges() if e[0] not in tris and t.twin(e)[0] not in tris}
         assert out.hinge_cache == {e: e for e in kept}
 
+    @pytest.mark.parametrize("name", ["ay", "escalator", "float_trapezoid"])
+    def test_a_full_cache_changes_no_flip(self, name):
+        # A flip on an empty hinge_cache (every flip of delaunayize) drops
+        # nothing; on a full one it drops entries, and nothing else differs.
+        from flatsurfkit.constructions import ay_trapezoid_shape, trapezoid_family
+
+        s = {"ay": ay_surface, "escalator": escalator,
+             "float_trapezoid": lambda: trapezoid_family(ay_trapezoid_shape())}[name]()
+        t = dl.triangulate(s)
+        flips = 0
+        for edge in t.edges():
+            if not _flippable(t, edge):
+                continue
+            full = t.copy()
+            full.hinge_cache = {he: he for he in t.half_edges()}
+            out, out_full = dl.flip(t, edge), dl.flip(full, edge)
+            assert out.hinge_cache == {} and len(out_full.hinge_cache) < len(full.hinge_cache)
+            for attr in ("vecs", "glue", "chart_sign", "doubles", "flip_count"):
+                assert getattr(out, attr) == getattr(out_full, attr), attr
+            flips += 1
+        assert flips >= 3
+
     @pytest.mark.parametrize("name", ["ay_cut", "escalator_cut", "pillowcase", "sheared_pillowcase"])
     def test_random_flips_on_half_translation_surfaces(self, name, torus):
         # eps = -1 diagonals, folded outer edges (the pillowcase folds two)
@@ -287,6 +309,23 @@ class TestKeptDoubles:
 
 
 class TestDelaunayize:
+    # The shears of AY and the escalator in the benchmark's sheared-symmetry
+    # batch at seed 1.  The FIFO queue's order decides how many flips a
+    # surface takes, so these counts pin that order.
+    @pytest.mark.parametrize("name, m, flips", [
+        ("ay", ((1, 3), (0, 1)), 17),
+        ("ay", ((1, -8), (0, 1)), 32),
+        ("ay", ((1, 17), (0, 1)), 42),
+        ("ay", ((1, -12), (0, 1)), 41),
+        ("escalator", ((1, 0), (7, 1)), 39),
+        ("escalator", ((1, 0), (2, 1)), 9),
+        ("escalator", ((1, 17), (0, 1)), 99),
+        ("escalator", ((1, 0), (-14, 1)), 81),
+    ])
+    def test_flip_counts_of_sheared_surfaces(self, name, m, flips):
+        s = {"ay": ay_surface, "escalator": escalator}[name]()
+        assert dl.delaunayize(dl.triangulate(apply_linear(m, s))).flip_count == flips
+
     def test_ay_fan_is_already_delaunay(self, ay):
         t = dl.triangulate(ay)
         assert dl.is_delaunay_triangulation(t)

@@ -195,6 +195,20 @@ class TestCli:
         assert "group order 8" in out
         assert "dihedral: yes" in out
 
+    def test_float_derivatives_print_no_negative_zero(self, tmp_path, capsys):
+        # One rho's derivative entry is -5.55e-17, which printed as -0.000000
+        # beside its twin's +0.000000.
+        path = tmp_path / "trap.json"
+        invoke(capsys, "build", "trapezoid", "--b", "1", "--B", "2", "--h", "1", "-o", str(path))
+        code, out, _ = invoke(capsys, "isometries", str(path))
+        assert code == 0
+        assert "-0.000000" not in out
+        rhos = [line for line in out.splitlines() if line.lstrip().startswith("rho")]
+        assert [line.split("derivative ")[1] for line in rhos] == [
+            "[[+0.000000,-1.000000],[-1.000000,+0.000000]]  4 fixed segments in 3 components",
+            "[[+0.000000,+1.000000],[+1.000000,+0.000000]]  4 fixed segments in 3 components",
+        ]
+
     def test_apply_and_genus2(self, tmp_path, capsys):
         src = tmp_path / "ay.json"
         dst = tmp_path / "twice.json"

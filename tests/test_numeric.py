@@ -631,6 +631,28 @@ class TestSerialization:
             assert scalar_from_str(scalar_to_str(x)) == x
 
 
+class TestSignedStr:
+    @pytest.mark.parametrize("x, want", [
+        (-5.551115123125783e-17, "+0.000000"),
+        (-0.0, "+0.000000"),
+        (0.0, "+0.000000"),
+        (-4.9e-7, "+0.000000"),
+        (-5.1e-7, "-0.000001"),
+        (1.0, "+1.000000"),
+        (-1.0, "-1.000000"),
+        (-0.25, "-0.250000"),
+    ])
+    def test_six_places(self, x, want):
+        assert numeric.signed_str(x) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6))
+    def test_only_the_sign_of_a_zero_changes(self, x):
+        plain, got = f"{x:+.6f}", numeric.signed_str(x)
+        assert got == (plain if float(plain) != 0 else "+0.000000")
+        assert numeric.signed_str(x, 2) == (f"{x:+.2f}" if float(f"{x:.2f}") != 0 else "+0.00")
+
+
 exact_scalars = st.one_of(
     st.integers(min_value=-10 ** 6, max_value=10 ** 6),
     rationals,

@@ -13,11 +13,13 @@ from flatsurfkit.numeric import (
     CubicNumber,
     cross,
     dot,
+    is_exact,
     mat_det,
     mat_inv,
     mat_mul,
     mat_transpose,
     mat_vec,
+    scaled_points,
     sign,
     vec_neg,
     vec_scale,
@@ -29,6 +31,7 @@ from flatsurfkit.constructions import (
     ParallelogramShape,
     TrapezoidShape,
     ay_prime,
+    ay_trapezoid_shape,
     ay_prime_parallelogram_shape,
     ay_surface,
     escalator,
@@ -505,21 +508,25 @@ def _same_point(exact, a, b):
     return max(abs(a[0] - b[0]), abs(a[1] - b[1])) < 1e-9
 
 
+def assert_matches_reference(exact, iso):
+    got, want = sym.fixed_points(iso), reference_fixed_points(iso)
+    assert got.all_points == want.all_points
+    assert [(p.cell, p.kind) for p in got.points] == [(p.cell, p.kind) for p in want.points]
+    for p, q in zip(got.points, want.points):
+        assert _same_point(exact, p.point, q.point), (p, q)
+    assert len(got.segments) == len(want.segments)
+    assert got.segment_components == want.segment_components
+    for (p, a, b), (q, c, d) in zip(got.segments, want.segments):
+        assert p == q
+        assert (_same_point(False, a, c) and _same_point(False, b, d)
+                or _same_point(False, a, d) and _same_point(False, b, c)), ((a, b), (c, d))
+
+
 class TestFixedLocusReference:
     def test_matches_float_reference(self, surface_isometries):
         exact, isos = surface_isometries
         for iso in isos:
-            got, want = sym.fixed_points(iso), reference_fixed_points(iso)
-            assert got.all_points == want.all_points
-            assert [(p.cell, p.kind) for p in got.points] == [(p.cell, p.kind) for p in want.points]
-            for p, q in zip(got.points, want.points):
-                assert _same_point(exact, p.point, q.point), (p, q)
-            assert len(got.segments) == len(want.segments)
-            assert got.segment_components == want.segment_components
-            for (p, a, b), (q, c, d) in zip(got.segments, want.segments):
-                assert p == q
-                assert (_same_point(False, a, c) and _same_point(False, b, d)
-                        or _same_point(False, a, d) and _same_point(False, b, c)), ((a, b), (c, d))
+            assert_matches_reference(exact, iso)
 
     def test_reversing_self_cells_fix_two_features(self, surface_isometries):
         _, isos = surface_isometries
@@ -539,6 +546,26 @@ class TestFixedLocusReference:
         isos = sym.isometries(REFERENCE_SURFACES["ay"])
         loci = [reference_fixed_points(i) for i in isos if not i.is_identity()]
         assert any(locus.points for locus in loci) and any(locus.segments for locus in loci)
+
+
+class TestKeptCornerCycles:
+    @pytest.mark.parametrize("build", [ay_surface, ay_prime, escalator], ids=["ay", "ay-prime", "escalator"])
+    def test_kept_cycles_cannot_change(self, build):
+        # fixed_points reads the cycles kept on the decomposition for every
+        # isometry of the group; a caller's value cannot change them.
+        isos = sym.isometries(build())
+        dec = isos[0].source
+        cycles = corner_cycles(dec)
+        assert corner_cycles(dec) is cycles
+        assert isinstance(cycles, tuple) and all(isinstance(c, tuple) for c in cycles)
+        with pytest.raises(TypeError):
+            cycles[0] = ()
+        with pytest.raises(AttributeError):
+            cycles[0].append((0, 0))
+        assert sorted(c for cyc in cycles for c in cyc) == dec.edge_refs()
+        for iso in isos:
+            assert_matches_reference(True, iso)
+        assert corner_cycles(dec) is cycles
 
 
 # -- the isometry search reference ------------------------------------------------------
@@ -698,6 +725,49 @@ def _origami(r, u):
     return Surface([Polygon(_UNIT_SQUARE) for _ in r],
                    [g for i in range(len(r)) for g in (Gluing((i, 1), (r[i], 3), TRANSLATION),
                                                        Gluing((i, 2), (u[i], 0), TRANSLATION))])
+
+
+def _one_surface_inputs():
+    ay = ay_surface()
+    bases = [ay, ay_prime(), escalator(), cut_and_reglue_square(ay, 0)]
+    named = {"ay": ay, "ay-prime": bases[1], "escalator": bases[2], "ay-cut": bases[3],
+             "float-trapezoid": trapezoid_family(ay_trapezoid_shape())}
+    for k, (base, m) in enumerate(zip(bases, _shears(random.Random(42), 4))):
+        named[f"shear-{k}"] = apply_linear(m, base)
+    return named
+
+
+ONE_SURFACE_INPUTS = _one_surface_inputs()
+
+
+class TestOneSurfaceSearch:
+    # isometries(s) searches one decomposition against itself on one copy of
+    # its flag tables; two separately built decompositions take the
+    # two-surface path on two copies.
+    @pytest.mark.parametrize("name", sorted(ONE_SURFACE_INPUTS))
+    def test_same_isometries_as_two_decompositions(self, name):
+        s = ONE_SURFACE_INPUTS[name]
+        dec_a, dec_b = sym.decompose(s), sym.decompose(s)
+        assert dec_a is not dec_b and dec_a == dec_b
+        got, want = sym.isometries(s), sym.isometries_between(dec_a, dec_b)
+        assert len(got) > 1
+        assert [i.perm for i in got] == [i.perm for i in want]
+        assert [i.orientation for i in got] == [i.orientation for i in want]
+        assert [i.derivative for i in got] == [i.derivative for i in want]
+
+    @pytest.mark.parametrize("name", ["ay", "float-trapezoid", "shear-2"])
+    def test_one_copy_labels_as_two(self, name):
+        # Float Gram values group the same in one copy as in two (_float_ids),
+        # so one copy's labels are two copies' first half, and second half.
+        dec = sym.decompose(ONE_SURFACE_INPUTS[name])
+        tables = [list(sym._flags(*copies)) for copies in ((dec,), (dec, dec))]
+        for t in tables:
+            if not all(is_exact(x) for e in t[0] for x in e):
+                t[0] = scaled_points(t[0])
+        (edge1, nxt1, prev1, _, glue1), (edge2, nxt2, prev2, _, glue2) = tables
+        assert edge2 == edge1 * 2
+        one = sym._corner_labels(edge1, nxt1, prev1, glue1)
+        assert sym._corner_labels(edge2, nxt2, prev2, glue2) == (one[0] * 2, one[1] * 2)
 
 
 class TestLabelWalk:
