@@ -473,10 +473,10 @@ def complex_str(re, im, spec: str = "") -> str:
     return f"{re:{spec}} {'-' if copysign(1.0, im) < 0 else '+'} {abs(im):{spec}}i"
 
 
-def signed_str(x, places: int = 6) -> str:
-    """x to places decimals with its sign, where a value that rounds to 0
+def signed_str(x) -> str:
+    """x to six decimals with its sign, where a value that rounds to 0
     (-5.55e-17 or -0.0 too) is +0.000000, as exact 0 is."""
-    s = f"{x:+.{places}f}"
+    s = f"{x:+.6f}"
     return s if s.strip("+-0.") else "+" + s[1:]
 
 

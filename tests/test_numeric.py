@@ -650,7 +650,6 @@ class TestSignedStr:
     def test_only_the_sign_of_a_zero_changes(self, x):
         plain, got = f"{x:+.6f}", numeric.signed_str(x)
         assert got == (plain if float(plain) != 0 else "+0.000000")
-        assert numeric.signed_str(x, 2) == (f"{x:+.2f}" if float(f"{x:.2f}") != 0 else "+0.00")
 
 
 exact_scalars = st.one_of(
