@@ -28,19 +28,19 @@ angle of their normals and scanned once, and one 1-dimensional facet test
 per edge kept, clipped by the parabola, which makes that edge's ends; a
 float cell tests every wall against all the others, then each supporting
 wall against the supporting walls, each test one loop over the walls
-that stops once the wall's bounds leave it no facet (_float_facet).  A
-float wall is built from its doubles alone, with no exact-scalar
-dispatch (see Wall).  An exact facet end is computed once
-per pair of walls and kept with the walls (see Wall and _ExactLine.value).
-On an exact surface every combinatorial
-decision is exact: a wall's side of a sample, the corners of the
-intersection and each sign of the facet test are taken in doubles where a
-proven error bound separates the value from 0 (see _SIDE_EPS,
-_CORNER_EPS and _FACET_EPS), and in Q(alpha) otherwise.  Floating point
-otherwise only chooses sample points, which are rationalized and then
-verified.  Each cell carries the canonical code of its triangulation (its
-comb hash); an exploration keeps the combinatorial classes it has met, so
-that a cell of a known class, the usual case, reads its code off them.
+that stops once the wall's bounds leave it no facet (_float_facet).
+Every wall, float or exact, is built one way (see Wall).  An exact facet
+end is computed once per pair of loci in an exploration and kept in its
+memo, not on the walls (see _Memo and _ExactLine.value).  On an exact
+surface every combinatorial decision is exact: a wall's side of a
+sample, the corners of the intersection and each sign of the facet test
+are taken in doubles where a proven error bound separates the value from
+0 (see _SIDE_EPS, _CORNER_EPS and _FACET_EPS), and in Q(alpha)
+otherwise.  Floating point otherwise only chooses sample points, which
+are rationalized and then verified.  Each cell carries the canonical code
+of its triangulation (its comb hash); an exploration keeps the
+combinatorial classes it has met, so that a cell of a known class, the
+usual case, reads its code off them.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .numeric import (FLOAT_TOL, Scalar, WallForm, canonical_ints, coefficients, complex_str, exact_divisor,
+from .numeric import (FLOAT_TOL, Scalar, canonical_ints, coefficients, complex_str, exact_divisor,
                       exact_wall_form, filtered_sign, is_exact, scaled_points, sign, vec_add, vec_neg)
 from . import delaunay as dl
 from .delaunay import HalfEdge, Triangulation, hinge_vectors
@@ -106,10 +106,8 @@ class _Key(tuple):
     tuples would.  The integers are equal exactly when the items are (see
     numeric.canonical_ints).  Against any other object equality is tuple
     equality, and ordering is tuple order throughout.
-    functools._HashedSeq keeps lru_cache keys' hashes the same way.  A
-    locus key also carries its wall's facet ends, as ends, once the facet
-    test has made them (see _facet_ends); they take no part in equality,
-    hashing or pickling.
+    functools._HashedSeq keeps lru_cache keys' hashes the same way.  A key
+    holds nothing else: its attributes are _hash and _ints.
     """
 
     def __new__(cls, items, ints: Tuple[int, ...]):
@@ -158,22 +156,16 @@ class Wall:
     |coefficient| is 1; reporting flips the sign so the first nonzero
     coefficient is positive (the orientation is kept separately).
 
-    The coefficients' doubles (fa, fb, fc), whether all three are exact
-    and the orientation are computed once, and so is the oriented key.
-    Three float coefficients are their own doubles, and their orientation
-    is read by comparison, as numeric.sign would give it.
-    On an exact wall every sign is exact: side() and the facet test of
-    _facet decide it in doubles where a proven error bound
+    __post_init__ is the one place that sets the derived fields, for
+    float and exact walls alike, from the coefficients and their signs
+    (numeric.sign: exact on an exact scalar, a double's literal sign): the
+    doubles fa, fb, fc, whether all three coefficients are exact, the
+    orientation and _filtered.  The oriented key is computed once, on
+    first use.  On an exact wall every sign is exact: side() and the facet
+    test of _facet decide it in doubles where a proven error bound
     separates the value from 0, and in Q(alpha) otherwise.  A float wall's
-    signs are its float expressions against a tolerance.
-
-    An exact wall also keeps its facet ends, on its locus key and filled
-    on first use: the parameter value where another wall bounds it, by that
-    wall's locus key (see _ExactLine.value).  The ends depend on the two
-    loci alone, so cell_at hands the walls of one locus in an exploration,
-    of either orientation, one dict, and each corner is computed once per
-    pair of walls.  A float wall keeps none, and no wall gets a field for
-    them.
+    signs are its float expressions against a tolerance.  A wall keeps no
+    facet ends: an exploration holds them (see _Memo).
     """
 
     a: Scalar
@@ -191,35 +183,7 @@ class Wall:
 
     def __post_init__(self):
         a, b, c = self.a, self.b, self.c
-        put = object.__setattr__
-        if type(a) is float and type(b) is float and type(c) is float:
-            # The fields below, read off the doubles by comparison.
-            put(self, "fa", a)
-            put(self, "fb", b)
-            put(self, "fc", c)
-            put(self, "exact", False)
-            put(self, "orientation", (1 if a > 0 else -1 if a < 0 else 1 if b > 0 else -1 if b < 0
-                                      else -1 if c < 0 else 1))
-            put(self, "_filtered", False)
-            put(self, "_key", None)
-            return
-        self._put_fields(sign(a), sign(b), sign(c))
-
-    @classmethod
-    def _of_exact_form(cls, form: WallForm) -> "Wall":
-        """Wall(*form), with the signs numeric.exact_wall_form has decided
-        on its int triples instead of three more sign calls."""
-        w = object.__new__(cls)
-        put = object.__setattr__
-        put(w, "a", form[0])
-        put(w, "b", form[1])
-        put(w, "c", form[2])
-        w._put_fields(*form.signs)
-        return w
-
-    def _put_fields(self, sa: int, sb: int, sc: int) -> None:
-        """The fields after a, b, c, given their signs, unless all three are floats."""
-        a, b, c = self.a, self.b, self.c
+        sa, sb, sc = sign(a), sign(b), sign(c)
         fa, fb, fc = float(a), float(b), float(c)
         exact = is_exact(a) and is_exact(b) and is_exact(c)
         filtered = exact and all(2.0 ** -1022 <= abs(f) <= 1.0 if s else f == 0.0
@@ -336,7 +300,7 @@ def wall_of_hinge(t: Triangulation, edge: HalfEdge):
         form = exact_wall_form(p2, p3, p4)
         if isinstance(form, int):
             return ALWAYS if form <= 0 else NEVER
-        return Wall._of_exact_form(form)
+        return Wall(*form)
     (x2, y2), (x3, y3), (x4, y4) = p2, p3, p4
     r00, r01 = 0 - x4, 0 - y4
     r10, r11 = x2 - x4, y2 - y4
@@ -480,6 +444,16 @@ def _rationalize(x: float, y: float) -> Tuple[Fraction, Fraction]:
         _log.debug("_rationalize: y = %r rounds to %s; keeping its exact value", y, vy)
         vy = Fraction(y)
     return vx, vy
+
+
+def _sample(x: float, y: float, t: Triangulation) -> Tuple[Scalar, Scalar, Scalar, float, float]:
+    """(vx, vy, u, fu, fv) for the sample near x + iy that cell_at and
+    _cross_wall test on t: the point vx + i vy, rationalized where t is
+    exact (see _rationalize) and x + iy itself where t is float, u = vx**2
+    + vy**2 and (fu, fv), the doubles of (u, vx) (see _sample_floats)."""
+    vx, vy = _rationalize(x, y) if t.doubles is not None else (x, y)
+    u = vx * vx + vy * vy
+    return (vx, vy, u, *_sample_floats(u, vx))
 
 
 def _collect_constraints(t: Triangulation, u: Scalar, v: Scalar, fu: float, fv: float) -> List[Wall]:
@@ -628,44 +602,32 @@ class _ExactLine:
             s = sign(ep * (t.b * eq - t.a * ep) - t.c * (eq * eq))
         return s * self.sd > 0
 
-    def value(self, x: Optional[_Bound]) -> Optional[Scalar]:
-        """The exact parameter value -p/q at x, kept in the target wall's
-        facet ends by the locus key of the wall that bounds it there.  p and
-        q change sign together with either wall's orientation, so the value
-        depends on the two loci alone.  Two circle walls are both
-        parametrized by v and their corner has one v, so it is kept on the
-        other wall as well."""
+    def value(self, x: Optional[_Bound], ends: dict) -> Optional[Scalar]:
+        """The exact parameter value -p/q at x, kept in ends under the pair
+        (target's locus key, locus key of the wall that bounds it there).  p
+        and q change sign together with either wall's orientation, so the
+        value depends on the two loci alone.  Two circle walls are both
+        parametrized by v and their corner has one v, so it is kept under
+        the reversed pair as well."""
         if x is None:
             return None
-        t, w = self.wall, x.wall
-        ends = _facet_ends(t)
-        key = w.locus_key()
-        v = ends.get(key)
+        tk, wk = self.wall.locus_key(), x.wall.locus_key()
+        v = ends.get((tk, wk))
         if v is None:
             ep, eq = self._exact(x)
-            v = ends[key] = -ep / exact_divisor(eq)
-            if not (self.vertical or w.is_vertical):
-                _facet_ends(w)[t.locus_key()] = v
+            v = ends[tk, wk] = -ep / exact_divisor(eq)
+            if not (self.vertical or x.wall.is_vertical):
+                ends[wk, tk] = v
         return v
 
 
-def _facet_ends(w: Wall, shared: Optional[dict] = None) -> dict:
-    """The facet ends an exact wall keeps on its locus key (see Wall): made
-    on first use, from shared, a dict of locus key -> ends, where it is
-    given."""
-    key = w.locus_key()
-    ends = getattr(key, "ends", None)
-    if ends is None:
-        ends = key.ends = {} if shared is None else shared.setdefault(key, {})
-    return ends
-
-
-def _facet(target: Wall, others: Sequence[Wall]):
+def _facet(target: Wall, others: Sequence[Wall], ends: Optional[dict] = None):
     """(lo, hi) for the facet of the wall target, the parameter values of
     its ends on the cell boundary (v on a circle wall, u on a vertical one;
     None where no wall bounds that end), or None when the wall is redundant
-    or its facet misses H.  Exact walls give exact values; a float wall is
-    _float_facet's.
+    or its facet misses H.  Exact walls give exact values, kept in ends
+    (see _ExactLine.value; a fresh dict where none is given); a float wall
+    is _float_facet's.
 
     The wall is a line in (u, v) coordinates, each other wall a half-line
     of it, and the parabola u > v**2 a concave quadratic g along it.
@@ -673,6 +635,7 @@ def _facet(target: Wall, others: Sequence[Wall]):
     if not target.exact:
         return _float_facet(target, others)
     line = _ExactLine(target)
+    ends = {} if ends is None else ends
     lo = hi = None
     for w in others:
         if w is target:
@@ -701,7 +664,7 @@ def _facet(target: Wall, others: Sequence[Wall]):
         if (lo is None or line.less(lo, vertex)) and (hi is None or line.less(vertex, hi)):
             candidates.append(vertex)
         inside = any(line.inside(x) for x in candidates)
-    return (line.value(lo), line.value(hi)) if inside else None
+    return (line.value(lo, ends), line.value(hi, ends)) if inside else None
 
 
 def _float_facet(target: Wall, others: Sequence[Wall]):
@@ -843,7 +806,7 @@ def _by_angle(walls: Sequence[Wall]) -> List[Wall]:
     return out
 
 
-def _supporting_walls(walls: Sequence[Wall]) -> List[Tuple[Wall, tuple]]:
+def _supporting_walls(walls: Sequence[Wall], ends: Optional[dict] = None) -> List[Tuple[Wall, tuple]]:
     """The exact walls, each with the cell's sample on its side q < 0, that
     bound a facet: an edge of positive length of the polygon where every
     q < 0, in (u, v), whose edge meets H; in angle order, each with its
@@ -857,7 +820,8 @@ def _supporting_walls(walls: Sequence[Wall]) -> List[Tuple[Wall, tuple]]:
     neighbour there does not lie strictly inside the next wall
     (_corner_inside), so an edge of length 0 goes too.  Each wall left then
     takes _facet with its neighbours on the polygon, which bound its edge as
-    all the walls do inside H, for the parabola test and its facet.
+    all the walls do inside H, for the parabola test and its facet, whose
+    ends it keeps in ends.
     """
     ring = _by_angle(walls)
     n = len(ring)
@@ -883,7 +847,7 @@ def _supporting_walls(walls: Sequence[Wall]) -> List[Tuple[Wall, tuple]]:
             dq.pop()
         m = len(dq)
         edges = [(w, (dq[j - 1], dq[(j + 1) % m])) for j, w in enumerate(dq)]
-    return [(w, f) for w, neighbours in edges if (f := _facet(w, neighbours)) is not None]
+    return [(w, f) for w, neighbours in edges if (f := _facet(w, neighbours, ends)) is not None]
 
 
 @dataclass
@@ -897,12 +861,14 @@ class _Memo:
     level, under each triangulation's hinge_cache, which a neighbour's
     triangulation inherits from its parent cell for every hinge it did not
     flip, and it adds the hinges that flips recreate in a shape seen
-    before.  ends maps an exact wall's locus key to the facet ends that the
-    walls of that locus share (see Wall).  classes maps every walk code of
-    each combinatorial class of the cells' triangulations met so far to the
-    class's code, from which delaunay.canonical_code reads a new cell's
-    comb hash off one walk where it can, without minimizing over every
-    start again.
+    before.  ends maps a pair of exact locus keys (target, bounding wall)
+    to the facet end the bounding wall makes on the target, for every wall
+    of either locus, of either orientation (see _ExactLine.value): each
+    corner is computed once per pair of loci.  classes maps every walk
+    code of each combinatorial class of the cells' triangulations met so
+    far to the class's code, from which delaunay.canonical_code reads a new
+    cell's comb hash off one walk where it can, without minimizing over
+    every start again.
     """
 
     cells: Dict[FrozenSet, "Cell"]
@@ -966,14 +932,9 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
     memo = _memo if _memo is not None else _Memo({})
     zx, zy = z.x, z.y
     for attempt in range(8):
-        if exact:
-            vx, vy = _rationalize(zx, zy)
-        else:
-            vx, vy = zx, zy
-        u = vx * vx + vy * vy
+        vx, vy, u, fu, fv = _sample(zx, zy, base)
         try:
             t = delaunayize_at(base, u, vx, _walls=memo.walls)
-            fu, fv = _sample_floats(u, vx)
             walls = _collect_constraints(t, u, vx, fu, fv)
         except _OnWall:
             _log.debug("cell_at: sample %r + %ri lies on a wall; moving it (attempt %d)",
@@ -982,9 +943,7 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
             zy += 1e-9 * (attempt + 1)
             continue
         if exact:
-            for w in walls:
-                _facet_ends(w, memo.ends)
-            found = _supporting_walls(walls)
+            found = _supporting_walls(walls, memo.ends)
         else:
             found = [(w, None) for w in walls if _facet(w, walls) is not None]
         found.sort(key=lambda wf: wf[0].oriented_key())
@@ -1161,18 +1120,12 @@ def _cross_wall(s: Surface, cell: Cell, wall: Wall, at: HPoint, memo: _Memo) -> 
     if norm == 0:
         _log.debug("_cross_wall: zero wall gradient at %r + %ri; no crossing", at.x, at.y)
         return None
-    exact = cell.triangulation.doubles is not None
     for eps in (1e-4, 1e-5, 1e-6, 1e-7):
         zx = at.x + eps * gx / norm
         zy = at.y + eps * gy / norm
         if zy <= 0:
             continue
-        if exact:
-            vx, vy = _rationalize(zx, zy)
-        else:
-            vx, vy = zx, zy
-        u = vx * vx + vy * vy
-        fu, fv = _sample_floats(u, vx)
+        vx, vy, u, fu, fv = _sample(zx, zy, cell.triangulation)
         # Strictly across the wall and strictly inside every other one.
         if wall.side(u, vx, fu, fv) <= 0:
             continue
@@ -1202,8 +1155,8 @@ def explore(s: Surface, z0: HPoint, radius: float) -> Tessellation:
     hinges its own flips changed.  A second memo computes each exact wall
     once per hinge quadrilateral, read from either side, and each float
     wall once per developed hinge, whose float expansion depends on the
-    side.  Each exact facet end is computed once per pair of walls, and
-    kept with the walls of both loci where both are circles.
+    side.  Each exact facet end is computed once per pair of loci, and
+    kept in _Memo.ends under both pairs where both walls are circles.
     A new cell's comb hash is read off the combinatorial classes of the
     cells met before (_Memo.classes, every walk code of each class): one
     walk and one lookup, and only a new class runs the full minimum of

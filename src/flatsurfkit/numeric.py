@@ -820,17 +820,7 @@ def _zsum(a: Tuple[int, int, int], b: Tuple[int, int, int], c: Tuple[int, int, i
     return (a[0] + b[0] + c[0], a[1] + b[1] + c[1], a[2] + b[2] + c[2])
 
 
-class WallForm(tuple):
-    """The normalized coefficients (a, b, c) of exact_wall_form, a plain
-    tuple to compare and unpack, with their exact signs in .signs."""
-
-    def __new__(cls, coefficients, signs: Tuple[int, int, int]):
-        form = super().__new__(cls, coefficients)
-        form.signs = signs
-        return form
-
-
-def exact_wall_form(p2: Point, p3: Point, p4: Point) -> Union[int, WallForm]:
+def exact_wall_form(p2: Point, p3: Point, p4: Point) -> Union[int, Tuple[Scalar, Scalar, Scalar]]:
     """The iso-Delaunay form a*u + b*v + c of the exact hinge (0, p2, p3, p4),
     scaled by a positive number so that max(|a|, |b|, |c|) = 1; or, when the
     form has one sign on all of the upper half-plane, that sign (0 when the
@@ -846,8 +836,8 @@ def exact_wall_form(p2: Point, p3: Point, p4: Point) -> Union[int, WallForm]:
     only for each normalized coefficient.  The form has one sign on H when
     a = b = 0 (the sign of c) or when a != 0 and b**2 - 4ac <= 0 (the sign
     of a).  The coefficients are CubicNumbers when a coordinate is one, and
-    Fractions otherwise; they come as a WallForm, whose signs are those of
-    the triples, as the normalization is a positive scaling.
+    Fractions otherwise, returned as a plain tuple (a, b, c) for
+    isodelaunay.Wall to take as its coefficients.
     """
     coords = (*p2, *p3, *p4)
     parts = [canonical_ints(x) for x in coords]
@@ -874,11 +864,10 @@ def exact_wall_form(p2: Point, p3: Point, p4: Point) -> Union[int, WallForm]:
             if m is None or _zsign(sub(t_abs, m)) > 0:
                 m = t_abs
     m0, m1, m2 = m
-    signs = (sa, sb, sc)
     if not any(isinstance(x, CubicNumber) for x in coords):
-        return WallForm((Fraction(t[0], m0) for t in (a, b, c)), signs)
+        return tuple(Fraction(t[0], m0) for t in (a, b, c))
     if not (m1 or m2):
-        return WallForm((_make(t[0], t[1], t[2], m0) for t in (a, b, c)), signs)
+        return tuple(_make(t[0], t[1], t[2], m0) for t in (a, b, c))
     # m * y = norm > 0, so t / m = t * y / norm.
     *y, norm = _adjugate_row(m0, m1, m2)
-    return WallForm((_make(*mul(t, y), norm) for t in (a, b, c)), signs)
+    return tuple(_make(*mul(t, y), norm) for t in (a, b, c))

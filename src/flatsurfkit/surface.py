@@ -205,6 +205,8 @@ class Surface:
 def validate(s: Surface) -> List[Violation]:
     """Check all surface invariants; an empty list means the surface is valid."""
     out: List[Violation] = []
+    if not s.polygons:
+        out.append(Violation("no-polygons", "the surface has no polygons"))
 
     for p, poly in enumerate(s.polygons):
         if len(poly) < 3:
@@ -245,19 +247,18 @@ def validate(s: Surface) -> List[Violation]:
             if not vectors_match(va, vb):
                 out.append(Violation("vector-mismatch", f"point-reflection gluing {g.edge_a}~{g.edge_b} edges not equal"))
 
-    # Connectivity of the polygon gluing graph.
-    if s.polygons:
-        seen_p = {0}
-        stack = [0]
-        while stack:
-            p = stack.pop()
-            for e in range(len(s.polygons[p])):
-                q = s.partner((p, e))[0]
-                if q not in seen_p:
-                    seen_p.add(q)
-                    stack.append(q)
-        if len(seen_p) != len(s.polygons):
-            out.append(Violation("disconnected", f"only {len(seen_p)} of {len(s.polygons)} polygons reachable"))
+    # Connectivity of the polygon gluing graph (it has a polygon 0: see above).
+    seen_p = {0}
+    stack = [0]
+    while stack:
+        p = stack.pop()
+        for e in range(len(s.polygons[p])):
+            q = s.partner((p, e))[0]
+            if q not in seen_p:
+                seen_p.add(q)
+                stack.append(q)
+    if len(seen_p) != len(s.polygons):
+        out.append(Violation("disconnected", f"only {len(seen_p)} of {len(s.polygons)} polygons reachable"))
 
     if out:
         return out

@@ -360,6 +360,23 @@ class TestCli:
         [line] = err.splitlines()
         assert line.startswith("error: invalid surface: edge-unmatched")
 
+    @pytest.mark.parametrize("argv", (
+        ["info"],
+        ["isometries"],
+        ["delaunay"],
+        ["origami-check"],
+        ["tessellate", "--radius", "1"],
+    ), ids=lambda argv: argv[0])
+    def test_every_surface_command_rejects_an_empty_surface(self, argv, tmp_path, capsys):
+        # No other check fails on an empty surface; without this one, info
+        # prints genus 1, isometries group order 0 and delaunay 0 cells, and
+        # tessellate raises IndexError.
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"format": "flatsurface/1", "kind": "translation", "polygons": [], "gluings": []}')
+        code, out, err = invoke(capsys, *argv, str(empty))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: invalid surface: no-polygons: the surface has no polygons"]
+
     _TRIANGLE = '"polygons": [[["0","0"],["1","0"],["0","1"]]]'
     _GLUED = '"gluings": [[[0,0],[0,1],"translation"],[[0,2],[0,2],"reflection"]]'
 

@@ -678,6 +678,20 @@ class TestExactKeys:
                     assert key == plain and plain == key and not (key != plain) and not (plain != key)
                     assert hash(key) == hash(plain) and repr(key) == repr(plain)
 
+    def test_keys_hold_only_their_hash_and_ints(self, ball):
+        for cell in ball.cells:
+            for w in cell.walls:
+                for key in (w.locus_key(), w.oriented_key()):
+                    assert vars(key).keys() == {"_hash", "_ints"}
+
+    def test_a_pickled_tessellation_loads_back_equal(self, ball):
+        back = pickle.loads(pickle.dumps(ball))
+        assert [c.key for c in back.cells] == [c.key for c in ball.cells]
+        assert [c.walls for c in back.cells] == [c.walls for c in ball.cells]
+        assert [[w.oriented_key() for w in c.walls] for c in back.cells] == \
+            [[w.oriented_key() for w in c.walls] for c in ball.cells]
+        assert [c.facets for c in back.cells] == [c.facets for c in ball.cells]
+
     def test_cell_keys_iterate_as_plain_frozensets(self, ball):
         for cell in ball.cells:
             plain = frozenset(_plain_keys(w)[0] for w in cell.walls)
@@ -851,8 +865,8 @@ class TestFilteredPredicates:
                 bad.append(("side", wall, u, v))
             return got
 
-        def checking_facet(target, others):
-            got = facet(target, others)
+        def checking_facet(target, others, ends=None):
+            got = facet(target, others, ends)
             want = _ref_supporting_interval(target, others)
             seen["facet"] += 1
             if (got is None) != (want is None):
@@ -875,7 +889,7 @@ class TestFilteredPredicates:
             tess = iso.explore(s, z0, radius)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(iso.Wall, "side", lambda wall, u, v, fu, fv: _ref_side(wall, u, v))
-            mp.setattr(iso, "_facet", _ref_supporting_interval)
+            mp.setattr(iso, "_facet", lambda target, others, ends=None: _ref_supporting_interval(target, others))
             ref = iso.explore(s, z0, radius)
         assert (len(tess.cells), len(tess.all_walls()), len(tess.adjacency)) == counts
         return tess, ref, bad, seen
@@ -1054,8 +1068,8 @@ def _check_supporting_walls(walls, supporting=iso._supporting_walls):
     calls = []
     facet = iso._facet
 
-    def recording(target, others):
-        got = facet(target, others)
+    def recording(target, others, ends=None):
+        got = facet(target, others, ends)
         calls.append((target, others, got))
         return got
 
@@ -1111,13 +1125,13 @@ class TestSupportingWalls:
         seen = {"passes": 0}
         bad = []
 
-        def checking(walls):
+        def checking(walls, ends=None):
             seen["passes"] += 1
             try:
-                return _check_supporting_walls(walls, supporting)
+                return _check_supporting_walls(walls, lambda ws: supporting(ws, ends))
             except AssertionError:
                 bad.append(walls)
-                return supporting(walls)
+                return supporting(walls, ends)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(iso, "_supporting_walls", checking)
@@ -1298,6 +1312,23 @@ class TestWallFields:
         w = iso.Wall(*coefficients)
         assert _wall_fields(w) == _ref_wall_fields(w)
 
+    @given(st.tuples(*[st.one_of(st.floats(), st.floats(width=16),
+                                 st.sampled_from([0.0, -0.0, math.nan, 5e-324, -5e-324, -1e-310]))] * 3))
+    @example((0.0, -0.0, math.nan))
+    @example((-0.0, -0.0, -0.0))
+    @example((math.nan, -1.0, 1.0))
+    def test_float_walls_read_their_fields_by_comparison(self, coefficients):
+        # Read off the doubles by comparison alone: each coefficient its own
+        # double, the orientation the sign of the first one that is > 0 or
+        # < 0 (1 when none is), neither exact nor filtered, and no key
+        # before first use.
+        a, b, c = coefficients
+        w = iso.Wall(a, b, c)
+        orientation = 1 if a > 0 else -1 if a < 0 else 1 if b > 0 else -1 if b < 0 else -1 if c < 0 else 1
+        assert all(type(f) is float for f in (w.fa, w.fb, w.fc))
+        assert [f.hex() for f in (w.fa, w.fb, w.fc)] == [x.hex() for x in coefficients]
+        assert (w.exact, w.orientation, w._filtered, w._key) == (False, orientation, False, None)
+
 
 def _square_torus(scalar):
     square = Polygon([tuple(map(scalar, p)) for p in ((0, 0), (1, 0), (1, 1), (0, 1))])
@@ -1409,6 +1440,17 @@ class TestWallMemoAliases:
                 for k2, k3, kd in ((q2, q3, dq), (neg(p2), neg(p3), neg(d)), (neg(q2), neg(q3), neg(dq))):
                     assert _same_form(numeric.exact_wall_form(k2, k3, numeric.vec_add(k3, kd)), form)
         assert signs == ({-1, 1} if name == "half-translation" else {1})
+
+    def test_wall_of_hinge_is_the_wall_of_its_exact_form(self, triangulations):
+        # Every exact wall is built as Wall(*exact_wall_form(...)): the same
+        # value, scalar types, doubles, orientation and filter flag.
+        _, ts = triangulations
+        for t in ts:
+            for e in t.edges():
+                p2, p3, d = dl.hinge_vectors(t, e)
+                form = numeric.exact_wall_form(p2, p3, numeric.vec_add(p3, d))
+                want = (iso.ALWAYS if form <= 0 else iso.NEVER) if isinstance(form, int) else iso.Wall(*form)
+                assert _same_wall(iso.wall_of_hinge(t, e), want)
 
     def test_the_memo_answers_every_key_with_one_wall(self, triangulations, monkeypatch):
         _, ts = triangulations
@@ -1793,10 +1835,9 @@ def _float_bounds(facet):
 
 
 def _fresh_facet(j, walls):
-    """_facet(walls[j], walls) on new walls equal to these, so that no end
-    comes from the facet ends an exact wall keeps."""
-    fresh = [iso.Wall(w.a, w.b, w.c) for w in walls]
-    return iso._facet(fresh[j], fresh)
+    """_facet(walls[j], walls) with a fresh dict of facet ends, so that no
+    end comes from the ones the exploration keeps."""
+    return iso._facet(walls[j], walls, {})
 
 
 class TestCellFacets:
@@ -1820,19 +1861,29 @@ class TestCellFacets:
 
     @pytest.fixture(scope="class", params=sorted(BALLS))
     def ball(self, request):
-        """(name, tessellation, radius, [(wall, the cell's facet, the reference facet)])."""
+        """(name, tessellation, radius, [(wall, the cell's facet, the
+        reference facet)], the exploration's _Memo.ends)."""
         from flatsurfkit import constructions
 
         build, radius = self.BALLS[request.param]
-        tess = iso.explore(build(constructions), self.Z0, radius)
+        memos, make_memo = [], iso._Memo
+
+        def recording(*args):
+            memos.append(make_memo(*args))
+            return memos[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(iso, "_Memo", recording)
+            tess = iso.explore(build(constructions), self.Z0, radius)
+        [memo] = memos
         facets = []
         for cell in tess.cells:
             assert len(cell.facets) == len(cell.walls)
             facets += [(w, f, _fresh_facet(j, cell.walls)) for j, (w, f) in enumerate(zip(cell.walls, cell.facets))]
-        return request.param, tess, radius, facets
+        return request.param, tess, radius, facets, memo.ends
 
     def test_facets_are_the_reference_pass(self, ball):
-        name, tess, _, facets = ball
+        name, tess, _, facets, _ = ball
         # Each facet is None or (lo, hi): exact scalars or None on exact
         # input, floats or None on float input; no line or bound object is
         # kept, so none is reachable from the tessellation.
@@ -1849,23 +1900,33 @@ class TestCellFacets:
             assert [_float_bounds(f) for _, f, _ in facets] == [_float_bounds(ref) for _, _, ref in facets]
 
     def test_exact_walls_of_one_locus_share_their_facet_ends(self, ball):
-        # Each finite end of an exact facet is kept under the locus of the
-        # wall that bounds it there; the walls of a locus, of either
-        # orientation, hold one dict.  Float walls keep no ends.
-        _, tess, _, facets = ball
+        # Each finite end of an exact facet is the value the exploration
+        # keeps under (its wall's locus, the bounding wall's locus), the
+        # same object for every wall of the locus, of either orientation;
+        # a corner of two circle walls is one value under both pairs.
+        # Float walls keep no ends, and no wall key holds any.
+        _, tess, _, facets, ends = ball
+        assert all(vars(k).keys() == {"_hash", "_ints"} for w, _, _ in facets if w.exact
+                   for k in (w.locus_key(), w.oriented_key()))
         if not tess.surface.is_exact():
-            assert not any(hasattr(w.locus_key(), "ends") for w, _, _ in facets)
+            assert ends == {}
             return
-        shared = {}
+        by_locus = {}
+        for (target, bounding), v in ends.items():
+            by_locus.setdefault(target, []).append(v)
         for w, f, _ in facets:
-            ends = w.locus_key().ends
-            assert shared.setdefault(w.locus_key(), ends) is ends
-            assert all(x in ends.values() for x in f if x is not None)
-        assert len({id(d) for d in shared.values()}) == len(shared)
+            assert all(any(x is v for v in by_locus[w.locus_key()]) for x in f if x is not None)
+
+        def circle(locus):
+            return any(locus[0])  # a != 0
+
+        for (target, bounding), v in ends.items():
+            if circle(target) and circle(bounding):
+                assert ends[bounding, target] is v
         assert b"ends" not in pickle.dumps(tess)
 
     def test_crossing_points_are_the_reference_pass(self, ball):
-        _, _, radius, facets = ball
+        _, _, radius, facets, _ = ball
         for w, f, ref in facets:
             if ref is not None:
                 got = iso._facet_crossing_point(w, f, self.Z0, radius)

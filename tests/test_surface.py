@@ -110,6 +110,7 @@ class TestValidate:
         hexagon = [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
         hexagon[1] = (hexagon[1][0] + 9e-10 * math.cos(math.pi / 3), hexagon[1][1] + 9e-10 * math.sin(math.pi / 3))
         return {
+            "no-polygons": Surface([], []),
             "polygon-degenerate": Surface([Polygon([(0, 0), (1, 0)])], [Gluing((0, 0), (0, 1), TRANSLATION)]),
             "polygon-not-convex": Surface([Polygon(square[::-1])], torus(0)),
             # Edge 9 of a triangle: the vector check would index past its vertices.
@@ -146,7 +147,7 @@ class TestValidate:
         }
 
     @pytest.mark.parametrize("code", (
-        "polygon-degenerate", "polygon-not-convex", "edge-out-of-range", "bad-kind", "vector-mismatch",
+        "no-polygons", "polygon-degenerate", "polygon-not-convex", "edge-out-of-range", "bad-kind", "vector-mismatch",
         "disconnected", "angle-inconsistent", "angle-too-small", "angle-odd",
     ))
     def test_violation_code(self, code, monkeypatch):
@@ -156,6 +157,18 @@ class TestValidate:
             # reached with the vector check switched off.
             monkeypatch.setattr(surface_module, "vectors_match", lambda v, w: True)
         assert {v.code for v in validate(self._bad_surfaces()[code])} == {code}
+
+    @pytest.mark.parametrize("kind", (TRANSLATION, "half_translation"))
+    def test_empty_surface_is_invalid(self, kind):
+        # With no polygons every other check passes vacuously, and the
+        # Euler characteristic 0 of nothing reads as genus 1.
+        assert [(v.code, v.detail) for v in validate(Surface([], [], kind))] == [
+            ("no-polygons", "the surface has no polygons"),
+        ]
+
+    def test_empty_surface_with_a_gluing_is_invalid(self):
+        s = Surface([], [Gluing((0, 0), (0, 1), TRANSLATION)])
+        assert {v.code for v in validate(s)} == {"no-polygons", "edge-out-of-range"}
 
     @pytest.mark.parametrize("ref", ((0, 9), (0, 4), (0, -1), (1, 0), (-1, 0)))
     def test_edge_out_of_range(self, ref):
