@@ -299,7 +299,10 @@ def triangulate(s: Surface) -> Triangulation:
     once (doubles), and nothing downstream meets both kinds at once.
     Exact coordinates that are integral rationals enter as ints
     (int_if_integral): the same values and hashes, on cheaper arithmetic.
+    A surface with no polygons raises SurfaceError.
     """
+    if not s.polygons:
+        raise sf.SurfaceError("the surface has no polygons")
     floats = not s.is_exact()
     vecs: List[List[Vec2]] = []
     glue: Dict[HalfEdge, HalfEdge] = {}

@@ -19,6 +19,7 @@ b, long base B and height h realizing the surface.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -170,6 +171,21 @@ _TU_START = (2.0, 2.0)
 _NEWTON_MAX_ITER = 50
 
 
+# Each solver's first partials pass is at a fixed start that no target
+# changes, so it runs once per process and is kept; the kept values are
+# tuples of floats and complexes, which no solve can change.
+@functools.lru_cache(maxsize=None)
+def _tu_start() -> tuple:
+    """`_shape_ratios_and_jacobian` at _TU_START, where solve_tu begins."""
+    return _shape_ratios_and_jacobian(CurveTU(*_TU_START))
+
+
+@functools.lru_cache(maxsize=None)
+def _rect_start() -> tuple:
+    """The (J1, J2) partials pass at t = 2, u = 1, where solve_t_rectangle begins."""
+    return _integrals(CurveTU(2.0, 1.0), j3=False, partials=True)
+
+
 def solve_tu(target: Tuple[float, float]) -> CurveTU:
     """Newton solve for the curve whose shape ratios match the target.
 
@@ -179,10 +195,16 @@ def solve_tu(target: Tuple[float, float]) -> CurveTU:
     damped by halving while the residual does not decrease.  The halved
     trial points take a value-only pass, whose ratios are the same doubles,
     and a point accepted after halving gets its Jacobian from one more pass
-    when the next step needs it.  Raises PeriodsError on divergence or when
-    the iteration leaves the domain t > 1, u > 0.
+    when the next step needs it.  The pass at the start _TU_START is the
+    same for every target: it runs once per process and is kept
+    (`_tu_start`), and each solve forms its own residual from it.  Raises
+    PeriodsError on a target that is not finite or not positive, before
+    any quadrature, on divergence, or when the iteration leaves the domain
+    t > 1, u > 0.
     """
     r1, r2 = target
+    if not (math.isfinite(r1) and math.isfinite(r2)):
+        raise PeriodsError(f"target ratios must be finite: {target}")
     if not (r2 > 0 and r1 > 0):
         # r2 >= 1 corresponds to trapezoids with the long base below; the
         # u < 1 half of the family realizes r2 < 1 and solves just as well.
@@ -194,7 +216,8 @@ def solve_tu(target: Tuple[float, float]) -> CurveTU:
         return (s1 - r1, s2 - r2), jac
 
     t, u = _TU_START
-    fx, jac = residual(t, u, True)
+    (s1, s2), jac = _tu_start()
+    fx = (s1 - r1, s2 - r2)
     norm = max(abs(fx[0]), abs(fx[1]))
     for _ in range(_NEWTON_MAX_ITER):
         if norm < _RESIDUAL_TOL:
@@ -236,7 +259,9 @@ def solve_t_rectangle(mu: float) -> float:
     s = log(t - 1) on g(s) = log J1 - log J2 - log mu, which falls with t.
     Each iterate costs one pass of the period quadrature, which gives
     g'(s) = (t - 1) (dJ1/dt / J1 - dJ2/dt / J2) on the nodes of J1 and J2.
-    Newton starts at t = 2 and halves a step while |g| does not fall.
+    Newton starts at t = 2, whose pass is the same for every mu: it runs
+    once per process and is kept (`_rect_start`), and each solve forms its
+    own g, g' and residual from it.  A step is halved while |g| does not fall.
     Steps are clamped to t in [_RECT_T_MIN, _RECT_T_MAX]; since g is
     monotone, a clamped iterate where g keeps its sign puts the root
     outside that range and raises PeriodsError.  The solve returns once
@@ -248,13 +273,13 @@ def solve_t_rectangle(mu: float) -> float:
     log_mu = math.log(mu)
     s_lo, s_hi = math.log(_RECT_T_MIN - 1.0), math.log(_RECT_T_MAX - 1.0)
 
-    def at(s: float):
+    def at(s: float, passes=None):
         t = 1.0 + math.exp(s)
-        (j1, g1), (j2, g2) = _integrals(CurveTU(t, 1.0), j3=False, partials=True)
+        (j1, g1), (j2, g2) = passes or _integrals(CurveTU(t, 1.0), j3=False, partials=True)
         return t, math.log(j1 / j2) - log_mu, (t - 1.0) * (g1.real / j1 - g2.real / j2), abs(j1 - mu * j2)
 
-    s = 0.0
-    t, g, dg, res = at(s)
+    s = 0.0  # t = 2
+    t, g, dg, res = at(s, _rect_start())
     for _ in range(_NEWTON_MAX_ITER):
         step = -g / dg
         if res < _RESIDUAL_TOL and abs(math.expm1(step)) * (t - 1.0) < 1e-13 * t:

@@ -161,6 +161,7 @@ class Surface:
             self._partner[g.edge_a] = (g.edge_b, g.kind)
             self._partner[g.edge_b] = (g.edge_a, g.kind)
         self._corner_cycles: Optional[Tuple[Tuple[EdgeRef, ...], ...]] = None  # kept by corner_cycles
+        self._vertex_cycles: Optional[Tuple[ConePoint, ...]] = None  # kept by vertex_cycles
 
     # -- basic queries --------------------------------------------------------
 
@@ -343,7 +344,15 @@ def vertex_cycles(s: Surface) -> List[ConePoint]:
     product of the corner rotation numbers is exactly real; for floats the
     angle must be within FLOAT_TOL of a multiple of pi.  Folded edges add
     one cone point of angle pi at their midpoints.
+
+    Certified once per surface and kept on it; each call returns a fresh
+    list of the kept cone points, so validate, cone_points and
+    constructions share one certification.  A surface that raises
+    SurfaceError keeps nothing, and raises again on the next call.
     """
+    kept = s._vertex_cycles
+    if kept is not None:
+        return list(kept)
     exact = s.is_exact()
     cones: List[ConePoint] = []
     for cycle in corner_cycles(s):
@@ -368,6 +377,7 @@ def vertex_cycles(s: Surface) -> List[ConePoint]:
     for g in s.gluings:
         if g.is_fold:
             cones.append(ConePoint((), 1, math.pi, fold_edge=g.edge_a))
+    s._vertex_cycles = tuple(cones)
     return cones
 
 
@@ -376,8 +386,11 @@ def genus(s: Surface) -> int:
 
     chi = V - E + F with one quotient edge per gluing (a folded edge's two
     halves become a single edge) and one extra midpoint vertex per fold:
-    chi = #corner-cycles + #folds - #gluings + #polygons.
+    chi = #corner-cycles + #folds - #gluings + #polygons.  A surface with
+    no polygons has no complex and raises SurfaceError.
     """
+    if not s.polygons:
+        raise SurfaceError("the surface has no polygons")
     folds = sum(1 for g in s.gluings if g.is_fold)
     chi = len(corner_cycles(s)) + folds - len(s.gluings) + len(s.polygons)
     if chi % 2 != 0 or chi > 2:

@@ -16,7 +16,7 @@ from flatsurfkit import numeric
 from flatsurfkit.constructions import ay_prime, ay_surface, escalator
 from flatsurfkit.numeric import ALPHA, FLOAT_TOL, CubicNumber, cross, sign, vec_sub
 from flatsurfkit.surface import (
-    Gluing, Polygon, Surface, TRANSLATION, VERTICAL, apply_linear, cut_and_reglue_square)
+    Gluing, Polygon, Surface, SurfaceError, TRANSLATION, VERTICAL, apply_linear, cut_and_reglue_square)
 
 
 def sheared_torus_triangulation(shear: float):
@@ -27,6 +27,23 @@ def sheared_torus_triangulation(shear: float):
 
 
 class TestTriangulate:
+    @pytest.mark.parametrize("call", ["triangulate", "isometries", "explore", "cell_at"])
+    def test_no_polygons_raises(self, call):
+        # isometries and cell_at (and so explore) start from triangulate;
+        # isometries returned [] and explore raised IndexError
+        from flatsurfkit import isodelaunay as iso
+        from flatsurfkit import symmetry as sym
+
+        empty, z = Surface([], []), iso.HPoint(0.0001, 1.0001)
+        run = {
+            "triangulate": lambda: dl.triangulate(empty),
+            "isometries": lambda: sym.isometries(empty),
+            "explore": lambda: iso.explore(empty, z, 1.0),
+            "cell_at": lambda: iso.cell_at(empty, z),
+        }[call]
+        with pytest.raises(SurfaceError, match="the surface has no polygons"):
+            run()
+
     def test_ay_counts(self, ay):
         t = dl.triangulate(ay)
         assert t.num_triangles == 12

@@ -150,15 +150,37 @@ class TestCli:
 
     def test_corners_without_doubles_raise(self):
         # At 10**400 no coordinate has a double: no angle, rather than a
-        # wrong multiple of pi.
+        # wrong multiple of pi.  The surface keeps no cones, so it raises
+        # on every call.
         from flatsurfkit import constructions
         from flatsurfkit.surface import apply_linear, validate, vertex_cycles
 
         big = Fraction(10) ** 400
         scaled = apply_linear(((big, 0), (0, big)), constructions.ay_surface())
-        with pytest.raises(SurfaceError, match="no finite nonzero edge vector doubles"):
-            vertex_cycles(scaled)
+        for _ in range(2):
+            with pytest.raises(SurfaceError, match="no finite nonzero edge vector doubles"):
+                vertex_cycles(scaled)
         assert [v.code for v in validate(scaled)] == ["angle-inconsistent"]
+
+    @pytest.mark.parametrize("name, command", [("ay", "info"), ("escalator", "origami-check")])
+    def test_one_cone_certification_per_command(self, tmp_path, capsys, monkeypatch, name, command):
+        # validate, then cone_points (info) or constructions._cone_positions
+        # (origami-check), read the cone points kept on the surface: each
+        # corner's angle is taken once, where it was taken twice
+        from flatsurfkit import surface
+
+        path = tmp_path / "s.json"
+        invoke(capsys, "build", name, "-o", str(path))
+        corners = []
+        inner = surface._corner_angle_data
+
+        def counted(s, corner):
+            corners.append(corner)
+            return inner(s, corner)
+
+        monkeypatch.setattr(surface, "_corner_angle_data", counted)
+        assert invoke(capsys, command, str(path))[0] == 0
+        assert sorted(corners) == surface_io.loads(path.read_text()).edge_refs()
 
     def test_delaunay_svg_net(self, tmp_path, capsys):
         path = tmp_path / "ay.json"

@@ -3,6 +3,7 @@
 import cmath
 import inspect
 import math
+import random
 import re
 
 import pytest
@@ -31,6 +32,12 @@ from flatsurfkit.periods import (
 A = float(ALPHA)
 T_AY = 1.91709843377
 U_AY = 2.07067976690
+
+
+def clear_kept_starts():
+    """Forget the partials passes the solvers keep at their fixed starts."""
+    periods._tu_start.cache_clear()
+    periods._rect_start.cache_clear()
 
 
 class TestSegmentIntegrals:
@@ -175,11 +182,26 @@ class TestSolveTU:
 
     def test_round_trip_passes(self, monkeypatch):
         # the target's value-only pass, then one partials pass per Newton
-        # point: every full step is accepted
+        # point: every full step is accepted.  The pass at the start is kept,
+        # so a second solve makes one partials pass fewer.
+        clear_kept_starts()
         passes = self._count_passes(monkeypatch)
         c = solve_tu(shape_ratios(CurveTU(2.3, 1.7)))
         assert abs(c.t - 2.3) < 1e-8 and abs(c.u - 1.7) < 1e-8
         assert passes == {"partials": 5, "value": 1}
+        passes.update(partials=0, value=0)
+        assert solve_tu(shape_ratios(CurveTU(2.3, 1.7))) == c
+        assert passes == {"partials": 4, "value": 1}
+
+    @pytest.mark.parametrize("target", ((math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf),
+                                        (-math.inf, 1.0), (math.nan, 1.0)))
+    def test_non_finite_target_is_rejected_before_any_quadrature(self, target, monkeypatch):
+        # (inf, 1.0) halved its step down to 1e-8 and raised "damping failed"
+        clear_kept_starts()
+        passes = self._count_passes(monkeypatch)
+        with pytest.raises(PeriodsError, match=re.escape(f"target ratios must be finite: {target}")):
+            solve_tu(target)
+        assert passes == {"partials": 0, "value": 0}
 
 
 class TestAnalyticPartials:
@@ -264,6 +286,39 @@ class TestSolveRectangle:
         # Newton keeps t in [1 + 10**-3, 1 + 10**4.5]
         with pytest.raises(PeriodsError, match=r"t in \[1\.001, 31623\.8\]"):
             solve_t_rectangle(mu)
+
+
+class TestKeptStarts:
+    """Each solver's first partials pass, at a start no target changes, runs
+    once per process; a solve that finds it kept returns the same doubles."""
+
+    SEEDS = range(20)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_solve_tu_cold_and_warm(self, seed):
+        rng = random.Random(seed)
+        target = shape_ratios(CurveTU(rng.uniform(1.2, 4.0), rng.uniform(0.5, 4.0)))
+        clear_kept_starts()
+        cold = solve_tu(target)
+        assert periods._tu_start.cache_info().currsize == 1
+        warm = solve_tu(target)
+        assert (warm.t, warm.u) == (cold.t, cold.u)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_solve_t_rectangle_cold_and_warm(self, seed):
+        j1, j2, _ = segment_integrals(CurveTU(random.Random(seed).uniform(1.5, 6.0), 1.0))
+        clear_kept_starts()
+        cold = solve_t_rectangle(j1 / j2)
+        assert periods._rect_start.cache_info().currsize == 1
+        assert solve_t_rectangle(j1 / j2) == cold
+
+    def test_solves_leave_the_kept_passes_unchanged(self):
+        kept_tu, kept_rect = periods._tu_start(), periods._rect_start()
+        solve_tu((1 / A, 1 + A))
+        solve_t_rectangle(0.05)
+        assert periods._tu_start() is kept_tu and periods._rect_start() is kept_rect
+        assert kept_tu == periods._shape_ratios_and_jacobian(CurveTU(*periods._TU_START))
+        assert kept_rect == periods._integrals(CurveTU(2.0, 1.0), j3=False, partials=True)
 
 
 class TestParameterMaps:

@@ -1,11 +1,16 @@
-"""Chebyshev-weight quadrature: the weight, complex values, orientation, failures."""
+"""Chebyshev-weight quadrature: the weight, complex values, orientation, failures,
+and the node table."""
 
 import cmath
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flatsurfkit.quadrature import MAX_LEVEL, QuadratureError, integrate
+from flatsurfkit import periods, quadrature
+from flatsurfkit.quadrature import MAX_LEVEL, TOL, QuadratureError, integrate
 
 PI_J0_1 = 2.403939430634413  # int_{-1}^1 exp(ix) / sqrt(1 - x**2) dx = pi J0(1)
 
@@ -193,3 +198,132 @@ class TestIntegrate:
         exact = math.pi / math.sqrt(8.0) + 1e-12 * math.pi / math.sqrt(eps * (2.0 + eps))
         got = integrate(lambda x, da, db: 1.0 / (3.0 - x) + 1e-12 / (eps + db), -1.0, 1.0)
         assert abs(got - exact) <= 1e-12 * max(1.0, exact)
+
+
+# -- the node table against sin and cos per node ------------------------------------------
+
+
+def _reference_integrate(f, a, b, tol=TOL):
+    """The rule as it ran before the node table: sin and cos of every node
+    of every level of every call, otherwise step for step `integrate`."""
+    if a == b:
+        return 0.0
+    if a > b:
+        r = _reference_integrate(f, b, a, tol)
+        return (-r[0], -r[1]) if type(r) is tuple else -r
+    full = b - a
+    half = 0.5 * full
+    try:
+        lo, hi, mid = f(a, 0.0, full), f(b, full, 0.0), f(a + half, half, half)
+        pair = type(mid) is tuple
+        if pair:
+            total, extra = 0.5 * (lo[0] + hi[0]) + mid[0], 0.5 * (lo[1] + hi[1]) + mid[1]
+        else:
+            total = 0.5 * (lo + hi) + mid
+        n, prev, d1, d2 = 2, total * (math.pi / 2), 0.0, 0.0
+        while n < quadrature._START << MAX_LEVEL:
+            n *= 2
+            step = math.pi / (2 * n)
+            for k in range(1, n // 2, 2):
+                th = k * step
+                s, c = math.sin(th), math.cos(th)
+                da, db = full * s * s, full * c * c
+                if pair:
+                    p, q = f(a + da, da, db), f(b - da, db, da)
+                    total += p[0] + q[0]
+                    extra += p[1] + q[1]
+                else:
+                    total += f(a + da, da, db) + f(b - da, db, da)
+            est = total * (math.pi / n)
+            size, diff = abs(est), abs(est - prev)
+            if not size < math.inf:
+                raise QuadratureError(f"integrand is not finite on [{a}, {b}]")
+            if n > quadrature._START and (
+                diff <= tol * max(1.0, size)
+                or d1 and d2 and diff * max(diff / d1, (d1 / d2) * (d1 / d2)) <= tol * size
+            ):
+                return (est, extra * (math.pi / n)) if pair else est
+            prev, d1, d2 = est, diff, d1
+    except ZeroDivisionError as exc:
+        raise QuadratureError(f"integrand is singular on [{a}, {b}]") from exc
+    raise QuadratureError(f"trapezoid rule did not reach tolerance {tol} within {MAX_LEVEL} levels")
+
+
+def _outcome(rule, f, a, b):
+    """rule(f, a, b), or the message of the QuadratureError it raises."""
+    try:
+        return rule(f, a, b)
+    except QuadratureError as exc:
+        return f"QuadratureError: {exc}"
+
+
+def _integrand(kind, k, c, pair):
+    """A smooth value (real or complex) of the node and its distances; as a
+    pair, with a complex extra that mixes in the distances."""
+    value = {
+        "cos": lambda x, da, db: c + math.cos(k * x),
+        "pole": lambda x, da, db: 1.0 / (x * x + c),
+        "exp": lambda x, da, db: cmath.exp(1j * k * x) * (1.0 + c * da),
+    }[kind]
+    if not pair:
+        return value
+
+    def with_extra(x, da, db):
+        v = value(x, da, db)
+        return v, complex(da, c * db) * v
+
+    return with_extra
+
+
+_ends = st.floats(-8.0, 8.0, allow_nan=False)
+_integrands = st.builds(
+    _integrand, st.sampled_from(["cos", "pole", "exp"]), st.floats(0.0, 6.0), st.floats(0.05, 3.0), st.booleans()
+)
+
+
+class TestNodeTable:
+    """`integrate` reads each level's sines and cosines from a table kept
+    across calls; every double it returns is the one of sin and cos per node."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_integrands, _ends, _ends)
+    def test_matches_sin_and_cos_per_node(self, f, a, b):
+        # either order of the ends, a > b included
+        assert _outcome(integrate, f, a, b) == _outcome(_reference_integrate, f, a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_integrands, _ends, st.sampled_from([1e-9, -1e-9]))
+    def test_matches_on_a_narrow_interval(self, f, a, width):
+        b = a + width
+        assert _outcome(integrate, f, a, b) == _outcome(_reference_integrate, f, a, b)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("partials", (False, True))
+    def test_period_integrands_match(self, seed, partials, monkeypatch):
+        # J1, J2 and J3 at a seeded (t, u), value-only and with partials
+        rng = random.Random(seed)
+        c = periods.CurveTU(rng.uniform(1.05, 6.0), rng.uniform(0.05, 6.0))
+        seen = []
+
+        def both(f, a, b):
+            got = integrate(f, a, b)
+            assert got == _reference_integrate(f, a, b)
+            seen.append(got)
+            return got
+
+        monkeypatch.setattr(periods, "integrate", both)
+        periods._integrals(c, partials=partials)
+        assert len(seen) == 3
+
+    def test_every_level_holds_sin_and_cos_of_its_nodes(self):
+        # a pole 1e-13 past b takes the rule through every level
+        with pytest.raises(QuadratureError, match=f"within {MAX_LEVEL} levels"):
+            integrate(lambda x, da, db: 1.0 / (x - 1.0 - 1e-13), 0.0, 1.0)
+        n = 4
+        while n <= quadrature._START << MAX_LEVEL:
+            step = math.pi / (2 * n)
+            assert quadrature._node_cache[n] == tuple(
+                (math.sin(k * step), math.cos(k * step)) for k in range(1, n // 2, 2)
+            ), n
+            n *= 2
+        assert max(quadrature._node_cache) == quadrature._START << MAX_LEVEL

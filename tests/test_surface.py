@@ -222,8 +222,25 @@ class TestVertexCycles:
             total = sum(c.angle_pi - 2 for c in vertex_cycles(s))
             assert total == 2 * (2 * genus(s) - 2)
 
+    def test_kept_cones_equal_a_fresh_computation(self):
+        # certified once per surface and kept; each call returns a fresh list
+        from flatsurfkit.constructions import ay_prime, escalator
+
+        for s in (ay_prime(), escalator(), cut(ay_prime(), 0)):
+            first = vertex_cycles(s)
+            first.append(None)  # a fresh list: the kept cones do not change
+            kept = vertex_cycles(s)
+            assert kept is not vertex_cycles(s)
+            assert kept == vertex_cycles(Surface(s.polygons, s.gluings, s.kind)) == first[:-1]
+
 
 class TestGenus:
+    @pytest.mark.parametrize("kind", (TRANSLATION, "half_translation"))
+    def test_no_polygons_raises(self, kind):
+        # chi = 0 of nothing read as genus 1
+        with pytest.raises(SurfaceError, match="the surface has no polygons"):
+            genus(Surface([], [], kind))
+
     def test_ay_euler_data(self, ay):
         assert len(ay.polygons) == 6
         assert len(ay.gluings) == 12
