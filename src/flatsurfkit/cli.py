@@ -27,7 +27,7 @@ from . import periods as per
 from . import surface as sf
 from . import surface_io
 from . import symmetry as sym
-from .numeric import ALPHA, FLOAT_TOL, complex_str, is_exact, scalar_from_str, scaled_points, signed_str
+from .numeric import ALPHA, FLOAT_TOL, complex_str, is_exact, scalar_from_str, scaled_points, signed_str, to_double
 from .quadrature import QuadratureError
 from .surface import Surface, SurfaceError
 
@@ -66,19 +66,11 @@ def _rectangle(t: float) -> Surface:
     return cons.trapezoid_family(cons.TrapezoidShape(1.0, 1.0, r1 / 2.0))
 
 
-def _area_double(area) -> float:
-    """float(area), or inf where an exact area is beyond the double range."""
-    try:
-        return float(area)
-    except OverflowError:
-        return math.inf
-
-
 def _cmd_info(s: Surface, args) -> None:
     cones = sf.cone_points(s)
     print(f"genus {sf.genus(s)}")
     print("cone angles: " + (" ".join(f"{c.angle_pi}pi" for c in cones) if cones else "none"))
-    print(f"area: {_area_double(sf.area(s))!r}")
+    print(f"area: {to_double(sf.area(s))!r}")
     print(f"kind: {s.kind}")
     print(f"polygons: {len(s.polygons)}, gluings: {len(s.gluings)}")
 
@@ -131,7 +123,7 @@ def _cmd_delaunay(s: Surface, args) -> None:
     for kind, cells in sorted(census.items()):
         for p in cells:
             vecs = " ".join(f"({float(v[0]):.6g},{float(v[1]):.6g})" for v in p.edge_vectors())
-            print(f"  {kind}: area {_area_double(p.area()):.6g}, edges {vecs}")
+            print(f"  {kind}: area {to_double(p.area()):.6g}, edges {vecs}")
 
 
 _DECOMPOSITION_SVG_SIZE = 220

@@ -20,14 +20,14 @@ of two, so that the decision does not depend on the surface's scale.
 
 A triangulation is exact when every coordinate of its edge vectors is,
 and an exact one has those doubles from its construction: `doubles`
-holds float() of each edge vector's coordinates beside vecs (None for a
-vector whose double overflows).  Copies carry them, and _flip_in_place,
-the one writer of vecs, keeps them in step: a moved vector's doubles are
-negated where its chart factor is -1, and only the new diagonal takes a
-fresh float().  A hinge's doubles are then read, not computed
-(_hinge_doubles), and its exact points are built only where the doubles
-leave a sign undecided or a flip needs its new diagonal.  A float
-triangulation has none.
+holds numeric.to_double of each edge vector's coordinates beside vecs,
++-inf beyond the double range, where every filter on them is undecided.
+Copies carry them, and _flip_in_place, the one writer of vecs, keeps them
+in step: a moved vector's doubles are negated where its chart factor is
+-1, and only the new diagonal takes a fresh to_double.  A hinge's doubles
+are then read, not computed (_hinge_doubles), and its exact points are
+built only where the doubles leave a sign undecided or a flip needs its
+new diagonal.  A float triangulation has none.
 
 delaunayize and isodelaunay.delaunayize_at share one FIFO flip loop,
 flip_until, and differ only in the test that says a hinge needs a flip.
@@ -71,6 +71,7 @@ from .numeric import (
     scaled_doubles,
     scaled_points,
     sign,
+    to_double,
     turn_signs,
     vec_add,
     vec_neg,
@@ -105,8 +106,8 @@ class Triangulation:
     Only _flip_in_place writes vecs, glue and chart_sign, so it is the one
     place that drops entries; copy() carries the cache over in a new dict.
 
-    doubles mirrors vecs with (float(x), float(y)) per edge vector, or None
-    where a double overflows.  The constructor builds it when every
+    doubles mirrors vecs with (to_double(x), to_double(y)) per edge vector,
+    +-inf beyond the double range.  The constructor builds it when every
     coordinate is exact, and it is None on a float triangulation;
     _flip_in_place keeps it in step with vecs, and copy() carries it over
     in new lists.  `doubles is not None` is the one record of the scalar
@@ -134,8 +135,8 @@ class Triangulation:
         self.hinge_cache: Dict[HalfEdge, object] = {}
         self._half_edges = tuple((t, e) for t in range(len(self.vecs)) for e in range(3))
         exact = all(is_exact(x) for tri in self.vecs for v in tri for x in v)
-        self.doubles: Optional[List[List[Optional[Tuple[float, float]]]]] = (
-            [[_double_pair(v) for v in tri] for tri in self.vecs] if exact else None)
+        self.doubles: Optional[List[List[Tuple[float, float]]]] = (
+            [[(to_double(x), to_double(y)) for x, y in tri] for tri in self.vecs] if exact else None)
 
     # -- basics ----------------------------------------------------------------
 
@@ -226,27 +227,18 @@ def hinge(t: Triangulation, edge: HalfEdge) -> Hinge:
     return Hinge((0, 0), p2, p3, vec_add(p3, d), t.glue[edge] == edge)
 
 
-def _double_pair(v: Vec2) -> Optional[Tuple[float, float]]:
-    try:
-        return (float(v[0]), float(v[1]))
-    except OverflowError:
-        return None
-
-
 def _hinge_doubles(t: Triangulation, edge: HalfEdge) -> Optional[List[float]]:
     """The scaled doubles of hinge(t, edge)'s eight coordinates, as
     numeric._filter_doubles would make them, read from t.doubles: p1 = 0,
     p2 = +-vec(next twin), p3 = vec(e) and p4 = -vec(prev e), which equals
     vec(e) + vec(next e) exactly.  None on a float triangulation or where
-    one of the three vectors overflows."""
+    a double is infinite (scaled_doubles)."""
     kept = t.doubles
     if kept is None:
         return None
     tri, e = edge
     tw, tw_e = t.glue[edge]
     a, c, u = kept[tri][e], kept[tri][(e + 2) % 3], kept[tw][(tw_e + 1) % 3]
-    if a is None or c is None or u is None:
-        return None
     if t.chart_sign[edge] == -1:
         u = vec_neg(u)
     return scaled_doubles([0.0, 0.0, u[0], u[1], a[0], a[1], -c[0], -c[1]])
@@ -410,9 +402,10 @@ def _flip_in_place(t: Triangulation, edge: HalfEdge) -> None:
     t.vecs[tb][fb] = vec_sub(q2, q1)
     if kept is not None:
         for slot, r, d in moved:
-            kept[slot[0]][slot[1]] = d if r == 1 or d is None else vec_neg(d)
-        d = kept[ta][ea] = _double_pair(t.vecs[ta][ea])
-        kept[tb][fb] = None if d is None else vec_neg(d)
+            kept[slot[0]][slot[1]] = d if r == 1 else vec_neg(d)
+        x, y = t.vecs[ta][ea]
+        d = kept[ta][ea] = (to_double(x), to_double(y))
+        kept[tb][fb] = vec_neg(d)
     t.glue[a], t.glue[tw] = tw, a
     t.chart_sign[a] = t.chart_sign[tw] = 1
     t.flip_count += 1
@@ -597,7 +590,7 @@ def decomposition(t: Triangulation) -> Surface:
         eps = transforms[h[0]][0] * t.chart_sign[h] * transforms[tw[0]][0]
         kind = sf.TRANSLATION if eps == 1 else sf.REFLECTION
         gluings.append(Gluing((ci, ei), (cj, ej), kind))
-    kind = sf.TRANSLATION if all(g.kind == sf.TRANSLATION for g in gluings) else "half_translation"
+    kind = sf.TRANSLATION if all(g.kind == sf.TRANSLATION for g in gluings) else sf.HALF_TRANSLATION
     return Surface(polygons, gluings, kind)
 
 

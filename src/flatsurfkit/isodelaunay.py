@@ -55,7 +55,8 @@ from functools import cmp_to_key
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .numeric import (FLOAT_TOL, Scalar, canonical_ints, coefficients, complex_str, exact_divisor,
-                      exact_wall_form, filtered_sign, is_exact, scaled_points, sign, vec_add, vec_neg)
+                      exact_wall_form, filtered_sign, is_exact, scaled_points, sign, to_double, vec_add,
+                      vec_neg)
 from . import delaunay as dl
 from .delaunay import HalfEdge, Triangulation, hinge_vectors
 from .surface import Polygon, Surface
@@ -202,8 +203,8 @@ class Wall:
         return self.a * u + self.b * v + self.c
 
     def side(self, u: Scalar, v: Scalar, fu: float, fv: float) -> int:
-        """sign(self.evaluate(u, v), FLOAT_TOL), given fu = float(u) and
-        fv = float(v) (infinite where they overflow).
+        """sign(self.evaluate(u, v), FLOAT_TOL), given fu = to_double(u)
+        and fv = to_double(v) (+-inf beyond the double range).
 
         An exact wall takes the sign of the double evaluation where it
         exceeds the error bound (see _SIDE_EPS), and the exact sign
@@ -369,15 +370,6 @@ def _memo_wall(t: Triangulation, edge: HalfEdge, walls: dict):
     return w
 
 
-def _sample_floats(u: Scalar, v: Scalar) -> Tuple[float, float]:
-    """(float(u), float(v)) for Wall.side; infinite where a value overflows,
-    which sends an exact wall's sign to its exact evaluation."""
-    try:
-        return float(u), float(v)
-    except OverflowError:
-        return math.inf, math.inf
-
-
 def delaunayize_at(t: Triangulation, u: Scalar, v: Scalar, _walls: Optional[dict] = None) -> Triangulation:
     """Flip until every hinge is Delaunay for the surface at z with
     (|z|^2, Re z) = (u, v); operates on base-chart holonomies throughout.
@@ -393,7 +385,7 @@ def delaunayize_at(t: Triangulation, u: Scalar, v: Scalar, _walls: Optional[dict
     side q <= 0.
     """
     walls = {} if _walls is None else _walls
-    fu, fv = _sample_floats(u, v)
+    fu, fv = to_double(u), to_double(v)
 
     def needs_flip(out: Triangulation, edge: HalfEdge) -> bool:
         w = out.hinge_cache.get(edge)
@@ -450,10 +442,10 @@ def _sample(x: float, y: float, t: Triangulation) -> Tuple[Scalar, Scalar, Scala
     """(vx, vy, u, fu, fv) for the sample near x + iy that cell_at and
     _cross_wall test on t: the point vx + i vy, rationalized where t is
     exact (see _rationalize) and x + iy itself where t is float, u = vx**2
-    + vy**2 and (fu, fv), the doubles of (u, vx) (see _sample_floats)."""
+    + vy**2 and (fu, fv), the doubles of (u, vx) (numeric.to_double)."""
     vx, vy = _rationalize(x, y) if t.doubles is not None else (x, y)
     u = vx * vx + vy * vy
-    return (vx, vy, u, *_sample_floats(u, vx))
+    return (vx, vy, u, to_double(u), to_double(vx))
 
 
 def _collect_constraints(t: Triangulation, u: Scalar, v: Scalar, fu: float, fv: float) -> List[Wall]:

@@ -28,13 +28,16 @@ through ``sign(x, tol)``, and the scalar's type picks the rule.  Exact
 scalars (int, Fraction, CubicNumber) get their exact sign and ignore tol;
 a float is 0 when |x| <= tol and otherwise has its literal sign.  Callers
 pass ``FLOAT_TOL`` (1e-9) unless a test needs its own scale, and do not
-fork a decision into an exact and a float branch themselves.
+fork a decision into an exact and a float branch themselves.  An exact
+value's double is ``to_double(x)``: beyond the double range it is the
+infinity with x's sign, on which every double filter is undecided
+(scaled_doubles gives None, filtered_sign 0), so the exact sign decides.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import copysign, frexp, gcd, isfinite, lcm, ldexp
+from math import copysign, frexp, gcd, inf, isfinite, lcm, ldexp
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 # alpha to _ALPHA_BITS fractional bits: _ALPHA_FIX = floor(alpha * 2**_ALPHA_BITS).
@@ -583,11 +586,25 @@ def filtered_sign(x: float, mag: float, eps: float) -> int:
     return (x > t) - (x < -t)
 
 
-def scaled_doubles(c: List[float]) -> List[float]:
+def to_double(x: Scalar) -> float:
+    """float(x), or the infinity with x's sign where x is beyond the double
+    range (float raises OverflowError): the one conversion of an exact
+    value that may have no double.  Never NaN on an exact x."""
+    try:
+        return float(x)
+    except OverflowError:
+        return copysign(inf, sign(x))
+
+
+def scaled_doubles(c: List[float]) -> Optional[List[float]]:
     """The doubles c, all scaled by one power of two so that none exceeds 1
-    in magnitude.  Never scaled up: the filters' underflow bounds below
-    count on that."""
+    in magnitude; None where one is infinite (a to_double beyond the double
+    range), which leaves every filter on them undecided, so the exact sign
+    decides.  Never scaled up: the filters' underflow bounds below count
+    on that."""
     m = max(map(abs, c))
+    if m == inf:
+        return None
     if m > 1.0:
         s = ldexp(1.0, -frexp(m)[1])
         c = [x * s for x in c]
@@ -596,17 +613,14 @@ def scaled_doubles(c: List[float]) -> List[float]:
 
 def scaled_points(pts: Sequence[Point]) -> Optional[List[Tuple[float, float]]]:
     """The points as doubles, all scaled by the one power of two that brings
-    the largest magnitude into [0.5, 1); None where a double overflows or
+    the largest magnitude into [0.5, 1); None where a double (to_double)
     is not finite, or where every one is 0.  Scaling by a power of two is
     exact (short of subnormal results), so a float expression homogeneous
     in the coordinates, such as a quotient of products of equal degree,
     takes the same value at any scale, without overflow or underflow.  Not
     for the exact filters: a subnormal double scaled up keeps its larger
     relative error, which their bounds do not allow for."""
-    try:
-        c = [float(x) for p in pts for x in p]
-    except OverflowError:
-        return None
+    c = [to_double(x) for p in pts for x in p]
     if not all(map(isfinite, c)) or not any(c):
         return None
     e = -frexp(max(map(abs, c)))[1]
@@ -614,13 +628,9 @@ def scaled_points(pts: Sequence[Point]) -> Optional[List[Tuple[float, float]]]:
 
 
 def _filter_doubles(coords: Sequence[Scalar]) -> Optional[List[float]]:
-    """Exact coordinates as doubles, each taken once, under scaled_doubles;
-    None when a double overflows."""
-    try:
-        c = [float(x) for x in coords]
-    except OverflowError:
-        return None
-    return scaled_doubles(c)
+    """Exact coordinates as doubles (to_double), each taken once, under
+    scaled_doubles; None when one is beyond the double range."""
+    return scaled_doubles([to_double(x) for x in coords])
 
 
 # The orientation filter.  With u = 2**-53, a coordinate's double is within

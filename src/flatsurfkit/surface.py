@@ -32,6 +32,7 @@ from .numeric import (
 )
 
 TRANSLATION = "translation"
+HALF_TRANSLATION = "half_translation"
 REFLECTION = "reflection"
 
 EdgeRef = Tuple[int, int]
@@ -147,9 +148,9 @@ class ConePoint:
 class Surface:
     """Polygons plus a perfect matching of their edges.
 
-    kind is "translation" (all gluings by translation, cone angles multiples
-    of 2*pi) or "half_translation" (point reflections allowed, multiples of
-    pi).
+    kind is TRANSLATION (all gluings by translation, cone angles multiples
+    of 2*pi) or HALF_TRANSLATION (point reflections allowed, multiples of
+    pi); validate rejects any other.
     """
 
     def __init__(self, polygons: Sequence[Polygon], gluings: Sequence[Gluing], kind: str = TRANSLATION):
@@ -208,6 +209,8 @@ def validate(s: Surface) -> List[Violation]:
     out: List[Violation] = []
     if not s.polygons:
         out.append(Violation("no-polygons", "the surface has no polygons"))
+    if s.kind not in (TRANSLATION, HALF_TRANSLATION):
+        out.append(Violation("bad-surface-kind", f"unknown surface kind {s.kind!r}"))
 
     for p, poly in enumerate(s.polygons):
         if len(poly) < 3:
@@ -481,4 +484,4 @@ def cut_and_reglue_square(s: Surface, square: int, axis: str = HORIZONTAL) -> Su
     else:
         new = [Gluing(edge_a, partner_b, REFLECTION), Gluing(edge_b, partner_a, REFLECTION)]
     kept = [g for g in s.gluings if edge_a not in (g.edge_a, g.edge_b) and edge_b not in (g.edge_a, g.edge_b)]
-    return Surface(s.polygons, kept + new, kind="half_translation")
+    return Surface(s.polygons, kept + new, kind=HALF_TRANSLATION)

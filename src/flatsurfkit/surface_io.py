@@ -12,7 +12,7 @@ import math
 from typing import IO
 
 from .numeric import Point, Scalar, scalar_from_str, scalar_to_str
-from .surface import TRANSLATION, Gluing, Polygon, Surface, SurfaceError
+from .surface import HALF_TRANSLATION, TRANSLATION, Gluing, Polygon, Surface, SurfaceError
 
 FORMAT = "flatsurface/1"
 
@@ -87,8 +87,8 @@ def surface_from_dict(data) -> Surface:
     if data.get("format") != FORMAT:
         raise SurfaceError(f"unsupported surface format: {data.get('format')!r}")
     kind = _field(data, "kind")
-    if kind not in (TRANSLATION, "half_translation"):
-        raise SurfaceError(f"surface file: kind is not 'translation' or 'half_translation': {kind!r}")
+    if kind not in (TRANSLATION, HALF_TRANSLATION):
+        raise SurfaceError(f"surface file: kind is not {TRANSLATION!r} or {HALF_TRANSLATION!r}: {kind!r}")
     polygons = [
         Polygon([_vertex(v, f"polygons[{i}][{j}]") for j, v in enumerate(_list(poly, f"polygons[{i}]"))])
         for i, poly in enumerate(_list(_field(data, "polygons"), "polygons"))

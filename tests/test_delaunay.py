@@ -362,15 +362,17 @@ class TestDelaunayize:
 
     @pytest.mark.parametrize("scale", [10 ** 400, Fraction(1, 10 ** 400)], ids=["overflow", "underflow"])
     def test_scale_does_not_change_the_flips(self, scale):
-        # At 10**400 no coordinate has a double, at 10**-400 every double is
-        # 0: every sign takes the exact path, with the unscaled result.
+        # At 10**400 every coordinate's double is +-inf, at 10**-400 every
+        # double is 0: every sign takes the exact path, with the unscaled
+        # result.
         base = apply_linear(((1, 7), (0, 1)), ay_surface())
         ref = dl.delaunayize(dl.triangulate(base))
         t = dl.delaunayize(dl.triangulate(apply_linear(((scale, 0), (0, scale)), base)))
         assert t.flip_count == ref.flip_count == 29
         assert (t.glue, t.chart_sign) == (ref.glue, ref.chart_sign)
         if scale > 1:
-            assert t.doubles and all(d is None for tri in t.doubles for d in tri)
+            kept = [(f, x) for tri, dt in zip(t.vecs, t.doubles) for v, d in zip(tri, dt) for f, x in zip(d, v)]
+            assert kept and all(f == math.copysign(math.inf, sign(x)) for f, x in kept)
         dec, ref_dec = dl.decomposition(t), dl.decomposition(ref)
         assert dec.gluings == ref_dec.gluings
         assert [list(p.vertices) for p in dec.polygons] == [

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from flatsurfkit import delaunay as dl
 from flatsurfkit import isodelaunay as iso
 from flatsurfkit import numeric
-from flatsurfkit.numeric import FLOAT_TOL, CubicNumber, incircle_det, is_exact, sign
+from flatsurfkit.numeric import FLOAT_TOL, CubicNumber, incircle_det, is_exact, sign, to_double
 from flatsurfkit.surface import Gluing, Polygon, Surface, TRANSLATION
 
 
@@ -996,16 +996,19 @@ class TestFilterEdgeCases:
             u, v = at * at + 1, -(wall.a * (at * at + 1) + wall.c) / wall.b + delta
         else:
             u, v = -(wall.b * at + wall.c) / wall.a + delta, at
-        assert wall.side(u, v, *iso._sample_floats(u, v)) == _ref_side(wall, u, v)
+        fu, fv = to_double(u), to_double(v)
+        assert wall.side(u, v, fu, fv) == _ref_side(wall, u, v)
         if offset == 0:
-            assert wall.side(u, v, *iso._sample_floats(u, v)) == 0
+            assert wall.side(u, v, fu, fv) == 0
 
     def test_side_of_an_overflowing_sample(self):
-        # float(u) overflows; the sign comes from the exact evaluation.
+        # float(u) overflows, float(v) does not; the sign comes from the
+        # exact evaluation.
         wall = iso._normalize_wall(CubicNumber(1, 1), Fraction(-3), Fraction(1, 7))
         u, v = Fraction(10 ** 400), Fraction(10 ** 200)
-        assert iso._sample_floats(u, v) == (math.inf, math.inf)
-        assert wall.side(u, v, math.inf, math.inf) == _ref_side(wall, u, v) == 1
+        assert (to_double(u), to_double(v)) == (math.inf, 1e200)
+        assert wall.side(u, v, math.inf, 1e200) == _ref_side(wall, u, v) == 1
+        assert wall.side(u, v, math.inf, math.inf) == 1
 
     @settings(max_examples=15, deadline=None)
     @given(t=st.fractions(min_value=Fraction(1, 20), max_value=Fraction(9, 10), max_denominator=40))
@@ -1209,7 +1212,7 @@ class TestSupportingWalls:
                     walls.setdefault(iso._normalize_wall(w.a, w.b, w.c).oriented_key(), w)
         walls = list(walls.values())
         assume(walls)
-        assert all(w.side(*at, *iso._sample_floats(*at)) < 0 for w in walls)
+        assert all(w.side(*at, *map(to_double, at)) < 0 for w in walls)
         _check_supporting_walls(walls)
 
 
@@ -2124,3 +2127,28 @@ class TestFloatScale:
         assert iso._unit_scaled(half) is half
         scaled = iso._unit_scaled(_scaled(half, -200))
         assert [p.vertices for p in scaled.polygons] == [p.vertices for p in _float_image(half).polygons]
+
+
+class TestExactScale:
+    """Exact AY far outside the double range explores as at unit scale and
+    keeps its group: at 10**400 every double of a coordinate is +-inf
+    (to_double), which leaves every double filter undecided, so every
+    hinge and flip sign is exact; at 10**-400 every double is 0."""
+
+    @pytest.fixture(scope="class")
+    def unit(self):
+        from flatsurfkit.constructions import ay_surface
+
+        return _fingerprint(iso.explore(ay_surface(), _Z0, 1.0))
+
+    @pytest.mark.parametrize("scale", [10 ** 200, Fraction(1, 10 ** 200), 10 ** 400, Fraction(1, 10 ** 400)],
+                             ids=["1e200", "1e-200", "1e400", "1e-400"])
+    def test_scale_keeps_the_ball_and_the_group(self, unit, scale):
+        from flatsurfkit.constructions import ay_surface
+        from flatsurfkit.surface import apply_linear
+
+        s = apply_linear(((scale, 0), (0, scale)), ay_surface())
+        tess = iso.explore(s, _Z0, 1.0)
+        assert _fingerprint(tess) == unit
+        assert unit[0] == (24, 23, 72)
+        assert _group(s).order == 8

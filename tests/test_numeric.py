@@ -367,6 +367,50 @@ class TestFloatConversion:
         assert [float(x) for x in xs] == first
 
 
+_huge_int = st.integers(min_value=-10 ** 400, max_value=10 ** 400)
+_exponent = st.integers(min_value=-400, max_value=400)
+# Exact values of magnitude up to 10**400 and down to 10**-400.
+_beyond_doubles = st.one_of(
+    _huge_int,
+    st.builds(lambda n, e: Fraction(n) * Fraction(10) ** e, st.integers(-10 ** 6, 10 ** 6), _exponent),
+    st.builds(Fraction, _huge_int, st.integers(min_value=1, max_value=10 ** 400)),
+    st.builds(lambda c, e: c * Fraction(10) ** e,
+              st.builds(CubicNumber, _fraction_coefficients, _fraction_coefficients, _fraction_coefficients),
+              _exponent),
+)
+
+
+class TestToDouble:
+    @settings(max_examples=300, deadline=None)
+    @given(_beyond_doubles)
+    @example(10 ** 400)
+    @example(-(10 ** 400))
+    @example(Fraction(-(10 ** 400), 3))
+    @example(CubicNumber(0, -(10 ** 400)))
+    @example(CubicNumber(10 ** 400, -(10 ** 400)))
+    @example(Fraction(1, 10 ** 400))
+    def test_float_or_infinity_with_the_sign(self, x):
+        got = numeric.to_double(x)
+        assert not math.isnan(got)
+        try:
+            want = float(x)
+        except OverflowError:
+            assert got == math.copysign(math.inf, sign(x))
+        else:
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_floats_pass_through(self):
+        for x in (0.0, -0.0, 1.5, -1e308, math.inf, -math.inf):
+            assert math.copysign(1.0, numeric.to_double(x)) == math.copysign(1.0, x)
+            assert numeric.to_double(x) == x
+        assert math.isnan(numeric.to_double(math.nan))
+
+    def test_an_infinite_double_is_not_scaled(self):
+        assert numeric.scaled_doubles([0.5, -math.inf, 3.0]) is None
+        assert numeric.scaled_doubles([0.5, -4.0, 3.0]) == [0.0625, -0.5, 0.375]
+        assert numeric._filter_doubles([1, 10 ** 400, Fraction(1, 3)]) is None
+
+
 # A rational CubicNumber meets exact operands, checked against Fraction; an
 # irrational one meets float operands, checked against float(x).  One
 # operand of each kind equals x, so == and the order comparisons see ties.

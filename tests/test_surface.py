@@ -9,6 +9,7 @@ import pytest
 from flatsurfkit import surface as surface_module
 from flatsurfkit.numeric import ALPHA, CubicNumber
 from flatsurfkit.surface import (
+    HALF_TRANSLATION,
     HORIZONTAL,
     REFLECTION,
     TRANSLATION,
@@ -121,6 +122,7 @@ class TestValidate:
             "bad-kind": Surface(
                 [Polygon(square)], [Gluing((0, 0), (0, 2), "glide"), Gluing((0, 1), (0, 3), TRANSLATION)]
             ),
+            "bad-surface-kind": Surface([Polygon(square)], torus(0), kind="glide"),
             "vector-mismatch": Surface(
                 [Polygon(square)],
                 [Gluing((0, 0), (0, 2), REFLECTION), Gluing((0, 1), (0, 3), TRANSLATION)],
@@ -147,8 +149,8 @@ class TestValidate:
         }
 
     @pytest.mark.parametrize("code", (
-        "no-polygons", "polygon-degenerate", "polygon-not-convex", "edge-out-of-range", "bad-kind", "vector-mismatch",
-        "disconnected", "angle-inconsistent", "angle-too-small", "angle-odd",
+        "no-polygons", "polygon-degenerate", "polygon-not-convex", "edge-out-of-range", "bad-kind", "bad-surface-kind",
+        "vector-mismatch", "disconnected", "angle-inconsistent", "angle-too-small", "angle-odd",
     ))
     def test_violation_code(self, code, monkeypatch):
         if code == "angle-odd":
@@ -165,6 +167,15 @@ class TestValidate:
         assert [(v.code, v.detail) for v in validate(Surface([], [], kind))] == [
             ("no-polygons", "the surface has no polygons"),
         ]
+
+    @pytest.mark.parametrize("kind", ("foo", "Translation", "reflection", ""))
+    def test_unknown_surface_kind_is_invalid(self, ay, kind):
+        # validate returned [] on AY of kind "foo", and genus gave 3.
+        s = Surface(ay.polygons, ay.gluings, kind)
+        assert [(v.code, v.detail) for v in validate(s)] == [
+            ("bad-surface-kind", f"unknown surface kind {kind!r}"),
+        ]
+        assert validate(Surface(ay.polygons, ay.gluings, HALF_TRANSLATION)) == []
 
     def test_empty_surface_with_a_gluing_is_invalid(self):
         s = Surface([], [Gluing((0, 0), (0, 1), TRANSLATION)])
