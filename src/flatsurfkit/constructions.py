@@ -26,6 +26,7 @@ from .numeric import (
     is_exact,
     scaled_points,
     sign,
+    to_double,
     vec_add,
     vec_neg,
     vec_sub,
@@ -310,28 +311,6 @@ def _hermite_row_basis(rows: List[List[int]]) -> List[List[int]]:
     return [row for row in rows[:r]]
 
 
-def _develop_offsets(s: Surface) -> List[Vec2]:
-    """Chart offsets developing all polygons into polygon 0's chart.
-
-    Only valid for translation gluings; well defined up to the holonomy
-    module, which suffices for working modulo a lattice it generates.
-    """
-    offsets: List[Optional[Vec2]] = [None] * len(s.polygons)
-    offsets[0] = (0, 0)
-    stack = [0]
-    while stack:
-        p = stack.pop()
-        for e in range(len(s.polygons[p])):
-            q, f = s.partner((p, e))
-            if offsets[q] is not None:
-                continue
-            end = s.polygons[p].vertices[(e + 1) % len(s.polygons[p])]
-            start_q = s.polygons[q].vertices[f]
-            offsets[q] = vec_add(offsets[p], vec_sub(end, start_q))
-            stack.append(q)
-    return offsets  # type: ignore[return-value]
-
-
 def _from_triple(t: Tuple[Fraction, Fraction, Fraction]):
     if t[1] == 0 and t[2] == 0:
         return t[0]
@@ -347,32 +326,35 @@ def _integer_value(x) -> Optional[int]:
     return int(n) if abs(x - n) <= 1e-6 else None
 
 
-def _cone_positions(s: Surface, offsets: List[Vec2]) -> List[Vec2]:
-    out = []
-    for cone in sf.vertex_cycles(s):
-        if cone.angle_pi == 2:
-            continue
-        p, i = cone.corners[0]
-        out.append(vec_add(offsets[p], s.polygons[p].vertices[i]))
-    return out
-
-
 def origami_check(s: Surface) -> Optional[OrigamiCertificate]:
     """Decide whether the surface covers a flat torus with one branch point.
 
-    The subgroup of R^2 generated by the Delaunay-edge holonomies must be a
-    rank-2 lattice, the surface area an integer multiple of its covolume,
-    and all cone points congruent modulo the lattice.  Exact scalars give
-    an exact decision; float surfaces are decided by rationalizing the
-    coefficients of each holonomy over a basis pair (tolerance FLOAT_TOL).
+    Every Delaunay edge joins two vertices, so the Z-module M its
+    holonomies generate holds every relative period.  Where M has rank 2
+    it is a lattice, the developing map mod M a cover of R^2/M branched
+    over one point, and the area a positive multiple of its covolume: the
+    degree.  Exact scalars give an exact decision.  Float input is read at
+    unit scale (surface.unit_scaled), its basis scaled back by the same
+    power of two, and decided by rationalizing the coefficients of each
+    holonomy over a basis pair (tolerance FLOAT_TOL).
     """
     if s.kind != sf.TRANSLATION:
         raise SurfaceError("origami check requires a translation surface")
-    tri = dl.delaunayize(dl.triangulate(s))
-    holonomies = [tri.vec(e) for e in tri.edges()]
     if s.is_exact():
-        return _origami_exact(s, holonomies)
-    return _origami_float(s, holonomies)
+        return _origami_exact(s, _holonomies(s))
+    unit = sf.unit_scaled(s)
+    if unit is None:
+        raise SurfaceError("cannot scale to unit size: a coordinate is not a finite double, or all are 0")
+    cert = _origami_float(unit, _holonomies(unit))
+    if cert is None:
+        return None
+    e = math.frexp(max(abs(to_double(x)) for p in s.polygons for v in p.vertices for x in v))[1]
+    return OrigamiCertificate(tuple((math.ldexp(x, e), math.ldexp(y, e)) for x, y in cert.basis), cert.degree)
+
+
+def _holonomies(s: Surface) -> List[Vec2]:
+    tri = dl.delaunayize(dl.triangulate(s))
+    return [tri.vec(e) for e in tri.edges()]
 
 
 def _origami_exact(s: Surface, holonomies: List[Vec2]) -> Optional[OrigamiCertificate]:
@@ -382,13 +364,10 @@ def _origami_exact(s: Surface, holonomies: List[Vec2]) -> Optional[OrigamiCertif
 
 def _origami_float(s: Surface, holonomies: List[Vec2]) -> Optional[OrigamiCertificate]:
     hs = [(float(h[0]), float(h[1])) for h in holonomies]
-    # Equal holonomies are found on their doubles under one power of two,
-    # so at any scale; the unscaled doubles stay the representatives.
-    keys = scaled_points(hs)
-    if keys is None:
-        raise SurfaceError("the Delaunay edge holonomies have no finite doubles")
+    # Equal holonomies are found on their doubles under one power of two;
+    # the doubles themselves stay the representatives.
     seen = {}
-    for k, h in zip(keys, hs):
+    for k, h in zip(scaled_points(hs), hs):
         seen[(round(k[0], 12), round(k[1], 12))] = h
     hs = list(seen.values())
     scale = max(math.hypot(*h) for h in hs)
@@ -427,23 +406,14 @@ def _lattice_certificate(s: Surface, rows, vector) -> Optional[OrigamiCertificat
 
 
 def _certificate(s: Surface, w1: Vec2, w2: Vec2) -> Optional[OrigamiCertificate]:
-    """The certificate for the lattice basis w1, w2 (exact or float), or None.
+    """The certificate for the lattice basis w1, w2 (exact or float), or
+    None where a float degree is not within 1e-6 of an integer.
 
-    The basis is oriented; the area must be a positive integer multiple of
-    the covolume, and the cone points congruent modulo the lattice.
+    The holonomies span R^2, so a rank-2 basis has det != 0; all cone
+    points are congruent mod the lattice and area/det is a positive
+    integer, so only the orientation and the degree are left to compute.
     """
-    det = cross(w1, w2)
-    if sign(det) == 0:
-        return None
-    if sign(det) < 0:
+    if sign(cross(w1, w2)) < 0:
         w2 = vec_neg(w2)
-        det = cross(w1, w2)
-    n = _integer_value(sf.area(s) / det)
-    if n is None or n < 1:
-        return None
-    cones = _cone_positions(s, _develop_offsets(s))
-    for c in cones[1:]:
-        d = vec_sub(c, cones[0])
-        if _integer_value(cross(d, w2) / det) is None or _integer_value(cross(w1, d) / det) is None:
-            return None
-    return OrigamiCertificate((w1, w2), n)
+    n = _integer_value(sf.area(s) / cross(w1, w2))
+    return None if n is None else OrigamiCertificate((w1, w2), n)

@@ -55,11 +55,11 @@ from functools import cmp_to_key
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .numeric import (FLOAT_TOL, Scalar, canonical_ints, coefficients, complex_str, exact_divisor,
-                      exact_wall_form, filtered_sign, is_exact, scaled_points, sign, to_double, vec_add,
+                      exact_wall_form, filtered_sign, is_exact, sign, to_double, vec_add,
                       vec_neg)
 from . import delaunay as dl
 from .delaunay import HalfEdge, Triangulation, hinge_vectors
-from .surface import Polygon, Surface
+from .surface import Surface, unit_scaled
 
 _log = logging.getLogger("flatsurfkit.isodelaunay")
 
@@ -413,7 +413,7 @@ class Cell:
     each wall's _facet result: the end values (lo, hi) of its facet, or None
     where a float wall has none.  triangulation is the Delaunay
     triangulation at the sample; on a float surface it holds the surface's
-    vectors scaled by the power of two of cell_at (_unit_scaled).
+    vectors scaled by the power of two of cell_at (surface.unit_scaled).
     """
 
     comb_hash: Tuple[int, ...]
@@ -869,30 +869,6 @@ class _Memo:
     classes: Dict[Tuple[int, ...], Tuple[int, ...]] = field(default_factory=dict)
 
 
-def _unit_scaled(s: Surface) -> Surface:
-    """A float surface as doubles scaled by the power of two that brings its
-    largest |coordinate| into [0.5, 1) (numeric.scaled_points), s itself
-    when s is exact or already so; IsoDelaunayError where scaled_points
-    gives None (a coordinate not a finite double, or all 0).
-
-    Normalized walls and Delaunay triangulations do not change under
-    scaling, and a power of two commutes with every rounding of the wall
-    expansion (degree 4, its discriminant degree 8) and of the flips, so
-    the float walls and flips of s are those at unit scale, bit for bit,
-    where at the input's own scale they would underflow or overflow.
-    """
-    if s.is_exact():
-        return s
-    vertices = [v for p in s.polygons for v in p.vertices]
-    points = scaled_points(vertices)
-    if points is None:
-        raise IsoDelaunayError("cannot scale to unit size: a coordinate is not a finite double, or all are 0")
-    if points == vertices:
-        return s
-    it = iter(points)
-    return Surface([Polygon([next(it) for _ in p.vertices]) for p in s.polygons], s.gluings, s.kind)
-
-
 def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
             _memo: Optional[_Memo] = None) -> Cell:
     """The iso-Delaunay cell containing z (perturbing z off walls if needed).
@@ -913,13 +889,19 @@ def cell_at(s: Surface, z: HPoint, _tri: Optional[Triangulation] = None,
 
     Without _tri, s is triangulated (delaunay.triangulate: a surface with
     any float coordinate is float input), a float one first scaled to unit
-    size by a power of two (_unit_scaled), so its cells do not depend on
-    its scale.  Cell.triangulation then holds the scaled vectors.
+    size by a power of two (surface.unit_scaled), so its cells do not
+    depend on its scale; IsoDelaunayError where it has no unit scale.
+    Cell.triangulation then holds the scaled vectors.
 
     With _memo, a cell whose supporting key is already in _memo.cells is
     returned as stored instead of being built again.
     """
-    base = _tri if _tri is not None else dl.triangulate(_unit_scaled(s))
+    base = _tri
+    if base is None:
+        unit = unit_scaled(s)
+        if unit is None:
+            raise IsoDelaunayError("cannot scale to unit size: a coordinate is not a finite double, or all are 0")
+        base = dl.triangulate(unit)
     exact = base.doubles is not None
     memo = _memo if _memo is not None else _Memo({})
     zx, zy = z.x, z.y

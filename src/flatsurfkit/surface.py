@@ -33,6 +33,7 @@ from .numeric import (
 
 TRANSLATION = "translation"
 HALF_TRANSLATION = "half_translation"
+SURFACE_KINDS = (TRANSLATION, HALF_TRANSLATION)
 REFLECTION = "reflection"
 
 EdgeRef = Tuple[int, int]
@@ -209,7 +210,7 @@ def validate(s: Surface) -> List[Violation]:
     out: List[Violation] = []
     if not s.polygons:
         out.append(Violation("no-polygons", "the surface has no polygons"))
-    if s.kind not in (TRANSLATION, HALF_TRANSLATION):
+    if s.kind not in SURFACE_KINDS:
         out.append(Violation("bad-surface-kind", f"unknown surface kind {s.kind!r}"))
 
     for p, poly in enumerate(s.polygons):
@@ -443,6 +444,30 @@ def apply_linear(m: Mat2, s: Surface) -> Surface:
 
     gluings = [Gluing(remap(g.edge_a), remap(g.edge_b), g.kind) for g in s.gluings]
     return Surface(polys, gluings, s.kind)
+
+
+def unit_scaled(s: Surface) -> Optional[Surface]:
+    """A float surface as doubles scaled by the power of two that brings its
+    largest |coordinate| into [0.5, 1) (numeric.scaled_points), s itself
+    when s is exact or already so; None where scaled_points gives None (a
+    coordinate not a finite double, or all 0).
+
+    Delaunay triangulations and normalized walls do not change under
+    scaling, and a power of two commutes with every rounding of the float
+    predicates, so the float flips, walls and holonomies of s are those at
+    unit scale, bit for bit, where at the input's own scale they would
+    underflow or overflow.
+    """
+    if s.is_exact():
+        return s
+    vertices = [v for p in s.polygons for v in p.vertices]
+    points = scaled_points(vertices)
+    if points is None:
+        return None
+    if points == vertices:
+        return s
+    it = iter(points)
+    return Surface([Polygon([next(it) for _ in p.vertices]) for p in s.polygons], s.gluings, s.kind)
 
 
 # -- genus-2 correspondence: cut along opposite sides of a square -------------------

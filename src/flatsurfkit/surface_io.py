@@ -12,7 +12,7 @@ import math
 from typing import IO
 
 from .numeric import Point, Scalar, scalar_from_str, scalar_to_str
-from .surface import HALF_TRANSLATION, TRANSLATION, Gluing, Polygon, Surface, SurfaceError
+from .surface import SURFACE_KINDS, Gluing, Polygon, Surface, SurfaceError
 
 FORMAT = "flatsurface/1"
 
@@ -25,11 +25,19 @@ def _vertex_literals(v: Point, i: int, j: int) -> list:
     return [scalar_to_str(v[0]), scalar_to_str(v[1])]
 
 
+def _kind(kind):
+    """kind, under the reader's rule that it is one of SURFACE_KINDS."""
+    if kind not in SURFACE_KINDS:
+        raise SurfaceError(f"surface file: kind is not {' or '.join(map(repr, SURFACE_KINDS))}: {kind!r}")
+    return kind
+
+
 def surface_to_dict(s: Surface) -> dict:
-    """The file form of s; SurfaceError names a vertex the reader would reject."""
+    """The file form of s; SurfaceError names a kind or a vertex the reader
+    would reject."""
     return {
         "format": FORMAT,
-        "kind": s.kind,
+        "kind": _kind(s.kind),
         "scalars": "exact" if s.is_exact() else "float",
         "polygons": [
             [_vertex_literals(v, i, j) for j, v in enumerate(p.vertices)] for i, p in enumerate(s.polygons)
@@ -86,9 +94,7 @@ def surface_from_dict(data) -> Surface:
         raise SurfaceError(f"surface file: the top level is not an object: {data!r}")
     if data.get("format") != FORMAT:
         raise SurfaceError(f"unsupported surface format: {data.get('format')!r}")
-    kind = _field(data, "kind")
-    if kind not in (TRANSLATION, HALF_TRANSLATION):
-        raise SurfaceError(f"surface file: kind is not {TRANSLATION!r} or {HALF_TRANSLATION!r}: {kind!r}")
+    kind = _kind(_field(data, "kind"))
     polygons = [
         Polygon([_vertex(v, f"polygons[{i}][{j}]") for j, v in enumerate(_list(poly, f"polygons[{i}]"))])
         for i, poly in enumerate(_list(_field(data, "polygons"), "polygons"))

@@ -1,9 +1,12 @@
 """Builders for the named surfaces and the origami test."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatsurfkit.numeric import ALPHA, CubicNumber, IDENTITY, cross
 from flatsurfkit import symmetry as sym
@@ -220,10 +223,32 @@ class TestOrigami:
         assert any(CubicNumber.coerce(v) == x for v in xs)
         assert any(CubicNumber.coerce(v) == y for v in xs)
 
-    @pytest.mark.parametrize("scale", (1e-100, 1e-20, 1e20, 1e100))
+    @pytest.mark.parametrize("scale", (1e-300, 1e-200, 1e-100, 1e-20, 1e20, 1e100, 1e200, 1e300))
     def test_float_degree_does_not_depend_on_scale(self, scale):
+        # float input is read at unit scale; at 1e+-200 and 1e+-300 its own
+        # flips and area would underflow or overflow
         cert = origami_check(trapezoid_family(TrapezoidShape(scale, 3 * scale, scale)))
         assert cert is not None and cert.degree == 12
+
+    @pytest.mark.parametrize("k", (600, -600))
+    def test_float_basis_scales_by_the_power_of_two(self, k):
+        unit = origami_check(trapezoid_family(TrapezoidShape(1.0, 3.0, 1.0)))
+        scaled = origami_check(trapezoid_family(TrapezoidShape(*(math.ldexp(x, k) for x in (1.0, 3.0, 1.0)))))
+        assert scaled.degree == unit.degree == 12
+        assert scaled.basis == tuple((math.ldexp(x, k), math.ldexp(y, k)) for x, y in unit.basis)
+
+    def test_non_finite_coordinates_raise(self):
+        # the surface has coordinates beyond the doubles: no unit scale
+        with pytest.raises(SurfaceError, match="not a finite double"):
+            origami_check(trapezoid_family(TrapezoidShape(1e308, 1.7e308, 1.0)))
+
+    def test_cubic_basis(self):
+        # the escalator under diag(alpha, alpha): its lattice is alpha Z^2
+        m = ((ALPHA, 0), (0, ALPHA))
+        cert = origami_check(apply_linear(m, escalator()))
+        assert cert is not None and cert.degree == 6
+        assert cert.basis == ((ALPHA, 0), (0, ALPHA))
+        assert all(isinstance(v[i], CubicNumber) for i, v in enumerate(cert.basis))
 
     def test_irrational_shapes_rejected(self):
         assert origami_check(trapezoid_family(TrapezoidShape(1.0, 2.0, math.pi / 4))) is None
@@ -262,3 +287,80 @@ class TestOrigami:
 
         with pytest.raises(SurfaceError):
             origami_check(cut_and_reglue_square(ay, 0))
+
+
+def _is_row_hermite_form(basis):
+    """Echelon rows with positive pivots, each entry above a pivot in
+    [0, pivot)."""
+    pivots = []
+    for row in basis:
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None or (pivots and c <= pivots[-1]) or row[c] <= 0:
+            return False
+        pivots.append(c)
+    return all(0 <= basis[i][c] < basis[r][c] for r, c in enumerate(pivots) for i in range(r))
+
+
+def _in_row_module(v, basis):
+    """Whether the integer row v is an integer combination of the echelon
+    basis rows."""
+    v = list(v)
+    for row in basis:
+        c = next(j for j, x in enumerate(row) if x)
+        if v[c] % row[c]:
+            return False
+        q = v[c] // row[c]
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+def _det(m):
+    """The determinant of a small square integer matrix (Laplace expansion)."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]]) for j in range(len(m)))
+
+
+def _minor_gcd(rows, r):
+    """The gcd of the r x r minors of the rows: 0 where their rank is below
+    r; otherwise, for rank r, unchanged by invertible integer row operations
+    and multiplied by the index of a submodule of the same rank."""
+    n = len(rows[0]) if rows else 0
+    return math.gcd(*(_det([[row[c] for c in cols] for row in sub])
+                      for sub in itertools.combinations(rows, r)
+                      for cols in itertools.combinations(range(n), r)))
+
+
+def _same_row_module(rows, basis):
+    """The rows lie in the module of the basis, of the same rank and the
+    same minor gcd, so of index 1 in it."""
+    r = len(basis)
+    if not any(map(any, rows)):
+        return r == 0
+    return (all(_in_row_module(v, basis) for v in rows)
+            and _minor_gcd(rows, r) == _minor_gcd(basis, r) != 0
+            and _minor_gcd(rows, r + 1) == 0)
+
+
+class TestHermiteRowBasis:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=5)))
+    def test_against_reference(self, rows):
+        from flatsurfkit.constructions import _hermite_row_basis
+
+        basis = _hermite_row_basis(rows)
+        assert _is_row_hermite_form(basis)
+        assert _same_row_module(rows, basis)
+
+    def test_empty_and_zero_rows(self):
+        from flatsurfkit.constructions import _hermite_row_basis
+
+        assert _hermite_row_basis([]) == []
+        assert _hermite_row_basis([[0, 0], [0, 0]]) == []
+
+    def test_euclid_swap(self):
+        from flatsurfkit.constructions import _hermite_row_basis
+
+        # the pivot 2 leaves 3 - 2 = 1 below it, which takes its place
+        assert _hermite_row_basis([[2, 0], [3, 1]]) == [[1, 1], [0, 2]]

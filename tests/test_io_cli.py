@@ -44,6 +44,30 @@ class TestSurfaceFiles:
         with pytest.raises(SurfaceError):
             surface_io.loads('{"format": "nope", "kind": "translation", "polygons": [], "gluings": []}')
 
+    def test_writer_rejects_the_kinds_the_reader_rejects(self, ay, tmp_path):
+        # the writer writes no file that the reader would reject
+        from flatsurfkit import cli
+
+        data = surface_io.surface_to_dict(ay)
+        data["kind"] = "foo"
+        with pytest.raises(SurfaceError) as read:
+            surface_io.surface_from_dict(data)
+        bad = Surface(ay.polygons, ay.gluings, "foo")
+        with pytest.raises(SurfaceError) as written:
+            surface_io.dumps(bad)
+        assert str(written.value) == str(read.value)
+        path = tmp_path / "s.json"
+        with pytest.raises(SurfaceError):
+            cli._write_surface(bad, str(path))
+        assert not path.exists()
+
+    def test_file_object_roundtrip(self, ay):
+        fp = io.StringIO()
+        surface_io.dump(ay, fp)
+        assert fp.getvalue() == surface_io.dumps(ay)
+        fp.seek(0)
+        assert surface_io.load(fp) == ay
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -164,9 +188,9 @@ class TestCli:
 
     @pytest.mark.parametrize("name, command", [("ay", "info"), ("escalator", "origami-check")])
     def test_one_cone_certification_per_command(self, tmp_path, capsys, monkeypatch, name, command):
-        # validate, then cone_points (info) or constructions._cone_positions
-        # (origami-check), read the cone points kept on the surface: each
-        # corner's angle is taken once, where it was taken twice
+        # validate certifies each corner's angle once; cone_points (info)
+        # reads the cone points kept on the surface, and origami-check
+        # takes no angle of its own
         from flatsurfkit import surface
 
         path = tmp_path / "s.json"

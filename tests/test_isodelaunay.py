@@ -2119,14 +2119,18 @@ class TestFloatScale:
 
     def test_unit_scale_is_not_copied(self):
         from flatsurfkit.constructions import TrapezoidShape, ay_surface, trapezoid_family
+        from flatsurfkit.surface import unit_scaled
 
         ay = ay_surface()
-        assert iso._unit_scaled(ay) is ay
+        assert unit_scaled(ay) is ay
         half = trapezoid_family(TrapezoidShape(0.5, 0.75, 0.5))
         assert max(abs(x) for p in half.polygons for v in p.vertices for x in v) < 1
-        assert iso._unit_scaled(half) is half
-        scaled = iso._unit_scaled(_scaled(half, -200))
+        assert unit_scaled(half) is half
+        scaled = unit_scaled(_scaled(half, -200))
         assert [p.vertices for p in scaled.polygons] == [p.vertices for p in _float_image(half).polygons]
+        # a coordinate that is not a finite double leaves no unit scale
+        square = Polygon([(0.0, 0.0), (math.inf, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        assert unit_scaled(Surface([square], [])) is None
 
 
 class TestExactScale:

@@ -362,6 +362,17 @@ class TestCutAndReglue:
         with pytest.raises(SurfaceError):
             cut(ay, 2, HORIZONTAL)
 
+    @pytest.mark.parametrize("make, square, axis, message", (
+        (lambda ay: ay, 6, HORIZONTAL, "no polygon with index 6"),
+        (lambda ay: ay, -1, HORIZONTAL, "no polygon with index -1"),
+        (lambda ay: Surface([Polygon([(0, 0), (1, 0), (0, 1)])], []), 0, HORIZONTAL, "not a quadrilateral"),
+        (lambda ay: ay, 0, "diagonal", "unknown axis 'diagonal'"),
+        (lambda ay: cut(ay, 0, HORIZONTAL), 0, HORIZONTAL, "not translation-glued"),
+    ), ids=["index-past-end", "negative-index", "triangle", "unknown-axis", "cut-twice"])
+    def test_errors_name_the_cause(self, ay, make, square, axis, message):
+        with pytest.raises(SurfaceError, match=message):
+            cut(make(ay), square, axis)
+
 
 class TestCornerCount:
     def test_corners_equal_twice_gluings(self, ay, torus):
