@@ -357,8 +357,13 @@ def _flip_in_place(t: Triangulation, edge: HalfEdge) -> None:
         raise DelaunayError(f"cannot flip folded edge {edge}")
     p2, p3, d = hinge_vectors(t, edge)
     p4 = vec_add(p3, d)
-    if not all(s > 0 for s in turn_signs(((0, 0), p2, p3, p4), _hinge_doubles(t, edge))):
-        raise DelaunayError(f"cannot flip non-convex hinge at {edge}")
+    quad = ((0, 0), p2, p3, p4)
+    if not all(s > 0 for s in turn_signs(quad, _hinge_doubles(t, edge))):
+        # A float turn may have under- or overflowed: decide the turns
+        # again at unit scale, where a power of two changes no rounding.
+        pts = scaled_points(quad) if t.doubles is None else None
+        if pts is None or not all(s > 0 for s in turn_signs(pts)):
+            raise DelaunayError(f"cannot flip non-convex hinge at {edge}")
     a = edge
     ta = a[0]
     n1 = _next(a)

@@ -15,10 +15,10 @@ one of two tests.  Write I_n for the level on n intervals,
 d_n = |I_n - I_{n/2}| and rho_n = d_n / d_{n/2}.  Level n >= 16 is
 accepted when
 
-- d_n <= tol max(1, |I_n|): it agrees with the level before it, which
-  returns one doubling after the first level within tol; or
-- d_n max(rho_n, rho_{n/2}**2) <= tol |I_n|: its extrapolated error is
-  within tol.
+- d_n <= TOL max(1, |I_n|): it agrees with the level before it, which
+  returns one doubling after the first level within TOL; or
+- d_n max(rho_n, rho_{n/2}**2) <= TOL |I_n|: its extrapolated error is
+  within TOL.
 
 Under geometric convergence d_n is about the error of I_{n/2}, and each
 doubling squares the ratio, rho_n = rho_{n/2}**2, so the error of I_n is
@@ -26,14 +26,14 @@ about d_n rho_n**2; the second test takes d_n rho_n, an overestimate by
 1/rho_n.  The ratio rho_{n/2}**2 that the doubling before predicts keeps
 a level that agrees with the one before it by coincidence, both still
 far off, from passing on a small rho_n alone: oscillating integrands do
-that before the rule resolves them (cos(47.71 x) on (-1, 1) at tol 1e-6
-came out 56 tol off on rho_n alone).  The second bound is relative, with
+that before the rule resolves them (cos(47.71 x) on (-1, 1) at TOL = 1e-6
+came out 56 TOL off on rho_n alone).  The second bound is relative, with
 no max(1, ...), because callers divide integrals far below 1 (the
 periods' J1 is 9.3e-6 in the rectangle at mu = 0.05), where an absolute
 bound would move the digits of the quotient.  The extrapolation assumes
 one rate: a sum of a large term with a fast rate and a faint one with a
 slow rate can pass it early (a pole of residue 1e-12 at 1e-4 past the
-end next to one of residue 1 at distance 2 came out 700 tol off).  The
+end next to one of residue 1 at distance 2 came out 700 TOL off).  The
 period integrands are products of the curve's factors and carry no such
 faint term.
 
@@ -81,7 +81,7 @@ def _level_nodes(n: int) -> Tuple[Tuple[float, float], ...]:
     return nodes
 
 
-def integrate(f: Callable[[float, float, float], Any], a: float, b: float, tol: float = TOL) -> Any:
+def integrate(f: Callable[[float, float, float], Any], a: float, b: float) -> Any:
     """Integral over (a, b) of f(x, x - a, b - x) / sqrt((x - a)(b - x)).
 
     The trapezoid rule in theta on n = 2, 4, 8, ... intervals, each level
@@ -89,14 +89,14 @@ def integrate(f: Callable[[float, float, float], Any], a: float, b: float, tol: 
     the node table (see the module docstring): the doubles that sin and cos
     of k pi/(2n) give, summed in the same order.  Returns the first level
     from 16 intervals on that agrees with the one before it within
-    tol * max(1, |estimate|), an absolute tolerance for integrals up to 1
+    TOL * max(1, |estimate|), an absolute tolerance for integrals up to 1
     and a relative one above (where rounding alone can keep an absolute
     1e-12 out of reach), or whose error, extrapolated from the last three
-    differences of the ladder, is within tol * |estimate| (see the module
+    differences of the ladder, is within TOL * |estimate| (see the module
     docstring).  Raises QuadratureError when neither holds by
     MAX_LEVEL doublings, when a or b is not finite, when a level's
-    estimate is not finite, when f divides by zero (at an endpoint,
-    typically) or when tol is not positive and finite.
+    estimate is not finite, or when f divides by zero (at an endpoint,
+    typically).  TOL is read when the rule runs.
 
     f may return a pair (value, extra) instead of a value, where extra is a
     number (a complex carries two real components) or anything else that
@@ -106,14 +106,12 @@ def integrate(f: Callable[[float, float, float], Any], a: float, b: float, tol: 
     the double that f returning the value alone gives.  An empty interval
     gives 0.0 either way.
     """
-    if not 0 < tol < inf:
-        raise QuadratureError(f"quadrature tolerance must be positive and finite: {tol}")
     if not (isfinite(a) and isfinite(b)):
         raise QuadratureError(f"quadrature bounds must be finite: [{a}, {b}]")
     if a == b:
         return 0.0
     if a > b:
-        r = integrate(f, b, a, tol=tol)
+        r = integrate(f, b, a)
         return (-r[0], -r[1]) if type(r) is tuple else -r
     full = b - a
     half = 0.5 * full
@@ -141,11 +139,11 @@ def integrate(f: Callable[[float, float, float], Any], a: float, b: float, tol: 
             if not size < inf:
                 raise QuadratureError(f"integrand is not finite on [{a}, {b}]")
             if n > _START and (
-                diff <= tol * max(1.0, size)
-                or d1 and d2 and diff * max(diff / d1, (d1 / d2) * (d1 / d2)) <= tol * size
+                diff <= TOL * max(1.0, size)
+                or d1 and d2 and diff * max(diff / d1, (d1 / d2) * (d1 / d2)) <= TOL * size
             ):
                 return (est, extra * (pi / n)) if pair else est
             prev, d1, d2 = est, diff, d1
     except ZeroDivisionError as exc:
         raise QuadratureError(f"integrand is singular on [{a}, {b}]") from exc
-    raise QuadratureError(f"trapezoid rule did not reach tolerance {tol} within {MAX_LEVEL} levels")
+    raise QuadratureError(f"trapezoid rule did not reach tolerance {TOL} within {MAX_LEVEL} levels")

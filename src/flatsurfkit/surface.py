@@ -25,7 +25,6 @@ from .numeric import (
     is_exact,
     mat_vec,
     scaled_points,
-    sign,
     vec_neg,
     vec_sub,
     vectors_match,
@@ -163,7 +162,6 @@ class Surface:
             self._partner[g.edge_a] = (g.edge_b, g.kind)
             self._partner[g.edge_b] = (g.edge_a, g.kind)
         self._corner_cycles: Optional[Tuple[Tuple[EdgeRef, ...], ...]] = None  # kept by corner_cycles
-        self._vertex_cycles: Optional[Tuple[ConePoint, ...]] = None  # kept by vertex_cycles
 
     # -- basic queries --------------------------------------------------------
 
@@ -316,72 +314,51 @@ def corner_cycles(s: Surface) -> Tuple[Tuple[EdgeRef, ...], ...]:
     return cycles
 
 
-def _corner_angle_data(s: Surface, corner: EdgeRef):
-    """(float angle, exact complex) of the interior angle at a corner.
-
-    The float angle is taken from the doubles of the corner's two edge
-    vectors, scaled by one power of two (scaled_points) so that it does
-    not depend on the surface's scale; SurfaceError where a vector's
-    doubles are 0 or not finite."""
+def _corner_angle(s: Surface, corner: EdgeRef) -> float:
+    """The interior angle at a corner, in (0, 2 pi], from the doubles of
+    its two edge vectors under one power of two (scaled_points), so at any
+    scale; SurfaceError where a vector's doubles are 0 or not finite."""
     p, i = corner
     poly = s.polygons[p]
-    n = len(poly)
-    out_e = poly.edge_vector(i)
-    back = vec_neg(poly.edge_vector((i - 1) % n))
-    # conj(out) * back, as a complex number over the scalar tower
-    re = out_e[0] * back[0] + out_e[1] * back[1]
-    im = out_e[0] * back[1] - out_e[1] * back[0]
-    d = scaled_points((out_e, back))
+    d = scaled_points((poly.edge_vector(i), vec_neg(poly.edge_vector((i - 1) % len(poly)))))
     if d is None or not all(map(any, d)):
         raise SurfaceError(f"corner {corner} has no finite nonzero edge vector doubles")
     (ox, oy), (bx, by) = d
     ang = math.atan2(ox * by - oy * bx, ox * bx + oy * by)
     if ang <= 0:
         ang += 2 * math.pi
-    return ang, (re, im)
+    return ang
 
 
 def vertex_cycles(s: Surface) -> List[ConePoint]:
-    """Partition corners into vertex cycles and report exact cone angles.
+    """Partition corners into vertex cycles and report their cone angles.
 
-    For exact scalars the multiple of pi is certified by checking that the
-    product of the corner rotation numbers is exactly real; for floats the
-    angle must be within FLOAT_TOL of a multiple of pi.  Folded edges add
-    one cone point of angle pi at their midpoints.
+    One rule for every scalar kind: k = round(total / pi) for the sum
+    total of a cycle's corner angles, and SurfaceError where
+    |total - k pi| > FLOAT_TOL.  Folded edges add one cone point of angle
+    pi at their midpoints.  Each call returns a fresh list.
 
-    Certified once per surface and kept on it; each call returns a fresh
-    list of the kept cone points, so validate, cone_points and
-    constructions share one certification.  A surface that raises
-    SurfaceError keeps nothing, and raises again on the next call.
+    validate calls this only once glued edge vectors match (exactly, on
+    exact input), so going around a vertex composes translations and
+    half-turns: the angle lies in pi Z, in 2 pi Z on a translation surface
+    (Masur and Tabachnikov, "Rational billiards and flat structures",
+    2002), and the double sum, within about 1e-14 of it, rounds to that k.
+    On an unvalidated surface mismatched gluings raise the FLOAT_TOL
+    message, exact input included, or pass unnoticed where the angle is
+    within FLOAT_TOL of a multiple of pi.
     """
-    kept = s._vertex_cycles
-    if kept is not None:
-        return list(kept)
-    exact = s.is_exact()
     cones: List[ConePoint] = []
     for cycle in corner_cycles(s):
         total = 0.0
-        prod_re: Scalar = 1
-        prod_im: Scalar = 0
         for corner in cycle:
-            ang, (re, im) = _corner_angle_data(s, corner)
-            total += ang
-            if exact:
-                prod_re, prod_im = prod_re * re - prod_im * im, prod_re * im + prod_im * re
+            total += _corner_angle(s, corner)
         k = int(round(total / math.pi))
-        if exact:
-            if sign(prod_im) != 0 or k <= 0:
-                raise SurfaceError(f"cone angle at cycle {cycle[0]} is not an exact multiple of pi")
-            if sign(prod_re) != (1 if k % 2 == 0 else -1):
-                raise SurfaceError(f"cone angle parity mismatch at cycle {cycle[0]}")
-        else:
-            if abs(total - k * math.pi) > FLOAT_TOL:
-                raise SurfaceError(f"cone angle {total} at cycle {cycle[0]} is not a multiple of pi at 1e-9")
+        if abs(total - k * math.pi) > FLOAT_TOL:
+            raise SurfaceError(f"cone angle {total} at cycle {cycle[0]} is not a multiple of pi at 1e-9")
         cones.append(ConePoint(cycle, k, total))
     for g in s.gluings:
         if g.is_fold:
             cones.append(ConePoint((), 1, math.pi, fold_edge=g.edge_a))
-    s._vertex_cycles = tuple(cones)
     return cones
 
 

@@ -72,6 +72,21 @@ class TestTriangulate:
         assert validate(s) == []
         dl.triangulate(s).check_invariants()
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda t: t.vecs[0].__setitem__(0, (t.vecs[0][0][0] + 1, t.vecs[0][0][1])), "do not sum to zero"),
+        (lambda t: t.vecs.__setitem__(0, [(-x, -y) for x, y in t.vecs[0][::-1]]), "not positively oriented"),
+        (lambda t: t.glue.__setitem__((0, 0), (0, 1)), "not an involution"),
+        (lambda t: t.chart_sign.__setitem__((0, 0), -1), "chart sign mismatch"),
+        (lambda t: t.chart_sign.update({(0, 0): -1, t.glue[(0, 0)]: -1}), "twin holonomy mismatch"),
+    ], ids=["closure", "orientation", "involution", "chart-sign", "holonomy"])
+    def test_invariant_violations(self, torus, corrupt, message):
+        t = dl.triangulate(torus)
+        t.check_invariants()
+        bad = t.copy()
+        corrupt(bad)
+        with pytest.raises(dl.DelaunayError, match=message):
+            bad.check_invariants()
+
     def test_integral_rationals_enter_as_ints(self):
         t = dl.triangulate(escalator())
         coords = [x for tri in t.vecs for v in tri for x in v]
@@ -147,6 +162,20 @@ class TestFlip:
                 t2 = dl.flip(t, e)
                 t2.check_invariants()
                 assert t2.num_triangles == t.num_triangles
+
+    def test_folded_edge_does_not_flip(self, torus):
+        t = dl.triangulate(cut_and_reglue_square(torus, 0))
+        folds = [h for h in t.half_edges() if t.glue[h] == h]
+        assert len(folds) == 2
+        for h in folds:
+            with pytest.raises(dl.DelaunayError, match="cannot flip folded edge"):
+                dl.flip(t, h)
+
+    def test_flip_cap(self, monkeypatch):
+        monkeypatch.setattr(dl, "FLIP_CAP", 0)
+        t = dl.triangulate(apply_linear(((1, 7), (0, 1)), ay_surface()))
+        with pytest.raises(dl.DelaunayError, match="flip cap 0 exceeded"):
+            dl.delaunayize(t)
 
     def test_copies_never_share_the_hinge_cache(self, ay):
         t = dl.triangulate(ay)
@@ -378,12 +407,13 @@ class TestDelaunayize:
         assert [list(p.vertices) for p in dec.polygons] == [
             [(scale * x, scale * y) for x, y in p.vertices] for p in ref_dec.polygons]
 
-    @pytest.mark.parametrize("scale", [1e100, 1e-100, 1e150, 1e-150])
+    @pytest.mark.parametrize("scale", [1e100, 1e-100, 1e150, 1e-150, 1e200, 1e-200, 1e300, 1e-300])
     @pytest.mark.parametrize("shear, flips", [(0, 0), (7, 28)])
     def test_float_scale_does_not_change_the_flips(self, scale, shear, flips):
         # The normalized float determinant is of degree 0: beyond 1e77, or
         # below 1e-80, its terms overflowed or underflowed, and every hinge
-        # read as cocircular.
+        # read as cocircular.  Beyond 1e154, or below 1e-154, a flip's turns
+        # did too, and a convex hinge read as non-convex.
         from flatsurfkit.constructions import TrapezoidShape, trapezoid_family
 
         base = apply_linear(((1, shear), (0, 1)), trapezoid_family(TrapezoidShape(1.0, 2.0, 1.0)))

@@ -40,6 +40,12 @@ class TestSurfaceFiles:
         with pytest.raises(SurfaceError, match=r"polygons\[0\]\[2\]"):
             surface_io.dumps(Surface([poly], []))
 
+    def test_cubic_literal_needs_three_coefficients(self, ay):
+        data = surface_io.surface_to_dict(ay)
+        data["polygons"][0][1][0] = "[1,2]"
+        with pytest.raises(SurfaceError, match=r"polygons\[0\]\[1\]: bad scalar literal '\[1,2\]'"):
+            surface_io.loads(json.dumps(data))
+
     def test_rejects_unknown_format(self):
         with pytest.raises(SurfaceError):
             surface_io.loads('{"format": "nope", "kind": "translation", "polygons": [], "gluings": []}')
@@ -174,8 +180,7 @@ class TestCli:
 
     def test_corners_without_doubles_raise(self):
         # At 10**400 no coordinate has a double: no angle, rather than a
-        # wrong multiple of pi.  The surface keeps no cones, so it raises
-        # on every call.
+        # wrong multiple of pi, on every call.
         from flatsurfkit import constructions
         from flatsurfkit.surface import apply_linear, validate, vertex_cycles
 
@@ -188,23 +193,24 @@ class TestCli:
 
     @pytest.mark.parametrize("name, command", [("ay", "info"), ("escalator", "origami-check")])
     def test_one_cone_certification_per_command(self, tmp_path, capsys, monkeypatch, name, command):
-        # validate certifies each corner's angle once; cone_points (info)
-        # reads the cone points kept on the surface, and origami-check
-        # takes no angle of its own
+        # validate takes each corner's angle once; info takes them all again
+        # for cone_points, since no cones are kept, and origami-check takes
+        # no angle of its own
         from flatsurfkit import surface
 
         path = tmp_path / "s.json"
         invoke(capsys, "build", name, "-o", str(path))
         corners = []
-        inner = surface._corner_angle_data
+        inner = surface._corner_angle
 
         def counted(s, corner):
             corners.append(corner)
             return inner(s, corner)
 
-        monkeypatch.setattr(surface, "_corner_angle_data", counted)
+        monkeypatch.setattr(surface, "_corner_angle", counted)
         assert invoke(capsys, command, str(path))[0] == 0
-        assert sorted(corners) == surface_io.loads(path.read_text()).edge_refs()
+        times = 2 if command == "info" else 1
+        assert sorted(corners) == sorted(surface_io.loads(path.read_text()).edge_refs() * times)
 
     def test_delaunay_svg_net(self, tmp_path, capsys):
         path = tmp_path / "ay.json"

@@ -70,6 +70,17 @@ class TestCubicInv:
         with pytest.raises(ZeroDivisionError):
             CubicNumber(0).inverse()
 
+    def test_powers(self):
+        # a negative power inverts first; a non-integer power is no power
+        x = CubicNumber(1, 1)
+        assert x ** -2 == (x ** 2).inverse()
+        with pytest.raises(TypeError):
+            x ** 0.5
+
+    def test_singular_matrix_has_no_inverse(self):
+        with pytest.raises(ZeroDivisionError, match="singular 2x2 matrix"):
+            numeric.mat_inv(((1, 2), (2, 4)))
+
 
 class TestEmbedReal:
     def test_alpha_value(self):

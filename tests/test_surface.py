@@ -2,12 +2,13 @@
 the genus-2 cut-and-reglue construction."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from flatsurfkit import surface as surface_module
-from flatsurfkit.numeric import ALPHA, CubicNumber
+from flatsurfkit.numeric import ALPHA, CubicNumber, sign
 from flatsurfkit.surface import (
     HALF_TRANSLATION,
     HORIZONTAL,
@@ -234,7 +235,8 @@ class TestVertexCycles:
             assert total == 2 * (2 * genus(s) - 2)
 
     def test_kept_cones_equal_a_fresh_computation(self):
-        # certified once per surface and kept; each call returns a fresh list
+        # nothing is kept on the surface: each call computes the cones again
+        # and returns a fresh list, equal to that of a fresh copy
         from flatsurfkit.constructions import ay_prime, escalator
 
         for s in (ay_prime(), escalator(), cut(ay_prime(), 0)):
@@ -243,6 +245,67 @@ class TestVertexCycles:
             kept = vertex_cycles(s)
             assert kept is not vertex_cycles(s)
             assert kept == vertex_cycles(Surface(s.polygons, s.gluings, s.kind)) == first[:-1]
+
+
+def _rotation_product(s, cycle):
+    """The exact product of conj(out) * back over a cycle's corners, out and
+    back the corner's two edge vectors: a complex number whose argument is
+    the cycle's angle."""
+    re, im = 1, 0
+    for p, i in cycle:
+        poly = s.polygons[p]
+        (ox, oy), (bx, by) = poly.edge_vector(i), poly.edge_vector((i - 1) % len(poly))
+        cr, ci = -(ox * bx + oy * by), -(ox * by - oy * bx)
+        re, im = re * cr - im * ci, re * ci + im * cr
+    return re, im
+
+
+def _certificate_corpus(seed):
+    """Exact surfaces: AY, AY' and the escalator, each under seeded shears
+    with |k| <= 20, all of them cut at square 0, the folded cut of the unit
+    torus, and seeded rational trapezoid and parallelogram family members."""
+    from flatsurfkit.constructions import (
+        ParallelogramShape, _trapezoid_scheme, ay_prime, ay_surface, escalator, parallelogram_family)
+
+    rng = random.Random(seed)
+    out = []
+    for base in (ay_surface(), ay_prime(), escalator()):
+        out += [base, cut(base, 0, VERTICAL)]
+        for k in rng.sample([k for k in range(-20, 21) if k], 3):
+            out += [apply_linear(((1, k), (0, 1)), base), apply_linear(((1, 0), (k, 1)), base)]
+    out += [cut(s, 0) for s in out]
+    one = Fraction(1)
+    out.append(cut(Surface([Polygon([(0, 0), (one, 0), (one, one), (0, one)])],
+                           [Gluing((0, 0), (0, 2), TRANSLATION), Gluing((0, 1), (0, 3), TRANSLATION)]), 0))
+
+    def frac(lo=1):
+        return Fraction(rng.randint(lo, 30), rng.randint(1, 30))
+
+    while len(out) < 60:
+        p = frac()
+        out.append(_trapezoid_scheme(p, p + frac(0), frac()))
+        sides = (frac(), frac(-30)), (frac(-30), frac(-30))
+        if sides[0][0] * sides[1][1] > sides[0][1] * sides[1][0]:
+            out.append(parallelogram_family(ParallelogramShape(*sides)))
+    return out
+
+
+class TestConeCertificate:
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_rounded_angles_are_the_certified_multiples(self, seed):
+        # The exact certificate that vertex_cycles once took on exact input:
+        # the rotation product of each cycle is real, with sign (-1)**k, for
+        # the k that the rounded double angle sum gives.
+        for s in _certificate_corpus(seed):
+            assert validate(s) == []
+            cones = vertex_cycles(s)
+            assert sum(c.angle_pi - 2 for c in cones) == 2 * (2 * genus(s) - 2)
+            for c in cones:
+                if c.is_fold:
+                    continue
+                re, im = _rotation_product(s, c.corners)
+                assert sign(im) == 0 and sign(re) == (-1) ** c.angle_pi
+                assert c.angle == pytest.approx(c.angle_pi * math.pi, abs=1e-12)
 
 
 class TestGenus:
@@ -293,6 +356,19 @@ class TestArea:
     def test_linear_map_preserves_area_when_unimodular(self, ay):
         m = ((ALPHA.inverse(), CubicNumber(0)), (CubicNumber(0), ALPHA))
         assert area(apply_linear(m, ay)) == area(ay)
+
+
+class TestEquality:
+    def test_differences(self, torus):
+        # kind, polygon count and gluings each tell surfaces apart
+        assert torus == Surface(torus.polygons, torus.gluings[::-1])
+        assert torus != Surface(torus.polygons, torus.gluings, HALF_TRANSLATION)
+        assert torus != Surface(torus.polygons * 2, torus.gluings)
+        assert torus != Surface(torus.polygons, [Gluing(g.edge_a, g.edge_b, REFLECTION) for g in torus.gluings])
+
+    def test_not_a_surface(self, torus):
+        assert torus.__eq__(torus.polygons[0]) is NotImplemented
+        assert torus != torus.polygons[0]
 
 
 class TestApplyLinear:

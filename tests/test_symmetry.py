@@ -112,6 +112,10 @@ class TestAYGroup:
             for s in by_name(ay_isometries, "sigma"):
                 assert sym.element_order(sym.compose(r, s)) == 4
 
+    def test_composition_across_surfaces_raises(self, ay_isometries, escalator_isometries):
+        with pytest.raises(SurfaceError, match="different surfaces"):
+            sym.compose(ay_isometries[0], escalator_isometries[0])
+
     def test_identity_composition(self, group):
         [ident] = [i for i in group if i.is_identity()]
         for iso in group:
